@@ -1,11 +1,28 @@
 """Numeric kernels: batch forwards and analytic loss gradients per model kind.
 
 Every function here is written once in numba-compatible style (float64 arrays,
-int64 index arrays, explicit loops, no Python objects) and wrapped with
+int64 index arrays, no Python objects) and wrapped with
 :func:`vfmlab._jit.maybe_jit`, so the same source is compiled with numba when
-it is installed and otherwise runs as plain Python loops, with a warning at
-import saying so.  ``VFMLAB_DISABLE_NUMBA=1`` selects the loop lane
+it is installed and otherwise runs as plain Python over numpy, with a warning
+at import saying so.  ``VFMLAB_DISABLE_NUMBA=1`` selects the plain lane
 explicitly.
+
+Two styles live side by side:
+
+* array form: ``sgd_step``, ``adam_step``, ``lr_predict``, ``nn_predict``
+  and ``_nn_backprop``, plus the task-embedding gather of ``_mtl_forward``
+  (the gradient scatter of ``mtl_loss_grad`` is a loop over rows, with whole
+  embedding columns per row);
+* explicit loops: ``lr_loss_grad``, the MTL output layer, the per-row
+  residual loops of the ``*_loss_grad`` kernels and the mechanistic
+  MM/HEM/HAM physics.  Vectorizing those would reorder floating-point sums
+  or, at the one-row calls of online learning, cost more than the loop.
+
+An array rewrite must keep every rounding step of the loop it replaces:
+``tests/test_kernel_oracle.py`` holds the array-form kernels bit-identical to
+the loop versions frozen in ``tests/loop_kernels.py``.  It must also stay
+within the numpy subset numba supports in nopython mode (``np.add.at``, for
+instance, is not in it).
 
 Shared conventions:
 
@@ -180,12 +197,11 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 
 @maybe_jit
 def lr_predict(theta, xs):
-    n, d = xs.shape
+    d = xs.shape[1]
     w = theta[:d]
     b = theta[d]
     yhat = np.dot(xs, w)
-    for i in range(n):
-        yhat[i] += b
+    yhat += b
     return yhat
 
 
@@ -214,7 +230,6 @@ def lr_loss_grad(theta, xs, y, inv_var):
 
 @maybe_jit
 def nn_predict(theta, off, widths, xs):
-    n = xs.shape[0]
     nl = widths.shape[0] - 1
     h = xs
     pos = off
@@ -229,10 +244,7 @@ def nn_predict(theta, off, widths, xs):
         if layer < nl - 1:
             z = np.maximum(z, 0.0)
         h = z
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = h[i, 0]
-    return out
+    return h[:, 0].copy()
 
 
 @maybe_jit
@@ -258,9 +270,7 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
             z = np.maximum(z, 0.0)
         acts.append(z)
         h = z
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = h[i, 0]
+    out = h[:, 0].copy()
 
     d = delta.reshape(n, 1).copy()
     ones = np.ones(n)
@@ -452,11 +462,7 @@ def _mtl_forward(theta, dims, xs, wells):
     pos += 1
     bmat = theta[pos:pos + p * m]
 
-    beta = np.empty((n, p))
-    for i in range(n):
-        j = wells[i]
-        for q in range(p):
-            beta[i, q] = bmat[q * m + j]
+    beta = np.ascontiguousarray(bmat.reshape(p, m).T)[wells]
 
     z = np.dot(xs, w01) + np.dot(beta, w02) + b0
     zs = [z]
@@ -556,49 +562,34 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     grad[d * h:d * h + p * h] += dw02.ravel()
     grad[d * h + p * h:in_sz] += np.dot(ones, dz)
     dbeta = np.dot(dz, np.ascontiguousarray(w02.T))
+    # Row by row, so rows of one well add up in the same order as a scalar
+    # loop would; a per-well sum over rows could reorder them.
+    gb = grad[b_pos:b_pos + p * m].reshape(p, m)
     for i in range(n):
-        j = wells[i]
-        for q in range(p):
-            grad[b_pos + q * m + j] += dbeta[i, q]
+        gb[:, wells[i]] += dbeta[i]
     return sse, grad
 
 
 # ------------------------------------------------------------------ optimizer
-# Flat-vector update steps live here so the online-learning inner loop stays
-# allocation-light in either lane.
+# Flat-vector update steps, in array form: each element goes through the
+# same roundings in the same order as a per-parameter loop, so the result is
+# bit-identical to one.  The clamp equals the loop's "below lower, else above
+# upper" test wherever lower <= upper.  Adam updates m and v in place.
 
 
 @maybe_jit
 def sgd_step(theta, grad, gamma_k, lower, upper):
-    n = theta.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        v = theta[i] - gamma_k * grad[i]
-        if v < lower[i]:
-            v = lower[i]
-        elif v > upper[i]:
-            v = upper[i]
-        out[i] = v
-    return out
+    return np.minimum(np.maximum(theta - gamma_k * grad, lower), upper)
 
 
 @maybe_jit
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
-    n = theta.shape[0]
-    out = np.empty(n)
-    bc1 = 1.0 - beta1 ** k
-    bc2 = 1.0 - beta2 ** k
-    for i in range(n):
-        g = grad[i]
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-        mhat = m[i] / bc1
-        vhat = v[i] / bc2
-        val = theta[i] - gamma_k * mhat / (math.sqrt(vhat) + eps)
-        if val < lower[i]:
-            val = lower[i]
-        elif val > upper[i]:
-            val = upper[i]
-        out[i] = val
-    return out
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1 ** k)
+    vhat = v / (1.0 - beta2 ** k)
+    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
+    return np.minimum(np.maximum(val, lower), upper)

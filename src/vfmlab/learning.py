@@ -96,17 +96,49 @@ class PredictionLog:
 
     @classmethod
     def concat(cls, logs: "list[PredictionLog]") -> "PredictionLog":
+        """Merge logs of one schedule and kind (typically one per well) into
+        one chronological log; the metadata is merged by :func:`_merge_metadata`."""
         if not logs:
             raise DataError("nothing to concatenate")
+        meta = _merge_metadata([l.metadata for l in logs])
         t = np.concatenate([l.t for l in logs])
         order = np.argsort(t, kind="stable")
-        meta = dict(logs[0].metadata)
         return cls(t[order],
                    np.concatenate([l.well for l in logs])[order],
                    np.concatenate([l.y_true for l in logs])[order],
                    np.concatenate([l.y_pred for l in logs])[order],
                    np.concatenate([l.model_version for l in logs])[order],
                    np.concatenate([l.source for l in logs])[order], meta)
+
+
+_SUMMED_META = ("n_updates", "n_retrains")
+_JOINED_META = ("skipped_updates", "failed_periods")
+
+
+def _merge_metadata(metas: list[dict]) -> dict:
+    """Metadata of a concatenation, each part describing its own rows.
+
+    Counts are summed and event lists joined and sorted; any other key is
+    kept when every part has it with one value, and dropped otherwise.  Parts
+    of different modes or kinds cannot be merged.
+    """
+    for key in ("mode", "kind"):
+        values = {m.get(key) for m in metas}
+        if len(values) > 1:
+            raise DataError(f"cannot concatenate logs of different {key}: "
+                            f"{sorted(map(str, values))}")
+    merged = {}
+    for key in metas[0]:
+        if not all(key in m for m in metas):
+            continue
+        values = [m[key] for m in metas]
+        if key in _SUMMED_META:
+            merged[key] = sum(values)
+        elif key in _JOINED_META:
+            merged[key] = sorted(v for part in values for v in part)
+        elif all(v == values[0] for v in values[1:]):
+            merged[key] = values[0]
+    return merged
 
 
 class _LogBuilder:

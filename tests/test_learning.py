@@ -8,9 +8,11 @@ import pytest
 
 from vfmlab import (
     ConfigError,
+    DataError,
     LossSpec,
     Method,
     OptimizerConfig,
+    PredictionLog,
     PriorMode,
     ScheduleConfig,
     WellDataset,
@@ -299,3 +301,45 @@ def test_log_round_trip_preserves_metadata(tmp_path):
     np.testing.assert_array_equal(back.y_pred, log.y_pred)
     assert back.metadata["mode"] == "ol"
     assert back.metadata["n_updates"] == log.metadata["n_updates"]
+
+
+def _meta_log(t, well, meta):
+    n = len(t)
+    return PredictionLog(np.asarray(t, np.int64), np.full(n, well, np.int64),
+                         np.ones(n), np.ones(n), np.zeros(n, np.int64),
+                         np.zeros(n, np.uint8), meta)
+
+
+def test_concat_merges_the_metadata_of_every_part():
+    ol = [_meta_log([0, 20], 1, {"mode": "ol", "kind": "nn", "steps": 3,
+                                 "n_updates": 569, "skipped_updates": [40]}),
+          _meta_log([10], 2, {"mode": "ol", "kind": "nn", "steps": 3,
+                              "n_updates": 300, "skipped_updates": [30, 5]})]
+    log = PredictionLog.concat(ol)
+    assert log.metadata == {"mode": "ol", "kind": "nn", "steps": 3,
+                            "n_updates": 869, "skipped_updates": [5, 30, 40]}
+    np.testing.assert_array_equal(log.t, [0, 10, 20])
+    np.testing.assert_array_equal(log.well, [1, 2, 1])
+
+    pbl = [_meta_log([0], 1, {"mode": "pbl", "kind": "mm", "period_s": 10.0,
+                              "window_s": None, "n_retrains": 4,
+                              "failed_periods": [90]}),
+           _meta_log([5], 2, {"mode": "pbl", "kind": "mm", "period_s": 10.0,
+                              "window_s": None, "n_retrains": 2,
+                              "failed_periods": [70]}),
+           _meta_log([7], 3, {"mode": "pbl", "kind": "mm", "period_s": 20.0,
+                              "window_s": None, "n_retrains": 1,
+                              "failed_periods": []})]
+    # period_s differs between the parts, so it is dropped
+    assert PredictionLog.concat(pbl).metadata == {
+        "mode": "pbl", "kind": "mm", "window_s": None, "n_retrains": 7,
+        "failed_periods": [70, 90]}
+
+
+@pytest.mark.parametrize("key,other", [("mode", "pbl"), ("kind", "lr")])
+def test_concat_refuses_parts_of_different_mode_or_kind(key, other):
+    meta = {"mode": "ol", "kind": "nn", "n_updates": 1, "skipped_updates": []}
+    a = _meta_log([0], 1, meta)
+    b = _meta_log([1], 2, dict(meta, **{key: other}))
+    with pytest.raises(DataError):
+        PredictionLog.concat([a, b])
