@@ -7,16 +7,12 @@ periodic batch refits or by per-observation online updates.  A Hotelling-type
 two-sample scan estimates how often retraining is needed, and prequential
 logs feed MAPE/rolling-error reports.
 
-Hot numeric kernels are compiled with numba when it is installed (the ``jit``
-extra); otherwise they run as plain Python loops, and a RuntimeWarning at
-import says so.  Set the environment variable VFMLAB_DISABLE_NUMBA=1 before
-import to select the loop lane explicitly.
+The numeric kernels (:mod:`vfmlab.kernels`) are plain Python over numpy.
 """
 
-from ._jit import NUMBA_ENABLED
 from .core import (DataSplit, FeatureScaler, IngestReport, Observation, Source,
-                   WellDataset, apply_scaler, chronological_split, fit_scaler,
-                   ingest_csv, ingest_csv_report, substream, write_csv)
+                   WellDataset, chronological_split, fit_scaler, ingest_csv,
+                   ingest_csv_report, substream, write_csv)
 from .diff import GradientVector, loss_gradient
 from .drift import (DriftConfig, ShiftReport, estimate_update_frequency, f_cdf,
                     f_quantile, hotelling_t2, write_shift_csv)
@@ -30,9 +26,7 @@ from .metrics import (MetricReport, SummaryTable, mape, mape_details,
                       write_rolling_csv, write_summary_csv)
 from .models import (ChokeGeometry, MechanisticParams, ModelKind, ModelSpec,
                      MtlParams, NetworkShape, ParameterSet, effective_area,
-                     forward_benchmark, forward_ham, forward_hem, forward_lr,
-                     forward_mm, forward_mtl, forward_nn, init_model,
-                     load_model, predict, save_model)
+                     init_model, load_model, predict, save_model)
 from .optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig,
                     OptimizerState, PriorMode, fit_map, grid_search, map_loss,
                     optimizer_step, prior_loss_and_grad)
@@ -40,3 +34,8 @@ from .synth import WellScenario, generate_stream, stationarity_probe
 from .config import ScheduleSpec, StudyConfig, load_config, save_config
 
 __version__ = "0.1.0"
+
+# Kernels are never compiled.  bench/envinfo.py records this value as the
+# kernel lane of every benchmark run; the constant goes with the next change
+# to the benchmark.
+NUMBA_ENABLED = False

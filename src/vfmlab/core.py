@@ -309,10 +309,6 @@ def fit_scaler(ds: WellDataset) -> FeatureScaler:
     return FeatureScaler(mean, std, ym, ys if ys > 0.0 else 1.0)
 
 
-def apply_scaler(s: FeatureScaler, x: np.ndarray) -> np.ndarray:
-    return s.transform(x)
-
-
 # ------------------------------------------------------------------ timestamps
 
 

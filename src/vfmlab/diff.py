@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import as_columns
 from .errors import GradientError
-from .models import ModelKind, ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs
+from .models import (ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs,
+                     task_columns)
 from .optim import LossSpec, PriorMode, prior_loss_and_grad
 
 
@@ -49,11 +50,7 @@ def loss_gradient(m: ModelSpec, batch, loss: LossSpec) -> GradientVector:
             names=m.params.names)
     X = np.ascontiguousarray(X)
     Xs = scale_inputs(plan, X)
-    if m.kind is ModelKind.MTL:
-        lookup = {w: j for j, w in enumerate(m.mtl.well_ids)}
-        wells = np.array([lookup[int(w)] for w in well], dtype=np.int64)
-    else:
-        wells = np.zeros(X.shape[0], dtype=np.int64)
+    wells = task_columns(m, well)
 
     yhat = plan_predict(plan, m.params.values, X, Xs, wells)
     bad = ~np.isfinite(yhat)

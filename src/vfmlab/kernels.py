@@ -1,11 +1,7 @@
 """Numeric kernels: batch forwards and analytic loss gradients per model kind.
 
-Every function here is written once in numba-compatible style (float64 arrays,
-int64 index arrays, no Python objects) and wrapped with
-:func:`vfmlab._jit.maybe_jit`, so the same source is compiled with numba when
-it is installed and otherwise runs as plain Python over numpy, with a warning
-at import saying so.  ``VFMLAB_DISABLE_NUMBA=1`` selects the plain lane
-explicitly.
+Every function here is plain Python over numpy: float64 arrays, int64 index
+arrays, no Python objects.  Nothing is compiled.
 
 Two styles live side by side:
 
@@ -18,11 +14,15 @@ Two styles live side by side:
   MM/HEM/HAM physics.  Vectorizing those would reorder floating-point sums
   or, at the one-row calls of online learning, cost more than the loop.
 
-An array rewrite must keep every rounding step of the loop it replaces:
-``tests/test_kernel_oracle.py`` holds the array-form kernels bit-identical to
-the loop versions frozen in ``tests/loop_kernels.py``.  It must also stay
-within the numpy subset numba supports in nopython mode (``np.add.at``, for
-instance, is not in it).
+The one rule for a rewrite is to stay bit-identical to the loop versions
+frozen in ``tests/loop_kernels.py``; ``tests/test_kernel_oracle.py`` checks
+that by exact equality.  Two details that look removable are part of the
+arithmetic under that rule:
+
+* the ``np.ascontiguousarray(a.T)`` copies before ``np.dot`` choose the BLAS
+  path, and a transposed view rounds differently;
+* the placeholder first entries of ``_mtl_forward``'s ``h1s``/``a1s`` lists
+  are part of its result, whose list lengths the oracle compares.
 
 Shared conventions:
 
@@ -50,7 +50,6 @@ import math
 
 import numpy as np
 
-from ._jit import maybe_jit
 
 GAS_R = 8.31446          # J/(mol K)
 P_SC = 1.01325e5         # Pa, standard conditions
@@ -61,7 +60,6 @@ M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 # ------------------------------------------------------------------ helpers
 
 
-@maybe_jit
 def _softplus(z):
     if z > 30.0:
         return z
@@ -70,7 +68,6 @@ def _softplus(z):
     return math.log1p(math.exp(z))
 
 
-@maybe_jit
 def _sigmoid(z):
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -78,12 +75,10 @@ def _sigmoid(z):
     return e / (1.0 + e)
 
 
-@maybe_jit
 def _area(u, geom):
     return geom[0] * (geom[1] * u + geom[2] * u * u + geom[3] * u * u * u)
 
 
-@maybe_jit
 def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     """Radical and standard-conditions specific volume of the choke equation.
 
@@ -115,7 +110,6 @@ def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     return math.sqrt(s), vsc, 0
 
 
-@maybe_jit
 def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     """Like _mm_parts but also return d(r)/dp and d(vsc)/dp for the five
     non-C_D mechanistic parameters, order (rho_oil, rho_wat, kappa, M_gas, p_cr).
@@ -195,7 +189,6 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 # ------------------------------------------------------------------------ LR
 
 
-@maybe_jit
 def lr_predict(theta, xs):
     d = xs.shape[1]
     w = theta[:d]
@@ -205,7 +198,6 @@ def lr_predict(theta, xs):
     return yhat
 
 
-@maybe_jit
 def lr_loss_grad(theta, xs, y, inv_var):
     n, d = xs.shape
     w = theta[:d]
@@ -228,7 +220,6 @@ def lr_loss_grad(theta, xs, y, inv_var):
 # ------------------------------------------------------------------------ NN
 
 
-@maybe_jit
 def nn_predict(theta, off, widths, xs):
     nl = widths.shape[0] - 1
     h = xs
@@ -247,7 +238,6 @@ def nn_predict(theta, off, widths, xs):
     return h[:, 0].copy()
 
 
-@maybe_jit
 def _nn_backprop(theta, off, widths, xs, delta, grad):
     """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[off:...].
 
@@ -293,7 +283,6 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
     return out
 
 
-@maybe_jit
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     n = xs.shape[0]
     yhat = nn_predict(theta, off, widths, xs)
@@ -311,7 +300,6 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 # ------------------------------------------------------------------------ MM
 
 
-@maybe_jit
 def mm_predict(theta, x, geom):
     n = x.shape[0]
     yhat = np.empty(n)
@@ -324,7 +312,6 @@ def mm_predict(theta, x, geom):
     return yhat, nneg
 
 
-@maybe_jit
 def mm_loss_grad(theta, x, geom, y, inv_var):
     n = x.shape[0]
     grad = np.zeros(theta.shape[0])
@@ -350,14 +337,12 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
 # ----------------------------------------------------------------------- HEM
 
 
-@maybe_jit
 def hem_predict(theta, widths, x, xs, geom, nn_scale):
     ymm, nneg = mm_predict(theta, x, geom)
     ynn = nn_predict(theta, 6, widths, xs)
     return ymm + nn_scale * ynn, nneg
 
 
-@maybe_jit
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
     n = x.shape[0]
     ymm, nneg = mm_predict(theta, x, geom)
@@ -387,7 +372,6 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
 # ----------------------------------------------------------------------- HAM
 
 
-@maybe_jit
 def ham_predict(theta, widths, x, xs, geom):
     n = x.shape[0]
     nn_out = nn_predict(theta, 5, widths, xs)
@@ -401,7 +385,6 @@ def ham_predict(theta, widths, x, xs, geom):
     return yhat, nneg
 
 
-@maybe_jit
 def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     n = x.shape[0]
     nn_out = nn_predict(theta, 5, widths, xs)
@@ -438,7 +421,6 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
 #   B (P,M) row-major; column j is the task embedding of well-index j
 
 
-@maybe_jit
 def _mtl_forward(theta, dims, xs, wells):
     d = dims[0]
     p = dims[1]
@@ -495,13 +477,11 @@ def _mtl_forward(theta, dims, xs, wells):
     return yhat, zs, h1s, a1s, beta
 
 
-@maybe_jit
 def mtl_predict(theta, dims, xs, wells):
     yhat, _, _, _, _ = _mtl_forward(theta, dims, xs, wells)
     return yhat
 
 
-@maybe_jit
 def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     d = dims[0]
     p = dims[1]
@@ -577,12 +557,10 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
 # upper" test wherever lower <= upper.  Adam updates m and v in place.
 
 
-@maybe_jit
 def sgd_step(theta, grad, gamma_k, lower, upper):
     return np.minimum(np.maximum(theta - gamma_k * grad, lower), upper)
 
 
-@maybe_jit
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
     m *= beta1

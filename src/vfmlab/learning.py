@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import Source, DataSplit, WellDataset, fit_scaler
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import ModelKind, ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs
+from .models import (ModelKind, ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs,
+                     task_columns)
 from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, OptimizerState,
                     PriorMode, fit_map, optimizer_step, prior_loss_and_grad)
 
@@ -89,10 +90,16 @@ class PredictionLog:
         return tuple(int(w) for w in np.unique(self.well))
 
     def for_well(self, well_id: int) -> "PredictionLog":
+        """Rows of one well.  When the log also holds other wells, the counts
+        and event lists that describe the whole log are dropped."""
         m = self.well == well_id
+        meta = dict(self.metadata)
+        if not m.all():
+            for key in _SUMMED_META + _JOINED_META:
+                meta.pop(key, None)
         return PredictionLog(self.t[m], self.well[m], self.y_true[m],
                              self.y_pred[m], self.model_version[m],
-                             self.source[m], dict(self.metadata))
+                             self.source[m], meta)
 
     @classmethod
     def concat(cls, logs: "list[PredictionLog]") -> "PredictionLog":
@@ -163,12 +170,7 @@ class _LogBuilder:
 def _predict_one(m: ModelSpec, plan, x_row: np.ndarray, well_id: int) -> float:
     X = x_row[None, :]
     Xs = scale_inputs(plan, X)
-    if m.kind is ModelKind.MTL:
-        col = m.mtl.col_of(well_id)
-        wells = np.array([col], dtype=np.int64)
-    else:
-        wells = np.zeros(1, dtype=np.int64)
-    return float(plan_predict(plan, m.params.values, X, Xs, wells)[0])
+    return float(plan_predict(plan, m.params.values, X, Xs, task_columns(m, well_id))[0])
 
 
 def _history_dataset(split: DataSplit, consumed: int) -> WellDataset:
@@ -277,17 +279,16 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
             builder.add(t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i]))
             continue
 
-        y_hat = _predict_one(current, plan, te.X[i], w)
+        # the plan (and its scaler) is frozen, so one row's arrays serve both
+        # the prediction and the update
+        X1 = te.X[i][None, :]
+        Xs1 = scale_inputs(plan, X1)
+        wells1 = task_columns(current, w)
+        y_hat = float(plan_predict(plan, current.params.values, X1, Xs1, wells1)[0])
         builder.add(t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i]))
 
         if steps == 0 or not _source_allows(cfg, int(te.source[i])):
             continue
-        X1 = te.X[i][None, :]
-        Xs1 = scale_inputs(plan, X1)
-        if current.kind is ModelKind.MTL:
-            wells1 = np.array([current.mtl.col_of(w)], dtype=np.int64)
-        else:
-            wells1 = np.zeros(1, dtype=np.int64)
         y1 = te.y[i:i + 1]
         state = OptimizerState.for_params(current.params)
         ok = True

@@ -241,6 +241,8 @@ class ParameterSet:
             raise ConfigError("names length mismatch")
         if n and np.any(sd <= 0.0):
             raise ConfigError("prior stds must be positive")
+        if n and np.any(lo > hi):
+            raise ConfigError("lower bounds must not exceed upper bounds")
         for arr in (values, mu, sd, phys, lo, hi):
             arr.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -614,6 +616,18 @@ def _check_mechanistic_inputs(X: np.ndarray) -> None:
         raise NumericError("mechanistic forward requires positive p1, p2, T1")
 
 
+def task_columns(m: ModelSpec, well_ids) -> np.ndarray:
+    """Task-matrix column of each row's well, as the kernels' ``wells`` array.
+
+    Zeros for every kind but MTL; a well id outside the MTL task set raises
+    ConfigError.
+    """
+    well_ids = np.atleast_1d(well_ids)
+    if m.kind is not ModelKind.MTL:
+        return np.zeros(well_ids.shape[0], dtype=np.int64)
+    return np.array([m.mtl.col_of(w) for w in well_ids], dtype=np.int64)
+
+
 def predict(m: ModelSpec, X: np.ndarray, well_ids=None) -> np.ndarray:
     """Batch forward pass. X is raw (n, 6); returns yhat (n,).
 
@@ -627,40 +641,11 @@ def predict(m: ModelSpec, X: np.ndarray, well_ids=None) -> np.ndarray:
     if m.kind is ModelKind.MTL:
         if well_ids is None:
             raise ConfigError("MTL prediction needs well_ids")
-        wells = np.array([m.mtl.col_of(w) for w in np.atleast_1d(well_ids)], dtype=np.int64)
+        wells = task_columns(m, well_ids)
         if wells.shape[0] != X.shape[0]:
             raise ConfigError("well_ids length mismatch")
     Xs = scale_inputs(plan, X)
     return plan_predict(plan, m.params.values, X, Xs, wells)
-
-
-def forward_benchmark(prev_y: float) -> float:
-    """Previous-value predictor; the caller supplies the last observed y."""
-    return float(prev_y)
-
-
-def forward_lr(m: ModelSpec, x: np.ndarray) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def forward_nn(m: ModelSpec, x: np.ndarray) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def forward_mtl(m: ModelSpec, x: np.ndarray, well_id: int) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1), [well_id])[0])
-
-
-def forward_mm(m: ModelSpec, x: np.ndarray) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def forward_hem(m: ModelSpec, x: np.ndarray) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def forward_ham(m: ModelSpec, x: np.ndarray) -> float:
-    return float(predict(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 # -------------------------------------------------------------- checkpoints

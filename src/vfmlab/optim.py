@@ -30,7 +30,8 @@ import numpy as np
 from . import kernels
 from .core import WellDataset, as_columns, substream
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import KernelPlan, ModelKind, ModelSpec, ParameterSet, build_plan, scale_inputs
+from .models import (KernelPlan, ModelKind, ModelSpec, ParameterSet, build_plan, scale_inputs,
+                     task_columns)
 
 
 class PriorMode(enum.Enum):
@@ -190,22 +191,13 @@ def prior_loss_and_grad(params: ParameterSet, theta: np.ndarray,
     return loss, grad
 
 
-def _mtl_cols(m: ModelSpec, well: np.ndarray) -> np.ndarray:
-    lookup = {w: j for j, w in enumerate(m.mtl.well_ids)}
-    try:
-        return np.array([lookup[int(w)] for w in well], dtype=np.int64)
-    except KeyError as e:
-        raise ConfigError(f"well_id {e.args[0]} not in MTL task set") from None
-
-
 def _batch_arrays(m: ModelSpec, plan: KernelPlan, data):
     _, X, y, well = as_columns(data)
     if X.shape[0] == 0:
         raise DataError("empty batch")
     X = np.ascontiguousarray(X)
     Xs = scale_inputs(plan, X)
-    wells = _mtl_cols(m, well) if m.kind is ModelKind.MTL else np.zeros(len(y), dtype=np.int64)
-    return X, Xs, np.ascontiguousarray(y), wells
+    return X, Xs, np.ascontiguousarray(y), task_columns(m, well)
 
 
 def map_loss(m: ModelSpec, data, loss: LossSpec) -> float:

@@ -16,7 +16,6 @@ from vfmlab import (
     SchemaError,
     Source,
     WellDataset,
-    apply_scaler,
     chronological_split,
     fit_scaler,
     ingest_csv,
@@ -183,7 +182,7 @@ def test_scaler_hand_example_mean_one_std_one():
     s = fit_scaler(ds)
     assert s.mean[0] == pytest.approx(1.0)
     assert s.std[0] == pytest.approx(1.0)
-    z = apply_scaler(s, make_x(u=2.0))
+    z = s.transform(make_x(u=2.0))
     assert z[0] == pytest.approx(1.0)
     assert s.target_mean == pytest.approx(2.0)
     assert s.target_scale == pytest.approx(1.0)
@@ -196,20 +195,20 @@ def test_scaler_constant_column_coerced_to_unit_std():
     ds2 = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
     s = fit_scaler(ds2)
     assert s.std[3] == 1.0
-    assert np.allclose(apply_scaler(s, ds2.X)[:, 3], 0.0)
+    assert np.allclose(s.transform(ds2.X)[:, 3], 0.0)
 
 
 def test_scaler_standardizes_fitting_window():
     ds = make_dataset(50)
     s = fit_scaler(ds)
-    Z = apply_scaler(s, ds.X)
+    Z = s.transform(ds.X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_identity_scaler_is_a_no_op():
     x = make_x()
-    assert np.array_equal(apply_scaler(FeatureScaler.identity(), x), x)
+    assert np.array_equal(FeatureScaler.identity().transform(x), x)
 
 
 def test_scaler_rejects_nonpositive_std_or_scale():

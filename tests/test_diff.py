@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vfmlab import (
+    ConfigError,
     GradientError,
     LossSpec,
     MtlParams,
@@ -183,6 +184,17 @@ def test_mechanistic_gradient_is_finite_at_the_critical_pressure_clamp():
                      np.zeros(1, np.uint8), np.ones(1, np.int64))
     g = loss_gradient(m, ds, LossSpec(noise_std=1e3))
     assert np.all(np.isfinite(g.grad))
+
+
+def test_unknown_mtl_well_is_a_config_error():
+    ds = mixed_dataset()
+    ds = WellDataset(ds.t, ds.X, ds.y, ds.source, np.where(ds.well == 3, 9, ds.well))
+    m = dict(model_zoo(fit_scaler(ds)))["mtl"]
+    loss = LossSpec(noise_std=1.0)
+    with pytest.raises(ConfigError, match="well_id 9"):
+        loss_gradient(m, ds, loss)
+    with pytest.raises(ConfigError, match="well_id 9"):
+        map_loss(m, ds, loss)
 
 
 def test_nonfinite_forward_raises_with_offending_index():

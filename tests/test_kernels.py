@@ -1,15 +1,9 @@
-"""Compute-lane equivalence.
+"""Cross-process reproducibility of every public number the kernels produce.
 
-The hot kernels run either jitted or as plain Python loops, selected once at
-import by VFMLAB_DISABLE_NUMBA and by whether numba can be imported. Both
-lanes execute the same source, so every public number they produce must agree
-to floating-point reassociation. The battery below runs in two subprocesses
-(flag 0, flag 1) and the results are diffed.
-
-Without numba both subprocesses take the loop lane, so the twelve
-``test_lanes_agree_*`` tests then check only that results are reproducible
-across processes. ``test_env_flag_selects_the_lane`` records which lane
-actually ran and that a missing numba is announced by a warning.
+The battery below runs in two fresh interpreters that differ only in
+PYTHONHASHSEED (0 and 1), and the results must be equal bit for bit: nothing
+may depend on hash order or on state left in a process.  The two runs are the
+"lanes" of the ``test_lanes_agree_*`` names.
 """
 
 import os
@@ -20,18 +14,13 @@ import numpy as np
 import pytest
 
 BATTERY = r"""
-import importlib.util
 import sys
-import warnings
 import numpy as np
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    import vfmlab
+import vfmlab
 from vfmlab import (LossSpec, MtlParams, NetworkShape, WellDataset, fit_scaler,
                     init_model)
 from vfmlab.diff import loss_gradient
 from vfmlab.optim import map_loss
-from vfmlab._jit import NUMBA_ENABLED
 
 rng = np.random.default_rng(42)
 n = 64
@@ -51,12 +40,7 @@ source = np.zeros(n, dtype=np.uint8)
 ds = WellDataset(t, X, y, source, wells.astype(np.int64))
 scaler = fit_scaler(ds)
 
-out = {
-    "numba_enabled": np.array([NUMBA_ENABLED], dtype=bool),
-    "numba_importable": np.array([importlib.util.find_spec("numba") is not None]),
-    "numba_warned": np.array([any(issubclass(w.category, RuntimeWarning)
-                                  and "numba" in str(w.message) for w in caught)]),
-}
+out = {}
 loss = LossSpec(noise_std=0.03 * float(np.mean(y)))
 specs = [
     ("lr", {}),
@@ -81,59 +65,40 @@ np.savez(sys.argv[1], **out)
 """
 
 
+HASH_SEEDS = ("0", "1")
+
+
 @pytest.fixture(scope="module")
 def lane_outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("lanes")
     results = {}
-    for lane, flag in [("numba", "0"), ("numpy", "1")]:
-        env = dict(os.environ, VFMLAB_DISABLE_NUMBA=flag)
-        out = root / f"{lane}.npz"
+    for seed in HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = root / f"hashseed{seed}.npz"
         proc = subprocess.run([sys.executable, "-c", BATTERY, str(out)],
                               env=env, capture_output=True, text=True,
                               timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        results[lane] = dict(np.load(out))
+        results[seed] = dict(np.load(out))
     return results
-
-
-def test_env_flag_selects_the_lane(lane_outputs):
-    # Flag 1 forces the loop lane, silently.
-    forced = lane_outputs["numpy"]
-    assert bool(forced["numba_enabled"][0]) is False
-    assert bool(forced["numba_warned"][0]) is False
-    # Flag 0 takes the jitted lane exactly when numba can be imported, and
-    # warns exactly when it falls back to the loop lane.
-    default = lane_outputs["numba"]
-    importable = bool(default["numba_importable"][0])
-    assert bool(default["numba_enabled"][0]) is importable
-    assert bool(default["numba_warned"][0]) is not importable
 
 
 @pytest.mark.parametrize("kind", ["lr", "nn", "mm", "hem", "ham", "mtl"])
 def test_lanes_agree_on_predictions(lane_outputs, kind):
-    a = lane_outputs["numba"][f"{kind}_pred"]
-    b = lane_outputs["numpy"][f"{kind}_pred"]
+    a, b = (lane_outputs[seed][f"{kind}_pred"] for seed in HASH_SEEDS)
     assert a.shape == b.shape
-    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", ["lr", "nn", "mm", "hem", "ham", "mtl"])
 def test_lanes_agree_on_loss_and_gradient(lane_outputs, kind):
-    na, nb = lane_outputs["numba"], lane_outputs["numpy"]
-    np.testing.assert_allclose(na[f"{kind}_loss"], nb[f"{kind}_loss"], rtol=1e-10)
-    np.testing.assert_allclose(na[f"{kind}_maploss"], nb[f"{kind}_maploss"],
-                               rtol=1e-10)
-    ga, gb = na[f"{kind}_grad"], nb[f"{kind}_grad"]
-    scale = np.maximum(np.abs(ga), np.abs(gb)).max() + 1e-30
-    np.testing.assert_allclose(ga, gb, rtol=1e-9, atol=1e-9 * scale)
+    a, b = (lane_outputs[seed] for seed in HASH_SEEDS)
+    for key in ("loss", "maploss", "grad"):
+        assert np.array_equal(a[f"{kind}_{key}"], b[f"{kind}_{key}"]), key
 
 
-def test_numpy_lane_functions_are_plain_python():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from vfmlab import kernels; import types; "
-         "assert isinstance(kernels.lr_predict, types.FunctionType), "
-         "type(kernels.lr_predict)"],
-        env=dict(os.environ, VFMLAB_DISABLE_NUMBA="1"),
-        capture_output=True, text=True, timeout=120)
+def test_import_emits_no_warning():
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", "import vfmlab"],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-1000:]
+    assert proc.stderr == ""

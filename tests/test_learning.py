@@ -336,6 +336,17 @@ def test_concat_merges_the_metadata_of_every_part():
         "failed_periods": [70, 90]}
 
 
+def test_for_well_drops_the_counts_of_other_wells():
+    meta = {"mode": "ol", "kind": "nn", "steps": 3}
+    a = _meta_log([0, 20], 1, dict(meta, n_updates=2, skipped_updates=[40]))
+    b = _meta_log([10], 2, dict(meta, n_updates=1, skipped_updates=[5]))
+    both = PredictionLog.concat([a, b])
+    assert both.metadata["n_updates"] == 3
+    assert both.for_well(2).metadata == meta
+    # a log that holds only that well keeps every key
+    assert a.for_well(1).metadata == a.metadata
+
+
 @pytest.mark.parametrize("key,other", [("mode", "pbl"), ("kind", "lr")])
 def test_concat_refuses_parts_of_different_mode_or_kind(key, other):
     meta = {"mode": "ol", "kind": "nn", "n_updates": 1, "skipped_updates": []}

@@ -13,22 +13,22 @@ from vfmlab import (
     ChokeGeometry,
     ConfigError,
     FeatureScaler,
+    LossSpec,
     MechanisticParams,
     ModelKind,
     MtlParams,
     NetworkShape,
+    OptimizerConfig,
+    ParameterSet,
+    ScheduleConfig,
     SchemaError,
+    WellDataset,
+    chronological_split,
     effective_area,
-    forward_benchmark,
-    forward_ham,
-    forward_hem,
-    forward_lr,
-    forward_mm,
-    forward_mtl,
-    forward_nn,
     init_model,
     load_model,
     predict,
+    run_ol,
     save_model,
 )
 from vfmlab.models import expected_param_count, softplus_inverse, task_matrix
@@ -143,8 +143,16 @@ def test_ham_output_bias_prior_matches_discharge_coefficient():
 
 
 def test_benchmark_repeats_previous_value():
-    assert forward_benchmark(100.0) == 100.0
-    assert forward_benchmark(0.0) == 0.0
+    # the previous-value predictor lives in the learning drivers, which keep
+    # each well's last observed y
+    y = np.array([7.0, 100.0, 0.0, 5.0])
+    ds = WellDataset(np.arange(4.0), np.zeros((4, 6)), y, np.zeros(4, np.uint8),
+                     np.ones(4, np.int64))
+    log = run_ol(init_model("benchmark"), chronological_split(ds, 1.5),
+                 ScheduleConfig(mode="ol", ocfg=OptimizerConfig(),
+                                loss=LossSpec(noise_std=1.0)))
+    assert log.y_pred[0] == 100.0
+    assert log.y_pred[1] == 0.0
 
 
 # ---------------------------------------------------------------------- linear
@@ -155,13 +163,13 @@ def test_lr_constant_and_selector():
     theta = np.zeros(7)
     theta[6] = 3.0
     m = m.with_values(theta)
-    assert forward_lr(m, make_x()) == pytest.approx(3.0)
+    assert predict(m, make_x())[0] == pytest.approx(3.0)
     theta = np.zeros(7)
     theta[0] = 1.0
     m = m.with_values(theta)
     x = np.zeros(6)
     x[0] = 2.0
-    assert forward_lr(m, x) == pytest.approx(2.0)
+    assert predict(m, x)[0] == pytest.approx(2.0)
 
 
 def test_lr_matches_dot_product_oracle():
@@ -171,7 +179,7 @@ def test_lr_matches_dot_product_oracle():
         theta = rng.normal(size=7)
         x = rng.normal(size=6)
         expect = float(theta[:6] @ x + theta[6])
-        assert forward_lr(m.with_values(theta), x) == pytest.approx(expect, rel=1e-12)
+        assert predict(m.with_values(theta), x)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_lr_standardized_spaces_round_trip():
@@ -187,7 +195,7 @@ def test_lr_standardized_spaces_round_trip():
     x = ds.X[7]
     z = (x - s.mean) / s.std
     expect = s.target_mean + s.target_scale * (theta[:6] @ z + theta[6])
-    assert forward_lr(m, x) == pytest.approx(expect, rel=1e-12)
+    assert predict(m, x)[0] == pytest.approx(expect, rel=1e-12)
 
 
 # -------------------------------------------------------------------- networks
@@ -202,7 +210,7 @@ def test_nn_hand_traceable_relu_path():
         theta[names.index(f"W2[{i},0]")] = 1.0
     m = m.with_values(theta)
     x = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    assert forward_nn(m, x) == pytest.approx(1.0)
+    assert predict(m, x)[0] == pytest.approx(1.0)
 
 
 def test_nn_all_zero_weights_returns_output_bias():
@@ -211,7 +219,7 @@ def test_nn_all_zero_weights_returns_output_bias():
     theta[list(m.params.names).index("b3[0]")] = 2.5
     m = m.with_values(theta)
     for x in np.random.default_rng(2).normal(size=(5, 6)):
-        assert forward_nn(m, x) == pytest.approx(2.5)
+        assert predict(m, x)[0] == pytest.approx(2.5)
 
 
 def nn_reference(theta, names, widths, x):
@@ -237,7 +245,7 @@ def test_nn_matches_matrix_recursion_oracle():
     for _ in range(10):
         theta = rng.normal(size=len(m.params))
         x = rng.normal(size=6)
-        got = forward_nn(m.with_values(theta), x)
+        got = predict(m.with_values(theta), x)[0]
         want = nn_reference(theta, m.params.names, widths, x)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -282,7 +290,7 @@ def test_mtl_zero_blocks_keep_identity_path():
     m = m.with_values(theta)
     x = np.zeros(6)
     x[0] = 1.25
-    assert forward_mtl(m, x, 2) == pytest.approx(1.25)
+    assert predict(m, x, [2])[0] == pytest.approx(1.25)
 
 
 def test_mtl_identical_embeddings_give_identical_outputs():
@@ -294,7 +302,7 @@ def test_mtl_identical_embeddings_give_identical_outputs():
         theta[names.index(f"B[{r},1]")] = theta[names.index(f"B[{r},0]")]
     m = m.with_values(theta)
     x = make_x()
-    assert forward_mtl(m, x, 1) == pytest.approx(forward_mtl(m, x, 2), rel=1e-14)
+    assert predict(m, x, [1])[0] == pytest.approx(predict(m, x, [2])[0], rel=1e-14)
 
 
 def test_mtl_matches_residual_recursion_oracle():
@@ -304,13 +312,13 @@ def test_mtl_matches_residual_recursion_oracle():
         mt = m.with_values(rng.normal(size=len(m.params)))
         x = rng.normal(size=6)
         wid = int(rng.choice([1, 2, 3]))
-        assert forward_mtl(mt, x, wid) == pytest.approx(
+        assert predict(mt, x, [wid])[0] == pytest.approx(
             mtl_reference(mt, x, wid), rel=1e-12, abs=1e-12)
 
 
 def test_mtl_rejects_unknown_well():
     with pytest.raises(ConfigError):
-        forward_mtl(small_mtl(), make_x(), 9)
+        predict(small_mtl(), make_x(), [9])
 
 
 def test_mtl_permuting_wells_with_embedding_columns_is_invariant():
@@ -330,8 +338,8 @@ def test_mtl_permuting_wells_with_embedding_columns_is_invariant():
     m2 = m2.with_values(theta2)
     x = make_x()
     for wid in (10, 20, 30):
-        assert forward_mtl(m2, x, wid) == pytest.approx(
-            forward_mtl(m, x, wid), rel=1e-14)
+        assert predict(m2, x, [wid])[0] == pytest.approx(
+            predict(m, x, [wid])[0], rel=1e-14)
 
 
 # ----------------------------------------------------------------- mechanistic
@@ -353,13 +361,13 @@ def test_effective_area_boundary_and_monotonicity():
 
 def test_mm_closed_choke_and_zero_pressure_drop():
     m = init_model("mm")
-    assert forward_mm(m, make_x(u=0.0)) == 0.0
-    assert forward_mm(m, make_x(p1=1e7, p2=1e7)) == 0.0
+    assert predict(m, make_x(u=0.0))[0] == 0.0
+    assert predict(m, make_x(p1=1e7, p2=1e7))[0] == 0.0
 
 
 def test_mm_is_nondecreasing_in_choke_opening():
     m = init_model("mm")
-    q = [forward_mm(m, make_x(u=v)) for v in np.linspace(0, 1, 100)]
+    q = [predict(m, make_x(u=v))[0] for v in np.linspace(0, 1, 100)]
     assert np.all(np.diff(q) >= 0)
 
 
@@ -369,13 +377,21 @@ def test_mm_matches_independent_transcription():
     X = random_valid_inputs(rng, 200)
     for x in X:
         want = choke_flow_reference(m.params.values, m.geometry, x)
-        assert forward_mm(m, x) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert predict(m, x)[0] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_mm_rejects_nonpositive_pressure():
     from vfmlab import NumericError
     with pytest.raises(NumericError):
-        forward_mm(init_model("mm"), make_x(p1=-1.0))
+        predict(init_model("mm"), make_x(p1=-1.0))
+
+
+def test_parameter_set_rejects_lower_bound_above_upper():
+    z, one = np.zeros(2), np.ones(2)
+    flags, names = np.zeros(2, bool), ("a", "b")
+    ParameterSet(z, z, one, flags, names, np.array([0.0, 1.0]), one)  # equal is fine
+    with pytest.raises(ConfigError):
+        ParameterSet(z, z, one, flags, names, np.array([0.0, 2.0]), one)
 
 
 def test_mechanistic_params_container():
@@ -399,7 +415,7 @@ def test_hem_zero_network_reduces_to_mechanistic():
     m = m.with_values(theta)
     mm = init_model("mm")
     x = make_x()
-    assert forward_hem(m, x) == pytest.approx(forward_mm(mm, x), rel=1e-14)
+    assert predict(m, x)[0] == pytest.approx(predict(mm, x)[0], rel=1e-14)
 
 
 def test_hem_closed_choke_exposes_additive_bias():
@@ -408,7 +424,7 @@ def test_hem_closed_choke_exposes_additive_bias():
     theta[:6] = m.params.values[:6]
     theta[list(m.params.names).index("nn.b2[0]")] = 7.5
     m = m.with_values(theta)
-    assert forward_hem(m, make_x(u=0.0)) == pytest.approx(7.5)
+    assert predict(m, make_x(u=0.0))[0] == pytest.approx(7.5)
 
 
 def test_hem_is_sum_of_its_parts():
@@ -421,8 +437,8 @@ def test_hem_is_sum_of_its_parts():
     nn = init_model("nn", shape=shape).with_values(theta[6:])
     mm = init_model("mm")
     x = make_x()
-    assert forward_hem(m, x) == pytest.approx(
-        forward_mm(mm, x) + forward_nn(nn, x), rel=1e-12)
+    assert predict(m, x)[0] == pytest.approx(
+        predict(mm, x)[0] + predict(nn, x)[0], rel=1e-12)
 
 
 def test_hem_scales_correction_by_target_spread():
@@ -434,7 +450,7 @@ def test_hem_scales_correction_by_target_spread():
     theta[list(m.params.names).index("nn.b2[0]")] = 1.0
     m = m.with_values(theta)
     # additive correction rides on the target scale, not the target mean
-    assert forward_hem(m, make_x(u=0.0)) == pytest.approx(20.0)
+    assert predict(m, make_x(u=0.0))[0] == pytest.approx(20.0)
 
 
 def test_ham_constant_multiplier_reduces_to_mm_with_that_discharge():
@@ -445,12 +461,12 @@ def test_ham_constant_multiplier_reduces_to_mm_with_that_discharge():
     m = m.with_values(theta)
     mm = init_model("mm", priors={"C_D": (0.66, 0.1)})
     for x in (make_x(), make_x(u=0.9, p2=60e5)):
-        assert forward_ham(m, x) == pytest.approx(forward_mm(mm, x), rel=1e-12)
+        assert predict(m, x)[0] == pytest.approx(predict(mm, x)[0], rel=1e-12)
 
 
 def test_ham_closed_choke_is_zero_for_any_network():
     m = init_model("ham", shape=NetworkShape(hidden=(4,)), seed=9)
-    assert forward_ham(m, make_x(u=0.0)) == 0.0
+    assert predict(m, make_x(u=0.0))[0] == 0.0
 
 
 def test_ham_matches_area_substitution_oracle():
@@ -460,10 +476,10 @@ def test_ham_matches_area_substitution_oracle():
     m = m.with_values(theta)
     nn = init_model("nn", shape=NetworkShape(hidden=(5,))).with_values(theta[5:])
     x = make_x(u=0.45)
-    mult = float(np.logaddexp(0.0, forward_nn(nn, x)))
+    mult = float(np.logaddexp(0.0, predict(nn, x)[0]))
     params6 = np.concatenate([theta[:5], [mult]])
     want = choke_flow_reference(params6, m.geometry, x)
-    assert forward_ham(m, x) == pytest.approx(want, rel=1e-10)
+    assert predict(m, x)[0] == pytest.approx(want, rel=1e-10)
 
 
 # ----------------------------------------------------------------- persistence
@@ -514,11 +530,12 @@ def test_checkpoint_rejects_corrupted_file(tmp_path):
 
 
 def test_predict_agrees_with_scalar_forwards():
+    # a batch forward equals the same rows predicted one at a time
     rng = np.random.default_rng(30)
     X = random_valid_inputs(rng, 10)
     m = init_model("nn", shape=NetworkShape(hidden=(6,)), seed=2)
     batch = predict(m, X)
-    singles = [forward_nn(m, x) for x in X]
+    singles = [predict(m, x)[0] for x in X]
     assert np.allclose(batch, singles, rtol=1e-12)
     mm = init_model("mm")
-    assert np.allclose(predict(mm, X), [forward_mm(mm, x) for x in X], rtol=1e-12)
+    assert np.allclose(predict(mm, X), [predict(mm, x)[0] for x in X], rtol=1e-12)

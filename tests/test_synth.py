@@ -8,9 +8,9 @@ from vfmlab import (
     ScenarioError,
     Source,
     WellScenario,
-    forward_mm,
     generate_stream,
     init_model,
+    predict,
     stationarity_probe,
 )
 
@@ -182,7 +182,7 @@ def test_parameter_ramp_slides_flow_between_plateaus():
     vals[5] = 0.66
     object.__setattr__(m.params, "values", vals)
     x = ds.X[-1]
-    assert post[-1] == pytest.approx(forward_mm(m, x), rel=1e-9)
+    assert post[-1] == pytest.approx(predict(m, x)[0], rel=1e-9)
     del target
 
 
