@@ -75,18 +75,20 @@ def _resolve_config(args) -> StudyConfig:
 # ------------------------------------------------------------- study helpers
 
 
-def _case_datasets(cfg: StudyConfig) -> dict[int, WellDataset]:
+def _case_datasets(cfg: StudyConfig) -> tuple[dict[int, WellDataset], float]:
+    """The wells of ``cfg.case`` and the split time, which is taken from all
+    loaded rows, so the case filter does not move it."""
     datasets = cfg.load_datasets()
+    t_split = cfg.split_time(datasets)
     if cfg.case == "welltest":
         datasets = {w: ds.only_source(Source.WELLTEST) for w, ds in datasets.items()}
     for w, ds in sorted(datasets.items()):
         if len(ds) == 0:
             raise DataError(f"well {w}: no observations under case={cfg.case!r}")
-    return dict(sorted(datasets.items()))
+    return dict(sorted(datasets.items())), t_split
 
 
-def _split_all(cfg: StudyConfig, datasets: dict[int, WellDataset]):
-    t_split = cfg.split_time()
+def _split_all(cfg: StudyConfig, datasets: dict[int, WellDataset], t_split: float):
     splits = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=EmptySplitWarning)
@@ -155,8 +157,8 @@ def cmd_simulate(cfg: StudyConfig) -> int:
 
 
 def cmd_tune(cfg: StudyConfig) -> int:
-    datasets = _case_datasets(cfg)
-    splits, merged = _split_all(cfg, datasets)
+    datasets, t_split = _case_datasets(cfg)
+    splits, merged = _split_all(cfg, datasets, t_split)
     trains = [sp.train for sp in splits.values()]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,8 +209,7 @@ def parse_tuned(path: str | Path) -> dict:
 
 
 def cmd_run(cfg: StudyConfig) -> int:
-    datasets = _case_datasets(cfg)
-    splits, merged = _split_all(cfg, datasets)
+    splits, merged = _split_all(cfg, *_case_datasets(cfg))
     out = Path(cfg.out_dir)
     log_dir = out / "logs" / cfg.case
     rep_dir = out / "reports"
@@ -239,7 +240,7 @@ def cmd_run(cfg: StudyConfig) -> int:
 
 
 def cmd_detect(cfg: StudyConfig) -> int:
-    datasets = _case_datasets(cfg)
+    datasets, _ = _case_datasets(cfg)
     out = Path(cfg.out_dir) / "detect"
     out.mkdir(parents=True, exist_ok=True)
     dcfg = cfg.drift_config()

@@ -3,21 +3,39 @@
 Every function here is plain Python over numpy: float64 arrays, int64 index
 arrays, no Python objects.  Nothing is compiled.
 
-Two styles live side by side:
+Calls come in two sizes: one row (each online-learning step, each per-row
+prediction of ``run_pbl``) and batches (mini-batches of 32 rows,
+validation sets of tens to hundreds of rows).  The kernels serve both:
 
-* array form: ``sgd_step``, ``adam_step``, ``lr_predict``, ``nn_predict``
-  and ``_nn_backprop``, plus the task-embedding gather of ``_mtl_forward``
-  (the gradient scatter of ``mtl_loss_grad`` is a loop over rows, with whole
-  embedding columns per row);
-* explicit loops: ``lr_loss_grad``, the MTL output layer, the per-row
-  residual loops of the ``*_loss_grad`` kernels and the mechanistic
-  MM/HEM/HAM physics.  Vectorizing those would reorder floating-point sums
-  or, at the one-row calls of online learning, cost more than the loop.
+* array form at every size: ``sgd_step``, ``adam_step``, ``lr_predict``,
+  ``nn_predict``, ``_nn_backprop`` and all of MTL (the output layer as one
+  row-wise cumulative sum, the task-embedding gather as one fancy index, the
+  gradient scatter as one ``np.add.at``);
+* column form for calls of at least ``COLUMN_ROWS`` rows and the scalar loop
+  below that: ``lr_loss_grad``, the MM/HEM/HAM physics (``_mm_cols`` against
+  ``_mm_parts``/``_mm_parts_grad``) and the residual loops of the
+  ``*_loss_grad`` kernels (``_residuals``).  A column form costs a fixed
+  number of numpy calls of about 1 us each, a loop a few us per row.
+  Measured min-of-k on a 2-core VM, the column form overtakes the loop at
+  about 5 rows for ``lr_loss_grad``, 7 to 9 for HEM/HAM and 9 to 10 for MM;
+  at one row it is 4 to 8 times slower.  ``COLUMN_ROWS = 8`` sits between.
 
-The one rule for a rewrite is to stay bit-identical to the loop versions
-frozen in ``tests/loop_kernels.py``; ``tests/test_kernel_oracle.py`` checks
-that by exact equality.  Two details that look removable are part of the
-arithmetic under that rule:
+Exactness, checked against the loop versions frozen in
+``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
+``COLUMN_ROWS``:
+
+* the optimizer steps and the LR, NN and MTL kernels are bit-identical to the
+  loops.  Sums over rows keep the loops' order: a cumulative sum along the
+  summed axis adds one term at a time, and its last entry is the sum
+  (``_row_sum``, ``_affine_cols``); ``np.add.at`` applies rows in index order;
+* the MM/HEM/HAM column forms go through the loops' arithmetic in the loops'
+  order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` (numpy 2.4
+  on AVX-512) differ from libm by one unit in the last place on a few
+  percent of inputs (``sqrt`` never does), so they are held to 1e-10 relative
+  for predictions and loss and 1e-9 for gradients, with equal clamp counts.
+
+Two details that look removable are part of the arithmetic under the first
+rule:
 
 * the ``np.ascontiguousarray(a.T)`` copies before ``np.dot`` choose the BLAS
   path, and a transposed view rounds differently;
@@ -56,6 +74,10 @@ P_SC = 1.01325e5         # Pa, standard conditions
 T_SC = 288.15            # K
 M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 
+# Calls with at least this many rows take the column form, shorter ones the
+# loop (see the module docstring for the measured crossover).
+COLUMN_ROWS = 8
+
 
 # ------------------------------------------------------------------ helpers
 
@@ -75,8 +97,49 @@ def _sigmoid(z):
     return e / (1.0 + e)
 
 
+def _softplus_cols(z):
+    e = np.exp(np.minimum(z, 30.0))
+    return np.where(z > 30.0, z, np.where(z < -30.0, e, np.log1p(e)))
+
+
+def _sigmoid_cols(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _row_sum(a):
+    """Sum over axis 0, adding rows in order as the loops do."""
+    return np.cumsum(a, axis=0)[-1]
+
+
+def _affine_cols(b, a, w):
+    """b + a[:, 0]*w[0] + a[:, 1]*w[1] + ... per row, added left to right as
+    the loops do."""
+    terms = np.empty((a.shape[0], a.shape[1] + 1))
+    terms[:, 0] = b
+    np.multiply(a, w, out=terms[:, 1:])
+    return np.cumsum(terms, axis=1)[:, -1].copy()
+
+
 def _area(u, geom):
     return geom[0] * (geom[1] * u + geom[2] * u * u + geom[3] * u * u * u)
+
+
+def _residuals(y, yhat, inv_var):
+    """(sse, delta) of the squared-error data term: sse sums
+    (y_i - yhat_i)^2 * inv_var over rows in order, delta_i = -2 * resid_i * inv_var.
+    """
+    n = y.shape[0]
+    if n >= COLUMN_ROWS:
+        resid = y - yhat
+        return _row_sum(resid * resid * inv_var), -2.0 * resid * inv_var
+    delta = np.empty(n)
+    sse = 0.0
+    for i in range(n):
+        resid = y[i] - yhat[i]
+        sse += resid * resid * inv_var
+        delta[i] = -2.0 * resid * inv_var
+    return sse, delta
 
 
 def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
@@ -182,6 +245,74 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     return r, vsc, dr, dvsc, 0
 
 
+def _mm_cols(theta, x, grad):
+    """_mm_parts (grad False) or _mm_parts_grad (grad True) over every row of x.
+
+    Returns (r, vsc, neg) or (r, vsc, neg, dr, dvsc): columns of length n, a
+    boolean neg and derivatives of shape (n, 5).  Each row goes through the
+    loop's operations in the loop's order.
+    """
+    ro, rw, kp, mg, pcr = theta[:5].tolist()
+    p1, p2, t1, eo, eg = x[:, 1], x[:, 2], x[:, 3], x[:, 4], x[:, 5]
+    ew = 1.0 - eo - eg
+    ew = np.where(ew < 0.0, 0.0, ew)
+    pr_raw = p2 / p1
+    clamped = pr_raw < pcr
+    pr = np.where(clamped, pcr, pr_raw)
+
+    rg1 = p1 * mg / (GAS_R * t1)
+    rg2 = rg1 * pr ** (1.0 / kp)
+    vo = eo / ro
+    vw = ew / rw
+    v2 = eg / rg2 + vo + vw
+    rho2 = 1.0 / v2
+
+    rgsc = P_SC * mg / (GAS_R * T_SC)
+    vsc = eg / rgsc + vo + vw
+
+    ck = kp / (kp - 1.0)
+    tg = ck * eg * (1.0 / rg1 - pr / rg2)
+    g = tg + (vo + vw) * (1.0 - pr)
+    s = 2.0 * rho2 * rho2 * p1 * g
+    neg = s <= 0.0
+    r = np.sqrt(np.where(neg, 0.0, s))
+    if not grad:
+        return r, vsc, neg
+
+    n = x.shape[0]
+    dvsc = np.zeros((n, 5))
+    dvsc[:, 0] = -eo / (ro * ro)
+    dvsc[:, 1] = -ew / (rw * rw)
+    dvsc[:, 3] = -eg / (rgsc * mg)
+
+    drg2_k = -rg2 * np.log(pr) / (kp * kp)
+    drg2_m = rg2 / mg
+    drg2_pc = np.where(clamped, rg2 / (kp * pr), 0.0)
+
+    inv_rg2sq = eg / (rg2 * rg2)
+    dv2 = np.empty((n, 5))
+    dv2[:, 0] = dvsc[:, 0]
+    dv2[:, 1] = dvsc[:, 1]
+    dv2[:, 2] = -inv_rg2sq * drg2_k
+    dv2[:, 3] = -inv_rg2sq * drg2_m
+    dv2[:, 4] = -inv_rg2sq * drg2_pc
+
+    dg = np.empty((n, 5))
+    dg[:, 0] = -(eo / (ro * ro)) * (1.0 - pr)
+    dg[:, 1] = -(ew / (rw * rw)) * (1.0 - pr)
+    dck = -1.0 / ((kp - 1.0) * (kp - 1.0))
+    dg[:, 2] = dck * eg * (1.0 / rg1 - pr / rg2) + ck * eg * (pr / (rg2 * rg2)) * drg2_k
+    dg[:, 3] = -tg / mg
+    dg[:, 4] = np.where(clamped, -eg / rg2 - (vo + vw), 0.0)
+
+    rho2 = rho2[:, None]
+    drho2 = -rho2 * rho2 * dv2
+    ds = 2.0 * p1[:, None] * (2.0 * rho2 * drho2 * g[:, None] + rho2 * rho2 * dg)
+    # clamped rows divide by 1 instead of 0; their derivatives are zeroed
+    dr = np.where(neg[:, None], 0.0, ds / (2.0 * np.where(neg, 1.0, r))[:, None])
+    return r, vsc, neg, dr, dvsc
+
+
 # ----------------------------------------------------------------- benchmark
 # (no kernel: the previous-value predictor is bookkeeping, handled in python)
 
@@ -203,6 +334,11 @@ def lr_loss_grad(theta, xs, y, inv_var):
     w = theta[:d]
     b = theta[d]
     grad = np.zeros(theta.shape[0])
+    if n >= COLUMN_ROWS:
+        sse, c = _residuals(y, _affine_cols(b, xs, w), inv_var)
+        grad[:d] += _row_sum(c[:, None] * xs)
+        grad[d] += _row_sum(c)
+        return sse, grad
     sse = 0.0
     for i in range(n):
         yh = b
@@ -286,12 +422,7 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     n = xs.shape[0]
     yhat = nn_predict(theta, off, widths, xs)
-    delta = np.empty(n)
-    sse = 0.0
-    for i in range(n):
-        resid = y[i] - yhat[i]
-        sse += resid * resid * inv_var
-        delta[i] = -2.0 * resid * inv_var
+    sse, delta = _residuals(y, yhat, inv_var)
     grad = np.zeros(theta.shape[0])
     _nn_backprop(theta, off, widths, xs, delta, grad)
     return sse, grad
@@ -302,6 +433,10 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 
 def mm_predict(theta, x, geom):
     n = x.shape[0]
+    if n >= COLUMN_ROWS:
+        r, vsc, neg = _mm_cols(theta, x, False)
+        yhat = M3S_TO_SM3H * theta[5] * _area(x[:, 0], geom) * r * vsc
+        return yhat, int(np.count_nonzero(neg))
     yhat = np.empty(n)
     nneg = 0
     for i in range(n):
@@ -312,9 +447,24 @@ def mm_predict(theta, x, geom):
     return yhat, nneg
 
 
+def _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad):
+    """Add sum_i delta_i * d(mm_i)/dtheta[:6] to grad, rows in order."""
+    base = M3S_TO_SM3H * cd * a2
+    terms = np.empty((a2.shape[0], 6))
+    terms[:, :5] = (delta * base)[:, None] * (dr * vsc[:, None] + r[:, None] * dvsc)
+    terms[:, 5] = delta * M3S_TO_SM3H * a2 * r * vsc
+    grad[:6] += _row_sum(terms)
+
+
 def mm_loss_grad(theta, x, geom, y, inv_var):
     n = x.shape[0]
     grad = np.zeros(theta.shape[0])
+    if n >= COLUMN_ROWS:
+        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
+        a2 = _area(x[:, 0], geom)
+        sse, c = _residuals(y, M3S_TO_SM3H * theta[5] * a2 * r * vsc, inv_var)
+        _mm_grad_cols(theta[5], a2, c, r, vsc, dr, dvsc, grad)
+        return sse, grad, int(np.count_nonzero(neg))
     sse = 0.0
     nneg = 0
     for i in range(n):
@@ -345,6 +495,16 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
 
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
     n = x.shape[0]
+    if n >= COLUMN_ROWS:
+        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
+        a2 = _area(x[:, 0], geom)
+        ymm = M3S_TO_SM3H * theta[5] * a2 * r * vsc
+        ynn = nn_predict(theta, 6, widths, xs)
+        sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
+        grad = np.zeros(theta.shape[0])
+        _nn_backprop(theta, 6, widths, xs, delta * nn_scale, grad)
+        _mm_grad_cols(theta[5], a2, delta, r, vsc, dr, dvsc, grad)
+        return sse, grad, int(np.count_nonzero(neg))
     ymm, nneg = mm_predict(theta, x, geom)
     ynn = nn_predict(theta, 6, widths, xs)
     delta = np.empty(n)
@@ -375,6 +535,10 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
 def ham_predict(theta, widths, x, xs, geom):
     n = x.shape[0]
     nn_out = nn_predict(theta, 5, widths, xs)
+    if n >= COLUMN_ROWS:
+        r, vsc, neg = _mm_cols(theta, x, False)
+        yhat = M3S_TO_SM3H * _area(x[:, 0], geom) * _softplus_cols(nn_out) * r * vsc
+        return yhat, int(np.count_nonzero(neg))
     yhat = np.empty(n)
     nneg = 0
     for i in range(n):
@@ -389,6 +553,16 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     n = x.shape[0]
     nn_out = nn_predict(theta, 5, widths, xs)
     grad = np.zeros(theta.shape[0])
+    if n >= COLUMN_ROWS:
+        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
+        a2 = _area(x[:, 0], geom)
+        base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
+        mult = _softplus_cols(nn_out)
+        sse, c = _residuals(y, base * mult, inv_var)
+        grad[:5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[:, None]
+                             * (dr * vsc[:, None] + r[:, None] * dvsc))
+        _nn_backprop(theta, 5, widths, xs, c * base * _sigmoid_cols(nn_out), grad)
+        return sse, grad, int(np.count_nonzero(neg))
     sse = 0.0
     nneg = 0
     delta_nn = np.empty(n)
@@ -427,7 +601,6 @@ def _mtl_forward(theta, dims, xs, wells):
     h = dims[2]
     nblk = dims[3]
     m = dims[4]
-    n = xs.shape[0]
 
     pos = 0
     w01 = theta[pos:pos + d * h].reshape(d, h)
@@ -468,13 +641,8 @@ def _mtl_forward(theta, dims, xs, wells):
         zs.append(z)
         h1s.append(h1)
         a1s.append(a1)
-    yhat = np.empty(n)
-    for i in range(n):
-        acc = bout
-        for q in range(h):
-            acc += z[i, q] * wout[q, 0]
-        yhat[i] = acc
-    return yhat, zs, h1s, a1s, beta
+    # in column form at every row count: it is faster than the loop even at n = 1
+    return _affine_cols(bout, z, wout[:, 0]), zs, h1s, a1s, beta
 
 
 def mtl_predict(theta, dims, xs, wells):
@@ -492,12 +660,8 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
 
     yhat, zs, h1s, a1s, beta = _mtl_forward(theta, dims, xs, wells)
     grad = np.zeros(theta.shape[0])
-    delta = np.empty((n, 1))
-    sse = 0.0
-    for i in range(n):
-        resid = y[i] - yhat[i]
-        sse += resid * resid * inv_var
-        delta[i, 0] = -2.0 * resid * inv_var
+    sse, delta = _residuals(y, yhat, inv_var)
+    delta = delta.reshape(n, 1)
 
     in_sz = d * h + p * h + h
     blk_sz = 2 * h * h + 2 * h
@@ -542,11 +706,9 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     grad[d * h:d * h + p * h] += dw02.ravel()
     grad[d * h + p * h:in_sz] += np.dot(ones, dz)
     dbeta = np.dot(dz, np.ascontiguousarray(w02.T))
-    # Row by row, so rows of one well add up in the same order as a scalar
-    # loop would; a per-well sum over rows could reorder them.
-    gb = grad[b_pos:b_pos + p * m].reshape(p, m)
-    for i in range(n):
-        gb[:, wells[i]] += dbeta[i]
+    # np.add.at applies rows in index order, so the rows of one well add up
+    # as in a loop over rows; a per-well sum could reorder them.
+    np.add.at(grad[b_pos:b_pos + p * m].reshape(p, m).T, wells, dbeta)
     return sse, grad
 
 

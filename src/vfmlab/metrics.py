@@ -1,11 +1,12 @@
 """Prequential metrics: MAPE, rolling absolute error, cross-well summaries.
 
-Zero-target entries cannot be percentage-scored; they are excluded and
-counted rather than silently dropped.  Percentiles interpolate linearly
-between closest ranks.  The summary table follows the study layout: one row
-per learning method, one column per model kind, plus an "All" column that
-averages the trainable kinds (the naive previous-value predictor is reported
-but not averaged).
+Zero-target entries cannot be percentage-scored, and non-finite predictions
+(a diverged model, or the benchmark on a well it has not seen) have no error;
+both are excluded and counted rather than silently dropped.  Percentiles
+interpolate linearly between closest ranks.  The summary table follows the
+study layout: one row per learning method, one column per model kind, plus an
+"All" column that averages the trainable kinds (the naive previous-value
+predictor is reported but not averaged).
 """
 
 from __future__ import annotations
@@ -31,25 +32,20 @@ class MetricReport:
     cross_well_mean: float
     percentiles: tuple  # P10, P25, P50, P75, P90 of per-well MAPEs
     rolling_series: tuple  # (t, rolling_mae, p25_band, p75_band) arrays
-    n_zero_targets: int = 0
-
-
-def _scored(log: PredictionLog, well_id: int | None):
-    sel = np.ones(len(log), dtype=bool) if well_id is None else log.well == well_id
-    zero = sel & (log.y_true == 0.0)
-    ok = sel & ~zero
-    return ok, int(np.sum(zero))
+    n_excluded: int = 0    # zero targets and non-finite predictions
 
 
 def mape_details(log: PredictionLog, well_id: int | None = None) -> tuple[float, int, int]:
-    """(MAPE %, scored count, excluded zero-target count)."""
-    ok, n_zero = _scored(log, well_id)
+    """(MAPE %, scored count, excluded count), the excluded entries being the
+    zero targets and the non-finite predictions."""
+    sel = np.ones(len(log), dtype=bool) if well_id is None else log.well == well_id
+    ok = sel & (log.y_true != 0.0) & np.isfinite(log.y_pred)
     n = int(np.sum(ok))
     if n == 0:
         raise DataError("no scoreable entries")
     val = 100.0 * float(np.mean(np.abs(log.y_true[ok] - log.y_pred[ok])
                                 / np.abs(log.y_true[ok])))
-    return val, n, n_zero
+    return val, n, int(np.sum(sel)) - n
 
 
 def mape(log: PredictionLog, well_id: int | None = None) -> float:
@@ -79,11 +75,11 @@ def rolling_mae(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> tuple
 def metric_report(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> MetricReport:
     wells = log.well_ids()
     per_well = {}
-    n_zero_total = 0
+    n_excluded = 0
     for w in wells:
-        val, _, nz = mape_details(log, w)
+        val, _, n_out = mape_details(log, w)
         per_well[w] = val
-        n_zero_total += nz
+        n_excluded += n_out
     vals = np.array(sorted(per_well.values()), dtype=np.float64)
     pct = tuple(float(p) for p in np.percentile(vals, PERCENTILES))
     t_all, pooled = rolling_mae(log, window_s)
@@ -100,7 +96,7 @@ def metric_report(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> Met
                         cross_well_mean=float(np.mean(vals)),
                         percentiles=pct,
                         rolling_series=(t_all, pooled, p25, p75),
-                        n_zero_targets=n_zero_total)
+                        n_excluded=n_excluded)
 
 
 @dataclass(frozen=True)

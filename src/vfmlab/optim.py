@@ -319,8 +319,10 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
     data; the score is the cross-well mean MAPE.  Ties break toward smaller
     gamma0, then smaller E.  `train` is one WellDataset or a list of them.
     """
-    # imported here: learning builds on optim, so the top level must not cycle
+    # imported here: learning and metrics build on optim, so the top level
+    # must not cycle
     from . import learning
+    from .metrics import mape_details
     from .core import DataSplit, chronological_split, fit_scaler
     from .models import init_model
 
@@ -374,16 +376,13 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
             try:
                 m_fit = fit_map(m0, sp.train, ls, fit_cfg, escfg)
                 log = (learning.run_pbl if cfg.mode == "pbl" else learning.run_ol)(m_fit, sp, cfg)
-                for w in log.well_ids():
-                    mask = (log.well == w) & (log.y_true != 0) & np.isfinite(log.y_pred)
-                    if not np.any(mask):
-                        failed = True
-                        break
-                    mapes.append(100.0 * float(np.mean(
-                        np.abs(log.y_true[mask] - log.y_pred[mask]) / np.abs(log.y_true[mask]))))
             except (NumericError, FloatingPointError):
                 failed = True
-            if failed:
+                break
+            try:
+                mapes.extend(mape_details(log, w)[0] for w in log.well_ids())
+            except DataError:   # a well with nothing scoreable
+                failed = True
                 break
         score = math.inf if (failed or not mapes or not np.all(np.isfinite(mapes))) \
             else float(np.mean(mapes))

@@ -56,6 +56,24 @@ def test_mape_excludes_and_counts_zero_targets():
     assert val == pytest.approx(100.0 * (0.1 + 0.1) / 2)
 
 
+def test_mape_excludes_and_counts_non_finite_predictions():
+    """A NaN or infinite prediction has no percentage error: it is left out
+    and counted with the zero targets, so the MAPE stays finite."""
+    log = make_log([100.0, 100.0, 50.0, 0.0, 80.0],
+                   [90.0, np.nan, 55.0, np.inf, -np.inf])
+    val, n_scored, n_excluded = mape_details(log)
+    assert n_scored == 2
+    assert n_excluded == 3
+    assert val == pytest.approx(100.0 * (0.1 + 0.1) / 2)
+    assert metric_report(log).n_excluded == 3
+
+
+def test_mape_of_only_non_finite_predictions_raises():
+    log = make_log([100.0, 50.0], [np.nan, np.inf])
+    with pytest.raises(DataError):
+        mape(log)
+
+
 def test_mape_with_no_scoreable_entries_raises():
     log = make_log([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DataError):
