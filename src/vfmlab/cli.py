@@ -24,7 +24,7 @@ from .core import (DataSplit, EmptySplitWarning, Source, WellDataset,
 from .drift import estimate_update_frequency, write_shift_csv
 from .errors import ConfigError, DataError, NumericError, VfmlabError
 from .learning import PredictionLog, run_schedule, write_log, read_log
-from .metrics import (SummaryTable, summarize, save_plot,
+from .metrics import (SummaryTable, summarize, save_plot, write_excluded_csv,
                       write_rolling_csv, write_summary_csv)
 from .models import ModelKind, init_model
 from .optim import LossSpec, Method, OptimizerConfig, fit_map, grid_search
@@ -138,6 +138,10 @@ def _print_table(table: SummaryTable) -> None:
         row += "".join(f"{table.cells[i, j]:{width}.2f}" for j in range(len(table.kinds)))
         row += f"{table.all_column[i]:{width}.2f}"
         print(row)
+    if np.any(table.excluded):
+        print("entries left out of the MAPE (zero targets, non-finite predictions):")
+        for i, method in enumerate(table.methods):
+            print(method.ljust(10) + "".join(f"{v:{width}d}" for v in table.excluded[i]))
 
 
 # ----------------------------------------------------------------- commands
@@ -233,6 +237,7 @@ def cmd_run(cfg: StudyConfig) -> int:
     window_s = cfg.metric_window_days * 86400.0
     table = summarize(logs, window_s=window_s)
     write_summary_csv(table, rep_dir / f"summary_{cfg.case}.csv")
+    write_excluded_csv(table, rep_dir / f"excluded_{cfg.case}.csv")
     for (method, kind), rep in table.reports.items():
         write_rolling_csv(rep, rep_dir / f"rolling_{cfg.case}_{method}__{kind}.csv")
     _print_table(table)
@@ -273,6 +278,7 @@ def cmd_report(cfg: StudyConfig, plot: str | None = None) -> int:
     rep_dir = Path(cfg.out_dir) / "reports"
     rep_dir.mkdir(parents=True, exist_ok=True)
     write_summary_csv(table, rep_dir / f"summary_{cfg.case}.csv")
+    write_excluded_csv(table, rep_dir / f"excluded_{cfg.case}.csv")
     if plot is not None:
         save_plot(table, plot)
         print(f"wrote {plot}")

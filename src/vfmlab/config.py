@@ -271,13 +271,13 @@ class StudyConfig:
 
     def split_time(self, datasets: "dict[int, WellDataset] | None" = None) -> float:
         """split_day days after the study's start: the earliest timestamp of
-        ``datasets`` (the wells as ``load_datasets`` returns them) when the data
-        come from ``csv_paths`` (loaded here when not given), otherwise the
-        earliest scenario ``t0``."""
+        ``datasets`` (the wells as ``load_datasets`` returns them, required
+        when the data come from ``csv_paths``), otherwise the earliest
+        scenario ``t0``."""
         from .synth import DEFAULT_T0
         if self.csv_paths:
             if datasets is None:
-                datasets = self.load_datasets()
+                raise ConfigError("split_time of a csv_paths study needs its loaded datasets")
             t0 = min(float(ds.t[0]) for ds in datasets.values() if len(ds))
         else:
             t0 = min(int(raw.get("t0", DEFAULT_T0)) for raw in self.scenarios)

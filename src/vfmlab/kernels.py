@@ -8,13 +8,13 @@ prediction of ``run_pbl``) and batches (mini-batches of 32 rows,
 validation sets of tens to hundreds of rows).  The kernels serve both:
 
 * array form at every size: ``sgd_step``, ``adam_step``, ``lr_predict``,
-  ``nn_predict``, ``_nn_backprop`` and all of MTL (the output layer as one
-  row-wise cumulative sum, the task-embedding gather as one fancy index, the
-  gradient scatter as one ``np.add.at``);
+  ``nn_predict``, ``_nn_backprop``, the squared-error residuals of the
+  ``*_loss_grad`` kernels (``_residuals``) and all of MTL (the output layer as
+  one row-wise cumulative sum, the task-embedding gather as one fancy index,
+  the gradient scatter as one ``np.add.at``);
 * column form for calls of at least ``COLUMN_ROWS`` rows and the scalar loop
-  below that: ``lr_loss_grad``, the MM/HEM/HAM physics (``_mm_cols`` against
-  ``_mm_parts``/``_mm_parts_grad``) and the residual loops of the
-  ``*_loss_grad`` kernels (``_residuals``).  A column form costs a fixed
+  below that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols``
+  against ``_mm_parts``/``_mm_parts_grad``).  A column form costs a fixed
   number of numpy calls of about 1 us each, a loop a few us per row.
   Measured min-of-k on a 2-core VM, the column form overtakes the loop at
   about 5 rows for ``lr_loss_grad``, 7 to 9 for HEM/HAM and 9 to 10 for MM;
@@ -129,17 +129,8 @@ def _residuals(y, yhat, inv_var):
     """(sse, delta) of the squared-error data term: sse sums
     (y_i - yhat_i)^2 * inv_var over rows in order, delta_i = -2 * resid_i * inv_var.
     """
-    n = y.shape[0]
-    if n >= COLUMN_ROWS:
-        resid = y - yhat
-        return _row_sum(resid * resid * inv_var), -2.0 * resid * inv_var
-    delta = np.empty(n)
-    sse = 0.0
-    for i in range(n):
-        resid = y[i] - yhat[i]
-        sse += resid * resid * inv_var
-        delta[i] = -2.0 * resid * inv_var
-    return sse, delta
+    resid = y - yhat
+    return _row_sum(resid * resid * inv_var), -2.0 * resid * inv_var
 
 
 def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
@@ -420,7 +411,6 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
 
 
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
-    n = xs.shape[0]
     yhat = nn_predict(theta, off, widths, xs)
     sse, delta = _residuals(y, yhat, inv_var)
     grad = np.zeros(theta.shape[0])
@@ -507,16 +497,9 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
         return sse, grad, int(np.count_nonzero(neg))
     ymm, nneg = mm_predict(theta, x, geom)
     ynn = nn_predict(theta, 6, widths, xs)
-    delta = np.empty(n)
-    delta_nn = np.empty(n)
-    sse = 0.0
-    for i in range(n):
-        resid = y[i] - (ymm[i] + nn_scale * ynn[i])
-        sse += resid * resid * inv_var
-        delta[i] = -2.0 * resid * inv_var
-        delta_nn[i] = delta[i] * nn_scale
+    sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
     grad = np.zeros(theta.shape[0])
-    _nn_backprop(theta, 6, widths, xs, delta_nn, grad)
+    _nn_backprop(theta, 6, widths, xs, delta * nn_scale, grad)
     for i in range(n):
         r, vsc, dr, dvsc, _ = _mm_parts_grad(
             theta[0], theta[1], theta[2], theta[3], theta[4],

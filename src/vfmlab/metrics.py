@@ -2,7 +2,9 @@
 
 Zero-target entries cannot be percentage-scored, and non-finite predictions
 (a diverged model, or the benchmark on a well it has not seen) have no error;
-both are excluded and counted rather than silently dropped.  Percentiles
+both are excluded and counted rather than silently dropped: the study writes
+the counts next to its table (``write_excluded_csv``), so a model that
+diverged part-way is not hidden behind a MAPE over its finite rows.  Percentiles
 interpolate linearly between closest ranks.  The summary table follows the
 study layout: one row per learning method, one column per model kind, plus an
 "All" column that averages the trainable kinds (the naive previous-value
@@ -107,6 +109,7 @@ class SummaryTable:
     kinds: tuple
     cells: np.ndarray           # cross-well MAPE per (method, kind)
     all_column: np.ndarray      # mean over trainable kinds per method
+    excluded: np.ndarray        # entries left out of each cell's MAPE
     reports: dict = field(default_factory=dict)
 
     def cell(self, method: str, kind: str) -> float:
@@ -120,17 +123,19 @@ def summarize(logs: dict, window_s: float = DEFAULT_WINDOW_S) -> SummaryTable:
     methods = tuple(dict.fromkeys(k[0] for k in logs))
     kinds = tuple(dict.fromkeys(k[1] for k in logs))
     cells = np.full((len(methods), len(kinds)), np.nan)
+    excluded = np.zeros((len(methods), len(kinds)), dtype=np.int64)
     reports = {}
     for (method, kind), log in logs.items():
         rep = metric_report(log, window_s)
         reports[(method, kind)] = rep
         cells[methods.index(method), kinds.index(kind)] = rep.cross_well_mean
+        excluded[methods.index(method), kinds.index(kind)] = rep.n_excluded
     averaged = [k for k in kinds if str(k).lower() != ModelKind.BENCHMARK.value.lower()]
     idx = [kinds.index(k) for k in averaged]
     all_col = np.array([float(np.nanmean(cells[i, idx])) if idx else np.nan
                         for i in range(len(methods))])
     return SummaryTable(methods=methods, kinds=kinds, cells=cells,
-                        all_column=all_col, reports=reports)
+                        all_column=all_col, excluded=excluded, reports=reports)
 
 
 def write_summary_csv(table: SummaryTable, path: str | Path) -> None:
@@ -138,6 +143,15 @@ def write_summary_csv(table: SummaryTable, path: str | Path) -> None:
     for i, m in enumerate(table.methods):
         cells = ",".join(f"{table.cells[i, j]:.6g}" for j in range(len(table.kinds)))
         lines.append(f"{m},{cells},{table.all_column[i]:.6g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_excluded_csv(table: SummaryTable, path: str | Path) -> None:
+    """The summary's layout without the All column: per cell, the count of
+    zero targets and non-finite predictions left out of its MAPE."""
+    lines = ["method," + ",".join(table.kinds)]
+    for i, m in enumerate(table.methods):
+        lines.append(f"{m}," + ",".join(str(int(v)) for v in table.excluded[i]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,9 +1,10 @@
-"""CLI study helpers: where the study splits its data."""
+"""CLI study helpers: where the study splits its data, what its report writes."""
 
 import numpy as np
+import pytest
 
 from conftest import SECONDS_PER_DAY, make_dataset
-from vfmlab import StudyConfig, cli
+from vfmlab import ConfigError, PredictionLog, StudyConfig, cli, write_log
 from vfmlab.core import write_csv
 from vfmlab.synth import DEFAULT_T0
 
@@ -46,3 +47,34 @@ def test_csv_welltest_case_keeps_the_split_of_all_rows(tmp_path):
 def test_scenario_input_keeps_the_scenario_anchor():
     cfg = StudyConfig()
     assert cfg.split_time() == DEFAULT_T0 + cfg.split_day * SECONDS_PER_DAY
+
+
+def test_csv_split_time_needs_the_loaded_datasets(tmp_path):
+    cfg, _ = _csv_study(tmp_path)
+    with pytest.raises(ConfigError):
+        cfg.split_time()
+
+
+def _log(y_pred):
+    n = len(y_pred)
+    return PredictionLog(t=SECONDS_PER_DAY * np.arange(n), well=np.ones(n, dtype=np.int64),
+                         y_true=np.full(n, 100.0), y_pred=np.asarray(y_pred, dtype=float),
+                         model_version=np.zeros(n, dtype=np.int64),
+                         source=np.zeros(n, dtype=np.uint8))
+
+
+def test_report_flags_non_finite_predictions_next_to_the_table(tmp_path, capsys):
+    """A model that diverged part-way gets a MAPE over its finite rows only;
+    the report writes and prints how many rows that left out."""
+    cfg = StudyConfig(out_dir=str(tmp_path), case="all")
+    log_dir = tmp_path / "logs" / "all"
+    log_dir.mkdir(parents=True)
+    write_log(_log([90.0, 110.0, 100.0, 100.0]), log_dir / "ol__lr.csv")
+    write_log(_log([90.0, np.nan, np.nan, np.inf]), log_dir / "ol__nn.csv")
+    assert cli.cmd_report(cfg) == 0
+    reports = tmp_path / "reports"
+    assert (reports / "summary_all.csv").read_text().splitlines() == [
+        "method,lr,nn,All", "ol,5,10,7.5"]
+    assert (reports / "excluded_all.csv").read_text().splitlines() == [
+        "method,lr,nn", "ol,0,3"]
+    assert "non-finite predictions" in capsys.readouterr().out
