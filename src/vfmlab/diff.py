@@ -14,9 +14,8 @@ import numpy as np
 
 from .core import as_columns
 from .errors import GradientError
-from .models import (ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs,
-                     task_columns)
-from .optim import LossSpec, PriorMode, prior_loss_and_grad
+from .models import ModelSpec, plan_predict, scale_inputs, task_columns
+from .optim import LossSpec, PriorMode, TrainingStep, prior_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,8 @@ def loss_gradient(m: ModelSpec, batch, loss: LossSpec) -> GradientVector:
     forward value raises GradientError carrying the index of the first
     offending observation within the batch.
     """
-    plan = build_plan(m)
+    step = TrainingStep(m, loss.noise_std, loss.prior_mode)
+    plan = step.plan
     _, X, y, well = as_columns(batch)
     if X.shape[0] == 0:
         return GradientVector(
@@ -52,19 +52,17 @@ def loss_gradient(m: ModelSpec, batch, loss: LossSpec) -> GradientVector:
     Xs = scale_inputs(plan, X)
     wells = task_columns(m, well)
 
-    yhat = plan_predict(plan, m.params.values, X, Xs, wells)
+    theta = m.params.values
+    yhat = plan_predict(plan, theta, X, Xs, wells)
     bad = ~np.isfinite(yhat)
     if np.any(bad):
         raise GradientError(int(np.argmax(bad)))
 
-    inv_var = 1.0 / (loss.noise_std * loss.noise_std)
-    sse, grad = plan_loss_grad(plan, m.params.values, X, Xs,
-                               np.ascontiguousarray(y), inv_var, wells)
-    ploss, pgrad = prior_loss_and_grad(m.params, m.params.values, loss.prior_mode)
-    total = grad + pgrad
+    y = step.targets(y)
+    total = step.grad(theta, X, Xs, y, wells)
     if not np.all(np.isfinite(total)):
         raise GradientError(0, "non-finite gradient component")
-    return GradientVector(sse + ploss, total, m.params.names)
+    return GradientVector(step.loss(theta, X, Xs, y, wells), total, m.params.names)
 
 
 __all__ = ["GradientVector", "loss_gradient", "LossSpec", "PriorMode"]

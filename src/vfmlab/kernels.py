@@ -8,10 +8,11 @@ prediction of ``run_pbl``) and batches (mini-batches of 32 rows,
 validation sets of tens to hundreds of rows).  The kernels serve both:
 
 * array form at every size: ``sgd_step``, ``adam_step``, ``lr_predict``,
-  ``nn_predict``, ``_nn_backprop``, the squared-error residuals of the
-  ``*_loss_grad`` kernels (``_residuals``) and all of MTL (the output layer as
-  one row-wise cumulative sum, the task-embedding gather as one fancy index,
-  the gradient scatter as one ``np.add.at``);
+  the network's forward and backward passes (``_nn_forward``,
+  ``_nn_backward``), the squared-error residuals of the ``*_loss_grad``
+  kernels (``_residuals``) and all of MTL (the output layer as one row-wise
+  cumulative sum, the task-embedding gather as one fancy index, the gradient
+  scatter as one ``np.add.at``);
 * column form for calls of at least ``COLUMN_ROWS`` rows and the scalar loop
   below that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols``
   against ``_mm_parts``/``_mm_parts_grad``).  A column form costs a fixed
@@ -53,7 +54,14 @@ Shared conventions:
   inputs (all neural-network terms).
 * ``*_loss_grad`` kernels return the data term of the MAP objective,
   ``sse = sum((y_i - yhat_i)^2) * inv_var``, and its gradient w.r.t. theta.
-  Prior terms are added outside (they are kind-independent).
+  They run the network forward once: ``_nn_forward`` keeps the activations
+  that ``_nn_backward`` consumes.  Prior terms are added outside (they are
+  kind-independent).
+* ``*_loss`` kernels return the same ``sse`` bit for bit without the
+  gradient, for validation passes.  Most compute it from the predict
+  kernel; ``ham_loss`` repeats ``ham_loss_grad``'s order of products, and
+  ``lr_loss`` and ``ham_loss`` call their gradient kernel below
+  ``COLUMN_ROWS``, where it is a loop.
 * Mechanistic kernels return a count of rows whose radicand went nonpositive
   (flow clamped to zero there, gradient zero: the clamp is flat).
 
@@ -131,6 +139,12 @@ def _residuals(y, yhat, inv_var):
     """
     resid = y - yhat
     return _row_sum(resid * resid * inv_var), -2.0 * resid * inv_var
+
+
+def _sse(y, yhat, inv_var):
+    """The sse of _residuals alone."""
+    resid = y - yhat
+    return _row_sum(resid * resid * inv_var)
 
 
 def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
@@ -344,33 +358,23 @@ def lr_loss_grad(theta, xs, y, inv_var):
     return sse, grad
 
 
+def lr_loss(theta, xs, y, inv_var):
+    if xs.shape[0] < COLUMN_ROWS:
+        return lr_loss_grad(theta, xs, y, inv_var)[0]
+    d = xs.shape[1]
+    return _sse(y, _affine_cols(theta[d], xs, theta[:d]), inv_var)
+
+
 # ------------------------------------------------------------------------ NN
 
 
 def nn_predict(theta, off, widths, xs):
-    nl = widths.shape[0] - 1
-    h = xs
-    pos = off
-    for layer in range(nl):
-        fi = widths[layer]
-        fo = widths[layer + 1]
-        w = theta[pos:pos + fi * fo].reshape(fi, fo)
-        pos += fi * fo
-        b = theta[pos:pos + fo]
-        pos += fo
-        z = np.dot(h, w) + b
-        if layer < nl - 1:
-            z = np.maximum(z, 0.0)
-        h = z
-    return h[:, 0].copy()
+    return _nn_forward(theta, off, widths, xs)[0]
 
 
-def _nn_backprop(theta, off, widths, xs, delta, grad):
-    """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[off:...].
-
-    Recomputes the forward pass to store activations. Returns nn outputs.
-    """
-    n = xs.shape[0]
+def _nn_forward(theta, off, widths, xs):
+    """(outputs, activations): the activations (xs, then each layer's output)
+    are what _nn_backward needs."""
     nl = widths.shape[0] - 1
     acts = [xs]
     h = xs
@@ -387,8 +391,15 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
             z = np.maximum(z, 0.0)
         acts.append(z)
         h = z
-    out = h[:, 0].copy()
+    return h[:, 0].copy(), acts
 
+
+def _nn_backward(theta, off, widths, acts, delta, grad):
+    """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[off:...], given
+    the activations of _nn_forward at the same theta."""
+    n = delta.shape[0]
+    nl = widths.shape[0] - 1
+    pos = off + sum(fi * fo + fo for fi, fo in zip(widths[:-1].tolist(), widths[1:].tolist()))
     d = delta.reshape(n, 1).copy()
     ones = np.ones(n)
     # walk offsets backwards
@@ -407,15 +418,18 @@ def _nn_backprop(theta, off, widths, xs, delta, grad):
         if layer > 0:
             d = np.dot(d, np.ascontiguousarray(w.T))
             d = np.where(a_prev > 0.0, d, 0.0)
-    return out
 
 
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
-    yhat = nn_predict(theta, off, widths, xs)
+    yhat, acts = _nn_forward(theta, off, widths, xs)
     sse, delta = _residuals(y, yhat, inv_var)
     grad = np.zeros(theta.shape[0])
-    _nn_backprop(theta, off, widths, xs, delta, grad)
+    _nn_backward(theta, off, widths, acts, delta, grad)
     return sse, grad
+
+
+def nn_loss(theta, off, widths, xs, y, inv_var):
+    return _sse(y, nn_predict(theta, off, widths, xs), inv_var)
 
 
 # ------------------------------------------------------------------------ MM
@@ -474,6 +488,11 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
     return sse, grad, nneg
 
 
+def mm_loss(theta, x, geom, y, inv_var):
+    yhat, nneg = mm_predict(theta, x, geom)
+    return _sse(y, yhat, inv_var), nneg
+
+
 # ----------------------------------------------------------------------- HEM
 
 
@@ -489,17 +508,17 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
         r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
         a2 = _area(x[:, 0], geom)
         ymm = M3S_TO_SM3H * theta[5] * a2 * r * vsc
-        ynn = nn_predict(theta, 6, widths, xs)
+        ynn, acts = _nn_forward(theta, 6, widths, xs)
         sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
         grad = np.zeros(theta.shape[0])
-        _nn_backprop(theta, 6, widths, xs, delta * nn_scale, grad)
+        _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
         _mm_grad_cols(theta[5], a2, delta, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
     ymm, nneg = mm_predict(theta, x, geom)
-    ynn = nn_predict(theta, 6, widths, xs)
+    ynn, acts = _nn_forward(theta, 6, widths, xs)
     sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
     grad = np.zeros(theta.shape[0])
-    _nn_backprop(theta, 6, widths, xs, delta * nn_scale, grad)
+    _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
     for i in range(n):
         r, vsc, dr, dvsc, _ = _mm_parts_grad(
             theta[0], theta[1], theta[2], theta[3], theta[4],
@@ -510,6 +529,11 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
             grad[j] += delta[i] * base * (dr[j] * vsc + r * dvsc[j])
         grad[5] += delta[i] * M3S_TO_SM3H * a2 * r * vsc
     return sse, grad, nneg
+
+
+def hem_loss(theta, widths, x, xs, geom, y, inv_var, nn_scale):
+    yhat, nneg = hem_predict(theta, widths, x, xs, geom, nn_scale)
+    return _sse(y, yhat, inv_var), nneg
 
 
 # ----------------------------------------------------------------------- HAM
@@ -534,7 +558,7 @@ def ham_predict(theta, widths, x, xs, geom):
 
 def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     n = x.shape[0]
-    nn_out = nn_predict(theta, 5, widths, xs)
+    nn_out, acts = _nn_forward(theta, 5, widths, xs)
     grad = np.zeros(theta.shape[0])
     if n >= COLUMN_ROWS:
         r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
@@ -544,7 +568,7 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
         sse, c = _residuals(y, base * mult, inv_var)
         grad[:5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[:, None]
                              * (dr * vsc[:, None] + r[:, None] * dvsc))
-        _nn_backprop(theta, 5, widths, xs, c * base * _sigmoid_cols(nn_out), grad)
+        _nn_backward(theta, 5, widths, acts, c * base * _sigmoid_cols(nn_out), grad)
         return sse, grad, int(np.count_nonzero(neg))
     sse = 0.0
     nneg = 0
@@ -566,8 +590,20 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
         for j in range(5):
             grad[j] += c * M3S_TO_SM3H * a2 * mult * (dr[j] * vsc + r * dvsc[j])
         delta_nn[i] = c * base * _sigmoid(nn_out[i])
-    _nn_backprop(theta, 5, widths, xs, delta_nn, grad)
+    _nn_backward(theta, 5, widths, acts, delta_nn, grad)
     return sse, grad, nneg
+
+
+def ham_loss(theta, widths, x, xs, geom, y, inv_var):
+    """ham_loss_grad's sse: its yhat multiplies in another order than
+    ham_predict's, so the loss cannot come from the predict kernel."""
+    if x.shape[0] < COLUMN_ROWS:
+        sse, _, nneg = ham_loss_grad(theta, widths, x, xs, geom, y, inv_var)
+        return sse, nneg
+    nn_out = nn_predict(theta, 5, widths, xs)
+    r, vsc, neg = _mm_cols(theta, x, False)
+    base = M3S_TO_SM3H * _area(x[:, 0], geom) * r * vsc
+    return _sse(y, base * _softplus_cols(nn_out), inv_var), int(np.count_nonzero(neg))
 
 
 # ----------------------------------------------------------------------- MTL
@@ -693,6 +729,10 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     # as in a loop over rows; a per-well sum could reorder them.
     np.add.at(grad[b_pos:b_pos + p * m].reshape(p, m).T, wells, dbeta)
     return sse, grad
+
+
+def mtl_loss(theta, dims, xs, wells, y, inv_var):
+    return _sse(y, mtl_predict(theta, dims, xs, wells), inv_var)
 
 
 # ------------------------------------------------------------------ optimizer

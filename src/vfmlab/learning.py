@@ -27,10 +27,9 @@ import numpy as np
 
 from .core import Source, DataSplit, WellDataset, fit_scaler
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import (ModelKind, ModelSpec, build_plan, plan_loss_grad, plan_predict, scale_inputs,
-                     task_columns)
-from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, OptimizerState,
-                    PriorMode, fit_map, optimizer_step, prior_loss_and_grad)
+from .models import ModelKind, ModelSpec, build_plan, plan_predict, scale_inputs, task_columns
+from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, PriorMode, TrainingStep,
+                    fit_map, optimizer_step)
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,11 @@ def _history_dataset(split: DataSplit, consumed: int) -> WellDataset:
                        well=np.concatenate([tr.well, te.well[:consumed]]))
 
 
-def _source_allows(cfg: ScheduleConfig, source_code: int) -> bool:
+def _updates_allowed(cfg: ScheduleConfig, source: np.ndarray) -> np.ndarray:
+    """Per row, whether its source code may update the model."""
     if cfg.update_sources is None:
-        return True
-    return Source(source_code).to_str() in cfg.update_sources
+        return np.ones(len(source), dtype=bool)
+    return np.isin(source, [int(s) for s in Source if s.to_str() in cfg.update_sources])
 
 
 def _prev_y_by_well(train: WellDataset) -> dict[int, float]:
@@ -215,14 +215,14 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
     next_boundary = split.split_time + cfg.period_s
     n_retrains = 0
     failed_periods: list[int] = []
+    allowed = _updates_allowed(cfg, np.concatenate([split.train.source, te.source]))
 
     for i in range(len(te)):
         t_i = int(te.t[i])
         if t_i >= next_boundary and m0.kind is not ModelKind.BENCHMARK:
             history = _history_dataset(split, i)
             if cfg.update_sources is not None:
-                keep = np.array([_source_allows(cfg, s) for s in history.source])
-                history = history.take(np.flatnonzero(keep))
+                history = history.take(np.flatnonzero(allowed[:len(history)]))
             if cfg.window_s is not None and len(history):
                 history = history.from_time(float(history.t[-1]) - cfg.window_s)
             try:
@@ -262,10 +262,13 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
         raise ConfigError("run_ol needs an ol schedule")
     te = split.test
     builder = _LogBuilder()
-    current = m0
-    plan = build_plan(current)
+    step = TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
+    plan = step.plan
+    y = step.targets(te.y)
+    allowed = _updates_allowed(cfg, te.source)
     steps = cfg.steps_per_obs()
-    inv_var = 1.0 / (cfg.loss.noise_std * cfg.loss.noise_std)
+    theta = m0.params.values
+    version = m0.version
     prev_y = _prev_y_by_well(split.train) if m0.kind is ModelKind.BENCHMARK else {}
     n_updates = 0
     skipped: list[int] = []
@@ -276,33 +279,32 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
         if m0.kind is ModelKind.BENCHMARK:
             y_hat = prev_y.get(w, math.nan)
             prev_y[w] = float(te.y[i])
-            builder.add(t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i]))
+            builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
             continue
 
         # the plan (and its scaler) is frozen, so one row's arrays serve both
         # the prediction and the update
         X1 = te.X[i][None, :]
         Xs1 = scale_inputs(plan, X1)
-        wells1 = task_columns(current, w)
-        y_hat = float(plan_predict(plan, current.params.values, X1, Xs1, wells1)[0])
-        builder.add(t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i]))
+        wells1 = task_columns(m0, w)
+        y_hat = float(plan_predict(plan, theta, X1, Xs1, wells1)[0])
+        builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
 
-        if steps == 0 or not _source_allows(cfg, int(te.source[i])):
+        if steps == 0 or not allowed[i]:
             continue
-        y1 = te.y[i:i + 1]
-        state = OptimizerState.for_params(current.params)
+        y1 = y[i:i + 1]
+        state = step.start(theta)
         ok = True
         for k in range(1, steps + 1):
-            _, grad = plan_loss_grad(plan, state.values, X1, Xs1, y1, inv_var, wells1)
-            _, pgrad = prior_loss_and_grad(current.params, state.values,
-                                           PriorMode.PHYSICAL_ONLY)
+            grad = step.grad(state.values, X1, Xs1, y1, wells1)
             try:
-                optimizer_step(state, grad + pgrad, cfg.ocfg, k)
+                optimizer_step(state, grad, cfg.ocfg, k)
             except NumericError:
                 ok = False
                 break
-        if ok and np.all(np.isfinite(state.values)):
-            current = current.with_values(state.values)
+        if ok and np.isfinite(state.values).all():
+            theta = state.values
+            version += 1
             n_updates += 1
         else:
             skipped.append(t_i)

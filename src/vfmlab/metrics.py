@@ -13,7 +13,6 @@ predictor is reported but not averaged).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,6 +73,20 @@ def rolling_mae(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> tuple
     return log.t.copy(), _rolling_mean(log.t, err, window_s, log.t)
 
 
+def _column_nanpercentiles(a: np.ndarray, q) -> np.ndarray:
+    """``np.nanpercentile(a, q, axis=0)`` for a list of q, bit for bit, without
+    one quantile call per column: the columns are sorted once (NaNs last),
+    then the columns with c non-NaN rows take the percentiles of their first
+    c rows in one call per distinct c.  All-NaN columns give NaN."""
+    s = np.sort(a, axis=0)
+    counts = np.count_nonzero(~np.isnan(a), axis=0)
+    out = np.full((len(q), a.shape[1]), np.nan)
+    for c in np.unique(counts[counts > 0]):
+        cols = counts == c
+        out[:, cols] = np.percentile(s[:c, cols], q, axis=0)
+    return out
+
+
 def metric_report(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> MetricReport:
     wells = log.well_ids()
     per_well = {}
@@ -90,10 +103,7 @@ def metric_report(log: PredictionLog, window_s: float = DEFAULT_WINDOW_S) -> Met
         m = log.well == w
         per_well_rolling[j] = _rolling_mean(log.t[m], np.abs(log.y_true[m] - log.y_pred[m]),
                                             window_s, t_all)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)  # all-nan slices
-        p25 = np.nanpercentile(per_well_rolling, 25, axis=0)
-        p75 = np.nanpercentile(per_well_rolling, 75, axis=0)
+    p25, p75 = _column_nanpercentiles(per_well_rolling, (25, 75))
     return MetricReport(per_well_mape=per_well,
                         cross_well_mean=float(np.mean(vals)),
                         percentiles=pct,

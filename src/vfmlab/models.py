@@ -18,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -481,14 +482,6 @@ def task_matrix(m: ModelSpec) -> np.ndarray:
     return m.params.values[-p * nt:].reshape(p, nt).copy()
 
 
-def alpha_slice(m: ModelSpec) -> np.ndarray:
-    """The MTL shared-trunk parameters (everything except B) as a copy."""
-    if m.kind is not ModelKind.MTL:
-        raise ConfigError("alpha_slice is defined for MTL models only")
-    p, nt = m.mtl.task_dim, m.mtl.n_tasks
-    return m.params.values[:-p * nt].copy()
-
-
 # --------------------------------------------------------------- evaluation
 
 
@@ -506,8 +499,55 @@ def mm_clamp_count() -> int:
     return MM_DIAGNOSTICS.count
 
 
-def reset_mm_clamp_count() -> None:
-    MM_DIAGNOSTICS.count = 0
+@dataclass(frozen=True)
+class KindKernels:
+    """The kernels of one model kind, called with the kind's KernelPlan:
+
+    * ``predict(plan, theta, X, Xs, wells) -> (yhat, clamps)``;
+    * ``loss_grad(plan, theta, X, Xs, y, inv_var, wells) -> (sse, grad, clamps)``;
+    * ``loss(plan, theta, X, Xs, y, inv_var, wells) -> (sse, clamps)``, the
+      same ``sse`` as ``loss_grad`` to the last bit, without the gradient.
+
+    ``clamps`` counts rows whose radicand was clamped (0 for kinds without
+    the choke equation).  The entries look the kernels up in
+    :mod:`vfmlab.kernels` at call time, so a wrapper installed there later
+    (the benchmark's tracer) sees every call.
+    """
+
+    predict: Callable
+    loss_grad: Callable
+    loss: Callable
+
+
+# ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only).
+KIND_KERNELS: dict[ModelKind, KindKernels] = {
+    ModelKind.LR: KindKernels(
+        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.lr_predict(th, Xs), 0),
+        lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
+        lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0)),
+    ModelKind.NN: KindKernels(
+        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.nn_predict(th, 0, p.widths, Xs), 0),
+        lambda p, th, X, Xs, y, iv, w: (*kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
+        lambda p, th, X, Xs, y, iv, w: (kernels.nn_loss(th, 0, p.widths, Xs, y, iv), 0)),
+    ModelKind.MTL: KindKernels(
+        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.mtl_predict(th, p.dims, Xs, w), 0),
+        lambda p, th, X, Xs, y, iv, w: (*kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
+        lambda p, th, X, Xs, y, iv, w: (kernels.mtl_loss(th, p.dims, Xs, w, y, iv), 0)),
+    ModelKind.MM: KindKernels(
+        lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
+        lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv),
+        lambda p, th, X, Xs, y, iv, w: kernels.mm_loss(th, X, p.geom, y, iv)),
+    ModelKind.HEM: KindKernels(
+        lambda p, th, X, Xs, w: kernels.hem_predict(th, p.widths, X, Xs, p.geom, p.nn_scale),
+        lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(th, p.widths, X, Xs, p.geom,
+                                                             y, iv, p.nn_scale),
+        lambda p, th, X, Xs, y, iv, w: kernels.hem_loss(th, p.widths, X, Xs, p.geom,
+                                                        y, iv, p.nn_scale)),
+    ModelKind.HAM: KindKernels(
+        lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
+        lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(th, p.widths, X, Xs, p.geom, y, iv),
+        lambda p, th, X, Xs, y, iv, w: kernels.ham_loss(th, p.widths, X, Xs, p.geom, y, iv)),
+}
 
 
 @dataclass(frozen=True)
@@ -515,10 +555,13 @@ class KernelPlan:
     """Structural arrays extracted once per ModelSpec for hot loops.
 
     Purely data-driven kinds regress in standardized target space: the
-    network output z maps to engineering units as y_loc + y_scale*z.  The
-    additive hybrid keeps raw-unit outputs but sizes its network correction
-    by the target scale (nn_scale) so its parameters stay O(1) as well.
-    Physical-output kinds carry the identity transform.
+    network output z maps to engineering units as y_loc + y_scale*z, and
+    their loss kernels take targets (y - y_loc)/y_scale with inv_var scaled
+    by y_scale^2, which leaves the raw-unit MAP data term and its gradient
+    (see :class:`vfmlab.optim.TrainingStep`).  The additive hybrid keeps
+    raw-unit outputs but sizes its network correction by the target scale
+    (nn_scale) so its parameters stay O(1) as well.  Physical-output kinds
+    carry the identity transform.
     """
 
     kind: ModelKind
@@ -529,6 +572,7 @@ class KernelPlan:
     y_loc: float = 0.0
     y_scale: float = 1.0
     nn_scale: float = 1.0
+    kernels: KindKernels | None = None
 
 
 def build_plan(m: ModelSpec) -> KernelPlan:
@@ -542,7 +586,8 @@ def build_plan(m: ModelSpec) -> KernelPlan:
             y_scale = m.scaler.target_scale
         elif m.kind is ModelKind.HEM:
             nn_scale = m.scaler.target_scale
-    return KernelPlan(m.kind, widths, dims, geom, m.scaler, y_loc, y_scale, nn_scale)
+    return KernelPlan(m.kind, widths, dims, geom, m.scaler, y_loc, y_scale, nn_scale,
+                      KIND_KERNELS.get(m.kind))
 
 
 def scale_inputs(plan: KernelPlan, X: np.ndarray) -> np.ndarray:
@@ -556,59 +601,36 @@ def scale_inputs(plan: KernelPlan, X: np.ndarray) -> np.ndarray:
 _NO_WELLS = np.zeros(0, dtype=np.int64)
 
 
+def _kernels_of(plan: KernelPlan) -> KindKernels:
+    if plan.kernels is None:
+        raise ConfigError(f"{plan.kind.value} has no parametric kernels")
+    return plan.kernels
+
+
 def plan_predict(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
                  Xs: np.ndarray, wells: np.ndarray | None = None) -> np.ndarray:
-    kind = plan.kind
-    if kind is ModelKind.LR:
-        z = kernels.lr_predict(theta, Xs)
-        return plan.y_loc + plan.y_scale * z
-    if kind is ModelKind.NN:
-        z = kernels.nn_predict(theta, 0, plan.widths, Xs)
-        return plan.y_loc + plan.y_scale * z
-    if kind is ModelKind.MTL:
-        z = kernels.mtl_predict(theta, plan.dims, Xs, wells)
-        return plan.y_loc + plan.y_scale * z
-    if kind is ModelKind.MM:
-        yhat, nneg = kernels.mm_predict(theta, X, plan.geom)
-    elif kind is ModelKind.HEM:
-        yhat, nneg = kernels.hem_predict(theta, plan.widths, X, Xs, plan.geom,
-                                         plan.nn_scale)
-    elif kind is ModelKind.HAM:
-        yhat, nneg = kernels.ham_predict(theta, plan.widths, X, Xs, plan.geom)
-    else:
-        raise ConfigError(f"{kind.value} has no parametric forward")
-    MM_DIAGNOSTICS.count += int(nneg)
+    yhat, clamps = _kernels_of(plan).predict(plan, theta, X, Xs, wells)
+    MM_DIAGNOSTICS.count += clamps
     return yhat
 
 
 def plan_loss_grad(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
                    Xs: np.ndarray, y: np.ndarray, inv_var: float,
                    wells: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    kind = plan.kind
-    if kind in (ModelKind.LR, ModelKind.NN, ModelKind.MTL):
-        # regress in standardized target space; the objective value and the
-        # parameter gradient equal the raw-unit MAP data term exactly
-        s = plan.y_scale
-        if s != 1.0 or plan.y_loc != 0.0:
-            y = np.ascontiguousarray((y - plan.y_loc) / s)
-            inv_var = inv_var * s * s
-        if kind is ModelKind.LR:
-            return kernels.lr_loss_grad(theta, Xs, y, inv_var)
-        if kind is ModelKind.NN:
-            return kernels.nn_loss_grad(theta, 0, plan.widths, Xs, y, inv_var)
-        return kernels.mtl_loss_grad(theta, plan.dims, Xs, wells, y, inv_var)
-    if kind is ModelKind.MM:
-        sse, grad, nneg = kernels.mm_loss_grad(theta, X, plan.geom, y, inv_var)
-    elif kind is ModelKind.HEM:
-        sse, grad, nneg = kernels.hem_loss_grad(theta, plan.widths, X, Xs, plan.geom,
-                                                y, inv_var, plan.nn_scale)
-    elif kind is ModelKind.HAM:
-        sse, grad, nneg = kernels.ham_loss_grad(theta, plan.widths, X, Xs, plan.geom,
-                                                y, inv_var)
-    else:
-        raise ConfigError(f"{kind.value} has no gradient")
-    MM_DIAGNOSTICS.count += int(nneg)
+    """(sse, gradient) of the data term, for y and inv_var in the plan's
+    target space (see :class:`KernelPlan`)."""
+    sse, grad, clamps = _kernels_of(plan).loss_grad(plan, theta, X, Xs, y, inv_var, wells)
+    MM_DIAGNOSTICS.count += clamps
     return sse, grad
+
+
+def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
+              Xs: np.ndarray, y: np.ndarray, inv_var: float,
+              wells: np.ndarray | None = None) -> float:
+    """The sse of :func:`plan_loss_grad`, bit for bit, without the gradient."""
+    sse, clamps = _kernels_of(plan).loss(plan, theta, X, Xs, y, inv_var, wells)
+    MM_DIAGNOSTICS.count += clamps
+    return sse
 
 
 def _check_mechanistic_inputs(X: np.ndarray) -> None:

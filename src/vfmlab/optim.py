@@ -13,6 +13,13 @@ Optimizers work on the flat parameter vector.  Physical entries are clipped to
 their hard bounds after every step.  The learning-rate schedule is
 gamma_k = gamma0 / k^a (power decay) or constant; the step index k restarts at
 1 for every fit and for every per-observation online update.
+
+:func:`fit_map` and ``learning.run_ol`` share one :class:`TrainingStep`,
+built once per fit or online-learning unit.  It takes the kernel plan, the
+prior arrays, the target transform and the bounds once; per optimizer step
+it runs the kind's gradient kernel and adds the prior gradient in place, and
+per validation pass it runs the kind's loss-only kernel.
+:func:`optimizer_step` applies each step, after its finiteness check.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import numpy as np
 from . import kernels
 from .core import WellDataset, as_columns, substream
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import (KernelPlan, ModelKind, ModelSpec, ParameterSet, build_plan, scale_inputs,
-                     task_columns)
+from .models import (KernelPlan, ModelKind, ModelSpec, ParameterSet, build_plan, plan_loss,
+                     plan_loss_grad, plan_predict, scale_inputs, task_columns)
 
 
 class PriorMode(enum.Enum):
@@ -159,7 +166,7 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
     """
     if k < 1:
         raise ConfigError("step index k must be >= 1")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; parameters untouched")
     g = gamma_at(cfg, k)
     if cfg.method is Method.SGD:
@@ -175,20 +182,82 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
 # -------------------------------------------------------------------- losses
 
 
+class _Prior:
+    """The prior term of the objective, its arrays taken once: the entries
+    it covers (all, or the physical ones), their means and their stds."""
+
+    def __init__(self, params: ParameterSet, mode: PriorMode):
+        if mode is PriorMode.NONE or len(params) == 0:
+            idx = None
+        elif mode is PriorMode.PHYSICAL_ONLY:
+            idx = np.flatnonzero(params.is_physical)
+            idx = idx if idx.size else None
+        else:
+            idx = slice(None)
+        self.idx = idx
+        if idx is not None:
+            self.mean = params.prior_mean[idx]
+            self.std = params.prior_std[idx]
+
+    def loss(self, theta: np.ndarray) -> float:
+        if self.idx is None:
+            return 0.0
+        z = (theta[self.idx] - self.mean) / self.std
+        return float(np.sum(z ** 2))
+
+    def add_grad(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Add the prior's gradient to grad in place."""
+        if self.idx is not None:
+            z = (theta[self.idx] - self.mean) / self.std
+            grad[self.idx] += 2.0 * z / self.std
+
+
 def prior_loss_and_grad(params: ParameterSet, theta: np.ndarray,
                         mode: PriorMode) -> tuple[float, np.ndarray]:
+    prior = _Prior(params, mode)
     grad = np.zeros_like(theta)
-    if mode is PriorMode.NONE or len(params) == 0:
-        return 0.0, grad
-    z = (theta - params.prior_mean) / params.prior_std
-    if mode is PriorMode.PHYSICAL_ONLY:
-        mask = params.is_physical
-        loss = float(np.sum(z[mask] ** 2))
-        grad[mask] = 2.0 * z[mask] / params.prior_std[mask]
-    else:
-        loss = float(np.sum(z ** 2))
-        grad[:] = 2.0 * z / params.prior_std
-    return loss, grad
+    prior.add_grad(theta, grad)
+    return prior.loss(theta), grad
+
+
+class TrainingStep:
+    """The objective of one fit or one online-learning unit, set up once.
+
+    It holds the model's kernel plan (and through it the kind's kernels),
+    the prior arrays, the inverse noise variance in the kernels' target
+    space and the parameter bounds.  LR, NN and MTL regress in
+    standardized target space: their kernels see (y - y_loc)/y_scale, from
+    :meth:`targets` once per dataset, and inv_var*y_scale^2, which leaves
+    the raw-unit data term and its gradient; for the other kinds both
+    transforms are exact no-ops.  :meth:`grad` gives the gradient of one
+    optimizer step, :meth:`loss` the objective of a validation pass.
+    """
+
+    def __init__(self, m: ModelSpec, noise_std: float, prior_mode: PriorMode):
+        self.plan = plan = build_plan(m)
+        self.inv_var = 1.0 / (noise_std * noise_std) * plan.y_scale * plan.y_scale
+        self.prior = _Prior(m.params, prior_mode)
+        self.lower = m.params.lower
+        self.upper = m.params.upper
+
+    def targets(self, y: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
+
+    def start(self, values: np.ndarray) -> OptimizerState:
+        """Fresh optimizer state at values; the bounds are shared, not copied
+        (optimizer_step replaces values and never writes the bounds)."""
+        n = values.shape[0]
+        return OptimizerState(values, np.zeros(n), np.zeros(n), self.lower, self.upper)
+
+    def grad(self, theta, X, Xs, y, wells) -> np.ndarray:
+        """Gradient of the objective on rows (X, Xs, y from targets, wells)."""
+        _, grad = plan_loss_grad(self.plan, theta, X, Xs, y, self.inv_var, wells)
+        self.prior.add_grad(theta, grad)
+        return grad
+
+    def loss(self, theta, X, Xs, y, wells) -> float:
+        """The objective on rows (X, Xs, y from targets, wells)."""
+        return plan_loss(self.plan, theta, X, Xs, y, self.inv_var, wells) + self.prior.loss(theta)
 
 
 def _batch_arrays(m: ModelSpec, plan: KernelPlan, data):
@@ -202,8 +271,6 @@ def _batch_arrays(m: ModelSpec, plan: KernelPlan, data):
 
 def map_loss(m: ModelSpec, data, loss: LossSpec) -> float:
     """The MAP objective of the model on `data` (list of Observation or dataset)."""
-    from .models import plan_predict  # local: avoids re-export clutter
-
     plan = build_plan(m)
     X, Xs, y, wells = _batch_arrays(m, plan, data)
     yhat = plan_predict(plan, m.params.values, X, Xs, wells)
@@ -216,15 +283,6 @@ def map_loss(m: ModelSpec, data, loss: LossSpec) -> float:
 
 
 # ------------------------------------------------------------------- fitting
-
-
-def _loss_and_grad(m: ModelSpec, plan: KernelPlan, theta, X, Xs, y, wells,
-                   inv_var: float, prior_mode: PriorMode) -> tuple[float, np.ndarray]:
-    from .models import plan_loss_grad
-
-    sse, grad = plan_loss_grad(plan, theta, X, Xs, y, inv_var, wells)
-    ploss, pgrad = prior_loss_and_grad(m.params, theta, prior_mode)
-    return sse + ploss, grad + pgrad
 
 
 def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
@@ -242,8 +300,9 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     if len(train) < 2:
         raise DataError("fit_map needs at least 2 observations")
 
-    plan = build_plan(m)
-    X, Xs, y, wells = _batch_arrays(m, plan, train)
+    step = TrainingStep(m, loss.noise_std, loss.prior_mode)
+    X, Xs, y, wells = _batch_arrays(m, step.plan, train)
+    y = step.targets(y)
     n = X.shape[0]
     n_val = int(math.floor(escfg.val_fraction * n))
     n_tr = n - n_val
@@ -254,12 +313,11 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     Xt, Xst, yt, wt = X[:n_tr], Xs[:n_tr], y[:n_tr], wells[:n_tr]
     Xv, Xsv, yv, wv = X[n_tr:], Xs[n_tr:], y[n_tr:], wells[n_tr:]
 
-    inv_var = 1.0 / (loss.noise_std * loss.noise_std)
-    state = OptimizerState.for_params(m.params)
+    state = step.start(m.params.values)
     rng = substream(ocfg.seed, "batches")
     bs = n_tr if ocfg.batch_size is None else min(ocfg.batch_size, n_tr)
 
-    best_values = state.values.copy()
+    best_values = state.values
     best_val = math.inf
     since_improve = 0
     k = 0
@@ -268,26 +326,20 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
         for start in range(0, n_tr, bs):
             idx = order[start:start + bs]
             k += 1
-            _, grad = _loss_and_grad(m, plan, state.values, Xt[idx], Xst[idx],
-                                     yt[idx], wt[idx], inv_var, loss.prior_mode)
+            grad = step.grad(state.values, Xt[idx], Xst[idx], yt[idx], wt[idx])
             optimizer_step(state, grad, ocfg, k)
         if degenerate:
             val_loss = math.nan
             if curve_sink is not None:
-                tr_loss, _ = _loss_and_grad(m, plan, state.values, Xt, Xst, yt, wt,
-                                            inv_var, loss.prior_mode)
-                curve_sink.append((epoch, tr_loss, val_loss))
-            best_values = state.values.copy()
+                curve_sink.append((epoch, step.loss(state.values, Xt, Xst, yt, wt), val_loss))
+            best_values = state.values
             continue
-        val_loss, _ = _loss_and_grad(m, plan, state.values, Xv, Xsv, yv, wv,
-                                     inv_var, loss.prior_mode)
+        val_loss = step.loss(state.values, Xv, Xsv, yv, wv)
         if curve_sink is not None:
-            tr_loss, _ = _loss_and_grad(m, plan, state.values, Xt, Xst, yt, wt,
-                                        inv_var, loss.prior_mode)
-            curve_sink.append((epoch, tr_loss, val_loss))
+            curve_sink.append((epoch, step.loss(state.values, Xt, Xst, yt, wt), val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_values = state.values.copy()
+            best_values = state.values
             since_improve = 0
         else:
             since_improve += 1

@@ -105,7 +105,8 @@ def test_nn_kernels_equal_the_loop(n, off):
     delta = rng.standard_normal(n)
     start = rng.standard_normal(len(theta))   # backprop accumulates into grad
     g_a, g_l = start.copy(), start.copy()
-    out_a = kernels._nn_backprop(theta, off, NN_WIDTHS, xs, delta, g_a)
+    out_a, acts = kernels._nn_forward(theta, off, NN_WIDTHS, xs)
+    kernels._nn_backward(theta, off, NN_WIDTHS, acts, delta, g_a)
     out_l = loop._nn_backprop(theta, off, NN_WIDTHS, xs, delta, g_l)
     assert np.array_equal(out_a, out_l)
     assert np.array_equal(g_a, g_l)

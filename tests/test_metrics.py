@@ -1,5 +1,7 @@
 """MAPE, rolling error, percentile summaries, and their serializers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from vfmlab import (
     write_rolling_csv,
     write_summary_csv,
 )
+from vfmlab.metrics import (DEFAULT_WINDOW_S, PERCENTILES, _column_nanpercentiles,
+                            _rolling_mean)
 
 DAY = 86400.0
 
@@ -163,6 +167,53 @@ def test_report_percentiles_are_sorted_and_match_numpy():
     assert rep.percentiles == tuple(np.percentile(per, (10, 25, 50, 75, 90)))
     assert list(rep.percentiles) == sorted(rep.percentiles)
     assert rep.cross_well_mean == pytest.approx(per.mean())
+
+
+def _nanpercentile_oracle(a, qs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN columns
+        return np.stack([np.nanpercentile(a, q, axis=0) for q in qs])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_column_percentiles_equal_nanpercentile_bit_for_bit(seed):
+    """NaN patterns, ties (values rounded to one decimal), all-NaN columns
+    and columns with a single value."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 8)), int(rng.integers(3, 50))
+    a = rng.standard_normal((rows, cols))
+    if seed % 2:
+        a = np.round(a, 1)
+    a[rng.random((rows, cols)) < rng.uniform(0.0, 0.8)] = np.nan
+    a[:, 0] = np.nan
+    a[:, 1] = np.nan
+    a[rows - 1, 1] = 1.5
+    a[:, 2] = 0.25
+    for qs in [(25, 75), PERCENTILES]:
+        got = _column_nanpercentiles(a, qs)
+        assert np.array_equal(got, _nanpercentile_oracle(a, qs), equal_nan=True)
+        assert np.all(np.isnan(got[:, 0]))
+        assert np.all(got[:, 1] == 1.5)
+
+
+def test_report_bands_equal_nanpercentile_of_per_well_rolling_errors():
+    """Wells of different lengths leave NaNs at the start of the shorter ones."""
+    rng = np.random.default_rng(5)
+    t = DAY * np.arange(300)
+    well = rng.integers(1, 5, 300)
+    well[:60] = 1
+    y = rng.uniform(20, 200, 300)
+    log = make_log(y, y * rng.uniform(0.8, 1.2, 300), t=t, well=well)
+    rep = metric_report(log)
+    per_well = np.stack([
+        _rolling_mean(t[well == w], np.abs(log.y_true - log.y_pred)[well == w],
+                      DEFAULT_WINDOW_S, t)
+        for w in log.well_ids()])
+    assert np.isnan(per_well).any()
+    want = _nanpercentile_oracle(per_well, (25, 75))
+    _, _, p25, p75 = rep.rolling_series
+    assert np.array_equal(p25, want[0], equal_nan=True)
+    assert np.array_equal(p75, want[1], equal_nan=True)
 
 
 def test_summary_single_cell_all_equals_that_mape():
