@@ -13,12 +13,11 @@ The numeric kernels (:mod:`vfmlab.kernels`) are plain Python over numpy.
 from .core import (DataSplit, FeatureScaler, IngestReport, Observation, Source,
                    WellDataset, chronological_split, fit_scaler, ingest_csv,
                    ingest_csv_report, substream, write_csv)
-from .diff import GradientVector, loss_gradient
 from .drift import (DriftConfig, ShiftReport, estimate_update_frequency, f_cdf,
                     f_quantile, hotelling_t2, write_shift_csv)
 from .errors import (ConfigError, DataError, DegenerateFeatureError,
-                     EmptyDatasetError, GradientError, NumericError,
-                     ScenarioError, SchemaError, VfmlabError)
+                     EmptyDatasetError, NumericError, ScenarioError,
+                     SchemaError, VfmlabError)
 from .learning import (PredictionLog, ScheduleConfig, read_log, run_ol,
                        run_pbl, run_schedule, write_log)
 from .metrics import (MetricReport, SummaryTable, mape, mape_details,
@@ -26,12 +25,12 @@ from .metrics import (MetricReport, SummaryTable, mape, mape_details,
                       write_rolling_csv, write_summary_csv)
 from .models import (ChokeGeometry, MechanisticParams, ModelKind, ModelSpec,
                      MtlParams, NetworkShape, ParameterSet, effective_area,
-                     init_model, load_model, predict, save_model)
+                     init_model, predict)
 from .optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig,
-                    OptimizerState, PriorMode, fit_map, grid_search, map_loss,
+                    OptimizerState, PriorMode, fit_map, grid_search,
                     optimizer_step, prior_loss_and_grad)
-from .synth import WellScenario, generate_stream, stationarity_probe
-from .config import ScheduleSpec, StudyConfig, load_config, save_config
+from .synth import WellScenario, generate_stream
+from .config import ScheduleSpec, StudyConfig, load_config
 
 __version__ = "0.1.0"
 

@@ -27,7 +27,7 @@ from .learning import PredictionLog, run_schedule, write_log, read_log
 from .metrics import (SummaryTable, summarize, save_plot, write_excluded_csv,
                       write_rolling_csv, write_summary_csv)
 from .models import ModelKind, init_model
-from .optim import LossSpec, Method, OptimizerConfig, fit_map, grid_search
+from .optim import LossSpec, fit_map, grid_search
 from .synth import generate_stream
 
 _CASE_FLAGS = ("all", "welltest")
@@ -193,23 +193,6 @@ def cmd_tune(cfg: StudyConfig) -> int:
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
-
-
-def parse_tuned(path: str | Path) -> dict:
-    """Read a tune table back into {(schedule, kind): OptimizerConfig}."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("schedule,kind,"):
-        raise DataError(f"{path}: not a tune table")
-    out = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        sched, kind, method, g0, lsched, pa, steps, bs, _ = ln.split(",")
-        out[(sched, kind)] = OptimizerConfig(
-            method=Method.from_str(method), gamma0=float(g0), schedule=lsched,
-            power_a=float(pa), steps=int(steps),
-            batch_size=None if bs == "" else int(bs))
-    return out
 
 
 def cmd_run(cfg: StudyConfig) -> int:

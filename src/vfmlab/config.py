@@ -16,7 +16,7 @@ from .core import SECONDS_PER_DAY, WellDataset, ingest_csv
 from .drift import DriftConfig
 from .errors import ConfigError
 from .learning import ScheduleConfig
-from .models import (MechanisticParams, ModelKind, MtlParams, NetworkShape)
+from .models import ChokeGeometry, MechanisticParams, ModelKind, MtlParams, NetworkShape
 from .optim import EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode
 from .synth import WellScenario, generate_stream
 
@@ -99,12 +99,21 @@ DEFAULT_GRIDS = {
 }
 
 
-def _ocfg_from(base: dict, per_kind: dict, kind: str) -> OptimizerConfig:
+def _build(cls, section: str, kw: dict):
+    """cls(**kw), with a key that is not a field of cls reported as a
+    ConfigError naming the config section and the key."""
+    unknown = sorted(set(kw) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise ConfigError(f"{section}: unknown keys {unknown}")
+    return cls(**kw)
+
+
+def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> OptimizerConfig:
     kw = dict(base)
     kw.update(per_kind.get(kind, {}))
     if "method" in kw:
         kw["method"] = Method.from_str(kw["method"])
-    return OptimizerConfig(**kw)
+    return _build(OptimizerConfig, f"{section} for {kind}", kw)
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,8 @@ class ScheduleSpec:
             raise ConfigError(f"schedule {self.name!r}: ol needs steps")
 
     def optimizer_for(self, kind: str) -> OptimizerConfig:
-        return _ocfg_from(self.optimizer, self.per_kind, kind)
+        return _ocfg_from(self.optimizer, self.per_kind, kind,
+                          f"schedule {self.name!r} optimizer")
 
     def to_schedule(self, kind: str, loss: LossSpec,
                     escfg: EarlyStoppingConfig) -> ScheduleConfig:
@@ -185,10 +195,8 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        """The config of a parsed JSON object.  Every nested section is built
+        once here, so a bad key or value anywhere fails before any work."""
         kw = dict(d)
         for name in ("kinds", "csv_paths"):
             if name in kw:
@@ -198,7 +206,16 @@ class StudyConfig:
                 kw[name] = tuple(kw[name])
         if "hidden" in kw:
             kw["hidden"] = tuple(int(h) for h in kw["hidden"])
-        return cls(**kw)
+        cfg = _build(cls, "config", kw)
+        specs = cfg.schedule_specs()
+        for kind in cfg.kinds:
+            cfg.init_ocfg_for(kind)
+            for spec in specs:
+                spec.optimizer_for(kind)
+        cfg.escfg()
+        cfg.drift_config()
+        cfg.scenario_objects()
+        return cfg
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -215,14 +232,14 @@ class StudyConfig:
 
     def schedule_specs(self) -> "list[ScheduleSpec]":
         specs = []
-        for raw in self.schedules:
+        for i, raw in enumerate(self.schedules):
             kw = dict(raw)
-            for name in ("optimizer", "init_optimizer", "per_kind"):
+            for name in ("optimizer", "per_kind"):
                 if name in kw and kw[name] is not None:
                     kw[name] = json.loads(json.dumps(kw[name]))
             if "update_sources" in kw and kw["update_sources"] is not None:
                 kw["update_sources"] = tuple(kw["update_sources"])
-            specs.append(ScheduleSpec(**kw))
+            specs.append(_build(ScheduleSpec, f"schedules[{i}]", kw))
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ConfigError("schedule names must be unique")
@@ -230,7 +247,7 @@ class StudyConfig:
 
     def scenario_objects(self) -> "list[WellScenario]":
         out = []
-        for raw in self.scenarios:
+        for i, raw in enumerate(self.scenarios):
             kw = dict(raw)
             kw.setdefault("seed", self.seed)
             if "u_profile" in kw:
@@ -249,8 +266,12 @@ class StudyConfig:
                 kw["param_wobble"] = tuple(
                     (str(n), float(s), float(c)) for n, s, c in kw["param_wobble"])
             if "true_params" in kw:
-                kw["true_params"] = MechanisticParams(**kw["true_params"])
-            out.append(WellScenario(**kw))
+                kw["true_params"] = _build(MechanisticParams, f"scenarios[{i}].true_params",
+                                           kw["true_params"])
+            if "geometry" in kw:
+                kw["geometry"] = _build(ChokeGeometry, f"scenarios[{i}].geometry",
+                                        kw["geometry"])
+            out.append(_build(WellScenario, f"scenarios[{i}]", kw))
         ids = [sc.well_id for sc in out]
         if len(set(ids)) != len(ids):
             raise ConfigError("scenario well_ids must be unique")
@@ -284,14 +305,14 @@ class StudyConfig:
         return t0 + self.split_day * SECONDS_PER_DAY
 
     def drift_config(self) -> DriftConfig:
-        return DriftConfig(**self.drift)
+        return _build(DriftConfig, "drift", self.drift)
 
     def escfg(self) -> EarlyStoppingConfig:
-        return EarlyStoppingConfig(**self.early_stopping)
+        return _build(EarlyStoppingConfig, "early_stopping", self.early_stopping)
 
     def init_ocfg_for(self, kind: str) -> OptimizerConfig:
         """Optimizer for the shared initial fit (and tune-time batch fits)."""
-        return _ocfg_from(self.init_optimizer, self.init_per_kind, kind)
+        return _ocfg_from(self.init_optimizer, self.init_per_kind, kind, "init_optimizer")
 
     def prior(self) -> PriorMode:
         return PriorMode.from_str(self.prior_mode)
@@ -317,7 +338,3 @@ def load_config(path: str | Path) -> StudyConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
     return StudyConfig.from_dict(raw)
-
-
-def save_config(cfg: StudyConfig, path: str | Path) -> None:
-    Path(path).write_text(cfg.to_json())

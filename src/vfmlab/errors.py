@@ -35,14 +35,6 @@ class NumericError(VfmlabError):
     """Numerical failure: non-finite values, singular systems, divergence."""
 
 
-class GradientError(NumericError):
-    """A forward pass went non-finite during gradient evaluation."""
-
-    def __init__(self, obs_index: int, message: str | None = None):
-        self.obs_index = obs_index
-        super().__init__(message or f"non-finite forward value at observation {obs_index}")
-
-
 class DegenerateFeatureError(NumericError):
     """A feature's scatter is singular even after regularization."""
 

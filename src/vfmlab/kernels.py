@@ -59,9 +59,8 @@ Shared conventions:
   kind-independent).
 * ``*_loss`` kernels return the same ``sse`` bit for bit without the
   gradient, for validation passes.  Most compute it from the predict
-  kernel; ``ham_loss`` repeats ``ham_loss_grad``'s order of products, and
-  ``lr_loss`` and ``ham_loss`` call their gradient kernel below
-  ``COLUMN_ROWS``, where it is a loop.
+  kernel; ``lr_loss`` calls its gradient kernel below ``COLUMN_ROWS``,
+  where it is a loop.
 * Mechanistic kernels return a count of rows whose radicand went nonpositive
   (flow clamped to zero there, gradient zero: the clamp is flat).
 
@@ -544,7 +543,7 @@ def ham_predict(theta, widths, x, xs, geom):
     nn_out = nn_predict(theta, 5, widths, xs)
     if n >= COLUMN_ROWS:
         r, vsc, neg = _mm_cols(theta, x, False)
-        yhat = M3S_TO_SM3H * _area(x[:, 0], geom) * _softplus_cols(nn_out) * r * vsc
+        yhat = (M3S_TO_SM3H * _area(x[:, 0], geom) * r * vsc) * _softplus_cols(nn_out)
         return yhat, int(np.count_nonzero(neg))
     yhat = np.empty(n)
     nneg = 0
@@ -552,7 +551,7 @@ def ham_predict(theta, widths, x, xs, geom):
         r, vsc, neg = _mm_parts(theta[0], theta[1], theta[2], theta[3], theta[4],
                                 x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
         nneg += neg
-        yhat[i] = M3S_TO_SM3H * _area(x[i, 0], geom) * _softplus(nn_out[i]) * r * vsc
+        yhat[i] = (M3S_TO_SM3H * _area(x[i, 0], geom) * r * vsc) * _softplus(nn_out[i])
     return yhat, nneg
 
 
@@ -595,15 +594,8 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
 
 
 def ham_loss(theta, widths, x, xs, geom, y, inv_var):
-    """ham_loss_grad's sse: its yhat multiplies in another order than
-    ham_predict's, so the loss cannot come from the predict kernel."""
-    if x.shape[0] < COLUMN_ROWS:
-        sse, _, nneg = ham_loss_grad(theta, widths, x, xs, geom, y, inv_var)
-        return sse, nneg
-    nn_out = nn_predict(theta, 5, widths, xs)
-    r, vsc, neg = _mm_cols(theta, x, False)
-    base = M3S_TO_SM3H * _area(x[:, 0], geom) * r * vsc
-    return _sse(y, base * _softplus_cols(nn_out), inv_var), int(np.count_nonzero(neg))
+    yhat, nneg = ham_predict(theta, widths, x, xs, geom)
+    return _sse(y, yhat, inv_var), nneg
 
 
 # ----------------------------------------------------------------------- MTL

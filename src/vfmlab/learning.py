@@ -172,17 +172,6 @@ def _predict_one(m: ModelSpec, plan, x_row: np.ndarray, well_id: int) -> float:
     return float(plan_predict(plan, m.params.values, X, Xs, task_columns(m, well_id))[0])
 
 
-def _history_dataset(split: DataSplit, consumed: int) -> WellDataset:
-    tr, te = split.train, split.test
-    if consumed == 0:
-        return tr
-    return WellDataset(t=np.concatenate([tr.t, te.t[:consumed]]),
-                       X=np.concatenate([tr.X, te.X[:consumed]]),
-                       y=np.concatenate([tr.y, te.y[:consumed]]),
-                       source=np.concatenate([tr.source, te.source[:consumed]]),
-                       well=np.concatenate([tr.well, te.well[:consumed]]))
-
-
 def _updates_allowed(cfg: ScheduleConfig, source: np.ndarray) -> np.ndarray:
     """Per row, whether its source code may update the model."""
     if cfg.update_sources is None:
@@ -215,12 +204,15 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
     next_boundary = split.split_time + cfg.period_s
     n_retrains = 0
     failed_periods: list[int] = []
-    allowed = _updates_allowed(cfg, np.concatenate([split.train.source, te.source]))
+    # train then test rows; the history of test row i is its first n_train + i rows
+    past = WellDataset.merge([split.train, te])
+    n_train = len(split.train)
+    allowed = _updates_allowed(cfg, past.source)
 
     for i in range(len(te)):
         t_i = int(te.t[i])
         if t_i >= next_boundary and m0.kind is not ModelKind.BENCHMARK:
-            history = _history_dataset(split, i)
+            history = past.take(slice(0, n_train + i))
             if cfg.update_sources is not None:
                 history = history.take(np.flatnonzero(allowed[:len(history)]))
             if cfg.window_s is not None and len(history):

@@ -17,14 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .core import D_INPUT, FeatureScaler, substream
-from .errors import ConfigError, NumericError, SchemaError
+from .errors import ConfigError, NumericError
 
 MM_PARAM_NAMES = ("rho_oil", "rho_wat", "kappa", "M_gas", "p_cr", "C_D")
 
@@ -71,10 +70,6 @@ class ModelKind(enum.Enum):
     @property
     def is_mechanistic(self) -> bool:
         return self in (ModelKind.MM, ModelKind.HEM, ModelKind.HAM)
-
-    @property
-    def uses_network(self) -> bool:
-        return self in (ModelKind.NN, ModelKind.MTL, ModelKind.HEM, ModelKind.HAM)
 
 
 TRAINABLE_KINDS = (ModelKind.LR, ModelKind.NN, ModelKind.MTL,
@@ -303,9 +298,6 @@ class ModelSpec:
 
     def with_values(self, values: np.ndarray) -> "ModelSpec":
         return replace(self, params=self.params.with_values(values), version=self.version + 1)
-
-    def with_scaler(self, scaler: FeatureScaler) -> "ModelSpec":
-        return replace(self, scaler=scaler)
 
     @property
     def n_params(self) -> int:
@@ -668,108 +660,3 @@ def predict(m: ModelSpec, X: np.ndarray, well_ids=None) -> np.ndarray:
             raise ConfigError("well_ids length mismatch")
     Xs = scale_inputs(plan, X)
     return plan_predict(plan, m.params.values, X, Xs, wells)
-
-
-# -------------------------------------------------------------- checkpoints
-# Flat key-value text format, one parameter per line. Floats are serialized
-# with float.hex() so round-trips are bit-exact.
-
-_MAGIC = "vfmlab-model 1"
-
-
-def _hex(v: float) -> str:
-    return float(v).hex()
-
-
-def _hexvec(a: np.ndarray) -> str:
-    return " ".join(_hex(v) for v in a)
-
-
-def save_model(m: ModelSpec, path: str | Path) -> None:
-    lines = [_MAGIC, f"kind {m.kind.value}", f"version {m.version}"]
-    if m.shape is not None:
-        lines.append("shape " + " ".join(str(w) for w in m.shape.widths()))
-    if m.mtl is not None:
-        lines.append(
-            f"mtl {m.mtl.task_dim} {m.mtl.block_width} {m.mtl.n_blocks} "
-            + " ".join(str(w) for w in m.mtl.well_ids)
-        )
-    if m.geometry is not None:
-        lines.append("geometry " + _hexvec(m.geometry.as_array()))
-    if m.scaler is not None:
-        lines.append("scaler " + _hexvec(m.scaler.mean) + " | " + _hexvec(m.scaler.std)
-                     + " | " + _hex(m.scaler.target_mean) + " " + _hex(m.scaler.target_scale))
-    p = m.params
-    lines.append(f"nparams {len(p)}")
-    for i in range(len(p)):
-        lines.append(
-            f"p {p.names[i]} {_hex(p.values[i])} {_hex(p.prior_mean[i])} "
-            f"{_hex(p.prior_std[i])} {1 if p.is_physical[i] else 0} "
-            f"{_hex(p.lower[i])} {_hex(p.upper[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_model(path: str | Path) -> ModelSpec:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise SchemaError(f"{path}: not a model checkpoint")
-    kind = None
-    version = 0
-    shape = None
-    mtl = None
-    geometry = None
-    scaler = None
-    i = 1
-    while i < len(lines) and not lines[i].startswith("nparams"):
-        key, _, rest = lines[i].partition(" ")
-        if key == "kind":
-            kind = ModelKind.from_str(rest)
-        elif key == "version":
-            version = int(rest)
-        elif key == "shape":
-            w = [int(v) for v in rest.split()]
-            shape = NetworkShape(w[0], tuple(w[1:-1]), w[-1])
-        elif key == "mtl":
-            v = rest.split()
-            mtl = MtlParams(well_ids=tuple(int(x) for x in v[3:]),
-                            task_dim=int(v[0]), block_width=int(v[1]), n_blocks=int(v[2]))
-        elif key == "geometry":
-            g = [float.fromhex(v) for v in rest.split()]
-            geometry = ChokeGeometry(*g)
-        elif key == "scaler":
-            sections = rest.split(" | ")
-            if len(sections) != 3:
-                raise SchemaError(f"{path}: malformed scaler line")
-            ty = [float.fromhex(v) for v in sections[2].split()]
-            scaler = FeatureScaler(np.array([float.fromhex(v) for v in sections[0].split()]),
-                                   np.array([float.fromhex(v) for v in sections[1].split()]),
-                                   ty[0], ty[1])
-        else:
-            raise SchemaError(f"{path}: unknown checkpoint key {key!r}")
-        i += 1
-    if kind is None or i == len(lines):
-        raise SchemaError(f"{path}: truncated checkpoint")
-    n = int(lines[i].split()[1])
-    i += 1
-    vals = np.empty(n)
-    mu = np.empty(n)
-    sd = np.empty(n)
-    phys = np.empty(n, dtype=bool)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    names = []
-    for j in range(n):
-        parts = lines[i + j].split()
-        if parts[0] != "p" or len(parts) != 8:
-            raise SchemaError(f"{path}: bad parameter line {i + j + 1}")
-        names.append(parts[1])
-        vals[j] = float.fromhex(parts[2])
-        mu[j] = float.fromhex(parts[3])
-        sd[j] = float.fromhex(parts[4])
-        phys[j] = parts[5] == "1"
-        lo[j] = float.fromhex(parts[6])
-        hi[j] = float.fromhex(parts[7])
-    ps = ParameterSet(vals, mu, sd, phys, tuple(names), lo, hi)
-    return ModelSpec(kind, ps, shape=shape, mtl=mtl, geometry=geometry,
-                     scaler=scaler, version=version)

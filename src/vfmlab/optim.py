@@ -29,16 +29,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .core import WellDataset, as_columns, substream
-from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import (KernelPlan, ModelKind, ModelSpec, ParameterSet, build_plan, plan_loss,
-                     plan_loss_grad, plan_predict, scale_inputs, task_columns)
+from .errors import ConfigError, DataError, NumericError
+from .models import (ModelKind, ModelSpec, ParameterSet, build_plan, plan_loss,
+                     plan_loss_grad, scale_inputs, task_columns)
 
 
 class PriorMode(enum.Enum):
@@ -260,28 +258,6 @@ class TrainingStep:
         return plan_loss(self.plan, theta, X, Xs, y, self.inv_var, wells) + self.prior.loss(theta)
 
 
-def _batch_arrays(m: ModelSpec, plan: KernelPlan, data):
-    _, X, y, well = as_columns(data)
-    if X.shape[0] == 0:
-        raise DataError("empty batch")
-    X = np.ascontiguousarray(X)
-    Xs = scale_inputs(plan, X)
-    return X, Xs, np.ascontiguousarray(y), task_columns(m, well)
-
-
-def map_loss(m: ModelSpec, data, loss: LossSpec) -> float:
-    """The MAP objective of the model on `data` (list of Observation or dataset)."""
-    plan = build_plan(m)
-    X, Xs, y, wells = _batch_arrays(m, plan, data)
-    yhat = plan_predict(plan, m.params.values, X, Xs, wells)
-    if not np.all(np.isfinite(yhat)):
-        raise NumericError("non-finite forward value in map_loss")
-    inv_var = 1.0 / (loss.noise_std * loss.noise_std)
-    sse = float(np.sum((y - yhat) ** 2)) * inv_var
-    p, _ = prior_loss_and_grad(m.params, m.params.values, loss.prior_mode)
-    return sse + p
-
-
 # ------------------------------------------------------------------- fitting
 
 
@@ -301,8 +277,11 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
         raise DataError("fit_map needs at least 2 observations")
 
     step = TrainingStep(m, loss.noise_std, loss.prior_mode)
-    X, Xs, y, wells = _batch_arrays(m, step.plan, train)
+    _, X, y, well = as_columns(train)
+    X = np.ascontiguousarray(X)
+    Xs = scale_inputs(step.plan, X)
     y = step.targets(y)
+    wells = task_columns(m, well)
     n = X.shape[0]
     n_val = int(math.floor(escfg.val_fraction * n))
     n_tr = n - n_val
@@ -450,32 +429,3 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
     if not math.isfinite(best_score):
         raise NumericError(f"all grid combinations diverged: {diagnostics}")
     return best
-
-
-# ----------------------------------------------------- state (de)serialization
-
-_STATE_MAGIC = "vfmlab-optimizer-state 1"
-
-
-def save_optimizer_state(state: OptimizerState, path: str | Path) -> None:
-    lines = [_STATE_MAGIC, f"k {state.k}"]
-    for name, arr in (("values", state.values), ("m", state.m), ("v", state.v),
-                      ("lower", state.lower), ("upper", state.upper)):
-        lines.append(name + " " + " ".join(float(v).hex() for v in arr))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_optimizer_state(path: str | Path) -> OptimizerState:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _STATE_MAGIC:
-        raise SchemaError(f"{path}: not an optimizer state file")
-    fields = {}
-    k = 0
-    for line in lines[1:]:
-        name, _, rest = line.partition(" ")
-        if name == "k":
-            k = int(rest)
-        else:
-            fields[name] = np.array([float.fromhex(v) for v in rest.split()])
-    return OptimizerState(values=fields["values"], m=fields["m"], v=fields["v"],
-                          lower=fields["lower"], upper=fields["upper"], k=k)

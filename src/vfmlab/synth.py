@@ -21,8 +21,7 @@ import numpy as np
 
 from . import kernels
 from .core import SECONDS_PER_DAY, Observation, Source, WellDataset, substream
-from .drift import DriftConfig, _scan
-from .errors import ConfigError, DataError, ScenarioError
+from .errors import ConfigError, ScenarioError
 from .models import HARD_BOUNDS, MM_PARAM_NAMES, ChokeGeometry, MechanisticParams
 
 DEFAULT_T0 = 1_609_459_200  # 2021-01-01T00:00:00Z
@@ -132,17 +131,6 @@ def _ramp_value(v0: float, end_value: float, d0: float, d1: float, day: float) -
     return v0 + (end_value - v0) * w
 
 
-def _params_at(sc: WellScenario, day: float) -> MechanisticParams:
-    p = sc.true_params
-    for ev_day, name, value in sorted(sc.real_drift_events):
-        if ev_day <= day:
-            p = p.with_value(name, value)
-    for name, d0, d1, end_value in sc.param_ramps:
-        if day >= d0:
-            p = p.with_value(name, _ramp_value(p.value_of(name), end_value, d0, d1, day))
-    return p
-
-
 def generate_stream(sc: WellScenario) -> WellDataset:
     """Simulate the scenario into a time-ordered single-well dataset."""
     rng = substream(sc.seed, f"synth.{sc.well_id}")
@@ -237,18 +225,3 @@ def generate_stream(sc: WellScenario) -> WellDataset:
         obs.append(Observation(t=t, x=x, y=max(y, 0.0), source=source,
                                well_id=sc.well_id))
     return WellDataset.from_observations(obs)
-
-
-def stationarity_probe(ds: WellDataset, alpha: float) -> float:
-    """Fraction of post-reference points flagged by the mean-shift scan.
-
-    The first half of the stream is the reference window; each later point is
-    tested on its own at level alpha.  Calibrated scenarios should land near
-    alpha; a genuinely shifted stream lands far above it.
-    """
-    d = ds.X.shape[1]
-    if len(ds) < 2 * d + 2:
-        raise DataError(f"need at least {2 * d + 2} observations, have {len(ds)}")
-    n1 = len(ds) // 2
-    report = _scan(ds.t, ds.X, n1, DriftConfig(alpha=alpha, confirm_count=1))
-    return float(np.mean(report.detected))

@@ -1,10 +1,13 @@
-"""CLI study helpers: where the study splits its data, what its report writes."""
+"""CLI study helpers: where the study splits its data, what its report writes,
+which config mistakes it turns into exit code 1."""
+
+import json
 
 import numpy as np
 import pytest
 
 from conftest import SECONDS_PER_DAY, make_dataset
-from vfmlab import ConfigError, PredictionLog, StudyConfig, cli, write_log
+from vfmlab import ChokeGeometry, ConfigError, PredictionLog, StudyConfig, cli, write_log
 from vfmlab.core import write_csv
 from vfmlab.synth import DEFAULT_T0
 
@@ -78,3 +81,39 @@ def test_report_flags_non_finite_predictions_next_to_the_table(tmp_path, capsys)
     assert (reports / "excluded_all.csv").read_text().splitlines() == [
         "method,lr,nn", "ol,0,3"]
     assert "non-finite predictions" in capsys.readouterr().out
+
+
+def _tiny_study(tmp_path) -> dict:
+    """One quiet 40-day well, the benchmark kind and one OL schedule."""
+    return {"out_dir": str(tmp_path / "out"), "kinds": ["benchmark"], "split_day": 20.0,
+            "scenarios": [{"well_id": 1, "horizon_days": 40, "obs_per_day": 1.0}],
+            "schedules": [{"name": "OL", "mode": "ol", "steps": 1,
+                           "optimizer": {"gamma0": 1e-3}}]}
+
+
+@pytest.mark.parametrize("section", [
+    ("schedules", 0), ("schedules", 0, "optimizer"), ("early_stopping",), ("drift",),
+    ("scenarios", 0), ("scenarios", 0, "true_params"), ("scenarios", 0, "geometry"),
+    ("init_optimizer",)],
+    ids=lambda s: ".".join(map(str, s)))
+def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, section):
+    raw = _tiny_study(tmp_path)
+    node = raw
+    for key in section:
+        if isinstance(node, dict):
+            node = node.setdefault(key, {})
+        else:
+            node = node[key]
+    node["typo_key"] = 1
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "typo_key" in err
+
+
+def test_scenario_geometry_section_becomes_a_choke_geometry(tmp_path):
+    raw = _tiny_study(tmp_path)
+    raw["scenarios"][0]["geometry"] = {"a_max": 4e-3, "c1": 0.2, "c2": 0.0, "c3": 0.8}
+    (scenario,) = StudyConfig.from_dict(raw).scenario_objects()
+    assert scenario.geometry == ChokeGeometry(a_max=4e-3, c1=0.2, c2=0.0, c3=0.8)

@@ -19,8 +19,9 @@ import numpy as np
 import vfmlab
 from vfmlab import (LossSpec, MtlParams, NetworkShape, WellDataset, fit_scaler,
                     init_model)
-from vfmlab.diff import loss_gradient
-from vfmlab.optim import map_loss
+
+sys.path.insert(0, sys.argv[2])
+from objective import map_objective, step_loss_grad
 
 rng = np.random.default_rng(42)
 n = 64
@@ -56,16 +57,17 @@ for kind, kw in specs:
     theta = m.params.values + 0.05 * rng.standard_normal(len(m.params))
     m = m.with_values(theta)
     out[f"{kind}_pred"] = vfmlab.predict(m, X, wells if kind == "mtl" else None)
-    g = loss_gradient(m, ds, loss)
-    out[f"{kind}_loss"] = np.array([g.loss])
-    out[f"{kind}_grad"] = g.grad
-    out[f"{kind}_maploss"] = np.array([map_loss(m, ds, loss)])
+    step_loss, step_grad = step_loss_grad(m, ds, loss)
+    out[f"{kind}_loss"] = np.array([step_loss])
+    out[f"{kind}_grad"] = step_grad
+    out[f"{kind}_maploss"] = np.array([map_objective(m, ds, loss)])
 
 np.savez(sys.argv[1], **out)
 """
 
 
 HASH_SEEDS = ("0", "1")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +77,7 @@ def lane_outputs(tmp_path_factory):
     for seed in HASH_SEEDS:
         env = dict(os.environ, PYTHONHASHSEED=seed)
         out = root / f"hashseed{seed}.npz"
-        proc = subprocess.run([sys.executable, "-c", BATTERY, str(out)],
+        proc = subprocess.run([sys.executable, "-c", BATTERY, str(out), TESTS_DIR],
                               env=env, capture_output=True, text=True,
                               timeout=600)
         assert proc.returncode == 0, proc.stderr[-2000:]

@@ -128,6 +128,27 @@ def test_pbl_update_sources_can_restrict_refit_data():
     assert np.all(np.isfinite(log.y_pred))
 
 
+@pytest.mark.parametrize("sources", [None, ("WellTest",)], ids=["all", "welltest"])
+def test_pbl_refit_history_is_every_allowed_row_before_the_arrival(monkeypatch, sources):
+    """A refit fits on the train rows and the test rows that arrived before
+    the row that triggers it, never on that row itself."""
+    from vfmlab import learning
+
+    seen = []
+    fit_map = learning.fit_map
+
+    def recording_fit_map(m, train, *args):
+        seen.append(train.t.tolist())
+        return fit_map(m, train, *args)
+
+    monkeypatch.setattr(learning, "fit_map", recording_fit_map)
+    run_pbl(init_model("lr", seed=2), affine_split(),
+            pbl_cfg(10.0, update_sources=sources))
+    t = np.arange(100.0)  # train t = 0..49, test t = 50..99, WellTest every 5th row
+    allowed = (t % 5 == 4) if sources else np.ones(len(t), dtype=bool)
+    assert seen == [t[(t < arrival) & allowed].tolist() for arrival in (60, 70, 80, 90)]
+
+
 def test_pbl_is_deterministic():
     sp = affine_split()
     a = run_pbl(init_model("lr", seed=2), sp, pbl_cfg(10.0))

@@ -1,4 +1,4 @@
-"""The seven predictors: initialization, forward passes, persistence.
+"""The seven predictors: initialization and forward passes.
 
 The choke-equation checks compare against a second, independently written
 transcription of the flow formula kept inside this file.
@@ -21,15 +21,12 @@ from vfmlab import (
     OptimizerConfig,
     ParameterSet,
     ScheduleConfig,
-    SchemaError,
     WellDataset,
     chronological_split,
     effective_area,
     init_model,
-    load_model,
     predict,
     run_ol,
-    save_model,
 )
 from vfmlab.models import expected_param_count, softplus_inverse, task_matrix
 
@@ -480,53 +477,6 @@ def test_ham_matches_area_substitution_oracle():
     params6 = np.concatenate([theta[:5], [mult]])
     want = choke_flow_reference(params6, m.geometry, x)
     assert predict(m, x)[0] == pytest.approx(want, rel=1e-10)
-
-
-# ----------------------------------------------------------------- persistence
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    from vfmlab import fit_scaler
-    s = fit_scaler(make_dataset(30, seed=1))
-    for kind, kw in [
-        ("lr", {}),
-        ("nn", dict(shape=NetworkShape(hidden=(6, 3)))),
-        ("mm", {}),
-        ("hem", dict(shape=NetworkShape(hidden=(4,)))),
-        ("ham", dict(shape=NetworkShape(hidden=(4,)))),
-        ("mtl", dict(mtl=MtlParams(well_ids=(1, 5), task_dim=2,
-                                   block_width=4, n_blocks=1))),
-    ]:
-        m = init_model(kind, seed=11, scaler=s, **kw)
-        rng = np.random.default_rng(1)
-        m = m.with_values(m.params.values + 0.01 * rng.normal(size=len(m.params)))
-        p = tmp_path / f"{kind}.ckpt"
-        save_model(m, p)
-        back = load_model(p)
-        assert back.kind == m.kind
-        assert np.array_equal(back.params.values, m.params.values)
-        assert np.array_equal(back.params.prior_mean, m.params.prior_mean)
-        assert np.array_equal(back.params.prior_std, m.params.prior_std)
-        assert back.params.names == m.params.names
-        assert back.version == m.version
-        assert np.array_equal(back.scaler.mean, m.scaler.mean)
-        assert np.array_equal(back.scaler.std, m.scaler.std)
-        assert back.scaler.target_mean == m.scaler.target_mean
-        assert back.scaler.target_scale == m.scaler.target_scale
-        x = make_x()
-        wells = [1] if kind == "mtl" else None
-        assert np.array_equal(predict(m, x[None, :], wells),
-                              predict(back, x[None, :], wells))
-
-
-def test_checkpoint_rejects_corrupted_file(tmp_path):
-    m = init_model("lr")
-    p = tmp_path / "m.ckpt"
-    save_model(m, p)
-    text = p.read_text()
-    p.write_text(text.replace("kind", "kinb", 1))
-    with pytest.raises(SchemaError):
-        load_model(p)
 
 
 def test_predict_agrees_with_scalar_forwards():

@@ -23,13 +23,11 @@ from vfmlab.optim import (
     fit_map,
     gamma_at,
     grid_search,
-    load_optimizer_state,
-    map_loss,
     optimizer_step,
-    save_optimizer_state,
 )
 
 from conftest import make_dataset
+from objective import map_objective, step_loss_grad
 
 
 def affine_dataset(n, theta, seed=0, noise=0.0):
@@ -49,17 +47,12 @@ def test_map_loss_is_zero_at_perfect_fit_and_prior_mean():
     ds = affine_dataset(30, theta)
     m = init_model("lr").with_values(theta)
     loss = LossSpec(noise_std=1.0, prior_mode=PriorMode.NONE)
-    assert map_loss(m, ds, loss) == pytest.approx(0.0, abs=1e-18)
+    assert step_loss_grad(m, ds, loss)[0] == pytest.approx(0.0, abs=1e-18)
     # at the prior mean the full objective reduces to the data term alone
     full = LossSpec(noise_std=1.0, prior_mode=PriorMode.FULL)
     m0 = init_model("lr")
-    assert map_loss(m0, ds, full) == pytest.approx(
-        map_loss(m0, ds, LossSpec(1.0, PriorMode.NONE)), rel=1e-14)
-
-
-def test_map_loss_rejects_an_empty_batch():
-    with pytest.raises(DataError):
-        map_loss(init_model("mm"), WellDataset.empty(), LossSpec(1.0))
+    assert step_loss_grad(m0, ds, full)[0] == pytest.approx(
+        step_loss_grad(m0, ds, LossSpec(1.0, PriorMode.NONE))[0], rel=1e-14)
 
 
 def test_map_loss_hand_example_single_residual():
@@ -67,9 +60,9 @@ def test_map_loss_hand_example_single_residual():
     ds = WellDataset(np.array([0.0]), np.zeros((1, 6)), np.array([2.0]),
                      np.zeros(1, np.uint8), np.ones(1, np.int64))
     # residual 2, sigma 1, no prior: (2/1)^2 = 4
-    assert map_loss(m, ds, LossSpec(1.0, PriorMode.NONE)) == pytest.approx(4.0)
+    assert step_loss_grad(m, ds, LossSpec(1.0, PriorMode.NONE))[0] == pytest.approx(4.0)
     # sigma 2 scales the same residual down to 1
-    assert map_loss(m, ds, LossSpec(2.0, PriorMode.NONE)) == pytest.approx(1.0)
+    assert step_loss_grad(m, ds, LossSpec(2.0, PriorMode.NONE))[0] == pytest.approx(1.0)
 
 
 def test_map_loss_matches_hand_summed_oracle():
@@ -86,7 +79,7 @@ def test_map_loss_matches_hand_summed_oracle():
     data_term = float(np.sum(((ds.y - yhat) / sigma) ** 2))
     prior_term = float(np.sum(((theta - m.params.prior_mean)
                                / m.params.prior_std) ** 2))
-    got = map_loss(m, ds, LossSpec(noise_std=sigma))
+    got, _ = step_loss_grad(m, ds, LossSpec(noise_std=sigma))
     assert got == pytest.approx(data_term + prior_term, rel=1e-12)
 
 
@@ -228,7 +221,7 @@ def test_fit_map_returns_best_validation_epoch():
         assert int(np.argmin(vals)) == len(vals) - 1 - escfg.patience
     n_val = int(math.floor(escfg.val_fraction * len(ds)))
     tail = ds.take(slice(len(ds) - n_val, len(ds)))
-    assert map_loss(fit, tail, loss) == pytest.approx(min(vals), rel=1e-12)
+    assert map_objective(fit, tail, loss) == pytest.approx(min(vals), rel=1e-12)
 
 
 def test_fit_map_degenerate_validation_split_warns():
@@ -254,12 +247,11 @@ def test_fit_map_needs_data_and_a_parametric_model():
 def test_tiny_exact_gradient_step_does_not_increase_loss():
     ds = make_dataset(30, seed=3)
     from vfmlab import fit_scaler
-    from vfmlab.diff import loss_gradient
     m = init_model("lr", scaler=fit_scaler(ds))
     loss = LossSpec(noise_std=10.0)
-    g = loss_gradient(m, ds, loss)
-    stepped = m.with_values(m.params.values - 1e-8 * g.grad)
-    assert map_loss(stepped, ds, loss) <= map_loss(m, ds, loss)
+    _, grad = step_loss_grad(m, ds, loss)
+    stepped = m.with_values(m.params.values - 1e-8 * grad)
+    assert map_objective(stepped, ds, loss) <= map_objective(m, ds, loss)
 
 
 # ----------------------------------------------------------------- grid search
@@ -321,25 +313,3 @@ def test_grid_search_raises_when_everything_diverges():
     with pytest.raises(NumericError):
         grid_search("lr", {"gamma0": [1e300, 1e305]}, ds, pbl, seed=3)
 
-
-# ------------------------------------------------------------------ state file
-
-
-def test_optimizer_state_round_trip_is_bit_exact(tmp_path):
-    m = init_model("mm")
-    state = OptimizerState.for_params(m.params)
-    rng = np.random.default_rng(5)
-    cfg = OptimizerConfig(method=Method.ADAM, gamma0=0.01)
-    for k in range(1, 6):
-        state = optimizer_step(state, rng.normal(size=6), cfg, k)
-    p = tmp_path / "opt.state"
-    save_optimizer_state(state, p)
-    back = load_optimizer_state(p)
-    assert back.k == state.k
-    for field in ("values", "m", "v", "lower", "upper"):
-        np.testing.assert_array_equal(getattr(back, field), getattr(state, field))
-    # stepping both with the same gradient stays in lockstep
-    g = rng.normal(size=6)
-    s1 = optimizer_step(state, g, cfg, state.k + 1)
-    s2 = optimizer_step(back, g, cfg, back.k + 1)
-    np.testing.assert_array_equal(s1.values, s2.values)

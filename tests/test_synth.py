@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from vfmlab import (
+    DriftConfig,
     MechanisticParams,
     ScenarioError,
     Source,
     WellScenario,
+    estimate_update_frequency,
     generate_stream,
     init_model,
     predict,
-    stationarity_probe,
 )
 
 from conftest import count_sources, quiet_scenario
@@ -208,8 +209,15 @@ def test_wobble_free_fields_leave_stream_unchanged():
 # -------------------------------------------------------------------- probing
 
 
+def flagged_fraction(ds, alpha):
+    """Share of the second half's points that the drift scan flags, each
+    point tested on its own against the first half at level alpha."""
+    rep = estimate_update_frequency(ds, 0.5, DriftConfig(alpha=alpha, confirm_count=1))
+    return float(np.mean(rep.detected))
+
+
 def test_probe_sees_nothing_in_a_stationary_stream(tiny_stream):
-    assert stationarity_probe(tiny_stream, alpha=0.05) == 0.0
+    assert flagged_fraction(tiny_stream, alpha=0.05) == 0.0
 
 
 def test_probe_flags_inserted_pressure_jump():
@@ -221,7 +229,7 @@ def test_probe_flags_inserted_pressure_jump():
     X[half:, 1] *= 1.08
     from vfmlab import WellDataset
     jumped = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
-    frac = stationarity_probe(jumped, alpha=0.05)
+    frac = flagged_fraction(jumped, alpha=0.05)
     assert frac > 0.4
 
 
