@@ -109,8 +109,17 @@ def _build(cls, section: str, kw: dict):
 
 
 def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> OptimizerConfig:
+    """base updated by the per_kind entry of kind.  per_kind is keyed by kind
+    name in any case; a key that names no kind is a ConfigError."""
     kw = dict(base)
-    kw.update(per_kind.get(kind, {}))
+    want = ModelKind.from_str(kind)
+    for key, entry in per_kind.items():
+        try:
+            key_kind = ModelKind.from_str(key)
+        except ConfigError:
+            raise ConfigError(f"{section}: per-kind entry {key!r} names no model kind") from None
+        if key_kind is want:
+            kw.update(entry)
     if "method" in kw:
         kw["method"] = Method.from_str(kw["method"])
     return _build(OptimizerConfig, f"{section} for {kind}", kw)

@@ -1,7 +1,7 @@
 """Numeric kernels: batch forwards and analytic loss gradients per model kind.
 
-Every function here is plain Python over numpy: float64 arrays, int64 index
-arrays, no Python objects.  Nothing is compiled.
+Every function here is plain Python over numpy and ``math``: float64 arrays,
+int64 index arrays and Python floats.  Nothing is compiled.
 
 Calls come in two sizes: one row (each online-learning step, each per-row
 prediction of ``run_pbl``) and batches (mini-batches of 32 rows,
@@ -13,22 +13,47 @@ validation sets of tens to hundreds of rows).  The kernels serve both:
   kernels (``_residuals``) and all of MTL (the output layer as one row-wise
   cumulative sum, the task-embedding gather as one fancy index, the gradient
   scatter as one ``np.add.at``);
-* column form for calls of at least ``COLUMN_ROWS`` rows and the scalar loop
+* column form for calls of at least ``COLUMN_ROWS`` rows and a scalar loop
   below that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols``
-  against ``_mm_parts``/``_mm_parts_grad``).  A column form costs a fixed
-  number of numpy calls of about 1 us each, a loop a few us per row.
-  Measured min-of-k on a 2-core VM, the column form overtakes the loop at
-  about 5 rows for ``lr_loss_grad``, 7 to 9 for HEM/HAM and 9 to 10 for MM;
-  at one row it is 4 to 8 times slower.  ``COLUMN_ROWS = 8`` sits between.
+  against ``_mm_parts``/``_mm_parts_grad``).
+
+The loops run on Python floats.  A call converts its arrays once
+(``theta[:k].tolist()``, ``x.tolist()``, ``y.tolist()``, ``geom.tolist()``),
+``_mm_parts_grad`` returns its derivatives as lists, and the gradient is
+summed in a list that is written into ``grad`` once.  An operation on numpy
+scalars (``theta[0]``, ``x[i, 1]``) or on a 5-element array costs several
+times what the same IEEE operation costs on Python floats, and every
+online-learning step of LR, MM, HEM and HAM runs a loop.  The rounding is
+the same either way, so the loops keep their bits.  What differs is division by
+zero: Python raises ``ZeroDivisionError`` where numpy gives inf or NaN.  The
+choke equation divides by p1 and T1, so every entry point that hands rows to
+the mechanistic kernels checks them once per call or unit
+(``models.check_inputs``: ``models.predict``, ``optim.fit_map``,
+``learning.run_ol`` and ``learning.run_pbl``) and raises ``NumericError`` for
+a nonpositive p1, p2 or T1.
+
+A column form costs a fixed number of numpy calls of about 1 us each, a loop
+a few us per row.  Measured min-of-21 with loop and column runs interleaved
+on a 2-core VM (numpy 2.4), the column form overtakes the loop at about 16
+to 20 rows for ``lr_loss_grad`` and HEM, 20 to 24 for ``mm_loss_grad`` and
+``ham_loss_grad``, 24 to 32 for ``mm_predict`` and 32 to 48 for
+``ham_predict``; at one row the loops are 3 to 12 times faster.
+``COLUMN_ROWS = 8`` predates the Python-float loops.  Raising it would make
+calls of 8 or more rows take the loop, which rounds MM, HEM and HAM
+differently from the column form (below), so it waits for a behaviour gate
+with stated tolerances.
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
 ``COLUMN_ROWS``:
 
-* the optimizer steps and the LR, NN and MTL kernels are bit-identical to the
-  loops.  Sums over rows keep the loops' order: a cumulative sum along the
-  summed axis adds one term at a time, and its last entry is the sum
-  (``_row_sum``, ``_affine_cols``); ``np.add.at`` applies rows in index order;
+* the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
+  below ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
+  its forward in ``ham_loss_grad``'s product order, which it shares so that a
+  fit minimizes the loss of the predictions it logs).  Sums over rows keep
+  the loops' order: a cumulative sum along the summed axis adds one term at
+  a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
+  ``np.add.at`` applies rows in index order;
 * the MM/HEM/HAM column forms go through the loops' arithmetic in the loops'
   order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` (numpy 2.4
   on AVX-512) differ from libm by one unit in the last place on a few
@@ -82,7 +107,8 @@ T_SC = 288.15            # K
 M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 
 # Calls with at least this many rows take the column form, shorter ones the
-# loop (see the module docstring for the measured crossover).
+# loop (see the module docstring for the measured crossovers and why it has
+# not moved to them).
 COLUMN_ROWS = 8
 
 
@@ -179,14 +205,12 @@ def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 
 def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     """Like _mm_parts but also return d(r)/dp and d(vsc)/dp for the five
-    non-C_D mechanistic parameters, order (rho_oil, rho_wat, kappa, M_gas, p_cr).
+    non-C_D mechanistic parameters, order (rho_oil, rho_wat, kappa, M_gas, p_cr),
+    as lists.
 
-    At a clamped radicand (S <= 0) all derivatives are zero: the output is
-    constant there.
+    At a clamped radicand (S <= 0) all derivatives of r are zero: the output
+    is constant there.
     """
-    dr = np.zeros(5)
-    dvsc = np.zeros(5)
-
     ew = 1.0 - eo - eg
     if ew < 0.0:
         ew = 0.0
@@ -204,9 +228,9 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 
     rgsc = P_SC * mg / (GAS_R * T_SC)
     vsc = eg / rgsc + vo + vw
-    dvsc[0] = -eo / (ro * ro)
-    dvsc[1] = -ew / (rw * rw)
-    dvsc[3] = -eg / (rgsc * mg)
+    dvo = -eo / (ro * ro)
+    dvw = -ew / (rw * rw)
+    dvsc = [dvo, dvw, 0.0, -eg / (rgsc * mg), 0.0]
 
     ck = kp / (kp - 1.0)
     tg = ck * eg * (1.0 / rg1 - pr / rg2)
@@ -214,7 +238,7 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     g = tg + tl
     s = 2.0 * rho2 * rho2 * p1 * g
     if s <= 0.0:
-        return 0.0, vsc, dr, dvsc, 1
+        return 0.0, vsc, [0.0] * 5, dvsc, 1
     r = math.sqrt(s)
 
     # rho_gas,2 sensitivities
@@ -224,28 +248,25 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 
     # throat mixture density via v2
     inv_rg2sq = eg / (rg2 * rg2)
-    dv2 = np.zeros(5)
-    dv2[0] = -eo / (ro * ro)
-    dv2[1] = -ew / (rw * rw)
-    dv2[2] = -inv_rg2sq * drg2_k
-    dv2[3] = -inv_rg2sq * drg2_m
-    dv2[4] = -inv_rg2sq * drg2_pc
+    dv2 = (dvo, dvw, -inv_rg2sq * drg2_k, -inv_rg2sq * drg2_m, -inv_rg2sq * drg2_pc)
     # drho2/dp = -rho2^2 * dv2/dp
 
     # radical inner term G
-    dg = np.zeros(5)
-    dg[0] = -(eo / (ro * ro)) * (1.0 - pr)
-    dg[1] = -(ew / (rw * rw)) * (1.0 - pr)
     dck = -1.0 / ((kp - 1.0) * (kp - 1.0))
-    dg[2] = dck * eg * (1.0 / rg1 - pr / rg2) + ck * eg * (pr / (rg2 * rg2)) * drg2_k
-    dg[3] = -tg / mg
-    if clamped:
-        dg[4] = -eg / rg2 - (vo + vw)
+    dg = (-(eo / (ro * ro)) * (1.0 - pr),
+          -(ew / (rw * rw)) * (1.0 - pr),
+          dck * eg * (1.0 / rg1 - pr / rg2) + ck * eg * (pr / (rg2 * rg2)) * drg2_k,
+          -tg / mg,
+          -eg / rg2 - (vo + vw) if clamped else 0.0)
 
-    for i in range(5):
-        drho2 = -rho2 * rho2 * dv2[i]
-        ds = 2.0 * p1 * (2.0 * rho2 * drho2 * g + rho2 * rho2 * dg[i])
-        dr[i] = ds / (2.0 * r)
+    # ds = 2*p1*(2*rho2*drho2*g + rho2^2*dg), dr = ds/(2r), each product
+    # grouped left to right as written
+    nrr = -rho2 * rho2
+    rr = rho2 * rho2
+    two_rho2 = 2.0 * rho2
+    two_p1 = 2.0 * p1
+    two_r = 2.0 * r
+    dr = [two_p1 * (two_rho2 * (nrr * dv) * g + rr * dgi) / two_r for dv, dgi in zip(dv2, dg)]
     return r, vsc, dr, dvsc, 0
 
 
@@ -335,25 +356,27 @@ def lr_predict(theta, xs):
 
 def lr_loss_grad(theta, xs, y, inv_var):
     n, d = xs.shape
-    w = theta[:d]
-    b = theta[d]
     grad = np.zeros(theta.shape[0])
     if n >= COLUMN_ROWS:
-        sse, c = _residuals(y, _affine_cols(b, xs, w), inv_var)
+        sse, c = _residuals(y, _affine_cols(theta[d], xs, theta[:d]), inv_var)
         grad[:d] += _row_sum(c[:, None] * xs)
         grad[d] += _row_sum(c)
         return sse, grad
+    *w, b = theta[:d + 1].tolist()
+    inv_var = float(inv_var)
+    g = [0.0] * (d + 1)
     sse = 0.0
-    for i in range(n):
+    for xi, yi in zip(xs.tolist(), y.tolist()):
         yh = b
         for j in range(d):
-            yh += xs[i, j] * w[j]
-        resid = y[i] - yh
+            yh += xi[j] * w[j]
+        resid = yi - yh
         sse += resid * resid * inv_var
         c = -2.0 * resid * inv_var
         for j in range(d):
-            grad[j] += c * xs[i, j]
-        grad[d] += c
+            g[j] += c * xi[j]
+        g[d] += c
+    grad[:d + 1] = g
     return sse, grad
 
 
@@ -440,14 +463,15 @@ def mm_predict(theta, x, geom):
         r, vsc, neg = _mm_cols(theta, x, False)
         yhat = M3S_TO_SM3H * theta[5] * _area(x[:, 0], geom) * r * vsc
         return yhat, int(np.count_nonzero(neg))
-    yhat = np.empty(n)
+    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    geom = geom.tolist()
+    yhat = []
     nneg = 0
-    for i in range(n):
-        r, vsc, neg = _mm_parts(theta[0], theta[1], theta[2], theta[3], theta[4],
-                                x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
+    for xi in x.tolist():
+        r, vsc, neg = _mm_parts(ro, rw, kp, mg, pcr, xi[1], xi[2], xi[3], xi[4], xi[5])
         nneg += neg
-        yhat[i] = M3S_TO_SM3H * theta[5] * _area(x[i, 0], geom) * r * vsc
-    return yhat, nneg
+        yhat.append(M3S_TO_SM3H * cd * _area(xi[0], geom) * r * vsc)
+    return np.array(yhat, dtype=np.float64), nneg
 
 
 def _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad):
@@ -468,22 +492,26 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
         sse, c = _residuals(y, M3S_TO_SM3H * theta[5] * a2 * r * vsc, inv_var)
         _mm_grad_cols(theta[5], a2, c, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
+    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    geom = geom.tolist()
+    inv_var = float(inv_var)
+    g = [0.0] * 6
     sse = 0.0
     nneg = 0
-    for i in range(n):
-        r, vsc, dr, dvsc, neg = _mm_parts_grad(
-            theta[0], theta[1], theta[2], theta[3], theta[4],
-            x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
+                                               xi[1], xi[2], xi[3], xi[4], xi[5])
         nneg += neg
-        a2 = _area(x[i, 0], geom)
-        base = M3S_TO_SM3H * theta[5] * a2
+        a2 = _area(xi[0], geom)
+        base = M3S_TO_SM3H * cd * a2
         yh = base * r * vsc
-        resid = y[i] - yh
+        resid = yi - yh
         sse += resid * resid * inv_var
         c = -2.0 * resid * inv_var
         for j in range(5):
-            grad[j] += c * base * (dr[j] * vsc + r * dvsc[j])
-        grad[5] += c * M3S_TO_SM3H * a2 * r * vsc
+            g[j] += c * base * (dr[j] * vsc + r * dvsc[j])
+        g[5] += c * M3S_TO_SM3H * a2 * r * vsc
+    grad[:6] = g
     return sse, grad, nneg
 
 
@@ -513,20 +541,31 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
         _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
         _mm_grad_cols(theta[5], a2, delta, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
-    ymm, nneg = mm_predict(theta, x, geom)
+    # one physics pass: mm_predict's flow of a row is base * r * vsc, the
+    # same operations on the same r and vsc
+    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    geom = geom.tolist()
+    rows = []
+    ymm = []
+    nneg = 0
+    for xi in x.tolist():
+        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
+                                               xi[1], xi[2], xi[3], xi[4], xi[5])
+        nneg += neg
+        a2 = _area(xi[0], geom)
+        base = M3S_TO_SM3H * cd * a2
+        ymm.append(base * r * vsc)
+        rows.append((a2, base, r, vsc, dr, dvsc))
     ynn, acts = _nn_forward(theta, 6, widths, xs)
-    sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
+    sse, delta = _residuals(y, np.array(ymm, dtype=np.float64) + nn_scale * ynn, inv_var)
     grad = np.zeros(theta.shape[0])
     _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
-    for i in range(n):
-        r, vsc, dr, dvsc, _ = _mm_parts_grad(
-            theta[0], theta[1], theta[2], theta[3], theta[4],
-            x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
-        a2 = _area(x[i, 0], geom)
-        base = M3S_TO_SM3H * theta[5] * a2
+    g = [0.0] * 6
+    for di, (a2, base, r, vsc, dr, dvsc) in zip(delta.tolist(), rows):
         for j in range(5):
-            grad[j] += delta[i] * base * (dr[j] * vsc + r * dvsc[j])
-        grad[5] += delta[i] * M3S_TO_SM3H * a2 * r * vsc
+            g[j] += di * base * (dr[j] * vsc + r * dvsc[j])
+        g[5] += di * M3S_TO_SM3H * a2 * r * vsc
+    grad[:6] = g
     return sse, grad, nneg
 
 
@@ -545,14 +584,15 @@ def ham_predict(theta, widths, x, xs, geom):
         r, vsc, neg = _mm_cols(theta, x, False)
         yhat = (M3S_TO_SM3H * _area(x[:, 0], geom) * r * vsc) * _softplus_cols(nn_out)
         return yhat, int(np.count_nonzero(neg))
-    yhat = np.empty(n)
+    ro, rw, kp, mg, pcr = theta[:5].tolist()
+    geom = geom.tolist()
+    yhat = []
     nneg = 0
-    for i in range(n):
-        r, vsc, neg = _mm_parts(theta[0], theta[1], theta[2], theta[3], theta[4],
-                                x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
+    for xi, z in zip(x.tolist(), nn_out.tolist()):
+        r, vsc, neg = _mm_parts(ro, rw, kp, mg, pcr, xi[1], xi[2], xi[3], xi[4], xi[5])
         nneg += neg
-        yhat[i] = (M3S_TO_SM3H * _area(x[i, 0], geom) * r * vsc) * _softplus(nn_out[i])
-    return yhat, nneg
+        yhat.append((M3S_TO_SM3H * _area(xi[0], geom) * r * vsc) * _softplus(z))
+    return np.array(yhat, dtype=np.float64), nneg
 
 
 def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
@@ -569,27 +609,29 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
                              * (dr * vsc[:, None] + r[:, None] * dvsc))
         _nn_backward(theta, 5, widths, acts, c * base * _sigmoid_cols(nn_out), grad)
         return sse, grad, int(np.count_nonzero(neg))
+    ro, rw, kp, mg, pcr = theta[:5].tolist()
+    geom = geom.tolist()
+    inv_var = float(inv_var)
+    g = [0.0] * 5
     sse = 0.0
     nneg = 0
-    delta_nn = np.empty(n)
-    resids = np.empty(n)
-    for i in range(n):
-        r, vsc, dr, dvsc, neg = _mm_parts_grad(
-            theta[0], theta[1], theta[2], theta[3], theta[4],
-            x[i, 1], x[i, 2], x[i, 3], x[i, 4], x[i, 5])
+    delta_nn = []
+    for xi, yi, z in zip(x.tolist(), y.tolist(), nn_out.tolist()):
+        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
+                                               xi[1], xi[2], xi[3], xi[4], xi[5])
         nneg += neg
-        a2 = _area(x[i, 0], geom)
+        a2 = _area(xi[0], geom)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
-        mult = _softplus(nn_out[i])
+        mult = _softplus(z)
         yh = base * mult
-        resid = y[i] - yh
-        resids[i] = resid
+        resid = yi - yh
         sse += resid * resid * inv_var
         c = -2.0 * resid * inv_var
         for j in range(5):
-            grad[j] += c * M3S_TO_SM3H * a2 * mult * (dr[j] * vsc + r * dvsc[j])
-        delta_nn[i] = c * base * _sigmoid(nn_out[i])
-    _nn_backward(theta, 5, widths, acts, delta_nn, grad)
+            g[j] += c * M3S_TO_SM3H * a2 * mult * (dr[j] * vsc + r * dvsc[j])
+        delta_nn.append(c * base * _sigmoid(z))
+    grad[:5] = g
+    _nn_backward(theta, 5, widths, acts, np.array(delta_nn, dtype=np.float64), grad)
     return sse, grad, nneg
 
 
@@ -739,12 +781,26 @@ def sgd_step(theta, grad, gamma_k, lower, upper):
 
 
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
+    """One bias-corrected Adam step; mutates m and v in place, returns theta'
+    as a new array.
+
+    The operations are those of ``theta - gamma_k * mhat / (sqrt(vhat) + eps)``
+    with mhat = m/(1 - beta1^k), vhat = v/(1 - beta2^k), in that order, run in
+    place on the result and one scratch array.
+    """
+    s = np.multiply(grad, 1.0 - beta1)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += s
+    np.multiply(grad, 1.0 - beta2, out=s)
+    s *= grad
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** k)
-    vhat = v / (1.0 - beta2 ** k)
-    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
-    return np.minimum(np.maximum(val, lower), upper)
+    v += s
+    out = np.divide(m, 1.0 - beta1 ** k)     # mhat
+    out *= gamma_k
+    np.divide(v, 1.0 - beta2 ** k, out=s)    # vhat
+    np.sqrt(s, out=s)
+    s += eps
+    out /= s
+    np.subtract(theta, out, out=out)
+    np.maximum(out, lower, out=out)
+    return np.minimum(out, upper, out=out)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import Source, DataSplit, WellDataset, fit_scaler
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .models import ModelKind, ModelSpec, build_plan, plan_predict, scale_inputs, task_columns
+from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
+                     scale_inputs, task_columns)
 from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, PriorMode, TrainingStep,
                     fit_map, optimizer_step)
 
@@ -160,10 +161,17 @@ class _LogBuilder:
         else:
             cols = [[]] * 6
         return PredictionLog(
-            np.asarray(cols[0], dtype=np.int64), np.asarray(cols[1], dtype=np.int64),
+            np.asarray(cols[0], dtype=np.float64), np.asarray(cols[1], dtype=np.int64),
             np.asarray(cols[2], dtype=np.float64), np.asarray(cols[3], dtype=np.float64),
             np.asarray(cols[4], dtype=np.int64), np.asarray(cols[5], dtype=np.uint8),
             metadata)
+
+
+def _log_time(t: float) -> int | float:
+    """A timestamp as a log file and its metadata record it: an int when it
+    is whole seconds, so logs of whole-second data read as they always have,
+    else the float."""
+    return int(t) if t.is_integer() else t
 
 
 def _predict_one(m: ModelSpec, plan, x_row: np.ndarray, well_id: int) -> float:
@@ -192,7 +200,8 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
 
     A refit happens at the first arrival crossing one or more boundaries and
     uses every observation consumed before that arrival; a failed refit keeps
-    the previous model and flags the period.
+    the previous model and flags the period.  A mechanistic kind's train or
+    test row with nonpositive p1, p2 or T1 raises NumericError up front.
     """
     if cfg.mode != "pbl":
         raise ConfigError("run_pbl needs a pbl schedule")
@@ -203,14 +212,15 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
     prev_y = _prev_y_by_well(split.train) if m0.kind is ModelKind.BENCHMARK else {}
     next_boundary = split.split_time + cfg.period_s
     n_retrains = 0
-    failed_periods: list[int] = []
+    failed_periods: list[int | float] = []
     # train then test rows; the history of test row i is its first n_train + i rows
     past = WellDataset.merge([split.train, te])
+    check_inputs(m0, past.X)
     n_train = len(split.train)
     allowed = _updates_allowed(cfg, past.source)
 
     for i in range(len(te)):
-        t_i = int(te.t[i])
+        t_i = float(te.t[i])
         if t_i >= next_boundary and m0.kind is not ModelKind.BENCHMARK:
             history = past.take(slice(0, n_train + i))
             if cfg.update_sources is not None:
@@ -225,7 +235,7 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
                 plan = build_plan(current)
                 n_retrains += 1
             except (NumericError, DataError):
-                failed_periods.append(t_i)
+                failed_periods.append(_log_time(t_i))
             while next_boundary <= t_i:
                 next_boundary += cfg.period_s
 
@@ -248,7 +258,9 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     physical parameters, frozen scaler.
 
     A non-finite update is skipped (flagged) and the previous parameters
-    carry on.  k = 0 degenerates to pure prediction with m0.
+    carry on.  k = 0 degenerates to pure prediction with m0.  A mechanistic
+    kind's test row with nonpositive p1, p2 or T1 raises NumericError up
+    front.
     """
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
@@ -256,6 +268,12 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     builder = _LogBuilder()
     step = TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
     plan = step.plan
+    # the plan (and its scaler) is frozen, so the unit's arrays are built once
+    # and row i of each serves both its prediction and its update
+    X = np.ascontiguousarray(te.X)
+    check_inputs(m0, X)
+    Xs = scale_inputs(plan, X)
+    wells = task_columns(m0, te.well)
     y = step.targets(te.y)
     allowed = _updates_allowed(cfg, te.source)
     steps = cfg.steps_per_obs()
@@ -263,10 +281,10 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     version = m0.version
     prev_y = _prev_y_by_well(split.train) if m0.kind is ModelKind.BENCHMARK else {}
     n_updates = 0
-    skipped: list[int] = []
+    skipped: list[int | float] = []
 
     for i in range(len(te)):
-        t_i = int(te.t[i])
+        t_i = float(te.t[i])
         w = int(te.well[i])
         if m0.kind is ModelKind.BENCHMARK:
             y_hat = prev_y.get(w, math.nan)
@@ -274,21 +292,17 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
             builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
             continue
 
-        # the plan (and its scaler) is frozen, so one row's arrays serve both
-        # the prediction and the update
-        X1 = te.X[i][None, :]
-        Xs1 = scale_inputs(plan, X1)
-        wells1 = task_columns(m0, w)
+        rows = slice(i, i + 1)
+        X1, Xs1, wells1 = X[rows], Xs[rows], wells[rows]
         y_hat = float(plan_predict(plan, theta, X1, Xs1, wells1)[0])
         builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
 
         if steps == 0 or not allowed[i]:
             continue
-        y1 = y[i:i + 1]
         state = step.start(theta)
         ok = True
         for k in range(1, steps + 1):
-            grad = step.grad(state.values, X1, Xs1, y1, wells1)
+            grad = step.grad(state.values, X1, Xs1, y[rows], wells1)
             try:
                 optimizer_step(state, grad, cfg.ocfg, k)
             except NumericError:
@@ -299,7 +313,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
             version += 1
             n_updates += 1
         else:
-            skipped.append(t_i)
+            skipped.append(_log_time(t_i))
 
     meta = {"mode": "ol", "steps": steps, "kind": m0.kind.value,
             "n_updates": n_updates, "skipped_updates": skipped}
@@ -319,9 +333,9 @@ def write_log(log: PredictionLog, path: str | Path) -> None:
     path = Path(path)
     lines = [_LOG_HEADER]
     for i in range(len(log)):
-        lines.append(f"{int(log.t[i])},{int(log.well[i])},{float(log.y_true[i])!r},"
-                     f"{float(log.y_pred[i])!r},{int(log.model_version[i])},"
-                     f"{Source(int(log.source[i])).to_str()}")
+        lines.append(f"{_log_time(float(log.t[i]))!r},{int(log.well[i])},"
+                     f"{float(log.y_true[i])!r},{float(log.y_pred[i])!r},"
+                     f"{int(log.model_version[i])},{Source(int(log.source[i])).to_str()}")
     path.write_text("\n".join(lines) + "\n")
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(log.metadata, indent=2, sort_keys=True) + "\n")
@@ -337,7 +351,7 @@ def read_log(path: str | Path) -> PredictionLog:
         if not ln:
             continue
         t, w, yt, yp, v, src = ln.split(",")
-        rows.append((int(t), int(w), float(yt), float(yp), int(v),
+        rows.append((float(t), int(w), float(yt), float(yp), int(v),
                      int(Source.from_str(src))))
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}

@@ -625,8 +625,14 @@ def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
     return sse
 
 
-def _check_mechanistic_inputs(X: np.ndarray) -> None:
-    if np.any(X[:, 1] <= 0.0) or np.any(X[:, 2] <= 0.0) or np.any(X[:, 3] <= 0.0):
+def check_inputs(m: ModelSpec, X: np.ndarray) -> None:
+    """Raise NumericError unless every row of the raw inputs X has positive
+    p1, p2 and T1, for the kinds whose choke equation divides by them (MM,
+    HEM, HAM); a no-op for the others.  The drivers check their rows once per
+    unit, so the one-row kernels, which run on Python floats, never meet a
+    zero divisor there."""
+    if m.kind.is_mechanistic and (
+            np.any(X[:, 1] <= 0.0) or np.any(X[:, 2] <= 0.0) or np.any(X[:, 3] <= 0.0)):
         raise NumericError("mechanistic forward requires positive p1, p2, T1")
 
 
@@ -649,8 +655,7 @@ def predict(m: ModelSpec, X: np.ndarray, well_ids=None) -> np.ndarray:
     """
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     plan = build_plan(m)
-    if m.kind.is_mechanistic:
-        _check_mechanistic_inputs(X)
+    check_inputs(m, X)
     wells = _NO_WELLS
     if m.kind is ModelKind.MTL:
         if well_ids is None:

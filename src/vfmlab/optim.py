@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .core import WellDataset, as_columns, substream
 from .errors import ConfigError, DataError, NumericError
-from .models import (ModelKind, ModelSpec, ParameterSet, build_plan, plan_loss,
+from .models import (ModelKind, ModelSpec, ParameterSet, build_plan, check_inputs, plan_loss,
                      plan_loss_grad, scale_inputs, task_columns)
 
 
@@ -182,14 +182,21 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
 
 class _Prior:
     """The prior term of the objective, its arrays taken once: the entries
-    it covers (all, or the physical ones), their means and their stds."""
+    it covers (all, or the physical ones), their means and their stds.
+
+    A contiguous run of physical entries (the leading mechanistic slots of
+    MM, HEM and HAM) is kept as a slice, so theta[idx] is a view; other sets
+    are an index array."""
 
     def __init__(self, params: ParameterSet, mode: PriorMode):
         if mode is PriorMode.NONE or len(params) == 0:
             idx = None
         elif mode is PriorMode.PHYSICAL_ONLY:
             idx = np.flatnonzero(params.is_physical)
-            idx = idx if idx.size else None
+            if idx.size == 0:
+                idx = None
+            elif idx[-1] - idx[0] + 1 == idx.size:
+                idx = slice(int(idx[0]), int(idx[-1]) + 1)
         else:
             idx = slice(None)
         self.idx = idx
@@ -269,7 +276,8 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     The last val_fraction of `train` (by time) is held out; training stops
     when its loss has not improved for `patience` epochs, and the
     best-validation parameters are returned.  An empty tail (too little data)
-    falls back to a fixed run of max_epochs with a warning.
+    falls back to a fixed run of max_epochs with a warning.  A mechanistic
+    kind's row with nonpositive p1, p2 or T1 raises NumericError.
     """
     if m.kind is ModelKind.BENCHMARK:
         raise ConfigError("benchmark predictor has no parameters to fit")
@@ -279,6 +287,7 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     step = TrainingStep(m, loss.noise_std, loss.prior_mode)
     _, X, y, well = as_columns(train)
     X = np.ascontiguousarray(X)
+    check_inputs(m, X)
     Xs = scale_inputs(step.plan, X)
     y = step.targets(y)
     wells = task_columns(m, well)

@@ -117,3 +117,36 @@ def test_scenario_geometry_section_becomes_a_choke_geometry(tmp_path):
     raw["scenarios"][0]["geometry"] = {"a_max": 4e-3, "c1": 0.2, "c2": 0.0, "c3": 0.8}
     (scenario,) = StudyConfig.from_dict(raw).scenario_objects()
     assert scenario.geometry == ChokeGeometry(a_max=4e-3, c1=0.2, c2=0.0, c3=0.8)
+
+
+@pytest.mark.parametrize("where", ["schedule", "init"])
+def test_unknown_kind_under_per_kind_is_a_config_error(tmp_path, capsys, where):
+    """A per-kind optimizer entry under a misspelt kind name is refused when
+    the file is loaded, not silently ignored."""
+    raw = _tiny_study(tmp_path)
+    raw["kinds"] = ["benchmark", "lr"]
+    if where == "schedule":
+        raw["schedules"][0]["per_kind"] = {"lrr": {"gamma0": 5.0}}
+    else:
+        raw["init_per_kind"] = {"lrr": {"gamma0": 5.0}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'lrr'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_per_kind_entries_apply_to_their_kind(tmp_path):
+    """A per-kind entry changes that kind's optimizer only, whatever the case
+    of the kind name, and a kind the study does not run may have one."""
+    raw = _tiny_study(tmp_path)
+    raw["kinds"] = ["benchmark", "LR", "mm"]
+    raw["schedules"][0]["per_kind"] = {"lr": {"gamma0": 5.0}, "nn": {"gamma0": 2.0}}
+    raw["init_per_kind"] = {"MM": {"gamma0": 3.0}}
+    cfg = StudyConfig.from_dict(raw)
+    (spec,) = cfg.schedule_specs()
+    assert spec.optimizer_for("LR").gamma0 == 5.0
+    assert spec.optimizer_for("mm").gamma0 == 1e-3
+    assert cfg.init_ocfg_for("mm").gamma0 == 3.0
+    assert cfg.init_ocfg_for("LR").gamma0 == 1e-3

@@ -5,13 +5,15 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
 
 * The optimizer steps and the LR, NN and MTL kernels keep every rounding
   step of those loops, so their checks use ``np.array_equal``.
-* The MM, HEM and HAM column forms keep the loops' order of operations too,
-  but numpy's ``power``, ``log``, ``exp`` and ``log1p`` may differ from libm
-  by one unit in the last place, so they are held to 1e-10 relative for
-  predictions and loss and 1e-9 for gradients, with equal clamp counts.
+* Below ``kernels.COLUMN_ROWS`` rows the MM, HEM and HAM kernels run the
+  loops' arithmetic on Python floats, so they are held to ``np.array_equal``
+  there too, at every row count from 1 up.
+* Their column forms keep the loops' order of operations, but numpy's
+  ``power``, ``log``, ``exp`` and ``log1p`` may differ from libm by one unit
+  in the last place, so they are held to 1e-10 relative for predictions and
+  loss and 1e-9 for gradients, with equal clamp counts.
 
-Row counts cover both sides of ``kernels.COLUMN_ROWS``, below which the
-kernels keep the loop.
+Row counts cover both sides of ``kernels.COLUMN_ROWS``.
 """
 
 import numpy as np
@@ -157,12 +159,17 @@ def test_lr_loss_grad_equals_the_loop(n):
     assert np.array_equal(grad_a, grad_l)
 
 
-# ------------------------------------------------------ MM, HEM, HAM: tolerance
+# ----------------------------------- MM, HEM, HAM: exact loops, column tolerance
 
 GEOM = ChokeGeometry().as_array()
 MM_THETA = MechanisticParams().as_array()
 PRED_RTOL = 1e-10
 GRAD_RTOL = 1e-9
+# every loop row count, plus column-form ones
+CHOKE_ROWS = sorted(set(range(1, kernels.COLUMN_ROWS)) | set(ROWS))
+# draws per row count: the short calls are cheap, and each draw puts other
+# branches of the physics on the few rows there are
+DRAWS = 4
 
 
 def _choke_rows(rng, n):
@@ -190,66 +197,121 @@ def _close(got, want, rtol):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
-@pytest.mark.parametrize("n", ROWS)
+def _match(got, want, rtol, n):
+    """Below COLUMN_ROWS the kernels run the loops' arithmetic on Python
+    floats, bit for bit; the column forms are held to rtol."""
+    if n < kernels.COLUMN_ROWS:
+        assert np.array_equal(got, want)
+    else:
+        _close(got, want, rtol)
+
+
+@pytest.mark.parametrize("n", CHOKE_ROWS)
 def test_mm_kernels_match_the_loop(n):
     rng = np.random.default_rng(30 + n)
-    x, _ = _choke_rows(rng, n)
-    theta = _mm_theta(rng)
-    yl, nneg_l = loop.mm_predict(theta, x, GEOM)
-    ya, nneg_a = kernels.mm_predict(theta, x, GEOM)
-    _close(ya, yl, PRED_RTOL)
-    assert nneg_a == nneg_l
-    assert np.any(x[:, 2] / x[:, 1] < theta[4])   # a clamped pressure ratio
-    assert nneg_l >= min(n - 1, 1)                 # a nonpositive radicand
+    for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
+        x, _ = _choke_rows(rng, n)
+        theta = _mm_theta(rng)
+        yl, nneg_l = loop.mm_predict(theta, x, GEOM)
+        ya, nneg_a = kernels.mm_predict(theta, x, GEOM)
+        _match(ya, yl, PRED_RTOL, n)
+        assert nneg_a == nneg_l
+        assert np.any(x[:, 2] / x[:, 1] < theta[4])   # a clamped pressure ratio
+        assert nneg_l >= min(n - 1, 1)                 # a nonpositive radicand
 
-    y = yl * rng.uniform(0.8, 1.2, n) + 1.0
-    sse_a, grad_a, nneg_ga = kernels.mm_loss_grad(theta, x, GEOM, y, 2.5)
-    sse_l, grad_l, nneg_gl = loop.mm_loss_grad(theta, x, GEOM, y, 2.5)
-    _close(sse_a, sse_l, PRED_RTOL)
-    _close(grad_a, grad_l, GRAD_RTOL)
-    assert grad_l[4] != 0.0   # the p_cr derivative of clamped rows is live
-    assert nneg_ga == nneg_gl == nneg_l
+        y = yl * rng.uniform(0.8, 1.2, n) + 1.0
+        sse_a, grad_a, nneg_ga = kernels.mm_loss_grad(theta, x, GEOM, y, 2.5)
+        sse_l, grad_l, nneg_gl = loop.mm_loss_grad(theta, x, GEOM, y, 2.5)
+        _match(sse_a, sse_l, PRED_RTOL, n)
+        _match(grad_a, grad_l, GRAD_RTOL, n)
+        assert grad_l[4] != 0.0   # the p_cr derivative of clamped rows is live
+        assert nneg_ga == nneg_gl == nneg_l
 
 
-@pytest.mark.parametrize("n", ROWS)
+@pytest.mark.parametrize("n", CHOKE_ROWS)
 def test_hem_kernels_match_the_loop(n):
     rng = np.random.default_rng(40 + n)
-    x, xs = _choke_rows(rng, n)
-    theta = np.concatenate([_mm_theta(rng), rng.standard_normal(NN_PARAMS) * 0.3])
-    yl, nneg_l = loop.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
-    ya, nneg_a = kernels.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
-    _close(ya, yl, PRED_RTOL)
-    assert nneg_a == nneg_l
+    for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
+        x, xs = _choke_rows(rng, n)
+        theta = np.concatenate([_mm_theta(rng), rng.standard_normal(NN_PARAMS) * 0.3])
+        yl, nneg_l = loop.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
+        ya, nneg_a = kernels.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
+        _match(ya, yl, PRED_RTOL, n)
+        assert nneg_a == nneg_l
 
-    y = yl * rng.uniform(0.8, 1.2, n) + 1.0
-    sse_a, grad_a, nneg_ga = kernels.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5, 7.0)
-    sse_l, grad_l, nneg_gl = loop.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5, 7.0)
-    _close(sse_a, sse_l, PRED_RTOL)
-    _close(grad_a, grad_l, GRAD_RTOL)
-    assert grad_l[4] != 0.0
-    assert nneg_ga == nneg_gl == nneg_l
+        y = yl * rng.uniform(0.8, 1.2, n) + 1.0
+        sse_a, grad_a, nneg_ga = kernels.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM,
+                                                       y, 2.5, 7.0)
+        sse_l, grad_l, nneg_gl = loop.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM,
+                                                    y, 2.5, 7.0)
+        _match(sse_a, sse_l, PRED_RTOL, n)
+        _match(grad_a, grad_l, GRAD_RTOL, n)
+        assert grad_l[4] != 0.0
+        assert nneg_ga == nneg_gl == nneg_l
 
 
-@pytest.mark.parametrize("scale", [1.0, 40.0], ids=["softplus_mid", "softplus_tails"])
-@pytest.mark.parametrize("n", ROWS)
-def test_ham_kernels_match_the_loop(n, scale):
-    """scale 40 drives the area net past +-30, into both softplus tails."""
-    rng = np.random.default_rng(50 + n)
+def _ham_loop_forward(theta, x, xs):
+    """The loop HAM forward in ham_loss_grad's product order,
+    (M3S*a2*r*vsc)*softplus(nn), the order kernels.ham_predict keeps so that
+    a fit minimizes the loss of the predictions it logs; loop.ham_predict
+    multiplies M3S*a2*softplus*r*vsc, which rounds differently."""
+    nn_out = loop.nn_predict(theta, 5, NN_WIDTHS, xs)
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        r, vsc, _ = loop._mm_parts(*theta[:5], *x[i, 1:])
+        out[i] = (loop.M3S_TO_SM3H * loop._area(x[i, 0], GEOM) * r * vsc) \
+            * loop._softplus(nn_out[i])
+    return out
+
+
+def _ham_case(rng, n, scale):
+    """Rows, HAM parameters and target noise of one draw; scale 40 drives the
+    area net past +-30, into both softplus tails."""
     x, xs = _choke_rows(rng, n)
     theta = np.concatenate([_mm_theta(rng)[:5], rng.standard_normal(NN_PARAMS) * 0.3])
     theta[-1] = 0.0
     theta[5:] *= np.where(np.arange(NN_PARAMS) >= NN_PARAMS - 33, scale, 1.0)
-    yl, nneg_l = loop.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)
-    ya, nneg_a = kernels.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)
-    _close(ya, yl, PRED_RTOL)
-    assert nneg_a == nneg_l
+    return x, xs, theta, rng.uniform(0.8, 1.2, n)
 
-    y = yl * rng.uniform(0.8, 1.2, n) + 1.0
-    sse_a, grad_a, nneg_ga = kernels.ham_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5)
-    sse_l, grad_l, nneg_gl = loop.ham_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5)
-    _close(sse_a, sse_l, PRED_RTOL)
-    _close(grad_a, grad_l, GRAD_RTOL)
-    assert nneg_ga == nneg_gl == nneg_l
+
+@pytest.mark.parametrize("scale", [1.0, 40.0], ids=["softplus_mid", "softplus_tails"])
+@pytest.mark.parametrize("n", CHOKE_ROWS)
+def test_ham_kernels_match_the_loop(n, scale):
+    rng = np.random.default_rng(50 + n)
+    for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
+        x, xs, theta, noise = _ham_case(rng, n, scale)
+        yl, nneg_l = loop.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)
+        ya, nneg_a = kernels.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)
+        _close(ya, yl, PRED_RTOL)
+        _match(ya, _ham_loop_forward(theta, x, xs), PRED_RTOL, n)
+        assert nneg_a == nneg_l
+
+        y = yl * noise + 1.0
+        sse_a, grad_a, nneg_ga = kernels.ham_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5)
+        sse_l, grad_l, nneg_gl = loop.ham_loss_grad(theta, NN_WIDTHS, x, xs, GEOM, y, 2.5)
+        _match(sse_a, sse_l, PRED_RTOL, n)
+        _match(grad_a, grad_l, GRAD_RTOL, n)
+        assert nneg_ga == nneg_gl == nneg_l
+
+
+def test_the_short_ham_draws_reach_every_branch():
+    """Over its short calls, the softplus_tails case above meets a clamped and
+    a free pressure ratio, a nonpositive radicand, a zero water fraction and
+    both softplus tails."""
+    hits = dict.fromkeys(("clamped", "free", "radicand", "dry", "upper", "lower"), 0)
+    for n in range(1, kernels.COLUMN_ROWS):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(DRAWS):
+            x, xs, theta, _ = _ham_case(rng, n, 40.0)
+            ratio = x[:, 2] / x[:, 1]
+            z = loop.nn_predict(theta, 5, NN_WIDTHS, xs)
+            hits["clamped"] += np.sum(ratio < theta[4])
+            hits["free"] += np.sum((ratio >= theta[4]) & (ratio < 1.0))
+            hits["radicand"] += loop.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)[1]
+            hits["dry"] += np.sum(x[:, 4] + x[:, 5] > 1.0)
+            hits["upper"] += np.sum(z > 30.0)
+            hits["lower"] += np.sum(z < -30.0)
+    assert all(hits.values()), hits
 
 
 def test_column_softplus_and_sigmoid_match_the_scalar_forms():

@@ -6,20 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from vfmlab import (
     ConfigError,
     DataError,
     LossSpec,
     Method,
+    NumericError,
     OptimizerConfig,
     PredictionLog,
     PriorMode,
     ScheduleConfig,
     WellDataset,
+    fit_map,
     init_model,
     predict,
 )
-from vfmlab.core import chronological_split
+from vfmlab.core import chronological_split, ingest_csv, write_csv
 from vfmlab.learning import read_log, run_ol, run_pbl, run_schedule, write_log
 from vfmlab.optim import EarlyStoppingConfig
 
@@ -375,3 +378,78 @@ def test_concat_refuses_parts_of_different_mode_or_kind(key, other):
     b = _meta_log([1], 2, dict(meta, **{key: other}))
     with pytest.raises(DataError):
         PredictionLog.concat([a, b])
+
+
+# ------------------------------------------------- mechanistic input checks
+
+
+def _choke_split(col, row):
+    """30 physically valid choke rows, split after row 19, with input col of
+    row row set to zero."""
+    ds = make_dataset(n=30, seed=4)
+    X = ds.X.copy()
+    X[row, col] = 0.0
+    ds = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return chronological_split(ds, float(ds.t[20]))
+
+
+@pytest.mark.parametrize("col", [1, 2, 3], ids=["p1", "p2", "T1"])
+@pytest.mark.parametrize("kind", ["mm", "hem", "ham"])
+def test_run_ol_refuses_a_nonpositive_mechanistic_input(kind, col):
+    """A test row with p1, p2 or T1 <= 0 is a NumericError before any
+    prediction, the error models.predict gives for the same row."""
+    sp = _choke_split(col, 25)
+    m0 = init_model(kind, seed=1)
+    with pytest.raises(NumericError, match="positive p1, p2, T1"):
+        predict(m0, sp.test.X)
+    with pytest.raises(NumericError, match="positive p1, p2, T1"):
+        run_ol(m0, sp, ol_cfg(2))
+
+
+@pytest.mark.parametrize("row", [5, 25], ids=["train_row", "test_row"])
+def test_run_pbl_refuses_a_nonpositive_mechanistic_input(row):
+    """run_pbl checks every row its refits may train on, up front, instead of
+    logging the refits that meet the row as failed periods."""
+    sp = _choke_split(1, row)
+    with pytest.raises(NumericError, match="positive p1, p2, T1"):
+        run_pbl(init_model("mm", seed=1), sp, pbl_cfg(3 * 3600.0))
+
+
+def test_fit_map_refuses_a_nonpositive_mechanistic_input():
+    sp = _choke_split(3, 10)
+    with pytest.raises(NumericError, match="positive p1, p2, T1"):
+        fit_map(init_model("mm", seed=1), sp.train, LossSpec(noise_std=1.0),
+                OptimizerConfig(seed=1), quick_escfg())
+
+
+# -------------------------------------------------------- log timestamps
+
+
+def test_fractional_timestamps_survive_the_drivers_and_the_log_file(tmp_path):
+    """Epoch seconds with a fraction, as a CSV may carry them, reach the log
+    and its file unrounded; whole seconds are still written as integers."""
+    t0 = 1.7e9
+    ds = make_dataset(n=40, t0=t0, dt=1800.25)
+    path = tmp_path / "well.csv"
+    write_csv(path, [ds])
+    (ds,) = ingest_csv(path)
+    assert ds.t[1] == t0 + 1800.25
+    sp = chronological_split(ds, float(ds.t[30]))
+    m0 = init_model("lr", seed=2)
+    ol = run_ol(m0, sp, ol_cfg(1))
+    pbl = run_pbl(m0, sp, pbl_cfg(3 * 1800.0))
+    for log in (ol, pbl):
+        np.testing.assert_array_equal(log.t, sp.test.t)
+        assert log.t.dtype == np.float64
+        out = tmp_path / f"{log.metadata['mode']}.csv"
+        write_log(log, out)
+        np.testing.assert_array_equal(read_log(out).t, sp.test.t)
+    assert pbl.metadata["n_retrains"] == 3   # boundaries at +5400.0 s, +10800.0 s, ...
+
+    whole = run_ol(m0, affine_split(), ol_cfg(1))
+    write_log(whole, tmp_path / "whole.csv")
+    lines = (tmp_path / "whole.csv").read_text().splitlines()
+    assert lines[1].startswith("50,1,")
+    assert read_log(tmp_path / "whole.csv").t.tolist() == whole.t.tolist()
