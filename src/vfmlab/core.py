@@ -321,6 +321,14 @@ def parse_timestamp(s: str) -> float:
     return dt.timestamp()
 
 
+def time_value(t: float) -> int | float:
+    """A timestamp as files and log metadata record it: an int when it is
+    whole seconds, so whole-second data write as they always have, else the
+    float."""
+    t = float(t)
+    return int(t) if t.is_integer() else t
+
+
 def _format_float(v: float) -> str:
     # shortest round-trip decimal; integral values print without the mantissa
     if float(v).is_integer() and abs(v) < 2**53:

@@ -26,11 +26,18 @@ times what the same IEEE operation costs on Python floats, and every
 online-learning step of LR, MM, HEM and HAM runs a loop.  The rounding is
 the same either way, so the loops keep their bits.  What differs is division by
 zero: Python raises ``ZeroDivisionError`` where numpy gives inf or NaN.  The
-choke equation divides by p1 and T1, so every entry point that hands rows to
-the mechanistic kernels checks them once per call or unit
-(``models.check_inputs``: ``models.predict``, ``optim.fit_map``,
-``learning.run_ol`` and ``learning.run_pbl``) and raises ``NumericError`` for
-a nonpositive p1, p2 or T1.
+choke equation divides by p1, T1, the gas densities and kappa - 1, so both
+sides are checked before a loop runs:
+
+* rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
+  T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
+  per call or unit in ``models.predict``, ``optim.fit_map``,
+  ``learning.run_ol`` and ``learning.run_pbl``; ``synth.generate_stream``
+  refuses a nonpositive pressure or temperature of its own rows;
+* parameters: ``models.MechanisticParams`` requires kappa > 1 and positive
+  densities and gas molar mass, for a scenario's true parameters, its events
+  and ramp ends and the prior means a model starts at, and the optimizers
+  clip kappa into its ``HARD_BOUNDS``, above 1, after every step.
 
 A column form costs a fixed number of numpy calls of about 1 us each, a loop
 a few us per row.  Measured min-of-21 with loop and column runs interleaved
@@ -781,26 +788,12 @@ def sgd_step(theta, grad, gamma_k, lower, upper):
 
 
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """One bias-corrected Adam step; mutates m and v in place, returns theta'
-    as a new array.
-
-    The operations are those of ``theta - gamma_k * mhat / (sqrt(vhat) + eps)``
-    with mhat = m/(1 - beta1^k), vhat = v/(1 - beta2^k), in that order, run in
-    place on the result and one scratch array.
-    """
-    s = np.multiply(grad, 1.0 - beta1)
+    """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
     m *= beta1
-    m += s
-    np.multiply(grad, 1.0 - beta2, out=s)
-    s *= grad
+    m += (1.0 - beta1) * grad
     v *= beta2
-    v += s
-    out = np.divide(m, 1.0 - beta1 ** k)     # mhat
-    out *= gamma_k
-    np.divide(v, 1.0 - beta2 ** k, out=s)    # vhat
-    np.sqrt(s, out=s)
-    s += eps
-    out /= s
-    np.subtract(theta, out, out=out)
-    np.maximum(out, lower, out=out)
-    return np.minimum(out, upper, out=out)
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1 ** k)
+    vhat = v / (1.0 - beta2 ** k)
+    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
+    return np.minimum(np.maximum(val, lower), upper)

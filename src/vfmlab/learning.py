@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Source, DataSplit, WellDataset, fit_scaler
+from .core import Source, DataSplit, WellDataset, fit_scaler, time_value
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
                      scale_inputs, task_columns)
@@ -167,13 +167,6 @@ class _LogBuilder:
             metadata)
 
 
-def _log_time(t: float) -> int | float:
-    """A timestamp as a log file and its metadata record it: an int when it
-    is whole seconds, so logs of whole-second data read as they always have,
-    else the float."""
-    return int(t) if t.is_integer() else t
-
-
 def _predict_one(m: ModelSpec, plan, x_row: np.ndarray, well_id: int) -> float:
     X = x_row[None, :]
     Xs = scale_inputs(plan, X)
@@ -235,7 +228,7 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
                 plan = build_plan(current)
                 n_retrains += 1
             except (NumericError, DataError):
-                failed_periods.append(_log_time(t_i))
+                failed_periods.append(time_value(t_i))
             while next_boundary <= t_i:
                 next_boundary += cfg.period_s
 
@@ -313,7 +306,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
             version += 1
             n_updates += 1
         else:
-            skipped.append(_log_time(t_i))
+            skipped.append(time_value(t_i))
 
     meta = {"mode": "ol", "steps": steps, "kind": m0.kind.value,
             "n_updates": n_updates, "skipped_updates": skipped}
@@ -333,7 +326,7 @@ def write_log(log: PredictionLog, path: str | Path) -> None:
     path = Path(path)
     lines = [_LOG_HEADER]
     for i in range(len(log)):
-        lines.append(f"{_log_time(float(log.t[i]))!r},{int(log.well[i])},"
+        lines.append(f"{time_value(log.t[i])!r},{int(log.well[i])},"
                      f"{float(log.y_true[i])!r},{float(log.y_pred[i])!r},"
                      f"{int(log.model_version[i])},{Source(int(log.source[i])).to_str()}")
     path.write_text("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY
+from .core import SECONDS_PER_DAY, time_value
 from .errors import ConfigError, DataError
 from .learning import PredictionLog
 from .models import ModelKind
@@ -169,7 +169,7 @@ def write_rolling_csv(report: MetricReport, path: str | Path) -> None:
     t, v, p25, p75 = report.rolling_series
     lines = ["t,rolling_mae,p25,p75"]
     for i in range(len(t)):
-        lines.append(f"{int(t[i])},{v[i]!r},{p25[i]!r},{p75[i]!r}")
+        lines.append(f"{time_value(t[i])!r},{v[i]!r},{p25[i]!r},{p75[i]!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

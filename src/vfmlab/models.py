@@ -157,6 +157,8 @@ class MechanisticParams:
     def __post_init__(self):
         if min(self.rho_oil, self.rho_wat, self.kappa, self.M_gas, self.p_cr, self.C_D) <= 0:
             raise ConfigError("mechanistic parameters must be positive")
+        if self.kappa <= 1.0:
+            raise ConfigError("kappa must exceed 1")
         if not 0.0 < self.p_cr < 1.0:
             raise ConfigError("p_cr must lie in (0, 1)")
         if self.C_D > 1.5:
@@ -378,7 +380,8 @@ def init_model(kind: ModelKind | str,
 
     Network weights draw from the He distribution (zero-mean normal, variance
     2/fan_in) with matching priors; biases start at zero.  Mechanistic values
-    start at their prior means.  Deterministic for a fixed seed.
+    start at their prior means, which must make valid MechanisticParams
+    (ConfigError otherwise).  Deterministic for a fixed seed.
     """
     kind = ModelKind.from_str(kind) if isinstance(kind, str) else kind
     pri = dict(DEFAULT_PRIORS)
@@ -387,6 +390,7 @@ def init_model(kind: ModelKind | str,
         if unknown:
             raise ConfigError(f"unknown prior names {sorted(unknown)}")
         pri.update({k: (float(v[0]), float(v[1])) for k, v in priors.items()})
+        MechanisticParams(**{k: v[0] for k, v in pri.items()})   # the start values
     rng = substream(seed, f"init.{kind.value}")
 
     if kind is ModelKind.BENCHMARK:
@@ -626,14 +630,16 @@ def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
 
 
 def check_inputs(m: ModelSpec, X: np.ndarray) -> None:
-    """Raise NumericError unless every row of the raw inputs X has positive
-    p1, p2 and T1, for the kinds whose choke equation divides by them (MM,
-    HEM, HAM); a no-op for the others.  The drivers check their rows once per
-    unit, so the one-row kernels, which run on Python floats, never meet a
-    zero divisor there."""
-    if m.kind.is_mechanistic and (
-            np.any(X[:, 1] <= 0.0) or np.any(X[:, 2] <= 0.0) or np.any(X[:, 3] <= 0.0)):
-        raise NumericError("mechanistic forward requires positive p1, p2, T1")
+    """Raise NumericError unless every row of the raw inputs X has positive,
+    non-infinite p1, p2 and T1, for the kinds whose choke equation divides by
+    them or by a density that an infinite T1 makes zero (MM, HEM, HAM); a
+    no-op for the others.  The drivers check their rows once per unit, so the
+    one-row kernels, which run on Python floats, never meet a zero divisor
+    there."""
+    if m.kind.is_mechanistic:
+        pt = X[:, 1:4]
+        if np.any(pt <= 0.0) or np.any(pt == np.inf):
+            raise NumericError("mechanistic forward requires positive p1, p2, T1, none infinite")
 
 
 def task_columns(m: ModelSpec, well_ids) -> np.ndarray:

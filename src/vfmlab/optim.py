@@ -182,21 +182,14 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
 
 class _Prior:
     """The prior term of the objective, its arrays taken once: the entries
-    it covers (all, or the physical ones), their means and their stds.
-
-    A contiguous run of physical entries (the leading mechanistic slots of
-    MM, HEM and HAM) is kept as a slice, so theta[idx] is a view; other sets
-    are an index array."""
+    it covers (all, or the physical ones), their means and their stds."""
 
     def __init__(self, params: ParameterSet, mode: PriorMode):
         if mode is PriorMode.NONE or len(params) == 0:
             idx = None
         elif mode is PriorMode.PHYSICAL_ONLY:
             idx = np.flatnonzero(params.is_physical)
-            if idx.size == 0:
-                idx = None
-            elif idx[-1] - idx[0] + 1 == idx.size:
-                idx = slice(int(idx[0]), int(idx[-1]) + 1)
+            idx = idx if idx.size else None
         else:
             idx = slice(None)
         self.idx = idx

@@ -112,6 +112,28 @@ def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, sec
     assert err.startswith("config error") and "typo_key" in err
 
 
+@pytest.mark.parametrize("where, code", [("true_params", 1), ("drift_event", 2),
+                                         ("ramp_end", 2)])
+def test_kappa_of_one_is_refused_before_the_run(tmp_path, capsys, where, code):
+    """kappa = 1 puts a zero divisor in the choke equation; the study refuses
+    it with one line on stderr instead of failing inside the simulation: a
+    config error in the true parameters, a scenario (data) error in an event
+    or a ramp."""
+    raw = _tiny_study(tmp_path)
+    sc = raw["scenarios"][0]
+    if where == "true_params":
+        sc["true_params"] = {"kappa": 1.0}
+    elif where == "drift_event":
+        sc["real_drift_events"] = [[30, "kappa", 1.0]]
+    else:
+        sc["param_ramps"] = [["kappa", 10, 30, 1.0]]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "kappa must exceed 1" in err and len(err.strip().splitlines()) == 1
+
+
 def test_scenario_geometry_section_becomes_a_choke_geometry(tmp_path):
     raw = _tiny_study(tmp_path)
     raw["scenarios"][0]["geometry"] = {"a_max": 4e-3, "c1": 0.2, "c2": 0.0, "c3": 0.8}

@@ -217,3 +217,14 @@ def test_shift_report_csv_round_trip(tmp_path):
     assert float(cells[1]) == rep.ht2[0]
     assert float(cells[3]) == rep.f_crit[0]
     assert cells[4] in ("0", "1")
+
+
+def test_shift_report_csv_keeps_fractional_seconds(tmp_path):
+    ds = stream(80, seed=8, jump_at=60, jump_size=3.0)
+    ds = WellDataset(1.7e9 + 0.5 * ds.t, ds.X, ds.y, ds.source, ds.well)
+    rep = estimate_update_frequency(ds, 0.5, DriftConfig())
+    p = tmp_path / "shifts.csv"
+    write_shift_csv(rep, p)
+    lines = p.read_text().strip().split("\n")
+    assert [float(ln.split(",")[0]) for ln in lines[1:]] == rep.t.tolist()
+    assert lines[2].startswith("1700000020.5,")

@@ -383,12 +383,12 @@ def test_concat_refuses_parts_of_different_mode_or_kind(key, other):
 # ------------------------------------------------- mechanistic input checks
 
 
-def _choke_split(col, row):
+def _choke_split(col, row, value=0.0):
     """30 physically valid choke rows, split after row 19, with input col of
-    row row set to zero."""
+    row row set to value."""
     ds = make_dataset(n=30, seed=4)
     X = ds.X.copy()
-    X[row, col] = 0.0
+    X[row, col] = value
     ds = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -405,6 +405,18 @@ def test_run_ol_refuses_a_nonpositive_mechanistic_input(kind, col):
     with pytest.raises(NumericError, match="positive p1, p2, T1"):
         predict(m0, sp.test.X)
     with pytest.raises(NumericError, match="positive p1, p2, T1"):
+        run_ol(m0, sp, ol_cfg(2))
+
+
+@pytest.mark.parametrize("col", [1, 2, 3], ids=["p1", "p2", "T1"])
+def test_run_ol_refuses_an_infinite_mechanistic_input(col):
+    """An infinite T1 makes the gas density zero, a divisor of the choke
+    equation; all three inputs are refused when infinite."""
+    sp = _choke_split(col, 25, np.inf)
+    m0 = init_model("mm", seed=1)
+    with pytest.raises(NumericError, match="none infinite"):
+        predict(m0, sp.test.X)
+    with pytest.raises(NumericError, match="none infinite"):
         run_ol(m0, sp, ol_cfg(2))
 
 

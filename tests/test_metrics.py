@@ -274,6 +274,17 @@ def test_summary_and_rolling_csv_shapes(tmp_path):
     rl = rp.read_text().strip().splitlines()
     assert rl[0] == "t,rolling_mae,p25,p75"
     assert len(rl) == 3
+    assert [ln.split(",")[0] for ln in rl[1:]] == ["0", str(int(DAY))]
+
+
+def test_rolling_csv_keeps_fractional_seconds(tmp_path):
+    """Rows less than a second apart keep their own t in the rolling CSV."""
+    log = make_log([100.0, 100.0, 100.0], [90.0, 110.0, 100.0],
+                   t=[1.7e9, 1.7e9 + 0.25, 1.7e9 + 1800.5])
+    rp = tmp_path / "rolling.csv"
+    write_rolling_csv(metric_report(log), rp)
+    rl = rp.read_text().strip().splitlines()
+    assert [float(ln.split(",")[0]) for ln in rl[1:]] == log.t.tolist()
 
 
 def test_log_rejects_unsorted_or_ragged_columns():

@@ -94,6 +94,18 @@ def test_mm_prior_override():
     assert m.params.prior_std[1] == 30.0
 
 
+@pytest.mark.parametrize("kind", ["mm", "hem", "ham"])
+@pytest.mark.parametrize("kappa", [1.0, 0.9])
+def test_prior_means_must_be_valid_mechanistic_values(kind, kappa):
+    """Mechanistic values start at the prior means, so a mean the choke
+    equation cannot take (kappa <= 1 divides by zero or flips the gas term) is
+    refused when the model is built."""
+    with pytest.raises(ConfigError, match="kappa"):
+        MechanisticParams(kappa=kappa)
+    with pytest.raises(ConfigError, match="kappa"):
+        init_model(kind, priors={"kappa": (kappa, 0.1)})
+
+
 def test_init_is_deterministic_per_seed():
     a = init_model("nn", shape=NetworkShape(hidden=(8, 8)), seed=3)
     b = init_model("nn", shape=NetworkShape(hidden=(8, 8)), seed=3)
