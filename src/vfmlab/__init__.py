@@ -20,9 +20,9 @@ from .errors import (ConfigError, DataError, DegenerateFeatureError,
                      SchemaError, VfmlabError)
 from .learning import (PredictionLog, ScheduleConfig, read_log, run_ol,
                        run_pbl, run_schedule, write_log)
-from .metrics import (MetricReport, SummaryTable, mape, mape_details,
-                      metric_report, rolling_mae, summarize, write_excluded_csv,
-                      write_rolling_csv, write_summary_csv)
+from .metrics import (MetricReport, SummaryTable, mape_details, metric_report,
+                      rolling_mae, summarize, write_excluded_csv, write_rolling_csv,
+                      write_summary_csv)
 from .models import (ChokeGeometry, MechanisticParams, ModelKind, ModelSpec,
                      MtlParams, NetworkShape, ParameterSet, effective_area,
                      init_model, predict)

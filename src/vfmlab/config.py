@@ -217,11 +217,11 @@ class StudyConfig:
             kw["hidden"] = tuple(int(h) for h in kw["hidden"])
         cfg = _build(cls, "config", kw)
         specs = cfg.schedule_specs()
+        escfg = cfg.escfg()
         for kind in cfg.kinds:
             cfg.init_ocfg_for(kind)
             for spec in specs:
-                spec.optimizer_for(kind)
-        cfg.escfg()
+                spec.to_schedule(kind, LossSpec(noise_std=1.0), escfg)
         cfg.drift_config()
         cfg.scenario_objects()
         return cfg

@@ -202,9 +202,6 @@ class WellDataset:
     def well_ids(self) -> tuple[int, ...]:
         return tuple(int(w) for w in np.unique(self.well))
 
-    def is_multiwell(self) -> bool:
-        return np.unique(self.well).size > 1
-
     def take(self, idx) -> "WellDataset":
         return WellDataset(self.t[idx], self.X[idx], self.y[idx], self.source[idx], self.well[idx])
 

@@ -3,9 +3,11 @@
 Every function here is plain Python over numpy and ``math``: float64 arrays,
 int64 index arrays and Python floats.  Nothing is compiled.
 
-Calls come in two sizes: one row (each online-learning step, each per-row
-prediction of ``run_pbl``) and batches (mini-batches of 32 rows,
-validation sets of tens to hundreds of rows).  The kernels serve both:
+Calls come in two sizes: one row (each online-learning prediction and
+step) and batches (mini-batches of 32 rows, validation sets of tens to
+hundreds of rows, and ``run_pbl``'s predictions: the model is frozen
+between refits, so each period's arrivals go in one call).  The kernels
+serve both:
 
 * array form at every size: ``sgd_step``, ``adam_step``, ``lr_predict``,
   the network's forward and backward passes (``_nn_forward``,

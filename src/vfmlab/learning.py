@@ -1,25 +1,30 @@
 """Passive-learning drivers over a chronological stream.
 
-Two schedules share one prequential loop (predict first, then consume):
+Two schedules, each scored prequentially (every prediction is logged before
+its observation is consumed):
 
 * periodic batch learning: every period boundary after the split, refit from
   prior initialization on all history observed so far (optionally a trailing
-  window), re-fitting the input scaler;
+  window), re-fitting the input scaler.  The model is frozen between
+  boundaries, so each period's rows are predicted in one call;
 * online learning: after every prediction, take k warm-started optimizer
   steps on that single observation, with the physical parameters regularized
   toward their initial priors and the scaler frozen.
 
+The previous-value benchmark learns nothing: both drivers log each test
+row's previous observation of its well, in one pass.
+
 Version bookkeeping: the logged model_version is the version that produced
 the prediction, and it increments exactly once per successful refit or
 per-observation update.  A degenerate schedule (infinite period, or k = 0)
-therefore logs a constant version, and the two schedules produce
-bit-identical logs in that case.
+therefore logs a constant version, and the two schedules' logs then agree in
+every column, with y_pred equal up to the rounding of a batched forward
+against one row at a time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,7 +49,8 @@ class ScheduleConfig:
     ol_steps: int | None = None            # OL step count; None = ocfg.steps
     window_s: float | None = None          # None = all history
     escfg: EarlyStoppingConfig = field(default_factory=EarlyStoppingConfig)
-    update_sources: tuple[str, ...] | None = None  # None = every arrival updates
+    update_sources: tuple[str, ...] | None = None  # None = every arrival updates;
+                                                   # any Source.from_str spelling
 
     def __post_init__(self):
         if self.mode not in ("pbl", "ol"):
@@ -57,6 +63,12 @@ class ScheduleConfig:
                 raise ConfigError("ol step count must be >= 0")
         if self.window_s is not None and not self.window_s > 0:
             raise ConfigError("window_s must be positive when set")
+        if self.update_sources is not None:
+            try:
+                names = tuple(Source.from_str(str(s)).to_str() for s in self.update_sources)
+            except ValueError as e:
+                raise ConfigError(f"update_sources: {e}") from None
+            object.__setattr__(self, "update_sources", names)
 
     def steps_per_obs(self) -> int:
         return self.ocfg.steps if self.ol_steps is None else self.ol_steps
@@ -148,29 +160,9 @@ def _merge_metadata(metas: list[dict]) -> dict:
     return merged
 
 
-class _LogBuilder:
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def add(self, t, well, y_true, y_pred, version, source):
-        self.rows.append((t, well, y_true, y_pred, version, source))
-
-    def build(self, metadata: dict) -> PredictionLog:
-        if self.rows:
-            cols = list(zip(*self.rows))
-        else:
-            cols = [[]] * 6
-        return PredictionLog(
-            np.asarray(cols[0], dtype=np.float64), np.asarray(cols[1], dtype=np.int64),
-            np.asarray(cols[2], dtype=np.float64), np.asarray(cols[3], dtype=np.float64),
-            np.asarray(cols[4], dtype=np.int64), np.asarray(cols[5], dtype=np.uint8),
-            metadata)
-
-
-def _predict_one(m: ModelSpec, plan, x_row: np.ndarray, well_id: int) -> float:
-    X = x_row[None, :]
-    Xs = scale_inputs(plan, X)
-    return float(plan_predict(plan, m.params.values, X, Xs, task_columns(m, well_id))[0])
+def _test_log(te: WellDataset, y_pred: np.ndarray, version: np.ndarray,
+              metadata: dict) -> PredictionLog:
+    return PredictionLog(te.t, te.well, te.y, y_pred, version, te.source, metadata)
 
 
 def _updates_allowed(cfg: ScheduleConfig, source: np.ndarray) -> np.ndarray:
@@ -180,12 +172,16 @@ def _updates_allowed(cfg: ScheduleConfig, source: np.ndarray) -> np.ndarray:
     return np.isin(source, [int(s) for s in Source if s.to_str() in cfg.update_sources])
 
 
-def _prev_y_by_well(train: WellDataset) -> dict[int, float]:
-    prev: dict[int, float] = {}
-    for w in train.well_ids:
-        mask = train.well == w
-        prev[int(w)] = float(train.y[mask][-1])
-    return prev
+def _previous_values(split: DataSplit) -> np.ndarray:
+    """The previous-value benchmark: per test row, the last y of its well
+    before it, train rows included; NaN for a well not seen before."""
+    y = np.concatenate([split.train.y, split.test.y])
+    well = np.concatenate([split.train.well, split.test.well])
+    order = np.argsort(well, kind="stable")   # per well, in stream order
+    same = well[order[1:]] == well[order[:-1]]
+    prev = np.full(len(y), np.nan)
+    prev[order[1:][same]] = y[order[:-1][same]]
+    return prev[len(split.train):]
 
 
 def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLog:
@@ -193,28 +189,32 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
 
     A refit happens at the first arrival crossing one or more boundaries and
     uses every observation consumed before that arrival; a failed refit keeps
-    the previous model and flags the period.  A mechanistic kind's train or
+    the previous model and flags the period.  The arrivals up to the next
+    boundary are then predicted in one call.  A mechanistic kind's train or
     test row with nonpositive p1, p2 or T1 raises NumericError up front.
     """
     if cfg.mode != "pbl":
         raise ConfigError("run_pbl needs a pbl schedule")
     te = split.test
-    builder = _LogBuilder()
+    version = np.full(len(te), m0.version, dtype=np.int64)
+    meta = {"mode": "pbl", "period_s": cfg.period_s, "window_s": cfg.window_s,
+            "kind": m0.kind.value, "n_retrains": 0, "failed_periods": []}
+    if m0.kind is ModelKind.BENCHMARK:
+        return _test_log(te, _previous_values(split), version, meta)
+    y_pred = np.empty(len(te))
     current = m0
     plan = build_plan(current)
-    prev_y = _prev_y_by_well(split.train) if m0.kind is ModelKind.BENCHMARK else {}
     next_boundary = split.split_time + cfg.period_s
-    n_retrains = 0
-    failed_periods: list[int | float] = []
     # train then test rows; the history of test row i is its first n_train + i rows
     past = WellDataset.merge([split.train, te])
     check_inputs(m0, past.X)
     n_train = len(split.train)
     allowed = _updates_allowed(cfg, past.source)
 
-    for i in range(len(te)):
+    i = 0
+    while i < len(te):
         t_i = float(te.t[i])
-        if t_i >= next_boundary and m0.kind is not ModelKind.BENCHMARK:
+        if t_i >= next_boundary:
             history = past.take(slice(0, n_train + i))
             if cfg.update_sources is not None:
                 history = history.take(np.flatnonzero(allowed[:len(history)]))
@@ -226,24 +226,19 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
                 fitted = fit_map(start, history, cfg.loss, cfg.ocfg, cfg.escfg)
                 current = replace(fitted, version=current.version + 1)
                 plan = build_plan(current)
-                n_retrains += 1
+                meta["n_retrains"] += 1
             except (NumericError, DataError):
-                failed_periods.append(time_value(t_i))
+                meta["failed_periods"].append(time_value(t_i))
             while next_boundary <= t_i:
                 next_boundary += cfg.period_s
 
-        w = int(te.well[i])
-        if m0.kind is ModelKind.BENCHMARK:
-            y_hat = prev_y.get(w, math.nan)
-            prev_y[w] = float(te.y[i])
-        else:
-            y_hat = _predict_one(current, plan, te.X[i], w)
-        builder.add(t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i]))
-
-    meta = {"mode": "pbl", "period_s": cfg.period_s, "window_s": cfg.window_s,
-            "kind": m0.kind.value, "n_retrains": n_retrains,
-            "failed_periods": failed_periods}
-    return builder.build(meta)
+        rows = slice(i, int(np.searchsorted(te.t, next_boundary)))
+        X = te.X[rows]
+        y_pred[rows] = plan_predict(plan, current.params.values, X, scale_inputs(plan, X),
+                                    task_columns(current, te.well[rows]))
+        version[rows] = current.version
+        i = rows.stop
+    return _test_log(te, y_pred, version, meta)
 
 
 def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLog:
@@ -258,7 +253,13 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
     te = split.test
-    builder = _LogBuilder()
+    steps = cfg.steps_per_obs()
+    version = np.full(len(te), m0.version, dtype=np.int64)
+    meta = {"mode": "ol", "steps": steps, "kind": m0.kind.value,
+            "n_updates": 0, "skipped_updates": []}
+    if m0.kind is ModelKind.BENCHMARK:
+        return _test_log(te, _previous_values(split), version, meta)
+    y_pred = np.empty(len(te))
     step = TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
     plan = step.plan
     # the plan (and its scaler) is frozen, so the unit's arrays are built once
@@ -269,27 +270,14 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     wells = task_columns(m0, te.well)
     y = step.targets(te.y)
     allowed = _updates_allowed(cfg, te.source)
-    steps = cfg.steps_per_obs()
     theta = m0.params.values
-    version = m0.version
-    prev_y = _prev_y_by_well(split.train) if m0.kind is ModelKind.BENCHMARK else {}
-    n_updates = 0
-    skipped: list[int | float] = []
+    v = m0.version
 
     for i in range(len(te)):
-        t_i = float(te.t[i])
-        w = int(te.well[i])
-        if m0.kind is ModelKind.BENCHMARK:
-            y_hat = prev_y.get(w, math.nan)
-            prev_y[w] = float(te.y[i])
-            builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
-            continue
-
         rows = slice(i, i + 1)
         X1, Xs1, wells1 = X[rows], Xs[rows], wells[rows]
-        y_hat = float(plan_predict(plan, theta, X1, Xs1, wells1)[0])
-        builder.add(t_i, w, float(te.y[i]), y_hat, version, int(te.source[i]))
-
+        y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0]
+        version[i] = v
         if steps == 0 or not allowed[i]:
             continue
         state = step.start(theta)
@@ -303,14 +291,11 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
                 break
         if ok and np.isfinite(state.values).all():
             theta = state.values
-            version += 1
-            n_updates += 1
+            v += 1
+            meta["n_updates"] += 1
         else:
-            skipped.append(time_value(t_i))
-
-    meta = {"mode": "ol", "steps": steps, "kind": m0.kind.value,
-            "n_updates": n_updates, "skipped_updates": skipped}
-    return builder.build(meta)
+            meta["skipped_updates"].append(time_value(float(te.t[i])))
+    return _test_log(te, y_pred, version, meta)
 
 
 def run_schedule(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLog:
@@ -339,15 +324,14 @@ def read_log(path: str | Path) -> PredictionLog:
     lines = path.read_text().splitlines()
     if not lines or lines[0] != _LOG_HEADER:
         raise SchemaError(f"{path}: not a prediction log")
-    rows = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        t, w, yt, yp, v, src = ln.split(",")
-        rows.append((float(t), int(w), float(yt), float(yp), int(v),
-                     int(Source.from_str(src))))
+    rows = [ln.split(",") for ln in lines[1:] if ln]
+    if any(len(r) != 6 for r in rows):
+        raise SchemaError(f"{path}: a log row needs 6 fields")
+    t, w, yt, yp, v, src = zip(*rows) if rows else [()] * 6
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    b = _LogBuilder()
-    b.rows = rows
-    return b.build(meta)
+    return PredictionLog(
+        np.array([float(x) for x in t]), np.array([int(x) for x in w], dtype=np.int64),
+        np.array([float(x) for x in yt]), np.array([float(x) for x in yp]),
+        np.array([int(x) for x in v], dtype=np.int64),
+        np.array([int(Source.from_str(x)) for x in src], dtype=np.uint8), meta)

@@ -49,10 +49,6 @@ def mape_details(log: PredictionLog, well_id: int | None = None) -> tuple[float,
     return val, n, int(np.sum(sel)) - n
 
 
-def mape(log: PredictionLog, well_id: int | None = None) -> float:
-    return mape_details(log, well_id)[0]
-
-
 def _rolling_mean(t: np.ndarray, v: np.ndarray, window_s: float,
                   at: np.ndarray) -> np.ndarray:
     """Mean of v over (at_i - window, at_i] for each query time; nan on empty."""

@@ -148,12 +148,6 @@ class OptimizerState:
     upper: np.ndarray
     k: int = 0  # steps taken
 
-    @classmethod
-    def for_params(cls, params: ParameterSet) -> "OptimizerState":
-        n = len(params)
-        return cls(values=params.values.copy(), m=np.zeros(n), v=np.zeros(n),
-                   lower=params.lower.copy(), upper=params.upper.copy())
-
 
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
                    cfg: OptimizerConfig, k: int) -> OptimizerState:

@@ -1,4 +1,5 @@
-"""Frozen reference copies of the ``fit_map`` and ``run_ol`` training loops.
+"""Frozen reference copies of the ``fit_map``, ``run_ol`` and ``run_pbl``
+training loops.
 
 These are the drivers as they were before ``optim.TrainingStep``: every
 optimizer step goes through a per-kind if/elif ladder that rescales the
@@ -7,7 +8,11 @@ allocates a fresh gradient, and a new optimizer state (values and bounds
 copied) per online-learning observation.  Validation losses come from the
 gradient kernels, and predictions from a per-kind ladder.
 ``tests/test_training_step.py`` holds the drivers to
-these loops bit for bit.
+these loops bit for bit.  ``run_pbl`` is the periodic-batch driver as it was
+before a frozen period's rows were predicted in one call: one prediction per
+test row, and the previous-value benchmark as a per-row branch; the driver is
+held to it bit for bit except for ``y_pred``, where a batched forward may
+round differently.
 
 Do not edit this file to follow a change in the package: it is the oracle.
 The kernels it calls (``vfmlab.kernels``) have their own oracle in
@@ -18,11 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from vfmlab import kernels
-from vfmlab.core import as_columns, substream
+from vfmlab import optim
+from vfmlab.core import WellDataset, as_columns, fit_scaler, substream, time_value
+from vfmlab.errors import DataError, NumericError
 from vfmlab.models import ModelKind, build_plan, scale_inputs, task_columns
 from vfmlab.optim import Method, PriorMode, gamma_at
 
@@ -208,3 +216,57 @@ def run_ol(m0, split, cfg):
         else:
             skipped.append(int(te.t[i]))
     return np.array(y_pred), np.array(versions), values, n_updates, skipped
+
+
+def run_pbl(m0, split, cfg):
+    """The periodic-batch loop over ``split.test``, one row at a time, with
+    the package's ``fit_map`` for its refits: returns (columns, metadata),
+    the columns keyed by the ``PredictionLog`` field names."""
+    te = split.test
+    current = m0
+    plan = build_plan(current)
+    prev_y = {}
+    if m0.kind is ModelKind.BENCHMARK:
+        for w in split.train.well_ids:
+            prev_y[int(w)] = float(split.train.y[split.train.well == w][-1])
+    next_boundary = split.split_time + cfg.period_s
+    n_retrains = 0
+    failed_periods = []
+    past = WellDataset.merge([split.train, te])
+    n_train = len(split.train)
+    rows = []
+    for i in range(len(te)):
+        t_i = float(te.t[i])
+        if t_i >= next_boundary and m0.kind is not ModelKind.BENCHMARK:
+            history = past.take(slice(0, n_train + i))
+            if cfg.update_sources is not None:
+                keep = [("MPFM", "WellTest")[int(s)] in cfg.update_sources
+                        for s in history.source]
+                history = history.take(np.flatnonzero(keep))
+            if cfg.window_s is not None and len(history):
+                history = history.from_time(float(history.t[-1]) - cfg.window_s)
+            try:
+                start = replace(m0, scaler=fit_scaler(history))
+                fitted = optim.fit_map(start, history, cfg.loss, cfg.ocfg, cfg.escfg)
+                current = replace(fitted, version=current.version + 1)
+                plan = build_plan(current)
+                n_retrains += 1
+            except (NumericError, DataError):
+                failed_periods.append(time_value(t_i))
+            while next_boundary <= t_i:
+                next_boundary += cfg.period_s
+        w = int(te.well[i])
+        if m0.kind is ModelKind.BENCHMARK:
+            y_hat = prev_y.get(w, math.nan)
+            prev_y[w] = float(te.y[i])
+        else:
+            X1 = te.X[i][None, :]
+            y_hat = float(plan_predict(plan, current.params.values, X1,
+                                       scale_inputs(plan, X1), task_columns(current, w))[0])
+        rows.append((t_i, w, float(te.y[i]), y_hat, current.version, int(te.source[i])))
+    names = ("t", "well", "y_true", "y_pred", "model_version", "source")
+    columns = {name: np.array(col) for name, col in zip(names, zip(*rows))}
+    meta = {"mode": "pbl", "period_s": cfg.period_s, "window_s": cfg.window_s,
+            "kind": m0.kind.value, "n_retrains": n_retrains,
+            "failed_periods": failed_periods}
+    return columns, meta

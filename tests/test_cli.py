@@ -1,7 +1,9 @@
-"""CLI study helpers: where the study splits its data, what its report writes,
-which config mistakes it turns into exit code 1."""
+"""CLI study helpers and commands: where the study splits its data, what its
+report writes, which config mistakes it turns into exit code 1, and that a
+study re-runs and re-reports with identical bytes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +174,73 @@ def test_per_kind_entries_apply_to_their_kind(tmp_path):
     assert spec.optimizer_for("mm").gamma0 == 1e-3
     assert cfg.init_ocfg_for("mm").gamma0 == 3.0
     assert cfg.init_ocfg_for("LR").gamma0 == 1e-3
+
+
+def test_unknown_update_source_is_a_config_error(tmp_path, capsys):
+    """A schedule's update_sources name that is no source is refused when
+    the file is loaded, not matched against no row."""
+    raw = _tiny_study(tmp_path)
+    raw["schedules"][0]["update_sources"] = ["bogus"]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'bogus'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _small_study(tmp_path) -> Path:
+    """Two jittered 60-day wells, split at day 30; the benchmark, LR and MM
+    under one OL and one PBL schedule, with short fits."""
+    wells = [{"well_id": w, "seed": w, "horizon_days": 60, "obs_per_day": 4.0,
+              "u_jitter": 0.05, "p_jitter_rel": 0.02, "temp_jitter": 2.0,
+              "frac_jitter": 0.02} for w in (1, 2)]
+    raw = {"out_dir": str(tmp_path / "out"), "split_day": 30.0,
+           "kinds": ["benchmark", "lr", "mm"], "scenarios": wells,
+           "early_stopping": {"val_fraction": 0.2, "patience": 2, "max_epochs": 5},
+           "schedules": [{"name": "OL", "mode": "ol", "steps": 2,
+                          "optimizer": {"method": "Adam", "gamma0": 1e-3}},
+                         {"name": "PBL-1w", "mode": "pbl", "period_days": 7.0,
+                          "optimizer": {"method": "Adam", "gamma0": 1e-3,
+                                        "batch_size": 64}}]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_study_reruns_and_reports_with_identical_bytes(tmp_path):
+    """A second run rewrites every output with the same bytes, report
+    rewrites the summary byte for byte, and a summary cell is the mean over
+    wells of the per-well MAPE of the written log."""
+    config = str(_small_study(tmp_path))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config]) == 0
+    first = _tree(out)
+    assert "logs/all/PBL-1w__mm.csv" in first and "reports/summary_all.csv" in first
+    for path in out.rglob("*"):
+        if path.is_file():
+            path.write_bytes(b"")
+    assert cli.main(["run", "--config", config]) == 0
+    assert _tree(out) == first
+
+    summary = out / "reports" / "summary_all.csv"
+    summary.write_bytes(b"")
+    assert cli.main(["report", "--config", config]) == 0
+    assert summary.read_bytes() == first["reports/summary_all.csv"]
+
+    rows = [ln.split(",") for ln in
+            first["logs/all/PBL-1w__mm.csv"].decode().splitlines()[1:]]
+    per_well = {}
+    for _, well, y_true, y_pred, _, _ in rows:
+        per_well.setdefault(well, []).append(
+            abs(float(y_true) - float(y_pred)) / abs(float(y_true)))
+    assert sorted(per_well) == ["1", "2"]
+    hand = sum(100.0 * sum(e) / len(e) for e in per_well.values()) / len(per_well)
+    header, *lines = summary.read_text().splitlines()
+    cells = dict(ln.split(",", 1) for ln in lines)["PBL-1w"].split(",")
+    assert float(cells[header.split(",").index("mm") - 1]) == pytest.approx(hand, rel=1e-5)

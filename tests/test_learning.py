@@ -465,3 +465,20 @@ def test_fractional_timestamps_survive_the_drivers_and_the_log_file(tmp_path):
     lines = (tmp_path / "whole.csv").read_text().splitlines()
     assert lines[1].startswith("50,1,")
     assert read_log(tmp_path / "whole.csv").t.tolist() == whole.t.tolist()
+
+
+# ------------------------------------------------------------ update sources
+
+
+def test_ol_update_sources_take_the_source_spellings_of_the_csv_files():
+    """The names of update_sources are parsed like a CSV's source column, so
+    "welltest" selects the WellTest rows and updates once per such row."""
+    sp = affine_split()
+    n_welltest = int(np.sum(sp.test.source == 1))
+    log = run_ol(init_model("lr", seed=2), sp, ol_cfg(3, update_sources=("welltest",)))
+    assert log.metadata["n_updates"] == n_welltest > 0
+
+
+def test_unknown_update_source_is_a_config_error():
+    with pytest.raises(ConfigError, match="bogus"):
+        ol_cfg(3, update_sources=("bogus",))

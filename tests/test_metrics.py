@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from vfmlab import (
     DataError,
     PredictionLog,
-    mape,
     mape_details,
     metric_report,
     read_log,
@@ -44,12 +43,12 @@ def make_log(y_true, y_pred, t=None, well=None, version=None):
 
 def test_mape_hand_example():
     log = make_log([100.0, 100.0], [90.0, 110.0])
-    assert mape(log) == pytest.approx(10.0)
+    assert mape_details(log)[0] == pytest.approx(10.0)
 
 
 def test_mape_of_perfect_predictions_is_zero():
     log = make_log([5.0, 7.0, 9.0], [5.0, 7.0, 9.0])
-    assert mape(log) == 0.0
+    assert mape_details(log)[0] == 0.0
 
 
 def test_mape_excludes_and_counts_zero_targets():
@@ -75,19 +74,19 @@ def test_mape_excludes_and_counts_non_finite_predictions():
 def test_mape_of_only_non_finite_predictions_raises():
     log = make_log([100.0, 50.0], [np.nan, np.inf])
     with pytest.raises(DataError):
-        mape(log)
+        mape_details(log)
 
 
 def test_mape_with_no_scoreable_entries_raises():
     log = make_log([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DataError):
-        mape(log)
+        mape_details(log)
 
 
 def test_mape_per_well_selection():
     log = make_log([100, 100, 200], [90, 110, 210], well=[1, 1, 2])
-    assert mape(log, 1) == pytest.approx(10.0)
-    assert mape(log, 2) == pytest.approx(5.0)
+    assert mape_details(log, 1)[0] == pytest.approx(10.0)
+    assert mape_details(log, 2)[0] == pytest.approx(5.0)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=1.0, max_value=1e4),
@@ -98,14 +97,14 @@ def test_mape_matches_hand_summed_oracle(pairs):
     y = np.array([p[0] for p in pairs])
     yp = np.array([p[1] for p in pairs])
     expected = 100.0 * sum(abs(a - b) / abs(a) for a, b in pairs) / len(pairs)
-    assert mape(make_log(y, yp)) == pytest.approx(expected, rel=1e-12)
+    assert mape_details(make_log(y, yp))[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mape_is_scale_invariant():
     y = np.array([40.0, 80.0, 120.0])
     yp = np.array([44.0, 72.0, 126.0])
-    a = mape(make_log(y, yp))
-    b = mape(make_log(y * 7.5, yp * 7.5))
+    a = mape_details(make_log(y, yp))[0]
+    b = mape_details(make_log(y * 7.5, yp * 7.5))[0]
     assert a == pytest.approx(b, rel=1e-12)
 
 

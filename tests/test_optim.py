@@ -13,13 +13,13 @@ from vfmlab import (
     Method,
     NumericError,
     OptimizerConfig,
-    OptimizerState,
     PriorMode,
     ScheduleConfig,
     WellDataset,
     init_model,
 )
 from vfmlab.optim import (
+    TrainingStep,
     fit_map,
     gamma_at,
     grid_search,
@@ -98,10 +98,15 @@ def test_gamma_schedule_values():
     assert gamma_at(sqrtish, 4) == pytest.approx(0.1)
 
 
+def _fresh_state(m):
+    """The optimizer state an online update starts from, at m's values."""
+    return TrainingStep(m, 1.0, PriorMode.NONE).start(m.params.values.copy())
+
+
 def test_zero_gradient_leaves_parameters_fixed():
     m = init_model("mm")
     for method in (Method.SGD, Method.ADAM):
-        state = OptimizerState.for_params(m.params)
+        state = _fresh_state(m)
         cfg = OptimizerConfig(method=method, gamma0=0.1)
         before = state.values.copy()
         for k in range(1, 4):
@@ -111,7 +116,7 @@ def test_zero_gradient_leaves_parameters_fixed():
 
 def test_sgd_three_steps_match_in_test_oracle():
     m = init_model("lr")
-    state = OptimizerState.for_params(m.params)
+    state = _fresh_state(m)
     cfg = OptimizerConfig(method=Method.SGD, gamma0=0.05,
                           schedule="power", power_a=1.0)
     rng = np.random.default_rng(12)
@@ -125,7 +130,7 @@ def test_sgd_three_steps_match_in_test_oracle():
 
 def test_adam_three_steps_match_in_test_oracle():
     m = init_model("lr")
-    state = OptimizerState.for_params(m.params)
+    state = _fresh_state(m)
     cfg = OptimizerConfig(method=Method.ADAM, gamma0=0.01)
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     rng = np.random.default_rng(13)
@@ -146,7 +151,7 @@ def test_adam_three_steps_match_in_test_oracle():
 
 def test_steps_clip_physical_parameters_to_their_bounds():
     m = init_model("mm")
-    state = OptimizerState.for_params(m.params)
+    state = _fresh_state(m)
     i = m.params.names.index("p_cr")
     huge = np.zeros(6)
     huge[i] = 1e9  # pushes p_cr far below its lower bound
@@ -158,7 +163,7 @@ def test_steps_clip_physical_parameters_to_their_bounds():
 
 def test_nonfinite_gradient_rejected_and_state_untouched():
     m = init_model("lr")
-    state = OptimizerState.for_params(m.params)
+    state = _fresh_state(m)
     before = state.values.copy()
     bad = np.zeros(7)
     bad[3] = np.nan

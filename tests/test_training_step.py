@@ -1,5 +1,5 @@
-"""The training step: loss-only kernels, and fit_map and run_ol against the
-frozen training loops of ``loop_drivers``.
+"""The training step: loss-only kernels, and fit_map, run_ol and run_pbl
+against the frozen training loops of ``loop_drivers``.
 
 The training step (``optim.TrainingStep``) takes the prior arrays and the
 target transform once per fit or online-learning unit, validates with the
@@ -9,6 +9,7 @@ online-learning logs must equal the frozen loops bit for bit, for every
 trainable kind, every prior mode and both optimizers.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,8 +18,9 @@ import pytest
 import loop_drivers as loop
 from conftest import make_dataset
 from vfmlab.core import WellDataset, chronological_split, fit_scaler
-from vfmlab.learning import ScheduleConfig, run_ol
-from vfmlab.models import (TRAINABLE_KINDS, MtlParams, NetworkShape, build_plan, init_model,
+from vfmlab import learning
+from vfmlab.learning import ScheduleConfig, run_ol, run_pbl
+from vfmlab.models import (TRAINABLE_KINDS, ModelKind, MtlParams, NetworkShape, build_plan, init_model,
                            mm_clamp_count, plan_loss, plan_loss_grad, predict, scale_inputs,
                            task_columns)
 from vfmlab.optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode,
@@ -117,3 +119,47 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
     assert log.metadata["n_updates"] == n_updates > 0
     assert log.metadata["skipped_updates"] == skipped
     assert len(set(y_pred.tolist())) > 1
+
+
+HOUR = 3600.0
+
+
+@pytest.mark.parametrize("case", ["boundary_rows", "window", "sources", "gap"])
+@pytest.mark.parametrize("kind", (ModelKind.BENCHMARK,) + tuple(TRAINABLE_KINDS),
+                         ids=lambda k: k.value)
+def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
+    """Rows arrive every half hour and the period is three hours, so every
+    boundary falls on a row; "gap" drops the test rows of ten hours, a gap
+    over several boundaries.  One prediction call per period with arrivals;
+    y_pred to 1e-12 relative, everything else exactly."""
+    ds = _data(30)
+    split = chronological_split(ds, float(ds.t[24]))
+    if case == "gap":
+        te = split.test
+        keep = (te.t < split.split_time + 4 * HOUR) | (te.t >= split.split_time + 14 * HOUR)
+        split = dataclasses.replace(split, test=te.take(np.flatnonzero(keep)))
+    m0 = init_model("benchmark") if kind is ModelKind.BENCHMARK else _model(kind, split.train)
+    loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=PriorMode.FULL)
+    cfg = ScheduleConfig(mode="pbl", ocfg=_ocfg(Method.ADAM), loss=loss, period_s=3 * HOUR,
+                         window_s=8 * HOUR if case == "window" else None, escfg=ESCFG,
+                         update_sources=("MPFM",) if case == "sources" else None)
+    calls = []
+    plan_predict = learning.plan_predict
+    monkeypatch.setattr(learning, "plan_predict",
+                        lambda *a: calls.append(len(a[2])) or plan_predict(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        log = run_pbl(m0, split, cfg)
+        want, want_meta = loop.run_pbl(m0, split, cfg)
+    for col in ("t", "well", "y_true", "model_version", "source"):
+        assert np.array_equal(getattr(log, col), want[col]), col
+    assert log.metadata == want_meta
+    periods = np.unique((split.test.t - split.split_time) // cfg.period_s)
+    if kind is ModelKind.BENCHMARK:
+        assert np.array_equal(log.y_pred, want["y_pred"], equal_nan=True)
+        assert calls == []
+    else:
+        np.testing.assert_allclose(log.y_pred, want["y_pred"], rtol=1e-12, atol=0)
+        assert len(calls) == len(periods) and sum(calls) == len(split.test)
+        assert want_meta["n_retrains"] == len(periods) - 1
+        assert len(set(want["model_version"].tolist())) == len(periods)
