@@ -9,15 +9,19 @@ hundreds of rows, and ``run_pbl``'s predictions: the model is frozen
 between refits, so each period's arrivals go in one call).  The kernels
 serve both:
 
-* array form at every size: ``sgd_step``, ``adam_step``, ``lr_predict``,
-  the network's forward and backward passes (``_nn_forward``,
-  ``_nn_backward``), the squared-error residuals of the ``*_loss_grad``
-  kernels (``_residuals``) and all of MTL (the output layer as one row-wise
-  cumulative sum, the task-embedding gather as one fancy index, the gradient
-  scatter as one ``np.add.at``);
+* array form at every size: ``sgd_step``, ``lr_predict``, the network's
+  forward and backward passes (``_nn_forward``, ``_nn_backward``), the
+  squared-error residuals of the ``*_loss_grad`` kernels (``_residuals``)
+  and all of MTL (the output layer as one row-wise cumulative sum, the
+  task-embedding gather as one fancy index, the gradient scatter as one
+  ``np.add.at``);
 * column form for calls of at least ``COLUMN_ROWS`` rows and a scalar loop
   below that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols``
-  against ``_mm_parts``/``_mm_parts_grad``).
+  against ``_mm_parts``/``_mm_parts_grad``);
+* array form for parameter vectors of at least ``ADAM_LOOP_PARAMS`` entries
+  and a scalar loop below that: ``adam_step``.  The loop runs at LR's 7 and
+  MM's 6 parameters, every online step of those kinds; NN (1313), HEM
+  (1319), HAM (1318) and MTL (4629) take the array form.
 
 The loops run on Python floats.  A call converts its arrays once
 (``theta[:k].tolist()``, ``x.tolist()``, ``y.tolist()``, ``geom.tolist()``),
@@ -28,8 +32,9 @@ times what the same IEEE operation costs on Python floats, and every
 online-learning step of LR, MM, HEM and HAM runs a loop.  The rounding is
 the same either way, so the loops keep their bits.  What differs is division by
 zero: Python raises ``ZeroDivisionError`` where numpy gives inf or NaN.  The
-choke equation divides by p1, T1, the gas densities and kappa - 1, so both
-sides are checked before a loop runs:
+choke equation divides by p1, T1, the gas densities and kappa - 1, and Adam
+by its bias corrections and by sqrt(vhat) + eps, so these are checked before
+a loop runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
@@ -39,7 +44,10 @@ sides are checked before a loop runs:
 * parameters: ``models.MechanisticParams`` requires kappa > 1 and positive
   densities and gas molar mass, for a scenario's true parameters, its events
   and ramp ends and the prior means a model starts at, and the optimizers
-  clip kappa into its ``HARD_BOUNDS``, above 1, after every step.
+  clip kappa into its ``HARD_BOUNDS``, above 1, after every step;
+* Adam: ``optim.OptimizerConfig`` requires ``adam_beta1`` and ``adam_beta2``
+  in [0, 1) and a positive ``adam_eps``, and ``optimizer_step`` a step
+  index k >= 1.
 
 A column form costs a fixed number of numpy calls of about 1 us each, a loop
 a few us per row.  Measured min-of-21 with loop and column runs interleaved
@@ -52,12 +60,26 @@ calls of 8 or more rows take the loop, which rounds MM, HEM and HAM
 differently from the column form (below), so it waits for a behaviour gate
 with stated tolerances.
 
+``adam_step``'s array form makes 16 numpy calls whatever the length, its
+loop costs about 2 us plus 0.5 us per parameter.  Measured the same way
+(``tools/adam_crossover.py``, min of 31 to 41 batches), the array form
+overtakes the loop between 12 and 18 parameters, depending on the host's
+phase, so ``ADAM_LOOP_PARAMS = 16``; at 6 and 7 parameters the loop takes 5
+to 8 us a step against 8 to 15 us for the array form.  The two forms round
+alike, so moving the constant changes no result.  The loop's clip is the
+array form's ``np.minimum(np.maximum(val, lower), upper)``: on a tie it
+returns the bound (``np.maximum(-0.0, 0.0)`` is ``0.0``), and a NaN on
+either side comes through.  Python's ``max``/``min`` and the frozen loop's
+``val < lower`` test do neither.
+
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
-``COLUMN_ROWS``:
+``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS``:
 
-* the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
-  below ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
+* the optimizer steps (both forms of ``adam_step``; the oracle's clip keeps
+  ``val`` on a tie, so signed-zero ties are held to the array form instead),
+  the LR, NN and MTL kernels and the MM/HEM/HAM loops below
+  ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
   its forward in ``ham_loss_grad``'s product order, which it shares so that a
   fit minimizes the loss of the predictions it logs).  Sums over rows keep
   the loops' order: a cumulative sum along the summed axis adds one term at
@@ -119,6 +141,10 @@ M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 # loop (see the module docstring for the measured crossovers and why it has
 # not moved to them).
 COLUMN_ROWS = 8
+
+# Parameter vectors shorter than this take adam_step's loop on Python floats,
+# longer ones its array form (measured crossover in the module docstring).
+ADAM_LOOP_PARAMS = 16
 
 
 # ------------------------------------------------------------------ helpers
@@ -779,10 +805,11 @@ def mtl_loss(theta, dims, xs, wells, y, inv_var):
 
 
 # ------------------------------------------------------------------ optimizer
-# Flat-vector update steps, in array form: each element goes through the
-# same roundings in the same order as a per-parameter loop, so the result is
-# bit-identical to one.  The clamp equals the loop's "below lower, else above
-# upper" test wherever lower <= upper.  Adam updates m and v in place.
+# Flat-vector update steps: each element goes through the same roundings in
+# the same order as a per-parameter loop, so the result is bit-identical to
+# one.  The clamp equals the loop's "below lower, else above upper" test
+# wherever lower <= upper and no value ties a zero bound of the other sign.
+# Adam updates m and v in place; below ADAM_LOOP_PARAMS it runs as a loop.
 
 
 def sgd_step(theta, grad, gamma_k, lower, upper):
@@ -791,11 +818,36 @@ def sgd_step(theta, grad, gamma_k, lower, upper):
 
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** k)
-    vhat = v / (1.0 - beta2 ** k)
-    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
-    return np.minimum(np.maximum(val, lower), upper)
+    if theta.shape[0] >= ADAM_LOOP_PARAMS:
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        mhat = m / (1.0 - beta1 ** k)
+        vhat = v / (1.0 - beta2 ** k)
+        val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
+        return np.minimum(np.maximum(val, lower), upper)
+    c1 = 1.0 - beta1 ** k
+    c2 = 1.0 - beta2 ** k
+    b1 = 1.0 - beta1
+    b2 = 1.0 - beta2
+    ms = []
+    vs = []
+    out = []
+    for th, g, mi, vi, lo, hi in zip(theta.tolist(), grad.tolist(), m.tolist(),
+                                     v.tolist(), lower.tolist(), upper.tolist()):
+        mi = mi * beta1 + b1 * g
+        vi = vi * beta2 + b2 * g * g
+        ms.append(mi)
+        vs.append(vi)
+        val = th - gamma_k * (mi / c1) / (math.sqrt(vi / c2) + eps)
+        # np.maximum/np.minimum: the bound on a tie (-0.0 against 0.0
+        # included), NaN if either side is NaN
+        if not val > lo and val == val:
+            val = lo
+        if not val < hi and val == val:
+            val = hi
+        out.append(val)
+    m[...] = ms   # about half the cost of m[:] = ms at this size
+    v[...] = vs
+    return np.array(out)

@@ -165,7 +165,8 @@ def write_rolling_csv(report: MetricReport, path: str | Path) -> None:
     t, v, p25, p75 = report.rolling_series
     lines = ["t,rolling_mae,p25,p75"]
     for i in range(len(t)):
-        lines.append(f"{time_value(t[i])!r},{v[i]!r},{p25[i]!r},{p75[i]!r}")
+        lines.append(f"{time_value(t[i])!r},{float(v[i])!r},"
+                     f"{float(p25[i])!r},{float(p75[i])!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

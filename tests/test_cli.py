@@ -136,6 +136,21 @@ def test_kappa_of_one_is_refused_before_the_run(tmp_path, capsys, where, code):
     assert "kappa must exceed 1" in err and len(err.strip().splitlines()) == 1
 
 
+def test_csv_without_the_required_columns_is_a_data_error(tmp_path, capsys):
+    """A well CSV that lacks required columns exits 2 with one stderr line."""
+    csv = tmp_path / "wells.csv"
+    csv.write_text("t,well_id,q_oil\n0,1,10.0\n")
+    raw = _tiny_study(tmp_path)
+    del raw["scenarios"]
+    raw["csv_paths"] = [str(csv)]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "missing columns" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_scenario_geometry_section_becomes_a_choke_geometry(tmp_path):
     raw = _tiny_study(tmp_path)
     raw["scenarios"][0]["geometry"] = {"a_max": 4e-3, "c1": 0.2, "c2": 0.0, "c3": 0.8}

@@ -13,7 +13,10 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
   in the last place, so they are held to 1e-10 relative for predictions and
   loss and 1e-9 for gradients, with equal clamp counts.
 
-Row counts cover both sides of ``kernels.COLUMN_ROWS``.
+Row counts cover both sides of ``kernels.COLUMN_ROWS``, Adam's parameter
+counts both sides of ``kernels.ADAM_LOOP_PARAMS``; on signed-zero ties,
+where the frozen loop keeps the value, Adam's two forms are held to each
+other.
 """
 
 import numpy as np
@@ -42,7 +45,8 @@ def _bounds(rng, theta):
     return lower, upper
 
 
-@pytest.mark.parametrize("n", [6, 7, NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])
+@pytest.mark.parametrize("n", [6, 7, kernels.ADAM_LOOP_PARAMS - 1, kernels.ADAM_LOOP_PARAMS,
+                               NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])
 def test_adam_steps_equal_the_loop(n):
     rng = np.random.default_rng(n)
     theta = rng.standard_normal(n)
@@ -63,6 +67,32 @@ def test_adam_steps_equal_the_loop(n):
         assert np.array_equal(v_a, v_l), k
         clamped += int(np.sum((th_a == lower) | (th_a == upper)))
     assert clamped > 0   # the bounds were active
+
+
+def test_adam_forms_agree_on_ties_and_nan(monkeypatch):
+    """The loop form clips as np.maximum/np.minimum do: the bound on a tie,
+    signed zeros included, and NaN through.  The frozen loop keeps val on a
+    tie, so the two forms are held to each other here."""
+    #                  -0.0 ties 0.0, 0.0 ties -0.0, ties 2.5, NaN, below, above, free
+    theta = np.array([-0.0, 0.0, 2.5, 1.0, 0.0, 0.0, 0.5])
+    grad = np.array([0.0, 0.0, 0.0, 1e308, 1.0, -1.0, 0.3])
+    m0 = np.array([0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.1])   # m / (1 - beta1) overflows
+    lower = np.array([0.0, -np.inf, -np.inf, 0.0, -0.0, -np.inf, -np.inf])
+    upper = np.array([np.inf, -0.0, 2.5, 2.0, np.inf, 0.0, np.inf])
+    out = {}
+    for name, loop_params in (("loop", len(theta) + 1), ("array", 0)):
+        monkeypatch.setattr(kernels, "ADAM_LOOP_PARAMS", loop_params)
+        m, v = m0.copy(), np.zeros(len(theta))
+        with np.errstate(all="ignore"):
+            th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8,
+                                   lower, upper)
+        out[name] = th, m, v
+    for got, want in zip(out["loop"], out["array"]):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    th = out["loop"][0]
+    assert np.array_equal(th, [0.0, -0.0, 2.5, np.nan, -0.0, 0.0, th[6]], equal_nan=True)
+    assert list(np.signbit(th[[0, 1, 2, 4, 5]])) == [False, True, False, True, False]
 
 
 @pytest.mark.parametrize("n", [6, 7, NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])

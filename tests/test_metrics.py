@@ -286,6 +286,18 @@ def test_rolling_csv_keeps_fractional_seconds(tmp_path):
     assert [float(ln.split(",")[0]) for ln in rl[1:]] == log.t.tolist()
 
 
+def test_rolling_csv_writes_numbers_that_read_back_exactly(tmp_path):
+    """Every field after the header parses as a float and equals the
+    report's rolling series: a numpy repr such as np.float64(...) does not."""
+    log = make_log([100.0, 100.0, 100.0], [90.0, 110.0, 100.0])
+    rep = metric_report(log)
+    rp = tmp_path / "rolling.csv"
+    write_rolling_csv(rep, rp)
+    rows = [[float(f) for f in ln.split(",")]
+            for ln in rp.read_text().strip().splitlines()[1:]]
+    assert np.array_equal(np.array(rows).T, np.array(rep.rolling_series))
+
+
 def test_log_rejects_unsorted_or_ragged_columns():
     with pytest.raises(DataError):
         make_log([1.0, 2.0], [1.0, 2.0], t=[5.0, 1.0])

@@ -174,6 +174,16 @@ def test_nonfinite_gradient_rejected_and_state_untouched():
         optimizer_step(state, np.zeros(7), OptimizerConfig(), 0)
 
 
+@pytest.mark.parametrize("bad", [{"adam_beta1": 1.0}, {"adam_beta1": -0.1},
+                                 {"adam_beta2": 1.0}, {"adam_beta2": -0.1},
+                                 {"adam_eps": 0.0}, {"adam_eps": float("nan")}])
+def test_adam_settings_that_divide_by_zero_are_refused(bad):
+    # beta = 1 zeroes a bias correction and eps = 0 the denominator of a
+    # parameter whose v is still zero: Python floats would raise there
+    with pytest.raises(ConfigError):
+        OptimizerConfig(**bad)
+
+
 # --------------------------------------------------------------------- fitting
 
 
