@@ -176,19 +176,21 @@ def cmd_tune(cfg: StudyConfig) -> int:
             if kindk is ModelKind.BENCHMARK:
                 continue
             protocol = spec.to_schedule(kind, LossSpec(noise_std=1.0), cfg.escfg())
-            sink: list = []
-            best = grid_search(
-                kindk, grids, trains, protocol, loss_rel=cfg.noise_rel,
-                escfg=cfg.escfg(), init_ocfg=cfg.init_ocfg_for(kind),
-                shape=cfg.network_shape(),
+            best, score = grid_search(
+                kindk, grids, trains, protocol, init_ocfg=cfg.init_ocfg_for(kind),
+                loss_rel=cfg.noise_rel, escfg=cfg.escfg(), shape=cfg.network_shape(),
                 mtl=cfg.mtl_params(sorted(datasets)) if kindk is ModelKind.MTL else None,
-                seed=cfg.seed, results_sink=sink)
-            score = min(s for _, s in sink)
-            bs = "" if best.batch_size is None else best.batch_size
-            lines.append(f"{spec.name},{kind},{best.method.value},{best.gamma0!r},"
-                         f"{best.schedule},{best.power_a!r},{best.steps},{bs},{score!r}")
-            print(f"{spec.name}/{kind}: gamma0={best.gamma0} steps={best.steps} "
-                  f"score={score:.3f}")
+                seed=cfg.seed)
+            o = best.ocfg
+            # OL takes its steps per observation; only PBL's fits use a batch size
+            if best.mode == "ol":
+                steps, bs, knob = best.steps, "", f"steps={best.steps}"
+            else:
+                steps, bs = "", "" if o.batch_size is None else o.batch_size
+                knob = f"batch_size={o.batch_size}"
+            lines.append(f"{spec.name},{kind},{o.method.value},{o.gamma0!r},"
+                         f"{o.schedule},{o.power_a!r},{steps},{bs},{score!r}")
+            print(f"{spec.name}/{kind}: gamma0={o.gamma0} {knob} score={score:.3f}")
     path = out / f"tuned_{cfg.case}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")

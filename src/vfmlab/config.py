@@ -161,7 +161,7 @@ class ScheduleSpec:
                 escfg=escfg, update_sources=self.update_sources)
         return ScheduleConfig(
             mode="ol", ocfg=self.optimizer_for(kind), loss=loss,
-            ol_steps=self.steps, escfg=escfg, update_sources=self.update_sources)
+            steps=self.steps, escfg=escfg, update_sources=self.update_sources)
 
 
 @dataclass(frozen=True)

@@ -3,38 +3,27 @@
 Every function here is plain Python over numpy and ``math``: float64 arrays,
 int64 index arrays and Python floats.  Nothing is compiled.
 
-Calls come in two sizes: one row (each online-learning prediction and
-step) and batches (mini-batches of 32 rows, validation sets of tens to
-hundreds of rows, and ``run_pbl``'s predictions: the model is frozen
-between refits, so each period's arrivals go in one call).  The kernels
-serve both:
+Calls come in two sizes: one row (each online-learning prediction and step)
+and batches (mini-batches, validation sets and ``run_pbl``'s per-period
+predictions).  The kernels serve both:
 
 * array form at every size: ``sgd_step``, ``lr_predict``, the network's
   forward and backward passes (``_nn_forward``, ``_nn_backward``), the
-  squared-error residuals of the ``*_loss_grad`` kernels (``_residuals``)
-  and all of MTL (the output layer as one row-wise cumulative sum, the
-  task-embedding gather as one fancy index, the gradient scatter as one
-  ``np.add.at``);
-* column form for calls of at least ``COLUMN_ROWS`` rows and a scalar loop
-  below that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols``
-  against ``_mm_parts``/``_mm_parts_grad``);
+  squared-error residuals (``_residuals``) and all of MTL;
+* column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
+  that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols`` against
+  ``_mm_parts``/``_mm_parts_grad``);
 * array form for parameter vectors of at least ``ADAM_LOOP_PARAMS`` entries
-  and a scalar loop below that: ``adam_step``.  The loop runs at LR's 7 and
-  MM's 6 parameters, every online step of those kinds; NN (1313), HEM
-  (1319), HAM (1318) and MTL (4629) take the array form.
+  and a loop below that: ``adam_step`` (LR's 7 and MM's 6 parameters take
+  the loop).
 
-The loops run on Python floats.  A call converts its arrays once
-(``theta[:k].tolist()``, ``x.tolist()``, ``y.tolist()``, ``geom.tolist()``),
-``_mm_parts_grad`` returns its derivatives as lists, and the gradient is
-summed in a list that is written into ``grad`` once.  An operation on numpy
-scalars (``theta[0]``, ``x[i, 1]``) or on a 5-element array costs several
-times what the same IEEE operation costs on Python floats, and every
-online-learning step of LR, MM, HEM and HAM runs a loop.  The rounding is
-the same either way, so the loops keep their bits.  What differs is division by
-zero: Python raises ``ZeroDivisionError`` where numpy gives inf or NaN.  The
-choke equation divides by p1, T1, the gas densities and kappa - 1, and Adam
-by its bias corrections and by sqrt(vhat) + eps, so these are checked before
-a loop runs:
+The loops run on Python floats: a call converts its arrays once with
+``tolist()`` and writes its result back once.  The rounding is the same as on
+numpy scalars, so the loops keep their bits; what differs is division by
+zero, where Python raises ``ZeroDivisionError`` and numpy gives inf or NaN.
+The choke equation divides by p1, T1, the gas densities and kappa - 1, and
+Adam by its bias corrections and by sqrt(vhat) + eps, so these are checked
+before a loop runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
@@ -48,29 +37,6 @@ a loop runs:
 * Adam: ``optim.OptimizerConfig`` requires ``adam_beta1`` and ``adam_beta2``
   in [0, 1) and a positive ``adam_eps``, and ``optimizer_step`` a step
   index k >= 1.
-
-A column form costs a fixed number of numpy calls of about 1 us each, a loop
-a few us per row.  Measured min-of-21 with loop and column runs interleaved
-on a 2-core VM (numpy 2.4), the column form overtakes the loop at about 16
-to 20 rows for ``lr_loss_grad`` and HEM, 20 to 24 for ``mm_loss_grad`` and
-``ham_loss_grad``, 24 to 32 for ``mm_predict`` and 32 to 48 for
-``ham_predict``; at one row the loops are 3 to 12 times faster.
-``COLUMN_ROWS = 8`` predates the Python-float loops.  Raising it would make
-calls of 8 or more rows take the loop, which rounds MM, HEM and HAM
-differently from the column form (below), so it waits for a behaviour gate
-with stated tolerances.
-
-``adam_step``'s array form makes 16 numpy calls whatever the length, its
-loop costs about 2 us plus 0.5 us per parameter.  Measured the same way
-(``tools/adam_crossover.py``, min of 31 to 41 batches), the array form
-overtakes the loop between 12 and 18 parameters, depending on the host's
-phase, so ``ADAM_LOOP_PARAMS = 16``; at 6 and 7 parameters the loop takes 5
-to 8 us a step against 8 to 15 us for the array form.  The two forms round
-alike, so moving the constant changes no result.  The loop's clip is the
-array form's ``np.minimum(np.maximum(val, lower), upper)``: on a tie it
-returns the bound (``np.maximum(-0.0, 0.0)`` is ``0.0``), and a NaN on
-either side comes through.  Python's ``max``/``min`` and the frozen loop's
-``val < lower`` test do neither.
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
@@ -86,10 +52,10 @@ Exactness, checked against the loop versions frozen in
   a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
   ``np.add.at`` applies rows in index order;
 * the MM/HEM/HAM column forms go through the loops' arithmetic in the loops'
-  order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` (numpy 2.4
-  on AVX-512) differ from libm by one unit in the last place on a few
-  percent of inputs (``sqrt`` never does), so they are held to 1e-10 relative
-  for predictions and loss and 1e-9 for gradients, with equal clamp counts.
+  order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` differ
+  from libm by one unit in the last place on a few percent of inputs
+  (``sqrt`` never does), so they are held to 1e-10 relative for predictions
+  and loss and 1e-9 for gradients, with equal clamp counts.
 
 Two details that look removable are part of the arithmetic under the first
 rule:
@@ -113,10 +79,6 @@ Shared conventions:
   They run the network forward once: ``_nn_forward`` keeps the activations
   that ``_nn_backward`` consumes.  Prior terms are added outside (they are
   kind-independent).
-* ``*_loss`` kernels return the same ``sse`` bit for bit without the
-  gradient, for validation passes.  Most compute it from the predict
-  kernel; ``lr_loss`` calls its gradient kernel below ``COLUMN_ROWS``,
-  where it is a loop.
 * Mechanistic kernels return a count of rows whose radicand went nonpositive
   (flow clamped to zero there, gradient zero: the clamp is flat).
 
@@ -138,12 +100,14 @@ T_SC = 288.15            # K
 M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 
 # Calls with at least this many rows take the column form, shorter ones the
-# loop (see the module docstring for the measured crossovers and why it has
-# not moved to them).
+# loop.  The measured crossovers lie higher (tools/adam_crossover.py), but a
+# loop rounds MM, HEM and HAM differently from the column form, so moving
+# this waits for a behaviour gate with stated tolerances.
 COLUMN_ROWS = 8
 
 # Parameter vectors shorter than this take adam_step's loop on Python floats,
-# longer ones its array form (measured crossover in the module docstring).
+# longer ones its array form; the two round alike, so the value (the measured
+# crossover, tools/adam_crossover.py) changes no result.
 ADAM_LOOP_PARAMS = 16
 
 
@@ -416,6 +380,9 @@ def lr_loss_grad(theta, xs, y, inv_var):
 
 
 def lr_loss(theta, xs, y, inv_var):
+    """lr_loss_grad's sse without the gradient: the loop below COLUMN_ROWS,
+    and the column form's row sums above it (lr_predict's np.dot sums
+    differently)."""
     if xs.shape[0] < COLUMN_ROWS:
         return lr_loss_grad(theta, xs, y, inv_var)[0]
     d = xs.shape[1]
@@ -485,10 +452,6 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     return sse, grad
 
 
-def nn_loss(theta, off, widths, xs, y, inv_var):
-    return _sse(y, nn_predict(theta, off, widths, xs), inv_var)
-
-
 # ------------------------------------------------------------------------ MM
 
 
@@ -550,11 +513,6 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
     return sse, grad, nneg
 
 
-def mm_loss(theta, x, geom, y, inv_var):
-    yhat, nneg = mm_predict(theta, x, geom)
-    return _sse(y, yhat, inv_var), nneg
-
-
 # ----------------------------------------------------------------------- HEM
 
 
@@ -602,11 +560,6 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
         g[5] += di * M3S_TO_SM3H * a2 * r * vsc
     grad[:6] = g
     return sse, grad, nneg
-
-
-def hem_loss(theta, widths, x, xs, geom, y, inv_var, nn_scale):
-    yhat, nneg = hem_predict(theta, widths, x, xs, geom, nn_scale)
-    return _sse(y, yhat, inv_var), nneg
 
 
 # ----------------------------------------------------------------------- HAM
@@ -668,11 +621,6 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     grad[:5] = g
     _nn_backward(theta, 5, widths, acts, np.array(delta_nn, dtype=np.float64), grad)
     return sse, grad, nneg
-
-
-def ham_loss(theta, widths, x, xs, geom, y, inv_var):
-    yhat, nneg = ham_predict(theta, widths, x, xs, geom)
-    return _sse(y, yhat, inv_var), nneg
 
 
 # ----------------------------------------------------------------------- MTL
@@ -798,10 +746,6 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     # as in a loop over rows; a per-well sum could reorder them.
     np.add.at(grad[b_pos:b_pos + p * m].reshape(p, m).T, wells, dbeta)
     return sse, grad
-
-
-def mtl_loss(theta, dims, xs, wells, y, inv_var):
-    return _sse(y, mtl_predict(theta, dims, xs, wells), inv_var)
 
 
 # ------------------------------------------------------------------ optimizer

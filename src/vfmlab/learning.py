@@ -46,7 +46,7 @@ class ScheduleConfig:
     ocfg: OptimizerConfig
     loss: LossSpec
     period_s: float | None = None          # PBL period; math.inf disables retraining
-    ol_steps: int | None = None            # OL step count; None = ocfg.steps
+    steps: int | None = None               # OL optimizer steps per observation
     window_s: float | None = None          # None = all history
     escfg: EarlyStoppingConfig = field(default_factory=EarlyStoppingConfig)
     update_sources: tuple[str, ...] | None = None  # None = every arrival updates;
@@ -58,9 +58,10 @@ class ScheduleConfig:
         if self.mode == "pbl":
             if self.period_s is None or not self.period_s > 0:
                 raise ConfigError("pbl needs a positive period")
-        else:
-            if self.steps_per_obs() < 0:
-                raise ConfigError("ol step count must be >= 0")
+            if self.steps is not None:
+                raise ConfigError("steps applies to ol schedules only")
+        elif self.steps is None or self.steps < 0:
+            raise ConfigError("ol needs a step count >= 0")
         if self.window_s is not None and not self.window_s > 0:
             raise ConfigError("window_s must be positive when set")
         if self.update_sources is not None:
@@ -69,9 +70,6 @@ class ScheduleConfig:
             except ValueError as e:
                 raise ConfigError(f"update_sources: {e}") from None
             object.__setattr__(self, "update_sources", names)
-
-    def steps_per_obs(self) -> int:
-        return self.ocfg.steps if self.ol_steps is None else self.ol_steps
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
     te = split.test
-    steps = cfg.steps_per_obs()
+    steps = cfg.steps
     version = np.full(len(te), m0.version, dtype=np.int64)
     meta = {"mode": "ol", "steps": steps, "kind": m0.kind.value,
             "n_updates": 0, "skipped_updates": []}

@@ -10,6 +10,9 @@ bounds.  Mechanistic parameters always occupy the leading slots:
 
 Input convention: neural-network terms consume standardized inputs via the
 model's FeatureScaler; mechanistic terms consume raw physical units.
+
+What a kind is (the structure it carries, its parameter layout, its target
+space and its kernels) is one entry of :data:`KIND_TABLE`.
 """
 
 from __future__ import annotations
@@ -69,11 +72,7 @@ class ModelKind(enum.Enum):
 
     @property
     def is_mechanistic(self) -> bool:
-        return self in (ModelKind.MM, ModelKind.HEM, ModelKind.HAM)
-
-
-TRAINABLE_KINDS = (ModelKind.LR, ModelKind.NN, ModelKind.MTL,
-                   ModelKind.MM, ModelKind.HEM, ModelKind.HAM)
+        return KIND_TABLE[self].choke
 
 
 # ----------------------------------------------------------------- structure
@@ -264,15 +263,15 @@ class ParameterSet:
         return cls(z, z, np.ones(0), np.zeros(0, dtype=bool), (), z, z)
 
     @classmethod
-    def concat(cls, a: "ParameterSet", b: "ParameterSet") -> "ParameterSet":
+    def concat(cls, *parts: "ParameterSet") -> "ParameterSet":
         return cls(
-            np.concatenate([a.values, b.values]),
-            np.concatenate([a.prior_mean, b.prior_mean]),
-            np.concatenate([a.prior_std, b.prior_std]),
-            np.concatenate([a.is_physical, b.is_physical]),
-            a.names + b.names,
-            np.concatenate([a.lower, b.lower]),
-            np.concatenate([a.upper, b.upper]),
+            np.concatenate([p.values for p in parts]),
+            np.concatenate([p.prior_mean for p in parts]),
+            np.concatenate([p.prior_std for p in parts]),
+            np.concatenate([p.is_physical for p in parts]),
+            tuple(n for p in parts for n in p.names),
+            np.concatenate([p.lower for p in parts]),
+            np.concatenate([p.upper for p in parts]),
         )
 
 
@@ -293,7 +292,7 @@ class ModelSpec:
     version: int = 0
 
     def __post_init__(self):
-        expected = expected_param_count(self.kind, self.shape, self.mtl)
+        expected = KIND_TABLE[self.kind].n_params(self.shape, self.mtl)
         if len(self.params) != expected:
             raise ConfigError(
                 f"{self.kind.value}: expected {expected} parameters, got {len(self.params)}")
@@ -306,53 +305,62 @@ class ModelSpec:
         return len(self.params)
 
 
-def expected_param_count(kind: ModelKind, shape: NetworkShape | None,
-                         mtl: MtlParams | None) -> int:
-    if kind is ModelKind.BENCHMARK:
-        return 0
-    if kind is ModelKind.LR:
-        return D_INPUT + 1
-    if kind is ModelKind.NN:
-        return shape.n_params()
-    if kind is ModelKind.MTL:
-        return mtl.n_params()
-    if kind is ModelKind.MM:
-        return 6
-    if kind is ModelKind.HEM:
-        return 6 + shape.n_params()
-    if kind is ModelKind.HAM:
-        return 5 + shape.n_params()
-    raise ConfigError(f"unhandled kind {kind}")
+def _data_block(values, mu, sd, names) -> ParameterSet:
+    """Data-driven, unbounded parameters."""
+    n = len(names)
+    inf = np.full(n, np.inf)
+    return ParameterSet(values, mu, sd, np.zeros(n, dtype=bool), names, -inf, inf)
 
 
-# For the multi-task model the shared trunk sees x and the task embedding
-# through one concatenated affine map, so He fan-in is d + task_dim.
+def _weights(rng: np.random.Generator, fi: int, fo: int, name: str,
+             std: float) -> ParameterSet:
+    """An input-major (fi, fo) weight block drawn from N(0, std^2), its prior
+    the same normal."""
+    w = rng.normal(0.0, std, size=(fi, fo))
+    return _data_block(w.ravel(), np.zeros(fi * fo), np.full(fi * fo, std),
+                       tuple(f"{name}[{i},{j}]" for i in range(fi) for j in range(fo)))
+
+
+def _bias(fo: int, name: str, value: float = 0.0) -> ParameterSet:
+    """A bias block starting at value, its prior N(value, 1)."""
+    return _data_block(np.full(fo, value), np.full(fo, value), np.ones(fo),
+                       tuple(f"{name}[{j}]" for j in range(fo)))
+
+
+def _he(fan_in: int) -> float:
+    return math.sqrt(2.0 / fan_in)
 
 
 def _mlp_params(rng: np.random.Generator, widths: np.ndarray, prefix: str = "",
-                fan_in_first: int | None = None) -> ParameterSet:
-    values, mu, sd, phys, names = [], [], [], [], []
+                out_bias: float = 0.0) -> ParameterSet:
     nl = len(widths) - 1
+    blocks = []
     for layer in range(nl):
-        fi = int(widths[layer])
-        fo = int(widths[layer + 1])
-        fan_in = fan_in_first if (layer == 0 and fan_in_first is not None) else fi
-        he = math.sqrt(2.0 / fan_in)
-        w = rng.normal(0.0, he, size=(fi, fo))
-        values.append(w.ravel())
-        mu.append(np.zeros(fi * fo))
-        sd.append(np.full(fi * fo, he))
-        names.extend(f"{prefix}W{layer + 1}[{i},{j}]" for i in range(fi) for j in range(fo))
-        values.append(np.zeros(fo))
-        mu.append(np.zeros(fo))
-        sd.append(np.ones(fo))
-        names.extend(f"{prefix}b{layer + 1}[{j}]" for j in range(fo))
-    n = sum(v.size for v in values)
-    inf = np.full(n, np.inf)
-    return ParameterSet(
-        np.concatenate(values), np.concatenate(mu), np.concatenate(sd),
-        np.zeros(n, dtype=bool), tuple(names), -inf, inf,
-    )
+        fi, fo = int(widths[layer]), int(widths[layer + 1])
+        blocks.append(_weights(rng, fi, fo, f"{prefix}W{layer + 1}", _he(fi)))
+        blocks.append(_bias(fo, f"{prefix}b{layer + 1}", out_bias if layer == nl - 1 else 0.0))
+    return ParameterSet.concat(*blocks)
+
+
+def _mtl_params(rng: np.random.Generator, mtl: MtlParams) -> ParameterSet:
+    """The layout of ``kernels._mtl_forward``.  The shared trunk sees x and
+    the task embedding through one concatenated affine map, so its He fan-in
+    is d + task_dim; the task matrix B draws from N(0, 1)."""
+    d, p, h, nb, m = (int(v) for v in mtl.dims())
+    blocks = [_weights(rng, d, h, "W0x", _he(d + p)), _weights(rng, p, h, "W0b", _he(d + p)),
+              _bias(h, "b0")]
+    for l in range(1, nb + 1):
+        blocks += [_weights(rng, h, h, f"blk{l}.W1", _he(h)), _bias(h, f"blk{l}.b1"),
+                   _weights(rng, h, h, f"blk{l}.W2", _he(h)), _bias(h, f"blk{l}.b2")]
+    blocks += [_weights(rng, h, 1, "Wout", _he(h)), _bias(1, "bout"),
+               _weights(rng, p, m, "B", 1.0)]
+    return ParameterSet.concat(*blocks)
+
+
+def _lr_params() -> ParameterSet:
+    n = D_INPUT + 1
+    return _data_block(np.zeros(n), np.zeros(n), np.ones(n),
+                       tuple(f"w[{j}]" for j in range(D_INPUT)) + ("b",))
 
 
 def _mm_params(priors: dict[str, tuple[float, float]],
@@ -381,9 +389,11 @@ def init_model(kind: ModelKind | str,
     Network weights draw from the He distribution (zero-mean normal, variance
     2/fan_in) with matching priors; biases start at zero.  Mechanistic values
     start at their prior means, which must make valid MechanisticParams
-    (ConfigError otherwise).  Deterministic for a fixed seed.
+    (ConfigError otherwise).  Deterministic for a fixed seed.  A structure
+    the kind does not carry (see :class:`KindEntry`) is ignored.
     """
     kind = ModelKind.from_str(kind) if isinstance(kind, str) else kind
+    entry = KIND_TABLE[kind]
     pri = dict(DEFAULT_PRIORS)
     if priors:
         unknown = set(priors) - set(MM_PARAM_NAMES)
@@ -391,83 +401,13 @@ def init_model(kind: ModelKind | str,
             raise ConfigError(f"unknown prior names {sorted(unknown)}")
         pri.update({k: (float(v[0]), float(v[1])) for k, v in priors.items()})
         MechanisticParams(**{k: v[0] for k, v in pri.items()})   # the start values
-    rng = substream(seed, f"init.{kind.value}")
-
-    if kind is ModelKind.BENCHMARK:
-        return ModelSpec(kind, ParameterSet.empty(), scaler=scaler)
-
-    if kind is ModelKind.LR:
-        n = D_INPUT + 1
-        names = tuple(f"w[{j}]" for j in range(D_INPUT)) + ("b",)
-        ps = ParameterSet(np.zeros(n), np.zeros(n), np.ones(n),
-                          np.zeros(n, dtype=bool), names,
-                          np.full(n, -np.inf), np.full(n, np.inf))
-        return ModelSpec(kind, ps, scaler=scaler)
-
-    geometry = geometry or ChokeGeometry()
-
-    if kind is ModelKind.MM:
-        return ModelSpec(kind, _mm_params(pri), geometry=geometry, scaler=scaler)
-
-    shape = shape or NetworkShape()
-    if kind is ModelKind.NN:
-        ps = _mlp_params(rng, shape.widths())
-        return ModelSpec(kind, ps, shape=shape, scaler=scaler)
-
-    if kind is ModelKind.HEM:
-        ps = ParameterSet.concat(_mm_params(pri), _mlp_params(rng, shape.widths(), prefix="nn."))
-        return ModelSpec(kind, ps, shape=shape, geometry=geometry, scaler=scaler)
-
-    if kind is ModelKind.HAM:
-        nn = _mlp_params(rng, shape.widths(), prefix="nn.")
-        # output bias stands in for C_D: softplus(bias) starts at the C_D prior mean
-        b_out = softplus_inverse(pri["C_D"][0])
-        values = nn.values.copy()
-        mu = nn.prior_mean.copy()
-        values[-1] = b_out
-        mu[-1] = b_out
-        nn = ParameterSet(values, mu, nn.prior_std, nn.is_physical, nn.names,
-                          nn.lower, nn.upper)
-        ps = ParameterSet.concat(_mm_params(pri, include_cd=False), nn)
-        return ModelSpec(kind, ps, shape=shape, geometry=geometry, scaler=scaler)
-
-    if kind is ModelKind.MTL:
-        if mtl is None:
-            raise ConfigError("MTL requires MtlParams (well ids)")
-        d, p, h, nb, m = (int(v) for v in mtl.dims())
-        vals, mu, sd, names = [], [], [], []
-
-        def lin(fan_in, fi, fo, name):
-            he = math.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, he, size=(fi, fo))
-            vals.append(w.ravel()); mu.append(np.zeros(fi * fo)); sd.append(np.full(fi * fo, he))
-            names.extend(f"{name}[{i},{j}]" for i in range(fi) for j in range(fo))
-
-        def bias(fo, name, value=0.0):
-            vals.append(np.full(fo, value)); mu.append(np.full(fo, value)); sd.append(np.ones(fo))
-            names.extend(f"{name}[{j}]" for j in range(fo))
-
-        lin(d + p, d, h, "W0x")
-        lin(d + p, p, h, "W0b")
-        bias(h, "b0")
-        for l in range(nb):
-            lin(h, h, h, f"blk{l + 1}.W1")
-            bias(h, f"blk{l + 1}.b1")
-            lin(h, h, h, f"blk{l + 1}.W2")
-            bias(h, f"blk{l + 1}.b2")
-        lin(h, h, 1, "Wout")
-        bias(1, "bout")
-        b = rng.normal(0.0, 1.0, size=(p, m))
-        vals.append(b.ravel()); mu.append(np.zeros(p * m)); sd.append(np.ones(p * m))
-        names.extend(f"B[{q},{j}]" for q in range(p) for j in range(m))
-
-        n = sum(v.size for v in vals)
-        inf = np.full(n, np.inf)
-        ps = ParameterSet(np.concatenate(vals), np.concatenate(mu), np.concatenate(sd),
-                          np.zeros(n, dtype=bool), tuple(names), -inf, inf)
-        return ModelSpec(kind, ps, mtl=mtl, scaler=scaler)
-
-    raise ConfigError(f"cannot initialize kind {kind}")
+    if entry.multitask and mtl is None:
+        raise ConfigError("MTL requires MtlParams (well ids)")
+    shape = (shape or NetworkShape()) if entry.network else None
+    mtl = mtl if entry.multitask else None
+    geometry = (geometry or ChokeGeometry()) if entry.choke else None
+    params = entry.params(substream(seed, f"init.{kind.value}"), pri, shape, mtl)
+    return ModelSpec(kind, params, shape=shape, mtl=mtl, geometry=geometry, scaler=scaler)
 
 
 def task_matrix(m: ModelSpec) -> np.ndarray:
@@ -496,69 +436,100 @@ def mm_clamp_count() -> int:
 
 
 @dataclass(frozen=True)
-class KindKernels:
-    """The kernels of one model kind, called with the kind's KernelPlan:
+class KindEntry:
+    """What one model kind is.
 
-    * ``predict(plan, theta, X, Xs, wells) -> (yhat, clamps)``;
-    * ``loss_grad(plan, theta, X, Xs, y, inv_var, wells) -> (sse, grad, clamps)``;
-    * ``loss(plan, theta, X, Xs, y, inv_var, wells) -> (sse, clamps)``, the
-      same ``sse`` as ``loss_grad`` to the last bit, without the gradient.
-
-    ``clamps`` counts rows whose radicand was clamped (0 for kinds without
-    the choke equation).  The entries look the kernels up in
-    :mod:`vfmlab.kernels` at call time, so a wrapper installed there later
-    (the benchmark's tracer) sees every call.
+    * Structure: ``network`` kinds carry a NetworkShape (NN, HEM, HAM),
+      ``multitask`` ones an MtlParams layout (MTL) and ``choke`` ones a
+      ChokeGeometry and the mechanistic parameters (MM, HEM, HAM).
+    * ``params(rng, priors, shape, mtl)`` builds the initial ParameterSet:
+      ``n_fixed`` leading entries, then the network's or the MTL layout's.
+    * Target space: ``standardized`` kinds (LR, NN, MTL) regress on
+      (y - y_loc)/y_scale, and their output z maps to engineering units as
+      y_loc + y_scale*z; HEM has a ``scaled_correction``, its network term
+      multiplied by the target scale (nn_scale) so that its parameters stay
+      O(1); the other kinds predict in raw units.
+    * Kernels, called with the kind's KernelPlan:
+      ``predict(plan, theta, X, Xs, wells) -> (z, clamps)``, z in the target
+      space, and ``loss_grad(plan, theta, X, Xs, y, inv_var, wells) ->
+      (sse, grad, clamps)``.  The loss alone is the squared error of
+      ``predict`` unless the kind has a ``loss`` kernel (LR, whose column
+      form sums like its gradient kernel, not like its predict).
+      ``clamps`` counts rows whose radicand was clamped (0 for kinds
+      without the choke equation).  The kernels are looked up in
+      :mod:`vfmlab.kernels` at call time, so a wrapper installed there
+      later (the benchmark's tracer) sees every call.
     """
 
-    predict: Callable
-    loss_grad: Callable
-    loss: Callable
+    params: Callable
+    n_fixed: int = 0
+    network: bool = False
+    multitask: bool = False
+    choke: bool = False
+    standardized: bool = False
+    scaled_correction: bool = False
+    predict: Callable | None = None
+    loss_grad: Callable | None = None
+    loss: Callable | None = None
+
+    def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
+        return (self.n_fixed + (shape.n_params() if self.network else 0)
+                + (mtl.n_params() if self.multitask else 0))
 
 
 # ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only).
-KIND_KERNELS: dict[ModelKind, KindKernels] = {
-    ModelKind.LR: KindKernels(
-        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.lr_predict(th, Xs), 0),
-        lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
-        lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0)),
-    ModelKind.NN: KindKernels(
-        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.nn_predict(th, 0, p.widths, Xs), 0),
-        lambda p, th, X, Xs, y, iv, w: (*kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
-        lambda p, th, X, Xs, y, iv, w: (kernels.nn_loss(th, 0, p.widths, Xs, y, iv), 0)),
-    ModelKind.MTL: KindKernels(
-        lambda p, th, X, Xs, w: (p.y_loc + p.y_scale * kernels.mtl_predict(th, p.dims, Xs, w), 0),
-        lambda p, th, X, Xs, y, iv, w: (*kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
-        lambda p, th, X, Xs, y, iv, w: (kernels.mtl_loss(th, p.dims, Xs, w, y, iv), 0)),
-    ModelKind.MM: KindKernels(
-        lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
-        lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv),
-        lambda p, th, X, Xs, y, iv, w: kernels.mm_loss(th, X, p.geom, y, iv)),
-    ModelKind.HEM: KindKernels(
-        lambda p, th, X, Xs, w: kernels.hem_predict(th, p.widths, X, Xs, p.geom, p.nn_scale),
-        lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(th, p.widths, X, Xs, p.geom,
-                                                             y, iv, p.nn_scale),
-        lambda p, th, X, Xs, y, iv, w: kernels.hem_loss(th, p.widths, X, Xs, p.geom,
-                                                        y, iv, p.nn_scale)),
-    ModelKind.HAM: KindKernels(
-        lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
-        lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(th, p.widths, X, Xs, p.geom, y, iv),
-        lambda p, th, X, Xs, y, iv, w: kernels.ham_loss(th, p.widths, X, Xs, p.geom, y, iv)),
+KIND_TABLE: dict[ModelKind, KindEntry] = {
+    ModelKind.BENCHMARK: KindEntry(lambda rng, pri, shape, mtl: ParameterSet.empty()),
+    ModelKind.LR: KindEntry(
+        lambda rng, pri, shape, mtl: _lr_params(), n_fixed=D_INPUT + 1, standardized=True,
+        predict=lambda p, th, X, Xs, w: (kernels.lr_predict(th, Xs), 0),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
+        loss=lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0)),
+    ModelKind.NN: KindEntry(
+        lambda rng, pri, shape, mtl: _mlp_params(rng, shape.widths()),
+        network=True, standardized=True,
+        predict=lambda p, th, X, Xs, w: (kernels.nn_predict(th, 0, p.widths, Xs), 0),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: (
+            *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0)),
+    ModelKind.MTL: KindEntry(
+        lambda rng, pri, shape, mtl: _mtl_params(rng, mtl), multitask=True, standardized=True,
+        predict=lambda p, th, X, Xs, w: (kernels.mtl_predict(th, p.dims, Xs, w), 0),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: (
+            *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0)),
+    ModelKind.MM: KindEntry(
+        lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
+        predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv)),
+    ModelKind.HEM: KindEntry(
+        lambda rng, pri, shape, mtl: ParameterSet.concat(
+            _mm_params(pri), _mlp_params(rng, shape.widths(), prefix="nn.")),
+        n_fixed=6, network=True, choke=True, scaled_correction=True,
+        predict=lambda p, th, X, Xs, w: kernels.hem_predict(th, p.widths, X, Xs, p.geom,
+                                                            p.nn_scale),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(
+            th, p.widths, X, Xs, p.geom, y, iv, p.nn_scale)),
+    # the output bias stands in for C_D: softplus(bias) starts at the C_D prior mean
+    ModelKind.HAM: KindEntry(
+        lambda rng, pri, shape, mtl: ParameterSet.concat(
+            _mm_params(pri, include_cd=False),
+            _mlp_params(rng, shape.widths(), prefix="nn.",
+                        out_bias=softplus_inverse(pri["C_D"][0]))),
+        n_fixed=5, network=True, choke=True,
+        predict=lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(
+            th, p.widths, X, Xs, p.geom, y, iv)),
 }
+
+TRAINABLE_KINDS = tuple(k for k in ModelKind if KIND_TABLE[k].predict is not None)
 
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Structural arrays extracted once per ModelSpec for hot loops.
-
-    Purely data-driven kinds regress in standardized target space: the
-    network output z maps to engineering units as y_loc + y_scale*z, and
-    their loss kernels take targets (y - y_loc)/y_scale with inv_var scaled
-    by y_scale^2, which leaves the raw-unit MAP data term and its gradient
-    (see :class:`vfmlab.optim.TrainingStep`).  The additive hybrid keeps
-    raw-unit outputs but sizes its network correction by the target scale
-    (nn_scale) so its parameters stay O(1) as well.  Physical-output kinds
-    carry the identity transform.
-    """
+    """Structural arrays extracted once per ModelSpec for hot loops, with the
+    target transform of the kind's target space (see :class:`KindEntry`);
+    the loss kernels take targets (y - y_loc)/y_scale with inv_var scaled by
+    y_scale^2, which leaves the raw-unit MAP data term and its gradient (see
+    :class:`vfmlab.optim.TrainingStep`)."""
 
     kind: ModelKind
     widths: np.ndarray | None
@@ -568,22 +539,20 @@ class KernelPlan:
     y_loc: float = 0.0
     y_scale: float = 1.0
     nn_scale: float = 1.0
-    kernels: KindKernels | None = None
+    entry: KindEntry = KIND_TABLE[ModelKind.BENCHMARK]
 
 
 def build_plan(m: ModelSpec) -> KernelPlan:
+    entry = KIND_TABLE[m.kind]
     widths = m.shape.widths() if m.shape is not None else None
     dims = m.mtl.dims() if m.mtl is not None else None
     geom = m.geometry.as_array() if m.geometry is not None else None
     y_loc, y_scale, nn_scale = 0.0, 1.0, 1.0
-    if m.scaler is not None:
-        if m.kind in (ModelKind.LR, ModelKind.NN, ModelKind.MTL):
-            y_loc = m.scaler.target_mean
-            y_scale = m.scaler.target_scale
-        elif m.kind is ModelKind.HEM:
-            nn_scale = m.scaler.target_scale
-    return KernelPlan(m.kind, widths, dims, geom, m.scaler, y_loc, y_scale, nn_scale,
-                      KIND_KERNELS.get(m.kind))
+    if m.scaler is not None and entry.standardized:
+        y_loc, y_scale = m.scaler.target_mean, m.scaler.target_scale
+    if m.scaler is not None and entry.scaled_correction:
+        nn_scale = m.scaler.target_scale
+    return KernelPlan(m.kind, widths, dims, geom, m.scaler, y_loc, y_scale, nn_scale, entry)
 
 
 def scale_inputs(plan: KernelPlan, X: np.ndarray) -> np.ndarray:
@@ -597,17 +566,18 @@ def scale_inputs(plan: KernelPlan, X: np.ndarray) -> np.ndarray:
 _NO_WELLS = np.zeros(0, dtype=np.int64)
 
 
-def _kernels_of(plan: KernelPlan) -> KindKernels:
-    if plan.kernels is None:
+def _entry_of(plan: KernelPlan) -> KindEntry:
+    if plan.entry.predict is None:
         raise ConfigError(f"{plan.kind.value} has no parametric kernels")
-    return plan.kernels
+    return plan.entry
 
 
 def plan_predict(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
                  Xs: np.ndarray, wells: np.ndarray | None = None) -> np.ndarray:
-    yhat, clamps = _kernels_of(plan).predict(plan, theta, X, Xs, wells)
+    entry = _entry_of(plan)
+    z, clamps = entry.predict(plan, theta, X, Xs, wells)
     MM_DIAGNOSTICS.count += clamps
-    return yhat
+    return plan.y_loc + plan.y_scale * z if entry.standardized else z
 
 
 def plan_loss_grad(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
@@ -615,7 +585,7 @@ def plan_loss_grad(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
                    wells: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """(sse, gradient) of the data term, for y and inv_var in the plan's
     target space (see :class:`KernelPlan`)."""
-    sse, grad, clamps = _kernels_of(plan).loss_grad(plan, theta, X, Xs, y, inv_var, wells)
+    sse, grad, clamps = _entry_of(plan).loss_grad(plan, theta, X, Xs, y, inv_var, wells)
     MM_DIAGNOSTICS.count += clamps
     return sse, grad
 
@@ -624,7 +594,12 @@ def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
               Xs: np.ndarray, y: np.ndarray, inv_var: float,
               wells: np.ndarray | None = None) -> float:
     """The sse of :func:`plan_loss_grad`, bit for bit, without the gradient."""
-    sse, clamps = _kernels_of(plan).loss(plan, theta, X, Xs, y, inv_var, wells)
+    entry = _entry_of(plan)
+    if entry.loss is not None:
+        sse, clamps = entry.loss(plan, theta, X, Xs, y, inv_var, wells)
+    else:
+        z, clamps = entry.predict(plan, theta, X, Xs, wells)
+        sse = kernels._sse(y, z, inv_var)
     MM_DIAGNOSTICS.count += clamps
     return sse
 

@@ -18,7 +18,7 @@ gamma_k = gamma0 / k^a (power decay) or constant; the step index k restarts at
 built once per fit or online-learning unit.  It takes the kernel plan, the
 prior arrays, the target transform and the bounds once; per optimizer step
 it runs the kind's gradient kernel and adds the prior gradient in place, and
-per validation pass it runs the kind's loss-only kernel.
+per validation pass it takes the loss alone (``models.plan_loss``).
 :func:`optimizer_step` applies each step, after its finiteness check.
 """
 
@@ -94,7 +94,6 @@ class OptimizerConfig:
     gamma0: float = 1e-3
     schedule: str = "constant"       # "constant" | "power"
     power_a: float = 1.0
-    steps: int = 10                  # E: per-observation step count in OL
     batch_size: int | None = 32      # None = full batch
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -104,8 +103,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.gamma0 > 0:
             raise ConfigError("gamma0 must be positive")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
         if self.schedule not in ("constant", "power"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -334,23 +331,22 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
 
 _GRID_KEYS = ("gamma0", "steps", "method", "schedule", "batch_size")
 
-DEFAULT_INIT_OCFG = OptimizerConfig(method=Method.ADAM, gamma0=1e-3, steps=1,
-                                    batch_size=32)
 
-
-def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
-                *, loss_rel: float = 0.05,
+def grid_search(kind: ModelKind | str, grids: dict, train, protocol, *,
+                init_ocfg: OptimizerConfig,
+                loss_rel: float = 0.05,
                 escfg: EarlyStoppingConfig | None = None,
-                init_ocfg: OptimizerConfig | None = None,
                 shape=None, mtl=None, geometry=None, priors=None,
-                seed: int = 0, val_fraction: float = 0.2,
-                results_sink: list | None = None) -> OptimizerConfig:
-    """Exhaustive search over optimizer hyperparameters.
+                seed: int = 0, val_fraction: float = 0.2):
+    """Exhaustive search over a schedule's hyperparameters.
 
-    Each combination runs the given learning protocol (a ScheduleConfig,
-    PBL or OL) prequentially over the chronological tail of the training
-    data; the score is the cross-well mean MAPE.  Ties break toward smaller
-    gamma0, then smaller E.  `train` is one WellDataset or a list of them.
+    Each combination replaces the given learning protocol's (a
+    ScheduleConfig, PBL or OL) ``steps`` and optimizer settings and runs it
+    prequentially over the chronological tail of the training data; the
+    score is the cross-well mean MAPE.  The initial fit before that run uses
+    the combination's optimizer under PBL and ``init_ocfg`` under OL.  Ties
+    break toward smaller gamma0, then fewer steps.  `train` is one
+    WellDataset or a list of them.  Returns (best ScheduleConfig, its score).
     """
     # imported here: learning and metrics build on optim, so the top level
     # must not cycle
@@ -396,7 +392,10 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
         override = dict(zip(keys, combo))
         if "method" in override and isinstance(override["method"], str):
             override["method"] = Method.from_str(override["method"])
-        ocfg = replace(protocol.ocfg, **override)
+        opt = dict(override)   # the step count is the schedule's, the rest the optimizer's
+        steps = opt.pop("steps", protocol.steps)
+        sched = replace(protocol, ocfg=replace(protocol.ocfg, **opt), steps=steps)
+        fit_cfg = sched.ocfg if sched.mode == "pbl" else init_ocfg
         mapes = []
         failed = False
         for sp in splits:
@@ -404,11 +403,9 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
             m0 = init_model(kind, shape=shape, mtl=mtl, seed=seed,
                             priors=priors, geometry=geometry, scaler=scaler)
             ls = LossSpec.from_data(sp.train, rel=loss_rel)
-            cfg = replace(protocol, ocfg=ocfg, loss=ls)
-            fit_cfg = ocfg if cfg.mode == "pbl" else (init_ocfg or DEFAULT_INIT_OCFG)
             try:
                 m_fit = fit_map(m0, sp.train, ls, fit_cfg, escfg)
-                log = (learning.run_pbl if cfg.mode == "pbl" else learning.run_ol)(m_fit, sp, cfg)
+                log = learning.run_schedule(m_fit, sp, replace(sched, loss=ls))
             except (NumericError, FloatingPointError):
                 failed = True
                 break
@@ -420,14 +417,12 @@ def grid_search(kind: ModelKind | str, grids: dict, train, protocol,
         score = math.inf if (failed or not mapes or not np.all(np.isfinite(mapes))) \
             else float(np.mean(mapes))
         diagnostics.append((override, score))
-        if results_sink is not None:
-            results_sink.append((dict(override), score))
         better = score < best_score
         if not better and best is not None and score == best_score and math.isfinite(score):
-            better = (ocfg.gamma0, ocfg.steps) < (best.gamma0, best.steps)
+            better = (sched.ocfg.gamma0, sched.steps or 0) < (best.ocfg.gamma0, best.steps or 0)
         if better or best is None:
-            best, best_score = ocfg, score
+            best, best_score = sched, score
 
     if not math.isfinite(best_score):
         raise NumericError(f"all grid combinations diverged: {diagnostics}")
-    return best
+    return best, best_score

@@ -187,7 +187,7 @@ def run_ol(m0, split, cfg):
     values = params.values
     version = m0.version
     plan = build_plan(m0)
-    steps = cfg.steps_per_obs()
+    steps = cfg.steps
     inv_var = 1.0 / (cfg.loss.noise_std * cfg.loss.noise_std)
     y_pred, versions, skipped = [], [], []
     n_updates = 0

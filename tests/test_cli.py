@@ -259,3 +259,41 @@ def test_study_reruns_and_reports_with_identical_bytes(tmp_path):
     header, *lines = summary.read_text().splitlines()
     cells = dict(ln.split(",", 1) for ln in lines)["PBL-1w"].split(",")
     assert float(cells[header.split(",").index("mm") - 1]) == pytest.approx(hand, rel=1e-5)
+
+
+def _tune_study(tmp_path, **kw) -> str:
+    raw = json.loads(_small_study(tmp_path).read_text())
+    raw.update({"kinds": ["lr"], "grids": {"ol": {"gamma0": [1e-3], "steps": [1, 2]},
+                                           "pbl": {"gamma0": [1e-3]}}}, **kw)
+    path = tmp_path / "tune.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_tune_writes_only_the_fields_a_schedule_uses(tmp_path, capsys):
+    """OL rows leave batch_size empty and PBL rows leave steps empty, in the
+    CSV and on stdout; the kind stays in column 2 and the score last."""
+    assert cli.main(["tune", "--config", _tune_study(tmp_path)]) == 0
+    header, ol, pbl = (tmp_path / "out" / "tuned_all.csv").read_text().splitlines()
+    assert header == "schedule,kind,method,gamma0,lr_schedule,power_a,steps,batch_size,score"
+    ol, pbl = ol.split(","), pbl.split(",")
+    assert ol[:2] == ["OL", "lr"] and ol[6] in ("1", "2") and ol[7] == ""
+    assert pbl[:2] == ["PBL-1w", "lr"] and pbl[6] == "" and pbl[7] == "64"
+    assert float(ol[-1]) > 0 and float(pbl[-1]) > 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"OL/lr: gamma0=0.001 steps={ol[6]} " in out[0] and "batch_size" not in out[0]
+    assert "PBL-1w/lr: gamma0=0.001 batch_size=64 " in out[1] and "steps" not in out[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tune_where_every_combination_diverges_exits_3(tmp_path, capsys):
+    """A numeric failure is exit code 3 with one line on stderr: an SGD rate
+    of 1e300 overflows every PBL fit of the grid."""
+    config = _tune_study(tmp_path, grids={"pbl": {"gamma0": [1e300]}})
+    raw = json.loads(Path(config).read_text())
+    raw["schedules"][1]["optimizer"]["method"] = "SGD"
+    Path(config).write_text(json.dumps(raw))
+    assert cli.main(["tune", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numeric failure: ")
+    assert "Traceback" not in err

@@ -59,7 +59,7 @@ def pbl_cfg(period, **kw):
 def ol_cfg(steps, gamma=1e-3, **kw):
     base = dict(mode="ol", ocfg=OptimizerConfig(gamma0=gamma, seed=1),
                 loss=LossSpec(noise_std=0.1, prior_mode=PriorMode.NONE),
-                ol_steps=steps)
+                steps=steps)
     base.update(kw)
     return ScheduleConfig(**base)
 
@@ -311,6 +311,16 @@ def test_run_schedule_routes_by_mode():
         run_pbl(m0, sp, ol_cfg(0))
     with pytest.raises(ConfigError):
         run_ol(m0, sp, pbl_cfg(10.0))
+
+
+def test_the_step_count_is_an_ol_setting():
+    # one source for the OL step count: the schedule's, required there and
+    # refused on a PBL schedule, which would ignore it
+    for bad in (None, -1):
+        with pytest.raises(ConfigError):
+            ol_cfg(bad)
+    with pytest.raises(ConfigError):
+        pbl_cfg(10.0, steps=3)
 
 
 def test_log_round_trip_preserves_metadata(tmp_path):

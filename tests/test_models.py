@@ -4,6 +4,7 @@ The choke-equation checks compare against a second, independently written
 transcription of the flow formula kept inside this file.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from vfmlab import (
     predict,
     run_ol,
 )
-from vfmlab.models import expected_param_count, softplus_inverse, task_matrix
+from vfmlab.models import KIND_TABLE, softplus_inverse, task_matrix
 
 from conftest import make_dataset, make_x
 
@@ -135,10 +136,45 @@ def test_parameter_count_bookkeeping():
     assert n_mm == 6
     assert n_hem == n_mm + n_nn
     assert n_ham == n_mm - 1 + n_nn
-    for kind, m in [("nn", init_model("nn", shape=shape)),
-                    ("mtl", init_model("mtl", mtl=mtl))]:
-        assert len(m.params) == expected_param_count(
-            ModelKind.from_str(kind), shape, mtl)
+    for kind in ModelKind:
+        m = init_model(kind, shape=shape, mtl=mtl)
+        assert len(m.params) == KIND_TABLE[kind].n_params(shape, mtl)
+
+
+# Digests of init_model's parameter sets, recorded before the per-kind
+# initializers were folded into one kind table: every field, bit for bit.
+INIT_DIGESTS = {
+    ("Benchmark", 0): "f4f0d323408ead41",
+    ("Benchmark", 1): "f4f0d323408ead41",
+    ("LR", 0): "e56aaf2ccff3cdd3",
+    ("LR", 1): "e56aaf2ccff3cdd3",
+    ("NN", 0): "28bcffe9f59b8479",
+    ("NN", 1): "248dcfef24b76678",
+    ("MTL", 0): "d07935e56bad91ad",
+    ("MTL", 1): "08935214b2f0acc5",
+    ("MM", 0): "43b7b5b47f05cd1f",
+    ("MM", 1): "43b7b5b47f05cd1f",
+    ("HEM", 0): "90752c9f3dec2e09",
+    ("HEM", 1): "3db08e37d3cdf0a2",
+    ("HAM", 0): "b394422fe6c3d4c3",
+    ("HAM", 1): "d16c54c489ff4d08",
+}
+
+
+def params_digest(params):
+    h = hashlib.sha256()
+    for name in ("values", "prior_mean", "prior_std", "is_physical", "lower", "upper"):
+        a = getattr(params, name)
+        h.update(f"{name}:{a.dtype.str}:{a.shape}:".encode())
+        h.update(a.tobytes())
+    h.update("\n".join(params.names).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(INIT_DIGESTS), ids=str)
+def test_init_model_is_pinned(kind, seed):
+    m = init_model(kind, mtl=MtlParams(well_ids=(1, 2, 3)), seed=seed)
+    assert params_digest(m.params) == INIT_DIGESTS[(kind, seed)]
 
 
 def test_ham_output_bias_prior_matches_discharge_coefficient():
@@ -159,7 +195,7 @@ def test_benchmark_repeats_previous_value():
                      np.ones(4, np.int64))
     log = run_ol(init_model("benchmark"), chronological_split(ds, 1.5),
                  ScheduleConfig(mode="ol", ocfg=OptimizerConfig(),
-                                loss=LossSpec(noise_std=1.0)))
+                                loss=LossSpec(noise_std=1.0), steps=10))
     assert log.y_pred[0] == 100.0
     assert log.y_pred[1] == 0.0
 

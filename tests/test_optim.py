@@ -273,46 +273,65 @@ def test_tiny_exact_gradient_step_does_not_increase_loss():
 
 
 def ol_protocol(**kw):
-    base = dict(mode="ol", ocfg=OptimizerConfig(gamma0=1e-3, steps=5),
-                loss=LossSpec(noise_std=1.0), ol_steps=5)
+    base = dict(mode="ol", ocfg=OptimizerConfig(gamma0=1e-3),
+                loss=LossSpec(noise_std=1.0), steps=5)
     base.update(kw)
     return ScheduleConfig(**base)
 
 
+# the initial fit before an OL protocol's run
+INIT_OCFG = OptimizerConfig(gamma0=1e-3, batch_size=32)
+
+
 def test_grid_search_single_combination_is_returned_as_is():
     ds = make_dataset(60, seed=4)
-    got = grid_search("lr", {"gamma0": [2e-3]}, ds, ol_protocol(), seed=1)
-    assert got.gamma0 == 2e-3
+    got, score = grid_search("lr", {"gamma0": [2e-3]}, ds, ol_protocol(),
+                             init_ocfg=INIT_OCFG, seed=1)
+    assert got == ol_protocol(ocfg=OptimizerConfig(gamma0=2e-3))
+    assert math.isfinite(score)
 
 
 def test_grid_search_prefers_the_converging_rate():
     ds = make_dataset(80, seed=6)
-    sink = []
-    got = grid_search("lr", {"gamma0": [1e-3, 1e6]}, ds, ol_protocol(),
-                      seed=1, results_sink=sink)
-    assert got.gamma0 == 1e-3
-    scores = dict((c["gamma0"], s) for c, s in sink)
-    assert scores[1e-3] < scores[1e6] or not math.isfinite(scores[1e6])
+    got, score = grid_search("lr", {"gamma0": [1e-3, 1e6]}, ds, ol_protocol(),
+                             init_ocfg=INIT_OCFG, seed=1)
+    assert got.ocfg.gamma0 == 1e-3
+    try:
+        _, wild = grid_search("lr", {"gamma0": [1e6]}, ds, ol_protocol(),
+                              init_ocfg=INIT_OCFG, seed=1)
+    except NumericError:
+        wild = math.inf
+    assert score < wild
+
+
+def test_grid_search_varies_the_ol_step_count():
+    # the step count belongs to the OL schedule: one step and ten steps per
+    # observation learn differently, so they must score differently
+    ds = make_dataset(80, seed=6)
+    proto = ol_protocol(ocfg=OptimizerConfig(gamma0=1e-2))
+    scores = [grid_search("lr", {"steps": [k]}, ds, proto, init_ocfg=INIT_OCFG, seed=1)[1]
+              for k in (1, 10)]
+    assert scores[0] != scores[1]
+    got, score = grid_search("lr", {"steps": [1, 10]}, ds, proto, init_ocfg=INIT_OCFG, seed=1)
+    assert score == min(scores)
+    assert got.steps == (1, 10)[scores.index(score)]
 
 
 def test_grid_search_tie_breaks_toward_smaller_gamma_then_fewer_steps():
     ds = make_dataset(60, seed=8)
     # updates of size ~1e-30 are absorbed by float64 addition, so every combo
     # produces identical predictions and the tie-break ordering decides
-    got = grid_search("lr", {"gamma0": [2e-30, 1e-30], "steps": [10, 1, 5]},
-                      ds, ol_protocol(), seed=2)
-    assert got.gamma0 == 1e-30
+    got, _ = grid_search("lr", {"gamma0": [2e-30, 1e-30], "steps": [10, 1, 5]},
+                         ds, ol_protocol(), init_ocfg=INIT_OCFG, seed=2)
+    assert got.ocfg.gamma0 == 1e-30
     assert got.steps == 1
 
 
 def test_grid_search_validates_its_grids():
     ds = make_dataset(40)
-    with pytest.raises(ConfigError):
-        grid_search("lr", {}, ds, ol_protocol())
-    with pytest.raises(ConfigError):
-        grid_search("lr", {"gamma0": []}, ds, ol_protocol())
-    with pytest.raises(ConfigError):
-        grid_search("lr", {"momentum": [0.9]}, ds, ol_protocol())
+    for grids in ({}, {"gamma0": []}, {"momentum": [0.9]}):
+        with pytest.raises(ConfigError):
+            grid_search("lr", grids, ds, ol_protocol(), init_ocfg=INIT_OCFG)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -321,10 +340,9 @@ def test_grid_search_raises_when_everything_diverges():
     # rate overflows the parameters and every combination fails
     ds = make_dataset(60, seed=9)
     pbl = ScheduleConfig(mode="pbl",
-                         ocfg=OptimizerConfig(method=Method.SGD, gamma0=1e-3,
-                                              steps=5),
+                         ocfg=OptimizerConfig(method=Method.SGD, gamma0=1e-3),
                          loss=LossSpec(noise_std=1.0),
                          period_s=7 * 86400.0)
     with pytest.raises(NumericError):
-        grid_search("lr", {"gamma0": [1e300, 1e305]}, ds, pbl, seed=3)
+        grid_search("lr", {"gamma0": [1e300, 1e305]}, ds, pbl, init_ocfg=INIT_OCFG, seed=3)
 

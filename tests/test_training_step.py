@@ -1,9 +1,9 @@
-"""The training step: loss-only kernels, and fit_map, run_ol and run_pbl
+"""The training step: the loss alone, and fit_map, run_ol and run_pbl
 against the frozen training loops of ``loop_drivers``.
 
 The training step (``optim.TrainingStep``) takes the prior arrays and the
 target transform once per fit or online-learning unit, validates with the
-loss-only kernels and runs the network forward once per gradient.  None of
+loss alone (``models.plan_loss``) and runs the network forward once per gradient.  None of
 that may change a single rounding: fitted values, learning curves and
 online-learning logs must equal the frozen loops bit for bit, for every
 trainable kind, every prior mode and both optimizers.
@@ -48,7 +48,7 @@ def _ocfg(method):
     gamma = 1e-3 if method is Method.SGD else 0.01
     # mini-batches of 6 rows and a remainder: both sides of kernels.COLUMN_ROWS
     return OptimizerConfig(method=method, gamma0=gamma, schedule="power", power_a=0.5,
-                           steps=3, batch_size=6, seed=7)
+                           batch_size=6, seed=7)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 64])
@@ -111,7 +111,8 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
     m0 = _model(kind, split.train)
     loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=mode)
     m0 = fit_map(m0, split.train, loss, _ocfg(method), ESCFG)
-    cfg = ScheduleConfig(mode="ol", ocfg=_ocfg(method), loss=loss, update_sources=sources)
+    cfg = ScheduleConfig(mode="ol", ocfg=_ocfg(method), loss=loss, steps=3,
+                         update_sources=sources)
     log = run_ol(m0, split, cfg)
     y_pred, versions, _, n_updates, skipped = loop.run_ol(m0, split, cfg)
     assert np.array_equal(log.y_pred, y_pred)

@@ -8,6 +8,23 @@ call of each form.  The crossover is where ``array_us`` drops below
 ``loop_us``; ``ADAM_LOOP_PARAMS`` in ``src/vfmlab/kernels.py`` sits there.
 
     PYTHONPATH=src python3 tools/adam_crossover.py
+
+Measured so far on a 2-core VM (numpy 2.4), min over 31 to 41 batches with
+the two forms interleaved (the runs are in ``BENCH_10.json``, key
+``crossover``): the array form makes 16 numpy calls and costs 8 to 16 us
+whatever the length, as the host's phase moves it; the loop costs about
+2 us plus 0.5 us per parameter.  They cross between 12 and 18 parameters,
+hence ``ADAM_LOOP_PARAMS = 16``; at 6 and 7 parameters the loop takes 5 to
+8 us a step against 8 to 15 us for the array form.
+
+The kernels' loop/column split was measured the same way (min of 21, loop
+and column runs interleaved): a column form costs a fixed number of numpy
+calls of about 1 us each, a loop a few us per row.  The column form
+overtakes the loop at about 16 to 20 rows for ``lr_loss_grad`` and HEM, 20
+to 24 for ``mm_loss_grad`` and ``ham_loss_grad``, 24 to 32 for
+``mm_predict`` and 32 to 48 for ``ham_predict``; at one row the loops are 3
+to 12 times faster.  ``COLUMN_ROWS = 8`` predates the Python-float loops
+and stays until a behaviour gate states the tolerance its move needs.
 """
 
 from __future__ import annotations
