@@ -12,8 +12,11 @@ error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +27,10 @@ from .core import (DataSplit, EmptySplitWarning, Source, WellDataset,
 from .drift import estimate_update_frequency, write_shift_csv
 from .errors import ConfigError, DataError, NumericError, VfmlabError
 from .learning import PredictionLog, run_schedule, write_log, read_log
-from .metrics import (SummaryTable, summarize, save_plot, write_excluded_csv,
+from .metrics import (SummaryTable, mape_details, summarize, save_plot, write_excluded_csv,
                       write_rolling_csv, write_summary_csv)
 from .models import ModelKind, init_model
-from .optim import LossSpec, fit_map, grid_search
+from .optim import LossSpec, OptimizerConfig, fit_map, grid_search
 from .synth import generate_stream
 
 _CASE_FLAGS = ("all", "welltest")
@@ -102,29 +105,39 @@ def _split_all(cfg: StudyConfig, datasets: dict[int, WellDataset], t_split: floa
     return splits, merged
 
 
-def _initial_units(cfg: StudyConfig, kind: str, splits: dict,
-                   merged: DataSplit) -> list:
-    """(well_or_None, fitted m0, split, loss) per driver instance; the initial
-    fit is shared by every schedule."""
+def _holdout(train: WellDataset, name: str) -> DataSplit:
+    """``train`` split before its last fifth of rows: the data on which tune
+    fits its candidates (the train side) and scores them (the test side)."""
+    cut = train.t[int(0.8 * len(train))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=EmptySplitWarning)
+        sp = chronological_split(train, cut)
+    if len(sp.train) < 2 or len(sp.test) == 0:
+        raise DataError(f"{name}: the tune holdout of the last 20% of its training rows "
+                        f"leaves {len(sp.train)} train / {len(sp.test)} test rows")
+    return sp
+
+
+def _initial_units(cfg: StudyConfig, kind: str, splits: dict, merged: DataSplit,
+                   ocfg: OptimizerConfig) -> list:
+    """(well_or_None, m0 fitted with ocfg, split, loss) per unit of kind: one
+    per well of ``splits``, or for MTL one on ``merged``, whose tasks are
+    every well of ``splits``."""
     kindk = ModelKind.from_str(kind)
     escfg = cfg.escfg()
     if kindk is ModelKind.MTL:
-        train = merged.train
-        loss = LossSpec.from_data(train, rel=cfg.noise_rel, prior_mode=cfg.prior())
-        m0 = init_model(kindk, shape=cfg.network_shape(),
-                        mtl=cfg.mtl_params(train.well_ids), seed=cfg.seed,
-                        scaler=fit_scaler(train))
-        m0 = fit_map(m0, train, loss, cfg.init_ocfg_for(kind), escfg)
-        return [(None, m0, merged, loss)]
+        parts, mtl = [(None, merged)], cfg.mtl_params(sorted(splits))
+    else:
+        parts, mtl = list(splits.items()), None
     units = []
-    for w, sp in splits.items():
+    for w, sp in parts:
         loss = LossSpec.from_data(sp.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
         if kindk is ModelKind.BENCHMARK:
             m0 = init_model(kindk, seed=cfg.seed)
         else:
-            m0 = init_model(kindk, shape=cfg.network_shape(), seed=cfg.seed,
+            m0 = init_model(kindk, shape=cfg.network_shape(), mtl=mtl, seed=cfg.seed,
                             scaler=fit_scaler(sp.train))
-            m0 = fit_map(m0, sp.train, loss, cfg.init_ocfg_for(kind), escfg)
+            m0 = fit_map(m0, sp.train, loss, ocfg, escfg)
         units.append((w, m0, sp, loss))
     return units
 
@@ -161,9 +174,28 @@ def cmd_simulate(cfg: StudyConfig) -> int:
 
 
 def cmd_tune(cfg: StudyConfig) -> int:
-    datasets, t_split = _case_datasets(cfg)
-    splits, merged = _split_all(cfg, datasets, t_split)
-    trains = [sp.train for sp in splits.values()]
+    """Per schedule and trainable kind, the grid combination with the lowest
+    cross-well mean MAPE on the holdouts of the training period."""
+    splits, merged = _split_all(cfg, *_case_datasets(cfg))
+    holdouts = {w: _holdout(sp.train, f"well {w}") for w, sp in splits.items()}
+    merged_holdout = _holdout(merged.train, "the merged wells")
+    escfg = cfg.escfg()
+    fits: dict = {}   # (kind, OptimizerConfig) -> holdout units, for every schedule
+
+    def score(kind: str, sched) -> float:
+        # PBL's initial fit takes the candidate optimizer, OL's the study's
+        ocfg = sched.ocfg if sched.mode == "pbl" else cfg.init_ocfg_for(kind)
+        if (kind, ocfg) not in fits:
+            fits[kind, ocfg] = _initial_units(cfg, kind, holdouts, merged_holdout, ocfg)
+        mapes = []
+        for _, m0, sp, loss in fits[kind, ocfg]:
+            log = run_schedule(m0, sp, replace(sched, loss=loss))
+            try:
+                mapes.extend(mape_details(log, w)[0] for w in log.well_ids())
+            except DataError:   # a well with nothing scoreable
+                return math.inf
+        return float(np.mean(mapes))
+
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["schedule,kind,method,gamma0,lr_schedule,power_a,steps,batch_size,score"]
@@ -172,15 +204,10 @@ def cmd_tune(cfg: StudyConfig) -> int:
         if not grids:
             continue
         for kind in cfg.kinds:
-            kindk = ModelKind.from_str(kind)
-            if kindk is ModelKind.BENCHMARK:
+            if ModelKind.from_str(kind) is ModelKind.BENCHMARK:
                 continue
-            protocol = spec.to_schedule(kind, LossSpec(noise_std=1.0), cfg.escfg())
-            best, score = grid_search(
-                kindk, grids, trains, protocol, init_ocfg=cfg.init_ocfg_for(kind),
-                loss_rel=cfg.noise_rel, escfg=cfg.escfg(), shape=cfg.network_shape(),
-                mtl=cfg.mtl_params(sorted(datasets)) if kindk is ModelKind.MTL else None,
-                seed=cfg.seed)
+            protocol = spec.to_schedule(kind, LossSpec(noise_std=1.0), escfg)
+            best, best_score = grid_search(grids, protocol, functools.partial(score, kind))
             o = best.ocfg
             # OL takes its steps per observation; only PBL's fits use a batch size
             if best.mode == "ol":
@@ -189,8 +216,8 @@ def cmd_tune(cfg: StudyConfig) -> int:
                 steps, bs = "", "" if o.batch_size is None else o.batch_size
                 knob = f"batch_size={o.batch_size}"
             lines.append(f"{spec.name},{kind},{o.method.value},{o.gamma0!r},"
-                         f"{o.schedule},{o.power_a!r},{steps},{bs},{score!r}")
-            print(f"{spec.name}/{kind}: gamma0={o.gamma0} {knob} score={score:.3f}")
+                         f"{o.schedule},{o.power_a!r},{steps},{bs},{best_score!r}")
+            print(f"{spec.name}/{kind}: gamma0={o.gamma0} {knob} score={best_score:.3f}")
     path = out / f"tuned_{cfg.case}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -205,7 +232,7 @@ def cmd_run(cfg: StudyConfig) -> int:
     log_dir.mkdir(parents=True, exist_ok=True)
     rep_dir.mkdir(parents=True, exist_ok=True)
 
-    units_by_kind = {kind: _initial_units(cfg, kind, splits, merged)
+    units_by_kind = {kind: _initial_units(cfg, kind, splits, merged, cfg.init_ocfg_for(kind))
                      for kind in cfg.kinds}
     escfg = cfg.escfg()
     logs: dict[tuple[str, str], PredictionLog] = {}

@@ -17,7 +17,8 @@ from .drift import DriftConfig
 from .errors import ConfigError
 from .learning import ScheduleConfig
 from .models import ChokeGeometry, MechanisticParams, ModelKind, MtlParams, NetworkShape
-from .optim import EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode
+from .optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode,
+                    check_grids)
 from .synth import WellScenario, generate_stream
 
 DEFAULT_KINDS = ("benchmark", "lr", "nn", "mtl", "mm", "hem", "ham")
@@ -125,6 +126,10 @@ def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> Optimizer
     return _build(OptimizerConfig, f"{section} for {kind}", kw)
 
 
+def _seconds(days: float | None) -> float | None:
+    return None if days is None else days * SECONDS_PER_DAY
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Config-level schedule: one learning method with per-kind optimizer tweaks."""
@@ -138,30 +143,22 @@ class ScheduleSpec:
     per_kind: dict = field(default_factory=dict)
     update_sources: tuple | None = None
 
-    def __post_init__(self):
-        if self.mode not in ("pbl", "ol"):
-            raise ConfigError(f"schedule {self.name!r}: unknown mode {self.mode!r}")
-        if self.mode == "pbl" and self.period_days is None:
-            raise ConfigError(f"schedule {self.name!r}: pbl needs period_days")
-        if self.mode == "ol" and self.steps is None:
-            raise ConfigError(f"schedule {self.name!r}: ol needs steps")
-
     def optimizer_for(self, kind: str) -> OptimizerConfig:
         return _ocfg_from(self.optimizer, self.per_kind, kind,
                           f"schedule {self.name!r} optimizer")
 
     def to_schedule(self, kind: str, loss: LossSpec,
                     escfg: EarlyStoppingConfig) -> ScheduleConfig:
-        if self.mode == "pbl":
+        """The schedule of kind; ScheduleConfig refuses a field that its mode
+        does not read."""
+        ocfg = self.optimizer_for(kind)
+        try:
             return ScheduleConfig(
-                mode="pbl", ocfg=self.optimizer_for(kind), loss=loss,
-                period_s=self.period_days * SECONDS_PER_DAY,
-                window_s=None if self.window_days is None
-                else self.window_days * SECONDS_PER_DAY,
-                escfg=escfg, update_sources=self.update_sources)
-        return ScheduleConfig(
-            mode="ol", ocfg=self.optimizer_for(kind), loss=loss,
-            steps=self.steps, escfg=escfg, update_sources=self.update_sources)
+                mode=self.mode, ocfg=ocfg, loss=loss, period_s=_seconds(self.period_days),
+                steps=self.steps, window_s=_seconds(self.window_days), escfg=escfg,
+                update_sources=self.update_sources)
+        except ConfigError as e:
+            raise ConfigError(f"schedule {self.name!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -222,6 +219,7 @@ class StudyConfig:
             cfg.init_ocfg_for(kind)
             for spec in specs:
                 spec.to_schedule(kind, LossSpec(noise_std=1.0), escfg)
+        check_grids(cfg.grids)
         cfg.drift_config()
         cfg.scenario_objects()
         return cfg

@@ -3,10 +3,11 @@
 Two schedules, each scored prequentially (every prediction is logged before
 its observation is consumed):
 
-* periodic batch learning: every period boundary after the split, refit from
-  prior initialization on all history observed so far (optionally a trailing
-  window), re-fitting the input scaler.  The model is frozen between
-  boundaries, so each period's rows are predicted in one call;
+* periodic batch learning: every period boundary after the split, refit on
+  all history observed so far (optionally a trailing window), starting each
+  refit from the initial fit's values and priors with the input scaler
+  refitted on that history.  The model is frozen between boundaries, so each
+  period's rows are predicted in one call;
 * online learning: after every prediction, take k warm-started optimizer
   steps on that single observation, with the physical parameters regularized
   toward their initial priors and the scaler frozen.
@@ -60,8 +61,11 @@ class ScheduleConfig:
                 raise ConfigError("pbl needs a positive period")
             if self.steps is not None:
                 raise ConfigError("steps applies to ol schedules only")
-        elif self.steps is None or self.steps < 0:
-            raise ConfigError("ol needs a step count >= 0")
+        else:
+            if self.steps is None or self.steps < 0:
+                raise ConfigError("ol needs a step count >= 0")
+            if self.period_s is not None or self.window_s is not None:
+                raise ConfigError("a period or window applies to pbl schedules only")
         if self.window_s is not None and not self.window_s > 0:
             raise ConfigError("window_s must be positive when set")
         if self.update_sources is not None:
@@ -220,7 +224,7 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
                 history = history.from_time(float(history.t[-1]) - cfg.window_s)
             try:
                 scaler = fit_scaler(history)
-                start = replace(m0, scaler=scaler)  # fresh from prior init
+                start = replace(m0, scaler=scaler)  # m0's values and priors, new scaler
                 fitted = fit_map(start, history, cfg.loss, cfg.ocfg, cfg.escfg)
                 current = replace(fitted, version=current.version + 1)
                 plan = build_plan(current)

@@ -329,99 +329,65 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
 # --------------------------------------------------------------- grid search
 
 
-_GRID_KEYS = ("gamma0", "steps", "method", "schedule", "batch_size")
+# the keys each mode's run reads, in search order: OL's initial fit takes the
+# study's initial optimizer and its updates one row each (no batch size), and
+# a PBL schedule has no step count
+_GRID_KEYS = {"ol": ("gamma0", "steps", "method", "schedule"),
+              "pbl": ("gamma0", "method", "schedule", "batch_size")}
 
 
-def grid_search(kind: ModelKind | str, grids: dict, train, protocol, *,
-                init_ocfg: OptimizerConfig,
-                loss_rel: float = 0.05,
-                escfg: EarlyStoppingConfig | None = None,
-                shape=None, mtl=None, geometry=None, priors=None,
-                seed: int = 0, val_fraction: float = 0.2):
+def check_grids(grids: dict) -> None:
+    """Refuse grids keyed by anything but a schedule mode ("ol", "pbl"), a
+    grid that is not a nonempty list, and a key that the mode never reads."""
+    if not isinstance(grids, dict):
+        raise ConfigError("grids must map schedule modes to their grids")
+    for mode, grid in grids.items():
+        if mode not in _GRID_KEYS:
+            raise ConfigError(f"grids: unknown schedule mode {mode!r}")
+        if not isinstance(grid, dict) or not grid or any(
+                not isinstance(v, (list, tuple)) or not v for v in grid.values()):
+            raise ConfigError(f"grids.{mode}: grids must be nonempty lists")
+        unknown = set(grid) - set(_GRID_KEYS[mode])
+        if unknown:
+            raise ConfigError(f"grids.{mode}: keys {sorted(unknown)} mean nothing under {mode}")
+
+
+def grid_search(grids: dict, protocol, score):
     """Exhaustive search over a schedule's hyperparameters.
 
-    Each combination replaces the given learning protocol's (a
-    ScheduleConfig, PBL or OL) ``steps`` and optimizer settings and runs it
-    prequentially over the chronological tail of the training data; the
-    score is the cross-well mean MAPE.  The initial fit before that run uses
-    the combination's optimizer under PBL and ``init_ocfg`` under OL.  Ties
-    break toward smaller gamma0, then fewer steps.  `train` is one
-    WellDataset or a list of them.  Returns (best ScheduleConfig, its score).
+    Each combination of `grids` replaces the given learning protocol's (a
+    ScheduleConfig, PBL or OL) ``steps`` and optimizer settings, and
+    ``score(schedule)`` rates the result, lower being better.  A combination
+    whose score raises NumericError or FloatingPointError, or is not finite,
+    scores inf.  Ties break toward smaller gamma0, then fewer steps.  Returns
+    (best ScheduleConfig, its score); NumericError when every combination
+    scores inf.
     """
-    # imported here: learning and metrics build on optim, so the top level
-    # must not cycle
-    from . import learning
-    from .metrics import mape_details
-    from .core import DataSplit, chronological_split, fit_scaler
-    from .models import init_model
-
-    kind = ModelKind.from_str(kind) if isinstance(kind, str) else kind
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ConfigError("grids must be nonempty")
-    unknown = set(grids) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown grid keys {sorted(unknown)}")
-    escfg = escfg or EarlyStoppingConfig()
-
-    datasets = [train] if isinstance(train, WellDataset) else list(train)
-    if kind is ModelKind.MTL:
-        if mtl is None:
-            all_ids = sorted({w for ds in datasets for w in ds.well_ids})
-            from .models import MtlParams
-            mtl = MtlParams(well_ids=tuple(all_ids))
-        datasets = [WellDataset.merge(datasets)]
-
-    # chronological holdout per dataset
-    splits: list[DataSplit] = []
-    for ds in datasets:
-        cut = ds.t[int(math.floor((1.0 - val_fraction) * len(ds)))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            splits.append(chronological_split(ds, cut))
-    for sp in splits:
-        if len(sp.train) < 2 or len(sp.test) == 0:
-            raise DataError("grid_search needs data on both sides of the holdout cut")
-
-    keys = [k for k in _GRID_KEYS if k in grids]
-    combos = list(itertools.product(*(grids[k] for k in keys)))
+    check_grids({protocol.mode: grids})
+    keys = [k for k in _GRID_KEYS[protocol.mode] if k in grids]
     diagnostics = []
     best = None
     best_score = math.inf
 
-    for combo in combos:
+    for combo in itertools.product(*(grids[k] for k in keys)):
         override = dict(zip(keys, combo))
         if "method" in override and isinstance(override["method"], str):
             override["method"] = Method.from_str(override["method"])
         opt = dict(override)   # the step count is the schedule's, the rest the optimizer's
         steps = opt.pop("steps", protocol.steps)
         sched = replace(protocol, ocfg=replace(protocol.ocfg, **opt), steps=steps)
-        fit_cfg = sched.ocfg if sched.mode == "pbl" else init_ocfg
-        mapes = []
-        failed = False
-        for sp in splits:
-            scaler = fit_scaler(sp.train)
-            m0 = init_model(kind, shape=shape, mtl=mtl, seed=seed,
-                            priors=priors, geometry=geometry, scaler=scaler)
-            ls = LossSpec.from_data(sp.train, rel=loss_rel)
-            try:
-                m_fit = fit_map(m0, sp.train, ls, fit_cfg, escfg)
-                log = learning.run_schedule(m_fit, sp, replace(sched, loss=ls))
-            except (NumericError, FloatingPointError):
-                failed = True
-                break
-            try:
-                mapes.extend(mape_details(log, w)[0] for w in log.well_ids())
-            except DataError:   # a well with nothing scoreable
-                failed = True
-                break
-        score = math.inf if (failed or not mapes or not np.all(np.isfinite(mapes))) \
-            else float(np.mean(mapes))
-        diagnostics.append((override, score))
-        better = score < best_score
-        if not better and best is not None and score == best_score and math.isfinite(score):
+        try:
+            value = score(sched)
+        except (NumericError, FloatingPointError):
+            value = math.inf
+        if not math.isfinite(value):
+            value = math.inf
+        diagnostics.append((override, value))
+        better = value < best_score
+        if not better and best is not None and value == best_score and math.isfinite(value):
             better = (sched.ocfg.gamma0, sched.steps or 0) < (best.ocfg.gamma0, best.steps or 0)
         if better or best is None:
-            best, best_score = sched, score
+            best, best_score = sched, value
 
     if not math.isfinite(best_score):
         raise NumericError(f"all grid combinations diverged: {diagnostics}")

@@ -3,13 +3,15 @@ report writes, which config mistakes it turns into exit code 1, and that a
 study re-runs and re-reports with identical bytes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SECONDS_PER_DAY, make_dataset
-from vfmlab import ChokeGeometry, ConfigError, PredictionLog, StudyConfig, cli, write_log
+from vfmlab import (ChokeGeometry, ConfigError, PredictionLog, StudyConfig, cli, optim,
+                    write_log)
 from vfmlab.core import write_csv
 from vfmlab.synth import DEFAULT_T0
 
@@ -204,6 +206,44 @@ def test_unknown_update_source_is_a_config_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("pbl", "steps", 3), ("ol", "period_days", 7.0), ("ol", "window_days", 5.0)])
+def test_schedule_setting_its_mode_never_reads_is_a_config_error(tmp_path, capsys,
+                                                                  mode, key, value):
+    """A step count on a PBL schedule, or a period or window on an OL one,
+    would be dropped by the run; it is refused when the file is loaded."""
+    raw = _tiny_study(tmp_path)
+    sched = raw["schedules"][0]
+    if mode == "pbl":
+        del sched["steps"]
+        sched.update(name="PBL", mode="pbl", period_days=7.0)
+    sched[key] = value
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: schedule {sched['name']!r}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("grids", [
+    {"OL": {"gamma0": [1e-3]}}, {"ol": {"gama0": [1e-3]}}, {"pbl": {"gamma0": []}},
+    {"ol": {"gamma0": [1e-3], "batch_size": [16, 64]}}, {"pbl": {"steps": [1, 10]}}],
+    ids=["unknown-mode", "unknown-key", "empty-list", "batch-size-under-ol",
+         "steps-under-pbl"])
+def test_grids_are_checked_at_load(tmp_path, capsys, grids):
+    """A grid that tune would skip, fail on late, or search without effect
+    is refused when the file is loaded."""
+    raw = _tiny_study(tmp_path)
+    raw["grids"] = grids
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grids")
+    assert len(err.strip().splitlines()) == 1
+
+
 def _small_study(tmp_path) -> Path:
     """Two jittered 60-day wells, split at day 30; the benchmark, LR and MM
     under one OL and one PBL schedule, with short fits."""
@@ -297,3 +337,74 @@ def test_tune_where_every_combination_diverges_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numeric failure: ")
     assert "Traceback" not in err
+
+
+def test_tune_fits_under_the_study_prior_mode(tmp_path):
+    """tune's holdout fits take the study's prior_mode, as run's fits do."""
+    grids = {"ol": {"gamma0": [1e-3, 1e-2], "steps": [1, 2]}, "pbl": {"gamma0": [1e-3, 1e-2]}}
+    tuned = {}
+    for mode in ("None", "Full"):
+        (tmp_path / mode).mkdir()
+        config = _tune_study(tmp_path / mode, grids=grids, prior_mode=mode)
+        assert cli.main(["tune", "--config", config]) == 0
+        tuned[mode] = (tmp_path / mode / "out" / "tuned_all.csv").read_bytes()
+    assert tuned["None"] != tuned["Full"]
+
+
+# tune's rows on the study of the next test, as recorded when every grid
+# combination refitted its own initial models: the picks (schedule, kind,
+# method, gamma0, lr_schedule, power_a, steps, batch_size) and the scores
+TUNED_PICKS = [
+    ["OL", "lr", "Adam", "0.05", "constant", "1.0", "2", ""],
+    ["OL", "mtl", "Adam", "0.01", "constant", "1.0", "2", ""],
+    ["PBL-2d", "lr", "Adam", "0.05", "constant", "1.0", "", "64"],
+    ["PBL-2d", "mtl", "Adam", "0.05", "constant", "1.0", "", "64"],
+    ["PBL-3d", "lr", "Adam", "0.05", "constant", "1.0", "", "64"],
+    ["PBL-3d", "mtl", "Adam", "0.05", "constant", "1.0", "", "64"]]
+TUNED_SCORES = [11.307173916248999, 25.720504376841, 7.867676805852248,
+                9.745454410217874, 9.169632228087345, 10.918094218935673]
+
+
+def test_tune_fits_each_unit_once_per_optimizer(tmp_path, monkeypatch):
+    """Every holdout unit (LR per well, MTL on the merged wells) is fitted
+    once per distinct initial optimizer, and the fits are shared across
+    grid combinations and schedules: OL's initial optimizer equals PBL's at
+    gamma0 1e-3, so 3 optimizers and 3 units make 9 fits.  The picks and
+    scores are those of a search that refitted for every combination."""
+    raw = json.loads(_small_study(tmp_path).read_text())
+    pbl_opt = {"method": "Adam", "gamma0": 1e-3, "batch_size": 64}
+    raw.update(kinds=["benchmark", "lr", "mtl"], hidden=[8],
+               schedules=[raw["schedules"][0],
+                          {"name": "PBL-2d", "mode": "pbl", "period_days": 2.0,
+                           "optimizer": pbl_opt},
+                          {"name": "PBL-3d", "mode": "pbl", "period_days": 3.0,
+                           "optimizer": pbl_opt}],
+               grids={"ol": {"gamma0": [1e-3, 1e-2, 5e-2], "steps": [1, 2]},
+                      "pbl": {"gamma0": [1e-3, 1e-2, 5e-2]}})
+    path = tmp_path / "tune.json"
+    path.write_text(json.dumps(raw))
+    fits = []
+    fit_map = optim.fit_map
+
+    def counting_fit_map(m, train, loss, ocfg, escfg):
+        fits.append((m.kind, train.well_ids, len(train), ocfg))
+        return fit_map(m, train, loss, ocfg, escfg)
+
+    monkeypatch.setattr(optim, "fit_map", counting_fit_map)
+    monkeypatch.setattr(cli, "fit_map", counting_fit_map)
+    assert cli.main(["tune", "--config", str(path)]) == 0
+    _, *rows = (tmp_path / "out" / "tuned_all.csv").read_text().splitlines()
+    rows = [r.split(",") for r in rows]
+    assert [r[:-1] for r in rows] == TUNED_PICKS
+    assert [float(r[-1]) for r in rows] == pytest.approx(TUNED_SCORES, rel=1e-9, abs=0)
+    assert len(fits) == len(set(fits)) == 9
+
+
+def test_tune_names_the_well_whose_holdout_is_too_short(tmp_path, capsys):
+    """The default wells hold 2 to 5 well-test rows before the split, and
+    the last 20% of 2 rows leaves 1 to fit on: tune exits 2 and names the
+    well and its row counts."""
+    assert cli.main(["tune", "--case", "welltest", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"data error: well \d+: .* leaves 1 train / 1 test rows\n", err)

@@ -323,6 +323,13 @@ def test_the_step_count_is_an_ol_setting():
         pbl_cfg(10.0, steps=3)
 
 
+def test_period_and_window_are_pbl_settings():
+    # run_ol reads neither, so an OL schedule refuses both
+    for kw in ({"period_s": 10.0}, {"window_s": 5.0}):
+        with pytest.raises(ConfigError):
+            ol_cfg(1, **kw)
+
+
 def test_log_round_trip_preserves_metadata(tmp_path):
     sp = affine_split()
     log = run_ol(init_model("lr", seed=2), sp, ol_cfg(2))

@@ -1,6 +1,7 @@
 """MAP objective, SGD/Adam stepping, batch fitting, hyperparameter search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from vfmlab import (
     PriorMode,
     ScheduleConfig,
     WellDataset,
+    chronological_split,
+    fit_scaler,
     init_model,
+    mape_details,
+    run_schedule,
 )
 from vfmlab.optim import (
     TrainingStep,
@@ -283,22 +288,35 @@ def ol_protocol(**kw):
 INIT_OCFG = OptimizerConfig(gamma0=1e-3, batch_size=32)
 
 
+def holdout_score(ds, seed=0):
+    """The score tune gives a schedule on one well: an LR fitted on the first
+    80% of ds (with the schedule's optimizer under PBL, INIT_OCFG under OL),
+    the schedule run over the last 20%, and the MAPE of that run."""
+    sp = chronological_split(ds, ds.t[int(0.8 * len(ds))])
+    loss = LossSpec.from_data(sp.train)
+
+    def score(sched):
+        ocfg = sched.ocfg if sched.mode == "pbl" else INIT_OCFG
+        m0 = init_model("lr", seed=seed, scaler=fit_scaler(sp.train))
+        m0 = fit_map(m0, sp.train, loss, ocfg, EarlyStoppingConfig())
+        return mape_details(run_schedule(m0, sp, replace(sched, loss=loss)))[0]
+
+    return score
+
+
 def test_grid_search_single_combination_is_returned_as_is():
     ds = make_dataset(60, seed=4)
-    got, score = grid_search("lr", {"gamma0": [2e-3]}, ds, ol_protocol(),
-                             init_ocfg=INIT_OCFG, seed=1)
+    got, score = grid_search({"gamma0": [2e-3]}, ol_protocol(), holdout_score(ds, seed=1))
     assert got == ol_protocol(ocfg=OptimizerConfig(gamma0=2e-3))
     assert math.isfinite(score)
 
 
 def test_grid_search_prefers_the_converging_rate():
     ds = make_dataset(80, seed=6)
-    got, score = grid_search("lr", {"gamma0": [1e-3, 1e6]}, ds, ol_protocol(),
-                             init_ocfg=INIT_OCFG, seed=1)
+    got, score = grid_search({"gamma0": [1e-3, 1e6]}, ol_protocol(), holdout_score(ds, seed=1))
     assert got.ocfg.gamma0 == 1e-3
     try:
-        _, wild = grid_search("lr", {"gamma0": [1e6]}, ds, ol_protocol(),
-                              init_ocfg=INIT_OCFG, seed=1)
+        _, wild = grid_search({"gamma0": [1e6]}, ol_protocol(), holdout_score(ds, seed=1))
     except NumericError:
         wild = math.inf
     assert score < wild
@@ -309,10 +327,10 @@ def test_grid_search_varies_the_ol_step_count():
     # observation learn differently, so they must score differently
     ds = make_dataset(80, seed=6)
     proto = ol_protocol(ocfg=OptimizerConfig(gamma0=1e-2))
-    scores = [grid_search("lr", {"steps": [k]}, ds, proto, init_ocfg=INIT_OCFG, seed=1)[1]
+    scores = [grid_search({"steps": [k]}, proto, holdout_score(ds, seed=1))[1]
               for k in (1, 10)]
     assert scores[0] != scores[1]
-    got, score = grid_search("lr", {"steps": [1, 10]}, ds, proto, init_ocfg=INIT_OCFG, seed=1)
+    got, score = grid_search({"steps": [1, 10]}, proto, holdout_score(ds, seed=1))
     assert score == min(scores)
     assert got.steps == (1, 10)[scores.index(score)]
 
@@ -321,17 +339,23 @@ def test_grid_search_tie_breaks_toward_smaller_gamma_then_fewer_steps():
     ds = make_dataset(60, seed=8)
     # updates of size ~1e-30 are absorbed by float64 addition, so every combo
     # produces identical predictions and the tie-break ordering decides
-    got, _ = grid_search("lr", {"gamma0": [2e-30, 1e-30], "steps": [10, 1, 5]},
-                         ds, ol_protocol(), init_ocfg=INIT_OCFG, seed=2)
+    got, _ = grid_search({"gamma0": [2e-30, 1e-30], "steps": [10, 1, 5]},
+                         ol_protocol(), holdout_score(ds, seed=2))
     assert got.ocfg.gamma0 == 1e-30
     assert got.steps == 1
 
 
 def test_grid_search_validates_its_grids():
+    """Empty grids, unknown keys and keys the mode never reads (an OL run
+    takes no batch size, a PBL run no step count) are refused."""
     ds = make_dataset(40)
-    for grids in ({}, {"gamma0": []}, {"momentum": [0.9]}):
+    pbl = ScheduleConfig(mode="pbl", ocfg=OptimizerConfig(), loss=LossSpec(noise_std=1.0),
+                         period_s=86400.0)
+    for proto, grids in ((ol_protocol(), {}), (ol_protocol(), {"gamma0": []}),
+                         (ol_protocol(), {"momentum": [0.9]}),
+                         (ol_protocol(), {"batch_size": [16, 64]}), (pbl, {"steps": [1, 10]})):
         with pytest.raises(ConfigError):
-            grid_search("lr", grids, ds, ol_protocol(), init_ocfg=INIT_OCFG)
+            grid_search(grids, proto, holdout_score(ds))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -344,5 +368,4 @@ def test_grid_search_raises_when_everything_diverges():
                          loss=LossSpec(noise_std=1.0),
                          period_s=7 * 86400.0)
     with pytest.raises(NumericError):
-        grid_search("lr", {"gamma0": [1e300, 1e305]}, ds, pbl, init_ocfg=INIT_OCFG, seed=3)
-
+        grid_search({"gamma0": [1e300, 1e305]}, pbl, holdout_score(ds, seed=3))
