@@ -17,6 +17,28 @@ predictions).  The kernels serve both:
   and a loop below that: ``adam_step`` (LR's 7 and MM's 6 parameters take
   the loop).
 
+The refits of a periodic-batch unit run in lockstep (``optim.fit_maps``), and
+the mini-batches they take at one step go through one call with a leading
+fit axis: theta (R, P), X and Xs (R, n, 6), y and MTL's task columns (R, n),
+and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
+sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
+and column forms stack: ``_row_sum``, ``_affine_cols``,
+``_residuals``/``_sse``, ``_mm_cols``, ``_mm_grad_cols``,
+``_nn_forward``/``_nn_backward``, MTL's kernels, and ``lr_loss_grad``,
+``nn_loss_grad`` and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more
+(the loops take one fit, so ``fit_maps`` stacks only such calls);
+``adam_step`` and ``sgd_step`` take stacked parameters (a stack of fewer
+than ``ADAM_LOOP_PARAMS`` entries in all loops fit by fit).  ``lr_predict``
+takes one fit.  Row r of a stacked result equals fit r's own call bit for
+bit: fit r's parameters meet its rows as (R, 1) columns where one fit's are
+Python floats or scalars, which rounds alike; a sum over rows runs along
+each fit's row axis in order; MTL's ``np.add.at`` takes each fit's rows in
+order.  The network's products are ``np.matmul`` on stacked operands, which
+takes the same BLAS routine per fit as ``np.dot`` on one fit's 2-D
+operands; one fit keeps ``np.dot``, since ``np.matmul`` costs about 0.7 us
+more per call at one row and an online-learning HEM gradient makes about 8
+of these calls.
+
 The loops run on Python floats: a call converts its arrays once with
 ``tolist()`` and writes its result back once.  The rounding is the same as on
 numpy scalars, so the loops keep their bits; what differs is division by
@@ -40,7 +62,8 @@ before a loop runs:
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
-``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS``:
+``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS`` (which also holds stacked calls to
+one call per fit):
 
 * the optimizer steps (both forms of ``adam_step``; the oracle's clip keeps
   ``val`` on a tie, so signed-zero ties are held to the array form instead),
@@ -67,7 +90,8 @@ rule:
 
 Shared conventions:
 
-* ``theta`` is the flat float64 parameter vector of the owning ParameterSet.
+* ``theta`` is the flat float64 parameter vector of the owning ParameterSet
+  (one per row when stacked).
 * Weight matrices are stored input-major, shape (fan_in, fan_out), so batch
   forwards are plain ``X @ W + b`` on contiguous views of ``theta``.
 * ``widths`` is the full layer-width vector of an MLP including input and
@@ -139,18 +163,21 @@ def _sigmoid_cols(z):
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _row_sum(a):
-    """Sum over axis 0, adding rows in order as the loops do."""
-    return np.cumsum(a, axis=0)[-1]
+def _row_sum(a, axis):
+    """Sum over the row axis (-1 for one value per row, -2 for a vector per
+    row), adding rows in order as the loops do."""
+    c = np.cumsum(a, axis=axis)
+    return c[..., -1] if axis == -1 else c[..., -1, :]
 
 
 def _affine_cols(b, a, w):
-    """b + a[:, 0]*w[0] + a[:, 1]*w[1] + ... per row, added left to right as
-    the loops do."""
-    terms = np.empty((a.shape[0], a.shape[1] + 1))
-    terms[:, 0] = b
-    np.multiply(a, w, out=terms[:, 1:])
-    return np.cumsum(terms, axis=1)[:, -1].copy()
+    """b + a[..., 0]*w[..., 0] + a[..., 1]*w[..., 1] + ... per row, added left
+    to right as the loops do; b broadcasts against a row's value, w against
+    a's rows."""
+    terms = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    terms[..., 0] = b
+    np.multiply(a, w, out=terms[..., 1:])
+    return np.cumsum(terms, axis=-1)[..., -1].copy()
 
 
 def _area(u, geom):
@@ -162,13 +189,13 @@ def _residuals(y, yhat, inv_var):
     (y_i - yhat_i)^2 * inv_var over rows in order, delta_i = -2 * resid_i * inv_var.
     """
     resid = y - yhat
-    return _row_sum(resid * resid * inv_var), -2.0 * resid * inv_var
+    return _row_sum(resid * resid * inv_var, -1), -2.0 * resid * inv_var
 
 
 def _sse(y, yhat, inv_var):
     """The sse of _residuals alone."""
     resid = y - yhat
-    return _row_sum(resid * resid * inv_var)
+    return _row_sum(resid * resid * inv_var, -1)
 
 
 def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
@@ -272,12 +299,17 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 def _mm_cols(theta, x, grad):
     """_mm_parts (grad False) or _mm_parts_grad (grad True) over every row of x.
 
-    Returns (r, vsc, neg) or (r, vsc, neg, dr, dvsc): columns of length n, a
-    boolean neg and derivatives of shape (n, 5).  Each row goes through the
-    loop's operations in the loop's order.
+    Returns (r, vsc, neg) or (r, vsc, neg, dr, dvsc): columns of x's row
+    shape, a boolean neg and derivatives with a trailing axis of 5.  Each row
+    goes through the loop's operations in the loop's order.  Stacked, theta
+    is (R, P) and x (R, n, 6): each fit's parameters meet its own rows as a
+    column (R, 1), where one fit's are Python floats.
     """
-    ro, rw, kp, mg, pcr = theta[:5].tolist()
-    p1, p2, t1, eo, eg = x[:, 1], x[:, 2], x[:, 3], x[:, 4], x[:, 5]
+    if theta.ndim == 1:
+        ro, rw, kp, mg, pcr = theta[:5].tolist()
+    else:
+        ro, rw, kp, mg, pcr = theta[:, :5].T[:, :, None]
+    p1, p2, t1, eo, eg = x[..., 1], x[..., 2], x[..., 3], x[..., 4], x[..., 5]
     ew = 1.0 - eo - eg
     ew = np.where(ew < 0.0, 0.0, ew)
     pr_raw = p2 / p1
@@ -303,37 +335,36 @@ def _mm_cols(theta, x, grad):
     if not grad:
         return r, vsc, neg
 
-    n = x.shape[0]
-    dvsc = np.zeros((n, 5))
-    dvsc[:, 0] = -eo / (ro * ro)
-    dvsc[:, 1] = -ew / (rw * rw)
-    dvsc[:, 3] = -eg / (rgsc * mg)
+    dvsc = np.zeros(x.shape[:-1] + (5,))
+    dvsc[..., 0] = -eo / (ro * ro)
+    dvsc[..., 1] = -ew / (rw * rw)
+    dvsc[..., 3] = -eg / (rgsc * mg)
 
     drg2_k = -rg2 * np.log(pr) / (kp * kp)
     drg2_m = rg2 / mg
     drg2_pc = np.where(clamped, rg2 / (kp * pr), 0.0)
 
     inv_rg2sq = eg / (rg2 * rg2)
-    dv2 = np.empty((n, 5))
-    dv2[:, 0] = dvsc[:, 0]
-    dv2[:, 1] = dvsc[:, 1]
-    dv2[:, 2] = -inv_rg2sq * drg2_k
-    dv2[:, 3] = -inv_rg2sq * drg2_m
-    dv2[:, 4] = -inv_rg2sq * drg2_pc
+    dv2 = np.empty(x.shape[:-1] + (5,))
+    dv2[..., 0] = dvsc[..., 0]
+    dv2[..., 1] = dvsc[..., 1]
+    dv2[..., 2] = -inv_rg2sq * drg2_k
+    dv2[..., 3] = -inv_rg2sq * drg2_m
+    dv2[..., 4] = -inv_rg2sq * drg2_pc
 
-    dg = np.empty((n, 5))
-    dg[:, 0] = -(eo / (ro * ro)) * (1.0 - pr)
-    dg[:, 1] = -(ew / (rw * rw)) * (1.0 - pr)
+    dg = np.empty(x.shape[:-1] + (5,))
+    dg[..., 0] = -(eo / (ro * ro)) * (1.0 - pr)
+    dg[..., 1] = -(ew / (rw * rw)) * (1.0 - pr)
     dck = -1.0 / ((kp - 1.0) * (kp - 1.0))
-    dg[:, 2] = dck * eg * (1.0 / rg1 - pr / rg2) + ck * eg * (pr / (rg2 * rg2)) * drg2_k
-    dg[:, 3] = -tg / mg
-    dg[:, 4] = np.where(clamped, -eg / rg2 - (vo + vw), 0.0)
+    dg[..., 2] = dck * eg * (1.0 / rg1 - pr / rg2) + ck * eg * (pr / (rg2 * rg2)) * drg2_k
+    dg[..., 3] = -tg / mg
+    dg[..., 4] = np.where(clamped, -eg / rg2 - (vo + vw), 0.0)
 
-    rho2 = rho2[:, None]
+    rho2 = rho2[..., None]
     drho2 = -rho2 * rho2 * dv2
-    ds = 2.0 * p1[:, None] * (2.0 * rho2 * drho2 * g[:, None] + rho2 * rho2 * dg)
+    ds = 2.0 * p1[..., None] * (2.0 * rho2 * drho2 * g[..., None] + rho2 * rho2 * dg)
     # clamped rows divide by 1 instead of 0; their derivatives are zeroed
-    dr = np.where(neg[:, None], 0.0, ds / (2.0 * np.where(neg, 1.0, r))[:, None])
+    dr = np.where(neg[..., None], 0.0, ds / (2.0 * np.where(neg, 1.0, r))[..., None])
     return r, vsc, neg, dr, dvsc
 
 
@@ -354,12 +385,13 @@ def lr_predict(theta, xs):
 
 
 def lr_loss_grad(theta, xs, y, inv_var):
-    n, d = xs.shape
-    grad = np.zeros(theta.shape[0])
+    n, d = xs.shape[-2:]
+    grad = np.zeros(theta.shape)
     if n >= COLUMN_ROWS:
-        sse, c = _residuals(y, _affine_cols(theta[d], xs, theta[:d]), inv_var)
-        grad[:d] += _row_sum(c[:, None] * xs)
-        grad[d] += _row_sum(c)
+        sse, c = _residuals(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]),
+                            inv_var)
+        grad[..., :d] += _row_sum(c[..., None] * xs, -2)
+        grad[..., d] += _row_sum(c, -1)
         return sse, grad
     *w, b = theta[:d + 1].tolist()
     inv_var = float(inv_var)
@@ -383,10 +415,10 @@ def lr_loss(theta, xs, y, inv_var):
     """lr_loss_grad's sse without the gradient: the loop below COLUMN_ROWS,
     and the column form's row sums above it (lr_predict's np.dot sums
     differently)."""
-    if xs.shape[0] < COLUMN_ROWS:
+    if xs.shape[-2] < COLUMN_ROWS:
         return lr_loss_grad(theta, xs, y, inv_var)[0]
-    d = xs.shape[1]
-    return _sse(y, _affine_cols(theta[d], xs, theta[:d]), inv_var)
+    d = xs.shape[-1]
+    return _sse(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]), inv_var)
 
 
 # ------------------------------------------------------------------------ NN
@@ -400,31 +432,35 @@ def _nn_forward(theta, off, widths, xs):
     """(outputs, activations): the activations (xs, then each layer's output)
     are what _nn_backward needs."""
     nl = widths.shape[0] - 1
+    lead = theta.shape[:-1]
+    dot = np.dot if theta.ndim == 1 else np.matmul
     acts = [xs]
     h = xs
     pos = off
     for layer in range(nl):
         fi = widths[layer]
         fo = widths[layer + 1]
-        w = theta[pos:pos + fi * fo].reshape(fi, fo)
+        w = theta[..., pos:pos + fi * fo].reshape(lead + (fi, fo))
         pos += fi * fo
-        b = theta[pos:pos + fo]
+        b = theta[..., None, pos:pos + fo]
         pos += fo
-        z = np.dot(h, w) + b
+        z = dot(h, w) + b
         if layer < nl - 1:
             z = np.maximum(z, 0.0)
         acts.append(z)
         h = z
-    return h[:, 0].copy(), acts
+    return h[..., 0].copy(), acts
 
 
 def _nn_backward(theta, off, widths, acts, delta, grad):
-    """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[off:...], given
+    """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[..., off:...], given
     the activations of _nn_forward at the same theta."""
-    n = delta.shape[0]
+    n = delta.shape[-1]
     nl = widths.shape[0] - 1
+    lead = theta.shape[:-1]
+    dot = np.dot if theta.ndim == 1 else np.matmul
     pos = off + sum(fi * fo + fo for fi, fo in zip(widths[:-1].tolist(), widths[1:].tolist()))
-    d = delta.reshape(n, 1).copy()
+    d = delta[..., None].copy()
     ones = np.ones(n)
     # walk offsets backwards
     for layer in range(nl - 1, -1, -1):
@@ -434,20 +470,20 @@ def _nn_backward(theta, off, widths, acts, delta, grad):
         bpos = pos
         pos -= fi * fo     # weight block
         wpos = pos
-        w = theta[wpos:wpos + fi * fo].reshape(fi, fo)
+        w = theta[..., wpos:wpos + fi * fo].reshape(lead + (fi, fo))
         a_prev = acts[layer]
-        dw = np.dot(np.ascontiguousarray(a_prev.T), d)
-        grad[wpos:wpos + fi * fo] += dw.ravel()
-        grad[bpos:bpos + fo] += np.dot(ones, d)
+        dw = dot(np.ascontiguousarray(a_prev.swapaxes(-1, -2)), d)
+        grad[..., wpos:wpos + fi * fo] += dw.reshape(lead + (fi * fo,))
+        grad[..., bpos:bpos + fo] += dot(ones, d)
         if layer > 0:
-            d = np.dot(d, np.ascontiguousarray(w.T))
+            d = dot(d, np.ascontiguousarray(w.swapaxes(-1, -2)))
             d = np.where(a_prev > 0.0, d, 0.0)
 
 
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     yhat, acts = _nn_forward(theta, off, widths, xs)
     sse, delta = _residuals(y, yhat, inv_var)
-    grad = np.zeros(theta.shape[0])
+    grad = np.zeros(theta.shape)
     _nn_backward(theta, off, widths, acts, delta, grad)
     return sse, grad
 
@@ -456,10 +492,10 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 
 
 def mm_predict(theta, x, geom):
-    n = x.shape[0]
+    n = x.shape[-2]
     if n >= COLUMN_ROWS:
         r, vsc, neg = _mm_cols(theta, x, False)
-        yhat = M3S_TO_SM3H * theta[5] * _area(x[:, 0], geom) * r * vsc
+        yhat = M3S_TO_SM3H * theta[..., 5, None] * _area(x[..., 0], geom) * r * vsc
         return yhat, int(np.count_nonzero(neg))
     ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
     geom = geom.tolist()
@@ -473,22 +509,23 @@ def mm_predict(theta, x, geom):
 
 
 def _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad):
-    """Add sum_i delta_i * d(mm_i)/dtheta[:6] to grad, rows in order."""
+    """Add sum_i delta_i * d(mm_i)/dtheta[..., :6] to grad, rows in order."""
     base = M3S_TO_SM3H * cd * a2
-    terms = np.empty((a2.shape[0], 6))
-    terms[:, :5] = (delta * base)[:, None] * (dr * vsc[:, None] + r[:, None] * dvsc)
-    terms[:, 5] = delta * M3S_TO_SM3H * a2 * r * vsc
-    grad[:6] += _row_sum(terms)
+    terms = np.empty(a2.shape + (6,))
+    terms[..., :5] = (delta * base)[..., None] * (dr * vsc[..., None] + r[..., None] * dvsc)
+    terms[..., 5] = delta * M3S_TO_SM3H * a2 * r * vsc
+    grad[..., :6] += _row_sum(terms, -2)
 
 
 def mm_loss_grad(theta, x, geom, y, inv_var):
-    n = x.shape[0]
-    grad = np.zeros(theta.shape[0])
+    n = x.shape[-2]
+    grad = np.zeros(theta.shape)
     if n >= COLUMN_ROWS:
         r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[:, 0], geom)
-        sse, c = _residuals(y, M3S_TO_SM3H * theta[5] * a2 * r * vsc, inv_var)
-        _mm_grad_cols(theta[5], a2, c, r, vsc, dr, dvsc, grad)
+        a2 = _area(x[..., 0], geom)
+        cd = theta[..., 5, None]
+        sse, c = _residuals(y, M3S_TO_SM3H * cd * a2 * r * vsc, inv_var)
+        _mm_grad_cols(cd, a2, c, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
     ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
     geom = geom.tolist()
@@ -523,16 +560,17 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
 
 
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
-    n = x.shape[0]
+    n = x.shape[-2]
     if n >= COLUMN_ROWS:
         r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[:, 0], geom)
-        ymm = M3S_TO_SM3H * theta[5] * a2 * r * vsc
+        a2 = _area(x[..., 0], geom)
+        cd = theta[..., 5, None]
+        ymm = M3S_TO_SM3H * cd * a2 * r * vsc
         ynn, acts = _nn_forward(theta, 6, widths, xs)
         sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
-        grad = np.zeros(theta.shape[0])
+        grad = np.zeros(theta.shape)
         _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
-        _mm_grad_cols(theta[5], a2, delta, r, vsc, dr, dvsc, grad)
+        _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
     # one physics pass: mm_predict's flow of a row is base * r * vsc, the
     # same operations on the same r and vsc
@@ -566,11 +604,11 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
 
 
 def ham_predict(theta, widths, x, xs, geom):
-    n = x.shape[0]
+    n = x.shape[-2]
     nn_out = nn_predict(theta, 5, widths, xs)
     if n >= COLUMN_ROWS:
         r, vsc, neg = _mm_cols(theta, x, False)
-        yhat = (M3S_TO_SM3H * _area(x[:, 0], geom) * r * vsc) * _softplus_cols(nn_out)
+        yhat = (M3S_TO_SM3H * _area(x[..., 0], geom) * r * vsc) * _softplus_cols(nn_out)
         return yhat, int(np.count_nonzero(neg))
     ro, rw, kp, mg, pcr = theta[:5].tolist()
     geom = geom.tolist()
@@ -584,17 +622,17 @@ def ham_predict(theta, widths, x, xs, geom):
 
 
 def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
-    n = x.shape[0]
+    n = x.shape[-2]
     nn_out, acts = _nn_forward(theta, 5, widths, xs)
-    grad = np.zeros(theta.shape[0])
+    grad = np.zeros(theta.shape)
     if n >= COLUMN_ROWS:
         r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[:, 0], geom)
+        a2 = _area(x[..., 0], geom)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
         mult = _softplus_cols(nn_out)
         sse, c = _residuals(y, base * mult, inv_var)
-        grad[:5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[:, None]
-                             * (dr * vsc[:, None] + r[:, None] * dvsc))
+        grad[..., :5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[..., None]
+                                  * (dr * vsc[..., None] + r[..., None] * dvsc), -2)
         _nn_backward(theta, 5, widths, acts, c * base * _sigmoid_cols(nn_out), grad)
         return sse, grad, int(np.count_nonzero(neg))
     ro, rw, kp, mg, pcr = theta[:5].tolist()
@@ -637,48 +675,58 @@ def _mtl_forward(theta, dims, xs, wells):
     h = dims[2]
     nblk = dims[3]
     m = dims[4]
+    lead = theta.shape[:-1]
+    dot = np.dot if theta.ndim == 1 else np.matmul
 
     pos = 0
-    w01 = theta[pos:pos + d * h].reshape(d, h)
+    w01 = theta[..., pos:pos + d * h].reshape(lead + (d, h))
     pos += d * h
-    w02 = theta[pos:pos + p * h].reshape(p, h)
+    w02 = theta[..., pos:pos + p * h].reshape(lead + (p, h))
     pos += p * h
-    b0 = theta[pos:pos + h]
+    b0 = theta[..., None, pos:pos + h]
     pos += h
     blk_pos = pos
     pos += nblk * (2 * h * h + 2 * h)
-    wout = theta[pos:pos + h].reshape(h, 1)
+    wout = theta[..., None, pos:pos + h]
     pos += h
-    bout = theta[pos]
+    bout = theta[..., pos, None]
     pos += 1
-    bmat = theta[pos:pos + p * m]
+    bmat = theta[..., pos:pos + p * m]
 
-    beta = np.ascontiguousarray(bmat.reshape(p, m).T)[wells]
+    # each row's task embedding: column wells[i] of B (of its own fit's B)
+    bt = np.ascontiguousarray(bmat.reshape(lead + (p, m)).swapaxes(-1, -2))
+    beta = bt[_fit_rows(theta) + (wells,)]
 
-    z = np.dot(xs, w01) + np.dot(beta, w02) + b0
+    z = dot(xs, w01) + dot(beta, w02) + b0
     zs = [z]
     h1s = [z]  # placeholder typing; real entries appended below
     a1s = [z]
     bp = blk_pos
     for l in range(nblk):
-        wl1 = theta[bp:bp + h * h].reshape(h, h)
+        wl1 = theta[..., bp:bp + h * h].reshape(lead + (h, h))
         bp += h * h
-        bl1 = theta[bp:bp + h]
+        bl1 = theta[..., None, bp:bp + h]
         bp += h
-        wl2 = theta[bp:bp + h * h].reshape(h, h)
+        wl2 = theta[..., bp:bp + h * h].reshape(lead + (h, h))
         bp += h * h
-        bl2 = theta[bp:bp + h]
+        bl2 = theta[..., None, bp:bp + h]
         bp += h
         a = np.maximum(z, 0.0)
-        h1 = np.dot(a, wl1) + bl1
+        h1 = dot(a, wl1) + bl1
         a1 = np.maximum(h1, 0.0)
-        r = np.dot(a1, wl2) + bl2
+        r = dot(a1, wl2) + bl2
         z = z + r
         zs.append(z)
         h1s.append(h1)
         a1s.append(a1)
     # in column form at every row count: it is faster than the loop even at n = 1
-    return _affine_cols(bout, z, wout[:, 0]), zs, h1s, a1s, beta
+    return _affine_cols(bout, z, wout), zs, h1s, a1s, beta
+
+
+def _fit_rows(theta):
+    """The leading index that pairs each stacked fit with its own rows (none
+    for one fit)."""
+    return () if theta.ndim == 1 else (np.arange(theta.shape[0])[:, None],)
 
 
 def mtl_predict(theta, dims, xs, wells):
@@ -692,59 +740,66 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     h = dims[2]
     nblk = dims[3]
     m = dims[4]
-    n = xs.shape[0]
+    n = xs.shape[-2]
+    lead = theta.shape[:-1]
+    dot = np.dot if theta.ndim == 1 else np.matmul
+
+    def tr(a):
+        return np.ascontiguousarray(a.swapaxes(-1, -2))
 
     yhat, zs, h1s, a1s, beta = _mtl_forward(theta, dims, xs, wells)
-    grad = np.zeros(theta.shape[0])
+    grad = np.zeros(theta.shape)
     sse, delta = _residuals(y, yhat, inv_var)
-    delta = delta.reshape(n, 1)
+    delta = delta[..., None]
 
     in_sz = d * h + p * h + h
     blk_sz = 2 * h * h + 2 * h
     out_pos = in_sz + nblk * blk_sz
     b_pos = out_pos + h + 1
     ones = np.ones(n)
+    flat = lead + (-1,)
 
     # output layer
     zfin = zs[nblk]
-    wout = theta[out_pos:out_pos + h].reshape(h, 1)
-    dwout = np.dot(np.ascontiguousarray(zfin.T), delta)
-    grad[out_pos:out_pos + h] += dwout.ravel()
-    grad[out_pos + h] += np.dot(ones, delta)[0]
-    dz = np.dot(delta, np.ascontiguousarray(wout.T))
+    wout = theta[..., out_pos:out_pos + h].reshape(lead + (h, 1))
+    dwout = dot(tr(zfin), delta)
+    grad[..., out_pos:out_pos + h] += dwout.reshape(flat)
+    grad[..., out_pos + h] += dot(ones, delta)[..., 0]
+    dz = dot(delta, tr(wout))
 
     # residual blocks, last to first
     for l in range(nblk - 1, -1, -1):
         bp = in_sz + l * blk_sz
-        wl1 = theta[bp:bp + h * h].reshape(h, h)
-        wl2 = theta[bp + h * h + h:bp + 2 * h * h + h].reshape(h, h)
+        wl1 = theta[..., bp:bp + h * h].reshape(lead + (h, h))
+        wl2 = theta[..., bp + h * h + h:bp + 2 * h * h + h].reshape(lead + (h, h))
         zin = zs[l]
         # indices +1: forward appended per-block arrays after the placeholder
         h1 = h1s[l + 1]
         a1 = a1s[l + 1]
         a0 = np.maximum(zin, 0.0)
-        dwl2 = np.dot(np.ascontiguousarray(a1.T), dz)
-        grad[bp + h * h + h:bp + 2 * h * h + h] += dwl2.ravel()
-        grad[bp + 2 * h * h + h:bp + 2 * h * h + 2 * h] += np.dot(ones, dz)
-        da1 = np.dot(dz, np.ascontiguousarray(wl2.T))
+        dwl2 = dot(tr(a1), dz)
+        grad[..., bp + h * h + h:bp + 2 * h * h + h] += dwl2.reshape(flat)
+        grad[..., bp + 2 * h * h + h:bp + 2 * h * h + 2 * h] += dot(ones, dz)
+        da1 = dot(dz, tr(wl2))
         dh1 = np.where(h1 > 0.0, da1, 0.0)
-        dwl1 = np.dot(np.ascontiguousarray(a0.T), dh1)
-        grad[bp:bp + h * h] += dwl1.ravel()
-        grad[bp + h * h:bp + h * h + h] += np.dot(ones, dh1)
-        da0 = np.dot(dh1, np.ascontiguousarray(wl1.T))
+        dwl1 = dot(tr(a0), dh1)
+        grad[..., bp:bp + h * h] += dwl1.reshape(flat)
+        grad[..., bp + h * h:bp + h * h + h] += dot(ones, dh1)
+        da0 = dot(dh1, tr(wl1))
         dz = dz + np.where(zin > 0.0, da0, 0.0)
 
     # input layer
-    w02 = theta[d * h:d * h + p * h].reshape(p, h)
-    dw01 = np.dot(np.ascontiguousarray(xs.T), dz)
-    grad[0:d * h] += dw01.ravel()
-    dw02 = np.dot(np.ascontiguousarray(beta.T), dz)
-    grad[d * h:d * h + p * h] += dw02.ravel()
-    grad[d * h + p * h:in_sz] += np.dot(ones, dz)
-    dbeta = np.dot(dz, np.ascontiguousarray(w02.T))
+    w02 = theta[..., d * h:d * h + p * h].reshape(lead + (p, h))
+    dw01 = dot(tr(xs), dz)
+    grad[..., 0:d * h] += dw01.reshape(flat)
+    dw02 = dot(tr(beta), dz)
+    grad[..., d * h:d * h + p * h] += dw02.reshape(flat)
+    grad[..., d * h + p * h:in_sz] += dot(ones, dz)
+    dbeta = dot(dz, tr(w02))
     # np.add.at applies rows in index order, so the rows of one well add up
     # as in a loop over rows; a per-well sum could reorder them.
-    np.add.at(grad[b_pos:b_pos + p * m].reshape(p, m).T, wells, dbeta)
+    gb = grad[..., b_pos:b_pos + p * m].reshape(lead + (p, m)).swapaxes(-1, -2)
+    np.add.at(gb, _fit_rows(theta) + (wells,), dbeta)
     return sse, grad
 
 
@@ -761,8 +816,11 @@ def sgd_step(theta, grad, gamma_k, lower, upper):
 
 
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """One bias-corrected Adam step; mutates m and v in place, returns theta'."""
-    if theta.shape[0] >= ADAM_LOOP_PARAMS:
+    """One bias-corrected Adam step; mutates m and v in place, returns theta'.
+    Stacked, theta, grad, m and v hold one row per fit and the bounds are
+    shared; a stack of fewer than ADAM_LOOP_PARAMS entries in all loops one
+    fit at a time."""
+    if theta.size >= ADAM_LOOP_PARAMS:
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
@@ -771,6 +829,12 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
         vhat = v / (1.0 - beta2 ** k)
         val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
         return np.minimum(np.maximum(val, lower), upper)
+    if theta.ndim > 1:
+        out = np.empty(theta.shape)
+        for i in range(theta.shape[0]):
+            out[i] = adam_step(theta[i], grad[i], m[i], v[i], k, gamma_k, beta1, beta2, eps,
+                               lower, upper)
+        return out
     c1 = 1.0 - beta1 ** k
     c2 = 1.0 - beta2 ** k
     b1 = 1.0 - beta1

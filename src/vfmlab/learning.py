@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, NumericError, SchemaError
 from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
                      scale_inputs, task_columns)
 from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, PriorMode, TrainingStep,
-                    fit_map, optimizer_step)
+                    fit_maps, optimizer_step)
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,10 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
     the previous model and flags the period.  The arrivals up to the next
     boundary are then predicted in one call.  A mechanistic kind's train or
     test row with nonpositive p1, p2 or T1 raises NumericError up front.
+
+    Every refit starts from m0, on a history and scaler that follow from the
+    arrival times and the period alone, so the unit's refits are listed up
+    front and fitted together, in lockstep (``optim.fit_maps``).
     """
     if cfg.mode != "pbl":
         raise ConfigError("run_pbl needs a pbl schedule")
@@ -203,43 +207,52 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
             "kind": m0.kind.value, "n_retrains": 0, "failed_periods": []}
     if m0.kind is ModelKind.BENCHMARK:
         return _test_log(te, _previous_values(split), version, meta)
-    y_pred = np.empty(len(te))
-    current = m0
-    plan = build_plan(current)
-    next_boundary = split.split_time + cfg.period_s
     # train then test rows; the history of test row i is its first n_train + i rows
     past = WellDataset.merge([split.train, te])
     check_inputs(m0, past.X)
     n_train = len(split.train)
     allowed = _updates_allowed(cfg, past.source)
 
+    # the period walk: the arrivals that refit, and the rows of each frozen
+    # period with the number of refits before it
+    arrivals, periods = [], []
+    next_boundary = split.split_time + cfg.period_s
     i = 0
     while i < len(te):
         t_i = float(te.t[i])
         if t_i >= next_boundary:
-            history = past.take(slice(0, n_train + i))
-            if cfg.update_sources is not None:
-                history = history.take(np.flatnonzero(allowed[:len(history)]))
-            if cfg.window_s is not None and len(history):
-                history = history.from_time(float(history.t[-1]) - cfg.window_s)
-            try:
-                scaler = fit_scaler(history)
-                start = replace(m0, scaler=scaler)  # m0's values and priors, new scaler
-                fitted = fit_map(start, history, cfg.loss, cfg.ocfg, cfg.escfg)
-                current = replace(fitted, version=current.version + 1)
-                plan = build_plan(current)
-                meta["n_retrains"] += 1
-            except (NumericError, DataError):
-                meta["failed_periods"].append(time_value(t_i))
+            arrivals.append(i)
             while next_boundary <= t_i:
                 next_boundary += cfg.period_s
+        stop = int(np.searchsorted(te.t, next_boundary))
+        periods.append((slice(i, stop), len(arrivals)))
+        i = stop
 
-        rows = slice(i, int(np.searchsorted(te.t, next_boundary)))
+    fits = []
+    for i in arrivals:
+        history = past.take(slice(0, n_train + i))
+        if cfg.update_sources is not None:
+            history = history.take(np.flatnonzero(allowed[:len(history)]))
+        if cfg.window_s is not None and len(history):
+            history = history.from_time(float(history.t[-1]) - cfg.window_s)
+        # an empty history fails in fit_maps, as every one of fewer than 2 rows
+        fits.append((fit_scaler(history) if len(history) else None, history))
+    models = [(m0, build_plan(m0))]
+    for i, fitted in zip(arrivals, fit_maps(m0, fits, cfg.loss, cfg.ocfg, cfg.escfg)):
+        if isinstance(fitted, Exception):
+            meta["failed_periods"].append(time_value(float(te.t[i])))
+            models.append(models[-1])
+        else:
+            current = replace(fitted, version=models[-1][0].version + 1)
+            models.append((current, build_plan(current)))
+            meta["n_retrains"] += 1
+    y_pred = np.empty(len(te))
+    for rows, r in periods:
+        model, plan = models[r]
         X = te.X[rows]
-        y_pred[rows] = plan_predict(plan, current.params.values, X, scale_inputs(plan, X),
-                                    task_columns(current, te.well[rows]))
-        version[rows] = current.version
-        i = rows.stop
+        y_pred[rows] = plan_predict(plan, model.params.values, X, scale_inputs(plan, X),
+                                    task_columns(model, te.well[rows]))
+        version[rows] = model.version
     return _test_log(te, y_pred, version, meta)
 
 

@@ -459,6 +459,10 @@ class KindEntry:
       without the choke equation).  The kernels are looked up in
       :mod:`vfmlab.kernels` at call time, so a wrapper installed there
       later (the benchmark's tracer) sees every call.
+      ``loss_grad`` also takes the fits of ``optim.fit_maps`` stacked along
+      a leading axis (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
+      inv_var and the plan's nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or
+      more, returning sse (R,), grad (R, P) and the clamps of all R.
     """
 
     params: Callable

@@ -14,12 +14,20 @@ their hard bounds after every step.  The learning-rate schedule is
 gamma_k = gamma0 / k^a (power decay) or constant; the step index k restarts at
 1 for every fit and for every per-observation online update.
 
-:func:`fit_map` and ``learning.run_ol`` share one :class:`TrainingStep`,
-built once per fit or online-learning unit.  It takes the kernel plan, the
-prior arrays, the target transform and the bounds once; per optimizer step
-it runs the kind's gradient kernel and adds the prior gradient in place, and
-per validation pass it takes the loss alone (``models.plan_loss``).
-:func:`optimizer_step` applies each step, after its finiteness check.
+:func:`fit_maps` runs several MAP fits together, in lockstep: the refits of
+a periodic-batch unit, listed up front by ``learning.run_pbl``.  At step k
+every fit that is still running takes its step k; full mini-batches go
+through stacked kernel calls (``kernels``: the leading fit axis) and one
+optimizer step updates every fit's parameters, one row each.  Each fit keeps
+its own batch stream, validation and early stopping, and its result is the
+one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit case.
+
+Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
+It takes the kernel plan, the prior arrays, the target transform and the
+bounds once; per optimizer step it runs the kind's gradient kernel and adds
+the prior gradient in place, and per validation pass it takes the loss alone
+(``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
+finiteness check.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ class Method(enum.Enum):
     @classmethod
     def from_str(cls, s: str) -> "Method":
         for m in cls:
-            if m.value.lower() == s.strip().lower():
+            if isinstance(s, str) and m.value.lower() == s.strip().lower():
                 return m
         raise ConfigError(f"unknown optimizer method {s!r}")
 
@@ -186,7 +194,12 @@ class _Prior:
             idx = None
         elif mode is PriorMode.PHYSICAL_ONLY:
             idx = np.flatnonzero(params.is_physical)
-            idx = idx if idx.size else None
+            if idx.size == 0:
+                idx = None
+            elif idx[-1] - idx[0] + 1 == idx.size:
+                # one block (the physical entries lead the vector): a slice
+                # takes a view, several times faster than an index array
+                idx = slice(int(idx[0]), int(idx[-1]) + 1)
         else:
             idx = slice(None)
         self.idx = idx
@@ -201,10 +214,11 @@ class _Prior:
         return float(np.sum(z ** 2))
 
     def add_grad(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """Add the prior's gradient to grad in place."""
+        """Add the prior's gradient to grad in place (one row per fit when
+        stacked)."""
         if self.idx is not None:
-            z = (theta[self.idx] - self.mean) / self.std
-            grad[self.idx] += 2.0 * z / self.std
+            z = (theta[..., self.idx] - self.mean) / self.std
+            grad[..., self.idx] += 2.0 * z / self.std
 
 
 def prior_loss_and_grad(params: ParameterSet, theta: np.ndarray,
@@ -239,10 +253,11 @@ class TrainingStep:
         return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
 
     def start(self, values: np.ndarray) -> OptimizerState:
-        """Fresh optimizer state at values; the bounds are shared, not copied
-        (optimizer_step replaces values and never writes the bounds)."""
-        n = values.shape[0]
-        return OptimizerState(values, np.zeros(n), np.zeros(n), self.lower, self.upper)
+        """Fresh optimizer state at values (one row per fit when stacked);
+        the bounds are shared, not copied (optimizer_step replaces values and
+        never writes the bounds)."""
+        return OptimizerState(values, np.zeros(values.shape), np.zeros(values.shape),
+                              self.lower, self.upper)
 
     def grad(self, theta, X, Xs, y, wells) -> np.ndarray:
         """Gradient of the objective on rows (X, Xs, y from targets, wells)."""
@@ -258,6 +273,192 @@ class TrainingStep:
 # ------------------------------------------------------------------- fitting
 
 
+# fit_maps runs at most this many fits in one lockstep, and longer lists in
+# consecutive chunks: the stacked arrays grow with the fits in the stack.  A
+# PBL-2w unit (39 refits) of MM took 0.60, 0.47, 0.42 and 0.39 s at chunks of
+# 8, 13, 20 and 39 fits, and its NN unit about 1.6 s at each, while the
+# pbl-refit workload's peak RSS rose by about 1, 2, 4 and 9 MB over 82 MB
+# (2 cores, min of 4, timing the units of tools/pbl_lockstep.py); the chunk
+# changes no result.
+LOCKSTEP_FITS = 16
+
+
+class _Fit:
+    """One fit of :func:`fit_maps`: its rows, split into a training head and
+    a chronological validation tail, its own mini-batch stream and its
+    early-stopping state."""
+
+    def __init__(self, j: int, start: ModelSpec, train: WellDataset, loss: LossSpec,
+                 ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, sink: list | None):
+        if len(train) < 2:
+            raise DataError("fit_map needs at least 2 observations")
+        self.j, self.start, self.sink = j, start, sink
+        self.step = step = TrainingStep(start, loss.noise_std, loss.prior_mode)
+        _, X, y, well = as_columns(train)
+        X = np.ascontiguousarray(X)
+        check_inputs(start, X)
+        Xs = scale_inputs(step.plan, X)
+        y = step.targets(y)
+        wells = task_columns(start, well)
+        n = X.shape[0]
+        n_val = int(math.floor(escfg.val_fraction * n))
+        n_tr = n - n_val
+        self.degenerate = n_val == 0 or n_tr == 0
+        if self.degenerate:
+            warnings.warn("degenerate validation split; fixed epoch count", stacklevel=4)
+            n_tr = n
+        self.n_tr = n_tr
+        self.hold(X, Xs, y, wells)
+        self.rng = substream(ocfg.seed, "batches")
+        self.bs = n_tr if ocfg.batch_size is None else min(ocfg.batch_size, n_tr)
+        self.epoch = 0
+        self.pos = n_tr          # the first batch starts an epoch
+        self.best_values = start.params.values
+        self.best_val = math.inf
+        self.since_improve = 0
+
+    def hold(self, X, Xs, y, wells) -> None:
+        """Keep the fit's rows (raw and scaled inputs, targets, task columns)
+        as a training head and a validation tail."""
+        self.rows = X, Xs, y, wells
+        self.train = X[:self.n_tr], Xs[:self.n_tr], y[:self.n_tr], wells[:self.n_tr]
+        self.val = X[self.n_tr:], Xs[self.n_tr:], y[self.n_tr:], wells[self.n_tr:]
+
+    def next_batch(self) -> np.ndarray:
+        """Training-row indices of the fit's next step; the first step of an
+        epoch draws that epoch's order."""
+        if self.pos >= self.n_tr:
+            self.epoch += 1
+            self.order = (self.rng.permutation(self.n_tr) if self.bs < self.n_tr
+                          else np.arange(self.n_tr))
+            self.pos = 0
+        idx = self.order[self.pos:self.pos + self.bs]
+        self.pos += self.bs
+        return idx
+
+    def end_epoch(self, values: np.ndarray, escfg: EarlyStoppingConfig) -> bool:
+        """Validate after the epoch's last step; True once the fit is done."""
+        if self.sink is not None:
+            loss = self.step.loss(values, *self.train)
+        if self.degenerate:
+            val_loss = math.nan
+            self.best_values = values.copy()
+        else:
+            val_loss = self.step.loss(values, *self.val)
+            if val_loss < self.best_val:
+                self.best_val = val_loss
+                self.best_values = values.copy()
+                self.since_improve = 0
+            else:
+                self.since_improve += 1
+        if self.sink is not None:
+            self.sink.append((self.epoch, loss, val_loss))
+        return self.since_improve >= escfg.patience or self.epoch == escfg.max_epochs
+
+
+def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
+             escfg: EarlyStoppingConfig, curve_sinks=None) -> list:
+    """MAP fits of m, one per ``(scaler, train)`` pair of `fits`, in lockstep.
+
+    Each fit starts from m's values and priors with its own input scaler and
+    trains as :func:`fit_map` describes; its result does not depend on the
+    other fits, bit for bit.  At tick k every fit that is still running
+    takes its step k, so gamma_k and Adam's bias corrections are shared
+    scalars and one optimizer step updates the stacked parameters, one row
+    per fit.  The mini-batches due at a tick that share a length of at least
+    ``kernels.COLUMN_ROWS`` rows go through one stacked kernel call (theta
+    (R, P), X and Xs (R, n, 6), y and wells (R, n), inv_var (R, 1)); every
+    other batch (an epoch's partial last one, a fit alone at its length)
+    and every validation pass runs one fit at a time.  A fit leaves the
+    stack when it stops early, runs out of epochs, or meets a non-finite
+    gradient; lists longer than ``LOCKSTEP_FITS`` run in consecutive chunks.
+
+    Returns, per fit, m with that scaler and its best-validation values
+    (version m.version + 1), or the DataError or NumericError that ended
+    it: fewer than 2 rows, a mechanistic row with nonpositive p1, p2 or T1,
+    or a non-finite gradient.
+    """
+    if m.kind is ModelKind.BENCHMARK:
+        raise ConfigError("benchmark predictor has no parameters to fit")
+    if len(fits) > LOCKSTEP_FITS:
+        return [r for c in range(0, len(fits), LOCKSTEP_FITS)
+                for r in fit_maps(m, fits[c:c + LOCKSTEP_FITS], loss, ocfg, escfg,
+                                  None if curve_sinks is None
+                                  else curve_sinks[c:c + LOCKSTEP_FITS])]
+    results: list = [None] * len(fits)
+    live = []
+    for j, (scaler, train) in enumerate(fits):
+        try:
+            live.append(_Fit(j, replace(m, scaler=scaler), train, loss, ocfg, escfg,
+                             None if curve_sinks is None else curve_sinks[j]))
+        except (DataError, NumericError) as e:
+            results[j] = e
+    if not live:
+        return results
+
+    state = live[0].step.start(np.stack([m.params.values] * len(live)))
+    prior = live[0].step.prior
+    if len(live) > 1:   # every fit's rows in one array each, so a stacked batch is one gather
+        cols = [np.concatenate([f.rows[c] for f in live]) for c in range(4)]
+        base = 0
+        for f in live:
+            end = base + f.rows[2].shape[0]
+            f.base = base
+            f.hold(*(c[base:end] for c in cols))
+            base = end
+    k = 0
+    while live:
+        k += 1
+        batches = [f.next_batch() for f in live]
+        by_len: dict = {}
+        for i, idx in enumerate(batches):
+            by_len.setdefault(idx.shape[0], []).append(i)
+        grad = np.empty(state.values.shape)
+        for n_rows, ix in by_len.items():
+            if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
+                group = [live[i] for i in ix]
+                rows = slice(None) if len(ix) == len(live) else ix
+                at = np.stack([batches[i] + f.base for i, f in zip(ix, group)])
+                # HEM's network term is scaled by each fit's own target scale
+                plan = replace(group[0].step.plan,
+                               nn_scale=np.array([f.step.plan.nn_scale for f in group])[:, None])
+                X, Xs, y, wells = (c[at] for c in cols)
+                _, grad[rows] = plan_loss_grad(
+                    plan, state.values[rows], X, Xs, y,
+                    np.array([f.step.inv_var for f in group])[:, None], wells)
+                continue
+            for i in ix:
+                f, idx = live[i], batches[i]
+                X, Xs, y, wells = f.train
+                _, grad[i] = plan_loss_grad(f.step.plan, state.values[i], X[idx], Xs[idx],
+                                            y[idx], f.step.inv_var, wells[idx])
+        prior.add_grad(state.values, grad)
+        try:
+            optimizer_step(state, grad, ocfg, k)
+        except NumericError as e:   # the fits whose gradient is not finite end here
+            finite = np.isfinite(grad).all(axis=1)
+            for i in np.flatnonzero(~finite):
+                results[live[i].j] = e
+            live = _keep(live, state, finite.tolist())
+            if not live:
+                break
+            optimizer_step(state, grad[finite], ocfg, k)
+        going = [not (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg))
+                 for i, f in enumerate(live)]
+        if not all(going):
+            for f, g in zip(live, going):
+                if not g:
+                    results[f.j] = f.start.with_values(f.best_values)
+            live = _keep(live, state, going)
+    return results
+
+
+def _keep(live: list, state: OptimizerState, keep: list) -> list:
+    """Compact the stacked state to the fits that stay; returns those fits."""
+    state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
+    return [f for f, k in zip(live, keep) if k]
+
+
 def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
             ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
             curve_sink: list | None = None) -> ModelSpec:
@@ -267,63 +468,14 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     when its loss has not improved for `patience` epochs, and the
     best-validation parameters are returned.  An empty tail (too little data)
     falls back to a fixed run of max_epochs with a warning.  A mechanistic
-    kind's row with nonpositive p1, p2 or T1 raises NumericError.
+    kind's row with nonpositive p1, p2 or T1 raises NumericError.  This is
+    the one-fit case of :func:`fit_maps`.
     """
-    if m.kind is ModelKind.BENCHMARK:
-        raise ConfigError("benchmark predictor has no parameters to fit")
-    if len(train) < 2:
-        raise DataError("fit_map needs at least 2 observations")
-
-    step = TrainingStep(m, loss.noise_std, loss.prior_mode)
-    _, X, y, well = as_columns(train)
-    X = np.ascontiguousarray(X)
-    check_inputs(m, X)
-    Xs = scale_inputs(step.plan, X)
-    y = step.targets(y)
-    wells = task_columns(m, well)
-    n = X.shape[0]
-    n_val = int(math.floor(escfg.val_fraction * n))
-    n_tr = n - n_val
-    degenerate = n_val == 0 or n_tr == 0
-    if degenerate:
-        warnings.warn("degenerate validation split; fixed epoch count", stacklevel=2)
-        n_tr, n_val = n, 0
-    Xt, Xst, yt, wt = X[:n_tr], Xs[:n_tr], y[:n_tr], wells[:n_tr]
-    Xv, Xsv, yv, wv = X[n_tr:], Xs[n_tr:], y[n_tr:], wells[n_tr:]
-
-    state = step.start(m.params.values)
-    rng = substream(ocfg.seed, "batches")
-    bs = n_tr if ocfg.batch_size is None else min(ocfg.batch_size, n_tr)
-
-    best_values = state.values
-    best_val = math.inf
-    since_improve = 0
-    k = 0
-    for epoch in range(1, escfg.max_epochs + 1):
-        order = rng.permutation(n_tr) if bs < n_tr else np.arange(n_tr)
-        for start in range(0, n_tr, bs):
-            idx = order[start:start + bs]
-            k += 1
-            grad = step.grad(state.values, Xt[idx], Xst[idx], yt[idx], wt[idx])
-            optimizer_step(state, grad, ocfg, k)
-        if degenerate:
-            val_loss = math.nan
-            if curve_sink is not None:
-                curve_sink.append((epoch, step.loss(state.values, Xt, Xst, yt, wt), val_loss))
-            best_values = state.values
-            continue
-        val_loss = step.loss(state.values, Xv, Xsv, yv, wv)
-        if curve_sink is not None:
-            curve_sink.append((epoch, step.loss(state.values, Xt, Xst, yt, wt), val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_values = state.values
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= escfg.patience:
-                break
-    return m.with_values(best_values)
+    fitted, = fit_maps(m, [(m.scaler, train)], loss, ocfg, escfg,
+                       None if curve_sink is None else [curve_sink])
+    if isinstance(fitted, Exception):
+        raise fitted
+    return fitted
 
 
 # --------------------------------------------------------------- grid search
@@ -336,9 +488,16 @@ _GRID_KEYS = {"ol": ("gamma0", "steps", "method", "schedule"),
               "pbl": ("gamma0", "method", "schedule", "batch_size")}
 
 
+def _grid_value(key: str, value):
+    """The setting one grid value makes (a method name becomes a Method)."""
+    return Method.from_str(value) if key == "method" and not isinstance(value, Method) else value
+
+
 def check_grids(grids: dict) -> None:
     """Refuse grids keyed by anything but a schedule mode ("ol", "pbl"), a
-    grid that is not a nonempty list, and a key that the mode never reads."""
+    grid that is not a nonempty list, a key that the mode never reads, and a
+    value that tune could not run: each is built as grid_search builds it
+    (a step count, or an OptimizerConfig setting)."""
     if not isinstance(grids, dict):
         raise ConfigError("grids must map schedule modes to their grids")
     for mode, grid in grids.items():
@@ -350,6 +509,15 @@ def check_grids(grids: dict) -> None:
         unknown = set(grid) - set(_GRID_KEYS[mode])
         if unknown:
             raise ConfigError(f"grids.{mode}: keys {sorted(unknown)} mean nothing under {mode}")
+        for key, values in grid.items():
+            for value in values:
+                try:
+                    if key != "steps":
+                        OptimizerConfig(**{key: _grid_value(key, value)})
+                    elif isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                        raise ConfigError("steps must be an integer >= 0")
+                except (ConfigError, TypeError, ValueError) as e:
+                    raise ConfigError(f"grids.{mode}.{key}: {e}") from None
 
 
 def grid_search(grids: dict, protocol, score):
@@ -370,9 +538,7 @@ def grid_search(grids: dict, protocol, score):
     best_score = math.inf
 
     for combo in itertools.product(*(grids[k] for k in keys)):
-        override = dict(zip(keys, combo))
-        if "method" in override and isinstance(override["method"], str):
-            override["method"] = Method.from_str(override["method"])
+        override = {k: _grid_value(k, v) for k, v in zip(keys, combo)}
         opt = dict(override)   # the step count is the schedule's, the rest the optimizer's
         steps = opt.pop("steps", protocol.steps)
         sched = replace(protocol, ocfg=replace(protocol.ocfg, **opt), steps=steps)

@@ -244,6 +244,43 @@ def test_grids_are_checked_at_load(tmp_path, capsys, grids):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("grids, message", [
+    ({"ol": {"gamma0": [1e-3, -1e-3]}, "pbl": {"method": ["Adamm"]}},
+     "grids.ol.gamma0: gamma0 must be positive"),
+    ({"pbl": {"method": ["Adam", "Adamm"]}},
+     "grids.pbl.method: unknown optimizer method 'Adamm'"),
+    ({"pbl": {"schedule": ["constant", "cosine"]}},
+     "grids.pbl.schedule: unknown schedule 'cosine'"),
+    ({"pbl": {"batch_size": [32, 0]}},
+     "grids.pbl.batch_size: batch_size must be >= 1 or None (full batch)"),
+    ({"ol": {"steps": [1, -1]}}, "grids.ol.steps: steps must be an integer >= 0"),
+    ({"ol": {"gamma0": ["fast"]}}, "grids.ol.gamma0: "),
+    ({"pbl": {"method": [5]}}, "grids.pbl.method: unknown optimizer method 5")],
+    ids=["negative-gamma0", "unknown-method", "unknown-schedule", "zero-batch-size",
+         "negative-steps", "gamma0-not-a-number", "method-not-a-name"])
+def test_grid_values_are_checked_at_load(tmp_path, capsys, grids, message):
+    """Every value of every grid is built as tune would build it when the
+    file is loaded; the first bad one is named by its mode and key."""
+    raw = _tiny_study(tmp_path)
+    raw["grids"] = grids
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, capsys):
+    raw = _tiny_study(tmp_path)
+    raw["init_optimizer"] = {"method": 5}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown optimizer method 5" in err and len(err.strip().splitlines()) == 1
+
+
 def _small_study(tmp_path) -> Path:
     """Two jittered 60-day wells, split at day 30; the benchmark, LR and MM
     under one OL and one PBL schedule, with short fits."""

@@ -24,7 +24,8 @@ import pytest
 
 import loop_kernels as loop
 from vfmlab import StudyConfig, kernels
-from vfmlab.models import D_INPUT, ChokeGeometry, MechanisticParams, NetworkShape
+from vfmlab.models import (D_INPUT, TRAINABLE_KINDS, ChokeGeometry, MechanisticParams,
+                           NetworkShape)
 
 NN_WIDTHS = np.array(NetworkShape(hidden=(32, 32)).widths(), dtype=np.int64)
 NN_PARAMS = NetworkShape(hidden=(32, 32)).n_params()          # 1313
@@ -352,3 +353,89 @@ def test_column_softplus_and_sigmoid_match_the_scalar_forms():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         _close(kernels._softplus_cols(z), sp, PRED_RTOL)
         _close(kernels._sigmoid_cols(z), sg, PRED_RTOL)
+
+
+# ------------------------------------------- stacked fits against one-fit calls
+#
+# optim.fit_maps runs the mini-batches of several fits that fall due at one
+# step as one call, stacked along a leading fit axis.  Each fit brings its own
+# parameters, rows, scaled inputs, targets, inverse noise variance and (HEM)
+# network scale; row i of every stacked result must equal that fit's own call
+# bit for bit, and the stacked clamp count the sum of theirs.
+
+FITS = 3
+STACKED = {
+    "lr": lambda th, x, xs, w, y, iv, ns: (*kernels.lr_loss_grad(th, xs, y, iv), 0),
+    "nn": lambda th, x, xs, w, y, iv, ns: (*kernels.nn_loss_grad(th, 0, NN_WIDTHS, xs, y, iv),
+                                           0),
+    "mtl": lambda th, x, xs, w, y, iv, ns: (
+        *kernels.mtl_loss_grad(th, MTL.dims(), xs, w, y, iv), 0),
+    "mm": lambda th, x, xs, w, y, iv, ns: kernels.mm_loss_grad(th, x, GEOM, y, iv),
+    "hem": lambda th, x, xs, w, y, iv, ns: kernels.hem_loss_grad(th, NN_WIDTHS, x, xs, GEOM,
+                                                                 y, iv, ns),
+    "ham": lambda th, x, xs, w, y, iv, ns: kernels.ham_loss_grad(th, NN_WIDTHS, x, xs, GEOM,
+                                                                 y, iv),
+}
+
+
+def test_every_trainable_kind_is_covered():
+    assert {k.value.lower() for k in TRAINABLE_KINDS} == set(STACKED)
+
+
+def _stacked_fit(rng, kind, n):
+    x, xs = _choke_rows(rng, n)
+    if kind == "lr":
+        theta = rng.standard_normal(D_INPUT + 1)
+    elif kind == "nn":
+        theta = rng.standard_normal(NN_PARAMS) * 0.3
+    elif kind == "mtl":
+        theta = rng.standard_normal(MTL.n_params()) * 0.3
+    elif kind == "mm":
+        theta = _mm_theta(rng)
+    elif kind == "hem":
+        theta = np.concatenate([_mm_theta(rng), rng.standard_normal(NN_PARAMS) * 0.3])
+    else:
+        theta = _ham_case(rng, n, 40.0)[2]
+    wells = rng.integers(0, MTL.n_tasks, n).astype(np.int64)   # repeats: scatter order
+    y = rng.uniform(0.5, 2.0, n) * (100.0 if kind in ("mm", "hem", "ham") else 1.0)
+    return theta, x, xs, wells, y, rng.uniform(0.5, 3.0), rng.uniform(2.0, 9.0)
+
+
+@pytest.mark.parametrize("n", sorted({kernels.COLUMN_ROWS, 64}))
+@pytest.mark.parametrize("kind", sorted(STACKED))
+def test_a_stacked_call_equals_one_call_per_fit(kind, n):
+    rng = np.random.default_rng(60 + n + len(kind))
+    fits = [_stacked_fit(rng, kind, n) for _ in range(FITS)]
+    theta, x, xs, wells, y = (np.stack([f[c] for f in fits]) for c in range(5))
+    inv_var, nn_scale = (np.array([f[c] for f in fits])[:, None] for c in (5, 6))
+    sse, grad, clamps = STACKED[kind](theta, x, xs, wells, y, inv_var, nn_scale)
+    assert sse.shape == (FITS,) and grad.shape == theta.shape
+    want_clamps = 0
+    for i, fit in enumerate(fits):
+        sse_i, grad_i, clamps_i = STACKED[kind](*fit)
+        assert sse[i].tobytes() == np.float64(sse_i).tobytes(), i
+        assert grad[i].tobytes() == grad_i.tobytes(), i
+        want_clamps += clamps_i
+    assert clamps == want_clamps
+    if kind in ("mm", "hem", "ham"):
+        assert want_clamps > 0    # a clamped radicand in the stack
+
+
+@pytest.mark.parametrize("fits, n", [(2, 6), (FITS, D_INPUT + 1), (FITS, NN_PARAMS)])
+def test_a_stacked_adam_step_equals_one_step_per_fit(fits, n):
+    """Below ADAM_LOOP_PARAMS one fit steps by the loop; a stack of fewer
+    entries in all loops fit by fit, a larger one takes the array form,
+    which rounds alike."""
+    rng = np.random.default_rng(70 + n)
+    theta = rng.standard_normal((fits, n))
+    lower, upper = _bounds(rng, theta[0])
+    m, v = np.zeros((fits, n)), np.zeros((fits, n))
+    m1, v1 = m.copy(), v.copy()
+    th, th1 = theta, theta.copy()
+    for k in range(1, 51):
+        grad = rng.standard_normal((fits, n)) * 10.0 ** rng.uniform(-3, 3, (fits, n))
+        th = kernels.adam_step(th, grad, m, v, k, 0.05, 0.9, 0.999, 1e-8, lower, upper)
+        th1 = np.stack([kernels.adam_step(th1[i], grad[i], m1[i], v1[i], k, 0.05, 0.9,
+                                          0.999, 1e-8, lower, upper) for i in range(fits)])
+        assert th.tobytes() == th1.tobytes(), k
+        assert m.tobytes() == m1.tobytes() and v.tobytes() == v1.tobytes(), k

@@ -138,13 +138,13 @@ def test_pbl_refit_history_is_every_allowed_row_before_the_arrival(monkeypatch, 
     from vfmlab import learning
 
     seen = []
-    fit_map = learning.fit_map
+    fit_maps = learning.fit_maps
 
-    def recording_fit_map(m, train, *args):
-        seen.append(train.t.tolist())
-        return fit_map(m, train, *args)
+    def recording_fit_maps(m, fits, *args):
+        seen.extend(train.t.tolist() for _, train in fits)
+        return fit_maps(m, fits, *args)
 
-    monkeypatch.setattr(learning, "fit_map", recording_fit_map)
+    monkeypatch.setattr(learning, "fit_maps", recording_fit_maps)
     run_pbl(init_model("lr", seed=2), affine_split(),
             pbl_cfg(10.0, update_sources=sources))
     t = np.arange(100.0)  # train t = 0..49, test t = 50..99, WellTest every 5th row

@@ -6,7 +6,10 @@ target transform once per fit or online-learning unit, validates with the
 loss alone (``models.plan_loss``) and runs the network forward once per gradient.  None of
 that may change a single rounding: fitted values, learning curves and
 online-learning logs must equal the frozen loops bit for bit, for every
-trainable kind, every prior mode and both optimizers.
+trainable kind, every prior mode and both optimizers.  ``run_pbl`` fits a
+unit's refits in lockstep (``optim.fit_maps``); each refit must equal
+``fit_map`` on that refit alone, bit for bit, whichever fits it was stacked
+with, when they leave the stack and whichever of them fail.
 """
 
 import dataclasses
@@ -18,11 +21,12 @@ import pytest
 import loop_drivers as loop
 from conftest import make_dataset
 from vfmlab.core import WellDataset, chronological_split, fit_scaler
-from vfmlab import learning
+from vfmlab.errors import DataError, NumericError
+from vfmlab import kernels, learning
 from vfmlab.learning import ScheduleConfig, run_ol, run_pbl
-from vfmlab.models import (TRAINABLE_KINDS, ModelKind, MtlParams, NetworkShape, build_plan, init_model,
-                           mm_clamp_count, plan_loss, plan_loss_grad, predict, scale_inputs,
-                           task_columns)
+from vfmlab.models import (TRAINABLE_KINDS, ModelKind, MtlParams, NetworkShape,
+                           build_plan, init_model, mm_clamp_count, plan_loss, plan_loss_grad,
+                           predict, scale_inputs, task_columns)
 from vfmlab.optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode,
                           fit_map)
 
@@ -125,14 +129,93 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
 HOUR = 3600.0
 
 
-@pytest.mark.parametrize("case", ["boundary_rows", "window", "sources", "gap"])
+def _stacked_calls(monkeypatch) -> list:
+    """Record, per stacked gradient call of any kind, whether each fit's
+    gradient came out finite."""
+    calls = []
+    for name in ("lr_loss_grad", "nn_loss_grad", "mtl_loss_grad", "mm_loss_grad",
+                 "hem_loss_grad", "ham_loss_grad"):
+        def traced(theta, *args, real=getattr(kernels, name)):
+            out = real(theta, *args)
+            if theta.ndim == 2:
+                calls.append(np.isfinite(out[1]).all(axis=1).tolist())
+            return out
+        monkeypatch.setattr(kernels, name, traced)
+    return calls
+
+
+def _lockstep_refits(monkeypatch) -> list:
+    """Record each (scaler, history, result) that run_pbl's lockstep makes."""
+    refits = []
+    fit_maps = learning.fit_maps
+
+    def recording(m, fits, *args):
+        results = fit_maps(m, fits, *args)
+        refits.extend((*fit, r) for fit, r in zip(fits, results))
+        return results
+
+    monkeypatch.setattr(learning, "fit_maps", recording)
+    return refits
+
+
+def _assert_refits_equal_fit_map(m0, refits, cfg) -> set:
+    """Every lockstep result equals fit_map on that refit alone, bit for bit
+    (or fails alike); returns the set of epoch counts the fits ran."""
+    epochs = set()
+    for scaler, history, got in refits:
+        sink = []
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                want = fit_map(dataclasses.replace(m0, scaler=scaler), history, cfg.loss,
+                               cfg.ocfg, cfg.escfg, curve_sink=sink)
+            except (DataError, NumericError) as e:
+                want = e
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got.params.values.tobytes() == want.params.values.tobytes()
+            epochs.add(len(sink))
+    return epochs
+
+
+def _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch):
+    """run_pbl against loop.run_pbl: y_pred to 1e-12 relative, everything
+    else exactly; returns (log, the per-row loop's metadata)."""
+    calls = []
+    plan_predict = learning.plan_predict
+    monkeypatch.setattr(learning, "plan_predict",
+                        lambda *a: calls.append(len(a[2])) or plan_predict(*a))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        log = run_pbl(m0, split, cfg)
+        want, want_meta = loop.run_pbl(m0, split, cfg)
+    for col in ("t", "well", "y_true", "model_version", "source"):
+        assert np.array_equal(getattr(log, col), want[col]), col
+    assert log.metadata == want_meta
+    periods = np.unique((split.test.t - split.split_time) // cfg.period_s)
+    if m0.kind is ModelKind.BENCHMARK:
+        assert np.array_equal(log.y_pred, want["y_pred"], equal_nan=True)
+        assert calls == []
+    else:
+        np.testing.assert_allclose(log.y_pred, want["y_pred"], rtol=1e-12, atol=0)
+        assert len(calls) == len(periods) and sum(calls) == len(split.test)
+        assert len(set(want["model_version"].tolist())) == want_meta["n_retrains"] + 1
+    return log, want_meta
+
+
+@pytest.mark.parametrize("case", ["boundary_rows", "window", "sources", "gap", "early_stop"])
 @pytest.mark.parametrize("kind", (ModelKind.BENCHMARK,) + tuple(TRAINABLE_KINDS),
                          ids=lambda k: k.value)
 def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
     """Rows arrive every half hour and the period is three hours, so every
     boundary falls on a row; "gap" drops the test rows of ten hours, a gap
-    over several boundaries.  One prediction call per period with arrivals;
-    y_pred to 1e-12 relative, everything else exactly."""
+    over several boundaries.  One prediction call per period with arrivals.
+
+    "early_stop" refits on histories of 25 to 55 rows with patience 1 and
+    mini-batches of COLUMN_ROWS rows: the refits stop at different epochs,
+    so they leave the lockstep one by one, and their full batches go through
+    stacked kernel calls."""
     ds = _data(30)
     split = chronological_split(ds, float(ds.t[24]))
     if case == "gap":
@@ -141,26 +224,57 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
         split = dataclasses.replace(split, test=te.take(np.flatnonzero(keep)))
     m0 = init_model("benchmark") if kind is ModelKind.BENCHMARK else _model(kind, split.train)
     loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=PriorMode.FULL)
-    cfg = ScheduleConfig(mode="pbl", ocfg=_ocfg(Method.ADAM), loss=loss, period_s=3 * HOUR,
-                         window_s=8 * HOUR if case == "window" else None, escfg=ESCFG,
+    ocfg, escfg = _ocfg(Method.ADAM), ESCFG
+    if case == "early_stop":
+        ocfg = dataclasses.replace(ocfg, gamma0=0.2, batch_size=kernels.COLUMN_ROWS)
+        escfg = EarlyStoppingConfig(val_fraction=0.25, patience=1, max_epochs=20)
+    cfg = ScheduleConfig(mode="pbl", ocfg=ocfg, loss=loss, period_s=3 * HOUR,
+                         window_s=8 * HOUR if case == "window" else None, escfg=escfg,
                          update_sources=("MPFM",) if case == "sources" else None)
-    calls = []
-    plan_predict = learning.plan_predict
-    monkeypatch.setattr(learning, "plan_predict",
-                        lambda *a: calls.append(len(a[2])) or plan_predict(*a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        log = run_pbl(m0, split, cfg)
-        want, want_meta = loop.run_pbl(m0, split, cfg)
-    for col in ("t", "well", "y_true", "model_version", "source"):
-        assert np.array_equal(getattr(log, col), want[col]), col
-    assert log.metadata == want_meta
+    stacked = _stacked_calls(monkeypatch)
+    refits = _lockstep_refits(monkeypatch)
+    log, want_meta = _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch)
     periods = np.unique((split.test.t - split.split_time) // cfg.period_s)
-    if kind is ModelKind.BENCHMARK:
-        assert np.array_equal(log.y_pred, want["y_pred"], equal_nan=True)
-        assert calls == []
-    else:
-        np.testing.assert_allclose(log.y_pred, want["y_pred"], rtol=1e-12, atol=0)
-        assert len(calls) == len(periods) and sum(calls) == len(split.test)
+    if kind is not ModelKind.BENCHMARK:
         assert want_meta["n_retrains"] == len(periods) - 1
-        assert len(set(want["model_version"].tolist())) == len(periods)
+        epochs = _assert_refits_equal_fit_map(m0, refits, cfg)
+    if case == "early_stop" and kind is not ModelKind.BENCHMARK:
+        assert len(epochs) > 1 and min(epochs) < escfg.max_epochs, epochs
+        assert any(len(c) > 1 for c in stacked)
+
+
+def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
+    """MM refits on well-test rows only.  The first of eight refits has a
+    single such row (DataError before any step).  The last two hold, in their
+    training head, a row whose upstream pressure overflows the choke
+    equation, so the step that draws it meets a non-finite gradient
+    (NumericError) while the refits stacked with them go on.  Failed periods,
+    retrain count, versions and every prediction equal the per-row loop's."""
+    ds = _data(40)
+    t_split = float(ds.t[30])
+    source = np.where(ds.t < t_split, 0, 1).astype(np.uint8)
+    source[10] = 1                              # one well-test row before the split
+    X = ds.X.copy()
+    poisoned = int(np.searchsorted(ds.t, t_split + 15.5 * HOUR))
+    X[poisoned, 1] = 1e308                      # p1 finite, the radicand overflows
+    ds = WellDataset(ds.t, X, ds.y, source, ds.well)
+    split = chronological_split(ds, t_split)
+    te = split.test                             # no arrivals in the first period
+    split = dataclasses.replace(split, test=te.take(np.flatnonzero(
+        te.t >= t_split + 3 * HOUR)))
+    m0 = _model(ModelKind.MM, split.train)
+    loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=PriorMode.FULL)
+    cfg = ScheduleConfig(mode="pbl", loss=loss, period_s=3 * HOUR,
+                         ocfg=dataclasses.replace(_ocfg(Method.ADAM),
+                                                  batch_size=kernels.COLUMN_ROWS),
+                         escfg=EarlyStoppingConfig(val_fraction=0.25, patience=3, max_epochs=6),
+                         update_sources=("WellTest",))
+    stacked = _stacked_calls(monkeypatch)
+    refits = _lockstep_refits(monkeypatch)
+    log, meta = _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch)
+    _assert_refits_equal_fit_map(m0, refits, cfg)
+    assert [type(r[2]).__name__ for r in refits].count("NumericError") == 2
+    assert meta["failed_periods"][0] == split.split_time + 3 * HOUR   # the one-row history
+    assert len(meta["failed_periods"]) == 3 and meta["n_retrains"] == 5
+    # a stacked call in which one fit's gradient was not finite and another's was
+    assert any(not all(c) and any(c) for c in stacked), stacked
