@@ -74,6 +74,17 @@ one call per fit):
   the loops' order: a cumulative sum along the summed axis adds one term at
   a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
   ``np.add.at`` applies rows in index order;
+* the backward's ReLU masks (``_relu_mask``, in ``_nn_backward`` and twice
+  per block in ``mtl_loss_grad``) equal ``np.where(a > 0.0, d, 0.0)``
+  without its branch per element: d's bits, viewed as int64, are
+  multiplied by the boolean ``a > 0.0``.  Where that is 1 the bits stay,
+  NaN payloads and signs included; where it is 0 they become those of
+  +0.0, which ``np.where`` writes there; a NaN in ``a`` compares false.
+  The form is the same at every size: it is about 0.3 us slower than
+  ``np.where`` at one row and 2 to 3 times faster at 64 rows
+  (``tools/relu_mask.py``).
+  The oracle test holds it to ``np.where`` on signed zeros, NaNs,
+  subnormals and infinities;
 * the MM/HEM/HAM column forms go through the loops' arithmetic in the loops'
   order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` differ
   from libm by one unit in the last place on a few percent of inputs
@@ -87,6 +98,14 @@ rule:
   path, and a transposed view rounds differently;
 * the placeholder first entries of ``_mtl_forward``'s ``h1s``/``a1s`` lists
   are part of its result, whose list lengths the oracle compares.
+
+The predict and loss-gradient kernels write in place only into arrays they
+have just made (a product of ``np.dot``/``np.matmul`` or a sum, as
+``_relu_mask`` and ``_nn_forward``'s ReLU do), never into an argument or a
+view of one: theta, X, Xs, y and the task columns come back unchanged
+(``test_no_kernel_writes_into_its_arguments``).  The writes into arguments
+are named: ``_nn_backward`` adds into ``grad``, ``adam_step`` updates ``m``
+and ``v``.
 
 Shared conventions:
 
@@ -178,6 +197,15 @@ def _affine_cols(b, a, w):
     terms[..., 0] = b
     np.multiply(a, w, out=terms[..., 1:])
     return np.cumsum(terms, axis=-1)[..., -1].copy()
+
+
+def _relu_mask(d, a):
+    """d where a > 0, else +0.0: np.where(a > 0.0, d, 0.0), bit for bit,
+    without a branch per element.  d's bits, as int64, are multiplied by the
+    mask in place, so d must be an array the caller has just made."""
+    bits = d.view(np.int64)
+    np.multiply(bits, a > 0.0, out=bits)
+    return d
 
 
 def _area(u, geom):
@@ -444,9 +472,11 @@ def _nn_forward(theta, off, widths, xs):
         pos += fi * fo
         b = theta[..., None, pos:pos + fo]
         pos += fo
+        # the ReLU writes into the fresh sum; an in-place bias add (z += b)
+        # made a one-row gradient 0.4 to 1 us slower, so the sum is new
         z = dot(h, w) + b
         if layer < nl - 1:
-            z = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         acts.append(z)
         h = z
     return h[..., 0].copy(), acts
@@ -476,8 +506,7 @@ def _nn_backward(theta, off, widths, acts, delta, grad):
         grad[..., wpos:wpos + fi * fo] += dw.reshape(lead + (fi * fo,))
         grad[..., bpos:bpos + fo] += dot(ones, d)
         if layer > 0:
-            d = dot(d, np.ascontiguousarray(w.swapaxes(-1, -2)))
-            d = np.where(a_prev > 0.0, d, 0.0)
+            d = _relu_mask(dot(d, np.ascontiguousarray(w.swapaxes(-1, -2))), a_prev)
 
 
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
@@ -780,13 +809,11 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
         dwl2 = dot(tr(a1), dz)
         grad[..., bp + h * h + h:bp + 2 * h * h + h] += dwl2.reshape(flat)
         grad[..., bp + 2 * h * h + h:bp + 2 * h * h + 2 * h] += dot(ones, dz)
-        da1 = dot(dz, tr(wl2))
-        dh1 = np.where(h1 > 0.0, da1, 0.0)
+        dh1 = _relu_mask(dot(dz, tr(wl2)), h1)
         dwl1 = dot(tr(a0), dh1)
         grad[..., bp:bp + h * h] += dwl1.reshape(flat)
         grad[..., bp + h * h:bp + h * h + h] += dot(ones, dh1)
-        da0 = dot(dh1, tr(wl1))
-        dz = dz + np.where(zin > 0.0, da0, 0.0)
+        dz = dz + _relu_mask(dot(dh1, tr(wl1)), zin)
 
     # input layer
     w02 = theta[..., d * h:d * h + p * h].reshape(lead + (p, h))

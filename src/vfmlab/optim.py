@@ -406,6 +406,7 @@ def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
             f.base = base
             f.hold(*(c[base:end] for c in cols))
             base = end
+    stacked = None    # _stacked(live), built again after each compaction
     k = 0
     while live:
         k += 1
@@ -416,16 +417,17 @@ def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
         grad = np.empty(state.values.shape)
         for n_rows, ix in by_len.items():
             if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
-                group = [live[i] for i in ix]
-                rows = slice(None) if len(ix) == len(live) else ix
-                at = np.stack([batches[i] + f.base for i, f in zip(ix, group)])
-                # HEM's network term is scaled by each fit's own target scale
-                plan = replace(group[0].step.plan,
-                               nn_scale=np.array([f.step.plan.nn_scale for f in group])[:, None])
+                if stacked is None:
+                    stacked = _stacked(live)
+                plan, inv_var = stacked
+                rows = slice(None)
+                if len(ix) < len(live):
+                    rows = ix
+                    plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
+                at = np.stack([batches[i] + live[i].base for i in ix])
                 X, Xs, y, wells = (c[at] for c in cols)
-                _, grad[rows] = plan_loss_grad(
-                    plan, state.values[rows], X, Xs, y,
-                    np.array([f.step.inv_var for f in group])[:, None], wells)
+                _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
+                                               wells)
                 continue
             for i in ix:
                 f, idx = live[i], batches[i]
@@ -439,7 +441,7 @@ def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
             finite = np.isfinite(grad).all(axis=1)
             for i in np.flatnonzero(~finite):
                 results[live[i].j] = e
-            live = _keep(live, state, finite.tolist())
+            live, stacked = _keep(live, state, finite.tolist()), None
             if not live:
                 break
             optimizer_step(state, grad[finite], ocfg, k)
@@ -449,8 +451,17 @@ def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
             for f, g in zip(live, going):
                 if not g:
                     results[f.j] = f.start.with_values(f.best_values)
-            live = _keep(live, state, going)
+            live, stacked = _keep(live, state, going), None
     return results
+
+
+def _stacked(live: list) -> tuple:
+    """The plan and inv_var column of a stacked call over every live fit, one
+    row per fit: HEM's network term is scaled by each fit's own target
+    scale."""
+    return (replace(live[0].step.plan,
+                    nn_scale=np.array([f.step.plan.nn_scale for f in live])[:, None]),
+            np.array([f.step.inv_var for f in live])[:, None])
 
 
 def _keep(live: list, state: OptimizerState, keep: list) -> list:

@@ -439,3 +439,50 @@ def test_a_stacked_adam_step_equals_one_step_per_fit(fits, n):
                                           0.999, 1e-8, lower, upper) for i in range(fits)])
         assert th.tobytes() == th1.tobytes(), k
         assert m.tobytes() == m1.tobytes() and v.tobytes() == v1.tobytes(), k
+
+
+# ------------------------------------------------------ the backward's ReLU mask
+#
+# The network backward masks each fresh gradient product by its layer's ReLU:
+# kernels._relu_mask multiplies the product's bits, as int64, by a > 0 in
+# place, for np.where(a > 0.0, d, 0.0) without a branch per element.
+
+NAN_BITS = np.array([0x7FF8000000000001, 0x7FF00000000ABCDE, 0xFFF8000000000123],
+                    dtype=np.uint64).view(np.float64)   # three payloads, one sign set
+# +0.0, -0.0, NaN, two subnormals, positive and negative values
+MASK_A = np.array([0.0, -0.0, np.nan, 5e-324, 1e-310, 2.0, -3.0])
+MASK_D = np.array([-0.0, np.inf, -np.inf, *NAN_BITS, -1.5, 0.25])
+
+
+@pytest.mark.parametrize("shape", [(1, 32), (64, 32), (3, 64, 32)])
+def test_the_relu_mask_equals_np_where_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    d = rng.standard_normal(shape)
+    # the lengths are coprime, so 56 entries meet every pair; (1, 32) has 32
+    i = np.arange(min(a.size, len(MASK_A) * len(MASK_D)))
+    a.flat[i] = MASK_A[i % len(MASK_A)]
+    d.flat[i] = MASK_D[i % len(MASK_D)]
+    want = np.where(a > 0.0, d, 0.0)
+    got = d.copy()
+    assert kernels._relu_mask(got, a) is got   # in place, on the array it is given
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+    kept = a > 0.0
+    assert np.isnan(got[kept]).any() and not np.signbit(got[~kept]).any()
+
+
+@pytest.mark.parametrize("kind", ["nn", "hem", "ham", "mtl"])
+def test_no_kernel_writes_into_its_arguments(kind):
+    """The kernels write in place only on arrays they have just made: after
+    one-fit calls (both sides of COLUMN_ROWS) and a stacked call, theta, X,
+    Xs, y and the task columns are as they were."""
+    rng = np.random.default_rng(80 + len(kind))
+    fits = [_stacked_fit(rng, kind, n) for n in (1, 64)]
+    stack = [_stacked_fit(rng, kind, 64) for _ in range(FITS)]
+    calls = list(fits)
+    calls.append((*(np.stack([f[c] for f in stack]) for c in range(5)),
+                  *(np.array([f[c] for f in stack])[:, None] for c in (5, 6))))
+    for args in calls:
+        before = [a.tobytes() for a in args[:5]]
+        STACKED[kind](*args)
+        assert [a.tobytes() for a in args[:5]] == before

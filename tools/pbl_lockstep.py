@@ -9,11 +9,12 @@ makes under PBL-2w (by running it once and keeping what it hands to
 * lockstep: one ``optim.fit_maps`` call over all of them,
 
 alternating, ``--repeats`` times each, and prints one JSON line per kind:
-the refit count, the min seconds of each side, their ratio, and whether
-every fitted vector (and every failure) is the same, bit for bit.  Every
-fit runs a fixed number of epochs (patience equals the cap), as in the
-benchmark's pbl-refit workload: 17 per MM refit and 48 per refit of the
-other kinds, its count for NN; 15 for each initial fit.
+the refit count, the min seconds of each side, their ratio, the min count
+of minor page faults of each side (the process's ``ru_minflt`` over one
+call), and whether every fitted vector (and every failure) is the same,
+bit for bit.  Every fit runs a fixed number of epochs (patience equals the
+cap), as in the benchmark's pbl-refit workload: 17 per MM refit and 48 per
+refit of the other kinds, its count for NN; 15 for each initial fit.
 
     PYTHONPATH=src python3 tools/pbl_lockstep.py
     PYTHONPATH=src python3 tools/pbl_lockstep.py --kinds mm,nn --repeats 7
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 import warnings
@@ -116,13 +118,16 @@ def main(argv=None) -> int:
     for kind in kinds:
         m0, refits, sched = unit(kind, a.seed, a.smoke)
         times = {"sequential": [], "lockstep": []}
+        faults = {"sequential": [], "lockstep": []}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(repeats):
                 for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
+                    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     t0 = time.perf_counter()
                     got = fn(m0, refits, sched)
                     times[name].append(time.perf_counter() - t0)
+                    faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
                     if name == "sequential":
                         want = got
             identical = len(got) == len(want) and all(map(same, got, want))
@@ -130,7 +135,9 @@ def main(argv=None) -> int:
         seq, lock = min(times["sequential"]), min(times["lockstep"])
         print(json.dumps({"kind": kind, "refits": len(refits), "repeats": repeats,
                           "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
-                          "speedup": round(seq / lock, 2), "identical": identical}))
+                          "speedup": round(seq / lock, 2),
+                          "sequential_minflt": min(faults["sequential"]),
+                          "lockstep_minflt": min(faults["lockstep"]), "identical": identical}))
     return 0 if ok else 1
 
 
