@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -26,11 +27,11 @@ from .core import (DataSplit, EmptySplitWarning, Source, WellDataset,
                    chronological_split, fit_scaler, write_csv)
 from .drift import estimate_update_frequency, write_shift_csv
 from .errors import ConfigError, DataError, NumericError, VfmlabError
-from .learning import PredictionLog, run_schedule, write_log, read_log
+from .learning import PredictionLog, run_schedules, write_log, read_log
 from .metrics import (SummaryTable, mape_details, summarize, save_plot, write_excluded_csv,
                       write_rolling_csv, write_summary_csv)
 from .models import ModelKind, init_model
-from .optim import LossSpec, OptimizerConfig, fit_map, grid_search
+from .optim import LossSpec, OptimizerConfig, fit_maps, grid_search
 from .synth import generate_stream
 
 _CASE_FLAGS = ("all", "welltest")
@@ -122,39 +123,57 @@ def _initial_units(cfg: StudyConfig, kind: str, splits: dict, merged: DataSplit,
                    ocfg: OptimizerConfig) -> list:
     """(well_or_None, m0 fitted with ocfg, split, loss) per unit of kind: one
     per well of ``splits``, or for MTL one on ``merged``, whose tasks are
-    every well of ``splits``."""
+    every well of ``splits``.  The units' initial fits run in one lockstep
+    (``optim.fit_maps``); a failure raises the error of the first failing
+    unit, in well order."""
     kindk = ModelKind.from_str(kind)
-    escfg = cfg.escfg()
     if kindk is ModelKind.MTL:
         parts, mtl = [(None, merged)], cfg.mtl_params(sorted(splits))
     else:
         parts, mtl = list(splits.items()), None
-    units = []
+    units, failed = [], []
     for w, sp in parts:
-        loss = LossSpec.from_data(sp.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
-        if kindk is ModelKind.BENCHMARK:
-            m0 = init_model(kindk, seed=cfg.seed)
-        else:
-            m0 = init_model(kindk, shape=cfg.network_shape(), mtl=mtl, seed=cfg.seed,
-                            scaler=fit_scaler(sp.train))
-            m0 = fit_map(m0, sp.train, loss, ocfg, escfg)
+        try:
+            loss = LossSpec.from_data(sp.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
+            if kindk is ModelKind.BENCHMARK:
+                m0 = init_model(kindk, seed=cfg.seed)
+            else:
+                m0 = init_model(kindk, shape=cfg.network_shape(), mtl=mtl, seed=cfg.seed,
+                                scaler=fit_scaler(sp.train))
+        except VfmlabError as e:   # raised once the wells before it are fitted
+            failed.append(e)
+            break
         units.append((w, m0, sp, loss))
+    if kindk is not ModelKind.BENCHMARK:
+        fitted = fit_maps([(m0, sp.train, loss) for _, m0, sp, loss in units], ocfg,
+                          cfg.escfg())
+        failed[:0] = [f for f in fitted if isinstance(f, Exception)]
+        units = [(w, m0, sp, loss) for (w, _, sp, loss), m0 in zip(units, fitted)]
+    if failed:
+        raise failed[0]
     return units
 
 
+def _stage(name: str, units: int, t0: float, counts: str = "") -> None:
+    """One progress line of ``run`` on stderr: a stage (initial fits of a
+    kind, or one schedule x kind), its units, what they did, and its wall
+    time since t0."""
+    done = f"{units} unit" + "s" * (units != 1) + (f", {counts}" if counts else "")
+    print(f"run: {name}: {done}, {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+
+
 def _print_table(table: SummaryTable) -> None:
-    width = max(10, *(len(k) for k in table.kinds))
-    head = "method".ljust(10) + "".join(k.rjust(width) for k in table.kinds)
-    print(head + "All".rjust(width))
+    # every cell opens with a space, so a value wider than its column (a
+    # diverged fit's MAPE) still stands apart from its neighbours
+    w = max(9, *(len(k) for k in table.kinds))
+    print(f"{'method':<9} " + "".join(f" {k:>{w}}" for k in (*table.kinds, "All")))
     for i, method in enumerate(table.methods):
-        row = method.ljust(10)
-        row += "".join(f"{table.cells[i, j]:{width}.2f}" for j in range(len(table.kinds)))
-        row += f"{table.all_column[i]:{width}.2f}"
-        print(row)
+        print(f"{method:<9} " + "".join(f" {v:{w}.2f}"
+                                        for v in (*table.cells[i], table.all_column[i])))
     if np.any(table.excluded):
         print("entries left out of the MAPE (zero targets, non-finite predictions):")
         for i, method in enumerate(table.methods):
-            print(method.ljust(10) + "".join(f"{v:{width}d}" for v in table.excluded[i]))
+            print(f"{method:<9} " + "".join(f" {v:{w}d}" for v in table.excluded[i]))
 
 
 # ----------------------------------------------------------------- commands
@@ -187,13 +206,12 @@ def cmd_tune(cfg: StudyConfig) -> int:
         ocfg = sched.ocfg if sched.mode == "pbl" else cfg.init_ocfg_for(kind)
         if (kind, ocfg) not in fits:
             fits[kind, ocfg] = _initial_units(cfg, kind, holdouts, merged_holdout, ocfg)
-        mapes = []
-        for _, m0, sp, loss in fits[kind, ocfg]:
-            log = run_schedule(m0, sp, replace(sched, loss=loss))
-            try:
-                mapes.extend(mape_details(log, w)[0] for w in log.well_ids())
-            except DataError:   # a well with nothing scoreable
-                return math.inf
+        logs = run_schedules([(m0, sp, replace(sched, loss=loss))
+                              for _, m0, sp, loss in fits[kind, ocfg]])
+        try:
+            mapes = [mape_details(log, w)[0] for log in logs for w in log.well_ids()]
+        except DataError:   # a well with nothing scoreable
+            return math.inf
         return float(np.mean(mapes))
 
     out = Path(cfg.out_dir)
@@ -232,17 +250,24 @@ def cmd_run(cfg: StudyConfig) -> int:
     log_dir.mkdir(parents=True, exist_ok=True)
     rep_dir.mkdir(parents=True, exist_ok=True)
 
-    units_by_kind = {kind: _initial_units(cfg, kind, splits, merged, cfg.init_ocfg_for(kind))
-                     for kind in cfg.kinds}
+    units_by_kind = {}
+    for kind in cfg.kinds:
+        t0 = time.perf_counter()
+        units_by_kind[kind] = _initial_units(cfg, kind, splits, merged, cfg.init_ocfg_for(kind))
+        _stage(f"initial fits {kind}", len(units_by_kind[kind]), t0)
     escfg = cfg.escfg()
     logs: dict[tuple[str, str], PredictionLog] = {}
     for spec in cfg.schedule_specs():
         for kind in cfg.kinds:
-            parts = []
-            for _, m0, sp, loss in units_by_kind[kind]:
-                sched = spec.to_schedule(kind, loss, escfg)
-                parts.append(run_schedule(m0, sp, sched))
+            t0 = time.perf_counter()
+            parts = run_schedules([(m0, sp, spec.to_schedule(kind, loss, escfg))
+                                   for _, m0, sp, loss in units_by_kind[kind]])
             log = parts[0] if len(parts) == 1 else PredictionLog.concat(parts)
+            meta = log.metadata
+            counts = (f"{meta['n_updates']} updates, {len(meta['skipped_updates'])} skipped"
+                      if spec.mode == "ol" else
+                      f"{meta['n_retrains']} refits, {len(meta['failed_periods'])} failed periods")
+            _stage(f"{spec.name} {kind}", len(parts), t0, counts)
             logs[(spec.name, kind)] = log
             write_log(log, log_dir / f"{spec.name}__{kind}.csv")
 

@@ -17,9 +17,10 @@ predictions).  The kernels serve both:
   and a loop below that: ``adam_step`` (LR's 7 and MM's 6 parameters take
   the loop).
 
-The refits of a periodic-batch unit run in lockstep (``optim.fit_maps``), and
-the mini-batches they take at one step go through one call with a leading
-fit axis: theta (R, P), X and Xs (R, n, 6), y and MTL's task columns (R, n),
+The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
+fits of every well, and the refits of every well's periodic-batch unit of a
+schedule.  The mini-batches they take at one step go through one call with a
+leading fit axis: theta (R, P), X and Xs (R, n, 6), y and MTL's task columns (R, n),
 and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
 sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
 and column forms stack: ``_row_sum``, ``_affine_cols``,
@@ -49,9 +50,10 @@ before a loop runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
-  per call or unit in ``models.predict``, ``optim.fit_map``,
-  ``learning.run_ol`` and ``learning.run_pbl``; ``synth.generate_stream``
-  refuses a nonpositive pressure or temperature of its own rows;
+  per call, fit or unit in ``models.predict``, ``optim.fit_maps``,
+  ``learning.run_ol`` and the PBL period walk of ``learning``;
+  ``synth.generate_stream`` refuses a nonpositive pressure or temperature of
+  its own rows;
 * parameters: ``models.MechanisticParams`` requires kappa > 1 and positive
   densities and gas molar mass, for a scenario's true parameters, its events
   and ramp ends and the prior means a model starts at, and the optimizers

@@ -15,6 +15,11 @@ its observation is consumed):
 The previous-value benchmark learns nothing: both drivers log each test
 row's previous observation of its well, in one pass.
 
+:func:`run_schedules` drives several units (one schedule x kind x well, as
+``vfmlab run`` has one per well) at once: it walks every PBL unit's periods,
+fits all their refits in one lockstep (``optim.fit_maps``), and assembles
+each unit's log, which equals :func:`run_schedule` on that unit alone.
+
 Version bookkeeping: the logged model_version is the version that produced
 the prediction, and it increments exactly once per successful refit or
 per-observation update.  A degenerate schedule (infinite period, or k = 0)
@@ -197,24 +202,33 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
 
     Every refit starts from m0, on a history and scaler that follow from the
     arrival times and the period alone, so the unit's refits are listed up
-    front and fitted together, in lockstep (``optim.fit_maps``).
+    front and fitted together, in lockstep (``optim.fit_maps``);
+    :func:`run_schedules` fits those of several units together.
     """
     if cfg.mode != "pbl":
         raise ConfigError("run_pbl needs a pbl schedule")
+    fits, finish = _pbl_walk(m0, split, cfg)
+    return finish(fit_maps(fits, cfg.ocfg, cfg.escfg))
+
+
+def _pbl_walk(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> tuple:
+    """The period walk of :func:`run_pbl`.  Returns (fits, finish): the
+    unit's refits as ``optim.fit_maps`` takes them, and the function that
+    turns fit_maps's results for them into the unit's log."""
     te = split.test
     version = np.full(len(te), m0.version, dtype=np.int64)
     meta = {"mode": "pbl", "period_s": cfg.period_s, "window_s": cfg.window_s,
             "kind": m0.kind.value, "n_retrains": 0, "failed_periods": []}
     if m0.kind is ModelKind.BENCHMARK:
-        return _test_log(te, _previous_values(split), version, meta)
+        return [], lambda fitted: _test_log(te, _previous_values(split), version, meta)
     # train then test rows; the history of test row i is its first n_train + i rows
     past = WellDataset.merge([split.train, te])
     check_inputs(m0, past.X)
     n_train = len(split.train)
     allowed = _updates_allowed(cfg, past.source)
 
-    # the period walk: the arrivals that refit, and the rows of each frozen
-    # period with the number of refits before it
+    # the arrivals that refit, and the rows of each frozen period with the
+    # number of refits before it
     arrivals, periods = [], []
     next_boundary = split.split_time + cfg.period_s
     i = 0
@@ -236,24 +250,29 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
         if cfg.window_s is not None and len(history):
             history = history.from_time(float(history.t[-1]) - cfg.window_s)
         # an empty history fails in fit_maps, as every one of fewer than 2 rows
-        fits.append((fit_scaler(history) if len(history) else None, history))
-    models = [(m0, build_plan(m0))]
-    for i, fitted in zip(arrivals, fit_maps(m0, fits, cfg.loss, cfg.ocfg, cfg.escfg)):
-        if isinstance(fitted, Exception):
-            meta["failed_periods"].append(time_value(float(te.t[i])))
-            models.append(models[-1])
-        else:
-            current = replace(fitted, version=models[-1][0].version + 1)
-            models.append((current, build_plan(current)))
-            meta["n_retrains"] += 1
-    y_pred = np.empty(len(te))
-    for rows, r in periods:
-        model, plan = models[r]
-        X = te.X[rows]
-        y_pred[rows] = plan_predict(plan, model.params.values, X, scale_inputs(plan, X),
-                                    task_columns(model, te.well[rows]))
-        version[rows] = model.version
-    return _test_log(te, y_pred, version, meta)
+        scaler = fit_scaler(history) if len(history) else None
+        fits.append((replace(m0, scaler=scaler), history, cfg.loss))
+
+    def finish(fitted: list) -> PredictionLog:
+        models = [(m0, build_plan(m0))]
+        for i, f in zip(arrivals, fitted):
+            if isinstance(f, Exception):
+                meta["failed_periods"].append(time_value(float(te.t[i])))
+                models.append(models[-1])
+            else:
+                current = replace(f, version=models[-1][0].version + 1)
+                models.append((current, build_plan(current)))
+                meta["n_retrains"] += 1
+        y_pred = np.empty(len(te))
+        for rows, r in periods:
+            model, plan = models[r]
+            X = te.X[rows]
+            y_pred[rows] = plan_predict(plan, model.params.values, X, scale_inputs(plan, X),
+                                        task_columns(model, te.well[rows]))
+            version[rows] = model.version
+        return _test_log(te, y_pred, version, meta)
+
+    return fits, finish
 
 
 def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLog:
@@ -315,6 +334,37 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
 
 def run_schedule(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLog:
     return (run_pbl if cfg.mode == "pbl" else run_ol)(m0, split, cfg)
+
+
+def run_schedules(units) -> list[PredictionLog]:
+    """One log per ``(m0, split, ScheduleConfig)`` unit of `units`, each the
+    log :func:`run_schedule` gives that unit alone, bit for bit.
+
+    OL units run :func:`run_ol` one by one.  The refits of every PBL unit go
+    to one ``optim.fit_maps`` call, so the PBL units with refits must share
+    what it stacks: kind, structure, priors, bounds, and the optimizer and
+    early-stopping settings (ConfigError otherwise).  Units are checked and
+    OL units run in order, so a failing unit raises as it would alone.
+    """
+    logs, walks = [], {}
+    for u, (m0, split, cfg) in enumerate(units):
+        if cfg.mode == "pbl":
+            walks[u] = (cfg, *_pbl_walk(m0, split, cfg))
+            logs.append(None)
+        else:
+            logs.append(run_ol(m0, split, cfg))
+    refitting = [cfg for cfg, fits, _ in walks.values() if fits]
+    fitted = iter(())
+    if refitting:
+        cfg = refitting[0]
+        if any((c.ocfg, c.escfg) != (cfg.ocfg, cfg.escfg) for c in refitting):
+            raise ConfigError("PBL units that refit together must share their optimizer "
+                              "and early-stopping settings")
+        fitted = iter(fit_maps([f for _, fits, _ in walks.values() for f in fits],
+                               cfg.ocfg, cfg.escfg))
+    for u, (_, fits, finish) in walks.items():
+        logs[u] = finish([next(fitted) for _ in fits])
+    return logs
 
 
 # ------------------------------------------------------------------ log I/O

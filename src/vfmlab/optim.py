@@ -14,13 +14,15 @@ their hard bounds after every step.  The learning-rate schedule is
 gamma_k = gamma0 / k^a (power decay) or constant; the step index k restarts at
 1 for every fit and for every per-observation online update.
 
-:func:`fit_maps` runs several MAP fits together, in lockstep: the refits of
-a periodic-batch unit, listed up front by ``learning.run_pbl``.  At step k
-every fit that is still running takes its step k; full mini-batches go
-through stacked kernel calls (``kernels``: the leading fit axis) and one
-optimizer step updates every fit's parameters, one row each.  Each fit keeps
-its own batch stream, validation and early stopping, and its result is the
-one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit case.
+:func:`fit_maps` runs several MAP fits of one kind together, in lockstep:
+the initial fits of every well (``cli``), or the refits of every well's
+periodic-batch unit, listed up front by ``learning.run_schedules``.  Each fit
+has its own start values and noise level.  At step k every fit that is still
+running takes its step k; full mini-batches go through stacked kernel calls
+(``kernels``: the leading fit axis) and one optimizer step updates every
+fit's parameters, one row each.  Each fit keeps its own batch stream,
+validation and early stopping, and its result is the one it would reach
+alone, bit for bit.  :func:`fit_map` is its one-fit case.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
@@ -305,7 +307,7 @@ class _Fit:
         n_tr = n - n_val
         self.degenerate = n_val == 0 or n_tr == 0
         if self.degenerate:
-            warnings.warn("degenerate validation split; fixed epoch count", stacklevel=4)
+            warnings.warn("degenerate validation split; fixed epoch count", stacklevel=5)
             n_tr = n
         self.n_tr = n_tr
         self.hold(X, Xs, y, wells)
@@ -356,47 +358,78 @@ class _Fit:
         return self.since_improve >= escfg.patience or self.epoch == escfg.max_epochs
 
 
-def fit_maps(m: ModelSpec, fits, loss: LossSpec, ocfg: OptimizerConfig,
-             escfg: EarlyStoppingConfig, curve_sinks=None) -> list:
-    """MAP fits of m, one per ``(scaler, train)`` pair of `fits`, in lockstep.
+def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
+             curve_sinks=None) -> list:
+    """MAP fits in lockstep, one per ``(start, train, loss)`` triple of `fits`.
 
-    Each fit starts from m's values and priors with its own input scaler and
-    trains as :func:`fit_map` describes; its result does not depend on the
-    other fits, bit for bit.  At tick k every fit that is still running
-    takes its step k, so gamma_k and Adam's bias corrections are shared
-    scalars and one optimizer step updates the stacked parameters, one row
-    per fit.  The mini-batches due at a tick that share a length of at least
-    ``kernels.COLUMN_ROWS`` rows go through one stacked kernel call (theta
-    (R, P), X and Xs (R, n, 6), y and wells (R, n), inv_var (R, 1)); every
-    other batch (an epoch's partial last one, a fit alone at its length)
-    and every validation pass runs one fit at a time.  A fit leaves the
-    stack when it stops early, runs out of epochs, or meets a non-finite
-    gradient; lists longer than ``LOCKSTEP_FITS`` run in consecutive chunks.
+    Each fit starts from its own ModelSpec (values and input scaler), with
+    its own noise level, and trains as :func:`fit_map` describes; its result
+    does not depend on the other fits, bit for bit.  The fits share the
+    first fit's kernel plan, prior and bounds: a fit that differs from it in
+    kind, structure (network widths, choke geometry, MTL layout), prior mode,
+    physical flags, prior means or stds, or bounds is a ConfigError, raised
+    before any fit runs.
 
-    Returns, per fit, m with that scaler and its best-validation values
-    (version m.version + 1), or the DataError or NumericError that ended
-    it: fewer than 2 rows, a mechanistic row with nonpositive p1, p2 or T1,
-    or a non-finite gradient.
+    At tick k every fit that is still running takes its step k, so gamma_k
+    and Adam's bias corrections are shared scalars and one optimizer step
+    updates the stacked parameters, one row per fit.  The mini-batches due
+    at a tick that share a length of at least ``kernels.COLUMN_ROWS`` rows
+    go through one stacked kernel call (theta (R, P), X and Xs (R, n, 6), y
+    and wells (R, n), inv_var (R, 1)); every other batch (an epoch's partial
+    last one, a fit alone at its length) and every validation pass runs one
+    fit at a time.  A fit leaves the stack when it stops early, runs out of
+    epochs, or meets a non-finite gradient; lists longer than
+    ``LOCKSTEP_FITS`` run in consecutive chunks.
+
+    Returns, per fit, its start with its best-validation values (version
+    start.version + 1), or the DataError or NumericError that ended it:
+    fewer than 2 rows, a mechanistic row with nonpositive p1, p2 or T1, or a
+    non-finite gradient.
     """
-    if m.kind is ModelKind.BENCHMARK:
+    if not fits:
+        return []
+    _check_stack(fits)
+    if fits[0][0].kind is ModelKind.BENCHMARK:
         raise ConfigError("benchmark predictor has no parameters to fit")
-    if len(fits) > LOCKSTEP_FITS:
-        return [r for c in range(0, len(fits), LOCKSTEP_FITS)
-                for r in fit_maps(m, fits[c:c + LOCKSTEP_FITS], loss, ocfg, escfg,
-                                  None if curve_sinks is None
-                                  else curve_sinks[c:c + LOCKSTEP_FITS])]
+    results = []
+    for c in range(0, len(fits), LOCKSTEP_FITS):
+        results += _lockstep(fits[c:c + LOCKSTEP_FITS], ocfg, escfg,
+                             None if curve_sinks is None else curve_sinks[c:c + LOCKSTEP_FITS])
+    return results
+
+
+def _check_stack(fits) -> None:
+    """Refuse fits that cannot share the first fit's plan, prior and bounds."""
+    m, _, loss = fits[0]
+    p = m.params
+    for j, (s, _, sloss) in enumerate(fits[1:], 1):
+        q = s.params
+        for what, same in (
+                ("kind", s.kind is m.kind),
+                ("structure", (s.shape, s.mtl, s.geometry) == (m.shape, m.mtl, m.geometry)),
+                ("prior mode", sloss.prior_mode is loss.prior_mode),
+                ("physical flags", np.array_equal(q.is_physical, p.is_physical)),
+                ("prior means", np.array_equal(q.prior_mean, p.prior_mean)),
+                ("prior stds", np.array_equal(q.prior_std, p.prior_std)),
+                ("bounds", np.array_equal(q.lower, p.lower) and np.array_equal(q.upper, p.upper))):
+            if not same:
+                raise ConfigError(f"fit {j} cannot share a stack with fit 0: they differ in {what}")
+
+
+def _lockstep(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, curve_sinks) -> list:
+    """One chunk of :func:`fit_maps`."""
     results: list = [None] * len(fits)
     live = []
-    for j, (scaler, train) in enumerate(fits):
+    for j, (start, train, loss) in enumerate(fits):
         try:
-            live.append(_Fit(j, replace(m, scaler=scaler), train, loss, ocfg, escfg,
+            live.append(_Fit(j, start, train, loss, ocfg, escfg,
                              None if curve_sinks is None else curve_sinks[j]))
         except (DataError, NumericError) as e:
             results[j] = e
     if not live:
         return results
 
-    state = live[0].step.start(np.stack([m.params.values] * len(live)))
+    state = live[0].step.start(np.stack([f.start.params.values for f in live]))
     prior = live[0].step.prior
     if len(live) > 1:   # every fit's rows in one array each, so a stacked batch is one gather
         cols = [np.concatenate([f.rows[c] for f in live]) for c in range(4)]
@@ -482,7 +515,7 @@ def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,
     kind's row with nonpositive p1, p2 or T1 raises NumericError.  This is
     the one-fit case of :func:`fit_maps`.
     """
-    fitted, = fit_maps(m, [(m.scaler, train)], loss, ocfg, escfg,
+    fitted, = fit_maps([(m, train, loss)], ocfg, escfg,
                        None if curve_sink is None else [curve_sink])
     if isinstance(fitted, Exception):
         raise fitted

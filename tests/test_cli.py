@@ -87,6 +87,35 @@ def test_report_flags_non_finite_predictions_next_to_the_table(tmp_path, capsys)
     assert "non-finite predictions" in capsys.readouterr().out
 
 
+def test_the_printed_table_keeps_a_separator_at_every_width(capsys):
+    """A diverged cell, a method name or a kind as wide as its column stays
+    one field apart from its neighbours; normal widths print as before."""
+    from vfmlab.metrics import SummaryTable
+
+    def table(methods, kinds, cells, excluded=0):
+        cells = np.array(cells, dtype=float)
+        return SummaryTable(tuple(methods), tuple(kinds), cells, cells.mean(axis=1),
+                            np.full(cells.shape, excluded, dtype=np.int64))
+
+    cli._print_table(table(["OL", "PBL-2w"], ["benchmark", "lr"],
+                           [[21.9549, 10.1359], [21.9549, 17.5218]]))
+    assert capsys.readouterr().out.splitlines() == [
+        "method     benchmark        lr       All",
+        "OL             21.95     10.14     16.05",
+        "PBL-2w         21.95     17.52     19.74"]
+    wide = table(["PBL-2weeks", "OL"], ["benchmark", "lr", "a_long_kind"],
+                 [[5.6674941502, 7.49e67, 1e9], [1.0, 2.0, 3.0]], excluded=12345678901)
+    cli._print_table(wide)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["method", "benchmark", "lr", "a_long_kind", "All"]
+    assert lines[1].split()[:3] == ["PBL-2weeks", "5.67", f"{7.49e67:.2f}"]
+    assert len(lines[2].split()) == 5
+    assert lines[-2].split() == ["PBL-2weeks"] + ["12345678901"] * 3
+    # every value ends where its header ends
+    ends = [m.end() for m in re.finditer(r"\S+", lines[0])][1:]
+    assert [m.end() for m in re.finditer(r"\S+", lines[2])][1:] == ends
+
+
 def _tiny_study(tmp_path) -> dict:
     """One quiet 40-day well, the benchmark kind and one OL schedule."""
     return {"out_dir": str(tmp_path / "out"), "kinds": ["benchmark"], "split_day": 20.0,
@@ -421,20 +450,44 @@ def test_tune_fits_each_unit_once_per_optimizer(tmp_path, monkeypatch):
     path = tmp_path / "tune.json"
     path.write_text(json.dumps(raw))
     fits = []
-    fit_map = optim.fit_map
+    fit_maps = optim.fit_maps
 
-    def counting_fit_map(m, train, loss, ocfg, escfg):
-        fits.append((m.kind, train.well_ids, len(train), ocfg))
-        return fit_map(m, train, loss, ocfg, escfg)
+    def counting_fit_maps(units, ocfg, escfg):
+        fits.extend((m.kind, train.well_ids, len(train), ocfg) for m, train, _ in units)
+        return fit_maps(units, ocfg, escfg)
 
-    monkeypatch.setattr(optim, "fit_map", counting_fit_map)
-    monkeypatch.setattr(cli, "fit_map", counting_fit_map)
+    monkeypatch.setattr(cli, "fit_maps", counting_fit_maps)
     assert cli.main(["tune", "--config", str(path)]) == 0
     _, *rows = (tmp_path / "out" / "tuned_all.csv").read_text().splitlines()
     rows = [r.split(",") for r in rows]
     assert [r[:-1] for r in rows] == TUNED_PICKS
     assert [float(r[-1]) for r in rows] == pytest.approx(TUNED_SCORES, rel=1e-9, abs=0)
     assert len(fits) == len(set(fits)) == 9
+
+
+@pytest.mark.parametrize("first", ["fit", "noise"])
+def test_initial_units_raise_the_first_failing_well(first):
+    """The wells' initial fits run in one lockstep, but a failure is still
+    that of the first failing well: one well fails its MM fit (a row with
+    negative p1, NumericError), the other has no noise level (all-zero
+    targets, DataError), in either order."""
+    from vfmlab import DataError, NumericError
+    from vfmlab.core import WellDataset, chronological_split
+
+    def well(w, fails):
+        ds = make_dataset(n=40, well_id=w, seed=w)
+        X, y = ds.X.copy(), ds.y.copy()
+        if fails == "fit":
+            X[3, 1] = -1.0
+        else:
+            y[:] = 0.0
+        return chronological_split(WellDataset(ds.t, X, y, ds.source, ds.well), float(ds.t[30]))
+
+    second = "noise" if first == "fit" else "fit"
+    splits = {1: well(1, first), 2: well(2, second)}
+    cfg = StudyConfig()
+    with pytest.raises(NumericError if first == "fit" else DataError):
+        cli._initial_units(cfg, "mm", splits, splits[1], cfg.init_ocfg_for("mm"))
 
 
 def test_tune_names_the_well_whose_holdout_is_too_short(tmp_path, capsys):

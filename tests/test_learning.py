@@ -140,9 +140,9 @@ def test_pbl_refit_history_is_every_allowed_row_before_the_arrival(monkeypatch, 
     seen = []
     fit_maps = learning.fit_maps
 
-    def recording_fit_maps(m, fits, *args):
-        seen.extend(train.t.tolist() for _, train in fits)
-        return fit_maps(m, fits, *args)
+    def recording_fit_maps(fits, *args):
+        seen.extend(train.t.tolist() for _, train, _ in fits)
+        return fit_maps(fits, *args)
 
     monkeypatch.setattr(learning, "fit_maps", recording_fit_maps)
     run_pbl(init_model("lr", seed=2), affine_split(),
@@ -311,6 +311,23 @@ def test_run_schedule_routes_by_mode():
         run_pbl(m0, sp, ol_cfg(0))
     with pytest.raises(ConfigError):
         run_ol(m0, sp, pbl_cfg(10.0))
+
+
+def test_run_schedules_refuses_pbl_units_that_cannot_refit_together():
+    """The refits of every PBL unit share one lockstep, so units that refit
+    under different optimizer or early-stopping settings are refused; a
+    unit that never refits (the benchmark) or an OL unit may differ."""
+    from vfmlab.learning import run_schedules
+
+    sp = affine_split()
+    m0 = init_model("lr", seed=2)
+    slower = pbl_cfg(10.0, ocfg=OptimizerConfig(gamma0=0.01, seed=1))
+    for other in (slower, pbl_cfg(10.0, escfg=EarlyStoppingConfig(patience=2))):
+        with pytest.raises(ConfigError, match="refit together"):
+            run_schedules([(m0, sp, pbl_cfg(10.0)), (m0, sp, other)])
+    logs = run_schedules([(m0, sp, pbl_cfg(10.0)), (init_model("benchmark"), sp, slower),
+                          (m0, sp, ol_cfg(1))])
+    assert [log.metadata["mode"] for log in logs] == ["pbl", "pbl", "ol"]
 
 
 def test_the_step_count_is_an_ol_setting():

@@ -264,6 +264,61 @@ def test_fit_map_needs_data_and_a_parametric_model():
                 LossSpec(1.0), OptimizerConfig(), EarlyStoppingConfig())
 
 
+def _refused_starts():
+    """Starts that cannot share a stack with init_model("hem"): each differs
+    from it in one thing that fit_maps takes from the first fit."""
+    from vfmlab.models import ChokeGeometry, MtlParams, NetworkShape
+
+    hem = init_model("hem", seed=1)
+    p = hem.params
+    shifted_mean = p.prior_mean.copy()
+    shifted_mean[0] += 1.0
+    wide_std = p.prior_std.copy()
+    wide_std[-1] *= 2.0
+    upper = p.upper.copy()
+    upper[2] *= 2.0
+    flags = p.is_physical.copy()
+    flags[-1] = True
+    mtl = init_model("mtl", mtl=MtlParams((1, 2)), seed=1)
+    return {
+        "kind": init_model("mm", seed=1),
+        "widths": init_model("hem", shape=NetworkShape(hidden=(32, 16)), seed=1),
+        "geometry": init_model("hem", geometry=ChokeGeometry(c1=0.2, c3=0.8), seed=1),
+        "prior mean": replace(hem, params=replace(p, prior_mean=shifted_mean)),
+        "prior std": replace(hem, params=replace(p, prior_std=wide_std)),
+        "bounds": replace(hem, params=replace(p, upper=upper)),
+        "physical flags": replace(hem, params=replace(p, is_physical=flags)),
+        "mtl dims": (mtl, init_model("mtl", mtl=MtlParams((1, 2), task_dim=3), seed=1)),
+    }
+
+
+@pytest.mark.parametrize("what", ["kind", "widths", "geometry", "prior mean", "prior std",
+                                  "bounds", "physical flags", "mtl dims", "prior mode"])
+def test_fit_maps_refuses_fits_that_cannot_share_a_stack(what):
+    """fit_maps takes the kernel plan, the prior and the bounds from its first
+    fit, so a later fit that differs in any of them is a ConfigError, raised
+    before any fit runs; start values and noise may differ."""
+    from vfmlab.optim import fit_maps
+
+    ds = make_dataset(30, seed=3)
+    first = init_model("hem", seed=1, scaler=fit_scaler(ds))
+    loss = LossSpec(noise_std=10.0)
+    if what == "prior mode":
+        other, other_loss = first, LossSpec(10.0, PriorMode.PHYSICAL_ONLY)
+    else:
+        other, other_loss = _refused_starts()[what], loss
+        if what == "mtl dims":
+            first, other = other
+    fits = [(first, ds, loss), (replace(other, scaler=fit_scaler(ds)), ds, other_loss)]
+    with pytest.raises(ConfigError, match="cannot share"):
+        fit_maps(fits, OptimizerConfig(), EarlyStoppingConfig(max_epochs=1))
+    # the same first fit with other start values and noise stacks
+    moved = first.with_values(first.params.values + 0.01)
+    fitted = fit_maps([(first, ds, loss), (moved, ds, LossSpec(noise_std=3.0))],
+                      OptimizerConfig(), EarlyStoppingConfig(max_epochs=1))
+    assert all(not isinstance(f, Exception) for f in fitted)
+
+
 def test_tiny_exact_gradient_step_does_not_increase_loss():
     ds = make_dataset(30, seed=3)
     from vfmlab import fit_scaler

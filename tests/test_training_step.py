@@ -10,6 +10,8 @@ trainable kind, every prior mode and both optimizers.  ``run_pbl`` fits a
 unit's refits in lockstep (``optim.fit_maps``); each refit must equal
 ``fit_map`` on that refit alone, bit for bit, whichever fits it was stacked
 with, when they leave the stack and whichever of them fail.
+``run_schedules`` stacks the refits of several units, and each unit's log
+must equal ``run_schedule`` on that unit alone.
 """
 
 import dataclasses
@@ -149,9 +151,9 @@ def _lockstep_refits(monkeypatch) -> list:
     refits = []
     fit_maps = learning.fit_maps
 
-    def recording(m, fits, *args):
-        results = fit_maps(m, fits, *args)
-        refits.extend((*fit, r) for fit, r in zip(fits, results))
+    def recording(fits, *args):
+        results = fit_maps(fits, *args)
+        refits.extend((start.scaler, history, r) for (start, history, _), r in zip(fits, results))
         return results
 
     monkeypatch.setattr(learning, "fit_maps", recording)
@@ -278,3 +280,51 @@ def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
     assert len(meta["failed_periods"]) == 3 and meta["n_retrains"] == 5
     # a stacked call in which one fit's gradient was not finite and another's was
     assert any(not all(c) and any(c) for c in stacked), stacked
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_run_schedules_equals_one_unit_at_a_time(kind, monkeypatch):
+    """Three PBL units of one kind, as the wells of a study: different rows,
+    noise levels and start values (each its own initial fit).  The first
+    refit of the third has a one-row history (DataError) and its later ones
+    succeed.  A benchmark PBL unit and an OL unit ride along.  run_schedules
+    fits every refit in one fit_maps call and gives each unit the log and
+    metadata of run_schedule on that unit alone, bit for bit."""
+    ocfg = dataclasses.replace(_ocfg(Method.ADAM), gamma0=0.2, batch_size=kernels.COLUMN_ROWS)
+    escfg = EarlyStoppingConfig(val_fraction=0.25, patience=1, max_epochs=20)
+    units = []
+    for u, n in enumerate((30, 32, 34)):
+        ds = _data(n)
+        split = chronological_split(ds, float(ds.t[24]))
+        loss = LossSpec.from_data(split.train, rel=0.3 + 0.1 * u, prior_mode=PriorMode.FULL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m0 = fit_map(_model(kind, split.train), split.train, loss, ocfg, escfg)
+        if u == 2:   # one training row, and the first test row arrives after a boundary
+            te = split.test
+            split = dataclasses.replace(split, train=split.train.take(slice(-1, None)),
+                                        test=te.take(np.flatnonzero(
+                                            te.t >= split.split_time + 3 * HOUR)))
+        cfg = ScheduleConfig(mode="pbl", ocfg=ocfg, loss=loss, period_s=3 * HOUR, escfg=escfg)
+        units.append((m0, split, cfg))
+    assert len({m0.params.values.tobytes() for m0, _, _ in units}) == 3
+    m0, split, cfg = units[0]
+    units += [(init_model("benchmark"), split, cfg),
+              (m0, split, ScheduleConfig(mode="ol", ocfg=ocfg, loss=cfg.loss, steps=2))]
+
+    calls = []
+    fit_maps = learning.fit_maps
+    monkeypatch.setattr(learning, "fit_maps",
+                        lambda fits, *a: calls.append(len(fits)) or fit_maps(fits, *a))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        got = learning.run_schedules(units)
+        assert len(calls) == 1
+        want = [learning.run_schedule(*unit) for unit in units]
+    assert calls[0] == sum(calls[1:]) > kernels.COLUMN_ROWS
+    for g, w in zip(got, want):
+        for col in ("t", "well", "y_true", "y_pred", "model_version", "source"):
+            assert getattr(g, col).tobytes() == getattr(w, col).tobytes(), col
+        assert g.metadata == w.metadata
+    failed = got[2].metadata["failed_periods"]
+    assert failed == [units[2][1].test.t[0]] and got[2].metadata["n_retrains"] > 0

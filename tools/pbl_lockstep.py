@@ -1,28 +1,34 @@
-"""Time one PBL-2w unit's refits fitted one at a time against in lockstep.
+"""Time PBL-2w refits fitted one at a time against in lockstep, per kind.
 
-For each kind, builds well 1 of the default StudyConfig at ``--seed``, fits
-the unit's initial model, and lists the refits that ``learning.run_pbl``
-makes under PBL-2w (by running it once and keeping what it hands to
-``optim.fit_maps``).  Then it times
+For each kind, builds wells 1 to ``--wells`` of the default StudyConfig at
+``--seed``, fits each well's initial model, and lists the refits that
+``learning.run_schedules`` makes under PBL-2w for those wells together (by
+running it once and keeping what it hands to ``optim.fit_maps``).  With
+more than one well, the wells' initial fits are listed as well.  Then it
+times, for each list,
 
-* sequential: ``optim.fit_map`` once per refit, and
+* sequential: ``optim.fit_map`` once per fit, and
 * lockstep: one ``optim.fit_maps`` call over all of them,
 
-alternating, ``--repeats`` times each, and prints one JSON line per kind:
-the refit count, the min seconds of each side, their ratio, the min count
-of minor page faults of each side (the process's ``ru_minflt`` over one
-call), and whether every fitted vector (and every failure) is the same,
-bit for bit.  Every fit runs a fixed number of epochs (patience equals the
-cap), as in the benchmark's pbl-refit workload: 17 per MM refit and 48 per
-refit of the other kinds, its count for NN; 15 for each initial fit.
+alternating, ``--repeats`` times each, and prints one JSON line per kind
+and list: the fit count, the min seconds of each side, their ratio, the
+min count of minor page faults of each side (the process's ``ru_minflt``
+over one call), and whether every fitted vector (and every failure) is the
+same, bit for bit.  Every fit runs a fixed number of epochs (patience
+equals the cap), as in the benchmark's pbl-refit workload: 17 per MM refit
+and 48 per refit of the other kinds, its count for NN; 15 for each initial
+fit.  An MTL unit per well takes the task layout of all listed wells, so
+that the wells' fits can share one stack.
 
     PYTHONPATH=src python3 tools/pbl_lockstep.py
     PYTHONPATH=src python3 tools/pbl_lockstep.py --kinds mm,nn --repeats 7
+    PYTHONPATH=src python3 tools/pbl_lockstep.py --wells 5
     PYTHONPATH=src python3 tools/pbl_lockstep.py --smoke
 
-``--smoke`` runs every trainable kind at a tiny size in a few seconds (well
-1's first 240 days, split at day 180, a refit every 3 days, 3 epochs per
-fit, one repeat) and exits 1 when any fit differs.
+``--smoke`` runs every trainable kind at a tiny size in a few seconds (the
+first 240 days of each well, split at day 180, a refit every 3 days, 3
+epochs per fit, one repeat), on well 1 alone and on wells 1 to 3 together,
+and exits 1 when any fit differs.
 """
 
 from __future__ import annotations
@@ -50,52 +56,63 @@ REFIT_EPOCHS = {"mm": 17}     # the pbl-refit workload's; 48 for every other kin
 KINDS = tuple(k.value.lower() for k in TRAINABLE_KINDS)
 
 
-def unit(kind: str, seed: int, smoke: bool):
-    """(m0, refits, schedule) of PBL-2w on well 1: the initial model and the
-    (scaler, history) pairs run_pbl fits."""
+def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int) -> dict:
+    """{part: (fits, OptimizerConfig, EarlyStoppingConfig)} of PBL-2w on
+    wells 1 to n_wells: the refits run_schedules hands to fit_maps and, for
+    more than one well, the wells' initial fits; each fit a (start, train,
+    loss) triple."""
     cfg = StudyConfig(seed=seed)
-    sc = cfg.scenario_objects()[0]
-    ds = generate_stream(sc)
-    if smoke:
-        ds = ds.take(np.flatnonzero(ds.t < ds.t[0] + 240 * DAY))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        split = chronological_split(ds, cfg.split_time())
+    scenarios = cfg.scenario_objects()[:n_wells]
+    mtl = cfg.mtl_params([sc.well_id for sc in scenarios])
     epochs = 3 if smoke else REFIT_EPOCHS.get(kind, 48)
     init_epochs = 3 if smoke else 15
-    loss = LossSpec.from_data(split.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
-    m0 = init_model(kind, shape=cfg.network_shape(), mtl=cfg.mtl_params([sc.well_id]),
-                    seed=seed, scaler=fit_scaler(split.train))
-    m0 = fit_map(m0, split.train, loss, cfg.init_ocfg_for(kind),
-                 EarlyStoppingConfig(patience=init_epochs, max_epochs=init_epochs))
+    init = EarlyStoppingConfig(patience=init_epochs, max_epochs=init_epochs)
+    initial, splits = [], []
+    for sc in scenarios:
+        ds = generate_stream(sc)
+        if smoke:
+            ds = ds.take(np.flatnonzero(ds.t < ds.t[0] + 240 * DAY))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split = chronological_split(ds, cfg.split_time())
+        loss = LossSpec.from_data(split.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
+        m0 = init_model(kind, shape=cfg.network_shape(), mtl=mtl, seed=seed,
+                        scaler=fit_scaler(split.train))
+        initial.append((m0, split.train, loss))
+        splits.append(split)
     spec = next(s for s in cfg.schedule_specs() if s.name == "PBL-2w")
-    sched = spec.to_schedule(kind, loss, EarlyStoppingConfig(patience=epochs,
-                                                             max_epochs=epochs))
-    if smoke:
-        sched = dataclasses.replace(sched, period_s=3 * DAY)
+    escfg = EarlyStoppingConfig(patience=epochs, max_epochs=epochs)
+    units = []
+    fitted = sequential(initial, cfg.init_ocfg_for(kind), init)
+    for (_, _, loss), m0, split in zip(initial, fitted, splits):
+        sched = spec.to_schedule(kind, loss, escfg)
+        units.append((m0, split, dataclasses.replace(sched, period_s=3 * DAY)
+                      if smoke else sched))
     seen = []
     real = learning.fit_maps
-    learning.fit_maps = lambda m, fits, *a: seen.append(fits) or real(m, fits, *a)
+    learning.fit_maps = lambda fits, *a: seen.append(fits) or real(fits, *a)
     try:
-        learning.run_pbl(m0, split, sched)
+        learning.run_schedules(units)
     finally:
         learning.fit_maps = real
-    return m0, seen[0], sched
+    lists = {"refits": (seen[0], sched.ocfg, sched.escfg)}
+    if n_wells > 1:
+        lists["initial"] = (initial, cfg.init_ocfg_for(kind), init)
+    return lists
 
 
-def sequential(m0, refits, s):
+def sequential(fits, ocfg, escfg):
     out = []
-    for scaler, history in refits:
+    for start, train, loss in fits:
         try:
-            out.append(fit_map(dataclasses.replace(m0, scaler=scaler), history,
-                               s.loss, s.ocfg, s.escfg))
+            out.append(fit_map(start, train, loss, ocfg, escfg))
         except (DataError, NumericError) as e:
             out.append(e)
     return out
 
 
-def lockstep(m0, refits, s):
-    return fit_maps(m0, refits, s.loss, s.ocfg, s.escfg)
+def lockstep(fits, ocfg, escfg):
+    return fit_maps(fits, ocfg, escfg)
 
 
 def same(a, b) -> bool:
@@ -108,6 +125,7 @@ def same(a, b) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--kinds", default=",".join(KINDS))
+    ap.add_argument("--wells", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--smoke", action="store_true")
@@ -115,29 +133,33 @@ def main(argv=None) -> int:
     kinds = KINDS if a.smoke else a.kinds.split(",")
     repeats = 1 if a.smoke else a.repeats
     ok = True
-    for kind in kinds:
-        m0, refits, sched = unit(kind, a.seed, a.smoke)
-        times = {"sequential": [], "lockstep": []}
-        faults = {"sequential": [], "lockstep": []}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(repeats):
-                for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
-                    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                    t0 = time.perf_counter()
-                    got = fn(m0, refits, sched)
-                    times[name].append(time.perf_counter() - t0)
-                    faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
-                    if name == "sequential":
-                        want = got
-            identical = len(got) == len(want) and all(map(same, got, want))
-        ok &= identical
-        seq, lock = min(times["sequential"]), min(times["lockstep"])
-        print(json.dumps({"kind": kind, "refits": len(refits), "repeats": repeats,
-                          "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
-                          "speedup": round(seq / lock, 2),
-                          "sequential_minflt": min(faults["sequential"]),
-                          "lockstep_minflt": min(faults["lockstep"]), "identical": identical}))
+    for n_wells in (1, 3) if a.smoke else (a.wells,):
+        for kind in kinds:
+            for part, (fits, ocfg, escfg) in fit_lists(kind, a.seed, a.smoke, n_wells).items():
+                times = {"sequential": [], "lockstep": []}
+                faults = {"sequential": [], "lockstep": []}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    for _ in range(repeats):
+                        for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
+                            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                            t0 = time.perf_counter()
+                            got = fn(fits, ocfg, escfg)
+                            times[name].append(time.perf_counter() - t0)
+                            faults[name].append(
+                                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+                            if name == "sequential":
+                                want = got
+                    identical = len(got) == len(want) and all(map(same, got, want))
+                ok &= identical
+                seq, lock = min(times["sequential"]), min(times["lockstep"])
+                print(json.dumps({"kind": kind, "wells": n_wells, "part": part,
+                                  "fits": len(fits), "repeats": repeats,
+                                  "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
+                                  "speedup": round(seq / lock, 2),
+                                  "sequential_minflt": min(faults["sequential"]),
+                                  "lockstep_minflt": min(faults["lockstep"]),
+                                  "identical": identical}))
     return 0 if ok else 1
 
 
