@@ -202,13 +202,12 @@ def run_pbl(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionL
 
     Every refit starts from m0, on a history and scaler that follow from the
     arrival times and the period alone, so the unit's refits are listed up
-    front and fitted together, in lockstep (``optim.fit_maps``);
-    :func:`run_schedules` fits those of several units together.
+    front and fitted together, in lockstep (``optim.fit_maps``).  This is
+    the one-unit case of :func:`run_schedules`.
     """
     if cfg.mode != "pbl":
         raise ConfigError("run_pbl needs a pbl schedule")
-    fits, finish = _pbl_walk(m0, split, cfg)
-    return finish(fit_maps(fits, cfg.ocfg, cfg.escfg))
+    return run_schedules([(m0, split, cfg)])[0]
 
 
 def _pbl_walk(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> tuple:

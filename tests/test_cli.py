@@ -452,11 +452,14 @@ def test_tune_fits_each_unit_once_per_optimizer(tmp_path, monkeypatch):
     fits = []
     fit_maps = optim.fit_maps
 
-    def counting_fit_maps(units, ocfg, escfg):
+    def counting_fit_maps(units, ocfg, escfg, *rest):
         fits.extend((m.kind, train.well_ids, len(train), ocfg) for m, train, _ in units)
-        return fit_maps(units, ocfg, escfg)
+        return fit_maps(units, ocfg, escfg, *rest)
 
+    # cli and optim hold their own bindings, so a fit made through optim
+    # (fit_map, or grid_search fitting again) is counted too, and none twice
     monkeypatch.setattr(cli, "fit_maps", counting_fit_maps)
+    monkeypatch.setattr(optim, "fit_maps", counting_fit_maps)
     assert cli.main(["tune", "--config", str(path)]) == 0
     _, *rows = (tmp_path / "out" / "tuned_all.csv").read_text().splitlines()
     rows = [r.split(",") for r in rows]
