@@ -28,13 +28,30 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, SchemaError
+from .errors import DataError, EmptyDatasetError, SchemaError
 
 D_INPUT = 6
 COLUMNS = ("u", "p1", "p2", "T1", "eta_oil", "eta_gas")
 CSV_HEADER = ("well_id", "t", "u", "p1", "p2", "T1", "eta_oil", "eta_gas", "q_total", "source")
 
 SECONDS_PER_DAY = 86400.0
+
+# the Observation invariants, in the order a rejected row takes its reason:
+# the first one it breaks
+INVARIANT_REASONS = ("non_finite", "u_range", "p1_nonpositive", "p2_nonpositive",
+                     "T1_nonpositive", "fraction_negative", "fraction_sum", "y_negative")
+
+
+def invariant_codes(t: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row of the columns ``(t, X, y)``, the index in
+    :data:`INVARIANT_REASONS` of the first invariant the row breaks, -1 for a
+    valid row."""
+    u, p1, p2, t1, eo, eg = X.T
+    with np.errstate(invalid="ignore"):  # inf - inf in a fraction sum
+        broken = (~(np.isfinite(X).all(axis=1) & np.isfinite(y) & np.isfinite(t)),
+                  ~((0.0 <= u) & (u <= 1.0)), p1 <= 0.0, p2 <= 0.0, t1 <= 0.0,
+                  (eo < 0.0) | (eg < 0.0), eo + eg > 1.0, y < 0.0)
+    return np.select(broken, range(len(broken)), -1)
 
 
 class Source(enum.IntEnum):
@@ -53,7 +70,10 @@ class Source(enum.IntEnum):
         raise ValueError(f"unknown source {s!r}")
 
     def to_str(self) -> str:
-        return "MPFM" if self is Source.MPFM else "WellTest"
+        return SOURCE_NAMES[self]
+
+
+SOURCE_NAMES = ("MPFM", "WellTest")  # the file spelling of each Source code
 
 
 class EmptySplitWarning(UserWarning):
@@ -75,27 +95,10 @@ class Observation:
 
     def invariant_violation(self) -> str | None:
         """Return a short reason string if the row is invalid, else None."""
-        x = self.x
-        if x.shape != (D_INPUT,):
+        if self.x.shape != (D_INPUT,):
             return "x_dim"
-        if not (np.all(np.isfinite(x)) and np.isfinite(self.y) and np.isfinite(self.t)):
-            return "non_finite"
-        u, p1, p2, t1, eo, eg = x
-        if not 0.0 <= u <= 1.0:
-            return "u_range"
-        if p1 <= 0.0:
-            return "p1_nonpositive"
-        if p2 <= 0.0:
-            return "p2_nonpositive"
-        if t1 <= 0.0:
-            return "T1_nonpositive"
-        if eo < 0.0 or eg < 0.0:
-            return "fraction_negative"
-        if eo + eg > 1.0:
-            return "fraction_sum"
-        if self.y < 0.0:
-            return "y_negative"
-        return None
+        code = invariant_codes(np.array([self.t]), self.x[None, :], np.array([self.y]))[0]
+        return None if code < 0 else INVARIANT_REASONS[code]
 
 
 def _as_f64(a) -> np.ndarray:
@@ -326,11 +329,35 @@ def time_value(t: float) -> int | float:
     return int(t) if t.is_integer() else t
 
 
-def _format_float(v: float) -> str:
+def time_strings(t: np.ndarray) -> list[str]:
+    """Each timestamp of a column as :func:`time_value` records it, in text."""
+    return [str(int(v)) if v.is_integer() else repr(v)
+            for v in np.asarray(t, dtype=np.float64).tolist()]
+
+
+def float_strings(col: np.ndarray) -> list[str]:
+    """The shortest round-trip decimal of each value of a column."""
+    return list(map(float.__repr__, np.asarray(col, dtype=np.float64).tolist()))
+
+
+def int_strings(col: np.ndarray) -> list[str]:
+    return list(map(str, np.asarray(col).astype(np.int64, copy=False).tolist()))
+
+
+def source_strings(codes: np.ndarray) -> list[str]:
+    return list(map(SOURCE_NAMES.__getitem__, np.asarray(codes).tolist()))
+
+
+def text_table(header: str, *columns: list[str], end: str = "\n") -> str:
+    """A header line and one comma-joined line per row of the string columns,
+    each line ended by ``end``."""
+    return end.join([header, *map(",".join, zip(*columns))]) + end
+
+
+def _value_strings(col: np.ndarray) -> list[str]:
     # shortest round-trip decimal; integral values print without the mantissa
-    if float(v).is_integer() and abs(v) < 2**53:
-        return str(int(v))
-    return repr(float(v))
+    return [str(int(v)) if v.is_integer() and abs(v) < 2.0**53 else repr(v)
+            for v in col.tolist()]
 
 
 # ------------------------------------------------------------------- ingestion
@@ -346,74 +373,112 @@ class IngestReport:
     reject_reasons: dict = field(default_factory=dict)
 
 
+REJECT_REASONS = INVARIANT_REASONS + ("unparseable",)
+
+
 def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport]:
     """Ingest a CSV file; return per-well datasets plus the reject report.
 
-    Rows violating the Observation invariants (or unparseable) are dropped and
-    counted; every run writes a sidecar ``<input>.rejects.csv`` with the
-    offending rows and a reason column.
+    One ``csv.reader`` pass reads each row's fields into a list of floats,
+    and marks the row ``unparseable`` when a field does not parse: a bad
+    number or time, an unknown source, a well id that is not an integer, a
+    short row.  Blank lines are skipped.  The time column holds ISO-8601
+    strings or numeric epoch seconds, decided on the first data row.  The
+    Observation invariants then run as array masks over the parsed
+    ``(t, X, y)`` columns (:func:`invariant_codes`): a row that breaks several
+    takes the first reason of ``non_finite``, ``u_range``, ``p1_nonpositive``,
+    ``p2_nonpositive``, ``T1_nonpositive``, ``fraction_negative``,
+    ``fraction_sum``, ``y_negative``.  Each well's rows are ordered by one
+    stable argsort on t, so rows at one time keep their file order.
+
+    Rejected rows are dropped and counted; every run writes a sidecar
+    ``<input>.rejects.csv`` with the offending rows, in file order, and a
+    reason column.  A file that cannot be opened or decoded raises
+    :class:`DataError`, a missing header or column :class:`SchemaError`, and
+    a file without a valid row :class:`EmptyDatasetError`.
     """
     path = Path(path)
-    report = IngestReport()
-    rejects: list[tuple[list[str], str]] = []
-    rows_by_well: dict[int, list[Observation]] = {}
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in CSV_HEADER if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        col = {name: header.index(name) for name in CSV_HEADER}
-
-        iso_time: bool | None = None  # decided on the first data row
-        for raw in reader:
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            report.n_read += 1
-            reason = None
-            obs = None
+    raws: list[list[str]] = []      # every non-blank row, in file order
+    unparseable: list[int] = []     # positions in raws
+    values: list[list[float]] = []  # per row that parses: t, the COLUMNS, q_total, source
+    wells: list[int] = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                tfield = raw[col["t"]].strip()
-                if iso_time is None:
-                    try:
-                        float(tfield)
-                        iso_time = False
-                    except ValueError:
-                        iso_time = True
-                t = parse_timestamp(tfield) if iso_time else float(tfield)
-                x = np.array([float(raw[col[c]]) for c in COLUMNS], dtype=np.float64)
-                obs = Observation(
-                    t=t, x=x, y=float(raw[col["q_total"]]),
-                    source=Source.from_str(raw[col["source"]]),
-                    well_id=int(raw[col["well_id"]]),
-                )
-            except (ValueError, IndexError):
-                reason = "unparseable"
-            if reason is None:
-                reason = obs.invariant_violation()
-            if reason is None:
-                rows_by_well.setdefault(obs.well_id, []).append(obs)
-                report.n_accepted += 1
-            else:
-                report.n_rejected += 1
-                report.reject_reasons[reason] = report.reject_reasons.get(reason, 0) + 1
-                rejects.append((list(raw), reason))
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            missing = [c for c in CSV_HEADER if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            col = {name: header.index(name) for name in CSV_HEADER}
+            i_t, i_source, i_well = col["t"], col["source"], col["well_id"]
+            i_floats = [col[c] for c in COLUMNS + ("q_total",)]
+            codes: dict[str, float] = {}  # source field -> Source code
+            iso_time: bool | None = None  # decided on the first data row
+            for raw in reader:
+                if not raw or not "".join(raw).strip():
+                    continue
+                raws.append(raw)
+                try:
+                    tfield = raw[i_t].strip()
+                    if iso_time is None:
+                        try:
+                            float(tfield)
+                            iso_time = False
+                        except ValueError:
+                            iso_time = True
+                    t = parse_timestamp(tfield) if iso_time else float(tfield)
+                    source = raw[i_source]
+                    code = codes.get(source)
+                    if code is None:
+                        code = codes[source] = float(Source.from_str(source))
+                    row = [t, *[float(raw[i]) for i in i_floats], code]
+                    well = int(raw[i_well])
+                except (ValueError, IndexError):
+                    unparseable.append(len(raws) - 1)
+                else:
+                    values.append(row)
+                    wells.append(well)
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: cannot read: {e}") from None
+
+    cols = np.array(values, dtype=np.float64).reshape(len(values), D_INPUT + 3)
+    t, X, y = cols[:, 0], cols[:, 1:1 + D_INPUT], cols[:, 1 + D_INPUT]
+    broken = invariant_codes(t, X, y)
+    reason = np.full(len(raws), -1)
+    reason[unparseable] = REJECT_REASONS.index("unparseable")
+    reason[reason < 0] = broken
+    rejected = np.flatnonzero(reason >= 0).tolist()
+    names = [REJECT_REASONS[r] for r in reason[rejected].tolist()]
+    counts: dict[str, int] = {}
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+    report = IngestReport(n_read=len(raws), n_accepted=len(raws) - len(rejected),
+                          n_rejected=len(rejected), reject_reasons=counts)
 
     reject_path = path.with_name(path.name + ".rejects.csv")
     with open(reject_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(CSV_HEADER) + ["reason"])
-        for raw, reason in rejects:
-            writer.writerow(raw + [reason])
+        writer.writerows(raws[i] + [name] for i, name in zip(rejected, names))
 
+    rows_by_well: dict[int, list[int]] = {}
+    for j in np.flatnonzero(broken < 0).tolist():
+        rows_by_well.setdefault(wells[j], []).append(j)
     if not rows_by_well:
         raise EmptyDatasetError(f"{path}: no valid observations")
-    datasets = [WellDataset.from_observations(rows_by_well[w]) for w in sorted(rows_by_well)]
+    source_codes = cols[:, -1].astype(np.uint8)
+    datasets = []
+    for w in sorted(rows_by_well):
+        idx = np.array(rows_by_well[w])
+        idx = idx[np.argsort(t[idx], kind="stable")]
+        datasets.append(WellDataset(t[idx], X[idx], y[idx], source_codes[idx],
+                                    np.full(idx.size, w, dtype=np.int64)))
     return datasets, report
 
 
@@ -425,16 +490,12 @@ def ingest_csv(path: str | Path) -> list[WellDataset]:
 def write_csv(path: str | Path, datasets: Iterable[WellDataset]) -> None:
     """Write wells to one CSV in the ingestion schema (merged, time-ordered)."""
     merged = WellDataset.merge(list(datasets))
+    # no field needs quoting, so this is csv.writer's text: "\r\n" line ends
+    text = text_table(",".join(CSV_HEADER), int_strings(merged.well), _value_strings(merged.t),
+                      *(_value_strings(merged.X[:, j]) for j in range(D_INPUT)),
+                      _value_strings(merged.y), source_strings(merged.source), end="\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(len(merged)):
-            x = merged.X[i]
-            writer.writerow(
-                [int(merged.well[i]), _format_float(merged.t[i])]
-                + [_format_float(v) for v in x]
-                + [_format_float(merged.y[i]), Source(int(merged.source[i])).to_str()]
-            )
+        fh.write(text)
 
 
 # --------------------------------------------------------------------- batches

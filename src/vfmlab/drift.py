@@ -21,7 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from .core import WellDataset, as_columns, time_value
+from .core import (WellDataset, as_columns, float_strings, int_strings, text_table,
+                   time_strings)
 from .errors import ConfigError, DataError, DegenerateFeatureError
 
 _REG = 1e-9
@@ -218,9 +219,7 @@ def estimate_update_frequency(train: WellDataset, t1_fraction: float,
 
 
 def write_shift_csv(report: ShiftReport, path: str | Path) -> None:
-    lines = ["t,ht2,f_stat,f_crit,detected"]
-    for i in range(len(report)):
-        lines.append(f"{time_value(report.t[i])!r},{float(report.ht2[i])!r},"
-                     f"{float(report.f_stat[i])!r},{float(report.f_crit[i])!r},"
-                     f"{int(report.detected[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(text_table(
+        "t,ht2,f_stat,f_crit,detected", time_strings(report.t), float_strings(report.ht2),
+        float_strings(report.f_stat), float_strings(report.f_crit),
+        int_strings(report.detected)))

@@ -36,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Source, DataSplit, WellDataset, fit_scaler, time_value
+from .core import (Source, DataSplit, WellDataset, fit_scaler, float_strings, int_strings,
+                   source_strings, text_table, time_strings, time_value)
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
                      scale_inputs, task_columns)
@@ -373,12 +374,9 @@ _LOG_HEADER = "t,well_id,y_true,y_pred,model_version,source"
 
 def write_log(log: PredictionLog, path: str | Path) -> None:
     path = Path(path)
-    lines = [_LOG_HEADER]
-    for i in range(len(log)):
-        lines.append(f"{time_value(log.t[i])!r},{int(log.well[i])},"
-                     f"{float(log.y_true[i])!r},{float(log.y_pred[i])!r},"
-                     f"{int(log.model_version[i])},{Source(int(log.source[i])).to_str()}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text_table(_LOG_HEADER, time_strings(log.t), int_strings(log.well),
+                               float_strings(log.y_true), float_strings(log.y_pred),
+                               int_strings(log.model_version), source_strings(log.source)))
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(log.metadata, indent=2, sort_keys=True) + "\n")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY, time_value
+from .core import SECONDS_PER_DAY, float_strings, text_table, time_strings
 from .errors import ConfigError, DataError
 from .learning import PredictionLog
 from .models import ModelKind
@@ -163,11 +163,8 @@ def write_excluded_csv(table: SummaryTable, path: str | Path) -> None:
 
 def write_rolling_csv(report: MetricReport, path: str | Path) -> None:
     t, v, p25, p75 = report.rolling_series
-    lines = ["t,rolling_mae,p25,p75"]
-    for i in range(len(t)):
-        lines.append(f"{time_value(t[i])!r},{float(v[i])!r},"
-                     f"{float(p25[i])!r},{float(p75[i])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(text_table("t,rolling_mae,p25,p75", time_strings(t), float_strings(v),
+                                     float_strings(p25), float_strings(p75)))
 
 
 def save_plot(table: SummaryTable, path: str | Path) -> None:

@@ -167,18 +167,45 @@ def test_kappa_of_one_is_refused_before_the_run(tmp_path, capsys, where, code):
     assert "kappa must exceed 1" in err and len(err.strip().splitlines()) == 1
 
 
+def _run_on_csv(tmp_path, csv_path):
+    raw = _tiny_study(tmp_path)
+    del raw["scenarios"]
+    raw["csv_paths"] = [str(csv_path)]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    return cli.main(["run", "--config", str(path)])
+
+
 def test_csv_without_the_required_columns_is_a_data_error(tmp_path, capsys):
     """A well CSV that lacks required columns exits 2 with one stderr line."""
     csv = tmp_path / "wells.csv"
     csv.write_text("t,well_id,q_oil\n0,1,10.0\n")
-    raw = _tiny_study(tmp_path)
-    del raw["scenarios"]
-    raw["csv_paths"] = [str(csv)]
-    path = tmp_path / "study.json"
-    path.write_text(json.dumps(raw))
-    assert cli.main(["run", "--config", str(path)]) == 2
+    assert _run_on_csv(tmp_path, csv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "missing columns" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_missing_csv_is_a_data_error(tmp_path, capsys):
+    """A csv_paths entry that does not exist exits 2 with one stderr line
+    naming it."""
+    missing = tmp_path / "nope.csv"
+    assert _run_on_csv(tmp_path, missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(missing) in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    """A well CSV whose bytes do not decode exits 2 with one stderr line
+    naming it."""
+    latin = tmp_path / "wells.csv"
+    latin.write_bytes("well_id,t,u,p1,p2,T1,eta_oil,eta_gas,q_total,source\n"
+                      "1,0,0.5,15000000,9000000,350,0.3,0.5,55.5,MPFM \u00e9\n"
+                      .encode("latin-1"))
+    assert _run_on_csv(tmp_path, latin) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(latin) in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
