@@ -331,8 +331,7 @@ def time_value(t: float) -> int | float:
 
 def time_strings(t: np.ndarray) -> list[str]:
     """Each timestamp of a column as :func:`time_value` records it, in text."""
-    return [str(int(v)) if v.is_integer() else repr(v)
-            for v in np.asarray(t, dtype=np.float64).tolist()]
+    return [repr(time_value(v)) for v in np.asarray(t, dtype=np.float64).tolist()]
 
 
 def float_strings(col: np.ndarray) -> list[str]:

@@ -124,14 +124,14 @@ def test_iso_times_are_decided_on_the_first_row_with_a_time_field(tmp_path):
 
 SPECIAL = [0.0, -0.0, 0.5, 1.0 / 3.0, 100.0, 1e-300, 1e300, 2.0**53, -2.0**53,
            2.0**53 + 2.0, 2.0**60, float("nan"), float("inf"), -float("inf")]
-values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True),
                    st.integers(-10**6, 10**6).map(float))
 
 
 @st.composite
 def columns(draw, n_cols):
     n = draw(st.integers(0, 12))
-    cols = [np.array(draw(st.lists(values, min_size=n, max_size=n))) for _ in range(n_cols)]
+    cols = [np.array(draw(st.lists(FLOATS, min_size=n, max_size=n))) for _ in range(n_cols)]
     t = np.sort(np.array(draw(st.lists(st.one_of(st.sampled_from(SPECIAL[:10]),
                                                     st.floats(-1e12, 1e12)),
                                           min_size=n, max_size=n))))

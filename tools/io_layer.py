@@ -39,6 +39,7 @@ import time
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -128,33 +129,34 @@ def smoke(seed: int, out: Path) -> list[str]:
 
 def operations(inputs: dict, out: Path) -> dict:
     """{operation: (rows, {side: callable})} over the study's inputs."""
-    paths = [out / f"well_{i}.csv" for i in range(len(inputs["wells"]))]
-    for path, ds in zip(paths, inputs["wells"]):
+    wells, logs, rolling, shifts = (inputs[k] for k in ("wells", "logs", "rolling", "shifts"))
+    paths = [out / f"well_{i}.csv" for i in range(len(wells))]
+    for path, ds in zip(paths, wells):
         core.write_csv(path, [ds])
+    vfmlab = SimpleNamespace(ingest_csv_report=core.ingest_csv_report, write_csv=core.write_csv,
+                             write_log=learning.write_log,
+                             write_rolling_csv=metrics.write_rolling_csv,
+                             write_shift_csv=drift.write_shift_csv)
 
-    def each(fn, items, name):
-        return lambda: [fn(item, out / f"{name}_{i}.csv") for i, item in enumerate(items)]
+    def calls(m) -> dict:
+        return {
+            "ingest": lambda: [m.ingest_csv_report(p) for p in paths],
+            "write_csv": lambda: [m.write_csv(out / f"written_{i}.csv", [ds])
+                                  for i, ds in enumerate(wells)],
+            "write_log": lambda: [m.write_log(log, out / f"log_{i}.csv")
+                                  for i, log in enumerate(logs)],
+            "write_rolling_csv": lambda: [m.write_rolling_csv(rep, out / f"rolling_{i}.csv")
+                                          for i, rep in enumerate(rolling)],
+            "write_shift_csv": lambda: [m.write_shift_csv(rep, out / f"shift_{i}.csv")
+                                        for i, rep in enumerate(shifts)]}
 
-    sides = {"vfmlab": (core.ingest_csv_report, core.write_csv, learning.write_log,
-                        metrics.write_rolling_csv, drift.write_shift_csv),
-             "reference": (loop_io.ingest_csv_report, loop_io.write_csv, loop_io.write_log,
-                           loop_io.write_rolling_csv, loop_io.write_shift_csv)}
-    ops = {}
-    for side, (ingest, write_csv, write_log, write_rolling, write_shift) in sides.items():
-        fns = {"ingest": lambda ingest=ingest: [ingest(p) for p in paths],
-               "write_csv": each(lambda ds, p, w=write_csv: w(p, [ds]), inputs["wells"],
-                                 "written"),
-               "write_log": each(write_log, inputs["logs"], "log"),
-               "write_rolling_csv": each(write_rolling, inputs["rolling"], "rolling"),
-               "write_shift_csv": each(write_shift, inputs["shifts"], "shift")}
-        for name, fn in fns.items():
-            ops.setdefault(name, {})[side] = fn
-    rows = {"ingest": sum(map(len, inputs["wells"])),
-            "write_csv": sum(map(len, inputs["wells"])),
-            "write_log": sum(map(len, inputs["logs"])),
-            "write_rolling_csv": sum(len(r.rolling_series[0]) for r in inputs["rolling"]),
-            "write_shift_csv": sum(map(len, inputs["shifts"]))}
-    return {name: (rows[name], fns) for name, fns in ops.items()}
+    sides = {"vfmlab": calls(vfmlab), "reference": calls(loop_io)}
+    rows = {"ingest": sum(map(len, wells)), "write_csv": sum(map(len, wells)),
+            "write_log": sum(map(len, logs)),
+            "write_rolling_csv": sum(len(r.rolling_series[0]) for r in rolling),
+            "write_shift_csv": sum(map(len, shifts))}
+    return {name: (rows[name], {side: fns[name] for side, fns in sides.items()})
+            for name in rows}
 
 
 def main(argv=None) -> int:
