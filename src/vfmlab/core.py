@@ -402,7 +402,7 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
     values: list[list[float]] = []  # per row that parses: t, the COLUMNS, q_total, source
     wells: list[int] = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -415,7 +415,6 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
             col = {name: header.index(name) for name in CSV_HEADER}
             i_t, i_source, i_well = col["t"], col["source"], col["well_id"]
             i_floats = [col[c] for c in COLUMNS + ("q_total",)]
-            codes: dict[str, float] = {}  # source field -> Source code
             iso_time: bool | None = None  # decided on the first data row
             for raw in reader:
                 if not raw or not "".join(raw).strip():
@@ -430,11 +429,8 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
                         except ValueError:
                             iso_time = True
                     t = parse_timestamp(tfield) if iso_time else float(tfield)
-                    source = raw[i_source]
-                    code = codes.get(source)
-                    if code is None:
-                        code = codes[source] = float(Source.from_str(source))
-                    row = [t, *[float(raw[i]) for i in i_floats], code]
+                    row = [t, *[float(raw[i]) for i in i_floats],
+                           float(Source.from_str(raw[i_source]))]
                     well = int(raw[i_well])
                 except (ValueError, IndexError):
                     unparseable.append(len(raws) - 1)
@@ -461,7 +457,7 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
                           n_rejected=len(rejected), reject_reasons=counts)
 
     reject_path = path.with_name(path.name + ".rejects.csv")
-    with open(reject_path, "w", newline="") as fh:
+    with open(reject_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(CSV_HEADER) + ["reason"])
         writer.writerows(raws[i] + [name] for i, name in zip(rejected, names))

@@ -197,15 +197,16 @@ def test_missing_csv_is_a_data_error(tmp_path, capsys):
 
 
 def test_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
-    """A well CSV whose bytes do not decode exits 2 with one stderr line
-    naming it."""
+    """A well CSV whose bytes are not UTF-8 exits 2 with one stderr line
+    naming it, whatever the locale's encoding: the only non-ASCII byte sits
+    in an extra column of an otherwise valid row."""
     latin = tmp_path / "wells.csv"
-    latin.write_bytes("well_id,t,u,p1,p2,T1,eta_oil,eta_gas,q_total,source\n"
-                      "1,0,0.5,15000000,9000000,350,0.3,0.5,55.5,MPFM \u00e9\n"
+    latin.write_bytes("well_id,t,u,p1,p2,T1,eta_oil,eta_gas,q_total,source,note\n"
+                      "1,0,0.5,15000000,9000000,350,0.3,0.5,55.5,MPFM,caf\u00e9\n"
                       .encode("latin-1"))
     assert _run_on_csv(tmp_path, latin) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and str(latin) in err
+    assert err.startswith("data error:") and str(latin) in err and "cannot read" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

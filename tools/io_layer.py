@@ -1,9 +1,9 @@
 """Time the text I/O layer: CSV ingest and the four writers, columnar against
 row at a time.
 
-Builds the wells of the default StudyConfig at ``--seed`` and writes each to
+Builds the wells of the default StudyConfig at seed 0 and writes each to
 its CSV as ``vfmlab simulate`` does.  From them it builds what the study
-writes: ``--logs`` prediction logs over the merged rows after the split
+writes: four prediction logs over the merged rows after the split
 (``vfmlab run`` writes one per schedule and kind), the rolling-error report
 of each log, and one shift report per well (``vfmlab detect``).  Then it
 times, alternating the two sides, ``--repeats`` times each,
@@ -18,7 +18,7 @@ row-at-a-time reference in ``tests/loop_io.py``, and prints one JSON object:
 per operation, the rows it handles and each side's min seconds.
 
     PYTHONPATH=src python3 tools/io_layer.py
-    PYTHONPATH=src python3 tools/io_layer.py --repeats 15 --seed 3
+    PYTHONPATH=src python3 tools/io_layer.py --repeats 15
     PYTHONPATH=src python3 tools/io_layer.py --smoke
 
 ``--smoke`` runs in a few seconds: it compares the two sides' bytes instead
@@ -53,21 +53,23 @@ from vfmlab.learning import PredictionLog  # noqa: E402
 from vfmlab.synth import generate_stream  # noqa: E402
 
 DAY = 86400.0
+SEED = 0
+N_LOGS = 4
 
 
-def study_inputs(seed: int, n_logs: int, n_wells: int | None = None,
+def study_inputs(n_logs: int, n_wells: int | None = None,
                  days: float | None = None) -> dict:
     """The default study's wells (the first n_wells, their first ``days``
     when set), prediction logs over the merged rows after the split, each
     log's rolling-error report and each well's shift report."""
-    cfg = StudyConfig(seed=seed)
+    cfg = StudyConfig(seed=SEED)
     wells = [generate_stream(sc) for sc in cfg.scenario_objects()[:n_wells]]
     if days is not None:
         wells = [ds.take(ds.t < ds.t[0] + days * DAY) for ds in wells]
     merged = WellDataset.merge(wells)
     test = merged.from_time(cfg.split_time() if days is None else
                             merged.t[0] + days / 2 * DAY)
-    rng = substream(seed, "io_layer")
+    rng = substream(SEED, "io_layer")
     logs = []
     for i in range(n_logs):
         y_pred = test.y * (1.0 + 0.05 * rng.standard_normal(len(test)))
@@ -108,8 +110,8 @@ def edge_rows(iso: bool) -> list[list[str]]:
     return rows
 
 
-def smoke(seed: int, out: Path) -> list[str]:
-    inputs = study_inputs(seed, n_logs=2, n_wells=3, days=120.0)
+def smoke(out: Path) -> list[str]:
+    inputs = study_inputs(n_logs=2, n_wells=3, days=120.0)
     diffs = []
     for i, ds in enumerate(inputs["wells"]):
         path = out / f"well_{i}.csv"
@@ -161,21 +163,19 @@ def operations(inputs: dict, out: Path) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--logs", type=int, default=4)
+    ap.add_argument("--repeats", type=int, default=9)
     ap.add_argument("--smoke", action="store_true")
     a = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         if a.smoke:
-            diffs = smoke(a.seed, Path(tmp))
+            diffs = smoke(Path(tmp))
             for d in diffs:
                 print(d)
             print(json.dumps({"smoke": "differ" if diffs else "identical",
                               "differences": len(diffs)}))
             return 1 if diffs else 0
-        ops = operations(study_inputs(a.seed, a.logs), Path(tmp))
-        out = {"seed": a.seed, "repeats": a.repeats, "logs": a.logs, "ops": {}}
+        ops = operations(study_inputs(N_LOGS), Path(tmp))
+        out = {"seed": SEED, "repeats": a.repeats, "logs": N_LOGS, "ops": {}}
         for name, (rows, fns) in ops.items():
             times = {side: [] for side in fns}
             for i in range(a.repeats):
