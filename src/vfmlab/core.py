@@ -392,7 +392,7 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
 
     Rejected rows are dropped and counted; every run writes a sidecar
     ``<input>.rejects.csv`` with the offending rows, in file order, and a
-    reason column.  A file that cannot be opened or decoded raises
+    reason column.  A file that cannot be opened or is not UTF-8 raises
     :class:`DataError`, a missing header or column :class:`SchemaError`, and
     a file without a valid row :class:`EmptyDatasetError`.
     """
