@@ -29,11 +29,16 @@ and column forms stack: ``_row_sum``, ``_affine_cols``,
 ``nn_loss_grad`` and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more
 (the loops take one fit, so ``fit_maps`` stacks only such calls);
 ``adam_step`` and ``sgd_step`` take stacked parameters (a stack of fewer
-than ``ADAM_LOOP_PARAMS`` entries in all loops fit by fit).  ``lr_predict``
-takes one fit.  Row r of a stacked result equals fit r's own call bit for
-bit: fit r's parameters meet its rows as (R, 1) columns where one fit's are
-Python floats or scalars, which rounds alike; a sum over rows runs along
-each fit's row axis in order; MTL's ``np.add.at`` takes each fit's rows in
+than ``ADAM_LOOP_PARAMS`` entries in all loops fit by fit).  The fits of a
+stack may be at different steps: then ``adam_step`` takes k as a list, one
+step index per row, and computes each row's bias corrections
+``1.0 - beta ** k`` on Python floats, as for one fit, into (R, 1) columns,
+and both steps take gamma_k as an (R, 1) column.  A stack at one shared k
+keeps the scalars.  ``lr_predict`` takes one fit.  Row r of a stacked
+result equals fit r's own call bit for bit: fit r's parameters (and step
+coefficients) meet its rows as (R, 1) columns where one fit's are Python
+floats or scalars, which rounds alike; a sum over rows runs along each
+fit's row axis in order; MTL's ``np.add.at`` takes each fit's rows in
 order.  The network's products are ``np.matmul`` on stacked operands, which
 takes the same BLAS routine per fit as ``np.dot`` on one fit's 2-D
 operands; one fit keeps ``np.dot``, since ``np.matmul`` costs about 0.7 us
@@ -64,8 +69,8 @@ before a loop runs:
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
-``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS`` (which also holds stacked calls to
-one call per fit):
+``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS`` (which also holds stacked calls,
+and stacked steps at a k per row, to one call per fit):
 
 * the optimizer steps (both forms of ``adam_step``; the oracle's clip keeps
   ``val`` on a tie, so signed-zero ties are held to the array form instead),
@@ -841,28 +846,39 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
 
 
 def sgd_step(theta, grad, gamma_k, lower, upper):
+    """One clipped SGD step, returns theta'; stacked fits at different steps
+    give gamma_k as an (R, 1) column, one rate per row."""
     return np.minimum(np.maximum(theta - gamma_k * grad, lower), upper)
 
 
 def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     """One bias-corrected Adam step; mutates m and v in place, returns theta'.
     Stacked, theta, grad, m and v hold one row per fit and the bounds are
-    shared; a stack of fewer than ADAM_LOOP_PARAMS entries in all loops one
-    fit at a time."""
+    shared; fits at different steps give k as a list, one step index per
+    row, and gamma_k as an (R, 1) column.  A stack of fewer than
+    ADAM_LOOP_PARAMS entries in all loops one fit at a time."""
+    per_row = isinstance(k, list)
     if theta.size >= ADAM_LOOP_PARAMS:
+        if per_row:   # each row's bias corrections on Python floats, as one fit's
+            c1 = np.array([1.0 - beta1 ** j for j in k])[:, None]
+            c2 = np.array([1.0 - beta2 ** j for j in k])[:, None]
+        else:
+            c1, c2 = 1.0 - beta1 ** k, 1.0 - beta2 ** k
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
         v += (1.0 - beta2) * grad * grad
-        mhat = m / (1.0 - beta1 ** k)
-        vhat = v / (1.0 - beta2 ** k)
+        mhat = m / c1
+        vhat = v / c2
         val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
         return np.minimum(np.maximum(val, lower), upper)
     if theta.ndim > 1:
+        n = theta.shape[0]
+        ks, gammas = (k, gamma_k.ravel().tolist()) if per_row else ([k] * n, [gamma_k] * n)
         out = np.empty(theta.shape)
-        for i in range(theta.shape[0]):
-            out[i] = adam_step(theta[i], grad[i], m[i], v[i], k, gamma_k, beta1, beta2, eps,
-                               lower, upper)
+        for i in range(n):
+            out[i] = adam_step(theta[i], grad[i], m[i], v[i], ks[i], gammas[i], beta1, beta2,
+                               eps, lower, upper)
         return out
     c1 = 1.0 - beta1 ** k
     c2 = 1.0 - beta2 ** k

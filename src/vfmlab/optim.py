@@ -17,10 +17,12 @@ gamma_k = gamma0 / k^a (power decay) or constant; the step index k restarts at
 :func:`fit_maps` runs several MAP fits of one kind together, in lockstep:
 the initial fits of every well (``cli``), or the refits of every well's
 periodic-batch unit, listed up front by ``learning.run_schedules``.  Each fit
-has its own start values and noise level.  At step k every fit that is still
-running takes its step k; full mini-batches go through stacked kernel calls
+has its own start values and noise level.  Up to ``LOCKSTEP_FITS`` fits are
+live, one row each of a stacked state; at each tick every live fit takes its
+own next step, full mini-batches go through stacked kernel calls
 (``kernels``: the leading fit axis) and one optimizer step updates every
-fit's parameters, one row each.  Each fit keeps its own batch stream,
+row, each at its fit's own step index.  A fit that stops hands its row to
+the next pending fit.  Each fit keeps its own batch stream, step index,
 validation and early stopping, and its result is the one it would reach
 alone, bit for bit.  :func:`fit_map` is its one-fit case.
 
@@ -159,28 +161,28 @@ class OptimizerState:
     v: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    k: int = 0  # steps taken
 
 
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
-                   cfg: OptimizerConfig, k: int) -> OptimizerState:
-    """Apply one SGD or Adam step at schedule index k (1-based).
+                   cfg: OptimizerConfig, k: int | list[int]) -> OptimizerState:
+    """Apply one SGD or Adam step at schedule index k (1-based); stacked fits
+    at different steps give k as a list, one index per row.
 
     Non-finite gradients raise and leave the state untouched.  Physical
     parameters are clipped to their hard bounds.
     """
-    if k < 1:
+    per_row = isinstance(k, list)
+    if (min(k) if per_row else k) < 1:
         raise ConfigError("step index k must be >= 1")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; parameters untouched")
-    g = gamma_at(cfg, k)
+    g = np.array([gamma_at(cfg, j) for j in k])[:, None] if per_row else gamma_at(cfg, k)
     if cfg.method is Method.SGD:
         state.values = kernels.sgd_step(state.values, grad, g, state.lower, state.upper)
     else:
         state.values = kernels.adam_step(state.values, grad, state.m, state.v,
                                          k, g, cfg.adam_beta1, cfg.adam_beta2,
                                          cfg.adam_eps, state.lower, state.upper)
-    state.k = k
     return state
 
 
@@ -275,20 +277,21 @@ class TrainingStep:
 # ------------------------------------------------------------------- fitting
 
 
-# fit_maps runs at most this many fits in one lockstep, and longer lists in
-# consecutive chunks: the stacked arrays grow with the fits in the stack.  A
-# PBL-2w unit (39 refits) of MM took 0.60, 0.47, 0.42 and 0.39 s at chunks of
-# 8, 13, 20 and 39 fits, and its NN unit about 1.6 s at each, while the
-# pbl-refit workload's peak RSS rose by about 1, 2, 4 and 9 MB over 82 MB
-# (2 cores, min of 4, timing the units of tools/pbl_lockstep.py); the chunk
-# changes no result.
+# fit_maps keeps at most this many fits live in its stack: the stacked arrays,
+# and a tick's kernel, Adam and prior cost, grow with the live fits.  At caps
+# of 8, 16 and 32, the 39 PBL-2w refits of well 1 at fixed epochs (the
+# pbl-refit workload's) took 1.29-1.40, 1.41-1.48 and 1.23-1.34 s for NN and
+# 0.45-0.46, 0.31-0.37 and 0.30-0.36 s for MM (two runs, min of 3 each), and
+# the default study's 195 PBL-2w refits took 9.7, 9.3 and 8.2 s for HEM and
+# 7.3, 4.8 and 5.2 s for NN (one run each; 2 cores, tools/pbl_lockstep.py
+# --cap).  No cap is steadily faster on that host.  The cap changes no result.
 LOCKSTEP_FITS = 16
 
 
 class _Fit:
     """One fit of :func:`fit_maps`: its rows, split into a training head and
-    a chronological validation tail, its own mini-batch stream and its
-    early-stopping state."""
+    a chronological validation tail, its own mini-batch stream, its own step
+    index and its early-stopping state."""
 
     def __init__(self, j: int, start: ModelSpec, train: WellDataset, loss: LossSpec,
                  ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, sink: list | None):
@@ -307,12 +310,15 @@ class _Fit:
         n_tr = n - n_val
         self.degenerate = n_val == 0 or n_tr == 0
         if self.degenerate:
-            warnings.warn("degenerate validation split; fixed epoch count", stacklevel=5)
+            # stacklevel: fit_maps, then its caller (fit_map), then the caller's
+            warnings.warn("degenerate validation split; fixed epoch count", stacklevel=4)
             n_tr = n
         self.n_tr = n_tr
         self.hold(X, Xs, y, wells)
         self.rng = substream(ocfg.seed, "batches")
         self.bs = n_tr if ocfg.batch_size is None else min(ocfg.batch_size, n_tr)
+        self.batches = -(-n_tr // self.bs)   # mini-batches per epoch
+        self.k = 0               # steps taken
         self.epoch = 0
         self.pos = n_tr          # the first batch starts an epoch
         self.best_values = start.params.values
@@ -370,31 +376,119 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     physical flags, prior means or stds, or bounds is a ConfigError, raised
     before any fit runs.
 
-    At tick k every fit that is still running takes its step k, so gamma_k
-    and Adam's bias corrections are shared scalars and one optimizer step
-    updates the stacked parameters, one row per fit.  The mini-batches due
-    at a tick that share a length of at least ``kernels.COLUMN_ROWS`` rows
-    go through one stacked kernel call (theta (R, P), X and Xs (R, n, 6), y
-    and wells (R, n), inv_var (R, 1)); every other batch (an epoch's partial
-    last one, a fit alone at its length) and every validation pass runs one
-    fit at a time.  A fit leaves the stack when it stops early, runs out of
-    epochs, or meets a non-finite gradient; lists longer than
-    ``LOCKSTEP_FITS`` run in consecutive chunks.
+    At most ``LOCKSTEP_FITS`` fits are live, one row each of the stacked
+    parameters and Adam moments.  At each tick every live fit takes its own
+    next step.  The mini-batches due at a tick that share a length of at
+    least ``kernels.COLUMN_ROWS`` rows go through one stacked kernel call
+    (theta (R, P), X and Xs (R, n, 6), y and wells (R, n), inv_var (R, 1));
+    every other batch (an epoch's partial last one, a fit alone at its
+    length) and every validation pass runs one fit at a time.  One optimizer
+    step then updates every live row at that fit's own step index k: gamma_k
+    and Adam's bias corrections are scalars while the live fits share k, and
+    (R, 1) columns otherwise.  A fit leaves the stack when it stops early,
+    runs out of epochs, or meets a non-finite gradient, and the next pending
+    fit takes its row, at k = 1 with zero moments.  Pending fits go live
+    with the most mini-batches per epoch first, ties in list order, so that
+    the longest fits do not finish alone at the end.
 
-    Returns, per fit, its start with its best-validation values (version
-    start.version + 1), or the DataError or NumericError that ended it:
-    fewer than 2 rows, a mechanistic row with nonpositive p1, p2 or T1, or a
-    non-finite gradient.
+    Returns, in list order, per fit its start with its best-validation
+    values (version start.version + 1), or the DataError or NumericError
+    that ended it: fewer than 2 rows, a mechanistic row with nonpositive p1,
+    p2 or T1, or a non-finite gradient.
     """
     if not fits:
         return []
     _check_stack(fits)
     if fits[0][0].kind is ModelKind.BENCHMARK:
         raise ConfigError("benchmark predictor has no parameters to fit")
-    results = []
-    for c in range(0, len(fits), LOCKSTEP_FITS):
-        results += _lockstep(fits[c:c + LOCKSTEP_FITS], ocfg, escfg,
-                             None if curve_sinks is None else curve_sinks[c:c + LOCKSTEP_FITS])
+    results: list = [None] * len(fits)
+    pending = []
+    for j, (start, train, loss) in enumerate(fits):
+        try:
+            pending.append(_Fit(j, start, train, loss, ocfg, escfg,
+                                None if curve_sinks is None else curve_sinks[j]))
+        except (DataError, NumericError) as e:
+            results[j] = e
+    if not pending:
+        return results
+
+    if len(pending) > 1:   # every fit's rows in one array each, so a stacked batch is one gather
+        cols = [np.concatenate([f.rows[c] for f in pending]) for c in range(4)]
+        base = 0
+        for f in pending:
+            end = base + f.rows[2].shape[0]
+            f.base = base
+            f.hold(*(c[base:end] for c in cols))
+            base = end
+    # longest first; the sort is stable, so ties keep list order
+    queue = iter(sorted(pending, key=lambda f: -f.batches))
+    live = list(itertools.islice(queue, LOCKSTEP_FITS))
+    state = live[0].step.start(np.stack([f.start.params.values for f in live]))
+    prior = live[0].step.prior
+    stacked = None    # _stacked(live), built again after each change of the live fits
+    shared = True     # every live fit at one step index
+    while live:
+        for f in live:
+            f.k += 1
+        k = live[0].k if shared else [f.k for f in live]
+        batches = [f.next_batch() for f in live]
+        by_len: dict = {}
+        for i, idx in enumerate(batches):
+            by_len.setdefault(idx.shape[0], []).append(i)
+        grad = np.empty(state.values.shape)
+        for n_rows, ix in by_len.items():
+            if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
+                if stacked is None:
+                    stacked = _stacked(live)
+                plan, inv_var = stacked
+                rows = slice(None)
+                if len(ix) < len(live):
+                    rows = ix
+                    plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
+                at = np.stack([batches[i] + live[i].base for i in ix])
+                # take: the same copy as c[at], several times faster on the
+                # (R, n) index into the (rows, 6) inputs
+                X, Xs, y, wells = (c.take(at, axis=0) for c in cols)
+                _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
+                                               wells)
+                continue
+            for i in ix:
+                f, idx = live[i], batches[i]
+                X, Xs, y, wells = f.train
+                _, grad[i] = plan_loss_grad(f.step.plan, state.values[i], X[idx], Xs[idx],
+                                            y[idx], f.step.inv_var, wells[idx])
+        prior.add_grad(state.values, grad)
+        failed = [False] * len(live)
+        try:
+            optimizer_step(state, grad, ocfg, k)
+        except NumericError as e:   # the fits whose gradient is not finite end here
+            finite = np.isfinite(grad).all(axis=1)
+            failed = (~finite).tolist()
+            for i in np.flatnonzero(~finite):
+                results[live[i].j] = e
+            if finite.any():
+                rest = OptimizerState(state.values[finite], state.m[finite], state.v[finite],
+                                      state.lower, state.upper)
+                optimizer_step(rest, grad[finite], ocfg,
+                               k if shared else [j for j, bad in zip(k, failed) if not bad])
+                state.values[finite] = rest.values
+                state.m[finite], state.v[finite] = rest.m, rest.v
+        stop = [bad or (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg))
+                for i, (f, bad) in enumerate(zip(live, failed))]
+        if any(stop):
+            for i in itertools.compress(range(len(live)), stop):
+                f = live[i]
+                if results[f.j] is None:
+                    results[f.j] = f.start.with_values(f.best_values)
+                f = live[i] = next(queue, None)
+                if f is not None:   # the next pending fit takes the row
+                    state.values[i] = f.start.params.values
+                    state.m[i] = state.v[i] = 0.0
+            keep = [f is not None for f in live]
+            if not all(keep):
+                state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
+                live = [f for f in live if f is not None]
+            stacked, shared = None, len({f.k for f in live}) <= 1
     return results
 
 
@@ -416,78 +510,6 @@ def _check_stack(fits) -> None:
                 raise ConfigError(f"fit {j} cannot share a stack with fit 0: they differ in {what}")
 
 
-def _lockstep(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, curve_sinks) -> list:
-    """One chunk of :func:`fit_maps`."""
-    results: list = [None] * len(fits)
-    live = []
-    for j, (start, train, loss) in enumerate(fits):
-        try:
-            live.append(_Fit(j, start, train, loss, ocfg, escfg,
-                             None if curve_sinks is None else curve_sinks[j]))
-        except (DataError, NumericError) as e:
-            results[j] = e
-    if not live:
-        return results
-
-    state = live[0].step.start(np.stack([f.start.params.values for f in live]))
-    prior = live[0].step.prior
-    if len(live) > 1:   # every fit's rows in one array each, so a stacked batch is one gather
-        cols = [np.concatenate([f.rows[c] for f in live]) for c in range(4)]
-        base = 0
-        for f in live:
-            end = base + f.rows[2].shape[0]
-            f.base = base
-            f.hold(*(c[base:end] for c in cols))
-            base = end
-    stacked = None    # _stacked(live), built again after each compaction
-    k = 0
-    while live:
-        k += 1
-        batches = [f.next_batch() for f in live]
-        by_len: dict = {}
-        for i, idx in enumerate(batches):
-            by_len.setdefault(idx.shape[0], []).append(i)
-        grad = np.empty(state.values.shape)
-        for n_rows, ix in by_len.items():
-            if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
-                if stacked is None:
-                    stacked = _stacked(live)
-                plan, inv_var = stacked
-                rows = slice(None)
-                if len(ix) < len(live):
-                    rows = ix
-                    plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
-                at = np.stack([batches[i] + live[i].base for i in ix])
-                X, Xs, y, wells = (c[at] for c in cols)
-                _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
-                                               wells)
-                continue
-            for i in ix:
-                f, idx = live[i], batches[i]
-                X, Xs, y, wells = f.train
-                _, grad[i] = plan_loss_grad(f.step.plan, state.values[i], X[idx], Xs[idx],
-                                            y[idx], f.step.inv_var, wells[idx])
-        prior.add_grad(state.values, grad)
-        try:
-            optimizer_step(state, grad, ocfg, k)
-        except NumericError as e:   # the fits whose gradient is not finite end here
-            finite = np.isfinite(grad).all(axis=1)
-            for i in np.flatnonzero(~finite):
-                results[live[i].j] = e
-            live, stacked = _keep(live, state, finite.tolist()), None
-            if not live:
-                break
-            optimizer_step(state, grad[finite], ocfg, k)
-        going = [not (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg))
-                 for i, f in enumerate(live)]
-        if not all(going):
-            for f, g in zip(live, going):
-                if not g:
-                    results[f.j] = f.start.with_values(f.best_values)
-            live, stacked = _keep(live, state, going), None
-    return results
-
-
 def _stacked(live: list) -> tuple:
     """The plan and inv_var column of a stacked call over every live fit, one
     row per fit: HEM's network term is scaled by each fit's own target
@@ -495,12 +517,6 @@ def _stacked(live: list) -> tuple:
     return (replace(live[0].step.plan,
                     nn_scale=np.array([f.step.plan.nn_scale for f in live])[:, None]),
             np.array([f.step.inv_var for f in live])[:, None])
-
-
-def _keep(live: list, state: OptimizerState, keep: list) -> list:
-    """Compact the stacked state to the fits that stay; returns those fits."""
-    state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
-    return [f for f, k in zip(live, keep) if k]
 
 
 def fit_map(m: ModelSpec, train: WellDataset, loss: LossSpec,

@@ -16,7 +16,8 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
 Row counts cover both sides of ``kernels.COLUMN_ROWS``, Adam's parameter
 counts both sides of ``kernels.ADAM_LOOP_PARAMS``; on signed-zero ties,
 where the frozen loop keeps the value, Adam's two forms are held to each
-other.
+other.  Stacked optimizer steps, at one shared step index or at one per
+row, equal one step per fit.
 """
 
 import numpy as np
@@ -81,12 +82,24 @@ def test_adam_forms_agree_on_ties_and_nan(monkeypatch):
     lower = np.array([0.0, -np.inf, -np.inf, 0.0, -0.0, -np.inf, -np.inf])
     upper = np.array([np.inf, -0.0, 2.5, 2.0, np.inf, 0.0, np.inf])
     out = {}
-    for name, loop_params in (("loop", len(theta) + 1), ("array", 0)):
+    for name, loop_params in (("loop", 2 * len(theta) + 1), ("array", 0)):
         monkeypatch.setattr(kernels, "ADAM_LOOP_PARAMS", loop_params)
         m, v = m0.copy(), np.zeros(len(theta))
         with np.errstate(all="ignore"):
             th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8,
                                    lower, upper)
+            # two fits at steps 1 and 3, in one call with a k per row and a
+            # gamma_k column, against one call per fit
+            ms, vs = np.stack([m0, m0]), np.zeros((2, len(theta)))
+            stacked = kernels.adam_step(np.stack([theta, theta]), np.stack([grad, grad]), ms,
+                                        vs, [1, 3], np.array([[0.1], [0.05]]), 0.9, 0.999,
+                                        1e-8, lower, upper)
+            for i, (k, gamma) in enumerate(((1, 0.1), (3, 0.05))):
+                m1, v1 = m0.copy(), np.zeros(len(theta))
+                th1 = kernels.adam_step(theta, grad, m1, v1, k, gamma, 0.9, 0.999, 1e-8,
+                                        lower, upper)
+                for got, want in zip((stacked[i], ms[i], vs[i]), (th1, m1, v1)):
+                    assert got.tobytes() == want.tobytes(), (name, k)
         out[name] = th, m, v
     for got, want in zip(out["loop"], out["array"]):
         assert np.array_equal(got, want, equal_nan=True)
@@ -425,20 +438,33 @@ def test_a_stacked_call_equals_one_call_per_fit(kind, n):
 def test_a_stacked_adam_step_equals_one_step_per_fit(fits, n):
     """Below ADAM_LOOP_PARAMS one fit steps by the loop; a stack of fewer
     entries in all loops fit by fit, a larger one takes the array form,
-    which rounds alike."""
+    which rounds alike.  The fits step at one shared k, then at a k of
+    their own (given as a list, with gamma_k, a power schedule's, as an
+    (R, 1) column); sgd_step takes the same gamma_k."""
     rng = np.random.default_rng(70 + n)
-    theta = rng.standard_normal((fits, n))
-    lower, upper = _bounds(rng, theta[0])
-    m, v = np.zeros((fits, n)), np.zeros((fits, n))
-    m1, v1 = m.copy(), v.copy()
-    th, th1 = theta, theta.copy()
-    for k in range(1, 51):
-        grad = rng.standard_normal((fits, n)) * 10.0 ** rng.uniform(-3, 3, (fits, n))
-        th = kernels.adam_step(th, grad, m, v, k, 0.05, 0.9, 0.999, 1e-8, lower, upper)
-        th1 = np.stack([kernels.adam_step(th1[i], grad[i], m1[i], v1[i], k, 0.05, 0.9,
-                                          0.999, 1e-8, lower, upper) for i in range(fits)])
-        assert th.tobytes() == th1.tobytes(), k
-        assert m.tobytes() == m1.tobytes() and v.tobytes() == v1.tobytes(), k
+    for start in ([1] * fits, [1, 6, 41][:fits]):
+        theta = rng.standard_normal((fits, n))
+        lower, upper = _bounds(rng, theta[0])
+        m, v = np.zeros((fits, n)), np.zeros((fits, n))
+        m1, v1 = m.copy(), v.copy()
+        th, th1 = theta, theta.copy()
+        sg, sg1 = theta, theta.copy()
+        per_row = len(set(start)) > 1
+        for step in range(50):
+            ks = [s + step for s in start]
+            gammas = [0.05 / k ** 0.5 for k in ks]
+            k, gamma = (ks, np.array(gammas)[:, None]) if per_row else (ks[0], gammas[0])
+            grad = rng.standard_normal((fits, n)) * 10.0 ** rng.uniform(-3, 3, (fits, n))
+            th = kernels.adam_step(th, grad, m, v, k, gamma, 0.9, 0.999, 1e-8, lower, upper)
+            th1 = np.stack([kernels.adam_step(th1[i], grad[i], m1[i], v1[i], ks[i], gammas[i],
+                                              0.9, 0.999, 1e-8, lower, upper)
+                            for i in range(fits)])
+            assert th.tobytes() == th1.tobytes(), k
+            assert m.tobytes() == m1.tobytes() and v.tobytes() == v1.tobytes(), k
+            sg = kernels.sgd_step(sg, grad, gamma, lower, upper)
+            sg1 = np.stack([kernels.sgd_step(sg1[i], grad[i], gammas[i], lower, upper)
+                            for i in range(fits)])
+            assert sg.tobytes() == sg1.tobytes(), k
 
 
 # ------------------------------------------------------ the backward's ReLU mask

@@ -248,10 +248,11 @@ def test_fit_map_degenerate_validation_split_warns():
     # floor(0.2 * 4) = 0 held-out rows: fixed epoch count plus a warning
     ds = affine_dataset(4, np.zeros(7))
     m = init_model("lr")
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="degenerate validation split") as caught:
         fit_map(m, ds, LossSpec(1.0, PriorMode.NONE),
                 OptimizerConfig(gamma0=1e-3),
                 EarlyStoppingConfig(val_fraction=0.2, patience=2, max_epochs=3))
+    assert [w.filename for w in caught] == [__file__]   # it points at fit_map's caller
 
 
 def test_fit_map_needs_data_and_a_parametric_model():

@@ -9,7 +9,8 @@ online-learning logs must equal the frozen loops bit for bit, for every
 trainable kind, every prior mode and both optimizers.  ``run_pbl`` fits a
 unit's refits in lockstep (``optim.fit_maps``); each refit must equal
 ``fit_map`` on that refit alone, bit for bit, whichever fits it was stacked
-with, when they leave the stack and whichever of them fail.
+with, when they leave the stack, which pending refits take their rows (and
+so step at other step indices beside them) and whichever of them fail.
 ``run_schedules`` stacks the refits of several units, and each unit's log
 must equal ``run_schedule`` on that unit alone.
 """
@@ -24,7 +25,7 @@ import loop_drivers as loop
 from conftest import make_dataset
 from vfmlab.core import WellDataset, chronological_split, fit_scaler
 from vfmlab.errors import DataError, NumericError
-from vfmlab import kernels, learning
+from vfmlab import kernels, learning, optim
 from vfmlab.learning import ScheduleConfig, run_ol, run_pbl
 from vfmlab.models import (TRAINABLE_KINDS, ModelKind, MtlParams, NetworkShape,
                            build_plan, init_model, mm_clamp_count, plan_loss, plan_loss_grad,
@@ -146,6 +147,17 @@ def _stacked_calls(monkeypatch) -> list:
     return calls
 
 
+def _step_indices(monkeypatch) -> list:
+    """Record the step index k of each optimizer step of fit_maps: an int
+    while the live fits share it, else a list of one k per row."""
+    ks = []
+    optimizer_step = optim.optimizer_step
+    monkeypatch.setattr(optim, "optimizer_step",
+                        lambda state, grad, ocfg, k: ks.append(k) or optimizer_step(
+                            state, grad, ocfg, k))
+    return ks
+
+
 def _lockstep_refits(monkeypatch) -> list:
     """Record each (scaler, history, result) that run_pbl's lockstep makes."""
     refits = []
@@ -206,7 +218,8 @@ def _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch):
     return log, want_meta
 
 
-@pytest.mark.parametrize("case", ["boundary_rows", "window", "sources", "gap", "early_stop"])
+@pytest.mark.parametrize("case", ["boundary_rows", "window", "sources", "gap", "early_stop",
+                                  "refill_adam", "refill_sgd"])
 @pytest.mark.parametrize("kind", (ModelKind.BENCHMARK,) + tuple(TRAINABLE_KINDS),
                          ids=lambda k: k.value)
 def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
@@ -217,7 +230,13 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
     "early_stop" refits on histories of 25 to 55 rows with patience 1 and
     mini-batches of COLUMN_ROWS rows: the refits stop at different epochs,
     so they leave the lockstep one by one, and their full batches go through
-    stacked kernel calls."""
+    stacked kernel calls.  "refill_adam" and "refill_sgd" are "early_stop"
+    with Adam and with SGD at a stack of two fits: a pending refit takes the
+    row of one that stopped and steps at its own k beside a fit at another
+    k, so the power schedule's gamma_k (and Adam's bias corrections) differ
+    per row.  SGD keeps its gamma0 of 1e-3, at which most refits run all 20
+    epochs (MTL's diverge from 1e-2 on); they still leave the stack at
+    different ticks, since their histories differ in length."""
     ds = _data(30)
     split = chronological_split(ds, float(ds.t[24]))
     if case == "gap":
@@ -227,22 +246,31 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
     m0 = init_model("benchmark") if kind is ModelKind.BENCHMARK else _model(kind, split.train)
     loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=PriorMode.FULL)
     ocfg, escfg = _ocfg(Method.ADAM), ESCFG
-    if case == "early_stop":
+    early_stop = case in ("early_stop", "refill_adam", "refill_sgd")
+    if early_stop:
         ocfg = dataclasses.replace(ocfg, gamma0=0.2, batch_size=kernels.COLUMN_ROWS)
         escfg = EarlyStoppingConfig(val_fraction=0.25, patience=1, max_epochs=20)
+    if case == "refill_sgd":
+        ocfg = dataclasses.replace(_ocfg(Method.SGD), batch_size=kernels.COLUMN_ROWS)
+    if case.startswith("refill"):
+        monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
     cfg = ScheduleConfig(mode="pbl", ocfg=ocfg, loss=loss, period_s=3 * HOUR,
                          window_s=8 * HOUR if case == "window" else None, escfg=escfg,
                          update_sources=("MPFM",) if case == "sources" else None)
     stacked = _stacked_calls(monkeypatch)
+    ks = _step_indices(monkeypatch)
     refits = _lockstep_refits(monkeypatch)
     log, want_meta = _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch)
     periods = np.unique((split.test.t - split.split_time) // cfg.period_s)
     if kind is not ModelKind.BENCHMARK:
         assert want_meta["n_retrains"] == len(periods) - 1
         epochs = _assert_refits_equal_fit_map(m0, refits, cfg)
-    if case == "early_stop" and kind is not ModelKind.BENCHMARK:
-        assert len(epochs) > 1 and min(epochs) < escfg.max_epochs, epochs
+    if early_stop and kind is not ModelKind.BENCHMARK:
+        if case != "refill_sgd":
+            assert len(epochs) > 1 and min(epochs) < escfg.max_epochs, epochs
         assert any(len(c) > 1 for c in stacked)
+        # a step whose rows were at different k: only where a refit took a row
+        assert any(isinstance(k, list) and len(set(k)) > 1 for k in ks) == (case != "early_stop")
 
 
 def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
@@ -251,7 +279,10 @@ def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
     training head, a row whose upstream pressure overflows the choke
     equation, so the step that draws it meets a non-finite gradient
     (NumericError) while the refits stacked with them go on.  Failed periods,
-    retrain count, versions and every prediction equal the per-row loop's."""
+    retrain count, versions and every prediction equal the per-row loop's.
+    It runs twice: in the default stack, and in a stack of two fits, where
+    the two longest refits, the failing ones, go live first and pending
+    refits take the rows that their failure frees."""
     ds = _data(40)
     t_split = float(ds.t[30])
     source = np.where(ds.t < t_split, 0, 1).astype(np.uint8)
@@ -271,15 +302,69 @@ def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
                                                   batch_size=kernels.COLUMN_ROWS),
                          escfg=EarlyStoppingConfig(val_fraction=0.25, patience=3, max_epochs=6),
                          update_sources=("WellTest",))
-    stacked = _stacked_calls(monkeypatch)
-    refits = _lockstep_refits(monkeypatch)
-    log, meta = _assert_pbl_equals_the_loop(m0, split, cfg, monkeypatch)
-    _assert_refits_equal_fit_map(m0, refits, cfg)
-    assert [type(r[2]).__name__ for r in refits].count("NumericError") == 2
-    assert meta["failed_periods"][0] == split.split_time + 3 * HOUR   # the one-row history
-    assert len(meta["failed_periods"]) == 3 and meta["n_retrains"] == 5
-    # a stacked call in which one fit's gradient was not finite and another's was
-    assert any(not all(c) and any(c) for c in stacked), stacked
+    for refill in (False, True):
+        with monkeypatch.context() as mp:
+            if refill:
+                mp.setattr(optim, "LOCKSTEP_FITS", 2)
+            stacked = _stacked_calls(mp)
+            ks = _step_indices(mp)
+            refits = _lockstep_refits(mp)
+            log, meta = _assert_pbl_equals_the_loop(m0, split, cfg, mp)
+            _assert_refits_equal_fit_map(m0, refits, cfg)
+        assert [type(r[2]).__name__ for r in refits].count("NumericError") == 2
+        assert meta["failed_periods"][0] == split.split_time + 3 * HOUR   # the one-row history
+        assert len(meta["failed_periods"]) == 3 and meta["n_retrains"] == 5
+        if refill:
+            # both failing refits fail at their first step, with no sibling to
+            # step on; two pending refits take the freed rows and step at k = 1,
+            # and later refits step beside fits at other k
+            assert stacked[0] == [False, False] and ks[:2] == [1, 1], (stacked[0], ks[:2])
+            assert any(isinstance(k, list) and len(set(k)) > 1 for k in ks)
+        else:
+            # a stacked call in which one fit's gradient was not finite and another's was
+            assert any(not all(c) and any(c) for c in stacked), stacked
+
+
+def test_a_fit_that_fails_beside_a_fit_at_another_step(monkeypatch):
+    """A stack of two MM fits on 60, 50, 40 and 20 rows: the longest go live
+    first, and the 20-row fit, whose training head holds a row that
+    overflows the choke equation, takes a freed row beside a fit at another
+    step index.  Its step meets a non-finite gradient while its sibling's
+    step goes on at its own k; every result equals fit_map alone."""
+    monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
+    ds = _data(30)
+    X = ds.X.copy()
+    X[3, 1] = 1e308
+    poisoned = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
+    m0 = _model(ModelKind.MM, ds)
+    loss = LossSpec.from_data(ds, rel=0.5, prior_mode=PriorMode.FULL)
+    ocfg = dataclasses.replace(_ocfg(Method.ADAM), batch_size=kernels.COLUMN_ROWS)
+    fits = [(m0, ds.take(slice(0, n)), loss) for n in (60, 50, 40)]
+    fits.append((m0, poisoned.take(slice(0, 20)), loss))
+    raised = []
+    optimizer_step = optim.optimizer_step
+
+    def recording(state, grad, ocfg, k):
+        try:
+            return optimizer_step(state, grad, ocfg, k)
+        except NumericError:
+            raised.append(k)
+            raise
+
+    monkeypatch.setattr(optim, "optimizer_step", recording)
+    with np.errstate(all="ignore"):
+        got = optim.fit_maps(fits, ocfg, ESCFG)
+        for (start, train, loss), g in zip(fits, got):
+            try:
+                want = fit_map(start, train, loss, ocfg, ESCFG)
+            except NumericError as e:
+                want = e
+            if isinstance(want, Exception):
+                assert type(g) is type(want) and str(g) == str(want)
+            else:
+                assert g.params.values.tobytes() == want.params.values.tobytes()
+    assert isinstance(got[3], NumericError) and len(raised) == 2   # the stack and fit_map
+    assert isinstance(raised[0], list) and len(set(raised[0])) == 2, raised
 
 
 @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)

@@ -13,16 +13,24 @@ times, for each list,
 alternating, ``--repeats`` times each, and prints one JSON line per kind
 and list: the fit count, the min seconds of each side, their ratio, the
 min count of minor page faults of each side (the process's ``ru_minflt``
-over one call), and whether every fitted vector (and every failure) is the
-same, bit for bit.  Every fit runs a fixed number of epochs (patience
-equals the cap), as in the benchmark's pbl-refit workload: 17 per MM refit
-and 48 per refit of the other kinds, its count for NN; 15 for each initial
-fit.  An MTL unit per well takes the task layout of all listed wells, so
-that the wells' fits can share one stack.
+over one call), whether every fitted vector (and every failure) is the
+same, bit for bit, and the lockstep's counts: its stack cap
+(``optim.LOCKSTEP_FITS``, or ``--cap``), its ticks (optimizer steps of the
+stack), its fit-steps (the live fits summed over its ticks) and how busy
+the stack was (fit-steps over ticks times the cap).  The counts come from
+wrapping ``optim.optimizer_step`` while the lockstep runs.
+
+Every fit runs a fixed number of epochs (patience equals the cap), as in
+the benchmark's pbl-refit workload: 17 per MM refit and 48 per refit of
+the other kinds, its count for NN; 15 for each initial fit.  With
+``--early-stopping`` every fit stops as the study's do instead (the default
+StudyConfig's early stopping: patience 10, at most 100 epochs).  An MTL
+unit per well takes the task layout of all listed wells, so that the
+wells' fits can share one stack.
 
     PYTHONPATH=src python3 tools/pbl_lockstep.py
     PYTHONPATH=src python3 tools/pbl_lockstep.py --kinds mm,nn --repeats 7
-    PYTHONPATH=src python3 tools/pbl_lockstep.py --wells 5
+    PYTHONPATH=src python3 tools/pbl_lockstep.py --wells 5 --early-stopping --cap 32
     PYTHONPATH=src python3 tools/pbl_lockstep.py --smoke
 
 ``--smoke`` runs every trainable kind at a tiny size in a few seconds (the
@@ -43,7 +51,7 @@ import warnings
 
 import numpy as np
 
-from vfmlab import learning
+from vfmlab import learning, optim
 from vfmlab.config import StudyConfig
 from vfmlab.core import chronological_split, fit_scaler
 from vfmlab.errors import DataError, NumericError
@@ -56,7 +64,8 @@ REFIT_EPOCHS = {"mm": 17}     # the pbl-refit workload's; 48 for every other kin
 KINDS = tuple(k.value.lower() for k in TRAINABLE_KINDS)
 
 
-def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int) -> dict:
+def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int,
+              early_stopping: bool = False) -> dict:
     """{part: (fits, OptimizerConfig, EarlyStoppingConfig)} of PBL-2w on
     wells 1 to n_wells: the refits run_schedules hands to fit_maps and, for
     more than one well, the wells' initial fits; each fit a (start, train,
@@ -67,6 +76,9 @@ def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int) -> dict:
     epochs = 3 if smoke else REFIT_EPOCHS.get(kind, 48)
     init_epochs = 3 if smoke else 15
     init = EarlyStoppingConfig(patience=init_epochs, max_epochs=init_epochs)
+    escfg = EarlyStoppingConfig(patience=epochs, max_epochs=epochs)
+    if early_stopping:
+        init = escfg = cfg.escfg()
     initial, splits = [], []
     for sc in scenarios:
         ds = generate_stream(sc)
@@ -81,7 +93,6 @@ def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int) -> dict:
         initial.append((m0, split.train, loss))
         splits.append(split)
     spec = next(s for s in cfg.schedule_specs() if s.name == "PBL-2w")
-    escfg = EarlyStoppingConfig(patience=epochs, max_epochs=epochs)
     units = []
     fitted = sequential(initial, cfg.init_ocfg_for(kind), init)
     for (_, _, loss), m0, split in zip(initial, fitted, splits):
@@ -111,6 +122,27 @@ def sequential(fits, ocfg, escfg):
     return out
 
 
+class StepCount:
+    """While entered, counts the optimizer steps that return (the ticks of a
+    lockstep) and the fits they update (its fit-steps)."""
+
+    def __enter__(self):
+        self.ticks = self.fit_steps = 0
+        self.real = real = optim.optimizer_step
+
+        def counted(state, grad, *args):
+            out = real(state, grad, *args)
+            self.ticks += 1
+            self.fit_steps += len(grad)
+            return out
+
+        optim.optimizer_step = counted
+        return self
+
+    def __exit__(self, *exc):
+        optim.optimizer_step = self.real
+
+
 def lockstep(fits, ocfg, escfg):
     return fit_maps(fits, ocfg, escfg)
 
@@ -129,27 +161,34 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--smoke", action="store_true")
+    ap.add_argument("--early-stopping", action="store_true")
+    ap.add_argument("--cap", type=int, default=optim.LOCKSTEP_FITS)
     a = ap.parse_args(argv)
+    optim.LOCKSTEP_FITS = a.cap
     kinds = KINDS if a.smoke else a.kinds.split(",")
     repeats = 1 if a.smoke else a.repeats
     ok = True
     for n_wells in (1, 3) if a.smoke else (a.wells,):
         for kind in kinds:
-            for part, (fits, ocfg, escfg) in fit_lists(kind, a.seed, a.smoke, n_wells).items():
+            lists = fit_lists(kind, a.seed, a.smoke, n_wells, a.early_stopping)
+            for part, (fits, ocfg, escfg) in lists.items():
                 times = {"sequential": [], "lockstep": []}
                 faults = {"sequential": [], "lockstep": []}
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     for _ in range(repeats):
                         for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
-                            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                            t0 = time.perf_counter()
-                            got = fn(fits, ocfg, escfg)
-                            times[name].append(time.perf_counter() - t0)
-                            faults[name].append(
-                                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+                            with StepCount() as count:
+                                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                t0 = time.perf_counter()
+                                got = fn(fits, ocfg, escfg)
+                                times[name].append(time.perf_counter() - t0)
+                                faults[name].append(
+                                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
                             if name == "sequential":
                                 want = got
+                            else:
+                                ticks, fit_steps = count.ticks, count.fit_steps
                     identical = len(got) == len(want) and all(map(same, got, want))
                 ok &= identical
                 seq, lock = min(times["sequential"]), min(times["lockstep"])
@@ -159,7 +198,9 @@ def main(argv=None) -> int:
                                   "speedup": round(seq / lock, 2),
                                   "sequential_minflt": min(faults["sequential"]),
                                   "lockstep_minflt": min(faults["lockstep"]),
-                                  "identical": identical}))
+                                  "identical": identical, "cap": a.cap,
+                                  "ticks": ticks, "fit_steps": fit_steps,
+                                  "busy": round(fit_steps / (ticks * a.cap), 3)}))
     return 0 if ok else 1
 
 
