@@ -15,7 +15,16 @@ predictions).  The kernels serve both:
   ``_mm_parts``/``_mm_parts_grad``);
 * array form for parameter vectors of at least ``ADAM_LOOP_PARAMS`` entries
   and a loop below that: ``adam_step`` (LR's 7 and MM's 6 parameters take
-  the loop).
+  the loop);
+* floats for a whole online-learning update of the loop kinds, LR and MM
+  (``optim.TrainingStep.online_update``): the bounds and the prior are
+  converted once per unit, theta and the row once per observation, the k
+  steps run on the loops' row bodies
+  (``lr_row_grad``, ``mm_row_grad``) and on ``adam_step``'s loop
+  (``adam_floats``) or ``sgd_step`` (``sgd_floats``), both clipping with
+  ``_clip``, and the result becomes an array once.  ``lr_loss_grad``,
+  ``mm_loss_grad`` and ``adam_step`` call the same helpers in their loops,
+  so the two forms share every operation.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -45,27 +54,29 @@ operands; one fit keeps ``np.dot``, since ``np.matmul`` costs about 0.7 us
 more per call at one row and an online-learning HEM gradient makes about 8
 of these calls.
 
-The loops run on Python floats: a call converts its arrays once with
-``tolist()`` and writes its result back once.  The rounding is the same as on
-numpy scalars, so the loops keep their bits; what differs is division by
-zero, where Python raises ``ZeroDivisionError`` and numpy gives inf or NaN.
-The choke equation divides by p1, T1, the gas densities and kappa - 1, and
-Adam by its bias corrections and by sqrt(vhat) + eps, so these are checked
-before a loop runs:
+The loops and the float update run on Python floats: a call converts its
+arrays once with ``tolist()`` and writes its result back once.  The rounding
+is the same as on numpy scalars, so they keep the array forms' bits; what
+differs is division by zero, where Python raises ``ZeroDivisionError`` and
+numpy gives inf or NaN.  The choke equation divides by p1, T1, the gas
+densities and kappa - 1, and Adam by its bias corrections and by
+sqrt(vhat) + eps, so these are checked before a loop or a float update
+runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
   per call, fit or unit in ``models.predict``, ``optim.fit_maps``,
-  ``learning.run_ol`` and the PBL period walk of ``learning``;
-  ``synth.generate_stream`` refuses a nonpositive pressure or temperature of
-  its own rows;
+  ``learning.run_ol`` (before any of its updates) and the PBL period walk
+  of ``learning``; ``synth.generate_stream`` refuses a nonpositive pressure
+  or temperature of its own rows;
 * parameters: ``models.MechanisticParams`` requires kappa > 1 and positive
   densities and gas molar mass, for a scenario's true parameters, its events
-  and ramp ends and the prior means a model starts at, and the optimizers
-  clip kappa into its ``HARD_BOUNDS``, above 1, after every step;
+  and ramp ends and the prior means a model starts at, and every optimizer
+  step, on arrays or on floats, clips kappa into its ``HARD_BOUNDS``, above
+  1;
 * Adam: ``optim.OptimizerConfig`` requires ``adam_beta1`` and ``adam_beta2``
-  in [0, 1) and a positive ``adam_eps``, and ``optimizer_step`` a step
-  index k >= 1.
+  in [0, 1) and a positive ``adam_eps``; ``optimizer_step`` requires a step
+  index k >= 1, and the float update counts its steps from k = 1.
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
@@ -81,6 +92,11 @@ and stacked steps at a k per row, to one call per fit):
   the loops' order: a cumulative sum along the summed axis adds one term at
   a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
   ``np.add.at`` applies rows in index order;
+* an online update on floats equals the array steps (``optimizer_step``
+  over ``plan_loss_grad`` and the prior's ``add_grad``) bit for bit, skipped
+  updates and clamp counts included: ``tests/test_training_step.py``
+  holds ``learning.run_ol`` to the frozen loop of ``tests/loop_drivers.py``,
+  as ``tools/ol_update.py --smoke`` does on a split of the default study;
 * the backward's ReLU masks (``_relu_mask``, in ``_nn_backward`` and twice
   per block in ``mtl_loss_grad``) equal ``np.where(a > 0.0, d, 0.0)``
   without its branch per element: d's bits, viewed as int64, are
@@ -428,22 +444,30 @@ def lr_loss_grad(theta, xs, y, inv_var):
         grad[..., :d] += _row_sum(c[..., None] * xs, -2)
         grad[..., d] += _row_sum(c, -1)
         return sse, grad
-    *w, b = theta[:d + 1].tolist()
+    th = theta[:d + 1].tolist()
     inv_var = float(inv_var)
     g = [0.0] * (d + 1)
     sse = 0.0
     for xi, yi in zip(xs.tolist(), y.tolist()):
-        yh = b
-        for j in range(d):
-            yh += xi[j] * w[j]
-        resid = yi - yh
-        sse += resid * resid * inv_var
-        c = -2.0 * resid * inv_var
-        for j in range(d):
-            g[j] += c * xi[j]
-        g[d] += c
+        sse += lr_row_grad(th, xi, yi, inv_var, g)
     grad[:d + 1] = g
     return sse, grad
+
+
+def lr_row_grad(th, xs, y, inv_var, g):
+    """One row of lr_loss_grad's loop, on Python floats: th (w, b) and the
+    standardized row xs are lists, y and inv_var floats.  Adds the row's
+    gradient into the list g and returns its sse term."""
+    d = len(xs)
+    yh = th[d]
+    for xj, wj in zip(xs, th):
+        yh += xj * wj
+    resid = y - yh
+    c = -2.0 * resid * inv_var
+    for j, xj in enumerate(xs):
+        g[j] += c * xj
+    g[d] += c
+    return resid * resid * inv_var
 
 
 def lr_loss(theta, xs, y, inv_var):
@@ -563,27 +587,36 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
         sse, c = _residuals(y, M3S_TO_SM3H * cd * a2 * r * vsc, inv_var)
         _mm_grad_cols(cd, a2, c, r, vsc, dr, dvsc, grad)
         return sse, grad, int(np.count_nonzero(neg))
-    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    th = theta[:6].tolist()
     geom = geom.tolist()
     inv_var = float(inv_var)
     g = [0.0] * 6
     sse = 0.0
     nneg = 0
     for xi, yi in zip(x.tolist(), y.tolist()):
-        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
-                                               xi[1], xi[2], xi[3], xi[4], xi[5])
+        row_sse, neg = mm_row_grad(th, xi, geom, yi, inv_var, g)
+        sse += row_sse
         nneg += neg
-        a2 = _area(xi[0], geom)
-        base = M3S_TO_SM3H * cd * a2
-        yh = base * r * vsc
-        resid = yi - yh
-        sse += resid * resid * inv_var
-        c = -2.0 * resid * inv_var
-        for j in range(5):
-            g[j] += c * base * (dr[j] * vsc + r * dvsc[j])
-        g[5] += c * M3S_TO_SM3H * a2 * r * vsc
     grad[:6] = g
     return sse, grad, nneg
+
+
+def mm_row_grad(th, x, geom, y, inv_var, g):
+    """One row of mm_loss_grad's loop, on Python floats: th, the raw row x
+    and geom are lists, y and inv_var floats.  Adds the row's gradient into
+    the list g and returns (its sse term, 1 if its radicand was clamped
+    else 0)."""
+    ro, rw, kp, mg, pcr, cd = th
+    r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr, x[1], x[2], x[3], x[4], x[5])
+    a2 = _area(x[0], geom)
+    base = M3S_TO_SM3H * cd * a2
+    yh = base * r * vsc
+    resid = y - yh
+    c = -2.0 * resid * inv_var
+    for j in range(5):
+        g[j] += c * base * (dr[j] * vsc + r * dvsc[j])
+    g[5] += c * M3S_TO_SM3H * a2 * r * vsc
+    return resid * resid * inv_var, neg
 
 
 # ----------------------------------------------------------------------- HEM
@@ -856,7 +889,9 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     Stacked, theta, grad, m and v hold one row per fit and the bounds are
     shared; fits at different steps give k as a list, one step index per
     row, and gamma_k as an (R, 1) column.  A stack of fewer than
-    ADAM_LOOP_PARAMS entries in all loops one fit at a time."""
+    ADAM_LOOP_PARAMS entries in all loops one fit at a time, each through
+    adam_floats, the step that an online update of LR or MM takes on
+    floats."""
     per_row = isinstance(k, list)
     if theta.size >= ADAM_LOOP_PARAMS:
         if per_row:   # each row's bias corrections on Python floats, as one fit's
@@ -880,6 +915,32 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
             out[i] = adam_step(theta[i], grad[i], m[i], v[i], ks[i], gammas[i], beta1, beta2,
                                eps, lower, upper)
         return out
+    out, ms, vs = adam_floats(theta.tolist(), grad.tolist(), m.tolist(), v.tolist(), k,
+                              gamma_k, beta1, beta2, eps, lower.tolist(), upper.tolist())
+    m[...] = ms   # about half the cost of m[:] = ms at this size
+    v[...] = vs
+    return np.array(out)
+
+
+def _clip(val, lo, hi):
+    """np.minimum(np.maximum(val, lo), hi) on Python floats: the bound on a
+    tie (-0.0 against 0.0 included), NaN if either side is NaN."""
+    if not val > lo and val == val:
+        val = lo
+    if not val < hi and val == val:
+        val = hi
+    return val
+
+
+def sgd_floats(theta, grad, gamma_k, lower, upper):
+    """sgd_step of one fit on lists of Python floats; returns theta' as a
+    list."""
+    return [_clip(th - gamma_k * g, lo, hi) for th, g, lo, hi in zip(theta, grad, lower, upper)]
+
+
+def adam_floats(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
+    """adam_step of one fit on lists of Python floats (adam_step's loop):
+    returns (theta', m', v') as new lists."""
     c1 = 1.0 - beta1 ** k
     c2 = 1.0 - beta2 ** k
     b1 = 1.0 - beta1
@@ -887,20 +948,10 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     ms = []
     vs = []
     out = []
-    for th, g, mi, vi, lo, hi in zip(theta.tolist(), grad.tolist(), m.tolist(),
-                                     v.tolist(), lower.tolist(), upper.tolist()):
+    for th, g, mi, vi, lo, hi in zip(theta, grad, m, v, lower, upper):
         mi = mi * beta1 + b1 * g
         vi = vi * beta2 + b2 * g * g
         ms.append(mi)
         vs.append(vi)
-        val = th - gamma_k * (mi / c1) / (math.sqrt(vi / c2) + eps)
-        # np.maximum/np.minimum: the bound on a tie (-0.0 against 0.0
-        # included), NaN if either side is NaN
-        if not val > lo and val == val:
-            val = lo
-        if not val < hi and val == val:
-            val = hi
-        out.append(val)
-    m[...] = ms   # about half the cost of m[:] = ms at this size
-    v[...] = vs
-    return np.array(out)
+        out.append(_clip(th - gamma_k * (mi / c1) / (math.sqrt(vi / c2) + eps), lo, hi))
+    return out, ms, vs

@@ -38,11 +38,11 @@ import numpy as np
 
 from .core import (Source, DataSplit, WellDataset, fit_scaler, float_strings, int_strings,
                    source_strings, text_table, time_strings, time_value)
-from .errors import ConfigError, DataError, NumericError, SchemaError
+from .errors import ConfigError, DataError, SchemaError
 from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
                      scale_inputs, task_columns)
 from .optim import (EarlyStoppingConfig, LossSpec, OptimizerConfig, PriorMode, TrainingStep,
-                    fit_maps, optimizer_step)
+                    fit_maps)
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,12 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     """Online learning: k warm-started steps per observation, prior-anchored
     physical parameters, frozen scaler.
 
-    A non-finite update is skipped (flagged) and the previous parameters
-    carry on.  k = 0 degenerates to pure prediction with m0.  A mechanistic
-    kind's test row with nonpositive p1, p2 or T1 raises NumericError up
-    front.
+    Each observation is predicted first, then taken as one update
+    (``optim.TrainingStep.online_update``): LR and MM run its k steps on
+    Python floats, the other kinds as array steps.  A non-finite update is
+    skipped (flagged) and the previous parameters carry on.  k = 0
+    degenerates to pure prediction with m0.  A mechanistic kind's test row
+    with nonpositive p1, p2 or T1 raises NumericError up front.
     """
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
@@ -314,21 +316,13 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
         version[i] = v
         if steps == 0 or not allowed[i]:
             continue
-        state = step.start(theta)
-        ok = True
-        for k in range(1, steps + 1):
-            grad = step.grad(state.values, X1, Xs1, y[rows], wells1)
-            try:
-                optimizer_step(state, grad, cfg.ocfg, k)
-            except NumericError:
-                ok = False
-                break
-        if ok and np.isfinite(state.values).all():
-            theta = state.values
+        values = step.online_update(theta, X1, Xs1, y[rows], wells1, cfg.ocfg, steps)
+        if values is None:
+            meta["skipped_updates"].append(time_value(float(te.t[i])))
+        else:
+            theta = values
             v += 1
             meta["n_updates"] += 1
-        else:
-            meta["skipped_updates"].append(time_value(float(te.t[i])))
     return _test_log(te, y_pred, version, meta)
 
 

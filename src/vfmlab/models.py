@@ -463,6 +463,12 @@ class KindEntry:
       a leading axis (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
       inv_var and the plan's nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or
       more, returning sse (R,), grad (R, P) and the clamps of all R.
+    * ``row_grad(th, x, xs, geom, y, inv_var, g) -> (sse, clamps)``, for the
+      kinds whose one-row gradient is a loop on Python floats (LR, MM): the
+      row body of that loop, on lists th, x, xs and geom and floats y and
+      inv_var, adding the row's gradient into the list g.  A kind that has
+      it takes each online-learning update on floats
+      (``optim.TrainingStep.online_update``).
     """
 
     params: Callable
@@ -475,6 +481,7 @@ class KindEntry:
     predict: Callable | None = None
     loss_grad: Callable | None = None
     loss: Callable | None = None
+    row_grad: Callable | None = None
 
     def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
         return (self.n_fixed + (shape.n_params() if self.network else 0)
@@ -488,7 +495,8 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         lambda rng, pri, shape, mtl: _lr_params(), n_fixed=D_INPUT + 1, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.lr_predict(th, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
-        loss=lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0)),
+        loss=lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0),
+        row_grad=lambda th, x, xs, geom, y, iv, g: (kernels.lr_row_grad(th, xs, y, iv, g), 0)),
     ModelKind.NN: KindEntry(
         lambda rng, pri, shape, mtl: _mlp_params(rng, shape.widths()),
         network=True, standardized=True,
@@ -503,7 +511,8 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
     ModelKind.MM: KindEntry(
         lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv)),
+        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv),
+        row_grad=lambda th, x, xs, geom, y, iv, g: kernels.mm_row_grad(th, x, geom, y, iv, g)),
     ModelKind.HEM: KindEntry(
         lambda rng, pri, shape, mtl: ParameterSet.concat(
             _mm_params(pri), _mlp_params(rng, shape.widths(), prefix="nn.")),

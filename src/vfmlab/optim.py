@@ -31,7 +31,9 @@ It takes the kernel plan, the prior arrays, the target transform and the
 bounds once; per optimizer step it runs the kind's gradient kernel and adds
 the prior gradient in place, and per validation pass it takes the loss alone
 (``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
-finiteness check.
+finiteness check.  An online-learning update of LR or MM runs its steps on
+Python floats instead (``TrainingStep.online_update``), with the same
+roundings and checks.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import numpy as np
 from . import kernels
 from .core import WellDataset, as_columns, substream
 from .errors import ConfigError, DataError, NumericError
-from .models import (ModelKind, ModelSpec, ParameterSet, build_plan, check_inputs, plan_loss,
-                     plan_loss_grad, scale_inputs, task_columns)
+from .models import (MM_DIAGNOSTICS, ModelKind, ModelSpec, ParameterSet, build_plan,
+                     check_inputs, plan_loss, plan_loss_grad, scale_inputs, task_columns)
 
 
 class PriorMode(enum.Enum):
@@ -224,6 +226,14 @@ class _Prior:
             z = (theta[..., self.idx] - self.mean) / self.std
             grad[..., self.idx] += 2.0 * z / self.std
 
+    def entries(self, n: int) -> list:
+        """(index, mean, std) of each entry the prior covers in a vector of n,
+        as Python ints and floats."""
+        if self.idx is None:
+            return []
+        return list(zip(np.arange(n)[self.idx].tolist(), self.mean.tolist(),
+                        self.std.tolist()))
+
 
 def prior_loss_and_grad(params: ParameterSet, theta: np.ndarray,
                         mode: PriorMode) -> tuple[float, np.ndarray]:
@@ -243,7 +253,8 @@ class TrainingStep:
     :meth:`targets` once per dataset, and inv_var*y_scale^2, which leaves
     the raw-unit data term and its gradient; for the other kinds both
     transforms are exact no-ops.  :meth:`grad` gives the gradient of one
-    optimizer step, :meth:`loss` the objective of a validation pass.
+    optimizer step, :meth:`loss` the objective of a validation pass and
+    :meth:`online_update` one online-learning update.
     """
 
     def __init__(self, m: ModelSpec, noise_std: float, prior_mode: PriorMode):
@@ -252,6 +263,13 @@ class TrainingStep:
         self.prior = _Prior(m.params, prior_mode)
         self.lower = m.params.lower
         self.upper = m.params.upper
+        # what online_update's float form reads, as Python floats
+        self.floats = None
+        if plan.entry.row_grad is not None:
+            self.floats = (self.lower.tolist(), self.upper.tolist(),
+                           self.prior.entries(len(self.lower)),
+                           None if plan.geom is None else plan.geom.tolist(),
+                           float(self.inv_var))
 
     def targets(self, y: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
@@ -272,6 +290,51 @@ class TrainingStep:
     def loss(self, theta, X, Xs, y, wells) -> float:
         """The objective on rows (X, Xs, y from targets, wells)."""
         return plan_loss(self.plan, theta, X, Xs, y, self.inv_var, wells) + self.prior.loss(theta)
+
+    def online_update(self, theta, X, Xs, y, wells, ocfg: OptimizerConfig,
+                      steps: int) -> np.ndarray | None:
+        """One online-learning update: `steps` optimizer steps at k = 1, 2,
+        ... on one row (X, Xs, y from targets, wells), warm-started at theta
+        with zero Adam moments.  Returns the new values, or None when a
+        gradient or the final values are not finite (the update is skipped).
+
+        A kind with a float row gradient (``KindEntry.row_grad``: LR, MM)
+        runs the whole update on Python floats: theta and the row are
+        converted once, then each step takes the row gradient, the prior's,
+        the finite check and the SGD or Adam step with its clip
+        (``kernels.sgd_floats``, ``kernels.adam_floats``), and the result
+        becomes an array once.  Every rounding is that of the array loop that
+        the other kinds take (:meth:`grad` and :func:`optimizer_step`), and
+        the radicand clamps go to ``models.MM_DIAGNOSTICS`` alike.
+        """
+        if self.floats is None:
+            state = self.start(theta)
+            for k in range(1, steps + 1):
+                grad = self.grad(state.values, X, Xs, y, wells)
+                try:
+                    optimizer_step(state, grad, ocfg, k)
+                except NumericError:
+                    return None
+            return state.values if np.isfinite(state.values).all() else None
+        lower, upper, prior, geom, inv_var = self.floats
+        row_grad = self.plan.entry.row_grad
+        th = theta.tolist()
+        x, xs, y = X[0].tolist(), Xs[0].tolist(), float(y[0])
+        m = v = [0.0] * len(th)
+        for k in range(1, steps + 1):
+            g = [0.0] * len(th)
+            MM_DIAGNOSTICS.count += row_grad(th, x, xs, geom, y, inv_var, g)[1]
+            for j, mean, std in prior:
+                g[j] += 2.0 * ((th[j] - mean) / std) / std
+            if not all(map(math.isfinite, g)):
+                return None
+            gamma_k = gamma_at(ocfg, k)
+            if ocfg.method is Method.SGD:
+                th = kernels.sgd_floats(th, g, gamma_k, lower, upper)
+            else:
+                th, m, v = kernels.adam_floats(th, g, m, v, k, gamma_k, ocfg.adam_beta1,
+                                               ocfg.adam_beta2, ocfg.adam_eps, lower, upper)
+        return np.array(th) if all(map(math.isfinite, th)) else None
 
 
 # ------------------------------------------------------------------- fitting

@@ -129,6 +129,74 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
     assert len(set(y_pred.tolist())) > 1
 
 
+def _frozen_run_ol(m0, split, cfg, monkeypatch):
+    """loop.run_ol, and the radicand clamps that its MM kernel calls return
+    (the frozen loop drops them)."""
+    clamps = [0]
+    with monkeypatch.context() as mp:
+        for name in ("mm_predict", "mm_loss_grad"):
+            def counted(*args, real=getattr(kernels, name)):
+                out = real(*args)
+                clamps[0] += out[-1]
+                return out
+            mp.setattr(kernels, name, counted)
+        got = loop.run_ol(m0, split, cfg)
+    return got, clamps[0]
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind, case", [(ModelKind.LR, "overflow"), (ModelKind.MM, "overflow"),
+                                        (ModelKind.MM, "clamped")],
+                         ids=lambda v: getattr(v, "value", v))
+def test_a_float_update_equals_the_frozen_loop_at_its_edges(kind, case, method, monkeypatch):
+    """The kinds whose online update runs on Python floats, at its edges.
+    "overflow": the target of one test row is 1e308, so the gradient of its
+    first step is not finite and that update is skipped.  The row's flow is
+    critical at every p_cr within its bounds (p2/p1 = 0.2), so that every
+    entry of MM's gradient is infinite and none NaN: an SGD step would clip
+    it back into the bounds, and only the finite check skips it.  LR takes a noise level at which
+    its standardized target's gradient overflows too, and SGD a rate at
+    which the other rows' steps stay finite.  "clamped":
+    every third test row has p2 > p1, so its radicand is clamped in the
+    prediction and in each step.  Predictions, versions, skipped times and
+    the change in mm_clamp_count() equal the frozen loop's."""
+    ds = _data(20)
+    split = chronological_split(ds, float(ds.t[24]))
+    te = split.test
+    X, y = te.X.copy(), te.y.copy()
+    if case == "overflow":
+        y[5] = 1e308
+        X[5, 2] = X[5, 1] * 0.2
+    else:
+        X[::3, 2] = X[::3, 1] * 1.1
+    split = dataclasses.replace(split, test=WellDataset(te.t, X, y, te.source, te.well))
+    m0 = _model(kind, split.train)
+    loss = LossSpec.from_data(split.train, rel=0.5, prior_mode=PriorMode.PHYSICAL_ONLY)
+    m0 = fit_map(m0, split.train, loss, _ocfg(method), ESCFG)
+    ocfg = _ocfg(method)
+    if kind is ModelKind.LR:
+        loss = LossSpec(np.sqrt(build_plan(m0).y_scale) / 2)
+        if method is Method.SGD:
+            ocfg = dataclasses.replace(ocfg, gamma0=1e-8)
+    cfg = ScheduleConfig(mode="ol", ocfg=ocfg, loss=loss, steps=3)
+    with np.errstate(all="ignore"):
+        c0 = mm_clamp_count()
+        log = run_ol(m0, split, cfg)
+        clamps = mm_clamp_count() - c0
+        (y_pred, versions, _, n_updates, skipped), want_clamps = _frozen_run_ol(m0, split, cfg,
+                                                                                monkeypatch)
+    assert np.array_equal(log.y_pred, y_pred)
+    assert np.array_equal(log.model_version, versions)
+    assert log.metadata["n_updates"] == n_updates > 0
+    assert log.metadata["skipped_updates"] == skipped
+    assert clamps == want_clamps
+    if case == "overflow":
+        assert te.t[5] in skipped and clamps == 0
+    else:
+        assert skipped == [] and clamps > len(te) // 3
+    assert len(set(y_pred.tolist())) > 1
+
+
 HOUR = 3600.0
 
 
