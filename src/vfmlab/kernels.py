@@ -7,24 +7,22 @@ Calls come in two sizes: one row (each online-learning prediction and step)
 and batches (mini-batches, validation sets and ``run_pbl``'s per-period
 predictions).  The kernels serve both:
 
-* array form at every size: ``sgd_step``, ``lr_predict``, the network's
-  forward and backward passes (``_nn_forward``, ``_nn_backward``), the
-  squared-error residuals (``_residuals``) and all of MTL;
+* array form at every size: ``adam_step``, ``sgd_step``, ``lr_predict``,
+  ``lr_loss_grad`` and ``lr_loss``, the network's forward and backward
+  passes (``_nn_forward``, ``_nn_backward``), the squared-error residuals
+  (``_residuals``) and all of MTL;
 * column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
-  that: ``lr_loss_grad`` and the MM/HEM/HAM physics (``_mm_cols`` against
-  ``_mm_parts``/``_mm_parts_grad``);
-* array form for parameter vectors of at least ``ADAM_LOOP_PARAMS`` entries
-  and a loop below that: ``adam_step`` (LR's 7 and MM's 6 parameters take
-  the loop);
-* floats for a whole online-learning update of the loop kinds, LR and MM
+  that: the MM/HEM/HAM physics (``_mm_cols`` against
+  ``_mm_parts``/``_mm_parts_grad``), whose two forms round differently;
+* floats for a whole online-learning update of LR and MM
   (``optim.TrainingStep.online_update``): the bounds and the prior are
   converted once per unit, theta and the row once per observation, the k
-  steps run on the loops' row bodies
-  (``lr_row_grad``, ``mm_row_grad``) and on ``adam_step``'s loop
-  (``adam_floats``) or ``sgd_step`` (``sgd_floats``), both clipping with
-  ``_clip``, and the result becomes an array once.  ``lr_loss_grad``,
-  ``mm_loss_grad`` and ``adam_step`` call the same helpers in their loops,
-  so the two forms share every operation.
+  steps run on the row bodies ``lr_row_grad`` and ``mm_row_grad`` and on
+  ``adam_floats`` or ``sgd_floats``, both clipping with ``_clip``, and the
+  result becomes an array once.  ``mm_loss_grad``'s loop calls the same
+  row body; ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per
+  element, the operations of ``lr_loss_grad``, ``adam_step`` and
+  ``sgd_step`` in the same order, so the two forms round alike.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -34,11 +32,10 @@ and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
 sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
 and column forms stack: ``_row_sum``, ``_affine_cols``,
 ``_residuals``/``_sse``, ``_mm_cols``, ``_mm_grad_cols``,
-``_nn_forward``/``_nn_backward``, MTL's kernels, and ``lr_loss_grad``,
-``nn_loss_grad`` and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more
-(the loops take one fit, so ``fit_maps`` stacks only such calls);
-``adam_step`` and ``sgd_step`` take stacked parameters (a stack of fewer
-than ``ADAM_LOOP_PARAMS`` entries in all loops fit by fit).  The fits of a
+``_nn_forward``/``_nn_backward``, MTL's kernels, ``lr_loss_grad``,
+``nn_loss_grad``, and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or
+more (their loops take one fit, so ``fit_maps`` stacks only such calls);
+``adam_step`` and ``sgd_step`` take stacked parameters.  The fits of a
 stack may be at different steps: then ``adam_step`` takes k as a list, one
 step index per row, and computes each row's bias corrections
 ``1.0 - beta ** k`` on Python floats, as for one fit, into (R, 1) columns,
@@ -54,14 +51,14 @@ operands; one fit keeps ``np.dot``, since ``np.matmul`` costs about 0.7 us
 more per call at one row and an online-learning HEM gradient makes about 8
 of these calls.
 
-The loops and the float update run on Python floats: a call converts its
-arrays once with ``tolist()`` and writes its result back once.  The rounding
-is the same as on numpy scalars, so they keep the array forms' bits; what
-differs is division by zero, where Python raises ``ZeroDivisionError`` and
-numpy gives inf or NaN.  The choke equation divides by p1, T1, the gas
-densities and kappa - 1, and Adam by its bias corrections and by
-sqrt(vhat) + eps, so these are checked before a loop or a float update
-runs:
+The MM/HEM/HAM loops and the float update run on Python floats: a call
+converts its arrays once with ``tolist()`` and writes its result back once.
+The rounding is the same as on numpy scalars, so they keep the array forms'
+bits; what differs is division by zero, where Python raises
+``ZeroDivisionError`` and numpy gives inf or NaN.  The choke equation
+divides by p1, T1, the gas densities and kappa - 1, and Adam by its bias
+corrections and by sqrt(vhat) + eps, so these are checked before a loop or
+a float update runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
@@ -80,18 +77,20 @@ runs:
 
 Exactness, checked against the loop versions frozen in
 ``tests/loop_kernels.py`` by ``tests/test_kernel_oracle.py`` on both sides of
-``COLUMN_ROWS`` and ``ADAM_LOOP_PARAMS`` (which also holds stacked calls,
-and stacked steps at a k per row, to one call per fit):
+``COLUMN_ROWS`` and at the study's parameter counts (which also holds
+stacked calls, and stacked steps at a k per row, to one call per fit):
 
-* the optimizer steps (both forms of ``adam_step``; the oracle's clip keeps
-  ``val`` on a tie, so signed-zero ties are held to the array form instead),
-  the LR, NN and MTL kernels and the MM/HEM/HAM loops below
-  ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
+* the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
+  below ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
   its forward in ``ham_loss_grad``'s product order, which it shares so that a
   fit minimizes the loss of the predictions it logs).  Sums over rows keep
   the loops' order: a cumulative sum along the summed axis adds one term at
   a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
   ``np.add.at`` applies rows in index order;
+* ``adam_floats`` and ``sgd_floats`` equal ``adam_step`` and ``sgd_step``
+  bit for bit, signs included, on ties, NaN and overflow too (the oracle's
+  clip keeps ``val`` on a tie, so signed-zero ties are held to the array
+  steps instead);
 * an online update on floats equals the array steps (``optimizer_step``
   over ``plan_loss_grad`` and the prior's ``add_grad``) bit for bit, skipped
   updates and clamp counts included: ``tests/test_training_step.py``
@@ -165,16 +164,16 @@ P_SC = 1.01325e5         # Pa, standard conditions
 T_SC = 288.15            # K
 M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 
-# Calls with at least this many rows take the column form, shorter ones the
-# loop.  The measured crossovers lie higher (tools/adam_crossover.py), but a
-# loop rounds MM, HEM and HAM differently from the column form, so moving
+# MM, HEM and HAM calls with at least this many rows take the column form,
+# shorter ones the loop.  The measured crossovers lie higher: min of 21 runs,
+# loop and column interleaved, on a 2-core VM, the column form overtook a
+# loop on Python floats at about 16 to 20 rows for HEM (and for an LR loop,
+# which rounds as lr_loss_grad's column form does, so LR has none), 20 to 24
+# for mm_loss_grad and ham_loss_grad, 24 to 32 for mm_predict and 32 to 48
+# for ham_predict, and at one row the loops were 3 to 12 times faster.  But
+# a loop rounds MM, HEM and HAM differently from the column form, so moving
 # this waits for a behaviour gate with stated tolerances.
 COLUMN_ROWS = 8
-
-# Parameter vectors shorter than this take adam_step's loop on Python floats,
-# longer ones its array form; the two round alike, so the value (the measured
-# crossover, tools/adam_crossover.py) changes no result.
-ADAM_LOOP_PARAMS = 16
 
 
 # ------------------------------------------------------------------ helpers
@@ -436,28 +435,19 @@ def lr_predict(theta, xs):
 
 
 def lr_loss_grad(theta, xs, y, inv_var):
-    n, d = xs.shape[-2:]
+    d = xs.shape[-1]
+    sse, c = _residuals(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]), inv_var)
     grad = np.zeros(theta.shape)
-    if n >= COLUMN_ROWS:
-        sse, c = _residuals(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]),
-                            inv_var)
-        grad[..., :d] += _row_sum(c[..., None] * xs, -2)
-        grad[..., d] += _row_sum(c, -1)
-        return sse, grad
-    th = theta[:d + 1].tolist()
-    inv_var = float(inv_var)
-    g = [0.0] * (d + 1)
-    sse = 0.0
-    for xi, yi in zip(xs.tolist(), y.tolist()):
-        sse += lr_row_grad(th, xi, yi, inv_var, g)
-    grad[:d + 1] = g
+    grad[..., :d] += _row_sum(c[..., None] * xs, -2)
+    grad[..., d] += _row_sum(c, -1)
     return sse, grad
 
 
 def lr_row_grad(th, xs, y, inv_var, g):
-    """One row of lr_loss_grad's loop, on Python floats: th (w, b) and the
-    standardized row xs are lists, y and inv_var floats.  Adds the row's
-    gradient into the list g and returns its sse term."""
+    """lr_loss_grad of one row on Python floats, in its order of operations,
+    for the online-learning update: th (w, b) and the standardized row xs
+    are lists, y and inv_var floats.  Adds the row's gradient into the list
+    g and returns its sse term."""
     d = len(xs)
     yh = th[d]
     for xj, wj in zip(xs, th):
@@ -471,11 +461,8 @@ def lr_row_grad(th, xs, y, inv_var, g):
 
 
 def lr_loss(theta, xs, y, inv_var):
-    """lr_loss_grad's sse without the gradient: the loop below COLUMN_ROWS,
-    and the column form's row sums above it (lr_predict's np.dot sums
-    differently)."""
-    if xs.shape[-2] < COLUMN_ROWS:
-        return lr_loss_grad(theta, xs, y, inv_var)[0]
+    """lr_loss_grad's sse without the gradient: its row sums (lr_predict's
+    np.dot sums differently)."""
     d = xs.shape[-1]
     return _sse(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]), inv_var)
 
@@ -875,7 +862,8 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
 # the same order as a per-parameter loop, so the result is bit-identical to
 # one.  The clamp equals the loop's "below lower, else above upper" test
 # wherever lower <= upper and no value ties a zero bound of the other sign.
-# Adam updates m and v in place; below ADAM_LOOP_PARAMS it runs as a loop.
+# Adam updates m and v in place.  sgd_floats and adam_floats are the steps
+# of one fit on Python floats, for the online-learning update of LR and MM.
 
 
 def sgd_step(theta, grad, gamma_k, lower, upper):
@@ -888,38 +876,20 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     """One bias-corrected Adam step; mutates m and v in place, returns theta'.
     Stacked, theta, grad, m and v hold one row per fit and the bounds are
     shared; fits at different steps give k as a list, one step index per
-    row, and gamma_k as an (R, 1) column.  A stack of fewer than
-    ADAM_LOOP_PARAMS entries in all loops one fit at a time, each through
-    adam_floats, the step that an online update of LR or MM takes on
-    floats."""
-    per_row = isinstance(k, list)
-    if theta.size >= ADAM_LOOP_PARAMS:
-        if per_row:   # each row's bias corrections on Python floats, as one fit's
-            c1 = np.array([1.0 - beta1 ** j for j in k])[:, None]
-            c2 = np.array([1.0 - beta2 ** j for j in k])[:, None]
-        else:
-            c1, c2 = 1.0 - beta1 ** k, 1.0 - beta2 ** k
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        mhat = m / c1
-        vhat = v / c2
-        val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
-        return np.minimum(np.maximum(val, lower), upper)
-    if theta.ndim > 1:
-        n = theta.shape[0]
-        ks, gammas = (k, gamma_k.ravel().tolist()) if per_row else ([k] * n, [gamma_k] * n)
-        out = np.empty(theta.shape)
-        for i in range(n):
-            out[i] = adam_step(theta[i], grad[i], m[i], v[i], ks[i], gammas[i], beta1, beta2,
-                               eps, lower, upper)
-        return out
-    out, ms, vs = adam_floats(theta.tolist(), grad.tolist(), m.tolist(), v.tolist(), k,
-                              gamma_k, beta1, beta2, eps, lower.tolist(), upper.tolist())
-    m[...] = ms   # about half the cost of m[:] = ms at this size
-    v[...] = vs
-    return np.array(out)
+    row, and gamma_k as an (R, 1) column."""
+    if isinstance(k, list):   # each row's bias corrections on Python floats, as one fit's
+        c1 = np.array([1.0 - beta1 ** j for j in k])[:, None]
+        c2 = np.array([1.0 - beta2 ** j for j in k])[:, None]
+    else:
+        c1, c2 = 1.0 - beta1 ** k, 1.0 - beta2 ** k
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / c1
+    vhat = v / c2
+    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
+    return np.minimum(np.maximum(val, lower), upper)
 
 
 def _clip(val, lo, hi):
@@ -939,8 +909,8 @@ def sgd_floats(theta, grad, gamma_k, lower, upper):
 
 
 def adam_floats(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """adam_step of one fit on lists of Python floats (adam_step's loop):
-    returns (theta', m', v') as new lists."""
+    """adam_step of one fit on lists of Python floats: returns (theta', m',
+    v') as new lists."""
     c1 = 1.0 - beta1 ** k
     c2 = 1.0 - beta2 ** k
     b1 = 1.0 - beta1

@@ -464,11 +464,11 @@ class KindEntry:
       inv_var and the plan's nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or
       more, returning sse (R,), grad (R, P) and the clamps of all R.
     * ``row_grad(th, x, xs, geom, y, inv_var, g) -> (sse, clamps)``, for the
-      kinds whose one-row gradient is a loop on Python floats (LR, MM): the
-      row body of that loop, on lists th, x, xs and geom and floats y and
-      inv_var, adding the row's gradient into the list g.  A kind that has
-      it takes each online-learning update on floats
-      (``optim.TrainingStep.online_update``).
+      kinds that take each online-learning update on Python floats (LR, MM;
+      ``optim.TrainingStep.online_update``), and used only there: one row's
+      gradient on lists th, x, xs and geom and floats y and inv_var, added
+      into the list g, rounded as the kind's ``loss_grad`` rounds that row
+      (MM's is also the row body of ``mm_loss_grad``'s loop).
     """
 
     params: Callable

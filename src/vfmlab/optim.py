@@ -121,8 +121,9 @@ class OptimizerConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1 or None (full batch)")
-        # kernels.adam_step divides by 1 - beta**k and by sqrt(vhat) + eps,
-        # on Python floats for short vectors, where a zero divisor raises
+        # Adam divides by 1 - beta**k and by sqrt(vhat) + eps; an online update
+        # of LR or MM does so on Python floats (kernels.adam_floats), where a
+        # zero divisor raises
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if not self.adam_eps > 0:

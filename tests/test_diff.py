@@ -65,7 +65,7 @@ def model_zoo(scaler, seed=0):
 def test_analytic_gradient_matches_finite_differences(prior_mode):
     """Targets are drawn near each model's own output scale so the objective
     stays O(n) and central differences keep their accuracy.  24 rows run the
-    kernels' column forms, 5 rows (below COLUMN_ROWS) their loops."""
+    kernels' column forms, 5 rows (below COLUMN_ROWS) the MM, HEM and HAM loops."""
     import vfmlab
 
     rng = np.random.default_rng(11)

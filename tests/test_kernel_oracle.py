@@ -13,11 +13,13 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
   in the last place, so they are held to 1e-10 relative for predictions and
   loss and 1e-9 for gradients, with equal clamp counts.
 
-Row counts cover both sides of ``kernels.COLUMN_ROWS``, Adam's parameter
-counts both sides of ``kernels.ADAM_LOOP_PARAMS``; on signed-zero ties,
-where the frozen loop keeps the value, Adam's two forms are held to each
-other.  Stacked optimizer steps, at one shared step index or at one per
-row, equal one step per fit.
+Row counts cover both sides of ``kernels.COLUMN_ROWS``, and the optimizer
+steps run at the study's parameter counts.  The steps of one fit on Python
+floats (``kernels.adam_floats``, ``kernels.sgd_floats``), which an
+online-learning update of LR or MM takes, are held to the array steps bit for
+bit: over a random walk with active bounds, and on signed-zero ties (where
+the frozen loop keeps the value), NaN and overflow.  Stacked optimizer steps,
+at one shared step index or at one per row, equal one step per fit.
 """
 
 import numpy as np
@@ -31,6 +33,8 @@ from vfmlab.models import (D_INPUT, TRAINABLE_KINDS, ChokeGeometry, MechanisticP
 NN_WIDTHS = np.array(NetworkShape(hidden=(32, 32)).widths(), dtype=np.int64)
 NN_PARAMS = NetworkShape(hidden=(32, 32)).n_params()          # 1313
 MTL = StudyConfig().mtl_params((1, 2, 3, 4, 5))
+# the study's parameter counts: MM, LR, NN, HAM, HEM and MTL
+PARAM_COUNTS = [6, D_INPUT + 1, NN_PARAMS, 5 + NN_PARAMS, 6 + NN_PARAMS, MTL.n_params()]
 ROWS = sorted({1, kernels.COLUMN_ROWS - 1, kernels.COLUMN_ROWS, 64, 1024} - {0})
 
 
@@ -47,15 +51,21 @@ def _bounds(rng, theta):
     return lower, upper
 
 
-@pytest.mark.parametrize("n", [6, 7, kernels.ADAM_LOOP_PARAMS - 1, kernels.ADAM_LOOP_PARAMS,
-                               NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])
+def _as_floats(arrays):
+    return [a.tolist() for a in arrays]
+
+
+@pytest.mark.parametrize("n", PARAM_COUNTS)
 def test_adam_steps_equal_the_loop(n):
+    """adam_step, and adam_floats on lists (the step of an online update of
+    LR and MM), against the frozen loop: theta, m and v bit for bit."""
     rng = np.random.default_rng(n)
     theta = rng.standard_normal(n)
     lower, upper = _bounds(rng, theta)
     m_a, v_a = np.zeros(n), np.zeros(n)
     m_l, v_l = np.zeros(n), np.zeros(n)
     th_a = th_l = theta
+    th_f, m_f, v_f = _as_floats([theta, m_a, v_a])
     clamped = 0
     for k in range(1, 301):
         grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
@@ -64,63 +74,76 @@ def test_adam_steps_equal_the_loop(n):
                               lower, upper)
         th_a = kernels.adam_step(th_a, grad, m_a, v_a, k, gamma, 0.9, 0.999, 1e-8,
                                  lower, upper)
+        th_f, m_f, v_f = kernels.adam_floats(th_f, grad.tolist(), m_f, v_f, k, float(gamma),
+                                             0.9, 0.999, 1e-8, lower.tolist(), upper.tolist())
         assert np.array_equal(th_a, th_l), k
         assert np.array_equal(m_a, m_l), k   # m and v are updated in place
         assert np.array_equal(v_a, v_l), k
+        for got, want in zip((th_f, m_f, v_f), (th_a, m_a, v_a)):
+            assert np.array(got).tobytes() == want.tobytes(), k
         clamped += int(np.sum((th_a == lower) | (th_a == upper)))
     assert clamped > 0   # the bounds were active
 
 
-def test_adam_forms_agree_on_ties_and_nan(monkeypatch):
-    """The loop form clips as np.maximum/np.minimum do: the bound on a tie,
-    signed zeros included, and NaN through.  The frozen loop keeps val on a
-    tie, so the two forms are held to each other here."""
-    #                  -0.0 ties 0.0, 0.0 ties -0.0, ties 2.5, NaN, below, above, free
-    theta = np.array([-0.0, 0.0, 2.5, 1.0, 0.0, 0.0, 0.5])
-    grad = np.array([0.0, 0.0, 0.0, 1e308, 1.0, -1.0, 0.3])
-    m0 = np.array([0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.1])   # m / (1 - beta1) overflows
-    lower = np.array([0.0, -np.inf, -np.inf, 0.0, -0.0, -np.inf, -np.inf])
-    upper = np.array([np.inf, -0.0, 2.5, 2.0, np.inf, 0.0, np.inf])
-    out = {}
-    for name, loop_params in (("loop", 2 * len(theta) + 1), ("array", 0)):
-        monkeypatch.setattr(kernels, "ADAM_LOOP_PARAMS", loop_params)
+def test_adam_forms_agree_on_ties_and_nan():
+    """adam_floats and sgd_floats clip as np.maximum/np.minimum do: the bound
+    on a tie, signed zeros included, and NaN through; an overflow gives the
+    array steps' inf or NaN.  The frozen loop keeps val on a tie, so the float
+    and array steps are held to each other here, sign bits included.  The
+    array Adam step also takes two fits at steps 1 and 3 in one call, with a
+    k per row and a gamma_k column, as one call per fit."""
+    # -0.0 ties 0.0, 0.0 ties -0.0, ties 2.5, overflow, below, above, free, NaN
+    theta = np.array([-0.0, 0.0, 2.5, 1.0, 0.0, 0.0, 0.5, np.nan])
+    grad = np.array([0.0, 0.0, 0.0, 1e308, 1.0, -1.0, 0.3, 0.3])
+    m0 = np.array([0.0, 0.0, 0.0, 1e308, 0.0, 0.0, 0.1, 0.1])   # m / (1 - beta1) overflows
+    lower = np.array([0.0, -np.inf, -np.inf, 0.0, -0.0, -np.inf, -np.inf, -np.inf])
+    upper = np.array([np.inf, -0.0, 2.5, 2.0, np.inf, 0.0, np.inf, np.inf])
+    lo, hi = lower.tolist(), upper.tolist()
+    with np.errstate(all="ignore"):
         m, v = m0.copy(), np.zeros(len(theta))
-        with np.errstate(all="ignore"):
-            th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8,
-                                   lower, upper)
-            # two fits at steps 1 and 3, in one call with a k per row and a
-            # gamma_k column, against one call per fit
-            ms, vs = np.stack([m0, m0]), np.zeros((2, len(theta)))
-            stacked = kernels.adam_step(np.stack([theta, theta]), np.stack([grad, grad]), ms,
-                                        vs, [1, 3], np.array([[0.1], [0.05]]), 0.9, 0.999,
-                                        1e-8, lower, upper)
-            for i, (k, gamma) in enumerate(((1, 0.1), (3, 0.05))):
-                m1, v1 = m0.copy(), np.zeros(len(theta))
-                th1 = kernels.adam_step(theta, grad, m1, v1, k, gamma, 0.9, 0.999, 1e-8,
-                                        lower, upper)
-                for got, want in zip((stacked[i], ms[i], vs[i]), (th1, m1, v1)):
-                    assert got.tobytes() == want.tobytes(), (name, k)
-        out[name] = th, m, v
-    for got, want in zip(out["loop"], out["array"]):
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-    th = out["loop"][0]
-    assert np.array_equal(th, [0.0, -0.0, 2.5, np.nan, -0.0, 0.0, th[6]], equal_nan=True)
+        th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8, lower, upper)
+        floats = kernels.adam_floats(*_as_floats([theta, grad, m0, np.zeros(len(theta))]), 1,
+                                     0.1, 0.9, 0.999, 1e-8, lo, hi)
+        for got, want in zip((th, m, v), floats):
+            assert got.tobytes() == np.array(want).tobytes()
+        # gamma_k 10 overflows theta - gamma_k * grad at 1e308, to -inf
+        sg = kernels.sgd_step(theta, grad, 10.0, lower, upper)
+        assert sg.tobytes() == np.array(kernels.sgd_floats(*_as_floats([theta, grad]), 10.0,
+                                                           lo, hi)).tobytes()
+
+        ms, vs = np.stack([m0, m0]), np.zeros((2, len(theta)))
+        stacked = kernels.adam_step(np.stack([theta, theta]), np.stack([grad, grad]), ms, vs,
+                                    [1, 3], np.array([[0.1], [0.05]]), 0.9, 0.999, 1e-8,
+                                    lower, upper)
+        for i, (k, gamma) in enumerate(((1, 0.1), (3, 0.05))):
+            m1, v1 = m0.copy(), np.zeros(len(theta))
+            th1 = kernels.adam_step(theta, grad, m1, v1, k, gamma, 0.9, 0.999, 1e-8,
+                                    lower, upper)
+            for got, want in zip((stacked[i], ms[i], vs[i]), (th1, m1, v1)):
+                assert got.tobytes() == want.tobytes(), k
+    assert np.array_equal(th, [0.0, -0.0, 2.5, np.nan, -0.0, 0.0, th[6], np.nan],
+                          equal_nan=True)
     assert list(np.signbit(th[[0, 1, 2, 4, 5]])) == [False, True, False, True, False]
+    assert np.array_equal(sg, [0.0, -0.0, 2.5, 0.0, -0.0, 0.0, sg[6], np.nan], equal_nan=True)
+    assert list(np.signbit(sg[[0, 1, 2, 3, 4, 5]])) == [False, True, False, False, True, False]
 
 
 @pytest.mark.parametrize("n", [6, 7, NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])
 def test_sgd_steps_equal_the_loop(n):
+    """sgd_step, and sgd_floats on lists, against the frozen loop."""
     rng = np.random.default_rng(100 + n)
     theta = rng.standard_normal(n)
     lower, upper = _bounds(rng, theta)
     th_a = th_l = theta
+    th_f = theta.tolist()
     clamped = 0
     for k in range(1, 51):
         grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1, n)
         th_l = loop.sgd_step(th_l, grad, 0.5 / k, lower, upper)
         th_a = kernels.sgd_step(th_a, grad, 0.5 / k, lower, upper)
+        th_f = kernels.sgd_floats(th_f, grad.tolist(), 0.5 / k, lower.tolist(), upper.tolist())
         assert np.array_equal(th_a, th_l), k
+        assert np.array(th_f).tobytes() == th_a.tobytes(), k
         clamped += int(np.sum((th_a == lower) | (th_a == upper)))
     assert clamped > 0
 
@@ -436,11 +459,11 @@ def test_a_stacked_call_equals_one_call_per_fit(kind, n):
 
 @pytest.mark.parametrize("fits, n", [(2, 6), (FITS, D_INPUT + 1), (FITS, NN_PARAMS)])
 def test_a_stacked_adam_step_equals_one_step_per_fit(fits, n):
-    """Below ADAM_LOOP_PARAMS one fit steps by the loop; a stack of fewer
-    entries in all loops fit by fit, a larger one takes the array form,
-    which rounds alike.  The fits step at one shared k, then at a k of
-    their own (given as a list, with gamma_k, a power schedule's, as an
-    (R, 1) column); sgd_step takes the same gamma_k."""
+    """A stack of fits, at MM's, LR's and NN's parameter counts, takes the
+    array step, which rounds as one step per fit does.  The fits step at one
+    shared k, then at a k of their own (given as a list, with gamma_k, a
+    power schedule's, as an (R, 1) column); sgd_step takes the same
+    gamma_k."""
     rng = np.random.default_rng(70 + n)
     for start in ([1] * fits, [1, 6, 41][:fits]):
         theta = rng.standard_normal((fits, n))
