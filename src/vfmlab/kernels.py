@@ -12,15 +12,15 @@ predictions).  The kernels serve both:
   passes (``_nn_forward``, ``_nn_backward``), the squared-error residuals
   (``_residuals``) and all of MTL;
 * column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
-  that: the MM/HEM/HAM physics (``_mm_cols`` against
-  ``_mm_parts``/``_mm_parts_grad``), whose two forms round differently;
+  that: the MM/HEM/HAM physics, whose choke equation ``_mm_cols`` takes
+  over columns and ``_mm_row`` over one row's floats, rounding differently;
 * floats for a whole online-learning update of LR and MM
   (``optim.TrainingStep.online_update``): the bounds and the prior are
   converted once per unit, theta and the row once per observation, the k
   steps run on the row bodies ``lr_row_grad`` and ``mm_row_grad`` and on
   ``adam_floats`` or ``sgd_floats``, both clipping with ``_clip``, and the
   result becomes an array once.  ``mm_loss_grad``'s loop calls the same
-  row body; ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per
+  row body, and every MM/HEM/HAM loop goes through ``_mm_row``; ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per
   element, the operations of ``lr_loss_grad``, ``adam_step`` and
   ``sgd_step`` in the same order, so the two forms round alike.
 
@@ -83,8 +83,10 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
 * the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
   below ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
   its forward in ``ham_loss_grad``'s product order, which it shares so that a
-  fit minimizes the loss of the predictions it logs).  Sums over rows keep
-  the loops' order: a cumulative sum along the summed axis adds one term at
+  fit minimizes the loss of the predictions it logs).  The short MM, HEM
+  and HAM calls of the oracle test take ``_mm_row`` through each of its
+  branches: a clamped and a free pressure ratio, a nonpositive radicand and
+  a zero water fraction.  Sums over rows keep the loops' order: a cumulative sum along the summed axis adds one term at
   a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
   ``np.add.at`` applies rows in index order;
 * ``adam_floats`` and ``sgd_floats`` equal ``adam_step`` and ``sgd_step``
@@ -107,11 +109,11 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   (``tools/relu_mask.py``).
   The oracle test holds it to ``np.where`` on signed zeros, NaNs,
   subnormals and infinities;
-* the MM/HEM/HAM column forms go through the loops' arithmetic in the loops'
-  order, but numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` differ
-  from libm by one unit in the last place on a few percent of inputs
-  (``sqrt`` never does), so they are held to 1e-10 relative for predictions
-  and loss and 1e-9 for gradients, with equal clamp counts.
+* ``_mm_cols`` goes through ``_mm_row``'s arithmetic in its order, but
+  numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` differ from libm by
+  one unit in the last place on a few percent of inputs (``sqrt`` never
+  does), so the column forms are held to 1e-10 relative for predictions and
+  loss and 1e-9 for gradients, with equal clamp counts.
 
 Two details that look removable are part of the arithmetic under the first
 rule:
@@ -248,18 +250,26 @@ def _sse(y, yhat, inv_var):
     return _row_sum(resid * resid * inv_var, -1)
 
 
-def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
-    """Radical and standard-conditions specific volume of the choke equation.
+def _mm_row(th, x, geom, grad):
+    """The choke equation of one row on Python floats: th holds (at least)
+    the five non-C_D mechanistic parameters, x the raw row (u, p1, p2, T1,
+    eta_oil, eta_gas) and geom the area coefficients, all lists.
 
-    Returns (r, vsc, neg) with r = sqrt(S) for radicand S (0 when S <= 0,
-    neg = 1 then) and vsc = 1/rho_SC.
+    Returns (a2, r, vsc, neg): the choke area A2(u), r = sqrt(S) for radicand
+    S (0 when S <= 0, neg = 1 then) and vsc = 1/rho_SC.  With grad it also
+    returns d(r)/dp and d(vsc)/dp for those five parameters, order (rho_oil,
+    rho_wat, kappa, M_gas, p_cr), as lists; at a clamped radicand all
+    derivatives of r are zero: the output is constant there.
     """
+    ro, rw, kp, mg, pcr = th[:5]
+    u, p1, p2, t1, eo, eg = x
+    a2 = _area(u, geom)
     ew = 1.0 - eo - eg
     if ew < 0.0:
         ew = 0.0
-    pr = p2 / p1
-    if pr < pcr:
-        pr = pcr
+    pr_raw = p2 / p1
+    clamped = pr_raw < pcr
+    pr = pcr if clamped else pr_raw
 
     rg1 = p1 * mg / (GAS_R * t1)
     rg2 = rg1 * pr ** (1.0 / kp)
@@ -272,49 +282,14 @@ def _mm_parts(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     vsc = eg / rgsc + vo + vw
 
     ck = kp / (kp - 1.0)
-    g = ck * eg * (1.0 / rg1 - pr / rg2) + (vo + vw) * (1.0 - pr)
-    s = 2.0 * rho2 * rho2 * p1 * g
-    if s <= 0.0:
-        return 0.0, vsc, 1
-    return math.sqrt(s), vsc, 0
-
-
-def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
-    """Like _mm_parts but also return d(r)/dp and d(vsc)/dp for the five
-    non-C_D mechanistic parameters, order (rho_oil, rho_wat, kappa, M_gas, p_cr),
-    as lists.
-
-    At a clamped radicand (S <= 0) all derivatives of r are zero: the output
-    is constant there.
-    """
-    ew = 1.0 - eo - eg
-    if ew < 0.0:
-        ew = 0.0
-    pr_raw = p2 / p1
-    clamped = pr_raw < pcr
-    pr = pcr if clamped else pr_raw
-
-    rg1 = p1 * mg / (GAS_R * t1)
-    e = pr ** (1.0 / kp)
-    rg2 = rg1 * e
-    vo = eo / ro
-    vw = ew / rw
-    v2 = eg / rg2 + vo + vw
-    rho2 = 1.0 / v2
-
-    rgsc = P_SC * mg / (GAS_R * T_SC)
-    vsc = eg / rgsc + vo + vw
-    dvo = -eo / (ro * ro)
-    dvw = -ew / (rw * rw)
-    dvsc = [dvo, dvw, 0.0, -eg / (rgsc * mg), 0.0]
-
-    ck = kp / (kp - 1.0)
     tg = ck * eg * (1.0 / rg1 - pr / rg2)
-    tl = (vo + vw) * (1.0 - pr)
-    g = tg + tl
+    g = tg + (vo + vw) * (1.0 - pr)
     s = 2.0 * rho2 * rho2 * p1 * g
+    if not grad:
+        return (a2, 0.0, vsc, 1) if s <= 0.0 else (a2, math.sqrt(s), vsc, 0)
+    dvsc = [-eo / (ro * ro), -ew / (rw * rw), 0.0, -eg / (rgsc * mg), 0.0]
     if s <= 0.0:
-        return 0.0, vsc, [0.0] * 5, dvsc, 1
+        return a2, 0.0, vsc, 1, [0.0] * 5, dvsc
     r = math.sqrt(s)
 
     # rho_gas,2 sensitivities
@@ -324,7 +299,7 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
 
     # throat mixture density via v2
     inv_rg2sq = eg / (rg2 * rg2)
-    dv2 = (dvo, dvw, -inv_rg2sq * drg2_k, -inv_rg2sq * drg2_m, -inv_rg2sq * drg2_pc)
+    dv2 = (dvsc[0], dvsc[1], -inv_rg2sq * drg2_k, -inv_rg2sq * drg2_m, -inv_rg2sq * drg2_pc)
     # drho2/dp = -rho2^2 * dv2/dp
 
     # radical inner term G
@@ -343,23 +318,24 @@ def _mm_parts_grad(ro, rw, kp, mg, pcr, p1, p2, t1, eo, eg):
     two_p1 = 2.0 * p1
     two_r = 2.0 * r
     dr = [two_p1 * (two_rho2 * (nrr * dv) * g + rr * dgi) / two_r for dv, dgi in zip(dv2, dg)]
-    return r, vsc, dr, dvsc, 0
+    return a2, r, vsc, 0, dr, dvsc
 
 
-def _mm_cols(theta, x, grad):
-    """_mm_parts (grad False) or _mm_parts_grad (grad True) over every row of x.
+def _mm_cols(theta, x, geom, grad):
+    """_mm_row over every row of x.
 
-    Returns (r, vsc, neg) or (r, vsc, neg, dr, dvsc): columns of x's row
-    shape, a boolean neg and derivatives with a trailing axis of 5.  Each row
-    goes through the loop's operations in the loop's order.  Stacked, theta
-    is (R, P) and x (R, n, 6): each fit's parameters meet its own rows as a
-    column (R, 1), where one fit's are Python floats.
+    Returns (a2, r, vsc, neg) or (a2, r, vsc, neg, dr, dvsc), as _mm_row
+    does: columns of x's row shape, a boolean neg and derivatives with a
+    trailing axis of 5.  Each row goes through _mm_row's operations in its
+    order.  Stacked, theta is (R, P) and x (R, n, 6): each fit's parameters
+    meet its own rows as a column (R, 1), where one fit's are Python floats.
     """
     if theta.ndim == 1:
         ro, rw, kp, mg, pcr = theta[:5].tolist()
     else:
         ro, rw, kp, mg, pcr = theta[:, :5].T[:, :, None]
     p1, p2, t1, eo, eg = x[..., 1], x[..., 2], x[..., 3], x[..., 4], x[..., 5]
+    a2 = _area(x[..., 0], geom)
     ew = 1.0 - eo - eg
     ew = np.where(ew < 0.0, 0.0, ew)
     pr_raw = p2 / p1
@@ -383,7 +359,7 @@ def _mm_cols(theta, x, grad):
     neg = s <= 0.0
     r = np.sqrt(np.where(neg, 0.0, s))
     if not grad:
-        return r, vsc, neg
+        return a2, r, vsc, neg
 
     dvsc = np.zeros(x.shape[:-1] + (5,))
     dvsc[..., 0] = -eo / (ro * ro)
@@ -415,7 +391,7 @@ def _mm_cols(theta, x, grad):
     ds = 2.0 * p1[..., None] * (2.0 * rho2 * drho2 * g[..., None] + rho2 * rho2 * dg)
     # clamped rows divide by 1 instead of 0; their derivatives are zeroed
     dr = np.where(neg[..., None], 0.0, ds / (2.0 * np.where(neg, 1.0, r))[..., None])
-    return r, vsc, neg, dr, dvsc
+    return a2, r, vsc, neg, dr, dvsc
 
 
 # ----------------------------------------------------------------- benchmark
@@ -541,17 +517,17 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 def mm_predict(theta, x, geom):
     n = x.shape[-2]
     if n >= COLUMN_ROWS:
-        r, vsc, neg = _mm_cols(theta, x, False)
-        yhat = M3S_TO_SM3H * theta[..., 5, None] * _area(x[..., 0], geom) * r * vsc
+        a2, r, vsc, neg = _mm_cols(theta, x, geom, False)
+        yhat = M3S_TO_SM3H * theta[..., 5, None] * a2 * r * vsc
         return yhat, int(np.count_nonzero(neg))
-    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    th = theta[:6].tolist()
     geom = geom.tolist()
     yhat = []
     nneg = 0
     for xi in x.tolist():
-        r, vsc, neg = _mm_parts(ro, rw, kp, mg, pcr, xi[1], xi[2], xi[3], xi[4], xi[5])
+        a2, r, vsc, neg = _mm_row(th, xi, geom, False)
         nneg += neg
-        yhat.append(M3S_TO_SM3H * cd * _area(xi[0], geom) * r * vsc)
+        yhat.append(M3S_TO_SM3H * th[5] * a2 * r * vsc)
     return np.array(yhat, dtype=np.float64), nneg
 
 
@@ -568,8 +544,7 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
     n = x.shape[-2]
     grad = np.zeros(theta.shape)
     if n >= COLUMN_ROWS:
-        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[..., 0], geom)
+        a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
         cd = theta[..., 5, None]
         sse, c = _residuals(y, M3S_TO_SM3H * cd * a2 * r * vsc, inv_var)
         _mm_grad_cols(cd, a2, c, r, vsc, dr, dvsc, grad)
@@ -589,14 +564,13 @@ def mm_loss_grad(theta, x, geom, y, inv_var):
 
 
 def mm_row_grad(th, x, geom, y, inv_var, g):
-    """One row of mm_loss_grad's loop, on Python floats: th, the raw row x
-    and geom are lists, y and inv_var floats.  Adds the row's gradient into
-    the list g and returns (its sse term, 1 if its radicand was clamped
+    """One row of mm_loss_grad's loop, for the loop and for the online-learning
+    update: _mm_row's gradient on Python floats, th (six parameters), the raw
+    row x and geom as lists, y and inv_var floats.  Adds the row's gradient
+    into the list g and returns (its sse term, 1 if its radicand was clamped
     else 0)."""
-    ro, rw, kp, mg, pcr, cd = th
-    r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr, x[1], x[2], x[3], x[4], x[5])
-    a2 = _area(x[0], geom)
-    base = M3S_TO_SM3H * cd * a2
+    a2, r, vsc, neg, dr, dvsc = _mm_row(th, x, geom, True)
+    base = M3S_TO_SM3H * th[5] * a2
     yh = base * r * vsc
     resid = y - yh
     c = -2.0 * resid * inv_var
@@ -618,8 +592,7 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
     n = x.shape[-2]
     if n >= COLUMN_ROWS:
-        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[..., 0], geom)
+        a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
         cd = theta[..., 5, None]
         ymm = M3S_TO_SM3H * cd * a2 * r * vsc
         ynn, acts = _nn_forward(theta, 6, widths, xs)
@@ -630,17 +603,15 @@ def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
         return sse, grad, int(np.count_nonzero(neg))
     # one physics pass: mm_predict's flow of a row is base * r * vsc, the
     # same operations on the same r and vsc
-    ro, rw, kp, mg, pcr, cd = theta[:6].tolist()
+    th = theta[:6].tolist()
     geom = geom.tolist()
     rows = []
     ymm = []
     nneg = 0
     for xi in x.tolist():
-        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
-                                               xi[1], xi[2], xi[3], xi[4], xi[5])
+        a2, r, vsc, neg, dr, dvsc = _mm_row(th, xi, geom, True)
         nneg += neg
-        a2 = _area(xi[0], geom)
-        base = M3S_TO_SM3H * cd * a2
+        base = M3S_TO_SM3H * th[5] * a2
         ymm.append(base * r * vsc)
         rows.append((a2, base, r, vsc, dr, dvsc))
     ynn, acts = _nn_forward(theta, 6, widths, xs)
@@ -663,17 +634,17 @@ def ham_predict(theta, widths, x, xs, geom):
     n = x.shape[-2]
     nn_out = nn_predict(theta, 5, widths, xs)
     if n >= COLUMN_ROWS:
-        r, vsc, neg = _mm_cols(theta, x, False)
-        yhat = (M3S_TO_SM3H * _area(x[..., 0], geom) * r * vsc) * _softplus_cols(nn_out)
+        a2, r, vsc, neg = _mm_cols(theta, x, geom, False)
+        yhat = (M3S_TO_SM3H * a2 * r * vsc) * _softplus_cols(nn_out)
         return yhat, int(np.count_nonzero(neg))
-    ro, rw, kp, mg, pcr = theta[:5].tolist()
+    th = theta[:5].tolist()
     geom = geom.tolist()
     yhat = []
     nneg = 0
     for xi, z in zip(x.tolist(), nn_out.tolist()):
-        r, vsc, neg = _mm_parts(ro, rw, kp, mg, pcr, xi[1], xi[2], xi[3], xi[4], xi[5])
+        a2, r, vsc, neg = _mm_row(th, xi, geom, False)
         nneg += neg
-        yhat.append((M3S_TO_SM3H * _area(xi[0], geom) * r * vsc) * _softplus(z))
+        yhat.append((M3S_TO_SM3H * a2 * r * vsc) * _softplus(z))
     return np.array(yhat, dtype=np.float64), nneg
 
 
@@ -682,8 +653,7 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     nn_out, acts = _nn_forward(theta, 5, widths, xs)
     grad = np.zeros(theta.shape)
     if n >= COLUMN_ROWS:
-        r, vsc, neg, dr, dvsc = _mm_cols(theta, x, True)
-        a2 = _area(x[..., 0], geom)
+        a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
         mult = _softplus_cols(nn_out)
         sse, c = _residuals(y, base * mult, inv_var)
@@ -691,7 +661,7 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
                                   * (dr * vsc[..., None] + r[..., None] * dvsc), -2)
         _nn_backward(theta, 5, widths, acts, c * base * _sigmoid_cols(nn_out), grad)
         return sse, grad, int(np.count_nonzero(neg))
-    ro, rw, kp, mg, pcr = theta[:5].tolist()
+    th = theta[:5].tolist()
     geom = geom.tolist()
     inv_var = float(inv_var)
     g = [0.0] * 5
@@ -699,10 +669,8 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     nneg = 0
     delta_nn = []
     for xi, yi, z in zip(x.tolist(), y.tolist(), nn_out.tolist()):
-        r, vsc, dr, dvsc, neg = _mm_parts_grad(ro, rw, kp, mg, pcr,
-                                               xi[1], xi[2], xi[3], xi[4], xi[5])
+        a2, r, vsc, neg, dr, dvsc = _mm_row(th, xi, geom, True)
         nneg += neg
-        a2 = _area(xi[0], geom)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
         mult = _softplus(z)
         yh = base * mult

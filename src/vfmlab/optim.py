@@ -451,7 +451,9 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     and Adam's bias corrections are scalars while the live fits share k, and
     (R, 1) columns otherwise.  A fit leaves the stack when it stops early,
     runs out of epochs, or meets a non-finite gradient, and the next pending
-    fit takes its row, at k = 1 with zero moments.  Pending fits go live
+    fit takes its row, at k = 1 with zero moments.  On the tick a fit fails,
+    its row takes a zero gradient in the stack's one step; Adam and SGD step
+    each row on its own, so the other fits keep their bits.  Pending fits go live
     with the most mini-batches per epoch first, ties in list order, so that
     the longest fits do not finish alone at the end.
 
@@ -526,17 +528,13 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
         try:
             optimizer_step(state, grad, ocfg, k)
         except NumericError as e:   # the fits whose gradient is not finite end here
-            finite = np.isfinite(grad).all(axis=1)
-            failed = (~finite).tolist()
-            for i in np.flatnonzero(~finite):
+            failed = (~np.isfinite(grad).all(axis=1)).tolist()
+            for i in itertools.compress(range(len(live)), failed):
                 results[live[i].j] = e
-            if finite.any():
-                rest = OptimizerState(state.values[finite], state.m[finite], state.v[finite],
-                                      state.lower, state.upper)
-                optimizer_step(rest, grad[finite], ocfg,
-                               k if shared else [j for j, bad in zip(k, failed) if not bad])
-                state.values[finite] = rest.values
-                state.m[finite], state.v[finite] = rest.m, rest.v
+            # their rows step on a zero gradient and are refilled or dropped
+            # below; each row steps on its own, so the others keep their bits
+            grad[failed] = 0.0
+            optimizer_step(state, grad, ocfg, k)
         stop = [bad or (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg))
                 for i, (f, bad) in enumerate(zip(live, failed))]
         if any(stop):

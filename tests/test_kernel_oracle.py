@@ -260,6 +260,19 @@ def _mm_theta(rng):
     return MM_THETA * rng.uniform(0.9, 1.1, 6)
 
 
+def _mm_case(rng, n):
+    """Rows, MM parameters and target noise of one draw."""
+    x, xs = _choke_rows(rng, n)
+    return x, xs, _mm_theta(rng), rng.uniform(0.8, 1.2, n)
+
+
+def _hem_case(rng, n):
+    """Rows, HEM parameters and target noise of one draw."""
+    x, xs = _choke_rows(rng, n)
+    theta = np.concatenate([_mm_theta(rng), rng.standard_normal(NN_PARAMS) * 0.3])
+    return x, xs, theta, rng.uniform(0.8, 1.2, n)
+
+
 def _close(got, want, rtol):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
@@ -277,8 +290,7 @@ def _match(got, want, rtol, n):
 def test_mm_kernels_match_the_loop(n):
     rng = np.random.default_rng(30 + n)
     for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
-        x, _ = _choke_rows(rng, n)
-        theta = _mm_theta(rng)
+        x, _, theta, noise = _mm_case(rng, n)
         yl, nneg_l = loop.mm_predict(theta, x, GEOM)
         ya, nneg_a = kernels.mm_predict(theta, x, GEOM)
         _match(ya, yl, PRED_RTOL, n)
@@ -286,7 +298,7 @@ def test_mm_kernels_match_the_loop(n):
         assert np.any(x[:, 2] / x[:, 1] < theta[4])   # a clamped pressure ratio
         assert nneg_l >= min(n - 1, 1)                 # a nonpositive radicand
 
-        y = yl * rng.uniform(0.8, 1.2, n) + 1.0
+        y = yl * noise + 1.0
         sse_a, grad_a, nneg_ga = kernels.mm_loss_grad(theta, x, GEOM, y, 2.5)
         sse_l, grad_l, nneg_gl = loop.mm_loss_grad(theta, x, GEOM, y, 2.5)
         _match(sse_a, sse_l, PRED_RTOL, n)
@@ -299,14 +311,13 @@ def test_mm_kernels_match_the_loop(n):
 def test_hem_kernels_match_the_loop(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
-        x, xs = _choke_rows(rng, n)
-        theta = np.concatenate([_mm_theta(rng), rng.standard_normal(NN_PARAMS) * 0.3])
+        x, xs, theta, noise = _hem_case(rng, n)
         yl, nneg_l = loop.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
         ya, nneg_a = kernels.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)
         _match(ya, yl, PRED_RTOL, n)
         assert nneg_a == nneg_l
 
-        y = yl * rng.uniform(0.8, 1.2, n) + 1.0
+        y = yl * noise + 1.0
         sse_a, grad_a, nneg_ga = kernels.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM,
                                                        y, 2.5, 7.0)
         sse_l, grad_l, nneg_gl = loop.hem_loss_grad(theta, NN_WIDTHS, x, xs, GEOM,
@@ -361,23 +372,40 @@ def test_ham_kernels_match_the_loop(n, scale):
         assert nneg_ga == nneg_gl == nneg_l
 
 
-def test_the_short_ham_draws_reach_every_branch():
-    """Over its short calls, the softplus_tails case above meets a clamped and
-    a free pressure ratio, a nonpositive radicand, a zero water fraction and
-    both softplus tails."""
-    hits = dict.fromkeys(("clamped", "free", "radicand", "dry", "upper", "lower"), 0)
+# each choke kind's short draws as its test above takes them: the seed base,
+# the draw and the loop predict that counts the clamped radicands
+SHORT_DRAWS = {
+    "mm": (30, _mm_case, lambda theta, x, xs: loop.mm_predict(theta, x, GEOM)),
+    "hem": (40, _hem_case,
+            lambda theta, x, xs: loop.hem_predict(theta, NN_WIDTHS, x, xs, GEOM, 7.0)),
+    "ham": (50, lambda rng, n: _ham_case(rng, n, 40.0),
+            lambda theta, x, xs: loop.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SHORT_DRAWS))
+def test_the_short_draws_reach_every_branch(kind):
+    """Over its short calls, each choke kind's test above (HAM's softplus_tails
+    case) takes kernels._mm_row through a clamped and a free pressure ratio,
+    a nonpositive radicand and a zero water fraction; HAM's also meet both
+    softplus tails."""
+    seed, case, predict = SHORT_DRAWS[kind]
+    hits = dict.fromkeys(("clamped", "free", "radicand", "dry"), 0)
+    if kind == "ham":
+        hits.update(upper=0, lower=0)
     for n in range(1, kernels.COLUMN_ROWS):
-        rng = np.random.default_rng(50 + n)
+        rng = np.random.default_rng(seed + n)
         for _ in range(DRAWS):
-            x, xs, theta, _ = _ham_case(rng, n, 40.0)
+            x, xs, theta, _ = case(rng, n)
             ratio = x[:, 2] / x[:, 1]
-            z = loop.nn_predict(theta, 5, NN_WIDTHS, xs)
             hits["clamped"] += np.sum(ratio < theta[4])
             hits["free"] += np.sum((ratio >= theta[4]) & (ratio < 1.0))
-            hits["radicand"] += loop.ham_predict(theta, NN_WIDTHS, x, xs, GEOM)[1]
+            hits["radicand"] += predict(theta, x, xs)[1]
             hits["dry"] += np.sum(x[:, 4] + x[:, 5] > 1.0)
-            hits["upper"] += np.sum(z > 30.0)
-            hits["lower"] += np.sum(z < -30.0)
+            if kind == "ham":
+                z = loop.nn_predict(theta, 5, NN_WIDTHS, xs)
+                hits["upper"] += np.sum(z > 30.0)
+                hits["lower"] += np.sum(z < -30.0)
     assert all(hits.values()), hits
 
 
