@@ -2,7 +2,8 @@
 
 Subcommands: simulate (scenarios to CSV), tune (hyperparameter grids), run
 (the full prequential study), detect (input-shift scan per well), report
-(re-aggregate logs), config (print defaults or echo a validated file).
+(rebuild reports/ from the logs), config (print defaults or echo a validated
+file).
 
 Every command is a pure function of (config, input files, seed): re-running
 overwrites outputs with identical bytes.  Exit codes: 0 success, 1 config
@@ -162,6 +163,22 @@ def _stage(name: str, units: int, t0: float, counts: str = "") -> None:
     print(f"run: {name}: {done}, {time.perf_counter() - t0:.2f} s", file=sys.stderr)
 
 
+def _write_reports(cfg: StudyConfig, logs: dict, plot: str | None = None) -> None:
+    """Summarize the logs into reports/: the summary, excluded and rolling
+    CSVs of ``cfg.case``, the plot if asked for, then the table on stdout."""
+    table = summarize(logs, window_s=cfg.metric_window_days * 86400.0)
+    rep_dir = Path(cfg.out_dir) / "reports"
+    rep_dir.mkdir(parents=True, exist_ok=True)
+    write_summary_csv(table, rep_dir / f"summary_{cfg.case}.csv")
+    write_excluded_csv(table, rep_dir / f"excluded_{cfg.case}.csv")
+    for (method, kind), rep in table.reports.items():
+        write_rolling_csv(rep, rep_dir / f"rolling_{cfg.case}_{method}__{kind}.csv")
+    if plot is not None:
+        save_plot(table, plot)
+        print(f"wrote {plot}")
+    _print_table(table)
+
+
 def _print_table(table: SummaryTable) -> None:
     # every cell opens with a space, so a value wider than its column (a
     # diverged fit's MAPE) still stands apart from its neighbours
@@ -244,11 +261,8 @@ def cmd_tune(cfg: StudyConfig) -> int:
 
 def cmd_run(cfg: StudyConfig) -> int:
     splits, merged = _split_all(cfg, *_case_datasets(cfg))
-    out = Path(cfg.out_dir)
-    log_dir = out / "logs" / cfg.case
-    rep_dir = out / "reports"
+    log_dir = Path(cfg.out_dir) / "logs" / cfg.case
     log_dir.mkdir(parents=True, exist_ok=True)
-    rep_dir.mkdir(parents=True, exist_ok=True)
 
     units_by_kind = {}
     for kind in cfg.kinds:
@@ -270,14 +284,7 @@ def cmd_run(cfg: StudyConfig) -> int:
             _stage(f"{spec.name} {kind}", len(parts), t0, counts)
             logs[(spec.name, kind)] = log
             write_log(log, log_dir / f"{spec.name}__{kind}.csv")
-
-    window_s = cfg.metric_window_days * 86400.0
-    table = summarize(logs, window_s=window_s)
-    write_summary_csv(table, rep_dir / f"summary_{cfg.case}.csv")
-    write_excluded_csv(table, rep_dir / f"excluded_{cfg.case}.csv")
-    for (method, kind), rep in table.reports.items():
-        write_rolling_csv(rep, rep_dir / f"rolling_{cfg.case}_{method}__{kind}.csv")
-    _print_table(table)
+    _write_reports(cfg, logs)
     return 0
 
 
@@ -311,15 +318,7 @@ def cmd_report(cfg: StudyConfig, plot: str | None = None) -> int:
         logs[(method, kind)] = read_log(path)
     if not logs:
         raise DataError(f"no prediction logs under {log_dir}")
-    table = summarize(logs, window_s=cfg.metric_window_days * 86400.0)
-    rep_dir = Path(cfg.out_dir) / "reports"
-    rep_dir.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(table, rep_dir / f"summary_{cfg.case}.csv")
-    write_excluded_csv(table, rep_dir / f"excluded_{cfg.case}.csv")
-    if plot is not None:
-        save_plot(table, plot)
-        print(f"wrote {plot}")
-    _print_table(table)
+    _write_reports(cfg, logs, plot)
     return 0
 
 

@@ -24,7 +24,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,9 +156,10 @@ class WellDataset:
         return cls(t, X, y, src, well)
 
     @classmethod
-    def empty(cls, well_id: int = 0) -> "WellDataset":
+    def empty(cls) -> "WellDataset":
         z = np.zeros(0)
-        return cls(z, np.zeros((0, D_INPUT)), z, np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64))
+        return cls(z, np.zeros((0, D_INPUT)), z, np.zeros(0, dtype=np.uint8),
+                   np.zeros(0, dtype=np.int64))
 
     @classmethod
     def merge(cls, datasets: Iterable["WellDataset"]) -> "WellDataset":
@@ -186,11 +187,6 @@ class WellDataset:
             t=float(self.t[i]), x=self.X[i].copy(), y=float(self.y[i]),
             source=Source(int(self.source[i])), well_id=int(self.well[i]),
         )
-
-    @property
-    def observations(self) -> Iterator[Observation]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def well_id(self) -> int:
@@ -491,23 +487,6 @@ def write_csv(path: str | Path, datasets: Iterable[WellDataset]) -> None:
                       _value_strings(merged.y), source_strings(merged.source), end="\r\n")
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-# --------------------------------------------------------------------- batches
-
-
-def as_columns(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(t, X, y, well) column arrays from a WellDataset or Observation sequence."""
-    if isinstance(batch, WellDataset):
-        return batch.t, batch.X, batch.y, batch.well
-    obs = list(batch)
-    if obs and not isinstance(obs[0], Observation):
-        raise TypeError("batch must be a WellDataset or a sequence of Observation")
-    t = np.array([o.t for o in obs], dtype=np.float64)
-    X = np.array([o.x for o in obs], dtype=np.float64).reshape(len(obs), D_INPUT)
-    y = np.array([o.y for o in obs], dtype=np.float64)
-    well = np.array([o.well_id for o in obs], dtype=np.int64)
-    return t, X, y, well
 
 
 # ------------------------------------------------------------------------- rng

@@ -5,7 +5,10 @@ an F transform against F(d, N1+N2-d-1).  A reference window D1 stays fixed
 while a short trailing window D2 slides over the incoming stream; a shift is
 confirmed after `confirm_count` consecutive rejections, and the time from the
 reference cut to the start of that run estimates how long a freshly trained
-model stays valid.
+model stays valid.  A one-point trailing window (every window at the
+default `d2_window` = 1, and the first point after the cut at any width) has
+no covariance of its own, so the scan takes the reference window's S1 as its
+S2.  The F transform scales HT2 by (N1+N2-d-1) / (d (N1+N2-2)).
 
 The decision rule rejects equal means when the F statistic EXCEEDS the
 critical value.
@@ -21,8 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from .core import (WellDataset, as_columns, float_strings, int_strings, text_table,
-                   time_strings)
+from .core import WellDataset, float_strings, int_strings, text_table, time_strings
 from .errors import ConfigError, DataError, DegenerateFeatureError
 
 _REG = 1e-9
@@ -32,21 +34,15 @@ _REG = 1e-9
 class DriftConfig:
     alpha: float = 0.05
     confirm_count: int = 3
-    f_scaling: str = "scaled"       # "scaled" | "raw"
     d2_window: int = 1              # trailing-window width for the sliding sample
-    single_obs_cov: str = "pooled"  # "pooled" | "zero": S2 for a 1-point window
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.confirm_count < 1:
             raise ConfigError("confirm_count must be >= 1")
-        if self.f_scaling not in ("scaled", "raw"):
-            raise ConfigError(f"unknown f_scaling {self.f_scaling!r}")
         if self.d2_window < 1:
             raise ConfigError("d2_window must be >= 1")
-        if self.single_obs_cov not in ("pooled", "zero"):
-            raise ConfigError(f"unknown single_obs_cov {self.single_obs_cov!r}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +129,7 @@ def f_quantile(p: float, d1: int, d2: int) -> float:
     return float(brentq(lambda x: f_cdf(x, d1, d2) - p, 0.0, hi, xtol=1e-10))
 
 
-def f_statistic(ht2: float, d: int, n1: int, n2: int, scaling: str = "scaled") -> float:
-    if scaling == "raw":
-        return ht2
+def f_statistic(ht2: float, d: int, n1: int, n2: int) -> float:
     return ht2 * (n1 + n2 - d - 1) / (d * (n1 + n2 - 2))
 
 
@@ -162,10 +156,8 @@ def _scan(t: np.ndarray, x: np.ndarray, n1: int, cfg: DriftConfig) -> ShiftRepor
         mu2 = d2.mean(axis=0)
         if w >= 2:
             s2 = np.atleast_2d(np.cov(d2.T, ddof=1)) / outer
-        elif cfg.single_obs_cov == "pooled":
-            s2 = s1_std
         else:
-            s2 = np.zeros((d, d))
+            s2 = s1_std
         m = s1_std / n1 + s2 / w
         diff = (mu1 - mu2) / scale
         if not np.any(diff):
@@ -181,7 +173,7 @@ def _scan(t: np.ndarray, x: np.ndarray, n1: int, cfg: DriftConfig) -> ShiftRepor
             crit = f_quantile(1.0 - cfg.alpha, d, dof2)
             crit_cache[dof2] = crit
         ht2[k - 1] = h
-        f_stat[k - 1] = f_statistic(h, d, n1, w, cfg.f_scaling)
+        f_stat[k - 1] = f_statistic(h, d, n1, w)
         f_crit[k - 1] = crit
     detected = f_stat > f_crit
 
@@ -208,14 +200,13 @@ def estimate_update_frequency(train: WellDataset, t1_fraction: float,
     """
     if not 0.0 < t1_fraction < 1.0:
         raise ConfigError("t1_fraction must lie in (0, 1)")
-    t, x, _, _ = as_columns(train)
-    n, d = x.shape
+    n, d = train.X.shape
     n1 = int(math.floor(t1_fraction * n))
     if n1 < d + 2:
         raise DataError(f"need at least {d + 2} observations before the cut, have {n1}")
     if n1 >= n:
         raise DataError("no observations after the cut")
-    return _scan(t, x, n1, cfg)
+    return _scan(train.t, train.X, n1, cfg)
 
 
 def write_shift_csv(report: ShiftReport, path: str | Path) -> None:

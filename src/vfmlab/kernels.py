@@ -20,9 +20,10 @@ predictions).  The kernels serve both:
   steps run on the row bodies ``lr_row_grad`` and ``mm_row_grad`` and on
   ``adam_floats`` or ``sgd_floats``, both clipping with ``_clip``, and the
   result becomes an array once.  ``mm_loss_grad``'s loop calls the same
-  row body, and every MM/HEM/HAM loop goes through ``_mm_row``; ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per
-  element, the operations of ``lr_loss_grad``, ``adam_step`` and
-  ``sgd_step`` in the same order, so the two forms round alike.
+  row body, and every MM/HEM/HAM loop goes through ``_mm_row``;
+  ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per element,
+  the operations of ``lr_loss_grad``, ``adam_step`` and ``sgd_step`` in
+  the same order, so the two forms round alike.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -86,9 +87,10 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   fit minimizes the loss of the predictions it logs).  The short MM, HEM
   and HAM calls of the oracle test take ``_mm_row`` through each of its
   branches: a clamped and a free pressure ratio, a nonpositive radicand and
-  a zero water fraction.  Sums over rows keep the loops' order: a cumulative sum along the summed axis adds one term at
-  a time, and its last entry is the sum (``_row_sum``, ``_affine_cols``);
-  ``np.add.at`` applies rows in index order;
+  a zero water fraction.  Sums over rows keep the loops' order: a
+  cumulative sum along the summed axis adds one term at a time, and its
+  last entry is the sum (``_row_sum``, ``_affine_cols``); ``np.add.at``
+  applies rows in index order;
 * ``adam_floats`` and ``sgd_floats`` equal ``adam_step`` and ``sgd_step``
   bit for bit, signs included, on ties, NaN and overflow too (the oracle's
   clip keeps ``val`` on a tie, so signed-zero ties are held to the array
@@ -104,11 +106,11 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   multiplied by the boolean ``a > 0.0``.  Where that is 1 the bits stay,
   NaN payloads and signs included; where it is 0 they become those of
   +0.0, which ``np.where`` writes there; a NaN in ``a`` compares false.
-  The form is the same at every size: it is about 0.3 us slower than
-  ``np.where`` at one row and 2 to 3 times faster at 64 rows
-  (``tools/relu_mask.py``).
-  The oracle test holds it to ``np.where`` on signed zeros, NaNs,
-  subnormals and infinities;
+  The form is the same at every size.  Per call it took 2.34 us at
+  (1, 32), 7.4 at (64, 32) and 93 at (16, 64, 32), where ``np.where`` took
+  1.98, 18.1 and 260 us (min of 21 interleaved rounds, 2 cores;
+  ``BENCH_14.json``, ``relu_mask_tool``).  The oracle test holds it to
+  ``np.where`` on signed zeros, NaNs, subnormals and infinities;
 * ``_mm_cols`` goes through ``_mm_row``'s arithmetic in its order, but
   numpy's SIMD ``power``, ``log``, ``exp`` and ``log1p`` differ from libm by
   one unit in the last place on a few percent of inputs (``sqrt`` never

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import WellDataset, as_columns, substream
+from .core import WellDataset, substream
 from .errors import ConfigError, DataError, NumericError
 from .models import (MM_DIAGNOSTICS, ModelKind, ModelSpec, ParameterSet, build_plan,
                      check_inputs, plan_loss, plan_loss_grad, scale_inputs, task_columns)
@@ -93,10 +93,9 @@ class LossSpec:
     def from_data(cls, train: WellDataset, rel: float = 0.05,
                   prior_mode: PriorMode = PriorMode.FULL) -> "LossSpec":
         """Default sigma_eps = rel * mean(train y)."""
-        _, _, y, _ = as_columns(train)
-        if y.size == 0:
+        if len(train) == 0:
             raise DataError("cannot derive noise_std from an empty dataset")
-        mean_y = float(np.mean(np.abs(y)))
+        mean_y = float(np.mean(np.abs(train.y)))
         if mean_y == 0.0:
             raise DataError("cannot derive noise_std from all-zero targets")
         return cls(rel * mean_y, prior_mode)
@@ -363,12 +362,11 @@ class _Fit:
             raise DataError("fit_map needs at least 2 observations")
         self.j, self.start, self.sink = j, start, sink
         self.step = step = TrainingStep(start, loss.noise_std, loss.prior_mode)
-        _, X, y, well = as_columns(train)
-        X = np.ascontiguousarray(X)
+        X = np.ascontiguousarray(train.X)
         check_inputs(start, X)
         Xs = scale_inputs(step.plan, X)
-        y = step.targets(y)
-        wells = task_columns(start, well)
+        y = step.targets(train.y)
+        wells = task_columns(start, train.well)
         n = X.shape[0]
         n_val = int(math.floor(escfg.val_fraction * n))
         n_tr = n - n_val

@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
 from vfmlab import kernels
 from vfmlab import optim
-from vfmlab.core import WellDataset, as_columns, fit_scaler, substream, time_value
+from vfmlab.core import WellDataset, fit_scaler, substream, time_value
 from vfmlab.errors import DataError, NumericError
 from vfmlab.models import ModelKind, build_plan, scale_inputs, task_columns
 from vfmlab.optim import Method, PriorMode, gamma_at
+
+as_columns = attrgetter("t", "X", "y", "well")   # (t, X, y, well) of a WellDataset
 
 
 def plan_predict(plan, theta, X, Xs, wells):

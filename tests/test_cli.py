@@ -1,9 +1,11 @@
 """CLI study helpers and commands: where the study splits its data, what its
-report writes, which config mistakes it turns into exit code 1, and that a
-study re-runs and re-reports with identical bytes."""
+report writes, which config mistakes it turns into exit code 1, that a study
+re-runs and re-reports with identical bytes, and what the default shift scan
+finds."""
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +126,17 @@ def _tiny_study(tmp_path) -> dict:
                            "optimizer": {"gamma0": 1e-3}}]}
 
 
-@pytest.mark.parametrize("section", [
-    ("schedules", 0), ("schedules", 0, "optimizer"), ("early_stopping",), ("drift",),
-    ("scenarios", 0), ("scenarios", 0, "true_params"), ("scenarios", 0, "geometry"),
-    ("init_optimizer",)],
-    ids=lambda s: ".".join(map(str, s)))
-def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, section):
+_SECTIONS = [("schedules", 0), ("schedules", 0, "optimizer"), ("early_stopping",), ("drift",),
+             ("scenarios", 0), ("scenarios", 0, "true_params"), ("scenarios", 0, "geometry"),
+             ("init_optimizer",)]
+
+
+@pytest.mark.parametrize("section, name, value", [
+    *(pytest.param(s, "typo_key", 1, id=".".join(map(str, s))) for s in _SECTIONS),
+    pytest.param(("drift",), "f_scaling", "raw", id="drift.f_scaling"),
+    pytest.param(("drift",), "single_obs_cov", "zero", id="drift.single_obs_cov")])
+def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, section, name,
+                                                           value):
     raw = _tiny_study(tmp_path)
     node = raw
     for key in section:
@@ -137,12 +144,12 @@ def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, sec
             node = node.setdefault(key, {})
         else:
             node = node[key]
-    node["typo_key"] = 1
+    node[name] = value
     path = tmp_path / "study.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "typo_key" in err
+    assert err.startswith("config error") and name in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("where, code", [("true_params", 1), ("drift_event", 2),
@@ -362,25 +369,29 @@ def _tree(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_study_reruns_and_reports_with_identical_bytes(tmp_path):
+def test_study_reruns_and_reports_with_identical_bytes(tmp_path, capsys):
     """A second run rewrites every output with the same bytes, report
-    rewrites the summary byte for byte, and a summary cell is the mean over
-    wells of the per-well MAPE of the written log."""
+    rebuilds all of reports/ and prints the table byte for byte, and a
+    summary cell is the mean over wells of the per-well MAPE of the written
+    log."""
     config = str(_small_study(tmp_path))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", config]) == 0
+    table = capsys.readouterr().out
     first = _tree(out)
     assert "logs/all/PBL-1w__mm.csv" in first and "reports/summary_all.csv" in first
+    assert "reports/rolling_all_OL__lr.csv" in first
     for path in out.rglob("*"):
         if path.is_file():
             path.write_bytes(b"")
     assert cli.main(["run", "--config", config]) == 0
     assert _tree(out) == first
 
-    summary = out / "reports" / "summary_all.csv"
-    summary.write_bytes(b"")
+    shutil.rmtree(out / "reports")
+    capsys.readouterr()
     assert cli.main(["report", "--config", config]) == 0
-    assert summary.read_bytes() == first["reports/summary_all.csv"]
+    assert capsys.readouterr().out == table
+    assert _tree(out) == first
 
     rows = [ln.split(",") for ln in
             first["logs/all/PBL-1w__mm.csv"].decode().splitlines()[1:]]
@@ -390,9 +401,20 @@ def test_study_reruns_and_reports_with_identical_bytes(tmp_path):
             abs(float(y_true) - float(y_pred)) / abs(float(y_true)))
     assert sorted(per_well) == ["1", "2"]
     hand = sum(100.0 * sum(e) / len(e) for e in per_well.values()) / len(per_well)
-    header, *lines = summary.read_text().splitlines()
+    header, *lines = first["reports/summary_all.csv"].decode().splitlines()
     cells = dict(ln.split(",", 1) for ln in lines)["PBL-1w"].split(",")
     assert float(cells[header.split(",").index("mm") - 1]) == pytest.approx(hand, rel=1e-5)
+
+
+def test_default_detect_pins_tau_and_the_flag_counts(tmp_path, capsys):
+    """The default study's shift scan per well: tau in days, then the points
+    flagged and scanned after the reference cut."""
+    assert cli.main(["detect", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "detect" / "summary.csv").read_text().splitlines() == [
+        "well_id,estimated_tau_days,n_flagged,n_scanned",
+        "1,94.0,453,566", "2,40.0,484,557", "3,62.0,485,560", "4,65.0,474,554",
+        "5,76.0,462,555"]
+    assert capsys.readouterr().out.splitlines()[0] == "well 1: tau = 94.0 days"
 
 
 def _tune_study(tmp_path, **kw) -> str:

@@ -85,10 +85,11 @@ def test_degenerate_features():
     assert err.value.feature_index == 0
 
 
-def test_f_scaling_modes():
-    assert f_statistic(6.0, 2, 30, 1, "raw") == 6.0
+def test_f_statistic_scales_ht2():
     want = 6.0 * (30 + 1 - 2 - 1) / (2 * (30 + 1 - 2))
-    assert f_statistic(6.0, 2, 30, 1, "scaled") == pytest.approx(want)
+    assert f_statistic(6.0, 2, 30, 1) == pytest.approx(want)
+    # one feature: HT2 is a squared t statistic, already F(1, N1+N2-2)
+    assert f_statistic(6.0, 1, 30, 1) == 6.0
 
 
 # -------------------------------------------------------------- F distribution

@@ -11,14 +11,13 @@ times, for each list,
 * lockstep: one ``optim.fit_maps`` call over all of them,
 
 alternating, ``--repeats`` times each, and prints one JSON line per kind
-and list: the fit count, the min seconds of each side, their ratio, the
-min count of minor page faults of each side (the process's ``ru_minflt``
-over one call), whether every fitted vector (and every failure) is the
-same, bit for bit, and the lockstep's counts: its stack cap
-(``optim.LOCKSTEP_FITS``, or ``--cap``), its ticks (optimizer steps of the
-stack), its fit-steps (the live fits summed over its ticks) and how busy
-the stack was (fit-steps over ticks times the cap).  The counts come from
-wrapping ``optim.optimizer_step`` while the lockstep runs.
+and list: the fit count, the min seconds of each side, their ratio,
+whether every fitted vector (and every failure) is the same, bit for bit,
+and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
+``--cap``), its ticks (optimizer steps of the stack), its fit-steps (the
+live fits summed over its ticks) and how busy the stack was (fit-steps
+over ticks times the cap).  The counts come from wrapping
+``optim.optimizer_step`` while the lockstep runs.
 
 Every fit runs a fixed number of epochs (patience equals the cap), as in
 the benchmark's pbl-refit workload: 17 per MM refit and 48 per refit of
@@ -44,7 +43,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import resource
 import sys
 import time
 import warnings
@@ -173,18 +171,14 @@ def main(argv=None) -> int:
             lists = fit_lists(kind, a.seed, a.smoke, n_wells, a.early_stopping)
             for part, (fits, ocfg, escfg) in lists.items():
                 times = {"sequential": [], "lockstep": []}
-                faults = {"sequential": [], "lockstep": []}
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     for _ in range(repeats):
                         for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
                             with StepCount() as count:
-                                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                                 t0 = time.perf_counter()
                                 got = fn(fits, ocfg, escfg)
                                 times[name].append(time.perf_counter() - t0)
-                                faults[name].append(
-                                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
                             if name == "sequential":
                                 want = got
                             else:
@@ -196,8 +190,6 @@ def main(argv=None) -> int:
                                   "fits": len(fits), "repeats": repeats,
                                   "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
                                   "speedup": round(seq / lock, 2),
-                                  "sequential_minflt": min(faults["sequential"]),
-                                  "lockstep_minflt": min(faults["lockstep"]),
                                   "identical": identical, "cap": a.cap,
                                   "ticks": ticks, "fit_steps": fit_steps,
                                   "busy": round(fit_steps / (ticks * a.cap), 3)}))
