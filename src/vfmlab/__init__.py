@@ -3,9 +3,10 @@
 Seven predictor families (naive previous-value, linear, feedforward network,
 multi-task residual network, mechanistic choke, and two hybrids) are fitted by
 MAP estimation and then kept current on a nonstationary stream either by
-periodic batch refits or by per-observation online updates.  A Hotelling-type
-two-sample scan estimates how often retraining is needed, and prequential
-logs feed MAPE/rolling-error reports.
+periodic batch refits or by per-observation online updates.  A Hotelling-T2
+scan, which tests each new input point against a fixed reference window,
+estimates how often retraining is needed, and prequential logs feed
+MAPE/rolling-error reports.
 
 The numeric kernels (:mod:`vfmlab.kernels`) are plain Python over numpy.
 """
@@ -13,8 +14,8 @@ The numeric kernels (:mod:`vfmlab.kernels`) are plain Python over numpy.
 from .core import (DataSplit, FeatureScaler, IngestReport, Observation, Source,
                    WellDataset, chronological_split, fit_scaler, ingest_csv,
                    ingest_csv_report, substream, write_csv)
-from .drift import (DriftConfig, ShiftReport, estimate_update_frequency, f_cdf,
-                    f_quantile, hotelling_t2, write_shift_csv)
+from .drift import (DriftConfig, ShiftReport, estimate_update_frequency, f_quantile,
+                    write_shift_csv)
 from .errors import (ConfigError, DataError, DegenerateFeatureError,
                      EmptyDatasetError, NumericError, ScenarioError,
                      SchemaError, VfmlabError)

@@ -134,7 +134,8 @@ _SECTIONS = [("schedules", 0), ("schedules", 0, "optimizer"), ("early_stopping",
 @pytest.mark.parametrize("section, name, value", [
     *(pytest.param(s, "typo_key", 1, id=".".join(map(str, s))) for s in _SECTIONS),
     pytest.param(("drift",), "f_scaling", "raw", id="drift.f_scaling"),
-    pytest.param(("drift",), "single_obs_cov", "zero", id="drift.single_obs_cov")])
+    pytest.param(("drift",), "single_obs_cov", "zero", id="drift.single_obs_cov"),
+    pytest.param(("drift",), "d2_window", 5, id="drift.d2_window")])
 def test_unknown_key_in_a_nested_section_is_a_config_error(tmp_path, capsys, section, name,
                                                            value):
     raw = _tiny_study(tmp_path)

@@ -1,10 +1,13 @@
-"""Shift statistics, F distribution helpers, and the stream scanner."""
+"""The scan's shift statistic, the F quantile, and the stream scanner."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import hadamard
 
 from vfmlab import (
     ConfigError,
@@ -12,76 +15,93 @@ from vfmlab import (
     DriftConfig,
     WellDataset,
     estimate_update_frequency,
-    f_cdf,
     f_quantile,
-    hotelling_t2,
 )
 from vfmlab.drift import DegenerateFeatureError, f_statistic, write_shift_csv
+
+
+def rows(X):
+    """A stream of the given feature rows at t = 0, 1, 2, ..."""
+    n = len(X)
+    return WellDataset(np.arange(float(n)), X, np.full(n, 100.0),
+                       np.zeros(n, np.uint8), np.ones(n, np.int64))
+
+
+def scan(X, n1, cfg=DriftConfig()):
+    """Scan with the reference cut after the first n1 rows."""
+    return estimate_update_frequency(rows(X), (n1 + 0.5) / len(X), cfg)
 
 
 # ------------------------------------------------------------------- statistic
 
 
 def test_identical_samples_score_zero():
-    x = np.random.default_rng(0).normal(size=(3, 20))
-    assert hotelling_t2(x, x.copy()) == 0.0
+    ref = np.random.default_rng(0).normal(size=(20, 6))
+    X = np.vstack([ref, np.tile(ref.mean(axis=0), (5, 1))])
+    rep = scan(X, 20)
+    assert rep.ht2.tolist() == [0.0] * 5
+    assert not rep.detected.any()
 
 
 def test_univariate_hand_example():
-    # x1 = {0, 2}: mean 1, variance 2 (ddof 1); two constant points at 6
-    # carry no spread of their own, so T2 = 5^2 / (2/2 + 0/2) = 25
-    x1 = np.array([[0.0, 2.0]])
-    x2 = np.array([[6.0, 6.0]])
-    assert hotelling_t2(x1, x2) == pytest.approx(25.0, rel=1e-8)
+    # columns 1-6 of an 8 x 8 Hadamard matrix are orthogonal +-1 columns, so
+    # the reference window has mean 0, variance 8/7 and no covariance; a point
+    # moved by 4 in feature 0 alone reduces HT2 to a squared t statistic,
+    # 4^2 / (8/7 / 8 + 8/7 / 1) = 112/9, and F scales it by (8+1-6-1) / (6 (8+1-2))
+    X = np.vstack([hadamard(8)[:, 1:7], [4.0, 0, 0, 0, 0, 0]])
+    rep = scan(X, 8)
+    assert rep.ht2[0] == pytest.approx(112.0 / 9.0, rel=1e-8)
+    assert rep.f_stat[0] == pytest.approx(112.0 / 9.0 * 2.0 / 42.0, rel=1e-8)
+    assert rep.f_crit[0] == f_quantile(0.95, 6, 2)
 
 
 def test_matches_linear_algebra_oracle():
+    # every trailing window is one point, which takes S1 as its covariance
     rng = np.random.default_rng(1)
-    d, n1, n2 = 3, 40, 25
-    A = rng.normal(size=(d, d))
-    x1 = A @ rng.normal(size=(d, n1))
-    x2 = A @ rng.normal(size=(d, n2)) + rng.normal(size=(d, 1))
-    got = hotelling_t2(x1, x2)
-    diff = x1.mean(axis=1) - x2.mean(axis=1)
-    m = np.cov(x1, ddof=1) / n1 + np.cov(x2, ddof=1) / n2
-    want = float(diff @ np.linalg.solve(m, diff))
-    assert got == pytest.approx(want, rel=1e-6)
+    n1 = 40
+    A = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    X = rng.normal(size=(n1 + 25, 6)) @ A.T
+    X[n1:] += rng.normal(size=6)
+    rep = scan(X, n1)
+    S1 = np.cov(X[:n1].T, ddof=1)
+    for k, x in enumerate(X[n1:]):
+        diff = X[:n1].mean(axis=0) - x
+        want = float(diff @ np.linalg.solve(S1 * (1 / n1 + 1), diff))
+        assert rep.ht2[k] == pytest.approx(want, rel=1e-6)
 
 
 def test_statistic_is_invariant_to_common_affine_maps():
     rng = np.random.default_rng(2)
-    x1 = rng.normal(size=(4, 30))
-    x2 = rng.normal(size=(4, 15)) + 0.5
-    base = hotelling_t2(x1, x2)
-    scale = np.array([[3.0], [0.25], [100.0], [1e-3]])
-    shift = np.array([[5.0], [-2.0], [1e4], [0.0]])
-    assert hotelling_t2(x1 * scale + shift, x2 * scale + shift) == \
-        pytest.approx(base, rel=1e-6)
+    X = rng.normal(size=(45, 6))
+    X[30:] += 0.5
+    base = scan(X, 30).ht2
+    scale = np.array([3.0, 0.25, 100.0, 1e-3, 7.0, 1e5])
+    shift = np.array([5.0, -2.0, 1e4, 0.0, -1e-3, 3e6])
+    np.testing.assert_allclose(scan(X * scale + shift, 30).ht2, base, rtol=1e-6)
 
 
 def test_statistic_input_validation():
-    ok = np.zeros((2, 5))
-    with pytest.raises(DataError):
-        hotelling_t2(np.zeros((3, 5)), ok)
-    with pytest.raises(DataError):
-        hotelling_t2(np.zeros((2, 1)), ok)
-    with pytest.raises(DataError):
-        hotelling_t2(ok, np.zeros((2, 0)))
+    for kw in ({"alpha": 0.0}, {"alpha": 1.0}, {"confirm_count": 0}):
+        with pytest.raises(ConfigError):
+            DriftConfig(**kw)
+    for d1, d2 in ((0, 10), (2, 0)):
+        with pytest.raises(ConfigError):
+            f_quantile(0.95, d1, d2)
 
 
 def test_degenerate_features():
     # one flat feature with a moved mean: the ridge keeps the solve finite,
     # and the certain shift dominates the statistic
-    rng = np.random.default_rng(3)
-    x1 = rng.normal(size=(3, 20))
-    x2 = rng.normal(size=(3, 20))
-    x1[1] = 7.0
-    x2[1] = 9.0
-    v = hotelling_t2(x1, x2)
-    assert math.isfinite(v) and v > 1e6
+    X = np.random.default_rng(3).normal(size=(40, 6))
+    X[:20, 1] = 7.0
+    X[20:, 1] = 9.0
+    ht2 = scan(X, 20).ht2
+    assert np.all(np.isfinite(ht2)) and ht2.min() > 1e6
     # every feature flat on both sides with differing means cannot be scored
+    X = np.full((9, 6), 7.0)
+    X[8:] = 9.0
     with pytest.raises(DegenerateFeatureError) as err:
-        hotelling_t2(np.full((2, 5), 7.0), np.full((2, 4), 9.0))
+        scan(X, 8)
     assert err.value.feature_index == 0
 
 
@@ -90,6 +110,16 @@ def test_f_statistic_scales_ht2():
     assert f_statistic(6.0, 2, 30, 1) == pytest.approx(want)
     # one feature: HT2 is a squared t statistic, already F(1, N1+N2-2)
     assert f_statistic(6.0, 1, 30, 1) == 6.0
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the F quantile is scipy.special.fdtri; loading scipy.optimize as well
+    # costs import time and memory on every vfmlab command
+    proc = subprocess.run([sys.executable, "-c", "import sys, vfmlab; "
+                           "print('scipy.optimize' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    assert proc.stdout == "False\n"
 
 
 # -------------------------------------------------------------- F distribution
@@ -105,28 +135,19 @@ def f_density(x, d1, d2):
 
 @pytest.mark.parametrize("d1,d2", [(1, 10), (2, 50), (6, 100), (10, 500), (30, 30)])
 def test_f_cdf_matches_density_quadrature(d1, d2):
+    # the F CDF, integrated from the density, is what f_quantile inverts
     for x in (0.3, 1.0, 2.5):
-        want, err = integrate.quad(f_density, 0.0, x, args=(d1, d2))
+        p, err = integrate.quad(f_density, 0.0, x, args=(d1, d2))
         assert err < 1e-9
-        assert f_cdf(x, d1, d2) == pytest.approx(want, abs=1e-8)
+        assert f_quantile(p, d1, d2) == pytest.approx(x, rel=1e-8)
 
 
-def test_f_cdf_bounds_and_symmetric_median():
-    assert f_cdf(0.0, 3, 9) == 0.0
-    assert f_cdf(1e8, 3, 9) == pytest.approx(1.0, abs=1e-6)
-    xs = np.linspace(0.01, 5.0, 40)
-    vals = [f_cdf(x, 4, 17) for x in xs]
-    assert np.all(np.diff(vals) > 0)
+def test_f_quantile_rises_with_p_and_has_median_one_at_equal_dof():
+    xs = [f_quantile(p, 4, 17) for p in np.linspace(0.01, 0.99, 40)]
+    assert np.all(np.diff(xs) > 0)
     for k in (2, 7, 20):
         # equal numerator and denominator dof put the median exactly at one
-        assert f_cdf(1.0, k, k) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_f_quantile_inverts_the_cdf():
-    for d1, d2 in [(1, 10), (2, 38), (6, 100), (30, 500)]:
-        for p in (0.5, 0.9, 0.95, 0.99):
-            x = f_quantile(p, d1, d2)
-            assert f_cdf(x, d1, d2) == pytest.approx(p, abs=1e-9)
+        assert f_quantile(0.5, k, k) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_f_quantile_rejects_probabilities_outside_the_open_interval():
@@ -182,17 +203,6 @@ def test_rejection_rate_is_near_the_nominal_level():
         rep = estimate_update_frequency(stream(400, seed=seed), 0.5, cfg)
         rates.append(rep.detected.mean())
     assert 0.01 <= float(np.mean(rates)) <= 0.12
-
-
-def test_window_mode_pools_recent_observations():
-    ds = stream(120, seed=6, jump_at=80, jump_size=2.0)
-    one = estimate_update_frequency(ds, 0.5, DriftConfig(confirm_count=2,
-                                                         d2_window=1))
-    five = estimate_update_frequency(ds, 0.5, DriftConfig(confirm_count=2,
-                                                          d2_window=5))
-    assert five.estimated_tau is not None
-    if one.estimated_tau is not None:
-        assert five.estimated_tau <= one.estimated_tau + 5.0
 
 
 def test_scanner_input_validation():

@@ -9,6 +9,12 @@ kind, kinds alternating.  It prints one JSON line per kind: the
 observations, the updates and skipped updates of a run, and the min wall
 time per observation in microseconds.
 
+Those minima are taken inside one process.  On a 2-core host the minima of
+separate runs of one tree spread by up to 55% (over 4 runs, us per
+observation: MM 119.6-185.1, HAM 1003-1444, HEM 1425-1645; ``BENCH_20.json``),
+so a speed claim smaller than that needs alternating processes:
+``tools/ab_pairs.py`` on a benchmark workload.
+
     PYTHONPATH=src python3 tools/ol_update.py
     PYTHONPATH=src python3 tools/ol_update.py --kinds lr,mm --repeats 9
     PYTHONPATH=src python3 tools/ol_update.py --smoke
