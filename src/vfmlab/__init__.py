@@ -11,9 +11,9 @@ MAPE/rolling-error reports.
 The numeric kernels (:mod:`vfmlab.kernels`) are plain Python over numpy.
 """
 
-from .core import (DataSplit, FeatureScaler, IngestReport, Observation, Source,
-                   WellDataset, chronological_split, fit_scaler, ingest_csv,
-                   ingest_csv_report, substream, write_csv)
+from .core import (DataSplit, FeatureScaler, IngestReport, Source, WellDataset,
+                   chronological_split, fit_scaler, ingest_csv, ingest_csv_report,
+                   substream, write_csv)
 from .drift import (DriftConfig, ShiftReport, estimate_update_frequency, f_quantile,
                     write_shift_csv)
 from .errors import (ConfigError, DataError, DegenerateFeatureError,

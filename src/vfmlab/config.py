@@ -100,9 +100,26 @@ DEFAULT_GRIDS = {
 }
 
 
+def _object(section: str, raw) -> dict:
+    """A copy of the config section raw; anything but a JSON object is a
+    ConfigError naming the section."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section}: must be a JSON object, not {raw!r}")
+    return dict(raw)
+
+
+def _array(section: str, raw) -> tuple:
+    """The config array raw as a tuple; anything but a JSON array is a
+    ConfigError naming the section."""
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"{section}: must be a JSON array, not {raw!r}")
+    return tuple(raw)
+
+
 def _build(cls, section: str, kw: dict):
-    """cls(**kw), with a key that is not a field of cls reported as a
-    ConfigError naming the config section and the key."""
+    """cls(**kw), with a kw that is not a JSON object, or a key that is not a
+    field of cls, reported as a ConfigError naming the config section."""
+    kw = _object(section, kw)
     unknown = sorted(set(kw) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
@@ -111,14 +128,16 @@ def _build(cls, section: str, kw: dict):
 
 def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> OptimizerConfig:
     """base updated by the per_kind entry of kind.  per_kind is keyed by kind
-    name in any case; a key that names no kind is a ConfigError."""
-    kw = dict(base)
+    name in any case; a key that names no kind, or an entry that is not a
+    JSON object, is a ConfigError."""
+    kw = _object(section, base)
     want = ModelKind.from_str(kind)
-    for key, entry in per_kind.items():
+    for key, entry in _object(f"{section}: per-kind entries", per_kind).items():
         try:
             key_kind = ModelKind.from_str(key)
         except ConfigError:
             raise ConfigError(f"{section}: per-kind entry {key!r} names no model kind") from None
+        entry = _object(f"{section}: per-kind entry {key!r}", entry)
         if key_kind is want:
             kw.update(entry)
     if "method" in kw:
@@ -204,15 +223,17 @@ class StudyConfig:
         """The config of a parsed JSON object.  Every nested section is built
         once here, so a bad key or value anywhere fails before any work."""
         kw = dict(d)
-        for name in ("kinds", "csv_paths"):
+        for name in ("kinds", "csv_paths", "scenarios", "schedules", "hidden"):
             if name in kw:
-                kw[name] = tuple(kw[name])
-        for name in ("scenarios", "schedules"):
-            if name in kw:
-                kw[name] = tuple(kw[name])
+                kw[name] = _array(name, kw[name])
         if "hidden" in kw:
-            kw["hidden"] = tuple(int(h) for h in kw["hidden"])
+            try:
+                kw["hidden"] = tuple(int(h) for h in kw["hidden"])
+            except (TypeError, ValueError):
+                raise ConfigError(f"hidden: {list(kw['hidden'])!r} holds a non-integer width"
+                                  ) from None
         cfg = _build(cls, "config", kw)
+        cfg.prior()
         specs = cfg.schedule_specs()
         escfg = cfg.escfg()
         for kind in cfg.kinds:
@@ -240,12 +261,13 @@ class StudyConfig:
     def schedule_specs(self) -> "list[ScheduleSpec]":
         specs = []
         for i, raw in enumerate(self.schedules):
-            kw = dict(raw)
+            kw = _object(f"schedules[{i}]", raw)
             for name in ("optimizer", "per_kind"):
                 if name in kw and kw[name] is not None:
                     kw[name] = json.loads(json.dumps(kw[name]))
             if "update_sources" in kw and kw["update_sources"] is not None:
-                kw["update_sources"] = tuple(kw["update_sources"])
+                kw["update_sources"] = _array(f"schedules[{i}].update_sources",
+                                              kw["update_sources"])
             specs.append(_build(ScheduleSpec, f"schedules[{i}]", kw))
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
@@ -255,7 +277,7 @@ class StudyConfig:
     def scenario_objects(self) -> "list[WellScenario]":
         out = []
         for i, raw in enumerate(self.scenarios):
-            kw = dict(raw)
+            kw = _object(f"scenarios[{i}]", raw)
             kw.setdefault("seed", self.seed)
             if "u_profile" in kw:
                 kw["u_profile"] = tuple((float(a), float(b)) for a, b in kw["u_profile"])

@@ -24,7 +24,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ CSV_HEADER = ("well_id", "t", "u", "p1", "p2", "T1", "eta_oil", "eta_gas", "q_to
 
 SECONDS_PER_DAY = 86400.0
 
-# the Observation invariants, in the order a rejected row takes its reason:
+# the row invariants, in the order a rejected row takes its reason:
 # the first one it breaks
 INVARIANT_REASONS = ("non_finite", "u_range", "p1_nonpositive", "p2_nonpositive",
                      "T1_nonpositive", "fraction_negative", "fraction_sum", "y_negative")
@@ -80,25 +80,7 @@ class EmptySplitWarning(UserWarning):
     """A chronological split produced an empty train or test side."""
 
 
-# ---------------------------------------------------------------- observations
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One timestamped sample of a well."""
-
-    t: float
-    x: np.ndarray  # shape (6,), (u, p1, p2, T1, eta_oil, eta_gas)
-    y: float
-    source: Source
-    well_id: int
-
-    def invariant_violation(self) -> str | None:
-        """Return a short reason string if the row is invalid, else None."""
-        if self.x.shape != (D_INPUT,):
-            return "x_dim"
-        code = invariant_codes(np.array([self.t]), self.x[None, :], np.array([self.y]))[0]
-        return None if code < 0 else INVARIANT_REASONS[code]
+# -------------------------------------------------------------------- datasets
 
 
 def _as_f64(a) -> np.ndarray:
@@ -145,17 +127,6 @@ class WellDataset:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_observations(cls, obs: Sequence[Observation]) -> "WellDataset":
-        obs = sorted(obs, key=lambda o: o.t)
-        n = len(obs)
-        t = np.array([o.t for o in obs], dtype=np.float64)
-        X = np.array([o.x for o in obs], dtype=np.float64).reshape(n, D_INPUT)
-        y = np.array([o.y for o in obs], dtype=np.float64)
-        src = np.array([int(o.source) for o in obs], dtype=np.uint8)
-        well = np.array([o.well_id for o in obs], dtype=np.int64)
-        return cls(t, X, y, src, well)
-
-    @classmethod
     def empty(cls) -> "WellDataset":
         z = np.zeros(0)
         return cls(z, np.zeros((0, D_INPUT)), z, np.zeros(0, dtype=np.uint8),
@@ -182,12 +153,6 @@ class WellDataset:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def __getitem__(self, i: int) -> Observation:
-        return Observation(
-            t=float(self.t[i]), x=self.X[i].copy(), y=float(self.y[i]),
-            source=Source(int(self.source[i])), well_id=int(self.well[i]),
-        )
-
     @property
     def well_id(self) -> int:
         ids = np.unique(self.well)
@@ -212,9 +177,6 @@ class WellDataset:
 
     def only_source(self, source: Source) -> "WellDataset":
         return self.take(self.source == int(source))
-
-    def for_well(self, well_id: int) -> "WellDataset":
-        return self.take(self.well == well_id)
 
 
 # ---------------------------------------------------------------------- splits
@@ -283,15 +245,8 @@ class FeatureScaler:
         if not self.target_scale > 0.0:
             raise ValueError("scaler target_scale must be positive")
 
-    @classmethod
-    def identity(cls, d: int = D_INPUT) -> "FeatureScaler":
-        return cls(np.zeros(d), np.ones(d))
-
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.std + self.mean
 
 
 def fit_scaler(ds: WellDataset) -> FeatureScaler:
@@ -379,7 +334,7 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
     number or time, an unknown source, a well id that is not an integer, a
     short row.  Blank lines are skipped.  The time column holds ISO-8601
     strings or numeric epoch seconds, decided on the first data row.  The
-    Observation invariants then run as array masks over the parsed
+    row invariants then run as array masks over the parsed
     ``(t, X, y)`` columns (:func:`invariant_codes`): a row that breaks several
     takes the first reason of ``non_finite``, ``u_range``, ``p1_nonpositive``,
     ``p2_nonpositive``, ``T1_nonpositive``, ``fraction_negative``,

@@ -1,4 +1,4 @@
-"""Exception types.
+"""Exception types, and the parser of enum names that config files give.
 
 Three families, matching the CLI exit codes: configuration problems (exit 1),
 data problems (exit 2), numeric failures (exit 3).
@@ -29,6 +29,18 @@ class EmptyDatasetError(DataError):
 
 class ScenarioError(DataError):
     """Synthetic scenario produced an invalid observation."""
+
+
+def enum_from_str(cls, s, what: str):
+    """The member of the string-valued enum cls whose value is s, case and
+    surrounding blanks aside; a ConfigError naming `what` for any other s,
+    a value that is not a string included."""
+    if isinstance(s, str):
+        key = s.strip().lower()
+        for member in cls:
+            if member.value.lower() == key:
+                return member
+    raise ConfigError(f"unknown {what} {s!r}")
 
 
 class NumericError(VfmlabError):

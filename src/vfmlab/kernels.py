@@ -37,11 +37,11 @@ and column forms stack: ``_row_sum``, ``_affine_cols``,
 ``nn_loss_grad``, and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or
 more (their loops take one fit, so ``fit_maps`` stacks only such calls);
 ``adam_step`` and ``sgd_step`` take stacked parameters.  The fits of a
-stack may be at different steps: then ``adam_step`` takes k as a list, one
-step index per row, and computes each row's bias corrections
+stack may be at different steps, so ``fit_maps`` gives ``adam_step`` k as a
+list, one step index per row; it computes each row's bias corrections
 ``1.0 - beta ** k`` on Python floats, as for one fit, into (R, 1) columns,
-and both steps take gamma_k as an (R, 1) column.  A stack at one shared k
-keeps the scalars.  ``lr_predict`` takes one fit.  Row r of a stacked
+and both steps take gamma_k as an (R, 1) column (an online update of one
+fit gives scalars).  ``lr_predict`` takes one fit.  Row r of a stacked
 result equals fit r's own call bit for bit: fit r's parameters (and step
 coefficients) meet its rows as (R, 1) columns where one fit's are Python
 floats or scalars, which rounds alike; a sum over rows runs along each

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .core import D_INPUT, FeatureScaler, substream
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, enum_from_str
 
 MM_PARAM_NAMES = ("rho_oil", "rho_wat", "kappa", "M_gas", "p_cr", "C_D")
 
@@ -65,10 +65,7 @@ class ModelKind(enum.Enum):
 
     @classmethod
     def from_str(cls, s: str) -> "ModelKind":
-        for k in cls:
-            if k.value.lower() == s.strip().lower():
-                return k
-        raise ConfigError(f"unknown model kind {s!r}")
+        return enum_from_str(cls, s, "model kind")
 
     @property
     def is_mechanistic(self) -> bool:

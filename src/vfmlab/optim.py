@@ -48,7 +48,7 @@ import numpy as np
 
 from . import kernels
 from .core import WellDataset, substream
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, enum_from_str
 from .models import (MM_DIAGNOSTICS, ModelKind, ModelSpec, ParameterSet, build_plan,
                      check_inputs, plan_loss, plan_loss_grad, scale_inputs, task_columns)
 
@@ -60,10 +60,7 @@ class PriorMode(enum.Enum):
 
     @classmethod
     def from_str(cls, s: str) -> "PriorMode":
-        for p in cls:
-            if p.value.lower() == s.strip().lower():
-                return p
-        raise ConfigError(f"unknown prior mode {s!r}")
+        return enum_from_str(cls, s, "prior mode")
 
 
 class Method(enum.Enum):
@@ -72,10 +69,7 @@ class Method(enum.Enum):
 
     @classmethod
     def from_str(cls, s: str) -> "Method":
-        for m in cls:
-            if isinstance(s, str) and m.value.lower() == s.strip().lower():
-                return m
-        raise ConfigError(f"unknown optimizer method {s!r}")
+        return enum_from_str(cls, s, "optimizer method")
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ class OptimizerState:
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
                    cfg: OptimizerConfig, k: int | list[int]) -> OptimizerState:
     """Apply one SGD or Adam step at schedule index k (1-based); stacked fits
-    at different steps give k as a list, one index per row.
+    give k as a list, one index per row.
 
     Non-finite gradients raise and leave the state untouched.  Physical
     parameters are clipped to their hard bounds.
@@ -445,9 +439,9 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     (theta (R, P), X and Xs (R, n, 6), y and wells (R, n), inv_var (R, 1));
     every other batch (an epoch's partial last one, a fit alone at its
     length) and every validation pass runs one fit at a time.  One optimizer
-    step then updates every live row at that fit's own step index k: gamma_k
-    and Adam's bias corrections are scalars while the live fits share k, and
-    (R, 1) columns otherwise.  A fit leaves the stack when it stops early,
+    step then updates every live row at its fit's own step index k, from a
+    list: gamma_k and Adam's bias corrections are (R, 1) columns of the
+    floats one fit would use.  A fit leaves the stack when it stops early,
     runs out of epochs, or meets a non-finite gradient, and the next pending
     fit takes its row, at k = 1 with zero moments.  On the tick a fit fails,
     its row takes a zero gradient in the stack's one step; Adam and SGD step
@@ -490,11 +484,10 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     state = live[0].step.start(np.stack([f.start.params.values for f in live]))
     prior = live[0].step.prior
     stacked = None    # _stacked(live), built again after each change of the live fits
-    shared = True     # every live fit at one step index
     while live:
         for f in live:
             f.k += 1
-        k = live[0].k if shared else [f.k for f in live]
+        k = [f.k for f in live]
         batches = [f.next_batch() for f in live]
         by_len: dict = {}
         for i, idx in enumerate(batches):
@@ -548,7 +541,7 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
             if not all(keep):
                 state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
                 live = [f for f in live if f is not None]
-            stacked, shared = None, len({f.k for f in live}) <= 1
+            stacked = None
     return results
 
 

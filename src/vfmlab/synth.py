@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .core import SECONDS_PER_DAY, Observation, Source, WellDataset, substream
+from .core import D_INPUT, SECONDS_PER_DAY, Source, WellDataset, substream
 from .errors import ConfigError, ScenarioError
 from .models import HARD_BOUNDS, MM_PARAM_NAMES, ChokeGeometry, MechanisticParams
 
@@ -161,7 +161,7 @@ def generate_stream(sc: WellScenario) -> WellDataset:
                 HARD_BOUNDS[name]] for name, rel_std, corr_days in sc.param_wobble]
     ev_idx = 0
     prev_day = 0.0
-    obs = []
+    ts, xs, ys, sources = [], [], [], []  # the dataset's columns, row by row
     for t, source in rows:
         day = (t - sc.t0) / SECONDS_PER_DAY
         frac = day / sc.horizon_days
@@ -222,6 +222,12 @@ def generate_stream(sc: WellScenario) -> WellDataset:
         std = sc.noise_std_welltest if source is Source.WELLTEST else sc.noise_std_mpfm
         if std > 0:
             y *= 1.0 + std * rng.standard_normal()
-        obs.append(Observation(t=t, x=x, y=max(y, 0.0), source=source,
-                               well_id=sc.well_id))
-    return WellDataset.from_observations(obs)
+        ts.append(t)
+        xs.append(x)
+        ys.append(max(y, 0.0))
+        sources.append(source)
+    # rows are in time order, so the columns need no sort
+    n = len(rows)
+    return WellDataset(np.array(ts, dtype=np.float64), np.array(xs).reshape(n, D_INPUT),
+                       np.array(ys), np.array(sources, dtype=np.uint8),
+                       np.full(n, sc.well_id, dtype=np.int64))

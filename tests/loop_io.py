@@ -2,7 +2,8 @@
 frozen as an oracle.
 
 ``ingest_csv_report`` is the package's ingest as it was then: one
-``Observation`` per row, each row's invariants checked on its own
+``Observation`` per row (the package's row record then, kept here since the
+package dropped it), each row's invariants checked on its own
 (``invariant_violation``, the per-row check ``Observation`` made then), each
 well's rows sorted by time in Python.  ``write_csv``, ``write_log``,
 ``write_rolling_csv`` and ``write_shift_csv`` are the writers as they were
@@ -17,13 +18,25 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from vfmlab.core import (COLUMNS, CSV_HEADER, D_INPUT, IngestReport, Observation, Source,
-                         WellDataset, parse_timestamp)
+from vfmlab.core import (COLUMNS, CSV_HEADER, D_INPUT, IngestReport, Source, WellDataset,
+                         parse_timestamp)
 from vfmlab.errors import EmptyDatasetError, SchemaError
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One timestamped sample of a well."""
+
+    t: float
+    x: np.ndarray  # shape (6,), (u, p1, p2, T1, eta_oil, eta_gas)
+    y: float
+    source: Source
+    well_id: int
 
 
 def invariant_violation(obs: Observation) -> str | None:

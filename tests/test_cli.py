@@ -346,6 +346,27 @@ def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, caps
     assert "unknown optimizer method 5" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"kinds": [5]}, "unknown model kind 5"),
+    ({"schedules": [{"name": "OL", "mode": "ol", "steps": 1, "per_kind": {"lr": 5}}]},
+     "schedule 'OL' optimizer: per-kind entry 'lr': must be a JSON object, not 5"),
+    ({"drift": 5}, "drift: must be a JSON object, not 5"),
+    ({"hidden": [32, "x"]}, "hidden: [32, 'x'] holds a non-integer width"),
+    ({"prior_mode": "bogus"}, "unknown prior mode 'bogus'"),
+    ({"prior_mode": 5}, "unknown prior mode 5")],
+    ids=["kind-not-a-name", "per-kind-entry-not-an-object", "drift-not-an-object",
+         "hidden-width-not-an-integer", "unknown-prior-mode", "prior-mode-not-a-name"])
+def test_a_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, patch, message):
+    """A config value of the wrong JSON type, or an unknown prior mode, is
+    refused when the file is loaded: exit 1 and one line, no traceback."""
+    raw = {**_tiny_study(tmp_path), **patch}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+
+
 def _small_study(tmp_path) -> Path:
     """Two jittered 60-day wells, split at day 30; the benchmark, LR and MM
     under one OL and one PBL schedule, with short fits."""

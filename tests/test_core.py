@@ -12,7 +12,6 @@ from vfmlab import (
     DataSplit,
     EmptyDatasetError,
     FeatureScaler,
-    Observation,
     SchemaError,
     Source,
     WellDataset,
@@ -23,7 +22,7 @@ from vfmlab import (
     substream,
     write_csv,
 )
-from vfmlab.core import EmptySplitWarning, parse_timestamp
+from vfmlab.core import INVARIANT_REASONS, EmptySplitWarning, invariant_codes, parse_timestamp
 
 from conftest import make_dataset, make_x
 
@@ -31,9 +30,14 @@ from conftest import make_dataset, make_x
 # ---------------------------------------------------------------- observations
 
 
+def _violation(t, x, y):
+    """The reason invariant_codes gives the one row (t, x, y), None if valid."""
+    code = invariant_codes(np.array([t]), x[None, :], np.array([y]))[0]
+    return None if code < 0 else INVARIANT_REASONS[code]
+
+
 def test_valid_observation_has_no_violation():
-    o = Observation(t=0.0, x=make_x(), y=50.0, source=Source.MPFM, well_id=1)
-    assert o.invariant_violation() is None
+    assert _violation(0.0, make_x(), 50.0) is None
 
 
 @pytest.mark.parametrize(
@@ -49,16 +53,14 @@ def test_valid_observation_has_no_violation():
     ],
 )
 def test_observation_flags_each_invalid_field(field_patch, reason):
-    o = Observation(t=0.0, x=make_x(**field_patch), y=1.0, source=Source.MPFM, well_id=1)
-    assert o.invariant_violation() == reason
+    assert _violation(0.0, make_x(**field_patch), 1.0) == reason
 
 
 def test_observation_rejects_negative_flow_and_nonfinite():
-    bad_y = Observation(t=0.0, x=make_x(), y=-1.0, source=Source.MPFM, well_id=1)
-    assert bad_y.invariant_violation() == "y_negative"
+    assert _violation(0.0, make_x(), -1.0) == "y_negative"
     nan_x = make_x()
     nan_x[2] = np.nan
-    assert Observation(0.0, nan_x, 1.0, Source.MPFM, 1).invariant_violation() == "non_finite"
+    assert _violation(0.0, nan_x, 1.0) == "non_finite"
 
 
 # -------------------------------------------------------------------- datasets
@@ -74,16 +76,6 @@ def test_dataset_rejects_column_length_mismatch():
     ds = make_dataset(5)
     with pytest.raises(ValueError):
         WellDataset(ds.t[:4], ds.X, ds.y, ds.source, ds.well)
-
-
-def test_from_observations_sorts_by_time():
-    rows = [
-        Observation(t, make_x(), float(i), Source.MPFM, 1)
-        for i, t in enumerate([30.0, 10.0, 20.0])
-    ]
-    ds = WellDataset.from_observations(rows)
-    assert list(ds.t) == [10.0, 20.0, 30.0]
-    assert list(ds.y) == [1.0, 2.0, 0.0]
 
 
 def test_merge_interleaves_chronologically_and_is_stable():
@@ -114,8 +106,6 @@ def test_source_and_well_filters():
     wt = ds.only_source(Source.WELLTEST)
     assert len(wt) == 2
     assert np.all(wt.source == 1)
-    assert len(ds.for_well(7)) == 14
-    assert len(ds.for_well(8)) == 0
 
 
 def test_columns_are_read_only():
@@ -128,9 +118,8 @@ def test_columns_are_read_only():
 
 
 def test_split_boundary_row_goes_to_test_side():
-    ds = WellDataset.from_observations(
-        [Observation(t, make_x(), 1.0, Source.MPFM, 1) for t in (1.0, 2.0, 3.0)]
-    )
+    ds = WellDataset(np.array([1.0, 2.0, 3.0]), np.tile(make_x(), (3, 1)), np.ones(3),
+                     np.zeros(3), np.ones(3))
     sp = chronological_split(ds, 3.0)
     assert list(sp.train.t) == [1.0, 2.0]
     assert list(sp.test.t) == [3.0]
@@ -173,12 +162,9 @@ def test_split_preserves_observation_multiset(n, cut):
 
 
 def test_scaler_hand_example_mean_one_std_one():
-    rows = [
-        Observation(0.0, make_x(u=0.0), 1.0, Source.MPFM, 1),
-        Observation(1.0, make_x(u=2.0), 3.0, Source.MPFM, 1),
-    ]
     # u=2 violates ingestion ranges but the scaler itself is range-agnostic
-    ds = WellDataset.from_observations(rows)
+    ds = WellDataset(np.array([0.0, 1.0]), np.stack([make_x(u=0.0), make_x(u=2.0)]),
+                     np.array([1.0, 3.0]), np.zeros(2), np.ones(2))
     s = fit_scaler(ds)
     assert s.mean[0] == pytest.approx(1.0)
     assert s.std[0] == pytest.approx(1.0)
@@ -206,11 +192,6 @@ def test_scaler_standardizes_fitting_window():
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
 
 
-def test_identity_scaler_is_a_no_op():
-    x = make_x()
-    assert np.array_equal(FeatureScaler.identity().transform(x), x)
-
-
 def test_scaler_rejects_nonpositive_std_or_scale():
     with pytest.raises(ValueError):
         FeatureScaler(np.zeros(6), np.zeros(6))
@@ -223,7 +204,7 @@ def test_scaler_rejects_nonpositive_std_or_scale():
 def test_scaler_round_trip_recovers_input(vals):
     s = fit_scaler(make_dataset(30, seed=3))
     x = np.array(vals)
-    back = s.inverse(s.transform(x))
+    back = s.transform(x) * s.std + s.mean
     assert np.allclose(back, x, rtol=1e-12, atol=1e-9)
 
 

@@ -1,5 +1,7 @@
 """Synthetic stream generator: determinism, drift mechanisms, invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from vfmlab import (
     MechanisticParams,
     ScenarioError,
     Source,
+    StudyConfig,
     WellScenario,
     estimate_update_frequency,
     generate_stream,
     init_model,
     predict,
 )
+from vfmlab.core import invariant_codes
 
 from conftest import count_sources, quiet_scenario
 
@@ -71,6 +75,20 @@ def test_same_scenario_and_seed_is_bit_identical():
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.source, b.source)
+
+
+# sha256 over the t, X, y, source and well bytes of the default well 1 at
+# seed 0; any change to the simulator's data shows here
+DEFAULT_WELL_1_SHA256 = "86e6719bce4897cc140c84c147cdb834736a56568ee5e4a9cbf1918dc1c47b54"
+
+
+def test_default_well_1_columns_keep_their_bytes():
+    ds = generate_stream(StudyConfig(seed=0).scenario_objects()[0])
+    assert ds.well_id == 1 and len(ds) == 754
+    h = hashlib.sha256()
+    for col in (ds.t, ds.X, ds.y, ds.source, ds.well):
+        h.update(col.tobytes())
+    assert h.hexdigest() == DEFAULT_WELL_1_SHA256
 
 
 def test_different_seed_changes_noise_draws():
@@ -234,5 +252,5 @@ def test_probe_flags_inserted_pressure_jump():
 
 
 def test_generated_stream_passes_ingestion_invariants(tiny_stream):
-    for i in range(len(tiny_stream)):
-        assert tiny_stream[i].invariant_violation() is None
+    ds = tiny_stream
+    assert np.all(invariant_codes(ds.t, ds.X, ds.y) == -1)

@@ -216,8 +216,8 @@ def _stacked_calls(monkeypatch) -> list:
 
 
 def _step_indices(monkeypatch) -> list:
-    """Record the step index k of each optimizer step of fit_maps: an int
-    while the live fits share it, else a list of one k per row."""
+    """Record the step index k of each optimizer step of fit_maps: a list of
+    one k per live row."""
     ks = []
     optimizer_step = optim.optimizer_step
     monkeypatch.setattr(optim, "optimizer_step",
@@ -338,7 +338,7 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
             assert len(epochs) > 1 and min(epochs) < escfg.max_epochs, epochs
         assert any(len(c) > 1 for c in stacked)
         # a step whose rows were at different k: only where a refit took a row
-        assert any(isinstance(k, list) and len(set(k)) > 1 for k in ks) == (case != "early_stop")
+        assert any(len(set(k)) > 1 for k in ks) == (case != "early_stop")
 
 
 def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
@@ -386,8 +386,8 @@ def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
             # both failing refits fail at their first step, with no sibling to
             # step on; two pending refits take the freed rows and step at k = 1,
             # and later refits step beside fits at other k
-            assert stacked[0] == [False, False] and ks[:2] == [1, 1], (stacked[0], ks[:2])
-            assert any(isinstance(k, list) and len(set(k)) > 1 for k in ks)
+            assert stacked[0] == [False, False] and ks[:2] == [[1, 1]] * 2, (stacked[0], ks[:2])
+            assert any(len(set(k)) > 1 for k in ks)
         else:
             # a stacked call in which one fit's gradient was not finite and another's was
             assert any(not all(c) and any(c) for c in stacked), stacked
