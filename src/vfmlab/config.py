@@ -3,22 +3,27 @@
 All defaults live here and print via `vfmlab config --defaults`.  Randomness
 fans out from the single global seed through named substreams (scenario
 generation, model init, batch shuffling, grid search), so a config file plus
-the code pins every byte of the outputs.
+the code pins every byte of the outputs.  Every section is read through one
+reader driven by the dataclasses' field annotations, so a value of the wrong
+type or shape is a ConfigError naming its path.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .core import SECONDS_PER_DAY, WellDataset, ingest_csv
 from .drift import DriftConfig
 from .errors import ConfigError
 from .learning import ScheduleConfig
-from .models import ChokeGeometry, MechanisticParams, ModelKind, MtlParams, NetworkShape
-from .optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode,
-                    check_grids)
+from .models import ModelKind, MtlParams, NetworkShape
+from .optim import EarlyStoppingConfig, LossSpec, OptimizerConfig, PriorMode, check_grids
 from .synth import WellScenario, generate_stream
 
 DEFAULT_KINDS = ("benchmark", "lr", "nn", "mtl", "mm", "hem", "ham")
@@ -108,22 +113,54 @@ def _object(section: str, raw) -> dict:
     return dict(raw)
 
 
-def _array(section: str, raw) -> tuple:
-    """The config array raw as a tuple; anything but a JSON array is a
-    ConfigError naming the section."""
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"{section}: must be a JSON array, not {raw!r}")
-    return tuple(raw)
+# get_type_hints evaluates the string annotations (about 0.5 ms for
+# WellScenario), and one load builds dozens of sections
+_hints = functools.cache(typing.get_type_hints)
+_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str)}
 
 
-def _build(cls, section: str, kw: dict):
-    """cls(**kw), with a kw that is not a JSON object, or a key that is not a
-    field of cls, reported as a ConfigError naming the config section."""
-    kw = _object(section, kw)
+def _value(tp, raw, where: str):
+    """The parsed JSON value raw read as the annotation tp, or a ConfigError
+    naming its path where.  Dataclasses, enums, ``X | None``, tuples and
+    dicts are read entry by entry; a scalar is checked, not converted (a
+    float field takes an integer, a bool serves neither)."""
+    args = typing.get_args(tp)
+    if is_dataclass(tp):
+        return _build(tp, where, raw)
+    if isinstance(tp, enum.EnumMeta):
+        return tp.from_str(raw)
+    if isinstance(tp, types.UnionType):
+        return None if raw is None else _value(args[0], raw, where)
+    if tuple in (tp, typing.get_origin(tp)):
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{where}: must be a JSON array, not {raw!r}")
+        if not args:
+            return tuple(raw)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(raw)
+        elif len(args) != len(raw):
+            raise ConfigError(f"{where}: must hold {len(args)} entries, not {raw!r}")
+        return tuple(_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, raw)))
+    if dict in (tp, typing.get_origin(tp)):
+        raw = _object(where, raw)
+        return {k: _value(args[1], v, f"{where}.{k}") for k, v in raw.items()} if args else raw
+    what, ok = _SCALARS[tp]
+    if isinstance(raw, bool) or not isinstance(raw, ok):
+        raise ConfigError(f"{where}: must be {what}, not {raw!r}")
+    return raw
+
+
+def _build(cls, section: str, raw):
+    """cls built from the JSON object raw, every field read through _value;
+    a key that is not a field of cls is a ConfigError naming the section
+    (fields of the top-level section "config" are named without it)."""
+    kw = _object(section, raw)
     unknown = sorted(set(kw) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
-    return cls(**kw)
+    prefix = "" if section == "config" else f"{section}."
+    hints = _hints(cls)
+    return cls(**{k: _value(hints[k], v, prefix + k) for k, v in kw.items()})
 
 
 def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> OptimizerConfig:
@@ -140,8 +177,6 @@ def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> Optimizer
         entry = _object(f"{section}: per-kind entry {key!r}", entry)
         if key_kind is want:
             kw.update(entry)
-    if "method" in kw:
-        kw["method"] = Method.from_str(kw["method"])
     return _build(OptimizerConfig, f"{section} for {kind}", kw)
 
 
@@ -160,7 +195,7 @@ class ScheduleSpec:
     window_days: float | None = None
     optimizer: dict = field(default_factory=dict)
     per_kind: dict = field(default_factory=dict)
-    update_sources: tuple | None = None
+    update_sources: tuple[str, ...] | None = None
 
     def optimizer_for(self, kind: str) -> OptimizerConfig:
         return _ocfg_from(self.optimizer, self.per_kind, kind,
@@ -188,7 +223,7 @@ class StudyConfig:
     split_day: float = 180.0
     kinds: tuple = DEFAULT_KINDS
     scenarios: tuple = DEFAULT_SCENARIOS
-    csv_paths: tuple = ()
+    csv_paths: tuple[str, ...] = ()
     schedules: tuple = DEFAULT_SCHEDULES
     grids: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_GRIDS)))
     drift: dict = field(default_factory=lambda: {"alpha": 0.05, "confirm_count": 3})
@@ -200,7 +235,7 @@ class StudyConfig:
     early_stopping: dict = field(default_factory=lambda: {
         "val_fraction": 0.2, "patience": 10, "max_epochs": 100})
     metric_window_days: float = 14.0
-    hidden: tuple = (32, 32)
+    hidden: tuple[int, ...] = (32, 32)
     mtl_task_dim: int = 8
     mtl_blocks: int = 1
 
@@ -222,17 +257,7 @@ class StudyConfig:
     def from_dict(cls, d: dict) -> "StudyConfig":
         """The config of a parsed JSON object.  Every nested section is built
         once here, so a bad key or value anywhere fails before any work."""
-        kw = dict(d)
-        for name in ("kinds", "csv_paths", "scenarios", "schedules", "hidden"):
-            if name in kw:
-                kw[name] = _array(name, kw[name])
-        if "hidden" in kw:
-            try:
-                kw["hidden"] = tuple(int(h) for h in kw["hidden"])
-            except (TypeError, ValueError):
-                raise ConfigError(f"hidden: {list(kw['hidden'])!r} holds a non-integer width"
-                                  ) from None
-        cfg = _build(cls, "config", kw)
+        cfg = _build(cls, "config", d)
         cfg.prior()
         specs = cfg.schedule_specs()
         escfg = cfg.escfg()
@@ -259,16 +284,8 @@ class StudyConfig:
     # --------------------------------------------------------------- helpers
 
     def schedule_specs(self) -> "list[ScheduleSpec]":
-        specs = []
-        for i, raw in enumerate(self.schedules):
-            kw = _object(f"schedules[{i}]", raw)
-            for name in ("optimizer", "per_kind"):
-                if name in kw and kw[name] is not None:
-                    kw[name] = json.loads(json.dumps(kw[name]))
-            if "update_sources" in kw and kw["update_sources"] is not None:
-                kw["update_sources"] = _array(f"schedules[{i}].update_sources",
-                                              kw["update_sources"])
-            specs.append(_build(ScheduleSpec, f"schedules[{i}]", kw))
+        specs = [_build(ScheduleSpec, f"schedules[{i}]", raw)
+                 for i, raw in enumerate(self.schedules)]
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
             raise ConfigError("schedule names must be unique")
@@ -279,27 +296,6 @@ class StudyConfig:
         for i, raw in enumerate(self.scenarios):
             kw = _object(f"scenarios[{i}]", raw)
             kw.setdefault("seed", self.seed)
-            if "u_profile" in kw:
-                kw["u_profile"] = tuple((float(a), float(b)) for a, b in kw["u_profile"])
-            if "fraction_drift" in kw:
-                kw["fraction_drift"] = {k: (float(v[0]), float(v[1]))
-                                        for k, v in kw["fraction_drift"].items()}
-            if "real_drift_events" in kw:
-                kw["real_drift_events"] = tuple(
-                    (float(d), str(n), float(v)) for d, n, v in kw["real_drift_events"])
-            if "param_ramps" in kw:
-                kw["param_ramps"] = tuple(
-                    (str(n), float(a), float(b), float(v))
-                    for n, a, b, v in kw["param_ramps"])
-            if "param_wobble" in kw:
-                kw["param_wobble"] = tuple(
-                    (str(n), float(s), float(c)) for n, s, c in kw["param_wobble"])
-            if "true_params" in kw:
-                kw["true_params"] = _build(MechanisticParams, f"scenarios[{i}].true_params",
-                                           kw["true_params"])
-            if "geometry" in kw:
-                kw["geometry"] = _build(ChokeGeometry, f"scenarios[{i}].geometry",
-                                        kw["geometry"])
             out.append(_build(WellScenario, f"scenarios[{i}]", kw))
         ids = [sc.well_id for sc in out]
         if len(set(ids)) != len(ids):

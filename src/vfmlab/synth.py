@@ -44,7 +44,7 @@ class WellScenario:
     p1_start: float = 2.0e7
     p1_end: float = 2.0e7
     u_profile: tuple[tuple[float, float], ...] = ((0.0, 0.5),)  # (day, opening)
-    fraction_drift: dict = field(default_factory=lambda: {
+    fraction_drift: dict[str, tuple[float, float]] = field(default_factory=lambda: {
         "eta_oil": (0.30, 0.30), "eta_gas": (0.40, 0.40)})
     true_params: MechanisticParams = field(default_factory=MechanisticParams)
     noise_std_mpfm: float = 0.05

@@ -351,20 +351,73 @@ def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, caps
     ({"schedules": [{"name": "OL", "mode": "ol", "steps": 1, "per_kind": {"lr": 5}}]},
      "schedule 'OL' optimizer: per-kind entry 'lr': must be a JSON object, not 5"),
     ({"drift": 5}, "drift: must be a JSON object, not 5"),
-    ({"hidden": [32, "x"]}, "hidden: [32, 'x'] holds a non-integer width"),
+    ({"hidden": [32, "x"]}, "hidden[1]: must be an integer, not 'x'"),
     ({"prior_mode": "bogus"}, "unknown prior mode 'bogus'"),
-    ({"prior_mode": 5}, "unknown prior mode 5")],
+    ({"prior_mode": 5}, "prior_mode: must be a string, not 5"),
+    ({"scenarios": [{"well_id": 1, "u_profile": 5}]},
+     "scenarios[0].u_profile: must be a JSON array, not 5"),
+    ({"scenarios": [{"well_id": 1, "u_profile": [[0]]}]},
+     "scenarios[0].u_profile[0]: must hold 2 entries, not [0]"),
+    ({"scenarios": [{"well_id": 1, "real_drift_events": [[1, "C_D"]]}]},
+     "scenarios[0].real_drift_events[0]: must hold 3 entries, not [1, 'C_D']"),
+    ({"scenarios": [{"well_id": 1, "fraction_drift": {"eta_oil": 5}}]},
+     "scenarios[0].fraction_drift.eta_oil: must be a JSON array, not 5"),
+    ({"seed": "x"}, "seed: must be an integer, not 'x'"),
+    ({"split_day": "x"}, "split_day: must be a number, not 'x'"),
+    ({"mtl_blocks": "x"}, "mtl_blocks: must be an integer, not 'x'"),
+    ({"mtl_blocks": True}, "mtl_blocks: must be an integer, not True"),
+    ({"hidden": [32.7]}, "hidden[0]: must be an integer, not 32.7")],
     ids=["kind-not-a-name", "per-kind-entry-not-an-object", "drift-not-an-object",
-         "hidden-width-not-an-integer", "unknown-prior-mode", "prior-mode-not-a-name"])
+         "hidden-width-not-an-integer", "unknown-prior-mode", "prior-mode-not-a-name",
+         "u-profile-not-an-array", "u-profile-knot-too-short", "drift-event-too-short",
+         "fraction-ramp-not-an-array", "seed-not-an-integer", "split-day-not-a-number",
+         "mtl-blocks-not-an-integer", "mtl-blocks-a-bool", "hidden-width-a-float"])
 def test_a_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, patch, message):
-    """A config value of the wrong JSON type, or an unknown prior mode, is
-    refused when the file is loaded: exit 1 and one line, no traceback."""
+    """A config value of the wrong JSON type or shape, or an unknown prior
+    mode, is refused when the file is loaded: exit 1 and one line, no
+    traceback.  An integer field takes no float and no bool."""
     raw = {**_tiny_study(tmp_path), **patch}
     path = tmp_path / "study.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["config", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+
+
+def _days_as_floats(scenario: dict) -> dict:
+    """scenario with every knot, event, ramp and wobble day written as a
+    JSON float."""
+    return {**scenario,
+            "u_profile": [[float(d), u] for d, u in scenario["u_profile"]],
+            "real_drift_events": [[float(d), n, v] for d, n, v in scenario["real_drift_events"]],
+            "param_ramps": [[n, float(a), float(b), v] for n, a, b, v in scenario["param_ramps"]],
+            "param_wobble": [[n, s, float(c)] for n, s, c in scenario["param_wobble"]]}
+
+
+def test_a_float_field_takes_a_json_integer_unconverted(tmp_path, capsys):
+    """Float fields written as JSON integers (a split_day of 180 and the
+    default scenarios' days) load, `config` echoes them byte for byte, and
+    the wells and the split equal those of the same config with each of
+    them written as a float."""
+    raw = StudyConfig().to_dict()
+    raw["split_day"] = 180
+    assert raw["scenarios"][0]["u_profile"][0] == [0, 0.35]
+    text = json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "study.json"
+    path.write_text(text)
+    assert cli.main(["config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == text
+
+    floats = {**raw, "split_day": 180.0,
+              "scenarios": [_days_as_floats(sc) for sc in raw["scenarios"]]}
+    ints, flts = StudyConfig.from_dict(raw), StudyConfig.from_dict(floats)
+    assert flts.to_json() != ints.to_json()
+    assert ints.split_time() == flts.split_time()
+    a, b = ints.load_datasets(), flts.load_datasets()
+    assert list(a) == list(b) == [1, 2, 3, 4, 5]
+    for w in a:
+        for col in ("t", "X", "y", "source", "well"):
+            assert getattr(a[w], col).tobytes() == getattr(b[w], col).tobytes(), (w, col)
 
 
 def _small_study(tmp_path) -> Path:
