@@ -122,18 +122,18 @@ def _holdout(train: WellDataset, name: str) -> DataSplit:
 
 def _initial_units(cfg: StudyConfig, kind: str, splits: dict, merged: DataSplit,
                    ocfg: OptimizerConfig) -> list:
-    """(well_or_None, m0 fitted with ocfg, split, loss) per unit of kind: one
-    per well of ``splits``, or for MTL one on ``merged``, whose tasks are
-    every well of ``splits``.  The units' initial fits run in one lockstep
+    """(m0 fitted with ocfg, split, loss) per unit of kind: one per well of
+    ``splits``, or for MTL one on ``merged``, whose tasks are every well of
+    ``splits``.  The units' initial fits run in one lockstep
     (``optim.fit_maps``); a failure raises the error of the first failing
     unit, in well order."""
     kindk = ModelKind.from_str(kind)
     if kindk is ModelKind.MTL:
-        parts, mtl = [(None, merged)], cfg.mtl_params(sorted(splits))
+        parts, mtl = [merged], cfg.mtl_params(sorted(splits))
     else:
-        parts, mtl = list(splits.items()), None
+        parts, mtl = list(splits.values()), None
     units, failed = [], []
-    for w, sp in parts:
+    for sp in parts:
         try:
             loss = LossSpec.from_data(sp.train, rel=cfg.noise_rel, prior_mode=cfg.prior())
             if kindk is ModelKind.BENCHMARK:
@@ -144,12 +144,11 @@ def _initial_units(cfg: StudyConfig, kind: str, splits: dict, merged: DataSplit,
         except VfmlabError as e:   # raised once the wells before it are fitted
             failed.append(e)
             break
-        units.append((w, m0, sp, loss))
+        units.append((m0, sp, loss))
     if kindk is not ModelKind.BENCHMARK:
-        fitted = fit_maps([(m0, sp.train, loss) for _, m0, sp, loss in units], ocfg,
-                          cfg.escfg())
+        fitted = fit_maps([(m0, sp.train, loss) for m0, sp, loss in units], ocfg, cfg.escfg())
         failed[:0] = [f for f in fitted if isinstance(f, Exception)]
-        units = [(w, m0, sp, loss) for (w, _, sp, loss), m0 in zip(units, fitted)]
+        units = [(m0, sp, loss) for (_, sp, loss), m0 in zip(units, fitted)]
     if failed:
         raise failed[0]
     return units
@@ -224,7 +223,7 @@ def cmd_tune(cfg: StudyConfig) -> int:
         if (kind, ocfg) not in fits:
             fits[kind, ocfg] = _initial_units(cfg, kind, holdouts, merged_holdout, ocfg)
         logs = run_schedules([(m0, sp, replace(sched, loss=loss))
-                              for _, m0, sp, loss in fits[kind, ocfg]])
+                              for m0, sp, loss in fits[kind, ocfg]])
         try:
             mapes = [mape_details(log, w)[0] for log in logs for w in log.well_ids()]
         except DataError:   # a well with nothing scoreable
@@ -275,7 +274,7 @@ def cmd_run(cfg: StudyConfig) -> int:
         for kind in cfg.kinds:
             t0 = time.perf_counter()
             parts = run_schedules([(m0, sp, spec.to_schedule(kind, loss, escfg))
-                                   for _, m0, sp, loss in units_by_kind[kind]])
+                                   for m0, sp, loss in units_by_kind[kind]])
             log = parts[0] if len(parts) == 1 else PredictionLog.concat(parts)
             meta = log.metadata
             counts = (f"{meta['n_updates']} updates, {len(meta['skipped_updates'])} skipped"

@@ -128,7 +128,10 @@ def _value(tp, raw, where: str):
     if is_dataclass(tp):
         return _build(tp, where, raw)
     if isinstance(tp, enum.EnumMeta):
-        return tp.from_str(raw)
+        try:
+            return tp.from_str(raw)
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from None
     if isinstance(tp, types.UnionType):
         return None if raw is None else _value(args[0], raw, where)
     if tuple in (tp, typing.get_origin(tp)):
@@ -150,24 +153,33 @@ def _value(tp, raw, where: str):
     return raw
 
 
-def _build(cls, section: str, raw):
-    """cls built from the JSON object raw, every field read through _value;
-    a key that is not a field of cls is a ConfigError naming the section
-    (fields of the top-level section "config" are named without it)."""
+def _fields(cls, section: str, raw) -> dict:
+    """The fields of cls that the JSON object raw sets, each read through
+    _value; a key that is not a field of cls is a ConfigError naming the
+    section (fields of the top-level section "config" are named without
+    it)."""
     kw = _object(section, raw)
     unknown = sorted(set(kw) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
     prefix = "" if section == "config" else f"{section}."
     hints = _hints(cls)
-    return cls(**{k: _value(hints[k], v, prefix + k) for k, v in kw.items()})
+    return {k: _value(hints[k], v, prefix + k) for k, v in kw.items()}
 
 
-def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> OptimizerConfig:
-    """base updated by the per_kind entry of kind.  per_kind is keyed by kind
-    name in any case; a key that names no kind, or an entry that is not a
-    JSON object, is a ConfigError."""
-    kw = _object(section, base)
+def _build(cls, section: str, raw):
+    """cls built from the fields that the JSON object raw sets."""
+    return cls(**_fields(cls, section, raw))
+
+
+def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str,
+               per_kind_section: str) -> OptimizerConfig:
+    """base updated by the per_kind entry of kind.  Every field is read with
+    the path of the key that sets it, in base (section) or in an entry
+    (per_kind_section and the entry's key), before the merge.  per_kind is
+    keyed by kind name in any case; a key that names no kind, or an entry
+    that is not a JSON object, is a ConfigError."""
+    kw = _fields(OptimizerConfig, section, base)
     want = ModelKind.from_str(kind)
     for key, entry in _object(f"{section}: per-kind entries", per_kind).items():
         try:
@@ -175,9 +187,10 @@ def _ocfg_from(base: dict, per_kind: dict, kind: str, section: str) -> Optimizer
         except ConfigError:
             raise ConfigError(f"{section}: per-kind entry {key!r} names no model kind") from None
         entry = _object(f"{section}: per-kind entry {key!r}", entry)
+        entry = _fields(OptimizerConfig, f"{per_kind_section}.{key}", entry)
         if key_kind is want:
             kw.update(entry)
-    return _build(OptimizerConfig, f"{section} for {kind}", kw)
+    return OptimizerConfig(**kw)
 
 
 def _seconds(days: float | None) -> float | None:
@@ -199,7 +212,7 @@ class ScheduleSpec:
 
     def optimizer_for(self, kind: str) -> OptimizerConfig:
         return _ocfg_from(self.optimizer, self.per_kind, kind,
-                          f"schedule {self.name!r} optimizer")
+                          f"schedule {self.name!r} optimizer", f"schedule {self.name!r} per_kind")
 
     def to_schedule(self, kind: str, loss: LossSpec,
                     escfg: EarlyStoppingConfig) -> ScheduleConfig:
@@ -337,10 +350,11 @@ class StudyConfig:
 
     def init_ocfg_for(self, kind: str) -> OptimizerConfig:
         """Optimizer for the shared initial fit (and tune-time batch fits)."""
-        return _ocfg_from(self.init_optimizer, self.init_per_kind, kind, "init_optimizer")
+        return _ocfg_from(self.init_optimizer, self.init_per_kind, kind, "init_optimizer",
+                          "init_per_kind")
 
     def prior(self) -> PriorMode:
-        return PriorMode.from_str(self.prior_mode)
+        return _value(PriorMode, self.prior_mode, "prior_mode")
 
     def network_shape(self) -> NetworkShape:
         return NetworkShape(hidden=self.hidden)

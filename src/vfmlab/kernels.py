@@ -63,8 +63,8 @@ a float update runs:
 
 * rows: ``models.check_inputs`` refuses a nonpositive or infinite p1, p2 or
   T1 (an infinite T1 makes the gas density zero) with ``NumericError``, once
-  per call, fit or unit in ``models.predict``, ``optim.fit_maps``,
-  ``learning.run_ol`` (before any of its updates) and the PBL period walk
+  per call, fit or unit in ``models.predict``, ``optim.TrainingStep.rows``
+  (each fit, and each OL unit before its updates) and the PBL period walk
   of ``learning``; ``synth.generate_stream`` refuses a nonpositive pressure
   or temperature of its own rows;
 * parameters: ``models.MechanisticParams`` requires kappa > 1 and positive

@@ -300,11 +300,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     plan = step.plan
     # the plan (and its scaler) is frozen, so the unit's arrays are built once
     # and row i of each serves both its prediction and its update
-    X = np.ascontiguousarray(te.X)
-    check_inputs(m0, X)
-    Xs = scale_inputs(plan, X)
-    wells = task_columns(m0, te.well)
-    y = step.targets(te.y)
+    X, Xs, y, wells = step.rows(m0, te)
     allowed = _updates_allowed(cfg, te.source)
     theta = m0.params.values
     v = m0.version
@@ -377,17 +373,28 @@ def write_log(log: PredictionLog, path: str | Path) -> None:
 
 def read_log(path: str | Path) -> PredictionLog:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: cannot read: {e}") from None
     if not lines or lines[0] != _LOG_HEADER:
         raise SchemaError(f"{path}: not a prediction log")
     rows = [ln.split(",") for ln in lines[1:] if ln]
     if any(len(r) != 6 for r in rows):
         raise SchemaError(f"{path}: a log row needs 6 fields")
     t, w, yt, yp, v, src = zip(*rows) if rows else [()] * 6
+    try:
+        cols = (np.array([float(x) for x in t]), np.array([int(x) for x in w], dtype=np.int64),
+                np.array([float(x) for x in yt]), np.array([float(x) for x in yp]),
+                np.array([int(x) for x in v], dtype=np.int64),
+                np.array([int(Source.from_str(x)) for x in src], dtype=np.uint8))
+    except (ValueError, OverflowError) as e:
+        raise SchemaError(f"{path}: a log field does not parse ({e})") from None
     sidecar = path.with_name(path.name + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    return PredictionLog(
-        np.array([float(x) for x in t]), np.array([int(x) for x in w], dtype=np.int64),
-        np.array([float(x) for x in yt]), np.array([float(x) for x in yp]),
-        np.array([int(x) for x in v], dtype=np.int64),
-        np.array([int(Source.from_str(x)) for x in src], dtype=np.uint8), meta)
+    try:
+        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    except ValueError as e:   # not UTF-8, or not JSON
+        raise SchemaError(f"{sidecar}: not valid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{sidecar}: log metadata must be a JSON object")
+    return PredictionLog(*cols, meta)

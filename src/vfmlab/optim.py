@@ -19,17 +19,19 @@ the initial fits of every well (``cli``), or the refits of every well's
 periodic-batch unit, listed up front by ``learning.run_schedules``.  Each fit
 has its own start values and noise level.  Up to ``LOCKSTEP_FITS`` fits are
 live, one row each of a stacked state; at each tick every live fit takes its
-own next step, full mini-batches go through stacked kernel calls
-(``kernels``: the leading fit axis) and one optimizer step updates every
-row, each at its fit's own step index.  A fit that stops hands its row to
-the next pending fit.  Each fit keeps its own batch stream, step index,
-validation and early stopping, and its result is the one it would reach
-alone, bit for bit.  :func:`fit_map` is its one-fit case.
+own next step, gathered from the call's one row store, full mini-batches go
+through stacked kernel calls (``kernels``: the leading fit axis) and one
+optimizer step updates every row, each at its fit's own step index.  A fit
+that stops hands its row to the next pending fit.  Each fit keeps its own
+batch stream, step index, validation and early stopping, and its result is
+the one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit
+case.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
-bounds once; per optimizer step it runs the kind's gradient kernel and adds
-the prior gradient in place, and per validation pass it takes the loss alone
+bounds once, and builds the rows the kernels take (:meth:`TrainingStep.rows`);
+per optimizer step it runs the kind's gradient kernel and adds the prior
+gradient in place, and per validation pass it takes the loss alone
 (``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
 finiteness check.  An online-learning update of LR or MM runs its steps on
 Python floats instead (``TrainingStep.online_update``), with the same
@@ -268,6 +270,13 @@ class TrainingStep:
     def targets(self, y: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
 
+    def rows(self, m: ModelSpec, ds: WellDataset) -> tuple:
+        """The raw and scaled inputs, targets and task columns of ds, after
+        ``models.check_inputs``."""
+        X = np.ascontiguousarray(ds.X)
+        check_inputs(m, X)
+        return X, scale_inputs(self.plan, X), self.targets(ds.y), task_columns(m, ds.well)
+
     def start(self, values: np.ndarray) -> OptimizerState:
         """Fresh optimizer state at values (one row per fit when stacked);
         the bounds are shared, not copied (optimizer_step replaces values and
@@ -346,22 +355,18 @@ LOCKSTEP_FITS = 16
 
 
 class _Fit:
-    """One fit of :func:`fit_maps`: its rows, split into a training head and
-    a chronological validation tail, its own mini-batch stream, its own step
-    index and its early-stopping state."""
+    """One fit of :func:`fit_maps`: its ``n`` rows from ``base`` in the row
+    store, a training head of ``n_tr`` and a chronological validation tail,
+    its own mini-batch stream, step index and early-stopping state."""
 
     def __init__(self, j: int, start: ModelSpec, train: WellDataset, loss: LossSpec,
                  ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, sink: list | None):
         if len(train) < 2:
             raise DataError("fit_map needs at least 2 observations")
         self.j, self.start, self.sink = j, start, sink
-        self.step = step = TrainingStep(start, loss.noise_std, loss.prior_mode)
-        X = np.ascontiguousarray(train.X)
-        check_inputs(start, X)
-        Xs = scale_inputs(step.plan, X)
-        y = step.targets(train.y)
-        wells = task_columns(start, train.well)
-        n = X.shape[0]
+        self.step = TrainingStep(start, loss.noise_std, loss.prior_mode)
+        self.rows = self.step.rows(start, train)
+        self.n = n = len(train)
         n_val = int(math.floor(escfg.val_fraction * n))
         n_tr = n - n_val
         self.degenerate = n_val == 0 or n_tr == 0
@@ -370,7 +375,6 @@ class _Fit:
             warnings.warn("degenerate validation split; fixed epoch count", stacklevel=4)
             n_tr = n
         self.n_tr = n_tr
-        self.hold(X, Xs, y, wells)
         self.rng = substream(ocfg.seed, "batches")
         self.bs = n_tr if ocfg.batch_size is None else min(ocfg.batch_size, n_tr)
         self.batches = -(-n_tr // self.bs)   # mini-batches per epoch
@@ -381,34 +385,28 @@ class _Fit:
         self.best_val = math.inf
         self.since_improve = 0
 
-    def hold(self, X, Xs, y, wells) -> None:
-        """Keep the fit's rows (raw and scaled inputs, targets, task columns)
-        as a training head and a validation tail."""
-        self.rows = X, Xs, y, wells
-        self.train = X[:self.n_tr], Xs[:self.n_tr], y[:self.n_tr], wells[:self.n_tr]
-        self.val = X[self.n_tr:], Xs[self.n_tr:], y[self.n_tr:], wells[self.n_tr:]
-
     def next_batch(self) -> np.ndarray:
-        """Training-row indices of the fit's next step; the first step of an
-        epoch draws that epoch's order."""
+        """Store indices of the fit's next training batch; the first step of
+        an epoch draws that epoch's order."""
         if self.pos >= self.n_tr:
             self.epoch += 1
-            self.order = (self.rng.permutation(self.n_tr) if self.bs < self.n_tr
-                          else np.arange(self.n_tr))
+            self.order = self.base + (self.rng.permutation(self.n_tr) if self.bs < self.n_tr
+                                      else np.arange(self.n_tr))
             self.pos = 0
         idx = self.order[self.pos:self.pos + self.bs]
         self.pos += self.bs
         return idx
 
-    def end_epoch(self, values: np.ndarray, escfg: EarlyStoppingConfig) -> bool:
+    def end_epoch(self, values: np.ndarray, escfg: EarlyStoppingConfig, store: list) -> bool:
         """Validate after the epoch's last step; True once the fit is done."""
         if self.sink is not None:
-            loss = self.step.loss(values, *self.train)
+            loss = self.step.loss(values, *(c[self.base:self.base + self.n_tr] for c in store))
         if self.degenerate:
             val_loss = math.nan
             self.best_values = values.copy()
         else:
-            val_loss = self.step.loss(values, *self.val)
+            val_loss = self.step.loss(values, *(c[self.base + self.n_tr:self.base + self.n]
+                                                for c in store))
             if val_loss < self.best_val:
                 self.best_val = val_loss
                 self.best_values = values.copy()
@@ -434,14 +432,15 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
 
     At most ``LOCKSTEP_FITS`` fits are live, one row each of the stacked
     parameters and Adam moments.  At each tick every live fit takes its own
-    next step.  The mini-batches due at a tick that share a length of at
-    least ``kernels.COLUMN_ROWS`` rows go through one stacked kernel call
-    (theta (R, P), X and Xs (R, n, 6), y and wells (R, n), inv_var (R, 1));
-    every other batch (an epoch's partial last one, a fit alone at its
-    length) and every validation pass runs one fit at a time.  One optimizer
-    step then updates every live row at its fit's own step index k, from a
-    list: gamma_k and Adam's bias corrections are (R, 1) columns of the
-    floats one fit would use.  A fit leaves the stack when it stops early,
+    next step, on a mini-batch gathered from the row store, which holds every
+    fit's rows end to end.  The mini-batches due at a tick that share a
+    length of at least ``kernels.COLUMN_ROWS`` rows go through one stacked
+    kernel call (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
+    inv_var (R, 1)); every other batch (an epoch's partial last one, a fit
+    alone at its length) and every validation pass runs one fit at a time.
+    One optimizer step then updates every live row at its fit's own step
+    index k, from a list: gamma_k and Adam's bias corrections are (R, 1)
+    columns of the floats one fit would use.  A fit leaves the stack when it stops early,
     runs out of epochs, or meets a non-finite gradient, and the next pending
     fit takes its row, at k = 1 with zero moments.  On the tick a fit fails,
     its row takes a zero gradient in the stack's one step; Adam and SGD step
@@ -470,14 +469,12 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     if not pending:
         return results
 
-    if len(pending) > 1:   # every fit's rows in one array each, so a stacked batch is one gather
-        cols = [np.concatenate([f.rows[c] for f in pending]) for c in range(4)]
-        base = 0
-        for f in pending:
-            end = base + f.rows[2].shape[0]
-            f.base = base
-            f.hold(*(c[base:end] for c in cols))
-            base = end
+    # the row store: X, Xs, targets and task columns, each of every fit end to end
+    store = [np.concatenate([f.rows[c] for f in pending]) for c in range(4)]
+    base = 0
+    for f in pending:
+        f.base, base = base, base + f.n
+        del f.rows
     # longest first; the sort is stable, so ties keep list order
     queue = iter(sorted(pending, key=lambda f: -f.batches))
     live = list(itertools.islice(queue, LOCKSTEP_FITS))
@@ -502,18 +499,18 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
                 if len(ix) < len(live):
                     rows = ix
                     plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
-                at = np.stack([batches[i] + live[i].base for i in ix])
+                at = np.stack([batches[i] for i in ix])
                 # take: the same copy as c[at], several times faster on the
                 # (R, n) index into the (rows, 6) inputs
-                X, Xs, y, wells = (c.take(at, axis=0) for c in cols)
+                X, Xs, y, wells = (c.take(at, axis=0) for c in store)
                 _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
                                                wells)
                 continue
             for i in ix:
-                f, idx = live[i], batches[i]
-                X, Xs, y, wells = f.train
-                _, grad[i] = plan_loss_grad(f.step.plan, state.values[i], X[idx], Xs[idx],
-                                            y[idx], f.step.inv_var, wells[idx])
+                step = live[i].step
+                X, Xs, y, wells = (c.take(batches[i], axis=0) for c in store)
+                _, grad[i] = plan_loss_grad(step.plan, state.values[i], X, Xs, y, step.inv_var,
+                                            wells)
         prior.add_grad(state.values, grad)
         failed = [False] * len(live)
         try:
@@ -526,7 +523,7 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
             # below; each row steps on its own, so the others keep their bits
             grad[failed] = 0.0
             optimizer_step(state, grad, ocfg, k)
-        stop = [bad or (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg))
+        stop = [bad or (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg, store))
                 for i, (f, bad) in enumerate(zip(live, failed))]
         if any(stop):
             for i in itertools.compress(range(len(live)), stop):

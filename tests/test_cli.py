@@ -352,7 +352,7 @@ def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, caps
      "schedule 'OL' optimizer: per-kind entry 'lr': must be a JSON object, not 5"),
     ({"drift": 5}, "drift: must be a JSON object, not 5"),
     ({"hidden": [32, "x"]}, "hidden[1]: must be an integer, not 'x'"),
-    ({"prior_mode": "bogus"}, "unknown prior mode 'bogus'"),
+    ({"prior_mode": "bogus"}, "prior_mode: unknown prior mode 'bogus'"),
     ({"prior_mode": 5}, "prior_mode: must be a string, not 5"),
     ({"scenarios": [{"well_id": 1, "u_profile": 5}]},
      "scenarios[0].u_profile: must be a JSON array, not 5"),
@@ -366,12 +366,22 @@ def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, caps
     ({"split_day": "x"}, "split_day: must be a number, not 'x'"),
     ({"mtl_blocks": "x"}, "mtl_blocks: must be an integer, not 'x'"),
     ({"mtl_blocks": True}, "mtl_blocks: must be an integer, not True"),
-    ({"hidden": [32.7]}, "hidden[0]: must be an integer, not 32.7")],
+    ({"hidden": [32.7]}, "hidden[0]: must be an integer, not 32.7"),
+    ({"init_optimizer": {"method": 5}}, "init_optimizer.method: unknown optimizer method 5"),
+    ({"schedules": [{"name": "OL", "mode": "ol", "steps": 1, "optimizer": {"method": "Adamm"}}]},
+     "schedule 'OL' optimizer.method: unknown optimizer method 'Adamm'"),
+    ({"kinds": ["benchmark", "lr"], "init_per_kind": {"lr": {"batch_size": "x"}}},
+     "init_per_kind.lr.batch_size: must be an integer, not 'x'"),
+    ({"schedules": [{"name": "OL", "mode": "ol", "steps": 1,
+                     "per_kind": {"nn": {"method": "Adamm"}}}]},
+     "schedule 'OL' per_kind.nn.method: unknown optimizer method 'Adamm'")],
     ids=["kind-not-a-name", "per-kind-entry-not-an-object", "drift-not-an-object",
          "hidden-width-not-an-integer", "unknown-prior-mode", "prior-mode-not-a-name",
          "u-profile-not-an-array", "u-profile-knot-too-short", "drift-event-too-short",
          "fraction-ramp-not-an-array", "seed-not-an-integer", "split-day-not-a-number",
-         "mtl-blocks-not-an-integer", "mtl-blocks-a-bool", "hidden-width-a-float"])
+         "mtl-blocks-not-an-integer", "mtl-blocks-a-bool", "hidden-width-a-float",
+         "init-method-not-a-name", "schedule-method-unknown", "init-per-kind-batch-size",
+         "schedule-per-kind-method-of-a-kind-not-run"])
 def test_a_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, patch, message):
     """A config value of the wrong JSON type or shape, or an unknown prior
     mode, is refused when the file is loaded: exit 1 and one line, no
@@ -382,6 +392,39 @@ def test_a_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, patc
     assert cli.main(["config", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source", "Venturi"), ("y_pred", "abc"), ("well", "1.5"),
+    ("sidecar", "{"), ("sidecar", "[1, 2]"), ("bytes", b"MPFM\xe9")],
+    ids=["unknown-source", "y-pred-not-a-number", "fractional-well-id",
+         "sidecar-not-json", "sidecar-not-an-object", "log-not-utf8"])
+def test_a_malformed_log_is_a_data_error(tmp_path, capsys, field, value):
+    """report refuses a log that is not UTF-8 or has a field that does not
+    parse, or a sidecar that is not a JSON object: exit 2 and one line
+    naming the file, no traceback."""
+    raw = _tiny_study(tmp_path)
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(raw))
+    log_dir = tmp_path / "out" / "logs" / "all"
+    log_dir.mkdir(parents=True)
+    path = log_dir / "OL__benchmark.csv"
+    write_log(_log([90.0, 95.0]), path)
+    sidecar = path.with_name(path.name + ".meta.json")
+    if field == "sidecar":
+        sidecar.write_text(value)
+    elif field == "bytes":
+        path.write_bytes(path.read_bytes().replace(b"MPFM", value, 1))
+    else:
+        header, first, second = path.read_text().splitlines()
+        row = second.split(",")
+        row[{"well": 1, "y_pred": 3, "source": 5}[field]] = value
+        path.write_text("\n".join([header, first, ",".join(row)]) + "\n")
+    assert cli.main(["report", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), err
+    assert str(sidecar if field == "sidecar" else path) in err
 
 
 def _days_as_floats(scenario: dict) -> dict:

@@ -436,6 +436,31 @@ def test_a_fit_that_fails_beside_a_fit_at_another_step(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_fits_of_every_length_share_a_row_store(kind):
+    """One fit_maps call over long fits, a 2-row fit whose validation split
+    is degenerate and a fit shorter than one mini-batch, in an order that
+    puts each at its own offset in the row store: every fit's result and
+    learning curve (training and validation losses per epoch) equal
+    fit_map on that fit alone, bit for bit."""
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    ocfg = dataclasses.replace(_ocfg(Method.ADAM), batch_size=kernels.COLUMN_ROWS)
+    trains = [ds.take(rows) for rows in (slice(0, 60), slice(20, 22), slice(30, 35),
+                                         slice(5, 50), slice(12, 52))]
+    fits = [(m0, train, LossSpec.from_data(train, rel=0.2)) for train in trains]
+    sinks = [[] for _ in fits]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # the 2-row fit's degenerate split
+        got = optim.fit_maps(fits, ocfg, ESCFG, sinks)
+        for (start, train, loss), g, sink in zip(fits, got, sinks):
+            alone = []
+            want = fit_map(start, train, loss, ocfg, ESCFG, curve_sink=alone)
+            assert g.params.values.tobytes() == want.params.values.tobytes()
+            assert np.array(sink).tobytes() == np.array(alone).tobytes()
+    assert np.isnan(sinks[1][0][2]) and len(sinks[1]) == ESCFG.max_epochs
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
 def test_run_schedules_equals_one_unit_at_a_time(kind, monkeypatch):
     """Three PBL units of one kind, as the wells of a study: different rows,
     noise levels and start values (each its own initial fit).  The first
