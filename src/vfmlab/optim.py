@@ -25,7 +25,14 @@ optimizer step updates every row, each at its fit's own step index.  A fit
 that stops hands its row to the next pending fit.  Each fit keeps its own
 batch stream, step index, validation and early stopping, and its result is
 the one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit
-case.
+case.  A call of more fits than one stack takes, in a process that may run
+on several CPUs, is split: its fits are dealt, longest first, into one
+share per worker, at most one worker per CPU and per ``LOCKSTEP_FITS``
+fits; this process runs the first share and a forked child each other
+share, each in the same lockstep.  A child sends back only each fit's
+best-validation vector or error, its learning curve and the share's
+radicand clamp count.  Since a fit's result does not depend on the fits
+beside it, the split changes no bit.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
@@ -43,6 +50,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -350,7 +358,9 @@ class TrainingStep:
 # 0.45-0.46, 0.31-0.37 and 0.30-0.36 s for MM (two runs, min of 3 each), and
 # the default study's 195 PBL-2w refits took 9.7, 9.3 and 8.2 s for HEM and
 # 7.3, 4.8 and 5.2 s for NN (one run each; 2 cores, tools/pbl_lockstep.py
-# --cap).  No cap is steadily faster on that host.  The cap changes no result.
+# --cap; one process, before calls were split).  No cap is steadily faster on
+# that host.  The cap changes no result.  It also sets the split: a call of
+# more pending fits than this runs on up to one worker per CPU.
 LOCKSTEP_FITS = 16
 
 
@@ -382,6 +392,7 @@ class _Fit:
         self.epoch = 0
         self.pos = n_tr          # the first batch starts an epoch
         self.best_values = start.params.values
+        self.error = None        # the DataError or NumericError that ended the fit
         self.best_val = math.inf
         self.since_improve = 0
 
@@ -448,6 +459,20 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     with the most mini-batches per epoch first, ties in list order, so that
     the longest fits do not finish alone at the end.
 
+    A call with more pending fits than one stack takes, in a process that
+    may run on more than one CPU, splits them across workers: the fits,
+    longest first, are dealt round robin into min(CPUs, ceil(fits /
+    LOCKSTEP_FITS)) shares.  This process runs the first share and a child
+    forked per other share runs its own, each in the lockstep above.  A
+    child sends back, per fit, only its best-validation vector or the
+    DataError or NumericError that ended it, and its learning-curve entries,
+    and once its radicand clamp count, which goes to
+    ``models.MM_DIAGNOSTICS``; the ModelSpecs are built here from each fit's
+    own start, so they keep its scaler.  Since no fit's result depends on
+    the fits beside it, the split changes no bit.  Calls of at most
+    ``LOCKSTEP_FITS`` fits, a process pinned to one CPU and a platform
+    without ``fork`` run in this process alone.
+
     Returns, in list order, per fit its start with its best-validation
     values (version start.version + 1), or the DataError or NumericError
     that ended it: fewer than 2 rows, a mechanistic row with nonpositive p1,
@@ -468,15 +493,113 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
             results[j] = e
     if not pending:
         return results
+    # longest first; the sort is stable, so ties keep list order
+    pending.sort(key=lambda f: -f.batches)
+    workers = _workers(len(pending))
+    if workers == 1:
+        _lockstep(pending, ocfg, escfg)
+    else:   # dealt round robin: share w takes fits w, w + workers, ...
+        _split([pending[w::workers] for w in range(workers)], ocfg, escfg)
+    for f in pending:
+        results[f.j] = f.start.with_values(f.best_values) if f.error is None else f.error
+    return results
 
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _workers(n: int) -> int:
+    """How many processes run n >= 1 pending fits: one per LOCKSTEP_FITS of
+    them, at most one per CPU, and one where fork is missing."""
+    workers = min(_cpus(), -(-n // LOCKSTEP_FITS))
+    if workers > 1:
+        import multiprocessing   # here, so that importing vfmlab stays light
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+def _split(shares: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> None:
+    """Run the first share here and each other share in a forked child, and
+    take the children's outcomes into their fits; a child that raises, or
+    exits without sending, raises here.  The children are joined before
+    this returns, and terminated first if anything raised.
+
+    A forked child inherits its fits (rows, plans, scalers) as they are, so
+    only the outcomes cross a pipe; the program starts no threads that a
+    fork could catch holding a lock."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    own, *others = shares
+    children = []
+    done = False
+    try:
+        for share in others:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(share, ocfg, escfg, send), daemon=True)
+            child.start()
+            send.close()   # so that recv sees end of file if the child dies
+            children.append((child, recv, share))
+        _lockstep(own, ocfg, escfg)
+        for child, recv, share in children:
+            try:
+                got = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a lockstep worker exited with code {child.exitcode} "
+                                   "before sending its fits") from None
+            if isinstance(got, BaseException):
+                raise got
+            outcomes, clamps = got
+            MM_DIAGNOSTICS.count += clamps
+            for f, (outcome, curve) in zip(share, outcomes):
+                if isinstance(outcome, Exception):
+                    f.error = outcome
+                else:
+                    f.best_values = outcome
+                if f.sink is not None:
+                    f.sink.extend(curve)
+        done = True
+    finally:
+        for child, recv, _ in children:
+            if not done:
+                child.terminate()
+            child.join()
+            recv.close()
+
+
+def _child(share: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, send) -> None:
+    """A forked worker of :func:`_split`: the lockstep of one share, then
+    one message: per fit its best-validation vector or error and its
+    curve entries, and the radicand clamps counted; or the error that
+    stopped the share."""
+    try:
+        for f in share:
+            if f.sink is not None:
+                f.sink = []
+        clamps0 = MM_DIAGNOSTICS.count
+        _lockstep(share, ocfg, escfg)
+        send.send(([(f.best_values if f.error is None else f.error, f.sink) for f in share],
+                   MM_DIAGNOSTICS.count - clamps0))
+    except Exception as e:
+        send.send(e)
+    finally:
+        send.close()
+
+
+def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> None:
+    """The lockstep of :func:`fit_maps` over its fits, longest first: each
+    fit ends with its best-validation values, or with the error that ended
+    it."""
     # the row store: X, Xs, targets and task columns, each of every fit end to end
     store = [np.concatenate([f.rows[c] for f in pending]) for c in range(4)]
     base = 0
     for f in pending:
         f.base, base = base, base + f.n
         del f.rows
-    # longest first; the sort is stable, so ties keep list order
-    queue = iter(sorted(pending, key=lambda f: -f.batches))
+    queue = iter(pending)
     live = list(itertools.islice(queue, LOCKSTEP_FITS))
     state = live[0].step.start(np.stack([f.start.params.values for f in live]))
     prior = live[0].step.prior
@@ -518,7 +641,7 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
         except NumericError as e:   # the fits whose gradient is not finite end here
             failed = (~np.isfinite(grad).all(axis=1)).tolist()
             for i in itertools.compress(range(len(live)), failed):
-                results[live[i].j] = e
+                live[i].error = e
             # their rows step on a zero gradient and are refilled or dropped
             # below; each row steps on its own, so the others keep their bits
             grad[failed] = 0.0
@@ -527,9 +650,6 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
                 for i, (f, bad) in enumerate(zip(live, failed))]
         if any(stop):
             for i in itertools.compress(range(len(live)), stop):
-                f = live[i]
-                if results[f.j] is None:
-                    results[f.j] = f.start.with_values(f.best_values)
                 f = live[i] = next(queue, None)
                 if f is not None:   # the next pending fit takes the row
                     state.values[i] = f.start.params.values
@@ -539,7 +659,6 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
                 state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
                 live = [f for f in live if f is not None]
             stacked = None
-    return results
 
 
 def _check_stack(fits) -> None:

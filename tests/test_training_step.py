@@ -16,6 +16,11 @@ must equal ``run_schedule`` on that unit alone.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -350,7 +355,9 @@ def test_a_failed_refit_leaves_its_lockstep_siblings_running(monkeypatch):
     retrain count, versions and every prediction equal the per-row loop's.
     It runs twice: in the default stack, and in a stack of two fits, where
     the two longest refits, the failing ones, go live first and pending
-    refits take the rows that their failure frees."""
+    refits take the rows that their failure frees.  One worker runs every
+    fit, so that the recorded steps are all of them."""
+    monkeypatch.setattr(optim, "_cpus", lambda: 1)
     ds = _data(40)
     t_split = float(ds.t[30])
     source = np.where(ds.t < t_split, 0, 1).astype(np.uint8)
@@ -398,8 +405,10 @@ def test_a_fit_that_fails_beside_a_fit_at_another_step(monkeypatch):
     first, and the 20-row fit, whose training head holds a row that
     overflows the choke equation, takes a freed row beside a fit at another
     step index.  Its step meets a non-finite gradient while its sibling's
-    step goes on at its own k; every result equals fit_map alone."""
+    step goes on at its own k; every result equals fit_map alone.  One
+    worker runs every fit, so that the recorded steps are all of them."""
     monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
+    monkeypatch.setattr(optim, "_cpus", lambda: 1)
     ds = _data(30)
     X = ds.X.copy()
     X[3, 1] = 1e308
@@ -459,6 +468,161 @@ def test_fits_of_every_length_share_a_row_store(kind):
             assert np.array(sink).tobytes() == np.array(alone).tobytes()
     assert np.isnan(sinks[1][0][2]) and len(sinks[1]) == ESCFG.max_epochs
 
+
+
+# ----------------------------------------------------- the split across workers
+
+
+def _two_workers(monkeypatch):
+    """A stack of two fits and two CPUs: fit_maps splits any call of more
+    than two fits between this process and one forked child."""
+    monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+
+
+def _split_fits(kind) -> list:
+    """Six fits of kind, on rows of which every fifth has its radicand
+    clamped (p2 > p1): long fits, a fit shorter than one mini-batch, a 2-row
+    fit (degenerate validation split) and, at index 1, a 50-row fit whose
+    training head holds a row that overflows every kind's gradient.  Longest
+    first (6, 5, 5, 4, 1 and 1 mini-batches of COLUMN_ROWS rows) and dealt
+    round robin into two shares, fits 1, 5 and 4 (the failing and the 2-row
+    fit) fall in the child's share, fits 0, 3 and 2 in this process's."""
+    ds = _data(30)
+    X = ds.X.copy()
+    X[::5, 2] = X[::5, 1] * 1.1
+    clamped = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
+    X = X.copy()
+    X[3, 1] = 1e308
+    poisoned = WellDataset(ds.t, X, ds.y, ds.source, ds.well)
+    m0 = _model(kind, ds)
+    trains = [clamped.take(slice(0, 60)), poisoned.take(slice(0, 50)),
+              clamped.take(slice(30, 35)), clamped.take(slice(5, 50)),
+              clamped.take(slice(20, 22)), clamped.take(slice(12, 52))]
+    return [(m0, train, LossSpec.from_data(train, rel=0.2)) for train in trains]
+
+
+def _mm_fits() -> list:
+    ds = _data(30)
+    m0 = _model(ModelKind.MM, ds)
+    loss = LossSpec.from_data(ds, rel=0.5)
+    return [(m0, ds.take(slice(0, n)), loss) for n in (60, 50, 40)]
+
+
+SPLIT_OCFG = dataclasses.replace(_ocfg(Method.ADAM), batch_size=kernels.COLUMN_ROWS)
+
+
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_a_split_call_equals_fit_map_on_each_fit(kind, monkeypatch, tmp_path):
+    """fit_maps split across two workers: every fit's values, version,
+    scaler and learning curve equal fit_map on that fit alone, bit for bit;
+    the fit whose gradient turns non-finite in the child keeps its error's
+    type and message, at its index; the radicand clamp count moves as in a
+    one-worker run, and no child is left behind."""
+    fits = _split_fits(kind)
+    _two_workers(monkeypatch)
+    raised_in = tmp_path / "pids"
+    optimizer_step = optim.optimizer_step
+
+    def recording(state, grad, ocfg, k):
+        try:
+            return optimizer_step(state, grad, ocfg, k)
+        except NumericError:
+            with open(raised_in, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise
+
+    sinks = [[] for _ in fits]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with monkeypatch.context() as mp:
+            mp.setattr(optim, "optimizer_step", recording)
+            c0 = mm_clamp_count()
+            got = optim.fit_maps(fits, SPLIT_OCFG, ESCFG, sinks)
+            split_clamps = mm_clamp_count() - c0
+        assert multiprocessing.active_children() == []
+        assert raised_in.read_text().split() != [] and str(os.getpid()) not in \
+            raised_in.read_text().split()      # the failing fit ran in the child
+        monkeypatch.setattr(optim, "_cpus", lambda: 1)
+        c0 = mm_clamp_count()
+        optim.fit_maps(fits, SPLIT_OCFG, ESCFG, [[] for _ in fits])
+        assert mm_clamp_count() - c0 == split_clamps
+        assert (split_clamps > 0) == (kind in (ModelKind.MM, ModelKind.HEM, ModelKind.HAM))
+        for (start, train, loss), g, sink in zip(fits, got, sinks):
+            alone = []
+            try:
+                want = fit_map(start, train, loss, SPLIT_OCFG, ESCFG, curve_sink=alone)
+            except NumericError as e:
+                want = e
+            if isinstance(want, Exception):
+                assert type(g) is type(want) and str(g) == str(want)
+            else:
+                assert g.params.values.tobytes() == want.params.values.tobytes()
+                assert g.version == want.version and g.scaler is start.scaler
+            assert np.array(sink).tobytes() == np.array(alone).tobytes()
+    assert isinstance(got[1], NumericError) and len(sinks[4]) == ESCFG.max_epochs
+
+
+def test_a_parent_share_that_raises_stops_its_child(monkeypatch):
+    """An unexpected error in this process's share propagates, after the
+    child, busy for a minute, is terminated and joined."""
+    _two_workers(monkeypatch)
+    parent = os.getpid()
+
+    def share(pending, *args):
+        if os.getpid() == parent:
+            raise KeyError("the parent's share")
+        time.sleep(60)
+
+    monkeypatch.setattr(optim, "_lockstep", share)
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="the parent's share"):
+        optim.fit_maps(_mm_fits(), SPLIT_OCFG, ESCFG)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_a_child_that_fails_fails_the_call(how, monkeypatch):
+    """A child whose share raises sends its error, which is raised here; a
+    child that exits without sending is a RuntimeError naming its exit
+    code.  Neither call hangs or leaves a child behind."""
+    _two_workers(monkeypatch)
+    parent = os.getpid()
+    lockstep = optim._lockstep
+
+    def share(pending, *args):
+        if os.getpid() != parent:
+            if how == "dies":
+                os._exit(7)
+            raise ValueError("the child's share")
+        lockstep(pending, *args)
+
+    monkeypatch.setattr(optim, "_lockstep", share)
+    error, match = ((ValueError, "the child's share") if how == "raises"
+                    else (RuntimeError, "exited with code 7"))
+    with pytest.raises(error, match=match):
+        optim.fit_maps(_mm_fits(), SPLIT_OCFG, ESCFG)
+    assert multiprocessing.active_children() == []
+
+
+def test_stdout_buffered_before_a_split_call_is_written_once(monkeypatch, capfd):
+    """The child does not write this process's unflushed stdout again."""
+    _two_workers(monkeypatch)
+    sys.stdout.write("written before the split\n")
+    optim.fit_maps(_mm_fits(), SPLIT_OCFG, ESCFG)
+    out, _ = capfd.readouterr()
+    assert out.count("written before the split") == 1
+
+
+def test_import_leaves_multiprocessing_out():
+    """multiprocessing is imported by the first call that splits, not by
+    importing vfmlab or its CLI."""
+    proc = subprocess.run([sys.executable, "-c", "import sys, vfmlab, vfmlab.cli; "
+                           "print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    assert proc.stdout == "False\n"
 
 @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
 def test_run_schedules_equals_one_unit_at_a_time(kind, monkeypatch):

@@ -14,10 +14,13 @@ alternating, ``--repeats`` times each, and prints one JSON line per kind
 and list: the fit count, the min seconds of each side, their ratio,
 whether every fitted vector (and every failure) is the same, bit for bit,
 and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
-``--cap``), its ticks (optimizer steps of the stack), its fit-steps (the
-live fits summed over its ticks) and how busy the stack was (fit-steps
-over ticks times the cap).  The counts come from wrapping
-``optim.optimizer_step`` while the lockstep runs.
+``--cap``), its workers (``fit_maps`` splits a list of more fits than the
+cap across up to one process per CPU), its ticks (optimizer steps of the
+stack), its fit-steps (the live fits summed over its ticks) and how busy
+the stack was (fit-steps over ticks times the cap).  The counts come from
+wrapping ``optim.optimizer_step`` while the lockstep runs, so with more than
+one worker ``ticks``, ``fit_steps`` and ``busy`` count the share that runs
+in this process only; ``taskset -c 0`` runs every fit in it.
 
 Every fit runs a fixed number of epochs (patience equals the cap), as in
 the benchmark's pbl-refit workload: 17 per MM refit and 48 per refit of
@@ -35,7 +38,8 @@ wells' fits can share one stack.
 ``--smoke`` runs every trainable kind at a tiny size in a few seconds (the
 first 240 days of each well, split at day 180, a refit every 3 days, 3
 epochs per fit, one repeat), on well 1 alone and on wells 1 to 3 together,
-and exits 1 when any fit differs.
+and exits 1 when any fit differs.  Its 19 refits per well are more than a
+stack takes, so on more than one CPU they run split across workers.
 """
 
 from __future__ import annotations
@@ -121,12 +125,15 @@ def sequential(fits, ocfg, escfg):
 
 
 class StepCount:
-    """While entered, counts the optimizer steps that return (the ticks of a
-    lockstep) and the fits they update (its fit-steps)."""
+    """While entered, counts the optimizer steps that return in this process
+    (the ticks of a lockstep) and the fits they update (its fit-steps), and
+    keeps the worker count of the last fit_maps call."""
 
     def __enter__(self):
         self.ticks = self.fit_steps = 0
+        self.workers = 1
         self.real = real = optim.optimizer_step
+        self.real_workers = real_workers = optim._workers
 
         def counted(state, grad, *args):
             out = real(state, grad, *args)
@@ -134,11 +141,17 @@ class StepCount:
             self.fit_steps += len(grad)
             return out
 
+        def workers(n):
+            self.workers = real_workers(n)
+            return self.workers
+
         optim.optimizer_step = counted
+        optim._workers = workers
         return self
 
     def __exit__(self, *exc):
         optim.optimizer_step = self.real
+        optim._workers = self.real_workers
 
 
 def lockstep(fits, ocfg, escfg):
@@ -183,6 +196,7 @@ def main(argv=None) -> int:
                                 want = got
                             else:
                                 ticks, fit_steps = count.ticks, count.fit_steps
+                                workers = count.workers
                     identical = len(got) == len(want) and all(map(same, got, want))
                 ok &= identical
                 seq, lock = min(times["sequential"]), min(times["lockstep"])
@@ -191,7 +205,7 @@ def main(argv=None) -> int:
                                   "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
                                   "speedup": round(seq / lock, 2),
                                   "identical": identical, "cap": a.cap,
-                                  "ticks": ticks, "fit_steps": fit_steps,
+                                  "workers": workers, "ticks": ticks, "fit_steps": fit_steps,
                                   "busy": round(fit_steps / (ticks * a.cap), 3)}))
     return 0 if ok else 1
 
