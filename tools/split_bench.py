@@ -92,7 +92,8 @@ def main(argv=None) -> int:
     record = {
         "machine": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "command": " ".join(["python3", "tools/split_bench.py", *(argv or sys.argv[1:])]),
+        "command": (f"python3 tools/split_bench.py --parent <parent checkout> --change "
+                    f"<change checkout> --seed {a.seed} --pairs {a.pairs}"),
         "pairs": {w: pairs(trees, w, a.seed, a.pairs) for w in workloads},
     }
     record["claim"] = claim(record["pairs"][CLAIM[0]])
