@@ -12,7 +12,8 @@ unit's refits in lockstep (``optim.fit_maps``); each refit must equal
 with, when they leave the stack, which pending refits take their rows (and
 so step at other step indices beside them) and whichever of them fail.
 ``run_schedules`` stacks the refits of several units, and each unit's log
-must equal ``run_schedule`` on that unit alone.
+must equal ``run_schedule`` on that unit alone.  A ``fit_maps`` call split
+across forked workers gives the same fits, and leaves no worker behind.
 """
 
 import contextlib
@@ -469,7 +470,6 @@ def test_fits_of_every_length_share_a_row_store(kind):
             assert g.params.values.tobytes() == want.params.values.tobytes()
             assert np.array(sink).tobytes() == np.array(alone).tobytes()
     assert np.isnan(sinks[1][0][2]) and len(sinks[1]) == ESCFG.max_epochs
-
 
 
 # ----------------------------------------------------- the split across workers
