@@ -25,14 +25,16 @@ optimizer step updates every row, each at its fit's own step index.  A fit
 that stops hands its row to the next pending fit.  Each fit keeps its own
 batch stream, step index, validation and early stopping, and its result is
 the one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit
-case.  A call of more fits than one stack takes, in a process that may run
-on several CPUs, is split: its fits are dealt, longest first, into one
-share per worker, at most one worker per CPU and per ``LOCKSTEP_FITS``
-fits; this process runs the first share and a forked child each other
-share, each in the same lockstep.  A child sends back only each fit's
-best-validation vector or error, its learning curve and the share's
-radicand clamp count.  Since a fit's result does not depend on the fits
-beside it, the split changes no bit.
+case.  In a process that may run on several CPUs, a call is split into
+one share per worker, at most one worker per CPU: from two fits up when
+each fit has at least ``SPLIT_PARAMS`` parameters (the network kinds), and
+one worker per ``LOCKSTEP_FITS`` fits below that (LR, MM).  Its fits are
+dealt longest first, each to the share with the fewest mini-batches so far;
+this process runs the first share and a forked child each other share, each
+in the same lockstep.  A child sends back only each fit's best-validation
+vector or error, its learning curve and the share's radicand clamp count.
+Since a fit's result does not depend on the fits beside it, the split
+changes no bit.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
@@ -359,9 +361,20 @@ class TrainingStep:
 # the default study's 195 PBL-2w refits took 9.7, 9.3 and 8.2 s for HEM and
 # 7.3, 4.8 and 5.2 s for NN (one run each; 2 cores, tools/pbl_lockstep.py
 # --cap; one process, before calls were split).  No cap is steadily faster on
-# that host.  The cap changes no result.  It also sets the split: a call of
-# more pending fits than this runs on up to one worker per CPU.
+# that host.  The cap changes no result.  It also sets the split of fits
+# below SPLIT_PARAMS parameters: one worker per this many pending fits, at
+# most one per CPU.
 LOCKSTEP_FITS = 16
+
+# fit_maps gives fits of at least this many parameters (NN 1313, HEM 1319,
+# HAM 1318, MTL 4629) one worker each, at most one per CPU: their tick grows
+# with the stack (an MTL gradient at 64 rows took 156, 243 and 300 us at 1, 2
+# and 3 fits on a 2-core VM), so a second core cuts wall time from two fits
+# up.  Below it (LR 7, MM 6) array work is bound by numpy dispatch whatever
+# the stack holds, and a worker per fit would only burn CPU.  16 is where a
+# Python loop over the entries stopped beating adam_step's array form
+# (BENCH_10.json).
+SPLIT_PARAMS = 16
 
 
 class _Fit:
@@ -409,9 +422,13 @@ class _Fit:
         return idx
 
     def end_epoch(self, values: np.ndarray, escfg: EarlyStoppingConfig, store: list) -> bool:
-        """Validate after the epoch's last step; True once the fit is done."""
+        """Validate after the epoch's last step; True once the fit is done.
+        The learning curve's training loss is a diagnostic: its radicand
+        clamps are not counted."""
         if self.sink is not None:
+            clamps = MM_DIAGNOSTICS.count
             loss = self.step.loss(values, *(c[self.base:self.base + self.n_tr] for c in store))
+            MM_DIAGNOSTICS.count = clamps
         if self.degenerate:
             val_loss = math.nan
             self.best_values = values.copy()
@@ -459,19 +476,23 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     with the most mini-batches per epoch first, ties in list order, so that
     the longest fits do not finish alone at the end.
 
-    A call with more pending fits than one stack takes, in a process that
-    may run on more than one CPU, splits them across workers: the fits,
-    longest first, are dealt round robin into min(CPUs, ceil(fits /
-    LOCKSTEP_FITS)) shares.  This process runs the first share and a child
-    forked per other share runs its own, each in the lockstep above.  A
-    child sends back, per fit, only its best-validation vector or the
-    DataError or NumericError that ended it, and its learning-curve entries,
-    and once its radicand clamp count, which goes to
-    ``models.MM_DIAGNOSTICS``; the ModelSpecs are built here from each fit's
-    own start, so they keep its scaler.  Since no fit's result depends on
-    the fits beside it, the split changes no bit.  Calls of at most
-    ``LOCKSTEP_FITS`` fits, a process pinned to one CPU and a platform
-    without ``fork`` run in this process alone.
+    In a process that may run on more than one CPU, a call splits its
+    pending fits across workers: min(CPUs, fits) of them when each fit has at
+    least ``SPLIT_PARAMS`` parameters, whose ticks grow with the stack, and
+    min(CPUs, ceil(fits / LOCKSTEP_FITS)) below that, where a tick costs
+    about the same whatever the stack holds.  The fits, longest first, are
+    dealt by the longest-processing-time rule: each goes to the share with
+    the fewest mini-batches per epoch so far, the lowest share on a tie.
+    This process runs the first share and a child forked per other share
+    runs its own, each in the lockstep above.  A child sends back, per fit,
+    only its best-validation vector or the DataError or NumericError that
+    ended it, and its learning-curve entries, and once its radicand clamp
+    count, which goes to ``models.MM_DIAGNOSTICS``; the ModelSpecs are built
+    here from each fit's own start, so they keep its scaler.  Since no fit's result depends on
+    the fits beside it, the split changes no bit.  A call of one fit, a call
+    of at most ``LOCKSTEP_FITS`` fits below ``SPLIT_PARAMS`` parameters, a
+    process pinned to one CPU and a platform without ``fork`` run in this
+    process alone.
 
     Returns, in list order, per fit its start with its best-validation
     values (version start.version + 1), or the DataError or NumericError
@@ -495,11 +516,11 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
         return results
     # longest first; the sort is stable, so ties keep list order
     pending.sort(key=lambda f: -f.batches)
-    workers = _workers(len(pending))
+    workers = _workers(len(pending), len(fits[0][0].params))
     if workers == 1:
         _lockstep(pending, ocfg, escfg)
-    else:   # dealt round robin: share w takes fits w, w + workers, ...
-        _split([pending[w::workers] for w in range(workers)], ocfg, escfg)
+    else:
+        _split(_deal(pending, workers), ocfg, escfg)
     for f in pending:
         results[f.j] = f.start.with_values(f.best_values) if f.error is None else f.error
     return results
@@ -510,15 +531,30 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _workers(n: int) -> int:
-    """How many processes run n >= 1 pending fits: one per LOCKSTEP_FITS of
-    them, at most one per CPU, and one where fork is missing."""
-    workers = min(_cpus(), -(-n // LOCKSTEP_FITS))
+def _workers(n: int, params: int) -> int:
+    """How many processes run n >= 1 pending fits of `params` parameters
+    each: one per fit from ``SPLIT_PARAMS`` parameters up, one per
+    ``LOCKSTEP_FITS`` fits below; at most one per CPU, and one where fork
+    is missing."""
+    workers = min(_cpus(), n if params >= SPLIT_PARAMS else -(-n // LOCKSTEP_FITS))
     if workers > 1:
         import multiprocessing   # here, so that importing vfmlab stays light
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1
     return workers
+
+
+def _deal(pending: list, workers: int) -> list:
+    """The fits, longest first, dealt into `workers` shares by Graham's
+    longest-processing-time rule: each goes to the share with the fewest
+    mini-batches per epoch so far, the lowest share on a tie."""
+    shares = [[] for _ in range(workers)]
+    load = [0] * workers
+    for f in pending:
+        w = load.index(min(load))
+        shares[w].append(f)
+        load[w] += f.batches
+    return shares
 
 
 def _split(shares: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> None:

@@ -312,7 +312,8 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
     k, so the power schedule's gamma_k (and Adam's bias corrections) differ
     per row.  SGD keeps its gamma0 of 1e-3, at which most refits run all 20
     epochs (MTL's diverge from 1e-2 on); they still leave the stack at
-    different ticks, since their histories differ in length."""
+    different ticks, since their histories differ in length.  The refill
+    cases run on one worker, so that the recorded steps are all of them."""
     ds = _data(30)
     split = chronological_split(ds, float(ds.t[24]))
     if case == "gap":
@@ -330,6 +331,7 @@ def test_run_pbl_equals_the_per_row_loop(kind, case, monkeypatch):
         ocfg = dataclasses.replace(_ocfg(Method.SGD), batch_size=kernels.COLUMN_ROWS)
     if case.startswith("refill"):
         monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
+        monkeypatch.setattr(optim, "_cpus", lambda: 1)
     cfg = ScheduleConfig(mode="pbl", ocfg=ocfg, loss=loss, period_s=3 * HOUR,
                          window_s=8 * HOUR if case == "window" else None, escfg=escfg,
                          update_sources=("MPFM",) if case == "sources" else None)
@@ -488,8 +490,9 @@ def _split_fits(kind) -> list:
     fit (degenerate validation split) and, at index 1, a 50-row fit whose
     training head holds a row that overflows every kind's gradient.  Longest
     first (6, 5, 5, 4, 1 and 1 mini-batches of COLUMN_ROWS rows) and dealt
-    round robin into two shares, fits 1, 5 and 4 (the failing and the 2-row
-    fit) fall in the child's share, fits 0, 3 and 2 in this process's."""
+    by longest processing time into two shares, fits 1, 3 and 4 (the
+    failing and the 2-row fit among them) fall in the child's share, fits 0,
+    5 and 2 in this process's."""
     ds = _data(30)
     X = ds.X.copy()
     X[::5, 2] = X[::5, 1] * 1.1
@@ -579,6 +582,113 @@ def test_a_split_call_equals_fit_map_on_each_fit(kind, monkeypatch, tmp_path):
                 assert g.version == want.version and g.scaler is start.scaler
             assert np.array(sink).tobytes() == np.array(alone).tobytes()
     assert isinstance(got[1], NumericError) and len(sinks[4]) == ESCFG.max_epochs
+
+
+class _Dealt(Exception):
+    pass
+
+
+def _record_shares(monkeypatch) -> list:
+    """Make _split record its shares as lists of fit indices, and stop the
+    call there with _Dealt."""
+    shares = []
+
+    def split(dealt, *args):
+        shares.extend([f.j for f in share] for share in dealt)
+        raise _Dealt
+
+    monkeypatch.setattr(optim, "_split", split)
+    return shares
+
+
+def test_network_fits_are_dealt_by_longest_processing_time(monkeypatch):
+    """Three NN fits of 24, 47 and 35 mini-batches per epoch on two CPUs:
+    two workers, the 47-batch fit alone in one share and the other two in
+    the other.  Round robin, longest first, would pair 47 with 24."""
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+    ds = _data(32)
+    m0 = _model(ModelKind.NN, ds)
+    loss = LossSpec.from_data(ds, rel=0.5)
+    # 1-row batches; a quarter of the rows, rounded down, validates
+    fits = [(m0, ds.take(slice(0, n)), loss) for n in (32, 62, 46)]
+    shares = _record_shares(monkeypatch)
+    with pytest.raises(_Dealt):
+        optim.fit_maps(fits, dataclasses.replace(SPLIT_OCFG, batch_size=1), ESCFG)
+    assert shares == [[1], [2, 0]]
+
+
+@pytest.mark.parametrize("n_fits", [5, 15])
+@pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM], ids=lambda k: k.value)
+def test_a_call_of_few_small_fits_runs_in_one_process(kind, n_fits, monkeypatch):
+    """LR and MM fits have fewer than SPLIT_PARAMS parameters: a call of up
+    to LOCKSTEP_FITS of them never reaches _split on two CPUs, and a call of
+    one more does."""
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    assert len(m0.params) < optim.SPLIT_PARAMS
+    loss = LossSpec.from_data(ds, rel=0.5)
+    fits = [(m0, ds.take(slice(0, 20 + 2 * i)), loss) for i in range(n_fits)]
+    shares = _record_shares(monkeypatch)
+    got = optim.fit_maps(fits, SPLIT_OCFG, ESCFG)
+    assert shares == [] and all(g.version == m0.version + 1 for g in got)
+    more = fits + [fits[0]] * (optim.LOCKSTEP_FITS + 1 - n_fits)
+    with pytest.raises(_Dealt):
+        optim.fit_maps(more, SPLIT_OCFG, ESCFG)
+
+
+@pytest.mark.parametrize("n_fits", [2, 3])
+@pytest.mark.parametrize("kind", [ModelKind.NN, ModelKind.MTL], ids=lambda k: k.value)
+def test_a_few_network_fits_split_and_equal_fit_map(kind, n_fits, monkeypatch, tmp_path):
+    """Two or three network fits on two CPUs, at the default stack: one
+    share runs in a forked child, and every fit's values, version, scaler
+    and learning curve equal fit_map on that fit alone, bit for bit."""
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    fits = [(m0, ds.take(rows), LossSpec.from_data(ds.take(rows), rel=0.2))
+            for rows in (slice(0, 60), slice(10, 45), slice(30, 52))[:n_fits]]
+    ran_in = tmp_path / "pids"
+    lockstep = optim._lockstep
+
+    def recording(share, *args):
+        with open(ran_in, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        lockstep(share, *args)
+
+    monkeypatch.setattr(optim, "_lockstep", recording)
+    sinks = [[] for _ in fits]
+    with _deadline(60):
+        got = optim.fit_maps(fits, SPLIT_OCFG, ESCFG, sinks)
+    pids = ran_in.read_text().split()
+    assert len(pids) == 2 and str(os.getpid()) in pids and len(set(pids)) == 2, pids
+    assert multiprocessing.active_children() == []
+    for (start, train, loss), g, sink in zip(fits, got, sinks):
+        alone = []
+        want = fit_map(start, train, loss, SPLIT_OCFG, ESCFG, curve_sink=alone)
+        assert g.params.values.tobytes() == want.params.values.tobytes()
+        assert g.version == want.version and g.scaler is start.scaler
+        assert len(sink) > 0 and np.array(sink).tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", [ModelKind.MM, ModelKind.HEM, ModelKind.HAM],
+                         ids=lambda k: k.value)
+def test_curve_sinks_leave_the_clamp_count_alone(kind, workers, monkeypatch):
+    """A learning curve is a diagnostic: the training loss it evaluates per
+    epoch adds no radicand clamps, so a call counts the same clamps with
+    curve sinks as without, in one process and split across two."""
+    fits = _split_fits(kind)
+    _two_workers(monkeypatch)
+    monkeypatch.setattr(optim, "_cpus", lambda: workers)
+    moved = []
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for sinks in (None, [[] for _ in fits]):
+            c0 = mm_clamp_count()
+            optim.fit_maps(fits, SPLIT_OCFG, ESCFG, sinks)
+            moved.append(mm_clamp_count() - c0)
+    assert moved[0] > 0 and moved[1] == moved[0], moved
 
 
 def test_a_parent_share_that_raises_stops_its_child(monkeypatch):

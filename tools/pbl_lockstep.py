@@ -14,8 +14,9 @@ alternating, ``--repeats`` times each, and prints one JSON line per kind
 and list: the fit count, the min seconds of each side, their ratio,
 whether every fitted vector (and every failure) is the same, bit for bit,
 and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
-``--cap``), its workers (``fit_maps`` splits a list of more fits than the
-cap across up to one process per CPU), its ticks (optimizer steps of the
+``--cap``), its workers (``fit_maps`` splits a list of network fits from
+two up, and a list of LR or MM fits longer than the cap, across up to one
+process per CPU), its ticks (optimizer steps of the
 stack), its fit-steps (the live fits summed over its ticks) and how busy
 the stack was (fit-steps over ticks times the cap).  The counts come from
 wrapping ``optim.optimizer_step`` while the lockstep runs, so with more than
@@ -141,8 +142,8 @@ class StepCount:
             self.fit_steps += len(grad)
             return out
 
-        def workers(n):
-            self.workers = real_workers(n)
+        def workers(*args):
+            self.workers = real_workers(*args)
             return self.workers
 
         optim.optimizer_step = counted
