@@ -366,14 +366,20 @@ class TrainingStep:
 # most one per CPU.
 LOCKSTEP_FITS = 16
 
-# fit_maps gives fits of at least this many parameters (NN 1313, HEM 1319,
-# HAM 1318, MTL 4629) one worker each, at most one per CPU: their tick grows
-# with the stack (an MTL gradient at 64 rows took 156, 243 and 300 us at 1, 2
-# and 3 fits on a 2-core VM), so a second core cuts wall time from two fits
-# up.  Below it (LR 7, MM 6) array work is bound by numpy dispatch whatever
-# the stack holds, and a worker per fit would only burn CPU.  16 is where a
-# Python loop over the entries stopped beating adam_step's array form
-# (BENCH_10.json).
+# fit_maps gives fits of at least this many parameters one worker each, at
+# most one per CPU.  The cutoff only separates LR (7 parameters) and MM (6)
+# from the network kinds (NN 1313, HEM 1319, HAM 1318, MTL 4629): any value
+# from 8 to 1313 splits the same calls.  A network tick grows with the stack
+# (an MTL gradient at 64 rows took 156, 243 and 300 us at 1, 2 and 3 fits),
+# so a second core cuts wall time from two fits up: the first 2, 3 and 5
+# initial fits and PBL-2w refits of `tools/pbl_lockstep.py --wells 5
+# --early-stopping`'s lists took 18-35% less on two workers than on one for
+# NN, HEM and HAM (fit_maps with _cpus set to 1 and 2 in one unpinned
+# process, alternating, medians of 9; 2-core VM), study-cli's MTL call of 3
+# PBL-6m refits 0.951 -> 0.673 s (BENCH_27.json), and pbl-refit, whose NN
+# calls hold 39 refits, 1.780 -> 1.101 s wall (BENCH_26.json).  An LR or MM
+# tick costs about the same whatever the stack holds, so those keep one
+# worker per LOCKSTEP_FITS fits.
 SPLIT_PARAMS = 16
 
 
@@ -468,13 +474,13 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     alone at its length) and every validation pass runs one fit at a time.
     One optimizer step then updates every live row at its fit's own step
     index k, from a list: gamma_k and Adam's bias corrections are (R, 1)
-    columns of the floats one fit would use.  A fit leaves the stack when it stops early,
-    runs out of epochs, or meets a non-finite gradient, and the next pending
-    fit takes its row, at k = 1 with zero moments.  On the tick a fit fails,
-    its row takes a zero gradient in the stack's one step; Adam and SGD step
-    each row on its own, so the other fits keep their bits.  Pending fits go live
-    with the most mini-batches per epoch first, ties in list order, so that
-    the longest fits do not finish alone at the end.
+    columns of the floats one fit would use.  A fit leaves the stack when it
+    stops early, runs out of epochs, or meets a non-finite gradient, and the
+    next pending fit takes its row, at k = 1 with zero moments.  On the tick
+    a fit fails, its row takes a zero gradient in the stack's one step; Adam
+    and SGD step each row on its own, so the other fits keep their bits.
+    Pending fits go live with the most mini-batches per epoch first, ties in
+    list order, so that the longest fits do not finish alone at the end.
 
     In a process that may run on more than one CPU, a call splits its
     pending fits across workers: min(CPUs, fits) of them when each fit has at
@@ -488,11 +494,11 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     only its best-validation vector or the DataError or NumericError that
     ended it, and its learning-curve entries, and once its radicand clamp
     count, which goes to ``models.MM_DIAGNOSTICS``; the ModelSpecs are built
-    here from each fit's own start, so they keep its scaler.  Since no fit's result depends on
-    the fits beside it, the split changes no bit.  A call of one fit, a call
-    of at most ``LOCKSTEP_FITS`` fits below ``SPLIT_PARAMS`` parameters, a
-    process pinned to one CPU and a platform without ``fork`` run in this
-    process alone.
+    here from each fit's own start, so they keep its scaler.  Since no fit's
+    result depends on the fits beside it, the split changes no bit.  A call
+    of one fit, a call of at most ``LOCKSTEP_FITS`` fits below
+    ``SPLIT_PARAMS`` parameters, a process pinned to one CPU and a platform
+    without ``fork`` run in this process alone.
 
     Returns, in list order, per fit its start with its best-validation
     values (version start.version + 1), or the DataError or NumericError

@@ -478,8 +478,9 @@ def test_fits_of_every_length_share_a_row_store(kind):
 
 
 def _two_workers(monkeypatch):
-    """A stack of two fits and two CPUs: fit_maps splits any call of more
-    than two fits between this process and one forked child."""
+    """Two CPUs and a stack of two: fit_maps splits network fits from two
+    up, and LR/MM fits from three up, between this process and one forked
+    child."""
     monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
     monkeypatch.setattr(optim, "_cpus", lambda: 2)
 

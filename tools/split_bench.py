@@ -8,10 +8,10 @@ Runs, from a parent checkout and a changed one:
   pbl-refit/wall_s), is met when the change is better in at least nine
   tenths of the pairs and the medians differ by more than the parent's
   interquartile range;
-* ``bench/run.py --workload W --seed SEED --trace 1`` once per side, W from
-  ``--trace-workload`` (default: the claim's workload), for the per-layer
-  counts (the tracer records spans in the process that makes them, so
-  under a split they cover this process's share);
+* ``bench/run.py --workload W --seed SEED --trace 1`` once per side, W the
+  claim's workload, for the per-layer counts (the tracer records spans in
+  the process that makes them, so under a split they cover this process's
+  share);
 * ``bench/run.py --reanchor`` once per side, unless ``--no-reanchor``: the
   default study's wall time and whether its 24 cells match the Baseline.
 
@@ -88,8 +88,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--claim", default="pbl-refit/wall_s", metavar="WORKLOAD/METRIC",
                     help="the workload and end-to-end metric the change claims to improve")
-    ap.add_argument("--trace-workload", default=None, metavar="WORKLOAD",
-                    help="the workload traced once per side (default: the claim's)")
     ap.add_argument("--no-reanchor", action="store_true")
     ap.add_argument("--out", type=Path, default=None)
     a = ap.parse_args(argv)
@@ -101,20 +99,16 @@ def main(argv=None) -> int:
     if workload not in workloads or metric not in metrics:
         ap.error(f"--claim {a.claim}: expected WORKLOAD/METRIC, a workload of "
                  f"{workloads} and an end-to-end metric of {metrics}")
-    trace_workload = a.trace_workload or workload
-    if trace_workload not in workloads:
-        ap.error(f"--trace-workload {trace_workload}: not a workload of {workloads}")
     record = {
         "machine": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "numpy": np.__version__},
         "command": (f"python3 tools/split_bench.py --parent <parent checkout> --change "
-                    f"<change checkout> --seed {a.seed} --pairs {a.pairs} --claim {a.claim} "
-                    f"--trace-workload {trace_workload}"),
+                    f"<change checkout> --seed {a.seed} --pairs {a.pairs} --claim {a.claim}"),
         "pairs": {w: pairs(trees, w, a.seed, a.pairs) for w in workloads},
     }
     record["claim"] = claim(record["pairs"][workload], workload, metric)
-    record["trace"] = {"workload": trace_workload,
-                       **{side: traced(trees[side], trace_workload, a.seed) for side in SIDES}}
+    record["trace"] = {"workload": workload,
+                       **{side: traced(trees[side], workload, a.seed) for side in SIDES}}
     if not a.no_reanchor:
         record["reanchor"] = {side: reanchor(trees[side]) for side in SIDES}
     text = json.dumps(record, indent=1)
