@@ -7,9 +7,9 @@ Calls come in two sizes: one row (each online-learning prediction and step)
 and batches (mini-batches, validation sets and ``run_pbl``'s per-period
 predictions).  The kernels serve both:
 
-* array form at every size: ``adam_step``, ``sgd_step``, ``lr_predict``,
-  ``lr_loss_grad`` and ``lr_loss``, the network's forward and backward
-  passes (``_nn_forward``, ``_nn_backward``), the squared-error residuals
+* array form at every size: ``adam_step``, ``sgd_step``, ``lr_predict`` and
+  ``lr_loss_grad``, the network's forward and backward passes
+  (``_nn_forward``, ``_nn_backward``), the squared-error residuals
   (``_residuals``) and all of MTL;
 * column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
   that: the MM/HEM/HAM physics, whose choke equation ``_mm_cols`` takes
@@ -33,18 +33,18 @@ and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
 sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
 and column forms stack: ``_row_sum``, ``_affine_cols``,
 ``_residuals``/``_sse``, ``_mm_cols``, ``_mm_grad_cols``,
-``_nn_forward``/``_nn_backward``, MTL's kernels, ``lr_loss_grad``,
-``nn_loss_grad``, and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or
-more (their loops take one fit, so ``fit_maps`` stacks only such calls);
+``_nn_forward``/``_nn_backward``, MTL's kernels, the LR and NN kernels,
+and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more (their loops
+take one fit, so ``fit_maps`` stacks only such calls);
 ``adam_step`` and ``sgd_step`` take stacked parameters.  The fits of a
 stack may be at different steps, so ``fit_maps`` gives ``adam_step`` k as a
 list, one step index per row; it computes each row's bias corrections
 ``1.0 - beta ** k`` on Python floats, as for one fit, into (R, 1) columns,
 and both steps take gamma_k as an (R, 1) column (an online update of one
-fit gives scalars).  ``lr_predict`` takes one fit.  Row r of a stacked
-result equals fit r's own call bit for bit: fit r's parameters (and step
-coefficients) meet its rows as (R, 1) columns where one fit's are Python
-floats or scalars, which rounds alike; a sum over rows runs along each
+fit gives scalars).  Row r of a stacked result equals fit r's own call bit
+for bit: fit r's parameters (and step coefficients) meet its rows as
+(R, 1) columns where one fit's are Python floats or scalars, which rounds
+alike; a sum over rows runs along each
 fit's row axis in order; MTL's ``np.add.at`` takes each fit's rows in
 order.  The network's products are ``np.matmul`` on stacked operands, which
 takes the same BLAS routine per fit as ``np.dot`` on one fit's 2-D
@@ -81,14 +81,19 @@ Exactness, checked against the loop versions frozen in
 ``COLUMN_ROWS`` and at the study's parameter counts (which also holds
 stacked calls, and stacked steps at a k per row, to one call per fit):
 
+* each kind's ``predict`` is its loss-gradient kernel's forward, bit for
+  bit, one fit or stacked, so that a fit minimizes the loss of the
+  predictions it logs: ``lr_predict`` sums like ``lr_loss_grad``, left to
+  right (``_affine_cols``), and ``ham_predict`` multiplies in
+  ``ham_loss_grad``'s order;
 * the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
-  below ``COLUMN_ROWS`` are bit-identical to the oracle (``ham_predict`` to
-  its forward in ``ham_loss_grad``'s product order, which it shares so that a
-  fit minimizes the loss of the predictions it logs).  The short MM, HEM
-  and HAM calls of the oracle test take ``_mm_row`` through each of its
-  branches: a clamped and a free pressure ratio, a nonpositive radicand and
-  a zero water fraction.  Sums over rows keep the loops' order: a
-  cumulative sum along the summed axis adds one term at a time, and its
+  below ``COLUMN_ROWS`` are bit-identical to the oracle (``lr_predict`` and
+  ``ham_predict`` to their forwards in ``lr_loss_grad`` and
+  ``ham_loss_grad``, whose order the oracle's predicts do not keep).  The
+  short MM, HEM and HAM calls of the oracle test take ``_mm_row`` through
+  each of its branches: a clamped and a free pressure ratio, a nonpositive
+  radicand and a zero water fraction.  Sums over rows keep the loops' order:
+  a cumulative sum along the summed axis adds one term at a time, and its
   last entry is the sum (``_row_sum``, ``_affine_cols``); ``np.add.at``
   applies rows in index order;
 * ``adam_floats`` and ``sgd_floats`` equal ``adam_step`` and ``sgd_step``
@@ -404,12 +409,8 @@ def _mm_cols(theta, x, geom, grad):
 
 
 def lr_predict(theta, xs):
-    d = xs.shape[1]
-    w = theta[:d]
-    b = theta[d]
-    yhat = np.dot(xs, w)
-    yhat += b
-    return yhat
+    d = xs.shape[-1]
+    return _affine_cols(theta[..., d, None], xs, theta[..., None, :d])
 
 
 def lr_loss_grad(theta, xs, y, inv_var):
@@ -436,13 +437,6 @@ def lr_row_grad(th, xs, y, inv_var, g):
         g[j] += c * xj
     g[d] += c
     return resid * resid * inv_var
-
-
-def lr_loss(theta, xs, y, inv_var):
-    """lr_loss_grad's sse without the gradient: its row sums (lr_predict's
-    np.dot sums differently)."""
-    d = xs.shape[-1]
-    return _sse(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]), inv_var)
 
 
 # ------------------------------------------------------------------------ NN

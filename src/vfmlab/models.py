@@ -449,9 +449,8 @@ class KindEntry:
     * Kernels, called with the kind's KernelPlan:
       ``predict(plan, theta, X, Xs, wells) -> (z, clamps)``, z in the target
       space, and ``loss_grad(plan, theta, X, Xs, y, inv_var, wells) ->
-      (sse, grad, clamps)``.  The loss alone is the squared error of
-      ``predict`` unless the kind has a ``loss`` kernel (LR, whose column
-      form sums like its gradient kernel, not like its predict).
+      (sse, grad, clamps)``.  ``predict`` is ``loss_grad``'s forward, bit
+      for bit, so the loss alone is the squared error of ``predict``.
       ``clamps`` counts rows whose radicand was clamped (0 for kinds
       without the choke equation).  The kernels are looked up in
       :mod:`vfmlab.kernels` at call time, so a wrapper installed there
@@ -477,7 +476,6 @@ class KindEntry:
     scaled_correction: bool = False
     predict: Callable | None = None
     loss_grad: Callable | None = None
-    loss: Callable | None = None
     row_grad: Callable | None = None
 
     def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
@@ -492,7 +490,6 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         lambda rng, pri, shape, mtl: _lr_params(), n_fixed=D_INPUT + 1, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.lr_predict(th, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
-        loss=lambda p, th, X, Xs, y, iv, w: (kernels.lr_loss(th, Xs, y, iv), 0),
         row_grad=lambda th, x, xs, geom, y, iv, g: (kernels.lr_row_grad(th, xs, y, iv, g), 0)),
     ModelKind.NN: KindEntry(
         lambda rng, pri, shape, mtl: _mlp_params(rng, shape.widths()),
@@ -603,15 +600,12 @@ def plan_loss_grad(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
 def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
               Xs: np.ndarray, y: np.ndarray, inv_var: float,
               wells: np.ndarray | None = None) -> float:
-    """The sse of :func:`plan_loss_grad`, bit for bit, without the gradient."""
-    entry = _entry_of(plan)
-    if entry.loss is not None:
-        sse, clamps = entry.loss(plan, theta, X, Xs, y, inv_var, wells)
-    else:
-        z, clamps = entry.predict(plan, theta, X, Xs, wells)
-        sse = kernels._sse(y, z, inv_var)
+    """The sse of :func:`plan_loss_grad`, bit for bit, without the gradient:
+    the squared error of the kind's ``predict``, its loss-gradient kernel's
+    forward."""
+    z, clamps = _entry_of(plan).predict(plan, theta, X, Xs, wells)
     MM_DIAGNOSTICS.count += clamps
-    return sse
+    return kernels._sse(y, z, inv_var)
 
 
 def check_inputs(m: ModelSpec, X: np.ndarray) -> None:

@@ -5,6 +5,8 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
 
 * The optimizer steps and the LR, NN and MTL kernels keep every rounding
   step of those loops, so their checks use ``np.array_equal``.
+  ``lr_predict`` keeps the forward of the loop ``lr_loss_grad``, not the
+  ``np.dot`` sums of the loop ``lr_predict``, which it meets to 1e-12.
 * Below ``kernels.COLUMN_ROWS`` rows the MM, HEM and HAM kernels run the
   loops' arithmetic on Python floats, so they are held to ``np.array_equal``
   there too, at every row count from 1 up.
@@ -156,10 +158,22 @@ def _rows(rng, n):
 
 @pytest.mark.parametrize("n", ROWS)
 def test_lr_predict_equals_the_loop(n):
+    """lr_predict is the row forward of loop.lr_loss_grad, b + x0*w0 + ...
+    added left to right, bit for bit; loop.lr_predict sums through np.dot,
+    which rounds differently."""
     rng = np.random.default_rng(n)
     xs, _ = _rows(rng, n)
     theta = rng.standard_normal(D_INPUT + 1)
-    assert np.array_equal(kernels.lr_predict(theta, xs), loop.lr_predict(theta, xs))
+    w, b = theta[:D_INPUT], theta[D_INPUT]
+    want = np.empty(n)
+    for i in range(n):
+        yh = b
+        for j in range(D_INPUT):
+            yh += xs[i, j] * w[j]
+        want[i] = yh
+    got = kernels.lr_predict(theta, xs)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, loop.lr_predict(theta, xs), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("off", [0, 6])
@@ -425,7 +439,10 @@ def test_column_softplus_and_sigmoid_match_the_scalar_forms():
 # step as one call, stacked along a leading fit axis.  Each fit brings its own
 # parameters, rows, scaled inputs, targets, inverse noise variance and (HEM)
 # network scale; row i of every stacked result must equal that fit's own call
-# bit for bit, and the stacked clamp count the sum of theirs.
+# bit for bit, and the stacked clamp count the sum of theirs.  Each kind's
+# predict is its loss-gradient kernel's forward: the sse of the loss-gradient
+# kernel is the squared error of predict, bit for bit, one fit or stacked, so
+# a fit minimizes the loss of the predictions it logs.
 
 FITS = 3
 STACKED = {
@@ -442,8 +459,18 @@ STACKED = {
 }
 
 
+PREDICT = {
+    "lr": lambda th, x, xs, w, y, iv, ns: (kernels.lr_predict(th, xs), 0),
+    "nn": lambda th, x, xs, w, y, iv, ns: (kernels.nn_predict(th, 0, NN_WIDTHS, xs), 0),
+    "mtl": lambda th, x, xs, w, y, iv, ns: (kernels.mtl_predict(th, MTL.dims(), xs, w), 0),
+    "mm": lambda th, x, xs, w, y, iv, ns: kernels.mm_predict(th, x, GEOM),
+    "hem": lambda th, x, xs, w, y, iv, ns: kernels.hem_predict(th, NN_WIDTHS, x, xs, GEOM, ns),
+    "ham": lambda th, x, xs, w, y, iv, ns: kernels.ham_predict(th, NN_WIDTHS, x, xs, GEOM),
+}
+
+
 def test_every_trainable_kind_is_covered():
-    assert {k.value.lower() for k in TRAINABLE_KINDS} == set(STACKED)
+    assert {k.value.lower() for k in TRAINABLE_KINDS} == set(STACKED) == set(PREDICT)
 
 
 def _stacked_fit(rng, kind, n):
@@ -465,15 +492,21 @@ def _stacked_fit(rng, kind, n):
     return theta, x, xs, wells, y, rng.uniform(0.5, 3.0), rng.uniform(2.0, 9.0)
 
 
+def _stack(fits):
+    """One call's arguments for fits of _stacked_fit: arrays stacked along a
+    leading fit axis, inv_var and nn_scale as (R, 1) columns."""
+    return (*(np.stack([f[c] for f in fits]) for c in range(5)),
+            *(np.array([f[c] for f in fits])[:, None] for c in (5, 6)))
+
+
 @pytest.mark.parametrize("n", sorted({kernels.COLUMN_ROWS, 64}))
 @pytest.mark.parametrize("kind", sorted(STACKED))
 def test_a_stacked_call_equals_one_call_per_fit(kind, n):
     rng = np.random.default_rng(60 + n + len(kind))
     fits = [_stacked_fit(rng, kind, n) for _ in range(FITS)]
-    theta, x, xs, wells, y = (np.stack([f[c] for f in fits]) for c in range(5))
-    inv_var, nn_scale = (np.array([f[c] for f in fits])[:, None] for c in (5, 6))
-    sse, grad, clamps = STACKED[kind](theta, x, xs, wells, y, inv_var, nn_scale)
-    assert sse.shape == (FITS,) and grad.shape == theta.shape
+    args = _stack(fits)
+    sse, grad, clamps = STACKED[kind](*args)
+    assert sse.shape == (FITS,) and grad.shape == args[0].shape
     want_clamps = 0
     for i, fit in enumerate(fits):
         sse_i, grad_i, clamps_i = STACKED[kind](*fit)
@@ -483,6 +516,36 @@ def test_a_stacked_call_equals_one_call_per_fit(kind, n):
     assert clamps == want_clamps
     if kind in ("mm", "hem", "ham"):
         assert want_clamps > 0    # a clamped radicand in the stack
+
+
+@pytest.mark.parametrize("n", sorted({1, kernels.COLUMN_ROWS - 1, kernels.COLUMN_ROWS, 64}))
+@pytest.mark.parametrize("kind", sorted(PREDICT))
+def test_predict_is_the_loss_kernels_forward(kind, n):
+    """The loss-gradient kernel's sse is kernels._sse of predict, bit for bit,
+    on both sides of COLUMN_ROWS, clamp counts equal."""
+    rng = np.random.default_rng(90 + n + len(kind))
+    for _ in range(DRAWS if n < kernels.COLUMN_ROWS else 1):
+        fit = _stacked_fit(rng, kind, n)
+        sse, _, clamps = STACKED[kind](*fit)
+        z, z_clamps = PREDICT[kind](*fit)
+        y, inv_var = fit[4:6]
+        assert np.float64(sse).tobytes() == np.float64(kernels._sse(y, z, inv_var)).tobytes()
+        assert clamps == z_clamps
+
+
+@pytest.mark.parametrize("n", sorted({kernels.COLUMN_ROWS, 64}))
+@pytest.mark.parametrize("kind", sorted(PREDICT))
+def test_a_stacked_predict_equals_one_predict_per_fit(kind, n):
+    rng = np.random.default_rng(95 + n + len(kind))
+    fits = [_stacked_fit(rng, kind, n) for _ in range(FITS)]
+    z, clamps = PREDICT[kind](*_stack(fits))
+    assert z.shape == (FITS, n)
+    want_clamps = 0
+    for i, fit in enumerate(fits):
+        z_i, clamps_i = PREDICT[kind](*fit)
+        assert z[i].tobytes() == z_i.tobytes(), i
+        want_clamps += clamps_i
+    assert clamps == want_clamps
 
 
 @pytest.mark.parametrize("fits, n", [(2, 6), (FITS, D_INPUT + 1), (FITS, NN_PARAMS)])
@@ -556,9 +619,7 @@ def test_no_kernel_writes_into_its_arguments(kind):
     rng = np.random.default_rng(80 + len(kind))
     fits = [_stacked_fit(rng, kind, n) for n in (1, 64)]
     stack = [_stacked_fit(rng, kind, 64) for _ in range(FITS)]
-    calls = list(fits)
-    calls.append((*(np.stack([f[c] for f in stack]) for c in range(5)),
-                  *(np.array([f[c] for f in stack])[:, None] for c in (5, 6))))
+    calls = [*fits, _stack(stack)]
     for args in calls:
         before = [a.tobytes() for a in args[:5]]
         STACKED[kind](*args)
