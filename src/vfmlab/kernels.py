@@ -13,17 +13,20 @@ predictions).  The kernels serve both:
   (``_residuals``) and all of MTL;
 * column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
   that: the MM/HEM/HAM physics, whose choke equation ``_mm_cols`` takes
-  over columns and ``_mm_row`` over one row's floats, rounding differently;
+  over columns and ``_mm_row`` over one row's floats, rounding differently.
+  MM and HEM share one forward, ``_mm_forward``, which picks the form, and
+  one physics gradient, ``_mm_grad``, which takes either form's parts; HAM
+  picks in each of its two kernels;
 * floats for a whole online-learning update of LR and MM
   (``optim.TrainingStep.online_update``): the bounds and the prior are
   converted once per unit, theta and the row once per observation, the k
   steps run on the row bodies ``lr_row_grad`` and ``mm_row_grad`` and on
   ``adam_floats`` or ``sgd_floats``, both clipping with ``_clip``, and the
-  result becomes an array once.  ``mm_loss_grad``'s loop calls the same
-  row body, and every MM/HEM/HAM loop goes through ``_mm_row``;
-  ``lr_row_grad``, ``adam_floats`` and ``sgd_floats`` take, per element,
-  the operations of ``lr_loss_grad``, ``adam_step`` and ``sgd_step`` in
-  the same order, so the two forms round alike.
+  result becomes an array once.  Every MM/HEM/HAM loop goes through
+  ``_mm_row``; ``lr_row_grad``, ``mm_row_grad``, ``adam_floats`` and
+  ``sgd_floats`` take, per element, the operations of ``lr_loss_grad``,
+  ``mm_loss_grad`` (at one row), ``adam_step`` and ``sgd_step`` in the same
+  order, so the two forms round alike.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -32,10 +35,10 @@ leading fit axis: theta (R, P), X and Xs (R, n, 6), y and MTL's task columns (R,
 and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
 sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
 and column forms stack: ``_row_sum``, ``_affine_cols``,
-``_residuals``/``_sse``, ``_mm_cols``, ``_mm_grad_cols``,
-``_nn_forward``/``_nn_backward``, MTL's kernels, the LR and NN kernels,
-and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more (their loops
-take one fit, so ``fit_maps`` stacks only such calls);
+``_residuals``/``_sse``, ``_mm_cols``, ``_mm_forward``/``_mm_grad`` in
+column form, ``_nn_forward``/``_nn_backward``, MTL's kernels, the LR and NN
+kernels, and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more (their
+loops take one fit, so ``fit_maps`` stacks only such calls);
 ``adam_step`` and ``sgd_step`` take stacked parameters.  The fits of a
 stack may be at different steps, so ``fit_maps`` gives ``adam_step`` k as a
 list, one step index per row; it computes each row's bias corrections
@@ -84,8 +87,12 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
 * each kind's ``predict`` is its loss-gradient kernel's forward, bit for
   bit, one fit or stacked, so that a fit minimizes the loss of the
   predictions it logs: ``lr_predict`` sums like ``lr_loss_grad``, left to
-  right (``_affine_cols``), and ``ham_predict`` multiplies in
-  ``ham_loss_grad``'s order;
+  right (``_affine_cols``), ``ham_predict`` multiplies in
+  ``ham_loss_grad``'s order, and MM and HEM predict and take gradients
+  through the one forward ``_mm_forward``;
+* each float row gradient (``lr_row_grad``, ``mm_row_grad``) equals its
+  kind's loss-gradient kernel at one row: sse, gradient (signed zeros
+  included) and clamp flag, byte for byte;
 * the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
   below ``COLUMN_ROWS`` are bit-identical to the oracle (``lr_predict`` and
   ``ham_predict`` to their forwards in ``lr_loss_grad`` and
@@ -174,14 +181,16 @@ T_SC = 288.15            # K
 M3S_TO_SM3H = 3600.0     # the radical yields m3/s at standard conditions
 
 # MM, HEM and HAM calls with at least this many rows take the column form,
-# shorter ones the loop.  The measured crossovers lie higher: min of 21 runs,
-# loop and column interleaved, on a 2-core VM, the column form overtook a
-# loop on Python floats at about 16 to 20 rows for HEM (and for an LR loop,
-# which rounds as lr_loss_grad's column form does, so LR has none), 20 to 24
-# for mm_loss_grad and ham_loss_grad, 24 to 32 for mm_predict and 32 to 48
-# for ham_predict, and at one row the loops were 3 to 12 times faster.  But
-# a loop rounds MM, HEM and HAM differently from the column form, so moving
-# this waits for a behaviour gate with stated tolerances.
+# shorter ones the loop; only _mm_forward (for MM and HEM), ham_predict and
+# ham_loss_grad read it.  The measured crossovers lie higher: min of 21
+# runs, loop and column interleaved, on a 2-core VM, the column form
+# overtook a loop on Python floats at about 16 to 20 rows for HEM (and for
+# an LR loop, which rounds as lr_loss_grad's column form does, so LR has
+# none), 20 to 24 for mm_loss_grad and ham_loss_grad, 24 to 32 for
+# mm_predict and 32 to 48 for ham_predict, and at one row the loops were 3
+# to 12 times faster.  But a loop rounds MM, HEM and HAM differently from
+# the column form, so moving this waits for a behaviour gate with stated
+# tolerances.
 COLUMN_ROWS = 8
 
 
@@ -510,61 +519,70 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 # ------------------------------------------------------------------------ MM
 
 
-def mm_predict(theta, x, geom):
-    n = x.shape[-2]
-    if n >= COLUMN_ROWS:
-        a2, r, vsc, neg = _mm_cols(theta, x, geom, False)
+def _mm_forward(theta, x, geom, grad):
+    """MM's flow over the rows of x: (yhat, clamps, parts), parts being what
+    _mm_grad takes.  The one place the MM and HEM kernels pick a form:
+    _mm_cols at COLUMN_ROWS rows or more (one fit or stacked; parts is its
+    tuple), else one loop over _mm_row on Python floats (one fit; parts
+    lists the rows' results)."""
+    if x.shape[-2] >= COLUMN_ROWS:
+        parts = _mm_cols(theta, x, geom, grad)
+        a2, r, vsc, neg = parts[:4]
         yhat = M3S_TO_SM3H * theta[..., 5, None] * a2 * r * vsc
-        return yhat, int(np.count_nonzero(neg))
+        return yhat, int(np.count_nonzero(neg)), parts
     th = theta[:6].tolist()
     geom = geom.tolist()
     yhat = []
+    parts = []
     nneg = 0
     for xi in x.tolist():
-        a2, r, vsc, neg = _mm_row(th, xi, geom, False)
-        nneg += neg
-        yhat.append(M3S_TO_SM3H * th[5] * a2 * r * vsc)
-    return np.array(yhat, dtype=np.float64), nneg
+        row = _mm_row(th, xi, geom, grad)
+        nneg += row[3]
+        yhat.append(M3S_TO_SM3H * th[5] * row[0] * row[1] * row[2])
+        parts.append(row)
+    return np.array(yhat, dtype=np.float64), nneg, parts
 
 
-def _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad):
-    """Add sum_i delta_i * d(mm_i)/dtheta[..., :6] to grad, rows in order."""
-    base = M3S_TO_SM3H * cd * a2
+def _mm_grad(theta, parts, delta, grad):
+    """Add sum_i delta_i * d(mm_i)/dtheta[..., :6] to grad's zeros there,
+    rows in order, from _mm_forward's parts in either form.  The row form's
+    sums start at 0.0, so it writes them: adding a list costs 1.7 us more."""
+    if isinstance(parts, list):
+        cd = float(theta[5])
+        g = [0.0] * 6
+        for di, (a2, r, vsc, _, dr, dvsc) in zip(delta.tolist(), parts):
+            base = M3S_TO_SM3H * cd * a2
+            for j in range(5):
+                g[j] += di * base * (dr[j] * vsc + r * dvsc[j])
+            g[5] += di * M3S_TO_SM3H * a2 * r * vsc
+        grad[:6] = g
+        return
+    a2, r, vsc, _, dr, dvsc = parts
+    base = M3S_TO_SM3H * theta[..., 5, None] * a2
     terms = np.empty(a2.shape + (6,))
     terms[..., :5] = (delta * base)[..., None] * (dr * vsc[..., None] + r[..., None] * dvsc)
     terms[..., 5] = delta * M3S_TO_SM3H * a2 * r * vsc
     grad[..., :6] += _row_sum(terms, -2)
 
 
+def mm_predict(theta, x, geom):
+    yhat, nneg, _ = _mm_forward(theta, x, geom, False)
+    return yhat, nneg
+
+
 def mm_loss_grad(theta, x, geom, y, inv_var):
-    n = x.shape[-2]
+    yhat, nneg, parts = _mm_forward(theta, x, geom, True)
+    sse, delta = _residuals(y, yhat, inv_var)
     grad = np.zeros(theta.shape)
-    if n >= COLUMN_ROWS:
-        a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
-        cd = theta[..., 5, None]
-        sse, c = _residuals(y, M3S_TO_SM3H * cd * a2 * r * vsc, inv_var)
-        _mm_grad_cols(cd, a2, c, r, vsc, dr, dvsc, grad)
-        return sse, grad, int(np.count_nonzero(neg))
-    th = theta[:6].tolist()
-    geom = geom.tolist()
-    inv_var = float(inv_var)
-    g = [0.0] * 6
-    sse = 0.0
-    nneg = 0
-    for xi, yi in zip(x.tolist(), y.tolist()):
-        row_sse, neg = mm_row_grad(th, xi, geom, yi, inv_var, g)
-        sse += row_sse
-        nneg += neg
-    grad[:6] = g
+    _mm_grad(theta, parts, delta, grad)
     return sse, grad, nneg
 
 
 def mm_row_grad(th, x, geom, y, inv_var, g):
-    """One row of mm_loss_grad's loop, for the loop and for the online-learning
-    update: _mm_row's gradient on Python floats, th (six parameters), the raw
-    row x and geom as lists, y and inv_var floats.  Adds the row's gradient
-    into the list g and returns (its sse term, 1 if its radicand was clamped
-    else 0)."""
+    """mm_loss_grad of one row on Python floats, for the online-learning
+    update: _mm_row's gradient, th (six parameters), the raw row x and geom
+    as lists, y and inv_var floats.  Adds the row's gradient into the list g
+    and returns (its sse term, 1 if its radicand was clamped else 0)."""
     a2, r, vsc, neg, dr, dvsc = _mm_row(th, x, geom, True)
     base = M3S_TO_SM3H * th[5] * a2
     yh = base * r * vsc
@@ -586,40 +604,12 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
 
 
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
-    n = x.shape[-2]
-    if n >= COLUMN_ROWS:
-        a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
-        cd = theta[..., 5, None]
-        ymm = M3S_TO_SM3H * cd * a2 * r * vsc
-        ynn, acts = _nn_forward(theta, 6, widths, xs)
-        sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
-        grad = np.zeros(theta.shape)
-        _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
-        _mm_grad_cols(cd, a2, delta, r, vsc, dr, dvsc, grad)
-        return sse, grad, int(np.count_nonzero(neg))
-    # one physics pass: mm_predict's flow of a row is base * r * vsc, the
-    # same operations on the same r and vsc
-    th = theta[:6].tolist()
-    geom = geom.tolist()
-    rows = []
-    ymm = []
-    nneg = 0
-    for xi in x.tolist():
-        a2, r, vsc, neg, dr, dvsc = _mm_row(th, xi, geom, True)
-        nneg += neg
-        base = M3S_TO_SM3H * th[5] * a2
-        ymm.append(base * r * vsc)
-        rows.append((a2, base, r, vsc, dr, dvsc))
+    ymm, nneg, parts = _mm_forward(theta, x, geom, True)
     ynn, acts = _nn_forward(theta, 6, widths, xs)
-    sse, delta = _residuals(y, np.array(ymm, dtype=np.float64) + nn_scale * ynn, inv_var)
-    grad = np.zeros(theta.shape[0])
+    sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
+    grad = np.zeros(theta.shape)
     _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
-    g = [0.0] * 6
-    for di, (a2, base, r, vsc, dr, dvsc) in zip(delta.tolist(), rows):
-        for j in range(5):
-            g[j] += di * base * (dr[j] * vsc + r * dvsc[j])
-        g[5] += di * M3S_TO_SM3H * a2 * r * vsc
-    grad[:6] = g
+    _mm_grad(theta, parts, delta, grad)
     return sse, grad, nneg
 
 

@@ -464,7 +464,8 @@ class KindEntry:
       ``optim.TrainingStep.online_update``), and used only there: one row's
       gradient on lists th, x, xs and geom and floats y and inv_var, added
       into the list g, rounded as the kind's ``loss_grad`` rounds that row
-      (MM's is also the row body of ``mm_loss_grad``'s loop).
+      alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
+      byte for byte.
     """
 
     params: Callable

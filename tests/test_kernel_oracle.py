@@ -21,7 +21,9 @@ floats (``kernels.adam_floats``, ``kernels.sgd_floats``), which an
 online-learning update of LR or MM takes, are held to the array steps bit for
 bit: over a random walk with active bounds, and on signed-zero ties (where
 the frozen loop keeps the value), NaN and overflow.  Stacked optimizer steps,
-at one shared step index or at one per row, equal one step per fit.
+at one shared step index or at one per row, equal one step per fit.  The
+row gradients of that update (``KindEntry.row_grad``) equal their kind's
+loss-gradient kernel at one row, byte for byte.
 """
 
 import numpy as np
@@ -29,8 +31,8 @@ import pytest
 
 import loop_kernels as loop
 from vfmlab import StudyConfig, kernels
-from vfmlab.models import (D_INPUT, TRAINABLE_KINDS, ChokeGeometry, MechanisticParams,
-                           NetworkShape)
+from vfmlab.models import (D_INPUT, KIND_TABLE, TRAINABLE_KINDS, ChokeGeometry,
+                           MechanisticParams, ModelKind, NetworkShape)
 
 NN_WIDTHS = np.array(NetworkShape(hidden=(32, 32)).widths(), dtype=np.int64)
 NN_PARAMS = NetworkShape(hidden=(32, 32)).n_params()          # 1313
@@ -420,6 +422,44 @@ def test_the_short_draws_reach_every_branch(kind):
                 z = loop.nn_predict(theta, 5, NN_WIDTHS, xs)
                 hits["upper"] += np.sum(z > 30.0)
                 hits["lower"] += np.sum(z < -30.0)
+    assert all(hits.values()), hits
+
+
+ROW_GRAD_KINDS = [k.value.lower() for k in TRAINABLE_KINDS if KIND_TABLE[k].row_grad is not None]
+
+
+@pytest.mark.parametrize("kind", ROW_GRAD_KINDS)
+def test_a_row_gradient_equals_its_loss_kernel_at_one_row(kind):
+    """KindEntry.row_grad, the online-learning update's gradient on Python
+    floats, is its kind's loss-gradient kernel at one row: sse, gradient
+    (signed zeros included) and clamp flag byte for byte.  The rows are
+    those of MM's short draws, one at a time, so they take kernels._mm_row
+    through a clamped and a free pressure ratio, a nonpositive radicand and
+    a zero water fraction."""
+    row_grad = KIND_TABLE[ModelKind.from_str(kind)].row_grad
+    seed, case, _ = SHORT_DRAWS["mm"]
+    hits = dict.fromkeys(("clamped", "free", "radicand", "dry"), 0)
+    for n in range(1, kernels.COLUMN_ROWS):
+        rng = np.random.default_rng(seed + n)
+        for _ in range(DRAWS):
+            x, xs, mm_theta, noise = case(rng, n)
+            y = loop.mm_predict(mm_theta, x, GEOM)[0] * noise + 1.0
+            theta = rng.standard_normal(D_INPUT + 1) if kind == "lr" else mm_theta
+            for i in range(n):
+                rows = slice(i, i + 1)
+                sse, grad, clamps = STACKED[kind](theta, x[rows], xs[rows], None, y[rows],
+                                                  2.5, None)
+                g = [0.0] * len(theta)
+                row_sse, flag = row_grad(theta.tolist(), x[i].tolist(), xs[i].tolist(),
+                                         GEOM.tolist(), float(y[i]), 2.5, g)
+                assert np.float64(row_sse).tobytes() == np.float64(sse).tobytes(), (n, i)
+                assert np.array(g).tobytes() == grad.tobytes(), (n, i)
+                assert flag == clamps, (n, i)
+                ratio = x[i, 2] / x[i, 1]
+                hits["clamped"] += ratio < mm_theta[4]
+                hits["free"] += mm_theta[4] <= ratio < 1.0
+                hits["radicand"] += loop.mm_predict(mm_theta, x[rows], GEOM)[1]
+                hits["dry"] += x[i, 4] + x[i, 5] > 1.0
     assert all(hits.values()), hits
 
 

@@ -2,10 +2,10 @@
 
 For each kind, builds wells 1 to ``--wells`` of the default StudyConfig at
 ``--seed``, fits each well's initial model, and lists the refits that
-``learning.run_schedules`` makes under PBL-2w for those wells together (by
-running it once and keeping what it hands to ``optim.fit_maps``).  With
-more than one well, the wells' initial fits are listed as well.  Then it
-times, for each list,
+``learning.run_schedules`` hands to ``optim.fit_maps`` under PBL-2w for
+those wells together (each well's period walk, ``learning._pbl_walk``, in
+well order; nothing is fitted to list them).  With more than one well, the
+wells' initial fits are listed as well.  Then it times, for each list,
 
 * sequential: ``optim.fit_map`` once per fit, and
 * lockstep: one ``optim.fit_maps`` call over all of them,
@@ -70,7 +70,7 @@ KINDS = tuple(k.value.lower() for k in TRAINABLE_KINDS)
 def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int,
               early_stopping: bool = False) -> dict:
     """{part: (fits, OptimizerConfig, EarlyStoppingConfig)} of PBL-2w on
-    wells 1 to n_wells: the refits run_schedules hands to fit_maps and, for
+    wells 1 to n_wells: the refits of each well's period walk and, for
     more than one well, the wells' initial fits; each fit a (start, train,
     loss) triple."""
     cfg = StudyConfig(seed=seed)
@@ -96,20 +96,14 @@ def fit_lists(kind: str, seed: int, smoke: bool, n_wells: int,
         initial.append((m0, split.train, loss))
         splits.append(split)
     spec = next(s for s in cfg.schedule_specs() if s.name == "PBL-2w")
-    units = []
+    refits = []
     fitted = sequential(initial, cfg.init_ocfg_for(kind), init)
     for (_, _, loss), m0, split in zip(initial, fitted, splits):
         sched = spec.to_schedule(kind, loss, escfg)
-        units.append((m0, split, dataclasses.replace(sched, period_s=3 * DAY)
-                      if smoke else sched))
-    seen = []
-    real = learning.fit_maps
-    learning.fit_maps = lambda fits, *a: seen.append(fits) or real(fits, *a)
-    try:
-        learning.run_schedules(units)
-    finally:
-        learning.fit_maps = real
-    lists = {"refits": (seen[0], sched.ocfg, sched.escfg)}
+        if smoke:
+            sched = dataclasses.replace(sched, period_s=3 * DAY)
+        refits += learning._pbl_walk(m0, split, sched)[0]
+    lists = {"refits": (refits, sched.ocfg, sched.escfg)}
     if n_wells > 1:
         lists["initial"] = (initial, cfg.init_ocfg_for(kind), init)
     return lists
