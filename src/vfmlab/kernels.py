@@ -9,8 +9,8 @@ predictions).  The kernels serve both:
 
 * array form at every size: ``adam_step``, ``sgd_step``, ``lr_predict`` and
   ``lr_loss_grad``, the network's forward and backward passes
-  (``_nn_forward``, ``_nn_backward``), the squared-error residuals
-  (``_residuals``) and all of MTL;
+  (``_nn_forward``, ``_nn_backward``, on layer views that ``_nn_bind``
+  binds), the squared-error residuals (``_residuals``) and all of MTL;
 * column form for calls of at least ``COLUMN_ROWS`` rows and a loop below
   that: the MM/HEM/HAM physics, whose choke equation ``_mm_cols`` takes
   over columns and ``_mm_row`` over one row's floats, rounding differently.
@@ -26,7 +26,16 @@ predictions).  The kernels serve both:
   ``_mm_row``; ``lr_row_grad``, ``mm_row_grad``, ``adam_floats`` and
   ``sgd_floats`` take, per element, the operations of ``lr_loss_grad``,
   ``mm_loss_grad`` (at one row), ``adam_step`` and ``sgd_step`` in the same
-  order, so the two forms round alike.
+  order, so the two forms round alike;
+* bound buffers for a whole online-learning update of NN, MTL, HEM and HAM
+  (``optim.TrainingStep.bind``): each unit owns its parameter, Adam moment
+  and gradient arrays and binds the network's layer views of them once
+  (``_nn_bind``); each step runs the loss-gradient kernel's body on those
+  views (``_nn_grad``, ``_hem_grad``, ``_ham_grad``, or
+  ``mtl_loss_grad``'s result copied in) and writes ``adam_step`` or
+  ``sgd_step`` back into the parameters.  The public kernels run the same
+  bodies on a binding of their own arguments, made per call, so there is
+  one network code path.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -107,11 +116,12 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   bit for bit, signs included, on ties, NaN and overflow too (the oracle's
   clip keeps ``val`` on a tie, so signed-zero ties are held to the array
   steps instead);
-* an online update on floats equals the array steps (``optimizer_step``
-  over ``plan_loss_grad`` and the prior's ``add_grad``) bit for bit, skipped
-  updates and clamp counts included: ``tests/test_training_step.py``
-  holds ``learning.run_ol`` to the frozen loop of ``tests/loop_drivers.py``,
-  as ``tools/ol_update.py --smoke`` does on a split of the default study;
+* an online update on floats, and one on bound buffers, equals the array
+  steps (``optimizer_step`` over ``plan_loss_grad`` and the prior's
+  ``add_grad``) bit for bit, skipped updates and clamp counts included:
+  ``tests/test_training_step.py`` holds ``learning.run_ol`` to the frozen
+  loop of ``tests/loop_drivers.py``, as ``tools/ol_update.py --smoke`` does
+  on a split of the default study;
 * the backward's ReLU masks (``_relu_mask``, in ``_nn_backward`` and twice
   per block in ``mtl_loss_grad``) equal ``np.where(a > 0.0, d, 0.0)``
   without its branch per element: d's bits, viewed as int64, are
@@ -142,8 +152,9 @@ have just made (a product of ``np.dot``/``np.matmul`` or a sum, as
 ``_relu_mask`` and ``_nn_forward``'s ReLU do), never into an argument or a
 view of one: theta, X, Xs, y and the task columns come back unchanged
 (``test_no_kernel_writes_into_its_arguments``).  The writes into arguments
-are named: ``_nn_backward`` adds into ``grad``, ``adam_step`` updates ``m``
-and ``v``.
+are named: ``_nn_backward`` adds into the gradient views of its binding,
+the bodies ``_nn_grad``, ``_hem_grad`` and ``_ham_grad`` into the zeros of
+their ``grad``, ``adam_step`` updates ``m`` and ``v``.
 
 Shared conventions:
 
@@ -156,9 +167,11 @@ Shared conventions:
 * ``X`` carries raw physical inputs (mechanistic terms), ``Xs`` standardized
   inputs (all neural-network terms).
 * ``*_loss_grad`` kernels return the data term of the MAP objective,
-  ``sse = sum((y_i - yhat_i)^2) * inv_var``, and its gradient w.r.t. theta.
+  ``sse = sum((y_i - yhat_i)^2) * inv_var``, and its gradient w.r.t. theta;
+  on zero rows, sse 0.0 and a zero gradient (``_row_sum`` of no rows).
   They run the network forward once: ``_nn_forward`` keeps the activations
-  that ``_nn_backward`` consumes.  Prior terms are added outside (they are
+  that ``_nn_backward`` consumes, both on one binding (``_nn_bind``) of
+  theta's and grad's layer views.  Prior terms are added outside (they are
   kind-independent).
 * Mechanistic kernels return a count of rows whose radicand went nonpositive
   (flow clamped to zero there, gradient zero: the clamp is flat).
@@ -224,8 +237,11 @@ def _sigmoid_cols(z):
 
 def _row_sum(a, axis):
     """Sum over the row axis (-1 for one value per row, -2 for a vector per
-    row), adding rows in order as the loops do."""
-    c = np.cumsum(a, axis=axis)
+    row), adding rows in order as the loops do; zeros over no rows."""
+    if a.shape[axis] == 0:
+        return a.sum(axis=axis)
+    # the method skips np.cumsum's Python wrapper, about 1 us at one row
+    c = a.cumsum(axis)
     return c[..., -1] if axis == -1 else c[..., -1, :]
 
 
@@ -236,7 +252,7 @@ def _affine_cols(b, a, w):
     terms = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
     terms[..., 0] = b
     np.multiply(a, w, out=terms[..., 1:])
-    return np.cumsum(terms, axis=-1)[..., -1].copy()
+    return terms.cumsum(-1)[..., -1].copy()
 
 
 def _relu_mask(d, a):
@@ -452,68 +468,80 @@ def lr_row_grad(th, xs, y, inv_var, g):
 
 
 def nn_predict(theta, off, widths, xs):
-    return _nn_forward(theta, off, widths, xs)[0]
+    return _nn_forward(_nn_bind(theta, off, widths), xs)[0]
 
 
-def _nn_forward(theta, off, widths, xs):
-    """(outputs, activations): the activations (xs, then each layer's output)
-    are what _nn_backward needs."""
-    nl = widths.shape[0] - 1
+def _nn_bind(theta, off, widths, grad=None):
+    """The network at offset off of theta, bound for any number of passes:
+    (dot, layers), layers holding per layer (W, b, dW, db).  W is the
+    (..., fan_in, fan_out) view of the layer's weights in theta and b the
+    (..., 1, fan_out) view of its biases; dW and db are the same entries of
+    grad, shaped (..., fan_in, fan_out) and (..., fan_out), or None without
+    grad.  Views follow their arrays' values, so a binding serves until
+    theta or grad is replaced: the public kernels bind per call, an
+    online-learning unit once, on buffers it steps in place
+    (``optim.TrainingStep.bind``)."""
     lead = theta.shape[:-1]
-    dot = np.dot if theta.ndim == 1 else np.matmul
+    layers = []
+    pos = off
+    for fi, fo in zip(widths[:-1].tolist(), widths[1:].tolist()):
+        end = pos + fi * fo
+        w, b = theta[..., pos:end].reshape(lead + (fi, fo)), theta[..., None, end:end + fo]
+        if grad is None:
+            layers.append((w, b, None, None))
+        else:
+            layers.append((w, b, grad[..., pos:end].reshape(lead + (fi, fo)),
+                           grad[..., end:end + fo]))
+        pos = end + fo
+    return (np.dot if theta.ndim == 1 else np.matmul), layers
+
+
+def _nn_forward(net, xs):
+    """(outputs, activations) of the bound network net on xs: the
+    activations (xs, then each layer's output) are what _nn_backward
+    needs."""
+    dot, layers = net
+    last = len(layers) - 1
     acts = [xs]
     h = xs
-    pos = off
-    for layer in range(nl):
-        fi = widths[layer]
-        fo = widths[layer + 1]
-        w = theta[..., pos:pos + fi * fo].reshape(lead + (fi, fo))
-        pos += fi * fo
-        b = theta[..., None, pos:pos + fo]
-        pos += fo
+    for layer, (w, b, _, _) in enumerate(layers):
         # the ReLU writes into the fresh sum; an in-place bias add (z += b)
         # made a one-row gradient 0.4 to 1 us slower, so the sum is new
         z = dot(h, w) + b
-        if layer < nl - 1:
+        if layer < last:
             np.maximum(z, 0.0, out=z)
         acts.append(z)
         h = z
     return h[..., 0].copy(), acts
 
 
-def _nn_backward(theta, off, widths, acts, delta, grad):
-    """Accumulate d(sum_i delta_i * nn_i)/dtheta into grad[..., off:...], given
-    the activations of _nn_forward at the same theta."""
-    n = delta.shape[-1]
-    nl = widths.shape[0] - 1
-    lead = theta.shape[:-1]
-    dot = np.dot if theta.ndim == 1 else np.matmul
-    pos = off + sum(fi * fo + fo for fi, fo in zip(widths[:-1].tolist(), widths[1:].tolist()))
+def _nn_backward(net, acts, delta):
+    """Add d(sum_i delta_i * nn_i)/dtheta into the bound network's gradient
+    views, given the activations of _nn_forward on the same binding."""
+    dot, layers = net
     d = delta[..., None].copy()
-    ones = np.ones(n)
-    # walk offsets backwards
-    for layer in range(nl - 1, -1, -1):
-        fi = widths[layer]
-        fo = widths[layer + 1]
-        pos -= fo          # bias block
-        bpos = pos
-        pos -= fi * fo     # weight block
-        wpos = pos
-        w = theta[..., wpos:wpos + fi * fo].reshape(lead + (fi, fo))
+    ones = np.ones(delta.shape[-1])
+    for layer in range(len(layers) - 1, -1, -1):
+        w, _, dw, db = layers[layer]
         a_prev = acts[layer]
-        dw = dot(np.ascontiguousarray(a_prev.swapaxes(-1, -2)), d)
-        grad[..., wpos:wpos + fi * fo] += dw.reshape(lead + (fi * fo,))
-        grad[..., bpos:bpos + fo] += dot(ones, d)
+        dw += dot(np.ascontiguousarray(a_prev.swapaxes(-1, -2)), d)
+        db += dot(ones, d)
         if layer > 0:
             d = _relu_mask(dot(d, np.ascontiguousarray(w.swapaxes(-1, -2))), a_prev)
 
 
-def nn_loss_grad(theta, off, widths, xs, y, inv_var):
-    yhat, acts = _nn_forward(theta, off, widths, xs)
+def _nn_grad(net, xs, y, inv_var):
+    """nn_loss_grad on a bound network: adds the gradient into its views and
+    returns the sse."""
+    yhat, acts = _nn_forward(net, xs)
     sse, delta = _residuals(y, yhat, inv_var)
+    _nn_backward(net, acts, delta)
+    return sse
+
+
+def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     grad = np.zeros(theta.shape)
-    _nn_backward(theta, off, widths, acts, delta, grad)
-    return sse, grad
+    return _nn_grad(_nn_bind(theta, off, widths, grad), xs, y, inv_var), grad
 
 
 # ------------------------------------------------------------------------ MM
@@ -603,13 +631,21 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
     return ymm + nn_scale * ynn, nneg
 
 
-def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
+def _hem_grad(net, theta, x, xs, geom, y, inv_var, nn_scale, grad):
+    """hem_loss_grad on a network bound at offset 6 of theta and grad, into
+    grad's zeros: (sse, clamps)."""
     ymm, nneg, parts = _mm_forward(theta, x, geom, True)
-    ynn, acts = _nn_forward(theta, 6, widths, xs)
+    ynn, acts = _nn_forward(net, xs)
     sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
-    grad = np.zeros(theta.shape)
-    _nn_backward(theta, 6, widths, acts, delta * nn_scale, grad)
+    _nn_backward(net, acts, delta * nn_scale)
     _mm_grad(theta, parts, delta, grad)
+    return sse, nneg
+
+
+def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
+    grad = np.zeros(theta.shape)
+    sse, nneg = _hem_grad(_nn_bind(theta, 6, widths, grad), theta, x, xs, geom, y, inv_var,
+                          nn_scale, grad)
     return sse, grad, nneg
 
 
@@ -634,10 +670,11 @@ def ham_predict(theta, widths, x, xs, geom):
     return np.array(yhat, dtype=np.float64), nneg
 
 
-def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
+def _ham_grad(net, theta, x, xs, geom, y, inv_var, grad):
+    """ham_loss_grad on a network bound at offset 5 of theta and grad, into
+    grad's zeros: (sse, clamps)."""
     n = x.shape[-2]
-    nn_out, acts = _nn_forward(theta, 5, widths, xs)
-    grad = np.zeros(theta.shape)
+    nn_out, acts = _nn_forward(net, xs)
     if n >= COLUMN_ROWS:
         a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
@@ -645,8 +682,8 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
         sse, c = _residuals(y, base * mult, inv_var)
         grad[..., :5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[..., None]
                                   * (dr * vsc[..., None] + r[..., None] * dvsc), -2)
-        _nn_backward(theta, 5, widths, acts, c * base * _sigmoid_cols(nn_out), grad)
-        return sse, grad, int(np.count_nonzero(neg))
+        _nn_backward(net, acts, c * base * _sigmoid_cols(nn_out))
+        return sse, int(np.count_nonzero(neg))
     th = theta[:5].tolist()
     geom = geom.tolist()
     inv_var = float(inv_var)
@@ -667,7 +704,14 @@ def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
             g[j] += c * M3S_TO_SM3H * a2 * mult * (dr[j] * vsc + r * dvsc[j])
         delta_nn.append(c * base * _sigmoid(z))
     grad[:5] = g
-    _nn_backward(theta, 5, widths, acts, np.array(delta_nn, dtype=np.float64), grad)
+    _nn_backward(net, acts, np.array(delta_nn, dtype=np.float64))
+    return sse, nneg
+
+
+def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
+    grad = np.zeros(theta.shape)
+    sse, nneg = _ham_grad(_nn_bind(theta, 5, widths, grad), theta, x, xs, geom, y, inv_var,
+                          grad)
     return sse, grad, nneg
 
 

@@ -281,10 +281,11 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
 
     Each observation is predicted first, then taken as one update
     (``optim.TrainingStep.online_update``): LR and MM run its k steps on
-    Python floats, the other kinds as array steps.  A non-finite update is
-    skipped (flagged) and the previous parameters carry on.  k = 0
-    degenerates to pure prediction with m0.  A mechanistic kind's test row
-    with nonpositive p1, p2 or T1 raises NumericError up front.
+    Python floats, the other kinds as array steps in buffers, and network
+    layer views, that the unit binds once (``TrainingStep.bind``).  A
+    non-finite update is skipped (flagged) and the previous parameters carry
+    on.  k = 0 degenerates to pure prediction with m0.  A mechanistic kind's
+    test row with nonpositive p1, p2 or T1 raises NumericError up front.
     """
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
@@ -301,6 +302,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     # the plan (and its scaler) is frozen, so the unit's arrays are built once
     # and row i of each serves both its prediction and its update
     X, Xs, y, wells = step.rows(m0, te)
+    unit = step.bind()   # the update's buffers and network views, bound once per unit
     allowed = _updates_allowed(cfg, te.source)
     theta = m0.params.values
     v = m0.version
@@ -312,7 +314,7 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
         version[i] = v
         if steps == 0 or not allowed[i]:
             continue
-        values = step.online_update(theta, X1, Xs1, y[rows], wells1, cfg.ocfg, steps)
+        values = step.online_update(unit, theta, X1, Xs1, y[rows], wells1, cfg.ocfg, steps)
         if values is None:
             meta["skipped_updates"].append(time_value(float(te.t[i])))
         else:

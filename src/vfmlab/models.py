@@ -466,6 +466,14 @@ class KindEntry:
       into the list g, rounded as the kind's ``loss_grad`` rounds that row
       alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
       byte for byte.
+    * ``bound_grad(net, p, th, X, Xs, y, inv_var, wells, g) -> (sse,
+      clamps)``, for the kinds that take each online-learning update as
+      array steps on buffers the unit owns (NN, MTL, HEM, HAM;
+      ``optim.TrainingStep.bind``), and used only there: ``loss_grad``'s
+      arithmetic, its gradient written into the zeros of the buffer g; the
+      network kinds run it on ``net``, their layers bound to th and g once
+      per unit (``kernels._nn_bind`` at offset ``n_fixed``), MTL (net None)
+      copies its kernel's gradient into g.
     """
 
     params: Callable
@@ -478,13 +486,21 @@ class KindEntry:
     predict: Callable | None = None
     loss_grad: Callable | None = None
     row_grad: Callable | None = None
+    bound_grad: Callable | None = None
 
     def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
         return (self.n_fixed + (shape.n_params() if self.network else 0)
                 + (mtl.n_params() if self.multitask else 0))
 
 
-# ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only).
+def _into(g: np.ndarray, sse, grad: np.ndarray) -> tuple:
+    """MTL's bound_grad result: its kernel's gradient copied into g."""
+    g[...] = grad
+    return sse, 0
+
+
+# ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only), ``g``
+# an online-learning unit's gradient buffer and ``net`` its bound network.
 KIND_TABLE: dict[ModelKind, KindEntry] = {
     ModelKind.BENCHMARK: KindEntry(lambda rng, pri, shape, mtl: ParameterSet.empty()),
     ModelKind.LR: KindEntry(
@@ -497,12 +513,15 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         network=True, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.nn_predict(th, 0, p.widths, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
-            *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0)),
+            *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (kernels._nn_grad(net, Xs, y, iv), 0)),
     ModelKind.MTL: KindEntry(
         lambda rng, pri, shape, mtl: _mtl_params(rng, mtl), multitask=True, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.mtl_predict(th, p.dims, Xs, w), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
-            *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0)),
+            *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: _into(
+            g, *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv))),
     ModelKind.MM: KindEntry(
         lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
@@ -515,7 +534,9 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         predict=lambda p, th, X, Xs, w: kernels.hem_predict(th, p.widths, X, Xs, p.geom,
                                                             p.nn_scale),
         loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(
-            th, p.widths, X, Xs, p.geom, y, iv, p.nn_scale)),
+            th, p.widths, X, Xs, p.geom, y, iv, p.nn_scale),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._hem_grad(
+            net, th, X, Xs, p.geom, y, iv, p.nn_scale, g)),
     # the output bias stands in for C_D: softplus(bias) starts at the C_D prior mean
     ModelKind.HAM: KindEntry(
         lambda rng, pri, shape, mtl: ParameterSet.concat(
@@ -525,7 +546,9 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         n_fixed=5, network=True, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
         loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(
-            th, p.widths, X, Xs, p.geom, y, iv)),
+            th, p.widths, X, Xs, p.geom, y, iv),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._ham_grad(
+            net, th, X, Xs, p.geom, y, iv, g)),
 }
 
 TRAINABLE_KINDS = tuple(k for k in ModelKind if KIND_TABLE[k].predict is not None)

@@ -42,9 +42,11 @@ bounds once, and builds the rows the kernels take (:meth:`TrainingStep.rows`);
 per optimizer step it runs the kind's gradient kernel and adds the prior
 gradient in place, and per validation pass it takes the loss alone
 (``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
-finiteness check.  An online-learning update of LR or MM runs its steps on
-Python floats instead (``TrainingStep.online_update``), with the same
-roundings and checks.
+finiteness check.  An online-learning update (``TrainingStep.online_update``)
+takes the same roundings and checks in one of two forms: LR and MM run its
+steps on Python floats; the other kinds step in place, in buffers that the
+unit binds once (:meth:`TrainingStep.bind`), with the network's layer views
+bound to them.
 """
 
 from __future__ import annotations
@@ -162,13 +164,25 @@ def gamma_at(cfg: OptimizerConfig, k: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Mutable optimizer state over one fit or one online update event."""
+    """Mutable optimizer state.
+
+    Of a fit (:meth:`TrainingStep.start`): each :func:`optimizer_step`
+    replaces ``values`` and updates the Adam moments ``m`` and ``v`` in
+    place.  Of an online-learning unit of an array kind
+    (:meth:`TrainingStep.bind`): buffers the unit owns for all its updates,
+    ``values``, ``m``, ``v`` and the gradient ``grad``, and ``net``, the
+    network's layer views of ``values`` and ``grad`` bound once
+    (``kernels._nn_bind``; None for MTL).  Each update writes into these
+    arrays and never replaces them, so the views stay bound.
+    """
 
     values: np.ndarray
     m: np.ndarray
     v: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    grad: np.ndarray | None = None
+    net: tuple | None = None
 
 
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
@@ -179,19 +193,26 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
     Non-finite gradients raise and leave the state untouched.  Physical
     parameters are clipped to their hard bounds.
     """
-    per_row = isinstance(k, list)
-    if (min(k) if per_row else k) < 1:
+    if (min(k) if isinstance(k, list) else k) < 1:
         raise ConfigError("step index k must be >= 1")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; parameters untouched")
-    g = np.array([gamma_at(cfg, j) for j in k])[:, None] if per_row else gamma_at(cfg, k)
-    if cfg.method is Method.SGD:
-        state.values = kernels.sgd_step(state.values, grad, g, state.lower, state.upper)
-    else:
-        state.values = kernels.adam_step(state.values, grad, state.m, state.v,
-                                         k, g, cfg.adam_beta1, cfg.adam_beta2,
-                                         cfg.adam_eps, state.lower, state.upper)
+    state.values = _stepped(state, grad, cfg, k)
     return state
+
+
+def _stepped(state: OptimizerState, grad: np.ndarray, cfg: OptimizerConfig,
+             k: int | list[int]) -> np.ndarray:
+    """The values that one SGD or Adam step at k makes of state's (Adam
+    updates the moments in place); no checks."""
+    if isinstance(k, list):
+        g = np.array([gamma_at(cfg, j) for j in k])[:, None]
+    else:
+        g = gamma_at(cfg, k)
+    if cfg.method is Method.SGD:
+        return kernels.sgd_step(state.values, grad, g, state.lower, state.upper)
+    return kernels.adam_step(state.values, grad, state.m, state.v, k, g, cfg.adam_beta1,
+                             cfg.adam_beta2, cfg.adam_eps, state.lower, state.upper)
 
 
 # -------------------------------------------------------------------- losses
@@ -258,9 +279,11 @@ class TrainingStep:
     standardized target space: their kernels see (y - y_loc)/y_scale, from
     :meth:`targets` once per dataset, and inv_var*y_scale^2, which leaves
     the raw-unit data term and its gradient; for the other kinds both
-    transforms are exact no-ops.  :meth:`grad` gives the gradient of one
-    optimizer step, :meth:`loss` the objective of a validation pass and
-    :meth:`online_update` one online-learning update.
+    transforms are exact no-ops.  A fit's step takes the kind's gradient
+    kernel (``models.plan_loss_grad``) and the prior's gradient
+    (``prior.add_grad``), :meth:`loss` is the objective of a validation
+    pass and :meth:`online_update` one online-learning update, in the
+    buffers of :meth:`bind`.
     """
 
     def __init__(self, m: ModelSpec, noise_std: float, prior_mode: PriorMode):
@@ -294,41 +317,68 @@ class TrainingStep:
         return OptimizerState(values, np.zeros(values.shape), np.zeros(values.shape),
                               self.lower, self.upper)
 
-    def grad(self, theta, X, Xs, y, wells) -> np.ndarray:
-        """Gradient of the objective on rows (X, Xs, y from targets, wells)."""
-        _, grad = plan_loss_grad(self.plan, theta, X, Xs, y, self.inv_var, wells)
-        self.prior.add_grad(theta, grad)
-        return grad
-
     def loss(self, theta, X, Xs, y, wells) -> float:
         """The objective on rows (X, Xs, y from targets, wells)."""
         return plan_loss(self.plan, theta, X, Xs, y, self.inv_var, wells) + self.prior.loss(theta)
 
-    def online_update(self, theta, X, Xs, y, wells, ocfg: OptimizerConfig,
-                      steps: int) -> np.ndarray | None:
+    def bind(self) -> OptimizerState | None:
+        """The buffers of one online-learning unit, for
+        :meth:`online_update`: zeroed values, moments and gradient of the
+        unit's parameter count, and for a network kind its layer views of
+        the values and the gradient (``kernels._nn_bind`` at the kind's
+        ``n_fixed``).  None for the kinds whose updates run on Python floats
+        (LR, MM)."""
+        if self.floats is not None:
+            return None
+        n = len(self.lower)
+        unit = OptimizerState(np.zeros(n), np.zeros(n), np.zeros(n), self.lower, self.upper,
+                              np.zeros(n))
+        plan = self.plan
+        if plan.entry.network:
+            unit.net = kernels._nn_bind(unit.values, plan.entry.n_fixed, plan.widths, unit.grad)
+        return unit
+
+    def online_update(self, unit: OptimizerState | None, theta, X, Xs, y, wells,
+                      ocfg: OptimizerConfig, steps: int) -> np.ndarray | None:
         """One online-learning update: `steps` optimizer steps at k = 1, 2,
         ... on one row (X, Xs, y from targets, wells), warm-started at theta
         with zero Adam moments.  Returns the new values, or None when a
         gradient or the final values are not finite (the update is skipped).
 
-        A kind with a float row gradient (``KindEntry.row_grad``: LR, MM)
-        runs the whole update on Python floats: theta and the row are
-        converted once, then each step takes the row gradient, the prior's,
-        the finite check and the SGD or Adam step with its clip
+        An array kind (NN, MTL, HEM, HAM) steps in the buffers of `unit`,
+        from :meth:`bind` once per unit: theta is copied into its values and
+        its moments are zeroed, then each step zeroes the gradient buffer,
+        writes the kind's gradient into it (``KindEntry.bound_grad``, on the
+        network views bound to the buffers), adds the prior's, checks it is
+        finite and writes the SGD or Adam step (``kernels.sgd_step``,
+        ``kernels.adam_step``) into the values; the result is returned as a
+        copy, which later updates leave alone.  These are the operations of
+        a fit's step (the gradient kernel, the prior's ``add_grad`` and
+        :func:`optimizer_step`) in their order, so every bit is theirs.
+
+        A kind with a float row gradient (``KindEntry.row_grad``: LR, MM;
+        `unit` None) runs the whole update on Python floats: theta and the
+        row are converted once, then each step takes the row gradient, the
+        prior's, the finite check and the SGD or Adam step with its clip
         (``kernels.sgd_floats``, ``kernels.adam_floats``), and the result
-        becomes an array once.  Every rounding is that of the array loop that
-        the other kinds take (:meth:`grad` and :func:`optimizer_step`), and
-        the radicand clamps go to ``models.MM_DIAGNOSTICS`` alike.
+        becomes an array once.  Every rounding is that of the array steps,
+        and the radicand clamps go to ``models.MM_DIAGNOSTICS`` alike.
         """
         if self.floats is None:
-            state = self.start(theta)
+            th, g = unit.values, unit.grad
+            th[...] = theta
+            unit.m.fill(0.0)
+            unit.v.fill(0.0)
+            plan, net, inv_var, prior = self.plan, unit.net, self.inv_var, self.prior
+            bound_grad = plan.entry.bound_grad
             for k in range(1, steps + 1):
-                grad = self.grad(state.values, X, Xs, y, wells)
-                try:
-                    optimizer_step(state, grad, ocfg, k)
-                except NumericError:
+                g.fill(0.0)
+                MM_DIAGNOSTICS.count += bound_grad(net, plan, th, X, Xs, y, inv_var, wells, g)[1]
+                prior.add_grad(th, g)
+                if not np.isfinite(g).all():
                     return None
-            return state.values if np.isfinite(state.values).all() else None
+                th[...] = _stepped(unit, g, ocfg, k)
+            return th.copy() if np.isfinite(th).all() else None
         lower, upper, prior, geom, inv_var = self.floats
         row_grad = self.plan.entry.row_grad
         th = theta.tolist()

@@ -2,15 +2,16 @@
 
 ``map_objective`` takes predictions from ``models.predict`` in raw units and
 sums the data term and the prior term by hand, one row and one parameter at a
-time.  ``step_loss_grad`` evaluates a ``TrainingStep`` on every row of a
-dataset, as ``fit_map`` does on a batch, so tests can hold the library's loss
-and gradient to the hand-summed objective.
+time.  ``step_loss_grad`` evaluates a ``TrainingStep``'s loss, and the
+gradient a fit's step takes (the kind's gradient kernel plus the prior's), on
+every row of a dataset, as ``fit_map`` does on a batch, so tests can hold the
+library's loss and gradient to the hand-summed objective.
 """
 
 import numpy as np
 
 from vfmlab import ModelKind, PriorMode, predict
-from vfmlab.models import scale_inputs, task_columns
+from vfmlab.models import plan_loss_grad, scale_inputs, task_columns
 from vfmlab.optim import TrainingStep
 
 
@@ -30,11 +31,14 @@ def map_objective(m, ds, loss) -> float:
 
 
 def step_loss_grad(m, ds, loss) -> tuple[float, np.ndarray]:
-    """(TrainingStep.loss, TrainingStep.grad) of the model on all rows of ds."""
+    """TrainingStep.loss, and plan_loss_grad's gradient plus the prior's, of
+    the model on all rows of ds."""
     step = TrainingStep(m, loss.noise_std, loss.prior_mode)
     X = np.ascontiguousarray(ds.X)
     Xs = scale_inputs(step.plan, X)
     y = step.targets(ds.y)
     wells = task_columns(m, ds.well)
     theta = m.params.values
-    return step.loss(theta, X, Xs, y, wells), step.grad(theta, X, Xs, y, wells)
+    _, grad = plan_loss_grad(step.plan, theta, X, Xs, y, step.inv_var, wells)
+    step.prior.add_grad(theta, grad)
+    return step.loss(theta, X, Xs, y, wells), grad

@@ -190,8 +190,9 @@ def test_nn_kernels_equal_the_loop(n, off):
     delta = rng.standard_normal(n)
     start = rng.standard_normal(len(theta))   # backprop accumulates into grad
     g_a, g_l = start.copy(), start.copy()
-    out_a, acts = kernels._nn_forward(theta, off, NN_WIDTHS, xs)
-    kernels._nn_backward(theta, off, NN_WIDTHS, acts, delta, g_a)
+    net = kernels._nn_bind(theta, off, NN_WIDTHS, g_a)
+    out_a, acts = kernels._nn_forward(net, xs)
+    kernels._nn_backward(net, acts, delta)
     out_l = loop._nn_backprop(theta, off, NN_WIDTHS, xs, delta, g_l)
     assert np.array_equal(out_a, out_l)
     assert np.array_equal(g_a, g_l)
@@ -571,6 +572,28 @@ def test_predict_is_the_loss_kernels_forward(kind, n):
         y, inv_var = fit[4:6]
         assert np.float64(sse).tobytes() == np.float64(kernels._sse(y, z, inv_var)).tobytes()
         assert clamps == z_clamps
+
+
+@pytest.mark.parametrize("kind", sorted(STACKED))
+def test_every_loss_kernel_takes_zero_rows(kind):
+    """An empty batch gives sse 0.0, a zero gradient and no clamps, and its
+    loss alone (kernels._sse of predict) is 0.0 too: for one fit of every
+    kind, and for a stack of the kinds that stack at any row count (the
+    choke kinds stack from COLUMN_ROWS rows up)."""
+    rng = np.random.default_rng(99 + len(kind))
+    fits = []
+    for _ in range(FITS):
+        theta, x, xs, wells, y, inv_var, nn_scale = _stacked_fit(rng, kind, 1)
+        fits.append((theta, x[:0], xs[:0], wells[:0], y[:0], inv_var, nn_scale))
+    calls = [fits[0]] + ([_stack(fits)] if kind in ("lr", "nn", "mtl") else [])
+    for args in calls:
+        sse, grad, clamps = STACKED[kind](*args)
+        assert np.shape(sse) == args[0].shape[:-1] and not np.any(sse)
+        assert grad.shape == args[0].shape and not grad.any()
+        assert clamps == 0
+        z, z_clamps = PREDICT[kind](*args)
+        assert z.size == 0 and z_clamps == 0
+        assert not np.any(kernels._sse(args[4], z, args[5]))
 
 
 @pytest.mark.parametrize("n", sorted({kernels.COLUMN_ROWS, 64}))

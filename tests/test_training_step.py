@@ -14,6 +14,11 @@ so step at other step indices beside them) and whichever of them fail.
 ``run_schedules`` stacks the refits of several units, and each unit's log
 must equal ``run_schedule`` on that unit alone.  A ``fit_maps`` call split
 across forked workers gives the same fits, and leaves no worker behind.
+The online updates of NN, MTL, HEM and HAM step in buffers each unit binds
+once (``TrainingStep.bind``), so the hazards of reuse are checked too: a
+returned version is a copy that later updates leave alone, an update that
+fails after a finite step leaves the next ones exact, and two units
+interleaved in one process each give what they give alone.
 """
 
 import contextlib
@@ -33,11 +38,11 @@ import loop_drivers as loop
 from conftest import make_dataset
 from vfmlab.core import WellDataset, chronological_split, fit_scaler
 from vfmlab.errors import DataError, NumericError
-from vfmlab import kernels, learning, optim
+from vfmlab import kernels, learning, models, optim
 from vfmlab.learning import ScheduleConfig, run_ol, run_pbl
 from vfmlab.models import (TRAINABLE_KINDS, ModelKind, MtlParams, NetworkShape,
                            build_plan, init_model, mm_clamp_count, plan_loss, plan_loss_grad,
-                           predict, scale_inputs, task_columns)
+                           plan_predict, predict, scale_inputs, task_columns)
 from vfmlab.optim import (EarlyStoppingConfig, LossSpec, Method, OptimizerConfig, PriorMode,
                           fit_map)
 
@@ -203,6 +208,100 @@ def test_a_float_update_equals_the_frozen_loop_at_its_edges(kind, case, method, 
     else:
         assert skipped == [] and clamps > len(te) // 3
     assert len(set(y_pred.tolist())) > 1
+
+
+# the kinds whose online updates step in buffers the unit owns
+BOUND_KINDS = [k for k in TRAINABLE_KINDS if models.KIND_TABLE[k].bound_grad is not None]
+
+
+def _ol_unit(kind, n, method=Method.ADAM):
+    """An initial fit of `kind` on n rows per well and the OL schedule of
+    three steps per observation that follows it: (m0, split, cfg)."""
+    ds = _data(n)
+    split = chronological_split(ds, float(ds.t[n + 4]))
+    loss = LossSpec.from_data(split.train, rel=0.5)
+    m0 = fit_map(_model(kind, split.train), split.train, loss, _ocfg(method), ESCFG)
+    return m0, split, ScheduleConfig(mode="ol", ocfg=_ocfg(method), loss=loss, steps=3)
+
+
+def _updates(m0, split, cfg):
+    """run_ol's loop, one observation per next(): yields the prediction and
+    the update's values (None when skipped), in a unit of its own."""
+    step = optim.TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
+    X, Xs, y, wells = step.rows(m0, split.test)
+    unit = step.bind()
+    theta = m0.params.values
+    for i in range(len(y)):
+        r = slice(i, i + 1)
+        pred = plan_predict(step.plan, theta, X[r], Xs[r], wells[r])[0]
+        values = step.online_update(unit, theta, X[r], Xs[r], y[r], wells[r], cfg.ocfg,
+                                    cfg.steps)
+        yield pred, values
+        if values is not None:
+            theta = values
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+def test_an_update_returns_values_apart_from_the_units_buffers(kind):
+    """Each update's values are a copy: an earlier version keeps its bits
+    after later updates step the unit's buffers, and no version shares
+    memory with them."""
+    m0, split, cfg = _ol_unit(kind, 20)
+    updates = _updates(m0, split, cfg)
+    first = next(updates)[1]
+    kept = first.copy()
+    later = [values for _, values in updates]
+    assert first.tobytes() == kept.tobytes()
+    assert len({v.tobytes() for v in [first, *later]}) == len(later) + 1   # each update moved
+    assert not any(np.shares_memory(first, v) for v in later)
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+def test_an_update_that_fails_partway_leaves_the_next_ones_exact(kind, monkeypatch):
+    """One test row's target is 1e150: the first SGD step of its update is
+    finite but throws the network's weights so far that the second step's
+    gradient is not, so the update is skipped with the unit's buffers left
+    mid-update.  The updates after it start again from the last good
+    values: predictions, versions and skipped times equal the frozen
+    loop's, bit for bit."""
+    m0, split, cfg = _ol_unit(kind, 20, Method.SGD)
+    te = split.test
+    y = te.y.copy()
+    y[5] = 1e150
+    split = dataclasses.replace(split, test=WellDataset(te.t, te.X, y, te.source, te.well))
+    finite = []
+    entry = models.KIND_TABLE[kind]
+
+    def recorded(*args):
+        out = entry.bound_grad(*args)
+        finite.append(bool(np.isfinite(args[-1]).all()))
+        return out
+    monkeypatch.setitem(models.KIND_TABLE, kind, dataclasses.replace(entry, bound_grad=recorded))
+    with np.errstate(all="ignore"):
+        log = run_ol(m0, split, cfg)
+        y_pred, versions, _, n_updates, skipped = loop.run_ol(m0, split, cfg)
+    assert skipped == [te.t[5]] == log.metadata["skipped_updates"]
+    assert finite[5 * cfg.steps:5 * cfg.steps + 2] == [True, False]   # failed at step 2
+    assert log.y_pred.tobytes() == y_pred.tobytes()
+    assert np.array_equal(log.model_version, versions)
+    assert log.metadata["n_updates"] == n_updates == len(te) - 1
+
+
+@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+def test_units_interleaved_in_one_process_equal_each_alone(kind):
+    """Two units of one kind, on different rows and from different initial
+    fits, take their updates in turn; each gives the predictions and values
+    that it gives alone, bit for bit."""
+    units = [_ol_unit(kind, 20), _ol_unit(kind, 22)]
+
+    def as_bytes(run):
+        return [(float(p), None if v is None else v.tobytes()) for p, v in run]
+    alone = [as_bytes(_updates(*u)) for u in units]
+    a, b = _updates(*units[0]), _updates(*units[1])
+    turns = [(next(a), next(b)) for _ in range(min(len(r) for r in alone))]
+    assert as_bytes(t[0] for t in turns) == alone[0][:len(turns)]
+    assert as_bytes(t[1] for t in turns) == alone[1][:len(turns)]
+    assert alone[0][:len(turns)] != alone[1][:len(turns)]
 
 
 HOUR = 3600.0

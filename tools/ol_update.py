@@ -30,9 +30,13 @@ is 1e308 at critical flow (the choke kinds' gradient overflows there, so
 that update is skipped).  It compares the predictions, versions, update count, skipped
 times and radicand clamps: the change in ``models.mm_clamp_count()``
 against the clamps that the frozen loop's kernel calls return (it drops
-them; they are summed by wrapping the kernels while it runs).  It prints
-one JSON line per mismatch, and exits 1 when there is any, or when the
-copy's runs skip no update or clamp no radicand.
+them; they are summed by wrapping the kernels while it runs).  Then it runs
+every one of those units once more, in reverse order, in the same process,
+and compares each log with the unit's first: NN, MTL, HEM and HAM step in
+buffers bound once per unit (``optim.TrainingStep.bind``), and no state may
+leak from one unit or run into another.  It prints one JSON line per
+mismatch, and exits 1 when there is any, or when the copy's runs skip no
+update or clamp no radicand.
 """
 
 from __future__ import annotations
@@ -134,36 +138,52 @@ class KernelClamps:
             setattr(kernels, name, real)
 
 
+def _ol_log(m0, split, sched) -> dict:
+    """What the smoke compares of one run_ol: the predictions' bytes, the
+    versions, the update count, the skipped times and the radicand clamps."""
+    with np.errstate(all="ignore"):
+        c0 = mm_clamp_count()
+        log = run_ol(m0, split, sched)
+    return {"y_pred": log.y_pred.tobytes(), "versions": log.model_version.tolist(),
+            "n_updates": log.metadata["n_updates"], "skipped": log.metadata["skipped_updates"],
+            "clamps": mm_clamp_count() - c0}
+
+
 def smoke(seed: int) -> int:
     bad = 0
     edge_skips = edge_clamps = 0
+    runs = []
     for edge in (False, True):
         for prior in PriorMode:
             for method in Method:
                 for kind, m0, split, sched in ol_units(KINDS, seed, True, edge, prior, method):
-                    with np.errstate(all="ignore"):
-                        c0 = mm_clamp_count()
-                        log = run_ol(m0, split, sched)
-                        clamps = mm_clamp_count() - c0
-                        with KernelClamps() as frozen:
-                            y_pred, versions, _, n_updates, skipped = loop_drivers.run_ol(
-                                m0, split, sched)
-                    got = {"y_pred": log.y_pred.tobytes(), "versions": log.model_version.tolist(),
-                           "n_updates": log.metadata["n_updates"],
-                           "skipped": log.metadata["skipped_updates"], "clamps": clamps}
+                    got = _ol_log(m0, split, sched)
+                    with np.errstate(all="ignore"), KernelClamps() as frozen:
+                        y_pred, versions, _, n_updates, skipped = loop_drivers.run_ol(
+                            m0, split, sched)
                     want = {"y_pred": y_pred.tobytes(), "versions": versions.tolist(),
                             "n_updates": n_updates, "skipped": skipped, "clamps": frozen.count}
                     differ = [k for k in got if got[k] != want[k]]
                     if edge:
                         edge_skips += len(skipped)
                         edge_clamps += frozen.count
+                    labels = {"kind": kind, "edge": edge, "prior": prior.value,
+                              "method": method.value}
                     if differ:
                         bad += 1
-                        print(json.dumps({"kind": kind, "edge": edge, "prior": prior.value,
-                                          "method": method.value, "differ": differ}))
+                        print(json.dumps({**labels, "differ": differ}))
+                    runs.append((labels, (m0, split, sched), got))
+    # every unit once more, in reverse order, in this process: a unit's log
+    # must not depend on the units or runs before it
+    for labels, unit, got in reversed(runs):
+        again = _ol_log(*unit)
+        differ = [k for k in got if got[k] != again[k]]
+        if differ:
+            bad += 1
+            print(json.dumps({**labels, "rerun": True, "differ": differ}))
     exercised = edge_skips > 0 and edge_clamps > 0
     print(json.dumps({"smoke": "passed" if exercised and not bad else "failed",
-                      "mismatches": bad, "edge_skipped": edge_skips,
+                      "mismatches": bad, "reruns": len(runs), "edge_skipped": edge_skips,
                       "edge_clamps": edge_clamps}))
     return 0 if exercised and not bad else 1
 
