@@ -112,14 +112,42 @@ def test_f_statistic_scales_ht2():
     assert f_statistic(6.0, 1, 30, 1) == 6.0
 
 
-def test_import_leaves_scipy_optimize_out():
-    # the F quantile is scipy.special.fdtri; loading scipy.optimize as well
-    # costs import time and memory on every vfmlab command
-    proc = subprocess.run([sys.executable, "-c", "import sys, vfmlab; "
-                           "print('scipy.optimize' in sys.modules)"],
-                          capture_output=True, text=True, timeout=120)
+def run_fresh(code):
+    """Run `code` in a new interpreter and return what it prints."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr[-1000:]
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_special_and_optimize_out():
+    # scipy.special serves only the F quantile of detect, and scipy.optimize
+    # serves nothing; importing either costs time and memory, so a command
+    # that does not scan, such as config, must start without both
+    out = run_fresh("import contextlib, io, sys, vfmlab, vfmlab.cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    code = vfmlab.cli.main(['config', '--defaults'])\n"
+                    "print(code, 'scipy.special' in sys.modules, "
+                    "'scipy.optimize' in sys.modules)")
+    assert out == "0 False False\n"
+
+
+# (p, d1, d2): the default scan's 1 - alpha at d = 6 features and the
+# N1 - d of wells 1 and 4, then the tails and small and large dof
+FDTRI_POINTS = [(0.95, 6, 182), (0.95, 6, 178), (0.5, 30, 30), (0.99, 1, 10),
+                (0.01, 10, 500), (0.2, 2, 50), (1e-6, 3, 7)]
+
+
+def test_f_quantile_loads_fdtri_on_first_use_and_returns_its_bits():
+    out = run_fresh("import sys\n"
+                    "from vfmlab import f_quantile\n"
+                    "before = 'scipy.special' in sys.modules\n"
+                    f"got = [f_quantile(*pt) for pt in {FDTRI_POINTS!r}]\n"
+                    "after = 'scipy.special' in sys.modules\n"
+                    "from scipy.special import fdtri\n"
+                    f"want = [float(fdtri(d1, d2, p)) for p, d1, d2 in {FDTRI_POINTS!r}]\n"
+                    "print(before, after, [g.hex() for g in got] == [w.hex() for w in want])")
+    assert out == "False True True\n"
 
 
 # -------------------------------------------------------------- F distribution
