@@ -18,14 +18,19 @@ predictions).  The kernels serve both:
   one physics gradient, ``_mm_grad``, which takes either form's parts; HAM
   picks in each of its two kernels;
 * floats for a whole online-learning update of LR and MM
-  (``optim.TrainingStep.online_update``): the bounds and the prior are
-  converted once per unit, theta and the row once per observation, the k
-  steps run on the row bodies ``lr_row_grad`` and ``mm_row_grad`` and on
-  ``adam_floats`` or ``sgd_floats``, both clipping with ``_clip``, and the
-  result becomes an array once.  Every MM/HEM/HAM loop goes through
-  ``_mm_row``; ``lr_row_grad``, ``mm_row_grad``, ``adam_floats`` and
-  ``sgd_floats`` take, per element, the operations of ``lr_loss_grad``,
-  ``mm_loss_grad`` (at one row), ``adam_step`` and ``sgd_step`` in the same
+  (``optim.TrainingStep.online_update``): the bounds, the prior and each
+  step's gamma_k and bias corrections are converted once per unit, theta
+  and the row once per observation; each of the k steps runs the row body
+  ``lr_row_grad`` or ``mm_row_grad``, which also returns the row's forward,
+  and one pass of ``sgd_floats`` or ``adam_floats`` over the entries,
+  which adds the prior's gradient, checks it is finite and writes the step
+  with its clip; the result becomes an array once.  The first step's
+  forward is at the parameters that predict the row, so it is the row's
+  prediction, and no predict kernel runs.  Every MM/HEM/HAM loop goes
+  through ``_mm_row``; ``lr_row_grad``, ``mm_row_grad``, ``sgd_floats`` and
+  ``adam_floats`` take, per element, the operations of ``lr_loss_grad``
+  (and ``lr_predict``), ``mm_loss_grad`` (and ``mm_predict``) at one row,
+  the prior's ``add_grad``, and ``sgd_step`` or ``adam_step`` in the same
   order, so the two forms round alike;
 * bound buffers for a whole online-learning update of NN, MTL, HEM and HAM
   (``optim.TrainingStep.bind``): each unit owns its parameter, Adam moment
@@ -101,7 +106,8 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   through the one forward ``_mm_forward``;
 * each float row gradient (``lr_row_grad``, ``mm_row_grad``) equals its
   kind's loss-gradient kernel at one row: sse, gradient (signed zeros
-  included) and clamp flag, byte for byte;
+  included) and clamp flag, byte for byte, and its forward the kind's
+  ``predict`` at that row;
 * the optimizer steps, the LR, NN and MTL kernels and the MM/HEM/HAM loops
   below ``COLUMN_ROWS`` are bit-identical to the oracle (``lr_predict`` and
   ``ham_predict`` to their forwards in ``lr_loss_grad`` and
@@ -112,13 +118,14 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   a cumulative sum along the summed axis adds one term at a time, and its
   last entry is the sum (``_row_sum``, ``_affine_cols``); ``np.add.at``
   applies rows in index order;
-* ``adam_floats`` and ``sgd_floats`` equal ``adam_step`` and ``sgd_step``
-  bit for bit, signs included, on ties, NaN and overflow too (the oracle's
-  clip keeps ``val`` on a tie, so signed-zero ties are held to the array
-  steps instead);
+* ``sgd_floats`` and ``adam_floats`` equal the prior's ``add_grad``
+  followed by ``sgd_step`` or ``adam_step`` bit for bit, signs included, on
+  ties, NaN and overflow too (the oracle's clip keeps ``val`` on a tie, so
+  signed-zero ties are held to the array steps instead);
 * an online update on floats, and one on bound buffers, equals the array
   steps (``optimizer_step`` over ``plan_loss_grad`` and the prior's
-  ``add_grad``) bit for bit, skipped updates and clamp counts included:
+  ``add_grad``) bit for bit, and the float update's prediction equals
+  ``models.plan_predict``'s, skipped updates and clamp counts included:
   ``tests/test_training_step.py`` holds ``learning.run_ol`` to the frozen
   loop of ``tests/loop_drivers.py``, as ``tools/ol_update.py --smoke`` does
   on a split of the default study;
@@ -451,7 +458,8 @@ def lr_row_grad(th, xs, y, inv_var, g):
     """lr_loss_grad of one row on Python floats, in its order of operations,
     for the online-learning update: th (w, b) and the standardized row xs
     are lists, y and inv_var floats.  Adds the row's gradient into the list
-    g and returns its sse term."""
+    g and returns (its sse term, its forward), the forward being
+    lr_predict's at that row, bit for bit."""
     d = len(xs)
     yh = th[d]
     for xj, wj in zip(xs, th):
@@ -461,7 +469,7 @@ def lr_row_grad(th, xs, y, inv_var, g):
     for j, xj in enumerate(xs):
         g[j] += c * xj
     g[d] += c
-    return resid * resid * inv_var
+    return resid * resid * inv_var, yh
 
 
 # ------------------------------------------------------------------------ NN
@@ -610,7 +618,8 @@ def mm_row_grad(th, x, geom, y, inv_var, g):
     """mm_loss_grad of one row on Python floats, for the online-learning
     update: _mm_row's gradient, th (six parameters), the raw row x and geom
     as lists, y and inv_var floats.  Adds the row's gradient into the list g
-    and returns (its sse term, 1 if its radicand was clamped else 0)."""
+    and returns (its sse term, its forward, 1 if its radicand was clamped
+    else 0), the forward being mm_predict's at that row, bit for bit."""
     a2, r, vsc, neg, dr, dvsc = _mm_row(th, x, geom, True)
     base = M3S_TO_SM3H * th[5] * a2
     yh = base * r * vsc
@@ -619,7 +628,7 @@ def mm_row_grad(th, x, geom, y, inv_var, g):
     for j in range(5):
         g[j] += c * base * (dr[j] * vsc + r * dvsc[j])
     g[5] += c * M3S_TO_SM3H * a2 * r * vsc
-    return resid * resid * inv_var, neg
+    return resid * resid * inv_var, yh, neg
 
 
 # ----------------------------------------------------------------------- HEM
@@ -890,36 +899,55 @@ def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
     return np.minimum(np.maximum(val, lower), upper)
 
 
-def _clip(val, lo, hi):
-    """np.minimum(np.maximum(val, lo), hi) on Python floats: the bound on a
-    tie (-0.0 against 0.0 included), NaN if either side is NaN."""
-    if not val > lo and val == val:
-        val = lo
-    if not val < hi and val == val:
-        val = hi
-    return val
+def sgd_floats(theta, grad, prior, lower, upper, gamma_k):
+    """sgd_step of one fit on lists of Python floats, in one pass over the
+    entries with the prior's gradient term and the finite check: per entry,
+    the data gradient from grad plus, where prior holds (mean, std) for it
+    (None elsewhere), 2 * ((theta - mean) / std) / std, rounded as
+    ``optim._Prior.add_grad`` rounds it; None at the first entry whose sum
+    is not finite (the caller skips the update).  The clip is that of
+    np.minimum(np.maximum(val, lower), upper): the bound on a tie (-0.0
+    against 0.0 included), NaN if either side is NaN.  Returns theta' as a
+    new list."""
+    out = []
+    for th, g, pr, lo, hi in zip(theta, grad, prior, lower, upper):
+        if pr is not None:
+            g += 2.0 * ((th - pr[0]) / pr[1]) / pr[1]
+        if g - g != 0.0:   # inf or NaN
+            return None
+        val = th - gamma_k * g
+        if not val > lo and val == val:
+            val = lo
+        if not val < hi and val == val:
+            val = hi
+        out.append(val)
+    return out
 
 
-def sgd_floats(theta, grad, gamma_k, lower, upper):
-    """sgd_step of one fit on lists of Python floats; returns theta' as a
-    list."""
-    return [_clip(th - gamma_k * g, lo, hi) for th, g, lo, hi in zip(theta, grad, lower, upper)]
-
-
-def adam_floats(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """adam_step of one fit on lists of Python floats: returns (theta', m',
-    v') as new lists."""
-    c1 = 1.0 - beta1 ** k
-    c2 = 1.0 - beta2 ** k
+def adam_floats(theta, grad, prior, lower, upper, gamma_k, m, v, c1, c2, beta1, beta2, eps):
+    """adam_step of one fit on lists of Python floats, with the prior's term,
+    the finite check and the clip of ``sgd_floats``; c1 and c2 are the bias
+    corrections 1 - beta1**k and 1 - beta2**k.  Returns (theta', m', v') as
+    new lists, or None at a non-finite gradient entry."""
     b1 = 1.0 - beta1
     b2 = 1.0 - beta2
+    sqrt = math.sqrt
+    out = []
     ms = []
     vs = []
-    out = []
-    for th, g, mi, vi, lo, hi in zip(theta, grad, m, v, lower, upper):
+    for th, g, pr, lo, hi, mi, vi in zip(theta, grad, prior, lower, upper, m, v):
+        if pr is not None:
+            g += 2.0 * ((th - pr[0]) / pr[1]) / pr[1]
+        if g - g != 0.0:   # inf or NaN
+            return None
         mi = mi * beta1 + b1 * g
         vi = vi * beta2 + b2 * g * g
         ms.append(mi)
         vs.append(vi)
-        out.append(_clip(th - gamma_k * (mi / c1) / (math.sqrt(vi / c2) + eps), lo, hi))
+        val = th - gamma_k * (mi / c1) / (sqrt(vi / c2) + eps)
+        if not val > lo and val == val:
+            val = lo
+        if not val < hi and val == val:
+            val = hi
+        out.append(val)
     return out, ms, vs

@@ -282,10 +282,15 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     Each observation is predicted first, then taken as one update
     (``optim.TrainingStep.online_update``): LR and MM run its k steps on
     Python floats, the other kinds as array steps in buffers, and network
-    layer views, that the unit binds once (``TrainingStep.bind``).  A
-    non-finite update is skipped (flagged) and the previous parameters carry
-    on.  k = 0 degenerates to pure prediction with m0.  A mechanistic kind's
-    test row with nonpositive p1, p2 or T1 raises NumericError up front.
+    layer views, that the unit binds once (``TrainingStep.bind``).  The
+    float update's first step computes the forward at the parameters that
+    predict the row, so it hands back the prediction, bit for bit what
+    ``models.plan_predict`` gives; ``plan_predict`` runs only for the rows
+    without a float update: every row at k = 0, a row whose source may not
+    update, and every row of an array kind.  A non-finite update is skipped
+    (flagged) and the previous parameters carry on.  k = 0 degenerates to
+    pure prediction with m0.  A mechanistic kind's test row with
+    nonpositive p1, p2 or T1 raises NumericError up front.
     """
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
@@ -302,7 +307,8 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     # the plan (and its scaler) is frozen, so the unit's arrays are built once
     # and row i of each serves both its prediction and its update
     X, Xs, y, wells = step.rows(m0, te)
-    unit = step.bind()   # the update's buffers and network views, bound once per unit
+    # the update's coefficients, or its buffers and network views, bound once per unit
+    unit = step.bind(cfg.ocfg, steps)
     allowed = _updates_allowed(cfg, te.source)
     theta = m0.params.values
     v = m0.version
@@ -310,11 +316,14 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     for i in range(len(te)):
         rows = slice(i, i + 1)
         X1, Xs1, wells1 = X[rows], Xs[rows], wells[rows]
-        y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0]
         version[i] = v
         if steps == 0 or not allowed[i]:
+            y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0]
             continue
-        values = step.online_update(unit, theta, X1, Xs1, y[rows], wells1, cfg.ocfg, steps)
+        # the update leaves theta as it is, so the prediction at theta may follow it
+        values, pred = step.online_update(unit, theta, X1, Xs1, y[rows], wells1, cfg.ocfg,
+                                           steps)
+        y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0] if pred is None else pred
         if values is None:
             meta["skipped_updates"].append(time_value(float(te.t[i])))
         else:

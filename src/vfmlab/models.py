@@ -459,13 +459,14 @@ class KindEntry:
       a leading axis (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
       inv_var and the plan's nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or
       more, returning sse (R,), grad (R, P) and the clamps of all R.
-    * ``row_grad(th, x, xs, geom, y, inv_var, g) -> (sse, clamps)``, for the
-      kinds that take each online-learning update on Python floats (LR, MM;
-      ``optim.TrainingStep.online_update``), and used only there: one row's
-      gradient on lists th, x, xs and geom and floats y and inv_var, added
-      into the list g, rounded as the kind's ``loss_grad`` rounds that row
-      alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
-      byte for byte.
+    * ``row_grad(th, x, xs, geom, y, inv_var, g) -> (sse, z, clamps)``, for
+      the kinds that take each online-learning update on Python floats (LR,
+      MM; ``optim.TrainingStep.online_update``), and used only there: one
+      row's gradient on lists th, x, xs and geom and floats y and inv_var,
+      added into the list g, rounded as the kind's ``loss_grad`` rounds that
+      row alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
+      byte for byte, and the forward z equals ``predict``'s at that row, so
+      the update's first step also gives the row's prediction.
     * ``bound_grad(net, p, th, X, Xs, y, inv_var, wells, g) -> (sse,
       clamps)``, for the kinds that take each online-learning update as
       array steps on buffers the unit owns (NN, MTL, HEM, HAM;
@@ -507,7 +508,8 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         lambda rng, pri, shape, mtl: _lr_params(), n_fixed=D_INPUT + 1, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.lr_predict(th, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
-        row_grad=lambda th, x, xs, geom, y, iv, g: (kernels.lr_row_grad(th, xs, y, iv, g), 0)),
+        row_grad=lambda th, x, xs, geom, y, iv, g: (
+            *kernels.lr_row_grad(th, xs, y, iv, g), 0)),
     ModelKind.NN: KindEntry(
         lambda rng, pri, shape, mtl: _mlp_params(rng, shape.widths()),
         network=True, standardized=True,

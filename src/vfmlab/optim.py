@@ -44,9 +44,10 @@ gradient in place, and per validation pass it takes the loss alone
 (``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
 finiteness check.  An online-learning update (``TrainingStep.online_update``)
 takes the same roundings and checks in one of two forms: LR and MM run its
-steps on Python floats; the other kinds step in place, in buffers that the
-unit binds once (:meth:`TrainingStep.bind`), with the network's layer views
-bound to them.
+steps on Python floats, one fused pass per step, and take the row's
+prediction from the first step's forward; the other kinds step in place, in
+buffers that the unit binds once (:meth:`TrainingStep.bind`), with the
+network's layer views bound to them.
 """
 
 from __future__ import annotations
@@ -253,13 +254,15 @@ class _Prior:
             z = (theta[..., self.idx] - self.mean) / self.std
             grad[..., self.idx] += 2.0 * z / self.std
 
-    def entries(self, n: int) -> list:
-        """(index, mean, std) of each entry the prior covers in a vector of n,
-        as Python ints and floats."""
-        if self.idx is None:
-            return []
-        return list(zip(np.arange(n)[self.idx].tolist(), self.mean.tolist(),
-                        self.std.tolist()))
+    def per_entry(self, n: int) -> list:
+        """Per entry of a vector of n, (mean, std) as Python floats where the
+        prior covers it, else None."""
+        out = [None] * n
+        if self.idx is not None:
+            for j, mean, std in zip(np.arange(n)[self.idx].tolist(), self.mean.tolist(),
+                                    self.std.tolist()):
+                out[j] = (mean, std)
+        return out
 
 
 def prior_loss_and_grad(params: ParameterSet, theta: np.ndarray,
@@ -292,13 +295,16 @@ class TrainingStep:
         self.prior = _Prior(m.params, prior_mode)
         self.lower = m.params.lower
         self.upper = m.params.upper
-        # what online_update's float form reads, as Python floats
+        # what online_update's float form reads, as Python floats, with the
+        # map of the target space to engineering units that plan_predict applies
         self.floats = None
         if plan.entry.row_grad is not None:
             self.floats = (self.lower.tolist(), self.upper.tolist(),
-                           self.prior.entries(len(self.lower)),
+                           self.prior.per_entry(len(self.lower)),
                            None if plan.geom is None else plan.geom.tolist(),
-                           float(self.inv_var))
+                           float(self.inv_var),
+                           (float(plan.y_loc), float(plan.y_scale))
+                           if plan.entry.standardized else None)
 
     def targets(self, y: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
@@ -321,15 +327,20 @@ class TrainingStep:
         """The objective on rows (X, Xs, y from targets, wells)."""
         return plan_loss(self.plan, theta, X, Xs, y, self.inv_var, wells) + self.prior.loss(theta)
 
-    def bind(self) -> OptimizerState | None:
-        """The buffers of one online-learning unit, for
-        :meth:`online_update`: zeroed values, moments and gradient of the
-        unit's parameter count, and for a network kind its layer views of
-        the values and the gradient (``kernels._nn_bind`` at the kind's
-        ``n_fixed``).  None for the kinds whose updates run on Python floats
-        (LR, MM)."""
+    def bind(self, ocfg: OptimizerConfig, steps: int) -> tuple | OptimizerState:
+        """What one online-learning unit of `steps` steps per update under
+        ocfg binds once, for :meth:`online_update`.  A kind whose updates
+        run on Python floats (LR, MM) gets its per-step coefficients:
+        (gamma_k, 1 - beta1**k, 1 - beta2**k) for k = 1 .. steps, computed
+        as :func:`gamma_at` and ``kernels.adam_step`` compute them.  Any
+        other kind gets its buffers: zeroed values, moments and gradient of
+        the unit's parameter count, and for a network kind its layer views
+        of the values and the gradient (``kernels._nn_bind`` at the kind's
+        ``n_fixed``)."""
         if self.floats is not None:
-            return None
+            beta1, beta2 = ocfg.adam_beta1, ocfg.adam_beta2
+            return tuple((gamma_at(ocfg, k), 1.0 - beta1 ** k, 1.0 - beta2 ** k)
+                         for k in range(1, steps + 1))
         n = len(self.lower)
         unit = OptimizerState(np.zeros(n), np.zeros(n), np.zeros(n), self.lower, self.upper,
                               np.zeros(n))
@@ -338,31 +349,43 @@ class TrainingStep:
             unit.net = kernels._nn_bind(unit.values, plan.entry.n_fixed, plan.widths, unit.grad)
         return unit
 
-    def online_update(self, unit: OptimizerState | None, theta, X, Xs, y, wells,
-                      ocfg: OptimizerConfig, steps: int) -> np.ndarray | None:
+    def online_update(self, unit: tuple | OptimizerState, theta, X, Xs, y, wells,
+                      ocfg: OptimizerConfig, steps: int) -> tuple:
         """One online-learning update: `steps` optimizer steps at k = 1, 2,
         ... on one row (X, Xs, y from targets, wells), warm-started at theta
-        with zero Adam moments.  Returns the new values, or None when a
-        gradient or the final values are not finite (the update is skipped).
+        with zero Adam moments, in the `unit` that :meth:`bind` gave for
+        ocfg and steps.  Returns (values, prediction): values are the new
+        values, or None when a gradient, the final values or the final Adam
+        second moment v are not finite (the update is skipped).  A finite
+        gradient entry above about 1.3e154 overflows v to inf; that entry's
+        step is then exactly 0, so v is checked too.  The prediction is the
+        row's at theta, in engineering units, for the float form, and None
+        for the array form.
 
-        An array kind (NN, MTL, HEM, HAM) steps in the buffers of `unit`,
-        from :meth:`bind` once per unit: theta is copied into its values and
-        its moments are zeroed, then each step zeroes the gradient buffer,
-        writes the kind's gradient into it (``KindEntry.bound_grad``, on the
-        network views bound to the buffers), adds the prior's, checks it is
-        finite and writes the SGD or Adam step (``kernels.sgd_step``,
-        ``kernels.adam_step``) into the values; the result is returned as a
-        copy, which later updates leave alone.  These are the operations of
-        a fit's step (the gradient kernel, the prior's ``add_grad`` and
+        An array kind (NN, MTL, HEM, HAM) steps in the unit's buffers:
+        theta is copied into its values and its moments are zeroed, then
+        each step zeroes the gradient buffer, writes the kind's gradient
+        into it (``KindEntry.bound_grad``, on the network views bound to the
+        buffers), adds the prior's, checks it is finite and writes the SGD
+        or Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
+        values; v is checked once, after the last step, since it cannot
+        come back from inf.  The result is returned as a copy, which later
+        updates leave alone.  These are the operations of a fit's step (the
+        gradient kernel, the prior's ``add_grad`` and
         :func:`optimizer_step`) in their order, so every bit is theirs.
 
-        A kind with a float row gradient (``KindEntry.row_grad``: LR, MM;
-        `unit` None) runs the whole update on Python floats: theta and the
-        row are converted once, then each step takes the row gradient, the
-        prior's, the finite check and the SGD or Adam step with its clip
-        (``kernels.sgd_floats``, ``kernels.adam_floats``), and the result
-        becomes an array once.  Every rounding is that of the array steps,
-        and the radicand clamps go to ``models.MM_DIAGNOSTICS`` alike.
+        A kind with a float row gradient (``KindEntry.row_grad``: LR, MM)
+        runs the whole update on Python floats: theta and the row are
+        converted once, then each step takes the row gradient and one fused
+        pass (``kernels.sgd_floats`` or ``kernels.adam_floats``) that adds
+        the prior's gradient, checks each entry is finite and writes the
+        step with its clip, at the unit's coefficients; the result becomes
+        an array once.  The first step's forward is at theta, so it is the
+        row's prediction, mapped as ``models.plan_predict`` maps it, bit for
+        bit, and its radicand clamp counts twice: once for the prediction
+        and once for the step.  Every rounding is that of the array steps
+        and the array prediction, and the radicand clamps go to
+        ``models.MM_DIAGNOSTICS`` alike.
         """
         if self.floats is None:
             th, g = unit.values, unit.grad
@@ -376,28 +399,38 @@ class TrainingStep:
                 MM_DIAGNOSTICS.count += bound_grad(net, plan, th, X, Xs, y, inv_var, wells, g)[1]
                 prior.add_grad(th, g)
                 if not np.isfinite(g).all():
-                    return None
+                    return None, None
                 th[...] = _stepped(unit, g, ocfg, k)
-            return th.copy() if np.isfinite(th).all() else None
-        lower, upper, prior, geom, inv_var = self.floats
+            ok = np.isfinite(th).all() and np.isfinite(unit.v).all()
+            return (th.copy() if ok else None), None
+        lower, upper, prior, geom, inv_var, y_map = self.floats
         row_grad = self.plan.entry.row_grad
+        adam = ocfg.method is not Method.SGD
+        beta1, beta2, eps = ocfg.adam_beta1, ocfg.adam_beta2, ocfg.adam_eps
         th = theta.tolist()
         x, xs, y = X[0].tolist(), Xs[0].tolist(), float(y[0])
-        m = v = [0.0] * len(th)
-        for k in range(1, steps + 1):
-            g = [0.0] * len(th)
-            MM_DIAGNOSTICS.count += row_grad(th, x, xs, geom, y, inv_var, g)[1]
-            for j, mean, std in prior:
-                g[j] += 2.0 * ((th[j] - mean) / std) / std
-            if not all(map(math.isfinite, g)):
-                return None
-            gamma_k = gamma_at(ocfg, k)
-            if ocfg.method is Method.SGD:
-                th = kernels.sgd_floats(th, g, gamma_k, lower, upper)
+        n = len(th)
+        m = v = [0.0] * n
+        pred = None
+        for gamma_k, c1, c2 in unit:
+            g = [0.0] * n
+            _, z, clamps = row_grad(th, x, xs, geom, y, inv_var, g)
+            if pred is None:
+                pred = z if y_map is None else y_map[0] + y_map[1] * z
+                clamps += clamps
+            MM_DIAGNOSTICS.count += clamps
+            if adam:
+                stepped = kernels.adam_floats(th, g, prior, lower, upper, gamma_k, m, v, c1, c2,
+                                              beta1, beta2, eps)
+                if stepped is None:
+                    return None, pred
+                th, m, v = stepped
             else:
-                th, m, v = kernels.adam_floats(th, g, m, v, k, gamma_k, ocfg.adam_beta1,
-                                               ocfg.adam_beta2, ocfg.adam_eps, lower, upper)
-        return np.array(th) if all(map(math.isfinite, th)) else None
+                th = kernels.sgd_floats(th, g, prior, lower, upper, gamma_k)
+                if th is None:
+                    return None, pred
+        ok = all(map(math.isfinite, th)) and all(map(math.isfinite, v))
+        return (np.array(th) if ok else None), pred
 
 
 # ------------------------------------------------------------------- fitting

@@ -17,13 +17,17 @@ of the optimizer steps and of the LR, NN, MTL, MM, HEM and HAM kernels.
 
 Row counts cover both sides of ``kernels.COLUMN_ROWS``, and the optimizer
 steps run at the study's parameter counts.  The steps of one fit on Python
-floats (``kernels.adam_floats``, ``kernels.sgd_floats``), which an
-online-learning update of LR or MM takes, are held to the array steps bit for
-bit: over a random walk with active bounds, and on signed-zero ties (where
-the frozen loop keeps the value), NaN and overflow.  Stacked optimizer steps,
-at one shared step index or at one per row, equal one step per fit.  The
-row gradients of that update (``KindEntry.row_grad``) equal their kind's
-loss-gradient kernel at one row, byte for byte.
+floats (``kernels.sgd_floats``, ``kernels.adam_floats``), which an
+online-learning update of LR or MM takes with the prior's gradient term and
+the finite check in the same pass, are held to the prior's ``add_grad`` and
+the array steps bit for bit: over a random walk with active bounds and a
+prior on some entries, and on signed-zero ties (where the frozen loop keeps
+the value), NaN and overflow; they give None on a non-finite gradient
+entry.  Stacked optimizer steps, at
+one shared step index or at one per row, equal one step per fit.  The row
+gradients of that update (``KindEntry.row_grad``) equal their kind's
+loss-gradient kernel at one row, byte for byte, and their forward equals the
+kind's ``predict`` at that row.
 """
 
 import numpy as np
@@ -31,7 +35,7 @@ import pytest
 
 import loop_kernels as loop
 from vfmlab import StudyConfig, kernels
-from vfmlab.models import (D_INPUT, KIND_TABLE, TRAINABLE_KINDS, ChokeGeometry,
+from vfmlab.models import (D_INPUT, KIND_TABLE, TRAINABLE_KINDS, ChokeGeometry, KernelPlan,
                            MechanisticParams, ModelKind, NetworkShape)
 
 NN_WIDTHS = np.array(NetworkShape(hidden=(32, 32)).widths(), dtype=np.int64)
@@ -59,27 +63,54 @@ def _as_floats(arrays):
     return [a.tolist() for a in arrays]
 
 
+def _prior(rng, theta):
+    """A prior on every third entry, from the second: (index, mean, std)
+    arrays, and the per-entry list that kernels.sgd_floats and adam_floats
+    take."""
+    idx = np.arange(1, len(theta), 3)
+    mean = theta[idx] + rng.standard_normal(len(idx))
+    std = rng.uniform(0.1, 3.0, len(idx))
+    per_entry = [None] * len(theta)
+    for j, mu, sd in zip(idx.tolist(), mean.tolist(), std.tolist()):
+        per_entry[j] = (mu, sd)
+    return idx, mean, std, per_entry
+
+
+def _with_prior(theta, grad, idx, mean, std):
+    """grad plus the prior's gradient term, in optim._Prior.add_grad's
+    operations."""
+    grad = grad.copy()
+    z = (theta[idx] - mean) / std
+    grad[idx] += 2.0 * z / std
+    return grad
+
+
 @pytest.mark.parametrize("n", PARAM_COUNTS)
 def test_adam_steps_equal_the_loop(n):
     """adam_step, and adam_floats on lists (the step of an online update of
-    LR and MM), against the frozen loop: theta, m and v bit for bit."""
+    LR and MM, with the prior's term on every third entry), against the
+    frozen loop on the gradient with the prior's term added: theta, m and v
+    bit for bit."""
     rng = np.random.default_rng(n)
     theta = rng.standard_normal(n)
     lower, upper = _bounds(rng, theta)
+    *prior, per_entry = _prior(rng, theta)
     m_a, v_a = np.zeros(n), np.zeros(n)
     m_l, v_l = np.zeros(n), np.zeros(n)
     th_a = th_l = theta
     th_f, m_f, v_f = _as_floats([theta, m_a, v_a])
     clamped = 0
     for k in range(1, 301):
-        grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        data = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        grad = _with_prior(th_a, data, *prior)
         gamma = 0.05 / np.sqrt(k)
         th_l = loop.adam_step(th_l, grad, m_l, v_l, k, gamma, 0.9, 0.999, 1e-8,
                               lower, upper)
         th_a = kernels.adam_step(th_a, grad, m_a, v_a, k, gamma, 0.9, 0.999, 1e-8,
                                  lower, upper)
-        th_f, m_f, v_f = kernels.adam_floats(th_f, grad.tolist(), m_f, v_f, k, float(gamma),
-                                             0.9, 0.999, 1e-8, lower.tolist(), upper.tolist())
+        th_f, m_f, v_f = kernels.adam_floats(th_f, data.tolist(), per_entry, lower.tolist(),
+                                             upper.tolist(), float(gamma), m_f, v_f,
+                                             1.0 - 0.9 ** k, 1.0 - 0.999 ** k, 0.9, 0.999, 1e-8)
         assert np.array_equal(th_a, th_l), k
         assert np.array_equal(m_a, m_l), k   # m and v are updated in place
         assert np.array_equal(v_a, v_l), k
@@ -90,12 +121,14 @@ def test_adam_steps_equal_the_loop(n):
 
 
 def test_adam_forms_agree_on_ties_and_nan():
-    """adam_floats and sgd_floats clip as np.maximum/np.minimum do: the bound
-    on a tie, signed zeros included, and NaN through; an overflow gives the
-    array steps' inf or NaN.  The frozen loop keeps val on a tie, so the float
-    and array steps are held to each other here, sign bits included.  The
-    array Adam step also takes two fits at steps 1 and 3 in one call, with a
-    k per row and a gamma_k column, as one call per fit."""
+    """adam_floats and sgd_floats clip as np.maximum/np.minimum do: the
+    bound on a tie, signed zeros included, and NaN through; an overflow
+    gives the array steps' inf or NaN.  The frozen loop keeps val on a tie,
+    so the float and array steps are held to each other here, sign bits
+    included.  A non-finite gradient entry, or one that the prior's term
+    makes non-finite, gives None.  The array Adam step also takes two fits
+    at steps 1 and 3 in one call, with a k per row and a gamma_k column, as
+    one call per fit."""
     # -0.0 ties 0.0, 0.0 ties -0.0, ties 2.5, overflow, below, above, free, NaN
     theta = np.array([-0.0, 0.0, 2.5, 1.0, 0.0, 0.0, 0.5, np.nan])
     grad = np.array([0.0, 0.0, 0.0, 1e308, 1.0, -1.0, 0.3, 0.3])
@@ -103,17 +136,27 @@ def test_adam_forms_agree_on_ties_and_nan():
     lower = np.array([0.0, -np.inf, -np.inf, 0.0, -0.0, -np.inf, -np.inf, -np.inf])
     upper = np.array([np.inf, -0.0, 2.5, 2.0, np.inf, 0.0, np.inf, np.inf])
     lo, hi = lower.tolist(), upper.tolist()
+    th_f, g_f, m_f = _as_floats([theta, grad, m0])
+    none = [None] * len(theta)
+    adam = (1.0 - 0.9, 1.0 - 0.999, 0.9, 0.999, 1e-8)
     with np.errstate(all="ignore"):
         m, v = m0.copy(), np.zeros(len(theta))
         th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8, lower, upper)
-        floats = kernels.adam_floats(*_as_floats([theta, grad, m0, np.zeros(len(theta))]), 1,
-                                     0.1, 0.9, 0.999, 1e-8, lo, hi)
+        floats = kernels.adam_floats(th_f, g_f, none, lo, hi, 0.1, m_f, [0.0] * len(theta),
+                                     *adam)
         for got, want in zip((th, m, v), floats):
             assert got.tobytes() == np.array(want).tobytes()
         # gamma_k 10 overflows theta - gamma_k * grad at 1e308, to -inf
         sg = kernels.sgd_step(theta, grad, 10.0, lower, upper)
-        assert sg.tobytes() == np.array(kernels.sgd_floats(*_as_floats([theta, grad]), 10.0,
-                                                           lo, hi)).tobytes()
+        sg_f = kernels.sgd_floats(th_f, g_f, none, lo, hi, 10.0)
+        assert sg.tobytes() == np.array(sg_f).tobytes()
+        # a NaN or an infinite gradient entry, or a prior term that overflows
+        for j, bad, pr in ((6, np.nan, None), (4, -np.inf, None), (6, 0.3, (-1e300, 1e-10))):
+            g_bad, with_prior = list(g_f), list(none)
+            g_bad[j], with_prior[j] = bad, pr
+            assert kernels.adam_floats(th_f, g_bad, with_prior, lo, hi, 0.1, m_f,
+                                       [0.0] * len(theta), *adam) is None, j
+            assert kernels.sgd_floats(th_f, g_bad, with_prior, lo, hi, 0.1) is None, j
 
         ms, vs = np.stack([m0, m0]), np.zeros((2, len(theta)))
         stacked = kernels.adam_step(np.stack([theta, theta]), np.stack([grad, grad]), ms, vs,
@@ -134,18 +177,23 @@ def test_adam_forms_agree_on_ties_and_nan():
 
 @pytest.mark.parametrize("n", [6, 7, NN_PARAMS, NN_PARAMS + 6, MTL.n_params()])
 def test_sgd_steps_equal_the_loop(n):
-    """sgd_step, and sgd_floats on lists, against the frozen loop."""
+    """sgd_step, and sgd_floats on lists (with the prior's term on every
+    third entry), against the frozen loop on the gradient with the prior's
+    term added."""
     rng = np.random.default_rng(100 + n)
     theta = rng.standard_normal(n)
     lower, upper = _bounds(rng, theta)
+    *prior, per_entry = _prior(rng, theta)
     th_a = th_l = theta
     th_f = theta.tolist()
     clamped = 0
     for k in range(1, 51):
-        grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1, n)
+        data = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1, n)
+        grad = _with_prior(th_a, data, *prior)
         th_l = loop.sgd_step(th_l, grad, 0.5 / k, lower, upper)
         th_a = kernels.sgd_step(th_a, grad, 0.5 / k, lower, upper)
-        th_f = kernels.sgd_floats(th_f, grad.tolist(), 0.5 / k, lower.tolist(), upper.tolist())
+        th_f = kernels.sgd_floats(th_f, data.tolist(), per_entry, lower.tolist(),
+                                  upper.tolist(), 0.5 / k)
         assert np.array_equal(th_a, th_l), k
         assert np.array(th_f).tobytes() == th_a.tobytes(), k
         clamped += int(np.sum((th_a == lower) | (th_a == upper)))
@@ -433,11 +481,14 @@ ROW_GRAD_KINDS = [k.value.lower() for k in TRAINABLE_KINDS if KIND_TABLE[k].row_
 def test_a_row_gradient_equals_its_loss_kernel_at_one_row(kind):
     """KindEntry.row_grad, the online-learning update's gradient on Python
     floats, is its kind's loss-gradient kernel at one row: sse, gradient
-    (signed zeros included) and clamp flag byte for byte.  The rows are
-    those of MM's short draws, one at a time, so they take kernels._mm_row
-    through a clamped and a free pressure ratio, a nonpositive radicand and
-    a zero water fraction."""
-    row_grad = KIND_TABLE[ModelKind.from_str(kind)].row_grad
+    (signed zeros included) and clamp flag byte for byte; and its forward,
+    from which the update takes the row's prediction, is KindEntry.predict
+    at that row, byte for byte.  The rows are those of MM's short draws,
+    one at a time, so they take kernels._mm_row through a clamped and a
+    free pressure ratio, a nonpositive radicand and a zero water
+    fraction."""
+    entry = KIND_TABLE[ModelKind.from_str(kind)]
+    plan = KernelPlan(ModelKind.from_str(kind), None, None, GEOM, None, entry=entry)
     seed, case, _ = SHORT_DRAWS["mm"]
     hits = dict.fromkeys(("clamped", "free", "radicand", "dry"), 0)
     for n in range(1, kernels.COLUMN_ROWS):
@@ -451,11 +502,15 @@ def test_a_row_gradient_equals_its_loss_kernel_at_one_row(kind):
                 sse, grad, clamps = STACKED[kind](theta, x[rows], xs[rows], None, y[rows],
                                                   2.5, None)
                 g = [0.0] * len(theta)
-                row_sse, flag = row_grad(theta.tolist(), x[i].tolist(), xs[i].tolist(),
-                                         GEOM.tolist(), float(y[i]), 2.5, g)
+                row_sse, z, flag = entry.row_grad(theta.tolist(), x[i].tolist(),
+                                                  xs[i].tolist(), GEOM.tolist(), float(y[i]),
+                                                  2.5, g)
                 assert np.float64(row_sse).tobytes() == np.float64(sse).tobytes(), (n, i)
                 assert np.array(g).tobytes() == grad.tobytes(), (n, i)
                 assert flag == clamps, (n, i)
+                want_z, z_clamps = entry.predict(plan, theta, x[rows], xs[rows], None)
+                assert np.array([z]).tobytes() == want_z.tobytes(), (n, i)
+                assert z_clamps == flag, (n, i)
                 ratio = x[i, 2] / x[i, 1]
                 hits["clamped"] += ratio < mm_theta[4]
                 hits["free"] += mm_theta[4] <= ratio < 1.0

@@ -18,7 +18,11 @@ The online updates of NN, MTL, HEM and HAM step in buffers each unit binds
 once (``TrainingStep.bind``), so the hazards of reuse are checked too: a
 returned version is a copy that later updates leave alone, an update that
 fails after a finite step leaves the next ones exact, and two units
-interleaved in one process each give what they give alone.
+interleaved in one process each give what they give alone.  The float
+updates of LR and MM hand back each row's prediction from their first
+step, so ``run_ol``'s calls of ``plan_predict`` are counted; and an update
+whose Adam second moment overflows is skipped on floats, on bound buffers
+and in the frozen loop alike.
 """
 
 import contextlib
@@ -142,6 +146,39 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
     assert len(set(y_pred.tolist())) > 1
 
 
+@pytest.mark.parametrize("case", ["every_row", "sources", "no_steps"])
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
+def test_a_float_update_is_the_rows_prediction(kind, case, monkeypatch):
+    """LR and MM take a row's prediction from the first step of its float
+    update, so run_ol calls plan_predict only for the rows it does not
+    update: rows whose source may not update ("sources": MPFM rows only),
+    and every row at k = 0 ("no_steps").  The array kinds predict every row.
+    Each log equals the frozen loop's, which predicts every row, bit for
+    bit."""
+    m0, split, cfg = _ol_unit(kind, 20)
+    if case == "sources":
+        cfg = dataclasses.replace(cfg, update_sources=("MPFM",))
+    elif case == "no_steps":
+        cfg = dataclasses.replace(cfg, steps=0)
+    calls = []
+    plan_predict = learning.plan_predict
+    monkeypatch.setattr(learning, "plan_predict",
+                        lambda *a: calls.append(len(a[2])) or plan_predict(*a))
+    log = run_ol(m0, split, cfg)
+    y_pred, versions, _, n_updates, skipped = loop.run_ol(m0, split, cfg)
+    assert log.y_pred.tobytes() == y_pred.tobytes()
+    assert np.array_equal(log.model_version, versions)
+    assert log.metadata["n_updates"] == n_updates
+    assert log.metadata["skipped_updates"] == skipped == []
+    te = split.test
+    not_updated = {"every_row": 0, "sources": int(np.sum(te.source != 0)),
+                   "no_steps": len(te)}[case]
+    assert 0 < int(np.sum(te.source != 0)) < len(te)   # "sources" leaves rows on both sides
+    assert n_updates == len(te) - not_updated
+    floats = models.KIND_TABLE[kind].row_grad is not None
+    assert calls == [1] * (not_updated if floats else len(te))
+
+
 def _frozen_run_ol(m0, split, cfg, monkeypatch):
     """loop.run_ol, and the radicand clamps that its MM kernel calls return
     (the frozen loop drops them)."""
@@ -229,13 +266,14 @@ def _updates(m0, split, cfg):
     the update's values (None when skipped), in a unit of its own."""
     step = optim.TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
     X, Xs, y, wells = step.rows(m0, split.test)
-    unit = step.bind()
+    unit = step.bind(cfg.ocfg, cfg.steps)
     theta = m0.params.values
     for i in range(len(y)):
         r = slice(i, i + 1)
-        pred = plan_predict(step.plan, theta, X[r], Xs[r], wells[r])[0]
-        values = step.online_update(unit, theta, X[r], Xs[r], y[r], wells[r], cfg.ocfg,
-                                    cfg.steps)
+        values, pred = step.online_update(unit, theta, X[r], Xs[r], y[r], wells[r], cfg.ocfg,
+                                          cfg.steps)
+        if pred is None:
+            pred = plan_predict(step.plan, theta, X[r], Xs[r], wells[r])[0]
         yield pred, values
         if values is not None:
             theta = values
@@ -282,6 +320,35 @@ def test_an_update_that_fails_partway_leaves_the_next_ones_exact(kind, monkeypat
         y_pred, versions, _, n_updates, skipped = loop.run_ol(m0, split, cfg)
     assert skipped == [te.t[5]] == log.metadata["skipped_updates"]
     assert finite[5 * cfg.steps:5 * cfg.steps + 2] == [True, False]   # failed at step 2
+    assert log.y_pred.tobytes() == y_pred.tobytes()
+    assert np.array_equal(log.model_version, versions)
+    assert log.metadata["n_updates"] == n_updates == len(te) - 1
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM, ModelKind.NN, ModelKind.HEM],
+                         ids=lambda k: k.value)
+def test_an_overflowing_second_moment_skips_the_update(kind):
+    """The first test row's target is 1e200: its first gradient is finite,
+    but an entry above about 1.3e154 makes (1 - beta2) * g * g, and so
+    Adam's v, overflow to inf.  That entry's step is then exactly 0, and the
+    values stay finite; yet a non-finite v skips the update, as a non-finite
+    gradient does, on floats (LR, MM) and on bound buffers (NN, HEM) alike,
+    and in the frozen loop.  The next rows update from m0."""
+    m0, split, cfg = _ol_unit(kind, 20)
+    te = split.test
+    y = te.y.copy()
+    y[0] = 1e200
+    split = dataclasses.replace(split, test=WellDataset(te.t, te.X, y, te.source, te.well))
+    step = optim.TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
+    X, Xs, t, wells = step.rows(m0, split.test)
+    with np.errstate(all="ignore"):   # the sse overflows
+        _, grad = plan_loss_grad(step.plan, m0.params.values, X[:1], Xs[:1], t[:1],
+                                 step.inv_var, wells[:1])
+        step.prior.add_grad(m0.params.values, grad)
+        assert np.isfinite(grad).all() and np.abs(grad).max() > 1.4e154
+        log = run_ol(m0, split, cfg)
+        y_pred, versions, _, n_updates, skipped = loop.run_ol(m0, split, cfg)
+    assert log.metadata["skipped_updates"] == skipped == [te.t[0]]
     assert log.y_pred.tobytes() == y_pred.tobytes()
     assert np.array_equal(log.model_version, versions)
     assert log.metadata["n_updates"] == n_updates == len(te) - 1

@@ -13,7 +13,8 @@ Those minima are taken inside one process.  On a 2-core host the minima of
 separate runs of one tree spread by up to 55% (over 4 runs, us per
 observation: MM 119.6-185.1, HAM 1003-1444, HEM 1425-1645; ``BENCH_20.json``),
 so a speed claim smaller than that needs alternating processes:
-``tools/ab_pairs.py`` on a benchmark workload.
+``tools/ab_pairs.py`` on a benchmark workload, or ``tools/alternate.py`` on
+this tool's numbers in two checkouts.
 
     PYTHONPATH=src python3 tools/ol_update.py
     PYTHONPATH=src python3 tools/ol_update.py --kinds lr,mm --repeats 9
@@ -25,9 +26,12 @@ kind, under Adam and SGD and each prior mode of the initial fit, it runs
 of well 1: the first 40 days, split at day 30, an initial fit of 3 epochs
 and 10 steps per observation.  It does so on the rows as generated, and on
 a copy in which every third test row has its downstream pressure above its
-upstream one (a clamped radicand for the choke kinds) and one row's target
-is 1e308 at critical flow (the choke kinds' gradient overflows there, so
-that update is skipped).  It compares the predictions, versions, update count, skipped
+upstream one (a clamped radicand for the choke kinds), one row's target is
+1e308 at critical flow (the choke kinds' gradient overflows there, so that
+update is skipped) and the last row's target is 1e200 (each kind's gradient
+stays finite there but exceeds about 1.3e154, so Adam's second moment v
+overflows, on floats and on bound buffers, and that update is skipped too).
+It compares the predictions, versions, update count, skipped
 times and radicand clamps: the change in ``models.mm_clamp_count()``
 against the clamps that the frozen loop's kernel calls return (it drops
 them; they are summed by wrapping the kernels while it runs).  Then it runs
@@ -71,7 +75,8 @@ def ol_units(kinds, seed: int, smoke: bool, edge: bool = False,
              prior: PriorMode | None = None, method: Method | None = None) -> list:
     """(kind, m0, split, ScheduleConfig) per kind on well 1: the initial fit
     and the OL schedule of the default StudyConfig, or the tiny smoke
-    split (with ``edge``, its clamped rows and its row of target 1e308)
+    split (with ``edge``, its clamped rows and its rows of target 1e308
+    and 1e200)
     under ``prior`` and ``method``."""
     cfg = StudyConfig(seed=seed)
     sc = cfg.scenario_objects()[0]
@@ -92,6 +97,8 @@ def ol_units(kinds, seed: int, smoke: bool, edge: bool = False,
         # check skips its SGD steps
         X[len(y) // 2, 2] = X[len(y) // 2, 1] * 0.2
         y[len(y) // 2] = 1e308
+        # a finite gradient above about 1.3e154 for every kind: Adam's v overflows
+        y[-1] = 1e200
         split = dataclasses.replace(split, test=WellDataset(te.t, X, y, te.source, te.well))
     escfg = EarlyStoppingConfig(patience=3, max_epochs=3) if smoke else cfg.escfg()
     loss = LossSpec.from_data(split.train, rel=cfg.noise_rel, prior_mode=prior or cfg.prior())
