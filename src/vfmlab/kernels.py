@@ -33,14 +33,16 @@ predictions).  The kernels serve both:
   the prior's ``add_grad``, and ``sgd_step`` or ``adam_step`` in the same
   order, so the two forms round alike;
 * bound buffers for a whole online-learning update of NN, MTL, HEM and HAM
-  (``optim.TrainingStep.bind``): each unit owns its parameter, Adam moment
-  and gradient arrays and binds the network's layer views of them once
-  (``_nn_bind``); each step runs the loss-gradient kernel's body on those
-  views (``_nn_grad``, ``_hem_grad``, ``_ham_grad``, or
-  ``mtl_loss_grad``'s result copied in) and writes ``adam_step`` or
-  ``sgd_step`` back into the parameters.  The public kernels run the same
-  bodies on a binding of their own arguments, made per call, so there is
-  one network code path.
+  (``optim.TrainingStep.bind``): each unit owns its parameter, Adam moment,
+  gradient and scratch arrays and binds the network's layer views of them
+  once (``_nn_bind``); each step runs the loss-gradient kernel's body on
+  those views, or for MTL on the arrays (``_nn_grad``, ``_hem_grad``,
+  ``_ham_grad``, ``_mtl_grad``), which adds the gradient into the unit's
+  buffer and returns the forward, and ``adam_step`` or ``sgd_step`` writes
+  the step into the parameters.  As on floats, the first step's forward is
+  the row's prediction.  The public kernels run the same bodies on a
+  binding of their own arguments, made per call, so there is one network
+  code path.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -160,8 +162,11 @@ have just made (a product of ``np.dot``/``np.matmul`` or a sum, as
 view of one: theta, X, Xs, y and the task columns come back unchanged
 (``test_no_kernel_writes_into_its_arguments``).  The writes into arguments
 are named: ``_nn_backward`` adds into the gradient views of its binding,
-the bodies ``_nn_grad``, ``_hem_grad`` and ``_ham_grad`` into the zeros of
-their ``grad``, ``adam_step`` updates ``m`` and ``v``.
+the bodies ``_nn_grad``, ``_hem_grad``, ``_ham_grad`` and ``_mtl_grad``
+into the zeros of their ``grad``; ``sgd_step`` and ``adam_step`` write the
+step into ``theta`` and work in their scratch pair, and ``adam_step``
+updates ``m`` and ``v``.  So a step allocates nothing theta-sized where
+its caller owns the scratch (``optim.OptimizerState``).
 
 Shared conventions:
 
@@ -540,16 +545,16 @@ def _nn_backward(net, acts, delta):
 
 def _nn_grad(net, xs, y, inv_var):
     """nn_loss_grad on a bound network: adds the gradient into its views and
-    returns the sse."""
+    returns (sse, forward)."""
     yhat, acts = _nn_forward(net, xs)
     sse, delta = _residuals(y, yhat, inv_var)
     _nn_backward(net, acts, delta)
-    return sse
+    return sse, yhat
 
 
 def nn_loss_grad(theta, off, widths, xs, y, inv_var):
     grad = np.zeros(theta.shape)
-    return _nn_grad(_nn_bind(theta, off, widths, grad), xs, y, inv_var), grad
+    return _nn_grad(_nn_bind(theta, off, widths, grad), xs, y, inv_var)[0], grad
 
 
 # ------------------------------------------------------------------------ MM
@@ -642,19 +647,20 @@ def hem_predict(theta, widths, x, xs, geom, nn_scale):
 
 def _hem_grad(net, theta, x, xs, geom, y, inv_var, nn_scale, grad):
     """hem_loss_grad on a network bound at offset 6 of theta and grad, into
-    grad's zeros: (sse, clamps)."""
+    grad's zeros: (sse, forward, clamps)."""
     ymm, nneg, parts = _mm_forward(theta, x, geom, True)
     ynn, acts = _nn_forward(net, xs)
-    sse, delta = _residuals(y, ymm + nn_scale * ynn, inv_var)
+    yhat = ymm + nn_scale * ynn
+    sse, delta = _residuals(y, yhat, inv_var)
     _nn_backward(net, acts, delta * nn_scale)
     _mm_grad(theta, parts, delta, grad)
-    return sse, nneg
+    return sse, yhat, nneg
 
 
 def hem_loss_grad(theta, widths, x, xs, geom, y, inv_var, nn_scale):
     grad = np.zeros(theta.shape)
-    sse, nneg = _hem_grad(_nn_bind(theta, 6, widths, grad), theta, x, xs, geom, y, inv_var,
-                          nn_scale, grad)
+    sse, _, nneg = _hem_grad(_nn_bind(theta, 6, widths, grad), theta, x, xs, geom, y,
+                             inv_var, nn_scale, grad)
     return sse, grad, nneg
 
 
@@ -681,24 +687,26 @@ def ham_predict(theta, widths, x, xs, geom):
 
 def _ham_grad(net, theta, x, xs, geom, y, inv_var, grad):
     """ham_loss_grad on a network bound at offset 5 of theta and grad, into
-    grad's zeros: (sse, clamps)."""
+    grad's zeros: (sse, forward, clamps)."""
     n = x.shape[-2]
     nn_out, acts = _nn_forward(net, xs)
     if n >= COLUMN_ROWS:
         a2, r, vsc, neg, dr, dvsc = _mm_cols(theta, x, geom, True)
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
         mult = _softplus_cols(nn_out)
-        sse, c = _residuals(y, base * mult, inv_var)
+        yhat = base * mult
+        sse, c = _residuals(y, yhat, inv_var)
         grad[..., :5] += _row_sum((c * M3S_TO_SM3H * a2 * mult)[..., None]
                                   * (dr * vsc[..., None] + r[..., None] * dvsc), -2)
         _nn_backward(net, acts, c * base * _sigmoid_cols(nn_out))
-        return sse, int(np.count_nonzero(neg))
+        return sse, yhat, int(np.count_nonzero(neg))
     th = theta[:5].tolist()
     geom = geom.tolist()
     inv_var = float(inv_var)
     g = [0.0] * 5
     sse = 0.0
     nneg = 0
+    yhat = []
     delta_nn = []
     for xi, yi, z in zip(x.tolist(), y.tolist(), nn_out.tolist()):
         a2, r, vsc, neg, dr, dvsc = _mm_row(th, xi, geom, True)
@@ -706,6 +714,7 @@ def _ham_grad(net, theta, x, xs, geom, y, inv_var, grad):
         base = M3S_TO_SM3H * a2 * r * vsc   # yhat = base * softplus(nn)
         mult = _softplus(z)
         yh = base * mult
+        yhat.append(yh)
         resid = yi - yh
         sse += resid * resid * inv_var
         c = -2.0 * resid * inv_var
@@ -714,13 +723,13 @@ def _ham_grad(net, theta, x, xs, geom, y, inv_var, grad):
         delta_nn.append(c * base * _sigmoid(z))
     grad[:5] = g
     _nn_backward(net, acts, np.array(delta_nn, dtype=np.float64))
-    return sse, nneg
+    return sse, np.array(yhat, dtype=np.float64), nneg
 
 
 def ham_loss_grad(theta, widths, x, xs, geom, y, inv_var):
     grad = np.zeros(theta.shape)
-    sse, nneg = _ham_grad(_nn_bind(theta, 5, widths, grad), theta, x, xs, geom, y, inv_var,
-                          grad)
+    sse, _, nneg = _ham_grad(_nn_bind(theta, 5, widths, grad), theta, x, xs, geom, y,
+                             inv_var, grad)
     return sse, grad, nneg
 
 
@@ -798,6 +807,12 @@ def mtl_predict(theta, dims, xs, wells):
 
 
 def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
+    grad = np.zeros(theta.shape)
+    return _mtl_grad(theta, dims, xs, wells, y, inv_var, grad)[0], grad
+
+
+def _mtl_grad(theta, dims, xs, wells, y, inv_var, grad):
+    """mtl_loss_grad into the zeros of grad: (sse, forward)."""
     d = dims[0]
     p = dims[1]
     h = dims[2]
@@ -811,7 +826,6 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
         return np.ascontiguousarray(a.swapaxes(-1, -2))
 
     yhat, zs, h1s, a1s, beta = _mtl_forward(theta, dims, xs, wells)
-    grad = np.zeros(theta.shape)
     sse, delta = _residuals(y, yhat, inv_var)
     delta = delta[..., None]
 
@@ -861,7 +875,7 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
     # as in a loop over rows; a per-well sum could reorder them.
     gb = grad[..., b_pos:b_pos + p * m].reshape(lead + (p, m)).swapaxes(-1, -2)
     np.add.at(gb, _fit_rows(theta) + (wells,), dbeta)
-    return sse, grad
+    return sse, yhat
 
 
 # ------------------------------------------------------------------ optimizer
@@ -869,34 +883,53 @@ def mtl_loss_grad(theta, dims, xs, wells, y, inv_var):
 # the same order as a per-parameter loop, so the result is bit-identical to
 # one.  The clamp equals the loop's "below lower, else above upper" test
 # wherever lower <= upper and no value ties a zero bound of the other sign.
-# Adam updates m and v in place.  sgd_floats and adam_floats are the steps
-# of one fit on Python floats, for the online-learning update of LR and MM.
+# The array steps write theta' into theta (Adam updates m and v in place
+# too), working in a pair of scratch arrays of theta's shape that the caller
+# may own; an in-place operation rounds as the expression it replaces.
+# sgd_floats and adam_floats are the steps of one fit on Python floats, for
+# the online-learning update of LR and MM.
 
 
-def sgd_step(theta, grad, gamma_k, lower, upper):
-    """One clipped SGD step, returns theta'; stacked fits at different steps
-    give gamma_k as an (R, 1) column, one rate per row."""
-    return np.minimum(np.maximum(theta - gamma_k * grad, lower), upper)
+def sgd_step(theta, grad, gamma_k, lower, upper, scratch=None):
+    """One clipped SGD step, written into theta, which it returns; stacked
+    fits at different steps give gamma_k as an (R, 1) column, one rate per
+    row.  scratch: a pair of arrays of theta's shape to work in (made per
+    call without it)."""
+    s = np.empty(theta.shape) if scratch is None else scratch[0]
+    np.multiply(gamma_k, grad, out=s)
+    theta -= s
+    np.maximum(theta, lower, out=theta)
+    return np.minimum(theta, upper, out=theta)
 
 
-def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper):
-    """One bias-corrected Adam step; mutates m and v in place, returns theta'.
-    Stacked, theta, grad, m and v hold one row per fit and the bounds are
-    shared; fits at different steps give k as a list, one step index per
-    row, and gamma_k as an (R, 1) column."""
+def adam_step(theta, grad, m, v, k, gamma_k, beta1, beta2, eps, lower, upper, scratch=None):
+    """One bias-corrected Adam step, written into theta, which it returns;
+    updates m and v in place.  Stacked, theta, grad, m and v hold one row
+    per fit and the bounds are shared; fits at different steps give k as a
+    list, one step index per row, and gamma_k as an (R, 1) column.  scratch:
+    as for sgd_step."""
     if isinstance(k, list):   # each row's bias corrections on Python floats, as one fit's
         c1 = np.array([1.0 - beta1 ** j for j in k])[:, None]
         c2 = np.array([1.0 - beta2 ** j for j in k])[:, None]
     else:
         c1, c2 = 1.0 - beta1 ** k, 1.0 - beta2 ** k
+    s, t = (np.empty(theta.shape), np.empty(theta.shape)) if scratch is None else scratch
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(1.0 - beta1, grad, out=s)
+    m += s
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / c1
-    vhat = v / c2
-    val = theta - gamma_k * mhat / (np.sqrt(vhat) + eps)
-    return np.minimum(np.maximum(val, lower), upper)
+    np.multiply(1.0 - beta2, grad, out=s)
+    s *= grad
+    v += s
+    np.divide(m, c1, out=s)         # mhat
+    np.divide(v, c2, out=t)         # vhat
+    np.sqrt(t, out=t)
+    t += eps
+    s *= gamma_k
+    s /= t                          # gamma_k * mhat / (sqrt(vhat) + eps)
+    theta -= s
+    np.maximum(theta, lower, out=theta)
+    return np.minimum(theta, upper, out=theta)
 
 
 def sgd_floats(theta, grad, prior, lower, upper, gamma_k):

@@ -282,15 +282,15 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
     Each observation is predicted first, then taken as one update
     (``optim.TrainingStep.online_update``): LR and MM run its k steps on
     Python floats, the other kinds as array steps in buffers, and network
-    layer views, that the unit binds once (``TrainingStep.bind``).  The
-    float update's first step computes the forward at the parameters that
+    layer views, that the unit binds once (``TrainingStep.bind``).  An
+    update's first step computes the forward at the parameters that
     predict the row, so it hands back the prediction, bit for bit what
     ``models.plan_predict`` gives; ``plan_predict`` runs only for the rows
-    without a float update: every row at k = 0, a row whose source may not
-    update, and every row of an array kind.  A non-finite update is skipped
-    (flagged) and the previous parameters carry on.  k = 0 degenerates to
-    pure prediction with m0.  A mechanistic kind's test row with
-    nonpositive p1, p2 or T1 raises NumericError up front.
+    that take no update: every row at k = 0 and a row whose source may not
+    update.  A non-finite update is skipped (flagged) and the previous
+    parameters carry on.  k = 0 degenerates to pure prediction with m0.  A
+    mechanistic kind's test row with nonpositive p1, p2 or T1 raises
+    NumericError up front.
     """
     if cfg.mode != "ol":
         raise ConfigError("run_ol needs an ol schedule")
@@ -320,10 +320,8 @@ def run_ol(m0: ModelSpec, split: DataSplit, cfg: ScheduleConfig) -> PredictionLo
         if steps == 0 or not allowed[i]:
             y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0]
             continue
-        # the update leaves theta as it is, so the prediction at theta may follow it
-        values, pred = step.online_update(unit, theta, X1, Xs1, y[rows], wells1, cfg.ocfg,
-                                           steps)
-        y_pred[i] = plan_predict(plan, theta, X1, Xs1, wells1)[0] if pred is None else pred
+        values, y_pred[i] = step.online_update(unit, theta, X1, Xs1, y[rows], wells1, cfg.ocfg,
+                                               steps)
         if values is None:
             meta["skipped_updates"].append(time_value(float(te.t[i])))
         else:

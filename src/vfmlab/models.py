@@ -467,14 +467,16 @@ class KindEntry:
       row alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
       byte for byte, and the forward z equals ``predict``'s at that row, so
       the update's first step also gives the row's prediction.
-    * ``bound_grad(net, p, th, X, Xs, y, inv_var, wells, g) -> (sse,
+    * ``bound_grad(net, p, th, X, Xs, y, inv_var, wells, g) -> (sse, z,
       clamps)``, for the kinds that take each online-learning update as
       array steps on buffers the unit owns (NN, MTL, HEM, HAM;
       ``optim.TrainingStep.bind``), and used only there: ``loss_grad``'s
-      arithmetic, its gradient written into the zeros of the buffer g; the
-      network kinds run it on ``net``, their layers bound to th and g once
-      per unit (``kernels._nn_bind`` at offset ``n_fixed``), MTL (net None)
-      copies its kernel's gradient into g.
+      arithmetic, its gradient added into the zeros of the buffer g, and its
+      forward z, ``predict``'s at those rows, bit for bit, so that the
+      update's first step also gives the row's prediction, as ``row_grad``
+      does.  The network kinds run it on ``net``, their layers bound to th
+      and g once per unit (``kernels._nn_bind`` at offset ``n_fixed``); MTL
+      (net None) runs its kernel's body on th and g.
     """
 
     params: Callable
@@ -494,12 +496,6 @@ class KindEntry:
                 + (mtl.n_params() if self.multitask else 0))
 
 
-def _into(g: np.ndarray, sse, grad: np.ndarray) -> tuple:
-    """MTL's bound_grad result: its kernel's gradient copied into g."""
-    g[...] = grad
-    return sse, 0
-
-
 # ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only), ``g``
 # an online-learning unit's gradient buffer and ``net`` its bound network.
 KIND_TABLE: dict[ModelKind, KindEntry] = {
@@ -516,14 +512,15 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         predict=lambda p, th, X, Xs, w: (kernels.nn_predict(th, 0, p.widths, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
             *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
-        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (kernels._nn_grad(net, Xs, y, iv), 0)),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
+            *kernels._nn_grad(net, Xs, y, iv), 0)),
     ModelKind.MTL: KindEntry(
         lambda rng, pri, shape, mtl: _mtl_params(rng, mtl), multitask=True, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.mtl_predict(th, p.dims, Xs, w), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
             *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
-        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: _into(
-            g, *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv))),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
+            *kernels._mtl_grad(th, p.dims, Xs, w, y, iv, g), 0)),
     ModelKind.MM: KindEntry(
         lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),

@@ -42,17 +42,19 @@ bounds once, and builds the rows the kernels take (:meth:`TrainingStep.rows`);
 per optimizer step it runs the kind's gradient kernel and adds the prior
 gradient in place, and per validation pass it takes the loss alone
 (``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
-finiteness check.  An online-learning update (``TrainingStep.online_update``)
-takes the same roundings and checks in one of two forms: LR and MM run its
-steps on Python floats, one fused pass per step, and take the row's
-prediction from the first step's forward; the other kinds step in place, in
-buffers that the unit binds once (:meth:`TrainingStep.bind`), with the
-network's layer views bound to them.
+finiteness check, in place: into the arrays of an :class:`OptimizerState`.
+An online-learning update (``TrainingStep.online_update``) takes the same
+roundings and checks in one of two forms: LR and MM run its steps on Python
+floats, one fused pass per step; the other kinds step in buffers that the
+unit binds once (:meth:`TrainingStep.bind`), with the network's layer views
+bound to them.  Both take the row's prediction from the first step's
+forward.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import os
@@ -165,16 +167,19 @@ def gamma_at(cfg: OptimizerConfig, k: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Mutable optimizer state.
+    """Mutable optimizer state: arrays that every step writes into.
 
-    Of a fit (:meth:`TrainingStep.start`): each :func:`optimizer_step`
-    replaces ``values`` and updates the Adam moments ``m`` and ``v`` in
-    place.  Of an online-learning unit of an array kind
-    (:meth:`TrainingStep.bind`): buffers the unit owns for all its updates,
-    ``values``, ``m``, ``v`` and the gradient ``grad``, and ``net``, the
-    network's layer views of ``values`` and ``grad`` bound once
-    (``kernels._nn_bind``; None for MTL).  Each update writes into these
-    arrays and never replaces them, so the views stay bound.
+    Each :func:`optimizer_step` writes the new values into ``values`` and
+    updates the Adam moments ``m`` and ``v`` in place.  ``scratch`` is the
+    pair of arrays of ``values``' shape that the step and the prior's
+    gradient work in (``kernels.adam_step``, ``_Prior.add_grad``; made per
+    step when None), and ``grad`` the gradient buffer that the caller fills
+    before each step.  :meth:`TrainingStep.start` makes them for a fit, or
+    for the stacked fits of ``fit_maps``' lockstep, whose buffers shrink
+    with :meth:`keep`; :meth:`TrainingStep.bind` makes them once per
+    online-learning unit of an array kind, with ``net``, the network's
+    layer views of ``values`` and ``grad`` (``kernels._nn_bind``; None for
+    MTL), which stay bound since the arrays are never replaced.
     """
 
     values: np.ndarray
@@ -184,12 +189,22 @@ class OptimizerState:
     upper: np.ndarray
     grad: np.ndarray | None = None
     net: tuple | None = None
+    scratch: tuple | None = None
+
+    def keep(self, rows: list) -> None:
+        """Keep the stacked rows where `rows` is true, in order: values and
+        moments as new arrays, the gradient and scratch buffers as views of
+        their leading rows."""
+        self.values, self.m, self.v = self.values[rows], self.m[rows], self.v[rows]
+        n = len(self.values)
+        self.grad = self.grad[:n]
+        self.scratch = tuple(s[:n] for s in self.scratch)
 
 
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
                    cfg: OptimizerConfig, k: int | list[int]) -> OptimizerState:
-    """Apply one SGD or Adam step at schedule index k (1-based); stacked fits
-    give k as a list, one index per row.
+    """Apply one SGD or Adam step at schedule index k (1-based), in place;
+    stacked fits give k as a list, one index per row.
 
     Non-finite gradients raise and leave the state untouched.  Physical
     parameters are clipped to their hard bounds.
@@ -198,22 +213,22 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
         raise ConfigError("step index k must be >= 1")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient; parameters untouched")
-    state.values = _stepped(state, grad, cfg, k)
+    _step(state, grad, cfg, k)
     return state
 
 
-def _stepped(state: OptimizerState, grad: np.ndarray, cfg: OptimizerConfig,
-             k: int | list[int]) -> np.ndarray:
-    """The values that one SGD or Adam step at k makes of state's (Adam
-    updates the moments in place); no checks."""
+def _step(state: OptimizerState, grad: np.ndarray, cfg: OptimizerConfig,
+          k: int | list[int]) -> None:
+    """One SGD or Adam step at k, written into state's arrays; no checks."""
     if isinstance(k, list):
         g = np.array([gamma_at(cfg, j) for j in k])[:, None]
     else:
         g = gamma_at(cfg, k)
     if cfg.method is Method.SGD:
-        return kernels.sgd_step(state.values, grad, g, state.lower, state.upper)
-    return kernels.adam_step(state.values, grad, state.m, state.v, k, g, cfg.adam_beta1,
-                             cfg.adam_beta2, cfg.adam_eps, state.lower, state.upper)
+        kernels.sgd_step(state.values, grad, g, state.lower, state.upper, state.scratch)
+    else:
+        kernels.adam_step(state.values, grad, state.m, state.v, k, g, cfg.adam_beta1,
+                          cfg.adam_beta2, cfg.adam_eps, state.lower, state.upper, state.scratch)
 
 
 # -------------------------------------------------------------------- losses
@@ -247,12 +262,20 @@ class _Prior:
         z = (theta[self.idx] - self.mean) / self.std
         return float(np.sum(z ** 2))
 
-    def add_grad(self, theta: np.ndarray, grad: np.ndarray) -> None:
+    def add_grad(self, theta: np.ndarray, grad: np.ndarray,
+                 scratch: np.ndarray | None = None) -> None:
         """Add the prior's gradient to grad in place (one row per fit when
-        stacked)."""
+        stacked), working in scratch, an array of theta's shape, where one
+        is given (its entries are a view where the prior's are a slice, a
+        copy where they are an index array)."""
         if self.idx is not None:
-            z = (theta[..., self.idx] - self.mean) / self.std
-            grad[..., self.idx] += 2.0 * z / self.std
+            idx = self.idx
+            z = np.subtract(theta[..., idx], self.mean,
+                            out=None if scratch is None else scratch[..., idx])
+            z /= self.std
+            z *= 2.0
+            z /= self.std   # 2 * ((theta - mean) / std) / std
+            grad[..., idx] += z
 
     def per_entry(self, n: int) -> list:
         """Per entry of a vector of n, (mean, std) as Python floats where the
@@ -295,16 +318,17 @@ class TrainingStep:
         self.prior = _Prior(m.params, prior_mode)
         self.lower = m.params.lower
         self.upper = m.params.upper
-        # what online_update's float form reads, as Python floats, with the
-        # map of the target space to engineering units that plan_predict applies
+        # the map of the target space to engineering units that plan_predict
+        # applies, for online_update's prediction
+        self.y_map = ((float(plan.y_loc), float(plan.y_scale)) if plan.entry.standardized
+                      else None)
+        # what online_update's float form reads, as Python floats
         self.floats = None
         if plan.entry.row_grad is not None:
             self.floats = (self.lower.tolist(), self.upper.tolist(),
                            self.prior.per_entry(len(self.lower)),
                            None if plan.geom is None else plan.geom.tolist(),
-                           float(self.inv_var),
-                           (float(plan.y_loc), float(plan.y_scale))
-                           if plan.entry.standardized else None)
+                           float(self.inv_var))
 
     def targets(self, y: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray((y - self.plan.y_loc) / self.plan.y_scale)
@@ -317,11 +341,12 @@ class TrainingStep:
         return X, scale_inputs(self.plan, X), self.targets(ds.y), task_columns(m, ds.well)
 
     def start(self, values: np.ndarray) -> OptimizerState:
-        """Fresh optimizer state at values (one row per fit when stacked);
-        the bounds are shared, not copied (optimizer_step replaces values and
-        never writes the bounds)."""
-        return OptimizerState(values, np.zeros(values.shape), np.zeros(values.shape),
-                              self.lower, self.upper)
+        """Fresh optimizer state at values (one row per fit when stacked),
+        which its steps write into, with its gradient and scratch buffers;
+        the bounds are shared, not copied (a step never writes them)."""
+        shape = values.shape
+        return OptimizerState(values, np.zeros(shape), np.zeros(shape), self.lower, self.upper,
+                              np.empty(shape), scratch=(np.empty(shape), np.empty(shape)))
 
     def loss(self, theta, X, Xs, y, wells) -> float:
         """The objective on rows (X, Xs, y from targets, wells)."""
@@ -333,17 +358,15 @@ class TrainingStep:
         run on Python floats (LR, MM) gets its per-step coefficients:
         (gamma_k, 1 - beta1**k, 1 - beta2**k) for k = 1 .. steps, computed
         as :func:`gamma_at` and ``kernels.adam_step`` compute them.  Any
-        other kind gets its buffers: zeroed values, moments and gradient of
-        the unit's parameter count, and for a network kind its layer views
-        of the values and the gradient (``kernels._nn_bind`` at the kind's
+        other kind gets its buffers (:meth:`start` at zeros of the unit's
+        parameter count), and for a network kind its layer views of the
+        values and the gradient (``kernels._nn_bind`` at the kind's
         ``n_fixed``)."""
         if self.floats is not None:
             beta1, beta2 = ocfg.adam_beta1, ocfg.adam_beta2
             return tuple((gamma_at(ocfg, k), 1.0 - beta1 ** k, 1.0 - beta2 ** k)
                          for k in range(1, steps + 1))
-        n = len(self.lower)
-        unit = OptimizerState(np.zeros(n), np.zeros(n), np.zeros(n), self.lower, self.upper,
-                              np.zeros(n))
+        unit = self.start(np.zeros(len(self.lower)))
         plan = self.plan
         if plan.entry.network:
             unit.net = kernels._nn_bind(unit.values, plan.entry.n_fixed, plan.widths, unit.grad)
@@ -359,8 +382,13 @@ class TrainingStep:
         second moment v are not finite (the update is skipped).  A finite
         gradient entry above about 1.3e154 overflows v to inf; that entry's
         step is then exactly 0, so v is checked too.  The prediction is the
-        row's at theta, in engineering units, for the float form, and None
-        for the array form.
+        row's at theta, in engineering units, skipped update or not.  Both
+        forms take it from the first step's forward, which is at theta:
+        mapped as ``models.plan_predict`` maps it, bit for bit, with that
+        step's radicand clamps counted twice, once for the prediction and
+        once for the step.  Every rounding is that of the array steps and
+        the array prediction, and the radicand clamps go to
+        ``models.MM_DIAGNOSTICS`` alike.
 
         An array kind (NN, MTL, HEM, HAM) steps in the unit's buffers:
         theta is copied into its values and its moments are zeroed, then
@@ -368,11 +396,12 @@ class TrainingStep:
         into it (``KindEntry.bound_grad``, on the network views bound to the
         buffers), adds the prior's, checks it is finite and writes the SGD
         or Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
-        values; v is checked once, after the last step, since it cannot
-        come back from inf.  The result is returned as a copy, which later
-        updates leave alone.  These are the operations of a fit's step (the
-        gradient kernel, the prior's ``add_grad`` and
-        :func:`optimizer_step`) in their order, so every bit is theirs.
+        values, working in the unit's scratch; v is checked once, after the
+        last step, since it cannot come back from inf.  The result is
+        returned as a copy, which later updates leave alone.  These are the
+        operations of a fit's step (the gradient kernel, the prior's
+        ``add_grad`` and :func:`optimizer_step`) in their order, so every
+        bit is theirs.
 
         A kind with a float row gradient (``KindEntry.row_grad``: LR, MM)
         runs the whole update on Python floats: theta and the row are
@@ -380,30 +409,32 @@ class TrainingStep:
         pass (``kernels.sgd_floats`` or ``kernels.adam_floats``) that adds
         the prior's gradient, checks each entry is finite and writes the
         step with its clip, at the unit's coefficients; the result becomes
-        an array once.  The first step's forward is at theta, so it is the
-        row's prediction, mapped as ``models.plan_predict`` maps it, bit for
-        bit, and its radicand clamp counts twice: once for the prediction
-        and once for the step.  Every rounding is that of the array steps
-        and the array prediction, and the radicand clamps go to
-        ``models.MM_DIAGNOSTICS`` alike.
+        an array once.
         """
         if self.floats is None:
-            th, g = unit.values, unit.grad
+            th, g, scratch = unit.values, unit.grad, unit.scratch[0]
             th[...] = theta
             unit.m.fill(0.0)
             unit.v.fill(0.0)
-            plan, net, inv_var, prior = self.plan, unit.net, self.inv_var, self.prior
+            plan, net, inv_var, prior, y_map = (self.plan, unit.net, self.inv_var, self.prior,
+                                                self.y_map)
             bound_grad = plan.entry.bound_grad
+            pred = None
             for k in range(1, steps + 1):
                 g.fill(0.0)
-                MM_DIAGNOSTICS.count += bound_grad(net, plan, th, X, Xs, y, inv_var, wells, g)[1]
-                prior.add_grad(th, g)
+                _, z, clamps = bound_grad(net, plan, th, X, Xs, y, inv_var, wells, g)
+                if pred is None:
+                    pred = z[0] if y_map is None else y_map[0] + y_map[1] * z[0]
+                    clamps += clamps
+                MM_DIAGNOSTICS.count += clamps
+                prior.add_grad(th, g, scratch)
                 if not np.isfinite(g).all():
-                    return None, None
-                th[...] = _stepped(unit, g, ocfg, k)
+                    return None, pred
+                _step(unit, g, ocfg, k)
             ok = np.isfinite(th).all() and np.isfinite(unit.v).all()
-            return (th.copy() if ok else None), None
-        lower, upper, prior, geom, inv_var, y_map = self.floats
+            return (th.copy() if ok else None), pred
+        lower, upper, prior, geom, inv_var = self.floats
+        y_map = self.y_map
         row_grad = self.plan.entry.row_grad
         adam = ocfg.method is not Method.SGD
         beta1, beta2, eps = ocfg.adam_beta1, ocfg.adam_beta2, ocfg.adam_eps
@@ -464,6 +495,37 @@ LOCKSTEP_FITS = 16
 # tick costs about the same whatever the stack holds, so those keep one
 # worker per LOCKSTEP_FITS fits.
 SPLIT_PARAMS = 16
+
+
+# glibc's mallopt parameter M_TOP_PAD (malloc.h), and the pad fit_maps sets:
+# how much free memory above the last block in use the heap keeps when it
+# shrinks.  A lockstep tick frees the stacked gradients' temporaries (of 128
+# KiB and more) at the top of the heap; unpadded, glibc gives that memory
+# back to the kernel, and the next tick faults it in again.  Minor faults of one
+# lockstep call over well 1's PBL-2w refits (tools/pbl_lockstep.py, this
+# process / its worker, 2 cores), with no pad set: NN 63k / 64k, HEM 78k /
+# 71k, MTL 210k / 217k; at 1 MiB NN still 24k / 23k; at 2 MiB NN, HEM and
+# HAM 2.1k to 2.7k, but MTL 67k / 66k; at 3 MiB MTL 5.1k / 6.2k; at 4 MiB
+# every kind 2.1k to 4.3k.  So 4 MiB, the smallest of these that holds every
+# kind's faults down; it costs each process at most that much resident
+# memory.  Setting it also stops glibc from raising its mmap threshold.
+_M_TOP_PAD = -2
+_TOP_PAD = 4 << 20
+
+
+@functools.cache
+def _pad_heap() -> None:
+    """Set the heap's top pad, once per process and before any fork, so
+    that the workers inherit it; where the C library has no ``mallopt``
+    (not glibc), nothing."""
+    import ctypes   # here, so that importing vfmlab stays light
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD)
 
 
 class _Fit:
@@ -564,6 +626,16 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     and SGD step each row on its own, so the other fits keep their bits.
     Pending fits go live with the most mini-batches per epoch first, ties in
     list order, so that the longest fits do not finish alone at the end.
+    The stack's values, moments, gradient and scratch are arrays of its
+    :class:`OptimizerState` that every tick writes into; they shrink when
+    the pending fits run out.
+
+    Adam's overflow rule for fits: a finite gradient entry above about
+    1.3e154 makes that entry's bias-corrected second moment overflow to
+    inf.  The fit takes the step all the same, and that entry's step is
+    exactly 0 (so is every later one, since v cannot come back from inf);
+    only a non-finite gradient ends a fit.  An online-learning update skips
+    such a step instead (:meth:`TrainingStep.online_update`).
 
     In a process that may run on more than one CPU, a call splits its
     pending fits across workers: min(CPUs, fits) of them when each fit has at
@@ -573,7 +645,10 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     dealt by the longest-processing-time rule: each goes to the share with
     the fewest mini-batches per epoch so far, the lowest share on a tie.
     This process runs the first share and a child forked per other share
-    runs its own, each in the lockstep above.  A child sends back, per fit,
+    runs its own, each in the lockstep above.  Before either, the call sets
+    the heap's top pad once per process (``_pad_heap``), so that the ticks
+    of this process and of the children reuse the memory that the last
+    tick freed.  A child sends back, per fit,
     only its best-validation vector or the DataError or NumericError that
     ended it, and its learning-curve entries, and once its radicand clamp
     count, which goes to ``models.MM_DIAGNOSTICS``; the ModelSpecs are built
@@ -603,6 +678,7 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
             results[j] = e
     if not pending:
         return results
+    _pad_heap()
     # longest first; the sort is stable, so ties keep list order
     pending.sort(key=lambda f: -f.batches)
     workers = _workers(len(pending), len(fits[0][0].params))
@@ -737,7 +813,7 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
         by_len: dict = {}
         for i, idx in enumerate(batches):
             by_len.setdefault(idx.shape[0], []).append(i)
-        grad = np.empty(state.values.shape)
+        grad = state.grad
         for n_rows, ix in by_len.items():
             if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
                 if stacked is None:
@@ -759,7 +835,7 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
                 X, Xs, y, wells = (c.take(batches[i], axis=0) for c in store)
                 _, grad[i] = plan_loss_grad(step.plan, state.values[i], X, Xs, y, step.inv_var,
                                             wells)
-        prior.add_grad(state.values, grad)
+        prior.add_grad(state.values, grad, state.scratch[0])
         failed = [False] * len(live)
         try:
             optimizer_step(state, grad, ocfg, k)
@@ -781,7 +857,7 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
                     state.m[i] = state.v[i] = 0.0
             keep = [f is not None for f in live]
             if not all(keep):
-                state.values, state.m, state.v = state.values[keep], state.m[keep], state.v[keep]
+                state.keep(keep)
                 live = [f for f in live if f is not None]
             stacked = None
 

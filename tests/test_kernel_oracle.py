@@ -97,7 +97,7 @@ def test_adam_steps_equal_the_loop(n):
     *prior, per_entry = _prior(rng, theta)
     m_a, v_a = np.zeros(n), np.zeros(n)
     m_l, v_l = np.zeros(n), np.zeros(n)
-    th_a = th_l = theta
+    th_a, th_l = theta.copy(), theta   # the array step writes into th_a
     th_f, m_f, v_f = _as_floats([theta, m_a, v_a])
     clamped = 0
     for k in range(1, 301):
@@ -141,13 +141,15 @@ def test_adam_forms_agree_on_ties_and_nan():
     adam = (1.0 - 0.9, 1.0 - 0.999, 0.9, 0.999, 1e-8)
     with np.errstate(all="ignore"):
         m, v = m0.copy(), np.zeros(len(theta))
-        th = kernels.adam_step(theta, grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8, lower, upper)
+        # each array step writes into the theta it takes, so it takes a copy
+        th = kernels.adam_step(theta.copy(), grad, m, v, 1, 0.1, 0.9, 0.999, 1e-8, lower,
+                               upper)
         floats = kernels.adam_floats(th_f, g_f, none, lo, hi, 0.1, m_f, [0.0] * len(theta),
                                      *adam)
         for got, want in zip((th, m, v), floats):
             assert got.tobytes() == np.array(want).tobytes()
         # gamma_k 10 overflows theta - gamma_k * grad at 1e308, to -inf
-        sg = kernels.sgd_step(theta, grad, 10.0, lower, upper)
+        sg = kernels.sgd_step(theta.copy(), grad, 10.0, lower, upper)
         sg_f = kernels.sgd_floats(th_f, g_f, none, lo, hi, 10.0)
         assert sg.tobytes() == np.array(sg_f).tobytes()
         # a NaN or an infinite gradient entry, or a prior term that overflows
@@ -164,7 +166,7 @@ def test_adam_forms_agree_on_ties_and_nan():
                                     lower, upper)
         for i, (k, gamma) in enumerate(((1, 0.1), (3, 0.05))):
             m1, v1 = m0.copy(), np.zeros(len(theta))
-            th1 = kernels.adam_step(theta, grad, m1, v1, k, gamma, 0.9, 0.999, 1e-8,
+            th1 = kernels.adam_step(theta.copy(), grad, m1, v1, k, gamma, 0.9, 0.999, 1e-8,
                                     lower, upper)
             for got, want in zip((stacked[i], ms[i], vs[i]), (th1, m1, v1)):
                 assert got.tobytes() == want.tobytes(), k
@@ -184,7 +186,7 @@ def test_sgd_steps_equal_the_loop(n):
     theta = rng.standard_normal(n)
     lower, upper = _bounds(rng, theta)
     *prior, per_entry = _prior(rng, theta)
-    th_a = th_l = theta
+    th_a, th_l = theta.copy(), theta   # the array step writes into th_a
     th_f = theta.tolist()
     clamped = 0
     for k in range(1, 51):
@@ -680,7 +682,7 @@ def test_a_stacked_adam_step_equals_one_step_per_fit(fits, n):
         m, v = np.zeros((fits, n)), np.zeros((fits, n))
         m1, v1 = m.copy(), v.copy()
         th, th1 = theta, theta.copy()
-        sg, sg1 = theta, theta.copy()
+        sg, sg1 = theta.copy(), theta.copy()   # adam_step writes into theta
         per_row = len(set(start)) > 1
         for step in range(50):
             ks = [s + step for s in start]

@@ -18,11 +18,11 @@ The online updates of NN, MTL, HEM and HAM step in buffers each unit binds
 once (``TrainingStep.bind``), so the hazards of reuse are checked too: a
 returned version is a copy that later updates leave alone, an update that
 fails after a finite step leaves the next ones exact, and two units
-interleaved in one process each give what they give alone.  The float
-updates of LR and MM hand back each row's prediction from their first
-step, so ``run_ol``'s calls of ``plan_predict`` are counted; and an update
-whose Adam second moment overflows is skipped on floats, on bound buffers
-and in the frozen loop alike.
+interleaved in one process each give what they give alone.  Every update,
+on floats or on bound buffers, hands back its row's prediction from its
+first step, so ``run_ol``'s calls of ``plan_predict`` are counted; and an
+update whose Adam second moment overflows is skipped on floats, on bound
+buffers and in the frozen loop alike, while a fit steps on through it.
 """
 
 import contextlib
@@ -149,12 +149,12 @@ def test_run_ol_equals_the_frozen_loop(kind, mode, method):
 @pytest.mark.parametrize("case", ["every_row", "sources", "no_steps"])
 @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
 def test_a_float_update_is_the_rows_prediction(kind, case, monkeypatch):
-    """LR and MM take a row's prediction from the first step of its float
-    update, so run_ol calls plan_predict only for the rows it does not
-    update: rows whose source may not update ("sources": MPFM rows only),
-    and every row at k = 0 ("no_steps").  The array kinds predict every row.
-    Each log equals the frozen loop's, which predicts every row, bit for
-    bit."""
+    """Every kind takes a row's prediction from the first step of its
+    update, on floats (LR, MM) or on bound buffers (NN, MTL, HEM, HAM), so
+    run_ol calls plan_predict only for the rows it does not update: rows
+    whose source may not update ("sources": MPFM rows only), and every row
+    at k = 0 ("no_steps").  Each log equals the frozen loop's, which
+    predicts every row, bit for bit."""
     m0, split, cfg = _ol_unit(kind, 20)
     if case == "sources":
         cfg = dataclasses.replace(cfg, update_sources=("MPFM",))
@@ -175,8 +175,7 @@ def test_a_float_update_is_the_rows_prediction(kind, case, monkeypatch):
                    "no_steps": len(te)}[case]
     assert 0 < int(np.sum(te.source != 0)) < len(te)   # "sources" leaves rows on both sides
     assert n_updates == len(te) - not_updated
-    floats = models.KIND_TABLE[kind].row_grad is not None
-    assert calls == [1] * (not_updated if floats else len(te))
+    assert calls == [1] * not_updated
 
 
 def _frozen_run_ol(m0, split, cfg, monkeypatch):
@@ -352,6 +351,62 @@ def test_an_overflowing_second_moment_skips_the_update(kind):
     assert log.y_pred.tobytes() == y_pred.tobytes()
     assert np.array_equal(log.model_version, versions)
     assert log.metadata["n_updates"] == n_updates == len(te) - 1
+
+
+@pytest.mark.parametrize("mode", list(PriorMode), ids=lambda m: m.value)
+def test_a_fit_steps_on_through_an_overflowing_second_moment(mode):
+    """Adam's overflow rule for fits: a finite gradient entry above about
+    1.3e154 makes that entry's bias-corrected v overflow to inf, and a fit
+    takes the step all the same, that entry's step being exactly 0 (an
+    online update is skipped instead).  At a noise level of 1e-73, an MM
+    fit's data gradient exceeds that in kappa, M_gas, p_cr and C_D and
+    stays below it in the two densities: the fit ends with the densities
+    moved and the other four exactly at their start, and equals the frozen
+    loop's fit bit for bit."""
+    ds = _data(20)
+    m0 = _model(ModelKind.MM, ds)
+    loss = LossSpec(1e-73, mode)
+    step = optim.TrainingStep(m0, loss.noise_std, mode)
+    X, Xs, y, wells = step.rows(m0, ds)
+    _, grad = plan_loss_grad(step.plan, m0.params.values, X, Xs, y, step.inv_var, wells)
+    assert np.isfinite(grad).all()
+    assert (np.abs(grad) > 1.4e154).tolist() == [False, False, True, True, True, True]
+    with np.errstate(all="ignore"):   # v overflows
+        got = fit_map(m0, ds, loss, _ocfg(Method.ADAM), ESCFG)
+        want = loop.fit_map(m0, ds, loss, _ocfg(Method.ADAM), ESCFG)
+    assert got.params.values.tobytes() == want.tobytes()
+    assert (got.params.values != m0.params.values).tolist() == [True, True] + [False] * 4
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_steps_write_into_the_arrays_their_state_owns(method):
+    """A stacked optimizer_step writes the new values into the state's
+    values array, and its moments in place, so the arrays are the same
+    objects after each step; an online-learning unit of a network kind
+    steps in the buffers it bound once, and hands back a copy."""
+    m0, split, cfg = _ol_unit(ModelKind.NN, 20, method)
+    step = optim.TrainingStep(m0, cfg.loss.noise_std, PriorMode.PHYSICAL_ONLY)
+    state = step.start(np.stack([m0.params.values] * 3))
+    values, m, v = state.values, state.m, state.v
+    before = values.copy()
+    rng = np.random.default_rng(2)
+    for k in range(1, 4):
+        optim.optimizer_step(state, rng.standard_normal(values.shape), cfg.ocfg, [k, 2 * k, 1])
+    assert state.values is values and state.m is m and state.v is v
+    assert not np.array_equal(values, before)
+
+    unit = step.bind(cfg.ocfg, cfg.steps)
+    owned = [unit.values, unit.m, unit.v, unit.grad, *unit.scratch]
+    X, Xs, y, wells = step.rows(m0, split.test)
+    theta = m0.params.values
+    for i in range(3):
+        r = slice(i, i + 1)
+        got, _ = step.online_update(unit, theta, X[r], Xs[r], y[r], wells[r], cfg.ocfg,
+                                    cfg.steps)
+        assert got is not None and not np.shares_memory(got, unit.values)
+        theta = got
+    assert all(a is b for a, b in zip([unit.values, unit.m, unit.v, unit.grad, *unit.scratch],
+                                      owned))
 
 
 @pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)

@@ -21,7 +21,12 @@ stack), its fit-steps (the live fits summed over its ticks) and how busy
 the stack was (fit-steps over ticks times the cap).  The counts come from
 wrapping ``optim.optimizer_step`` while the lockstep runs, so with more than
 one worker ``ticks``, ``fit_steps`` and ``busy`` count the share that runs
-in this process only; ``taskset -c 0`` runs every fit in it.
+in this process only; ``taskset -c 0`` runs every fit in it.  Each line
+also gives, per side, the minor page faults of its fastest repeat
+(``minflt``): those of this process (``RUSAGE_SELF``) and those of the
+workers it forked and joined (``RUSAGE_CHILDREN``).  A process whose heap
+top is given back to the kernel after each tick and taken again on the
+next shows here as thousands of faults per call.
 
 Every fit runs a fixed number of epochs (patience equals the cap), as in
 the benchmark's pbl-refit workload: 17 per MM refit and 48 per refit of
@@ -48,6 +53,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 import warnings
@@ -153,6 +159,12 @@ def lockstep(fits, ocfg, escfg):
     return fit_maps(fits, ocfg, escfg)
 
 
+def minflt() -> tuple:
+    """Minor page faults so far: this process's and its joined workers'."""
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+
+
 def same(a, b) -> bool:
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
@@ -179,14 +191,17 @@ def main(argv=None) -> int:
             lists = fit_lists(kind, a.seed, a.smoke, n_wells, a.early_stopping)
             for part, (fits, ocfg, escfg) in lists.items():
                 times = {"sequential": [], "lockstep": []}
+                faults = {"sequential": [], "lockstep": []}
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     for _ in range(repeats):
                         for name, fn in (("sequential", sequential), ("lockstep", lockstep)):
                             with StepCount() as count:
+                                f0 = minflt()
                                 t0 = time.perf_counter()
                                 got = fn(fits, ocfg, escfg)
                                 times[name].append(time.perf_counter() - t0)
+                                faults[name].append([b - a for a, b in zip(f0, minflt())])
                             if name == "sequential":
                                 want = got
                             else:
@@ -195,13 +210,17 @@ def main(argv=None) -> int:
                     identical = len(got) == len(want) and all(map(same, got, want))
                 ok &= identical
                 seq, lock = min(times["sequential"]), min(times["lockstep"])
+                fastest = {name: dict(zip(("self", "workers"),
+                                          faults[name][times[name].index(min(times[name]))]))
+                           for name in times}
                 print(json.dumps({"kind": kind, "wells": n_wells, "part": part,
                                   "fits": len(fits), "repeats": repeats,
                                   "sequential_s": round(seq, 4), "lockstep_s": round(lock, 4),
                                   "speedup": round(seq / lock, 2),
                                   "identical": identical, "cap": a.cap,
                                   "workers": workers, "ticks": ticks, "fit_steps": fit_steps,
-                                  "busy": round(fit_steps / (ticks * a.cap), 3)}))
+                                  "busy": round(fit_steps / (ticks * a.cap), 3),
+                                  "minflt": fastest}))
     return 0 if ok else 1
 
 
