@@ -340,7 +340,7 @@ def _mlp_params(rng: np.random.Generator, widths: np.ndarray, prefix: str = "",
 
 
 def _mtl_params(rng: np.random.Generator, mtl: MtlParams) -> ParameterSet:
-    """The layout of ``kernels._mtl_forward``.  The shared trunk sees x and
+    """The layout of ``kernels._mtl_bind``.  The shared trunk sees x and
     the task embedding through one concatenated affine map, so its He fan-in
     is d + task_dim; the task matrix B draws from N(0, 1)."""
     d, p, h, nb, m = (int(v) for v in mtl.dims())
@@ -467,16 +467,16 @@ class KindEntry:
       row alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
       byte for byte, and the forward z equals ``predict``'s at that row, so
       the update's first step also gives the row's prediction.
-    * ``bound_grad(net, p, th, X, Xs, y, inv_var, wells, g) -> (sse, z,
-      clamps)``, for the kinds that take each online-learning update as
-      array steps on buffers the unit owns (NN, MTL, HEM, HAM;
-      ``optim.TrainingStep.bind``), and used only there: ``loss_grad``'s
-      arithmetic, its gradient added into the zeros of the buffer g, and its
-      forward z, ``predict``'s at those rows, bit for bit, so that the
-      update's first step also gives the row's prediction, as ``row_grad``
-      does.  The network kinds run it on ``net``, their layers bound to th
-      and g once per unit (``kernels._nn_bind`` at offset ``n_fixed``); MTL
-      (net None) runs its kernel's body on th and g.
+    * ``bind(p, th, g) -> net`` and ``bound_grad(net, p, th, X, Xs, y,
+      inv_var, wells, g) -> (sse, z, clamps)``, for the kinds that take each
+      online-learning update as array steps on buffers the unit owns (NN,
+      MTL, HEM, HAM; ``optim.TrainingStep.bind``), and used only there:
+      ``bind`` binds the layers of the buffers th and g once per unit
+      (``kernels._nn_bind`` at offset ``n_fixed``, ``kernels._mtl_bind``),
+      and ``bound_grad`` runs ``loss_grad``'s arithmetic on that binding,
+      its gradient added into the zeros of g, and returns its forward z,
+      ``predict``'s at those rows, bit for bit, so that the update's first
+      step also gives the row's prediction, as ``row_grad`` does.
     """
 
     params: Callable
@@ -489,6 +489,7 @@ class KindEntry:
     predict: Callable | None = None
     loss_grad: Callable | None = None
     row_grad: Callable | None = None
+    bind: Callable | None = None
     bound_grad: Callable | None = None
 
     def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
@@ -496,8 +497,14 @@ class KindEntry:
                 + (mtl.n_params() if self.multitask else 0))
 
 
+def _bind_network(p, th, g):
+    """The layer views of a network kind's parameters th and gradient g,
+    its network at offset ``n_fixed``."""
+    return kernels._nn_bind(th, p.entry.n_fixed, p.widths.tolist(), g)
+
+
 # ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only), ``g``
-# an online-learning unit's gradient buffer and ``net`` its bound network.
+# an online-learning unit's gradient buffer and ``net`` its binding.
 KIND_TABLE: dict[ModelKind, KindEntry] = {
     ModelKind.BENCHMARK: KindEntry(lambda rng, pri, shape, mtl: ParameterSet.empty()),
     ModelKind.LR: KindEntry(
@@ -512,6 +519,7 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         predict=lambda p, th, X, Xs, w: (kernels.nn_predict(th, 0, p.widths, Xs), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
             *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
+        bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
             *kernels._nn_grad(net, Xs, y, iv), 0)),
     ModelKind.MTL: KindEntry(
@@ -519,8 +527,9 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         predict=lambda p, th, X, Xs, w: (kernels.mtl_predict(th, p.dims, Xs, w), 0),
         loss_grad=lambda p, th, X, Xs, y, iv, w: (
             *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
+        bind=lambda p, th, g: kernels._mtl_bind(th, p.dims, g),
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
-            *kernels._mtl_grad(th, p.dims, Xs, w, y, iv, g), 0)),
+            *kernels._mtl_grad(net, Xs, w, y, iv), 0)),
     ModelKind.MM: KindEntry(
         lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
@@ -534,6 +543,7 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
                                                             p.nn_scale),
         loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(
             th, p.widths, X, Xs, p.geom, y, iv, p.nn_scale),
+        bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._hem_grad(
             net, th, X, Xs, p.geom, y, iv, p.nn_scale, g)),
     # the output bias stands in for C_D: softplus(bias) starts at the C_D prior mean
@@ -546,6 +556,7 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
         predict=lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
         loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(
             th, p.widths, X, Xs, p.geom, y, iv),
+        bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._ham_grad(
             net, th, X, Xs, p.geom, y, iv, g)),
 }

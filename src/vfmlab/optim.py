@@ -177,9 +177,9 @@ class OptimizerState:
     before each step.  :meth:`TrainingStep.start` makes them for a fit, or
     for the stacked fits of ``fit_maps``' lockstep, whose buffers shrink
     with :meth:`keep`; :meth:`TrainingStep.bind` makes them once per
-    online-learning unit of an array kind, with ``net``, the network's
-    layer views of ``values`` and ``grad`` (``kernels._nn_bind``; None for
-    MTL), which stay bound since the arrays are never replaced.
+    online-learning unit of an array kind, with ``net``, the kind's layer
+    views of ``values`` and ``grad`` (``KindEntry.bind``), which stay bound
+    since the arrays are never replaced.
     """
 
     values: np.ndarray
@@ -359,17 +359,14 @@ class TrainingStep:
         (gamma_k, 1 - beta1**k, 1 - beta2**k) for k = 1 .. steps, computed
         as :func:`gamma_at` and ``kernels.adam_step`` compute them.  Any
         other kind gets its buffers (:meth:`start` at zeros of the unit's
-        parameter count), and for a network kind its layer views of the
-        values and the gradient (``kernels._nn_bind`` at the kind's
-        ``n_fixed``)."""
+        parameter count) and its layer views of the values and the gradient
+        (``KindEntry.bind``)."""
         if self.floats is not None:
             beta1, beta2 = ocfg.adam_beta1, ocfg.adam_beta2
             return tuple((gamma_at(ocfg, k), 1.0 - beta1 ** k, 1.0 - beta2 ** k)
                          for k in range(1, steps + 1))
         unit = self.start(np.zeros(len(self.lower)))
-        plan = self.plan
-        if plan.entry.network:
-            unit.net = kernels._nn_bind(unit.values, plan.entry.n_fixed, plan.widths, unit.grad)
+        unit.net = self.plan.entry.bind(self.plan, unit.values, unit.grad)
         return unit
 
     def online_update(self, unit: tuple | OptimizerState, theta, X, Xs, y, wells,
@@ -393,7 +390,7 @@ class TrainingStep:
         An array kind (NN, MTL, HEM, HAM) steps in the unit's buffers:
         theta is copied into its values and its moments are zeroed, then
         each step zeroes the gradient buffer, writes the kind's gradient
-        into it (``KindEntry.bound_grad``, on the network views bound to the
+        into it (``KindEntry.bound_grad``, on the layer views bound to the
         buffers), adds the prior's, checks it is finite and writes the SGD
         or Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
         values, working in the unit's scratch; v is checked once, after the

@@ -27,7 +27,9 @@ entry.  Stacked optimizer steps, at
 one shared step index or at one per row, equal one step per fit.  The row
 gradients of that update (``KindEntry.row_grad``) equal their kind's
 loss-gradient kernel at one row, byte for byte, and their forward equals the
-kind's ``predict`` at that row.
+kind's ``predict`` at that row.  An MTL binding made once on a unit's
+buffers gives a fresh ``mtl_loss_grad`` after its values are overwritten in
+place.
 """
 
 import numpy as np
@@ -240,11 +242,11 @@ def test_nn_kernels_equal_the_loop(n, off):
     delta = rng.standard_normal(n)
     start = rng.standard_normal(len(theta))   # backprop accumulates into grad
     g_a, g_l = start.copy(), start.copy()
-    net = kernels._nn_bind(theta, off, NN_WIDTHS, g_a)
+    net = kernels._nn_bind(theta, off, NN_WIDTHS.tolist(), g_a)
     out_a, acts = kernels._nn_forward(net, xs)
-    kernels._nn_backward(net, acts, delta)
+    kernels._nn_backward(net, acts, delta[:, None])
     out_l = loop._nn_backprop(theta, off, NN_WIDTHS, xs, delta, g_l)
-    assert np.array_equal(out_a, out_l)
+    assert np.array_equal(out_a[:, 0], out_l)
     assert np.array_equal(g_a, g_l)
 
     sse_a, grad_a = kernels.nn_loss_grad(theta, off, NN_WIDTHS, xs, y, 2.5)
@@ -266,13 +268,14 @@ def test_mtl_kernels_equal_the_loop(n, dims):
     theta = rng.standard_normal(n_params) * 0.3
     wells = rng.integers(0, m, n).astype(np.int64)   # repeats: scatter order matters
 
-    fwd_a = kernels._mtl_forward(theta, dims, xs, wells)
-    fwd_l = loop._mtl_forward(theta, dims, xs, wells)
-    assert np.array_equal(fwd_a[0], fwd_l[0])
-    for got, want in zip(fwd_a[1:4], fwd_l[1:4]):
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert np.array_equal(fwd_a[4], fwd_l[4])
+    yhat, zs, acts, beta = kernels._mtl_forward(kernels._mtl_bind(theta, dims), xs, wells)
+    yhat_l, zs_l, _, a1s_l, beta_l = loop._mtl_forward(theta, dims, xs, wells)
+    assert np.array_equal(yhat, yhat_l)
+    assert len(zs) == len(zs_l) and all(np.array_equal(a, b) for a, b in zip(zs, zs_l))
+    # each block's post-ReLU activation; the oracle's a1s open with a placeholder
+    assert len(acts) == len(a1s_l) - 1
+    assert all(np.array_equal(a[1], b) for a, b in zip(acts, a1s_l[1:]))
+    assert np.array_equal(beta, beta_l)
     assert np.array_equal(kernels.mtl_predict(theta, dims, xs, wells),
                           loop.mtl_predict(theta, dims, xs, wells))
 
@@ -280,6 +283,36 @@ def test_mtl_kernels_equal_the_loop(n, dims):
     sse_l, grad_l = loop.mtl_loss_grad(theta, dims, xs, wells, y, 2.5)
     assert sse_a == sse_l
     assert np.array_equal(grad_a, grad_l)
+
+
+@pytest.mark.parametrize("fits", [1, 3])
+def test_an_mtl_binding_follows_its_buffers(fits):
+    """An MTL binding made once on a unit's values and gradient serves while
+    the values are overwritten in place and the gradient zeroed, as an
+    online-learning update does between steps: each _mtl_grad on it equals
+    a fresh mtl_loss_grad bit for bit, one fit or an (R, P) stack, and
+    leaves its arguments unchanged."""
+    rng = np.random.default_rng(70 + fits)
+    dims = MTL.dims()
+    lead = () if fits == 1 else (fits,)
+    values = rng.standard_normal(lead + (MTL.n_params(),)) * 0.3
+    grad = np.empty(values.shape)
+    net = kernels._mtl_bind(values, dims, grad)
+    xs = rng.standard_normal(lead + (9, D_INPUT))
+    wells = rng.integers(0, MTL.n_tasks, lead + (9,)).astype(np.int64)
+    y = rng.standard_normal(lead + (9,))
+    inv_var = 2.5 if fits == 1 else np.full((fits, 1), 2.5)
+    for _ in range(2):
+        values[...] = rng.standard_normal(values.shape) * 0.3
+        grad.fill(0.0)
+        args = (xs, wells, y)
+        before = [a.tobytes() for a in (values, *args)]
+        sse, yhat = kernels._mtl_grad(net, *args, inv_var)
+        assert [a.tobytes() for a in (values, *args)] == before
+        want_sse, want_grad = kernels.mtl_loss_grad(values, dims, *args, inv_var)
+        assert np.float64(sse).tobytes() == np.float64(want_sse).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert yhat.tobytes() == kernels.mtl_predict(values, dims, xs, wells).tobytes()
 
 
 @pytest.mark.parametrize("n", ROWS)
