@@ -8,6 +8,11 @@ file).
 Every command is a pure function of (config, input files, seed): re-running
 overwrites outputs with identical bytes.  Exit codes: 0 success, 1 config
 error, 2 data error, 3 numeric failure.
+
+run and tune use the cores: run's lockstep fits split across forked workers
+(``optim.fit_maps``), and tune deals its scoring jobs to them (the same
+``optim._fork``).  Under ``taskset -c 0`` either runs in one process, and
+its outputs, stdout and exit code are the same either way.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from .errors import ConfigError, DataError, NumericError, VfmlabError
 from .learning import PredictionLog, run_schedules, write_log, read_log
 from .metrics import (SummaryTable, mape_details, summarize, save_plot, write_excluded_csv,
                       write_rolling_csv, write_summary_csv)
-from .models import ModelKind, init_model
-from .optim import LossSpec, OptimizerConfig, fit_maps, grid_search
+from .models import KIND_TABLE, ModelKind, init_model
+from . import optim
+from .optim import LossSpec, OptimizerConfig, fit_maps, grid_schedules, grid_search
 from .synth import generate_stream
 
 _CASE_FLAGS = ("all", "welltest")
@@ -208,31 +214,80 @@ def cmd_simulate(cfg: StudyConfig) -> int:
     return 0
 
 
+# tune's cost model, by which its jobs are dealt: a job costs one for its
+# initial fits and one per combination, times this weight for a kind with a
+# network (NN, MTL, HEM, HAM; 1 for LR and MM).  Each default tune job run
+# alone (2-core VM, one process): the four 14-combination network jobs took
+# 2.35-2.94 s against 0.27-0.39 s for LR and MM, and the 2-combination ones
+# 0.21-0.77 s against 0.06-0.12 s.  Dealt by this model, the two shares hold
+# 8.2 and 7.5 s of those 15.7 s (8.7 and 7.0 s at weight 1, as at any
+# weight from 2 to 100 the 8.2 and 7.5 s): the four long network jobs go two
+# to a share first, and the short jobs fill in.
+_NETWORK_JOB_WEIGHT = 10
+
+
+def _job_cost(job) -> int:
+    """The cost of a ``(kind, initial optimizer, schedules)`` job of tune."""
+    kind, _, scheds = job
+    entry = KIND_TABLE[ModelKind.from_str(kind)]
+    return (1 + len(scheds)) * (_NETWORK_JOB_WEIGHT if entry.network or entry.multitask else 1)
+
+
+def _score_jobs(cfg: StudyConfig, holdouts: dict, merged_holdout: DataSplit, jobs: list) -> list:
+    """Per ``(kind, initial optimizer, schedules)`` job of `jobs`, per
+    schedule its holdout score, or the error that scoring it raised: the
+    job's holdout units are fitted once, with the initial optimizer, and
+    every schedule starts from them.  An error is kept, not raised, so that
+    ``cmd_tune`` raises it where a search in one process would meet it."""
+    scored = []
+    for kind, ocfg, scheds in jobs:
+        try:
+            units = _initial_units(cfg, kind, holdouts, merged_holdout, ocfg)
+        except Exception as e:   # every schedule of the job meets it
+            scored.append([e] * len(scheds))
+            continue
+        scores = []
+        for sched in scheds:
+            try:
+                scores.append(_holdout_score(units, sched))
+            except Exception as e:
+                scores.append(e)
+        scored.append(scores)
+    return scored
+
+
+def _holdout_score(units: list, sched) -> float:
+    """The mean over wells of the MAPE of `sched` run on the holdout units;
+    inf when a well has nothing scoreable."""
+    logs = run_schedules([(m0, sp, replace(sched, loss=loss)) for m0, sp, loss in units])
+    try:
+        mapes = [mape_details(log, w)[0] for log in logs for w in log.well_ids()]
+    except DataError:   # a well with nothing scoreable
+        return math.inf
+    return float(np.mean(mapes))
+
+
 def cmd_tune(cfg: StudyConfig) -> int:
     """Per schedule and trainable kind, the grid combination with the lowest
-    cross-well mean MAPE on the holdouts of the training period."""
+    cross-well mean MAPE on the holdouts of the training period.
+
+    Every combination is listed first and scored in a job of the
+    combinations that share a kind and an initial optimizer (PBL's
+    candidate optimizer, OL's ``init_optimizer``), whose holdout units are
+    fitted once.  The jobs are dealt to min(CPUs, jobs) processes, longest
+    first by :func:`_job_cost` (``optim._deal``), and run through
+    ``optim._fork``.  Then ``optim.grid_search`` picks per schedule and
+    kind, in the config's order, from the dealt outcomes: each
+    combination's score, or the error its scoring raised, raised here as a
+    search in one process would meet it.  So the picks, the errors, stdout
+    and the CSV do not depend on the CPUs.  A pick on an edge of its grid
+    also gets a line on stderr."""
     splits, merged = _split_all(cfg, *_case_datasets(cfg))
     holdouts = {w: _holdout(sp.train, f"well {w}") for w, sp in splits.items()}
     merged_holdout = _holdout(merged.train, "the merged wells")
     escfg = cfg.escfg()
-    fits: dict = {}   # (kind, OptimizerConfig) -> holdout units, for every schedule
-
-    def score(kind: str, sched) -> float:
-        # PBL's initial fit takes the candidate optimizer, OL's the study's
-        ocfg = sched.ocfg if sched.mode == "pbl" else cfg.init_ocfg_for(kind)
-        if (kind, ocfg) not in fits:
-            fits[kind, ocfg] = _initial_units(cfg, kind, holdouts, merged_holdout, ocfg)
-        logs = run_schedules([(m0, sp, replace(sched, loss=loss))
-                              for m0, sp, loss in fits[kind, ocfg]])
-        try:
-            mapes = [mape_details(log, w)[0] for log in logs for w in log.well_ids()]
-        except DataError:   # a well with nothing scoreable
-            return math.inf
-        return float(np.mean(mapes))
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["schedule,kind,method,gamma0,lr_schedule,power_a,steps,batch_size,score"]
+    searches = []    # (schedule name, kind, grids, protocol), in search order
+    jobs: dict = {}  # (kind, initial OptimizerConfig) -> its combinations' schedules
     for spec in cfg.schedule_specs():
         grids = cfg.grids.get(spec.mode)
         if not grids:
@@ -241,17 +296,46 @@ def cmd_tune(cfg: StudyConfig) -> int:
             if ModelKind.from_str(kind) is ModelKind.BENCHMARK:
                 continue
             protocol = spec.to_schedule(kind, LossSpec(noise_std=1.0), escfg)
-            best, best_score = grid_search(grids, protocol, functools.partial(score, kind))
-            o = best.ocfg
-            # OL takes its steps per observation; only PBL's fits use a batch size
-            if best.mode == "ol":
-                steps, bs, knob = best.steps, "", f"steps={best.steps}"
-            else:
-                steps, bs = "", "" if o.batch_size is None else o.batch_size
-                knob = f"batch_size={o.batch_size}"
-            lines.append(f"{spec.name},{kind},{o.method.value},{o.gamma0!r},"
-                         f"{o.schedule},{o.power_a!r},{steps},{bs},{best_score!r}")
-            print(f"{spec.name}/{kind}: gamma0={o.gamma0} {knob} score={best_score:.3f}")
+            searches.append((spec.name, kind, grids, protocol))
+            for _, sched in grid_schedules(grids, protocol):
+                # PBL's initial fit takes the candidate optimizer, OL's the study's
+                ocfg = sched.ocfg if sched.mode == "pbl" else cfg.init_ocfg_for(kind)
+                jobs.setdefault((kind, ocfg), []).append(sched)
+    listed = [(kind, ocfg, scheds) for (kind, ocfg), scheds in jobs.items()]
+    shares = optim._deal(listed, optim._fork_workers(len(listed)), _job_cost)
+    outcomes = {}    # (kind, schedule) -> its score or error
+    done = optim._fork(functools.partial(_score_jobs, cfg, holdouts, merged_holdout), shares)
+    for share, scored in zip(shares, done):
+        for (kind, _, scheds), scores in zip(share, scored):
+            outcomes.update(((kind, sched), got) for sched, got in zip(scheds, scores))
+
+    def score(kind: str, sched) -> float:
+        got = outcomes[kind, sched]
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["schedule,kind,method,gamma0,lr_schedule,power_a,steps,batch_size,score"]
+    for name, kind, grids, protocol in searches:
+        best, best_score = grid_search(grids, protocol, functools.partial(score, kind))
+        o = best.ocfg
+        # OL takes its steps per observation; only PBL's fits use a batch size
+        if best.mode == "ol":
+            steps, bs, knob = best.steps, "", f"steps={best.steps}"
+        else:
+            steps, bs = "", "" if o.batch_size is None else o.batch_size
+            knob = f"batch_size={o.batch_size}"
+        lines.append(f"{name},{kind},{o.method.value},{o.gamma0!r},"
+                     f"{o.schedule},{o.power_a!r},{steps},{bs},{best_score!r}")
+        print(f"{name}/{kind}: gamma0={o.gamma0} {knob} score={best_score:.3f}")
+        for key, value in (("gamma0", o.gamma0), ("steps", best.steps),
+                           ("batch_size", o.batch_size)):
+            grid = [v for v in grids.get(key, ()) if v is not None]
+            if len(set(grid)) > 1 and value in (min(grid), max(grid)):
+                edge = "largest" if value == max(grid) else "smallest"
+                print(f"{name}/{kind}: {key}={value} is the {edge} in its grid", file=sys.stderr)
     path = out / f"tuned_{cfg.case}.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")

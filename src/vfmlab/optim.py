@@ -31,10 +31,11 @@ each fit has at least ``SPLIT_PARAMS`` parameters (the network kinds), and
 one worker per ``LOCKSTEP_FITS`` fits below that (LR, MM).  Its fits are
 dealt longest first, each to the share with the fewest mini-batches so far;
 this process runs the first share and a forked child each other share, each
-in the same lockstep.  A child sends back only each fit's best-validation
-vector or error, its learning curve and the share's radicand clamp count.
-Since a fit's result does not depend on the fits beside it, the split
-changes no bit.
+in the same lockstep (``_fork``, the one fork path, which ``cli``'s ``tune``
+also deals its jobs with).  A child sends back only each fit's
+best-validation vector or error, its learning curve and the share's radicand
+clamp count.  Since a fit's result does not depend on the fits beside it,
+the split changes no bit.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
@@ -640,19 +641,21 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     min(CPUs, ceil(fits / LOCKSTEP_FITS)) below that, where a tick costs
     about the same whatever the stack holds.  The fits, longest first, are
     dealt by the longest-processing-time rule: each goes to the share with
-    the fewest mini-batches per epoch so far, the lowest share on a tie.
-    This process runs the first share and a child forked per other share
-    runs its own, each in the lockstep above.  Before either, the call sets
-    the heap's top pad once per process (``_pad_heap``), so that the ticks
-    of this process and of the children reuse the memory that the last
-    tick freed.  A child sends back, per fit,
-    only its best-validation vector or the DataError or NumericError that
-    ended it, and its learning-curve entries, and once its radicand clamp
-    count, which goes to ``models.MM_DIAGNOSTICS``; the ModelSpecs are built
-    here from each fit's own start, so they keep its scaler.  Since no fit's
-    result depends on the fits beside it, the split changes no bit.  A call
-    of one fit, a call of at most ``LOCKSTEP_FITS`` fits below
-    ``SPLIT_PARAMS`` parameters, a process pinned to one CPU and a platform
+    the fewest mini-batches per epoch so far, the lowest share on a tie
+    (``_deal``).  The shares run through the fork helper that ``cli``'s
+    ``tune`` also deals its jobs with (``_fork``): this process runs the
+    first share and a child forked per other share runs its own, each in
+    the lockstep above.  Before either, the call sets the heap's top pad
+    once per process (``_pad_heap``), so that the ticks of this process and
+    of the children reuse the memory that the last tick freed.  A child
+    sends back, per fit, only its best-validation vector or the DataError
+    or NumericError that ended it, and its learning-curve entries, and once
+    its radicand clamp count, which goes to ``models.MM_DIAGNOSTICS``; the
+    ModelSpecs are built here from each fit's own start, so they keep its
+    scaler.  Since no fit's result depends on the fits beside it, the split
+    changes no bit.  A call of one fit, a call of at most ``LOCKSTEP_FITS``
+    fits below ``SPLIT_PARAMS`` parameters, a process pinned to one CPU, a
+    call inside a share of ``_fork`` (which counts one CPU) and a platform
     without ``fork`` run in this process alone.
 
     Returns, in list order, per fit its start with its best-validation
@@ -676,20 +679,30 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     if not pending:
         return results
     _pad_heap()
-    # longest first; the sort is stable, so ties keep list order
-    pending.sort(key=lambda f: -f.batches)
-    workers = _workers(len(pending), len(fits[0][0].params))
-    if workers == 1:
-        _lockstep(pending, ocfg, escfg)
-    else:
-        _split(_deal(pending, workers), ocfg, escfg)
-    for f in pending:
-        results[f.j] = f.start.with_values(f.best_values) if f.error is None else f.error
+    shares = _deal(pending, _workers(len(pending), len(fits[0][0].params)),
+                   lambda f: f.batches)
+    done = _fork(functools.partial(_fit_share, ocfg=ocfg, escfg=escfg), shares)
+    for share, outcomes in zip(shares, done):
+        for f, (outcome, curve) in zip(share, outcomes):
+            results[f.j] = outcome if isinstance(outcome, Exception) else \
+                f.start.with_values(outcome)
+            if curve_sinks is not None:
+                curve_sinks[f.j].extend(curve)
     return results
 
 
+# True in a process while it runs a share of _fork, and for good in its
+# forked children: the process then counts one CPU, so a fit_maps call inside
+# a share runs in that share's process (a daemonic multiprocessing child may
+# not start children, and the shares already hold every CPU)
+_in_share = False
+
+
 def _cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; 1 while it runs a share of
+    :func:`_fork`."""
+    if _in_share:
+        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -698,7 +711,13 @@ def _workers(n: int, params: int) -> int:
     each: one per fit from ``SPLIT_PARAMS`` parameters up, one per
     ``LOCKSTEP_FITS`` fits below; at most one per CPU, and one where fork
     is missing."""
-    workers = min(_cpus(), n if params >= SPLIT_PARAMS else -(-n // LOCKSTEP_FITS))
+    return _fork_workers(n if params >= SPLIT_PARAMS else -(-n // LOCKSTEP_FITS))
+
+
+def _fork_workers(n: int) -> int:
+    """How many processes run n jobs that may run at once: min(CPUs, n),
+    at least 1, and 1 where fork is missing."""
+    workers = min(_cpus(), max(n, 1))
     if workers > 1:
         import multiprocessing   # here, so that importing vfmlab stays light
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -706,85 +725,97 @@ def _workers(n: int, params: int) -> int:
     return workers
 
 
-def _deal(pending: list, workers: int) -> list:
-    """The fits, longest first, dealt into `workers` shares by Graham's
-    longest-processing-time rule: each goes to the share with the fewest
-    mini-batches per epoch so far, the lowest share on a tie."""
+def _deal(jobs: list, workers: int, cost) -> list:
+    """The jobs, longest first (a stable sort by ``cost(job)``, so ties keep
+    list order), dealt into `workers` shares by Graham's
+    longest-processing-time rule: each goes to the share with the least
+    cost so far, the lowest share on a tie."""
     shares = [[] for _ in range(workers)]
     load = [0] * workers
-    for f in pending:
+    for job in sorted(jobs, key=lambda j: -cost(j)):
         w = load.index(min(load))
-        shares[w].append(f)
-        load[w] += f.batches
+        shares[w].append(job)
+        load[w] += cost(job)
     return shares
 
 
-def _split(shares: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> None:
-    """Run the first share here and each other share in a forked child, and
-    take the children's outcomes into their fits; a child that raises, or
-    exits without sending, raises here.  The children are joined before
-    this returns, and terminated first if anything raised.
+def _fork(work, shares: list) -> list:
+    """``work(share)`` for every share, in share order: the first share in
+    this process and each other share in a forked child, all at once.  One
+    share runs here alone, with no fork.
 
-    A forked child inherits its fits (rows, plans, scalers) as they are, so
-    only the outcomes cross a pipe; the program starts no threads that a
-    fork could catch holding a lock."""
+    While the shares run, :func:`_cpus` counts one CPU in this process and
+    in the children.  A forked child inherits its share (rows, plans,
+    scalers) as it is, so only work's result, which must pickle, crosses a
+    pipe, with the radicand clamps the child counted; they go to
+    ``models.MM_DIAGNOSTICS``, so the count moves as in one process.  The
+    program starts no threads that a fork could catch holding a lock.
+
+    A child whose work raises sends its error, which is raised here; a child
+    that exits without sending is a RuntimeError naming its exit code.
+    Whatever raises, here or in a child, the children are terminated and
+    joined first; on success they are joined before this returns."""
+    global _in_share
+    if len(shares) == 1:
+        return [work(shares[0])]
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
-    own, *others = shares
     children = []
     done = False
+    outer, _in_share = _in_share, True
     try:
-        for share in others:
+        for share in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child, args=(share, ocfg, escfg, send), daemon=True)
+            child = ctx.Process(target=_child, args=(work, share, send), daemon=True)
             child.start()
             send.close()   # so that recv sees end of file if the child dies
-            children.append((child, recv, share))
-        _lockstep(own, ocfg, escfg)
-        for child, recv, share in children:
+            children.append((child, recv))
+        results = [work(shares[0])]
+        for child, recv in children:
             try:
                 got = recv.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"a lockstep worker exited with code {child.exitcode} "
-                                   "before sending its fits") from None
+                raise RuntimeError(f"a forked worker exited with code {child.exitcode} "
+                                   "before sending its result") from None
             if isinstance(got, BaseException):
                 raise got
-            outcomes, clamps = got
+            result, clamps = got
             MM_DIAGNOSTICS.count += clamps
-            for f, (outcome, curve) in zip(share, outcomes):
-                if isinstance(outcome, Exception):
-                    f.error = outcome
-                else:
-                    f.best_values = outcome
-                if f.sink is not None:
-                    f.sink.extend(curve)
+            results.append(result)
         done = True
     finally:
-        for child, recv, _ in children:
+        _in_share = outer
+        for child, recv in children:
             if not done:
                 child.terminate()
             child.join()
             recv.close()
+    return results
 
 
-def _child(share: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig, send) -> None:
-    """A forked worker of :func:`_split`: the lockstep of one share, then
-    one message: per fit its best-validation vector or error and its
-    curve entries, and the radicand clamps counted; or the error that
-    stopped the share."""
+def _child(work, share, send) -> None:
+    """A forked worker of :func:`_fork`: one message, ``work(share)`` and
+    the radicand clamps counted, or the error that stopped it."""
     try:
-        for f in share:
-            if f.sink is not None:
-                f.sink = []
         clamps0 = MM_DIAGNOSTICS.count
-        _lockstep(share, ocfg, escfg)
-        send.send(([(f.best_values if f.error is None else f.error, f.sink) for f in share],
-                   MM_DIAGNOSTICS.count - clamps0))
+        result = work(share)
+        send.send((result, MM_DIAGNOSTICS.count - clamps0))
     except Exception as e:
         send.send(e)
     finally:
         send.close()
+
+
+def _fit_share(share: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> list:
+    """The lockstep of one share of :func:`fit_maps`: per fit, its
+    best-validation vector or the error that ended it, and its new
+    learning-curve entries."""
+    for f in share:
+        if f.sink is not None:
+            f.sink = []
+    _lockstep(share, ocfg, escfg)
+    return [(f.best_values if f.error is None else f.error, f.sink) for f in share]
 
 
 def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) -> None:
@@ -947,28 +978,38 @@ def check_grids(grids: dict) -> None:
                     raise ConfigError(f"grids.{mode}.{key}: {e}") from None
 
 
+def grid_schedules(grids: dict, protocol) -> list:
+    """Every combination of `grids`, in search order, as (override, schedule):
+    the grid values by key (a method name becomes a Method) and the given
+    learning protocol (a ScheduleConfig, PBL or OL) with its ``steps`` and
+    optimizer settings replaced by them."""
+    check_grids({protocol.mode: grids})
+    keys = [k for k in _GRID_KEYS[protocol.mode] if k in grids]
+    combos = []
+    for combo in itertools.product(*(grids[k] for k in keys)):
+        override = {k: _grid_value(k, v) for k, v in zip(keys, combo)}
+        opt = dict(override)   # the step count is the schedule's, the rest the optimizer's
+        steps = opt.pop("steps", protocol.steps)
+        combos.append((override, replace(protocol, ocfg=replace(protocol.ocfg, **opt),
+                                          steps=steps)))
+    return combos
+
+
 def grid_search(grids: dict, protocol, score):
     """Exhaustive search over a schedule's hyperparameters.
 
-    Each combination of `grids` replaces the given learning protocol's (a
-    ScheduleConfig, PBL or OL) ``steps`` and optimizer settings, and
-    ``score(schedule)`` rates the result, lower being better.  A combination
+    Each combination of :func:`grid_schedules` is rated by
+    ``score(schedule)``, in its order, lower being better.  A combination
     whose score raises NumericError or FloatingPointError, or is not finite,
     scores inf.  Ties break toward smaller gamma0, then fewer steps.  Returns
     (best ScheduleConfig, its score); NumericError when every combination
     scores inf.
     """
-    check_grids({protocol.mode: grids})
-    keys = [k for k in _GRID_KEYS[protocol.mode] if k in grids]
     diagnostics = []
     best = None
     best_score = math.inf
 
-    for combo in itertools.product(*(grids[k] for k in keys)):
-        override = {k: _grid_value(k, v) for k, v in zip(keys, combo)}
-        opt = dict(override)   # the step count is the schedule's, the rest the optimizer's
-        steps = opt.pop("steps", protocol.steps)
-        sched = replace(protocol, ocfg=replace(protocol.ocfg, **opt), steps=steps)
+    for override, sched in grid_schedules(grids, protocol):
         try:
             value = score(sched)
         except (NumericError, FloatingPointError):

@@ -4,6 +4,8 @@ re-runs and re-reports with identical bytes, and what the default shift scan
 finds."""
 
 import json
+import multiprocessing
+import os
 import re
 import shutil
 from pathlib import Path
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import SECONDS_PER_DAY, make_dataset
-from vfmlab import (ChokeGeometry, ConfigError, PredictionLog, StudyConfig, cli, optim,
-                    write_log)
+from vfmlab import (ChokeGeometry, ConfigError, DataError, PredictionLog, StudyConfig, cli,
+                    optim, write_log)
 from vfmlab.core import write_csv
 from vfmlab.synth import DEFAULT_T0
 
@@ -535,6 +537,11 @@ def test_default_detect_pins_tau_and_the_flag_counts(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "well 1: tau = 94.0 days"
 
 
+def _two_cpus() -> int:
+    """optim._cpus on two CPUs: 2, and 1 while a share of optim._fork runs."""
+    return 1 if optim._in_share else 2
+
+
 def _tune_study(tmp_path, **kw) -> str:
     raw = json.loads(_small_study(tmp_path).read_text())
     raw.update({"kinds": ["lr"], "grids": {"ol": {"gamma0": [1e-3], "steps": [1, 2]},
@@ -617,23 +624,117 @@ def test_tune_fits_each_unit_once_per_optimizer(tmp_path, monkeypatch):
                       "pbl": {"gamma0": [1e-3, 1e-2, 5e-2]}})
     path = tmp_path / "tune.json"
     path.write_text(json.dumps(raw))
-    fits = []
+    counted = tmp_path / "fits.txt"
     fit_maps = optim.fit_maps
 
     def counting_fit_maps(units, ocfg, escfg, *rest):
-        fits.extend((m.kind, train.well_ids, len(train), ocfg) for m, train, _ in units)
+        # one line per fit, appended by whichever process fits it, so the
+        # fits of the jobs dealt to forked workers are counted too
+        with open(counted, "a") as fh:
+            fh.writelines(f"{os.getpid()} {(m.kind, train.well_ids, len(train), ocfg)!r}\n"
+                          for m, train, _ in units)
         return fit_maps(units, ocfg, escfg, *rest)
 
     # cli and optim hold their own bindings, so a fit made through optim
     # (fit_map, or grid_search fitting again) is counted too, and none twice
     monkeypatch.setattr(cli, "fit_maps", counting_fit_maps)
     monkeypatch.setattr(optim, "fit_maps", counting_fit_maps)
+    monkeypatch.setattr(optim, "_cpus", _two_cpus)
     assert cli.main(["tune", "--config", str(path)]) == 0
     _, *rows = (tmp_path / "out" / "tuned_all.csv").read_text().splitlines()
     rows = [r.split(",") for r in rows]
     assert [r[:-1] for r in rows] == TUNED_PICKS
     assert [float(r[-1]) for r in rows] == pytest.approx(TUNED_SCORES, rel=1e-9, abs=0)
+    pids, fits = zip(*(line.split(" ", 1) for line in counted.read_text().splitlines()))
     assert len(fits) == len(set(fits)) == 9
+    assert len(set(pids)) == 2 and str(os.getpid()) in pids   # dealt to two processes
+
+
+def _tune_dealt_and_on_one_cpu(tmp_path, monkeypatch, capsys, make_config) -> list:
+    """tune on the config that make_config(run_dir) writes, dealt on two
+    CPUs and then on one: per run its exit code, stdout (the run's directory
+    as DIR), stderr, tuned CSV or None, and the shares that tune dealt its
+    jobs to.  Neither run leaves a child behind."""
+    runs = []
+    fork = optim._fork
+    for cpus in (_two_cpus, lambda: 1):
+        dealt = []
+
+        def recording(work, shares):
+            dealt.append(len(shares))   # tune's call comes first
+            return fork(work, shares)
+
+        monkeypatch.setattr(optim, "_cpus", cpus)
+        monkeypatch.setattr(optim, "_fork", recording)
+        run_dir = tmp_path / f"run{len(runs)}"
+        run_dir.mkdir()
+        code = cli.main(["tune", "--config", make_config(run_dir)])
+        out, err = capsys.readouterr()
+        csv = run_dir / "out" / "tuned_all.csv"
+        runs.append((code, out.replace(str(run_dir), "DIR"), err,
+                     csv.read_bytes() if csv.exists() else None, dealt[0]))
+        assert multiprocessing.active_children() == []
+    return runs
+
+
+def test_dealt_tune_writes_the_bytes_of_one_cpu(tmp_path, monkeypatch, capsys):
+    """Six jobs (LR and MM, each at three initial optimizers) dealt to two
+    processes give the tuned CSV, stdout and stderr (its edge lines) of a
+    run on one CPU, byte for byte."""
+    grids = {"ol": {"gamma0": [1e-3, 1e-2], "steps": [1, 2]},
+             "pbl": {"gamma0": [1e-3, 1e-2, 5e-2]}}
+    dealt, one = _tune_dealt_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys,
+        lambda d: _tune_study(d, kinds=["benchmark", "lr", "mm"], grids=grids))
+    assert dealt[0] == 0 and dealt[3] is not None and "is the largest in its grid" in dealt[2]
+    assert (dealt[4], one[4]) == (2, 1)
+    assert dealt[:4] == one[:4]
+
+
+def test_dealt_tune_raises_the_data_error_met_first(tmp_path, monkeypatch, capsys):
+    """The initial fits of two jobs raise a DataError: LR's at PBL gamma0
+    5e-2, met first in search order, and MM's at 1e-2.  Dealt, each raises
+    in its own process, and tune exits 2 with LR's message after the OL
+    picks, as on one CPU."""
+    raised = tmp_path / "raised.txt"
+    initial_units = cli._initial_units
+
+    def failing(cfg, kind, splits, merged, ocfg):
+        if (kind, ocfg.gamma0) in (("lr", 5e-2), ("mm", 1e-2)):
+            with open(raised, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise DataError(f"{kind} at gamma0 {ocfg.gamma0} has no rows")
+        return initial_units(cfg, kind, splits, merged, ocfg)
+
+    monkeypatch.setattr(cli, "_initial_units", failing)
+    grids = {"ol": {"gamma0": [1e-3], "steps": [1, 2]}, "pbl": {"gamma0": [1e-3, 1e-2, 5e-2]}}
+    dealt, one = _tune_dealt_and_on_one_cpu(
+        tmp_path, monkeypatch, capsys,
+        lambda d: _tune_study(d, kinds=["benchmark", "lr", "mm"], grids=grids))
+    assert dealt[0] == 2 and dealt[3] is None and (dealt[4], one[4]) == (2, 1)
+    assert dealt[2].endswith("data error: lr at gamma0 0.05 has no rows\n")
+    assert [ln.split(":")[0] for ln in dealt[1].splitlines()] == ["OL/lr", "OL/mm"]
+    assert dealt[:4] == one[:4]
+    pids = raised.read_text().split()   # the dealt run's two, then the one-CPU run's
+    assert len(set(pids[:2])) == 2 and set(pids[2:]) == {str(os.getpid())}, pids
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dealt_tune_where_every_combination_diverges_exits_3(tmp_path, monkeypatch, capsys):
+    """An SGD rate of 1e300 or 1e301 overflows every PBL fit: two jobs,
+    dealt, exit 3 with the one line of a run on one CPU."""
+    def config(run_dir):
+        path = _tune_study(run_dir, grids={"pbl": {"gamma0": [1e300, 1e301]}})
+        raw = json.loads(Path(path).read_text())
+        raw["schedules"][1]["optimizer"]["method"] = "SGD"
+        Path(path).write_text(json.dumps(raw))
+        return path
+
+    dealt, one = _tune_dealt_and_on_one_cpu(tmp_path, monkeypatch, capsys, config)
+    assert dealt[0] == 3 and (dealt[4], one[4]) == (2, 1)
+    assert len(dealt[2].splitlines()) == 1
+    assert dealt[2].startswith("numeric failure: all grid combinations diverged: ")
+    assert dealt[:4] == one[:4]
 
 
 @pytest.mark.parametrize("first", ["fit", "noise"])

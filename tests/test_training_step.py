@@ -811,15 +811,19 @@ class _Dealt(Exception):
 
 
 def _record_shares(monkeypatch) -> list:
-    """Make _split record its shares as lists of fit indices, and stop the
-    call there with _Dealt."""
+    """Make _fork record the shares of a call that forks as lists of fit
+    indices, and stop the call there with _Dealt; a call of one share runs
+    as it would."""
     shares = []
+    fork = optim._fork
 
-    def split(dealt, *args):
+    def recording(work, dealt):
+        if len(dealt) == 1:
+            return fork(work, dealt)
         shares.extend([f.j for f in share] for share in dealt)
         raise _Dealt
 
-    monkeypatch.setattr(optim, "_split", split)
+    monkeypatch.setattr(optim, "_fork", recording)
     return shares
 
 
@@ -843,7 +847,7 @@ def test_network_fits_are_dealt_by_longest_processing_time(monkeypatch):
 @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM], ids=lambda k: k.value)
 def test_a_call_of_few_small_fits_runs_in_one_process(kind, n_fits, monkeypatch):
     """LR and MM fits have fewer than SPLIT_PARAMS parameters: a call of up
-    to LOCKSTEP_FITS of them never reaches _split on two CPUs, and a call of
+    to LOCKSTEP_FITS of them never forks on two CPUs, and a call of
     one more does."""
     monkeypatch.setattr(optim, "_cpus", lambda: 2)
     ds = _data(30)
@@ -961,6 +965,19 @@ def test_stdout_buffered_before_a_split_call_is_written_once(monkeypatch, capfd)
     optim.fit_maps(_mm_fits(), SPLIT_OCFG, ESCFG)
     out, _ = capfd.readouterr()
     assert out.count("written before the split") == 1
+
+
+def test_a_share_counts_one_cpu_and_forks_no_further():
+    """While _fork's shares run, _cpus counts one CPU, in this process and
+    in the child, so a fit_maps call inside a share runs in that share's
+    process; afterwards the count is this process's again."""
+    before = optim._cpus()
+    with _deadline(30):
+        got = optim._fork(lambda share: (share, optim._cpus(), optim._workers(3, 5000)),
+                          [[0], [1]])
+    assert got == [([0], 1, 1), ([1], 1, 1)]
+    assert optim._cpus() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_import_leaves_multiprocessing_out():

@@ -21,7 +21,11 @@ by more than the parent's interquartile range.
         --claim setup_s --out pairs.json
 
 Each side runs its own ``bench/`` against its own ``src/``, in its own
-process, one run at a time.
+process, one run at a time.  Neither tree's ``src/`` may hold a
+``__pycache__``: with PYTHONDONTWRITEBYTECODE set, a tree that holds one
+imports its unchanged modules without compiling them while a fresh copy
+compiles on every import, which moved ``setup_s`` by about 10%.  The tool
+refuses to run until they are removed.
 """
 
 from __future__ import annotations
@@ -52,6 +56,14 @@ def summary(values: list) -> dict:
             "q3": round(float(q3), 4), "runs": [round(v, 4) for v in values]}
 
 
+def check_no_caches(ap: argparse.ArgumentParser, trees: dict) -> None:
+    """Refuse, through ap, trees whose src/ holds a __pycache__."""
+    caches = sorted(str(c) for tree in trees.values() for c in (tree / "src").rglob("__pycache__"))
+    if caches:
+        ap.error("bytecode caches would time one tree's imports against compiles of the "
+                 f"other; remove them first: {' '.join(caches)}")
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
@@ -70,6 +82,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None)
     a = ap.parse_args(argv)
     trees = {"parent": a.parent.resolve(), "change": a.change.resolve()}
+    check_no_caches(ap, trees)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     names = [m["name"] for m in spec]
     if a.claim is not None and a.claim not in names:

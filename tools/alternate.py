@@ -4,17 +4,22 @@ Runs COMMAND ``--rounds`` times in a parent checkout and in a changed one,
 alternating which side runs first, each run in its own process with the
 checkout as working directory and its ``src/`` on PYTHONPATH.  COMMAND
 prints JSON lines as ``tools/ol_update.py`` does: per line, ``kind`` names a
-row and ``us_per_obs`` holds its number (lower is better).  Prints one JSON
+row and ``--value`` (``us_per_obs`` by default) holds its number (lower is
+better); a line without that key is left out.  Prints one JSON
 object: per row, each side's runs, median and min, the change's median
 against the parent's in percent, and the rounds in which the change is
 lower; and the machine's usable CPUs.
 
     python3 tools/alternate.py --parent ../parent --change . --rounds 5 -- \\
         python3 tools/ol_update.py --kinds lr,mm --repeats 5
+    python3 tools/alternate.py --parent ../parent --change . --value seconds -- \\
+        python3 "$PWD/tools/tune_cores.py"
 
 A tool's own minima are taken inside one process, and separate processes of
 one tree spread more widely than that (``tools/ol_update.py``), so a
-difference between two trees is read from alternating processes.
+difference between two trees is read from alternating processes.  As
+``tools/ab_pairs.py`` does, it refuses trees whose ``src/`` holds a
+``__pycache__``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from ab_pairs import check_no_caches
 
 SIDES = ("parent", "change")
 
@@ -43,21 +50,25 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--value", metavar="KEY", default="us_per_obs",
+                    help="the key of each row's number (default: us_per_obs)")
     ap.add_argument("command", nargs=argparse.REMAINDER)
     a = ap.parse_args(argv)
     command = a.command[1:] if a.command[:1] == ["--"] else a.command
     if not command:
         ap.error("no command given")
     trees = {"parent": a.parent.resolve(), "change": a.change.resolve()}
+    check_no_caches(ap, trees)
     runs: dict = {}
     for r in range(a.rounds):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
             for row in run_once(trees[side], command):
-                per_side = runs.setdefault(row["kind"], {s: [] for s in SIDES})
-                per_side[side].append(row["us_per_obs"])
+                if a.value in row:
+                    per_side = runs.setdefault(row["kind"], {s: [] for s in SIDES})
+                    per_side[side].append(row[a.value])
             print(f"round {r}: {side} done", file=sys.stderr)
     out = {"cpus": len(os.sched_getaffinity(0)), "rounds": a.rounds, "command": command,
-           "rows": {}}
+           "value": a.value, "rows": {}}
     for key, sides in runs.items():
         med = {s: float(np.median(sides[s])) for s in SIDES}
         out["rows"][key] = {
