@@ -56,3 +56,8 @@ class DegenerateFeatureError(NumericError):
             message or f"degenerate feature at index {feature_index}: "
             "zero variance in both samples with differing means"
         )
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold the message
+        # alone; this rebuilds it from the index and the message
+        return type(self), (self.feature_index, self.args[0])

@@ -34,17 +34,20 @@ predictions).  The kernels serve both:
   (and ``lr_predict``), ``mm_loss_grad`` (and ``mm_predict``) at one row,
   the prior's ``add_grad``, and ``sgd_step`` or ``adam_step`` in the same
   order, so the two forms round alike;
-* bound buffers for a whole online-learning update of NN, MTL, HEM and HAM
-  (``optim.TrainingStep.bind``): each unit owns its parameter, Adam moment,
+* bound buffers for the training steps of NN, MTL, HEM and HAM: a whole
+  online-learning update (``optim.TrainingStep.bind``), and the stacked
+  fits of a lockstep and each of their rows (``optim.OptimizerState.bound``,
+  ``bound_row``).  Each unit or stack owns its parameter, Adam moment,
   gradient and scratch arrays and binds the layer views of them once
-  (``_nn_bind``, ``_mtl_bind``); each step runs the loss-gradient kernel's
-  body on those views (``_nn_grad``, ``_hem_grad``, ``_ham_grad``,
-  ``_mtl_grad``), which adds the gradient into the unit's buffer and
-  returns the forward, and ``adam_step`` or ``sgd_step`` writes the step
-  into the parameters.  As on floats, the first step's forward is the
-  row's prediction.  The public kernels run the same bodies on a binding
-  of their own arguments, made per call, so there is one network code
-  path.
+  (``_nn_bind``, ``_mtl_bind``; a stack again when it shrinks); each step
+  runs the loss-gradient kernel's body on those views (``_nn_grad``,
+  ``_hem_grad``, ``_ham_grad``, ``_mtl_grad``), which adds the gradient
+  into the zeroed buffer and returns the forward, and ``adam_step`` or
+  ``sgd_step`` writes the step into the parameters.  As on floats, an
+  update's first forward is the row's prediction.  The public kernels run
+  the same bodies on a binding of their own arguments and a fresh zero
+  gradient, made per call (a lockstep's call over part of its stack, and
+  every validation pass, take them), so there is one network code path.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a

@@ -468,15 +468,20 @@ class KindEntry:
       byte for byte, and the forward z equals ``predict``'s at that row, so
       the update's first step also gives the row's prediction.
     * ``bind(p, th, g) -> net`` and ``bound_grad(net, p, th, X, Xs, y,
-      inv_var, wells, g) -> (sse, z, clamps)``, for the kinds that take each
-      online-learning update as array steps on buffers the unit owns (NN,
-      MTL, HEM, HAM; ``optim.TrainingStep.bind``), and used only there:
-      ``bind`` binds the layers of the buffers th and g once per unit
-      (``kernels._nn_bind`` at offset ``n_fixed``, ``kernels._mtl_bind``),
-      and ``bound_grad`` runs ``loss_grad``'s arithmetic on that binding,
-      its gradient added into the zeros of g, and returns its forward z,
-      ``predict``'s at those rows, bit for bit, so that the update's first
-      step also gives the row's prediction, as ``row_grad`` does.
+      inv_var, wells, g) -> (sse, z, clamps)``, for the kinds whose training
+      steps run on buffers they step in place (NN, MTL, HEM, HAM): an
+      online-learning unit's (``optim.TrainingStep.bind``), and the stack
+      of ``optim.fit_maps``' lockstep and each of its rows
+      (``optim.OptimizerState.bound``, ``bound_row``).  ``bind`` binds the
+      layers of the buffers th and g, one fit or stacked, once per unit,
+      stack or row (``kernels._nn_bind`` at offset ``n_fixed``,
+      ``kernels._mtl_bind``), and ``bound_grad`` runs ``loss_grad``'s
+      arithmetic on that binding, its gradient added into the zeros of g,
+      and returns its forward z, ``predict``'s at those rows, bit for bit,
+      so that an online update's first step also gives the row's
+      prediction, as ``row_grad`` does.
+    * ``columns``: which row columns the kernels read, so that the lockstep
+      gathers no other.
     """
 
     params: Callable
@@ -495,6 +500,14 @@ class KindEntry:
     def n_params(self, shape: NetworkShape | None, mtl: MtlParams | None) -> int:
         return (self.n_fixed + (shape.n_params() if self.network else 0)
                 + (mtl.n_params() if self.multitask else 0))
+
+    @property
+    def columns(self) -> tuple:
+        """Whether the kernels read each row column (X, Xs, y, wells): the
+        raw inputs for the choke equation, the scaled inputs for a network
+        or a linear model (every kind but MM), the targets, and the task
+        columns for MTL alone."""
+        return self.choke, self.network or not self.choke, True, self.multitask
 
 
 def _bind_network(p, th, g):

@@ -19,12 +19,13 @@ the initial fits of every well (``cli``), or the refits of every well's
 periodic-batch unit, listed up front by ``learning.run_schedules``.  Each fit
 has its own start values and noise level.  Up to ``LOCKSTEP_FITS`` fits are
 live, one row each of a stacked state; at each tick every live fit takes its
-own next step, gathered from the call's one row store, full mini-batches go
-through stacked kernel calls (``kernels``: the leading fit axis) and one
-optimizer step updates every row, each at its fit's own step index.  A fit
-that stops hands its row to the next pending fit.  Each fit keeps its own
-batch stream, step index, validation and early stopping, and its result is
-the one it would reach alone, bit for bit.  :func:`fit_map` is its one-fit
+own next step, gathered from the call's one row store (only the columns the
+kind's kernels read), full mini-batches go through stacked kernel calls
+(``kernels``: the leading fit axis) and one optimizer step updates every
+row, each at its fit's own step index.  A fit that stops hands its row to
+the next pending fit.  Each fit keeps its own batch stream, step index,
+validation and early stopping, and its result is the one it would reach
+alone, bit for bit.  :func:`fit_map` is its one-fit
 case.  In a process that may run on several CPUs, a call is split into
 one share per worker, at most one worker per CPU: from two fits up when
 each fit has at least ``SPLIT_PARAMS`` parameters (the network kinds), and
@@ -40,16 +41,17 @@ the split changes no bit.
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
 bounds once, and builds the rows the kernels take (:meth:`TrainingStep.rows`);
-per optimizer step it runs the kind's gradient kernel and adds the prior
-gradient in place, and per validation pass it takes the loss alone
-(``models.plan_loss``).  :func:`optimizer_step` applies each step, after its
-finiteness check, in place: into the arrays of an :class:`OptimizerState`.
-An online-learning update (``TrainingStep.online_update``) takes the same
+per validation pass it takes the loss alone (``models.plan_loss``).  A
+lockstep tick and a step of an online update run one step body
+(``_train_step``) in the arrays of an :class:`OptimizerState`: the kind's
+gradient, written into the state's gradient buffer through layer views
+bound to it (NN, MTL, HEM, HAM), the prior's gradient added in place, a
+finiteness check and the SGD or Adam step written into the values.  An
+online-learning update (``TrainingStep.online_update``) takes the same
 roundings and checks in one of two forms: LR and MM run its steps on Python
 floats, one fused pass per step; the other kinds step in buffers that the
-unit binds once (:meth:`TrainingStep.bind`), with the network's layer views
-bound to them.  Both take the row's prediction from the first step's
-forward.
+unit binds once (:meth:`TrainingStep.bind`), in that step body.  Both take
+the row's prediction from the first step's forward.
 """
 
 from __future__ import annotations
@@ -174,13 +176,15 @@ class OptimizerState:
     updates the Adam moments ``m`` and ``v`` in place.  ``scratch`` is the
     pair of arrays of ``values``' shape that the step and the prior's
     gradient work in (``kernels.adam_step``, ``_Prior.add_grad``; made per
-    step when None), and ``grad`` the gradient buffer that the caller fills
-    before each step.  :meth:`TrainingStep.start` makes them for a fit, or
-    for the stacked fits of ``fit_maps``' lockstep, whose buffers shrink
-    with :meth:`keep`; :meth:`TrainingStep.bind` makes them once per
-    online-learning unit of an array kind, with ``net``, the kind's layer
-    views of ``values`` and ``grad`` (``KindEntry.bind``), which stay bound
-    since the arrays are never replaced.
+    step when None), and ``grad`` the gradient buffer that each step's
+    gradient is written into.  :meth:`TrainingStep.start` makes them for
+    the stacked fits of ``fit_maps``' lockstep, whose buffers shrink with
+    :meth:`keep`, and :meth:`TrainingStep.bind` once per online-learning
+    unit of an array kind.  ``net``, the kind's layer views of ``values``
+    and ``grad`` (:meth:`bound`), and ``row_nets``, each stacked row's
+    (:meth:`bound_row`), are bound on first use and serve until
+    :meth:`keep` replaces the arrays: a step, or a pending fit taking a
+    row, writes into them.
     """
 
     values: np.ndarray
@@ -191,15 +195,37 @@ class OptimizerState:
     grad: np.ndarray | None = None
     net: tuple | None = None
     scratch: tuple | None = None
+    row_nets: list | None = None
+
+    def bound(self, plan) -> tuple:
+        """The layer views of values and grad for plan's kind
+        (``KindEntry.bind``)."""
+        if self.net is None:
+            self.net = plan.entry.bind(plan, self.values, self.grad)
+        return self.net
+
+    def bound_row(self, i: int, plan) -> tuple:
+        """(values[i], grad[i], their layer views for plan's kind)."""
+        if self.row_nets is None:
+            self.row_nets = [None] * len(self.values)
+        row = self.row_nets[i]
+        if row is None:
+            theta, grad = self.values[i], self.grad[i]
+            row = self.row_nets[i] = theta, grad, plan.entry.bind(plan, theta, grad)
+        return row
 
     def keep(self, rows: list) -> None:
         """Keep the stacked rows where `rows` is true, in order: values and
         moments as new arrays, the gradient and scratch buffers as views of
-        their leading rows."""
+        their leading rows; the old arrays' bindings are dropped."""
         self.values, self.m, self.v = self.values[rows], self.m[rows], self.v[rows]
         n = len(self.values)
         self.grad = self.grad[:n]
         self.scratch = tuple(s[:n] for s in self.scratch)
+        self.net = self.row_nets = None
+
+
+_NON_FINITE = "non-finite gradient; parameters untouched"
 
 
 def optimizer_step(state: OptimizerState, grad: np.ndarray,
@@ -213,7 +239,7 @@ def optimizer_step(state: OptimizerState, grad: np.ndarray,
     if (min(k) if isinstance(k, list) else k) < 1:
         raise ConfigError("step index k must be >= 1")
     if not np.isfinite(grad).all():
-        raise NumericError("non-finite gradient; parameters untouched")
+        raise NumericError(_NON_FINITE)
     _step(state, grad, cfg, k)
     return state
 
@@ -230,6 +256,30 @@ def _step(state: OptimizerState, grad: np.ndarray, cfg: OptimizerConfig,
     else:
         kernels.adam_step(state.values, grad, state.m, state.v, k, g, cfg.adam_beta1,
                           cfg.adam_beta2, cfg.adam_eps, state.lower, state.upper, state.scratch)
+
+
+def _train_step(state: OptimizerState, prior, cfg: OptimizerConfig, k, plan=None,
+                X=None, Xs=None, y=None, inv_var=None, wells=None) -> tuple:
+    """One training step in state's arrays, of one fit at a scalar k or of
+    stacked fits at a list of k.  Given plan, it writes the kind's data
+    gradient on rows (X, Xs, y, wells) into the zeroed gradient buffer
+    through ``state.net`` (:meth:`OptimizerState.bound`), its radicand
+    clamps counted; else the caller has written it.  It adds the prior's
+    gradient and, if every entry is finite, writes the step at k into the
+    values.  Returns (finite, forward, clamps), the last two None without
+    plan."""
+    grad = state.grad
+    z = clamps = None
+    if plan is not None:
+        grad.fill(0.0)
+        _, z, clamps = plan.entry.bound_grad(state.net, plan, state.values, X, Xs, y, inv_var,
+                                             wells, grad)
+        MM_DIAGNOSTICS.count += clamps
+    prior.add_grad(state.values, grad, state.scratch[0])
+    if not np.isfinite(grad).all():
+        return False, z, clamps
+    _step(state, grad, cfg, k)
+    return True, z, clamps
 
 
 # -------------------------------------------------------------------- losses
@@ -307,10 +357,11 @@ class TrainingStep:
     :meth:`targets` once per dataset, and inv_var*y_scale^2, which leaves
     the raw-unit data term and its gradient; for the other kinds both
     transforms are exact no-ops.  A fit's step takes the kind's gradient
-    kernel (``models.plan_loss_grad``) and the prior's gradient
-    (``prior.add_grad``), :meth:`loss` is the objective of a validation
-    pass and :meth:`online_update` one online-learning update, in the
-    buffers of :meth:`bind`.
+    and the prior's (``prior.add_grad``) in ``fit_maps``' lockstep,
+    :meth:`loss` is the objective of a validation pass and
+    :meth:`online_update` one online-learning update, in the buffers of
+    :meth:`bind`; a lockstep tick and an array kind's online step run one
+    step body, ``_train_step``.
     """
 
     def __init__(self, m: ModelSpec, noise_std: float, prior_mode: PriorMode):
@@ -367,7 +418,7 @@ class TrainingStep:
             return tuple((gamma_at(ocfg, k), 1.0 - beta1 ** k, 1.0 - beta2 ** k)
                          for k in range(1, steps + 1))
         unit = self.start(np.zeros(len(self.lower)))
-        unit.net = self.plan.entry.bind(self.plan, unit.values, unit.grad)
+        unit.bound(self.plan)
         return unit
 
     def online_update(self, unit: tuple | OptimizerState, theta, X, Xs, y, wells,
@@ -390,16 +441,14 @@ class TrainingStep:
 
         An array kind (NN, MTL, HEM, HAM) steps in the unit's buffers:
         theta is copied into its values and its moments are zeroed, then
-        each step zeroes the gradient buffer, writes the kind's gradient
-        into it (``KindEntry.bound_grad``, on the layer views bound to the
+        each step is a fit's step body, ``_train_step`` at a scalar k: it
+        zeroes the gradient buffer, writes the kind's gradient into it
+        (``KindEntry.bound_grad``, on the layer views bound to the
         buffers), adds the prior's, checks it is finite and writes the SGD
         or Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
         values, working in the unit's scratch; v is checked once, after the
         last step, since it cannot come back from inf.  The result is
-        returned as a copy, which later updates leave alone.  These are the
-        operations of a fit's step (the gradient kernel, the prior's
-        ``add_grad`` and :func:`optimizer_step`) in their order, so every
-        bit is theirs.
+        returned as a copy, which later updates leave alone.
 
         A kind with a float row gradient (``KindEntry.row_grad``: LR, MM)
         runs the whole update on Python floats: theta and the row are
@@ -410,25 +459,20 @@ class TrainingStep:
         an array once.
         """
         if self.floats is None:
-            th, g, scratch = unit.values, unit.grad, unit.scratch[0]
+            th = unit.values
             th[...] = theta
             unit.m.fill(0.0)
             unit.v.fill(0.0)
-            plan, net, inv_var, prior, y_map = (self.plan, unit.net, self.inv_var, self.prior,
-                                                self.y_map)
-            bound_grad = plan.entry.bound_grad
+            plan, inv_var, prior, y_map = self.plan, self.inv_var, self.prior, self.y_map
             pred = None
             for k in range(1, steps + 1):
-                g.fill(0.0)
-                _, z, clamps = bound_grad(net, plan, th, X, Xs, y, inv_var, wells, g)
+                finite, z, clamps = _train_step(unit, prior, ocfg, k, plan, X, Xs, y, inv_var,
+                                                wells)
                 if pred is None:
                     pred = z[0] if y_map is None else y_map[0] + y_map[1] * z[0]
-                    clamps += clamps
-                MM_DIAGNOSTICS.count += clamps
-                prior.add_grad(th, g, scratch)
-                if not np.isfinite(g).all():
+                    MM_DIAGNOSTICS.count += clamps   # once more, for the prediction
+                if not finite:
                     return None, pred
-                _step(unit, g, ocfg, k)
             ok = np.isfinite(th).all() and np.isfinite(unit.v).all()
             return (th.copy() if ok else None), pred
         lower, upper, prior, geom, inv_var = self.floats
@@ -576,14 +620,15 @@ class _Fit:
         clamps are not counted."""
         if self.sink is not None:
             clamps = MM_DIAGNOSTICS.count
-            loss = self.step.loss(values, *(c[self.base:self.base + self.n_tr] for c in store))
+            loss = self.step.loss(values, *_gather(store, slice(self.base,
+                                                                self.base + self.n_tr)))
             MM_DIAGNOSTICS.count = clamps
         if self.degenerate:
             val_loss = math.nan
             self.best_values = values.copy()
         else:
-            val_loss = self.step.loss(values, *(c[self.base + self.n_tr:self.base + self.n]
-                                                for c in store))
+            val_loss = self.step.loss(values, *_gather(store, slice(self.base + self.n_tr,
+                                                                    self.base + self.n)))
             if val_loss < self.best_val:
                 self.best_val = val_loss
                 self.best_values = values.copy()
@@ -610,23 +655,32 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     At most ``LOCKSTEP_FITS`` fits are live, one row each of the stacked
     parameters and Adam moments.  At each tick every live fit takes its own
     next step, on a mini-batch gathered from the row store, which holds every
-    fit's rows end to end.  The mini-batches due at a tick that share a
+    fit's rows end to end in the columns that the kind's kernels read
+    (``KindEntry.columns``).  The mini-batches due at a tick that share a
     length of at least ``kernels.COLUMN_ROWS`` rows go through one stacked
     kernel call (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
     inv_var (R, 1)); every other batch (an epoch's partial last one, a fit
     alone at its length) and every validation pass runs one fit at a time.
-    One optimizer step then updates every live row at its fit's own step
-    index k, from a list: gamma_k and Adam's bias corrections are (R, 1)
-    columns of the floats one fit would use.  A fit leaves the stack when it
-    stops early, runs out of epochs, or meets a non-finite gradient, and the
-    next pending fit takes its row, at k = 1 with zero moments.  On the tick
-    a fit fails, its row takes a zero gradient in the stack's one step; Adam
-    and SGD step each row on its own, so the other fits keep their bits.
+    For a network kind (NN, MTL, HEM, HAM), a stacked call that takes every
+    live fit, and a one-fit call, write the gradient straight into the
+    stack's gradient buffer through the layer views of the stack or the
+    row (``OptimizerState.bound``, ``bound_row``), bound until the stack
+    shrinks.  A stacked call over part of the stack, every call of LR and
+    MM, and a validation pass bind their arguments per call
+    (``models.plan_loss_grad``, ``plan_loss``), and the gradient of the
+    first two is copied into the stack's.  One optimizer step then updates
+    every live row at its fit's own step index k, from a list: gamma_k and
+    Adam's bias corrections are (R, 1) columns of the floats one fit would
+    use.  A fit leaves the stack when it stops early, runs out of epochs,
+    or meets a non-finite gradient, and the next pending fit takes its row,
+    at k = 1 with zero moments.  On the tick a fit fails, its row takes a
+    zero gradient in the stack's one step; Adam and SGD step each row on
+    its own, so the other fits keep their bits.
     Pending fits go live with the most mini-batches per epoch first, ties in
     list order, so that the longest fits do not finish alone at the end.
     The stack's values, moments, gradient and scratch are arrays of its
-    :class:`OptimizerState` that every tick writes into; they shrink when
-    the pending fits run out.
+    :class:`OptimizerState` that every tick writes into (``_train_step``);
+    they shrink when the pending fits run out.
 
     Adam's overflow rule for fits: a finite gradient entry above about
     1.3e154 makes that entry's bias-corrected second moment overflow to
@@ -822,8 +876,12 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
     """The lockstep of :func:`fit_maps` over its fits, longest first: each
     fit ends with its best-validation values, or with the error that ended
     it."""
-    # the row store: X, Xs, targets and task columns, each of every fit end to end
-    store = [np.concatenate([f.rows[c] for f in pending]) for c in range(4)]
+    # the row store: X, Xs, targets and task columns, each of every fit end to
+    # end, and None for a column that the kind's kernels do not read
+    entry = pending[0].step.plan.entry
+    store = [np.concatenate([f.rows[c] for f in pending]) if read else None
+             for c, read in enumerate(entry.columns)]
+    bindable = entry.bind is not None
     base = 0
     for f in pending:
         f.base, base = base, base + f.n
@@ -842,39 +900,46 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
         for i, idx in enumerate(batches):
             by_len.setdefault(idx.shape[0], []).append(i)
         grad = state.grad
+        whole = ()   # a gradient of every live fit, which _train_step writes through the binding
         for n_rows, ix in by_len.items():
             if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
                 if stacked is None:
                     stacked = _stacked(live)
                 plan, inv_var = stacked
+                X, Xs, y, wells = _gather(store, np.stack([batches[i] for i in ix]))
+                if bindable and len(ix) == len(live):
+                    state.bound(plan)
+                    whole = plan, X, Xs, y, inv_var, wells
+                    continue
                 rows = slice(None)
                 if len(ix) < len(live):
                     rows = ix
                     plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
-                at = np.stack([batches[i] for i in ix])
-                # take: the same copy as c[at], several times faster on the
-                # (R, n) index into the (rows, 6) inputs
-                X, Xs, y, wells = (c.take(at, axis=0) for c in store)
                 _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
                                                wells)
                 continue
             for i in ix:
                 step = live[i].step
-                X, Xs, y, wells = (c.take(batches[i], axis=0) for c in store)
-                _, grad[i] = plan_loss_grad(step.plan, state.values[i], X, Xs, y, step.inv_var,
-                                            wells)
-        prior.add_grad(state.values, grad, state.scratch[0])
+                X, Xs, y, wells = _gather(store, batches[i])
+                if bindable:   # into the row's gradient, as _train_step writes a stack's
+                    theta, g, net = state.bound_row(i, step.plan)
+                    g.fill(0.0)
+                    MM_DIAGNOSTICS.count += entry.bound_grad(net, step.plan, theta, X, Xs, y,
+                                                             step.inv_var, wells, g)[2]
+                else:
+                    _, grad[i] = plan_loss_grad(step.plan, state.values[i], X, Xs, y,
+                                                step.inv_var, wells)
+        finite = _train_step(state, prior, ocfg, k, *whole)[0]
         failed = [False] * len(live)
-        try:
-            optimizer_step(state, grad, ocfg, k)
-        except NumericError as e:   # the fits whose gradient is not finite end here
+        if not finite:   # the fits whose gradient is not finite end here
             failed = (~np.isfinite(grad).all(axis=1)).tolist()
+            error = NumericError(_NON_FINITE)
             for i in itertools.compress(range(len(live)), failed):
-                live[i].error = e
+                live[i].error = error
             # their rows step on a zero gradient and are refilled or dropped
             # below; each row steps on its own, so the others keep their bits
             grad[failed] = 0.0
-            optimizer_step(state, grad, ocfg, k)
+            _step(state, grad, ocfg, k)
         stop = [bad or (f.pos >= f.n_tr and f.end_epoch(state.values[i], escfg, store))
                 for i, (f, bad) in enumerate(zip(live, failed))]
         if any(stop):
@@ -888,6 +953,17 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
                 state.keep(keep)
                 live = [f for f in live if f is not None]
             stacked = None
+
+
+def _gather(store: list, at) -> tuple:
+    """Rows `at` of each column of the row store, None for a column that is
+    None: a slice as views, the store indices of a batch (or of stacked
+    batches, (R, n)) as copies."""
+    if isinstance(at, slice):
+        return tuple(None if c is None else c[at] for c in store)
+    # take: the same copy as c[at], several times faster on the (R, n) index
+    # into the (rows, 6) inputs
+    return tuple(None if c is None else c.take(at, axis=0) for c in store)
 
 
 def _check_stack(fits) -> None:

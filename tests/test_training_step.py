@@ -18,7 +18,9 @@ The online updates of NN, MTL, HEM and HAM step in buffers each unit binds
 once (``TrainingStep.bind``), so the hazards of reuse are checked too: a
 returned version is a copy that later updates leave alone, an update that
 fails after a finite step leaves the next ones exact, and two units
-interleaved in one process each give what they give alone.  Every update,
+interleaved in one process each give what they give alone.  A lockstep
+binds its stack and each row until the stack shrinks, so a bound stack
+that shrinks and refills is held to the public kernels.  Every update,
 on floats or on bound buffers, hands back its row's prediction from its
 first step, so ``run_ol``'s calls of ``plan_predict`` are counted; and an
 update whose Adam second moment overflows is skipped on floats, on bound
@@ -378,6 +380,62 @@ def test_a_fit_steps_on_through_an_overflowing_second_moment(mode):
     assert (got.params.values != m0.params.values).tolist() == [True, True] + [False] * 4
 
 
+@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+def test_a_stack_binding_follows_its_shrinks_and_refills(kind):
+    """A lockstep's stack of three fits, bound as a whole
+    (``OptimizerState.bound``) and per row (``bound_row``), shrinks to two
+    (``keep``), then hands a row to a fourth fit.  Before and
+    after each, a training step of the whole stack on its binding (at
+    COLUMN_ROWS rows per fit), and one gradient per row on the row's
+    binding (at 5 rows, the MM/HEM/HAM loops), leave in each row of the
+    stack's gradient the public loss-gradient kernel's gradient for the fit
+    in that row at its values before the step, bit for bit.  No prior is
+    taken, so the stack's gradient is the data gradient alone."""
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    step = optim.TrainingStep(m0, 1.0, PriorMode.NONE)
+    X, Xs, y, wells = step.rows(m0, ds)
+    rng = np.random.default_rng(3)
+    fits = [m0.params.values * rng.uniform(0.9, 1.1, len(m0.params)) for _ in range(4)]
+    n = kernels.COLUMN_ROWS
+    batches = [np.arange(n) + 9 * j for j in range(4)]   # each fit its own rows
+    state = step.start(np.stack(fits[:3]))
+    ocfg = OptimizerConfig(gamma0=0.01)
+
+    def public(theta, rows):
+        _, want = plan_loss_grad(step.plan, theta, X[rows], Xs[rows], y[rows], step.inv_var,
+                                 wells[rows])
+        return want.tobytes()
+
+    def check(in_row, k):
+        r = len(in_row)
+        at = np.stack([batches[j] for j in in_row])
+        plan = dataclasses.replace(step.plan, nn_scale=np.full((r, 1), step.plan.nn_scale))
+        before = state.values.copy()
+        state.bound(plan)
+        finite, _, _ = optim._train_step(state, step.prior, ocfg, [k] * r, plan, X[at], Xs[at],
+                                         y[at], np.full((r, 1), step.inv_var), wells[at])
+        assert finite and not np.array_equal(state.values, before)
+        for i, j in enumerate(in_row):
+            assert state.grad[i].tobytes() == public(before[i], batches[j])
+        for i, j in enumerate(in_row):
+            rows = batches[j][:5]
+            theta, g, net = state.bound_row(i, step.plan)
+            g.fill(0.0)
+            step.plan.entry.bound_grad(net, step.plan, theta, X[rows], Xs[rows], y[rows],
+                                       step.inv_var, wells[rows], g)
+            assert state.grad[i].tobytes() == public(state.values[i], rows)
+
+    check([0, 1, 2], 1)
+    check([0, 1, 2], 2)
+    state.keep([True, False, True])
+    check([0, 2], 3)
+    state.values[1] = fits[3]                # a pending fit takes row 1, as in the lockstep
+    state.m[1] = state.v[1] = 0.0
+    check([0, 3], 4)
+    assert state.values[1].tobytes() != fits[3].tobytes()   # the refilled row stepped
+
+
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_steps_write_into_the_arrays_their_state_owns(method):
     """A stacked optimizer_step writes the new values into the state's
@@ -431,7 +489,9 @@ HOUR = 3600.0
 
 def _stacked_calls(monkeypatch) -> list:
     """Record, per stacked gradient call of any kind, whether each fit's
-    gradient came out finite."""
+    gradient came out finite: the public kernels' calls, and the calls on a
+    bound stack (``KindEntry.bound_grad``, which the plans built after this
+    call take from ``KIND_TABLE``), whose gradient is written into g."""
     calls = []
     for name in ("lr_loss_grad", "nn_loss_grad", "mtl_loss_grad", "mm_loss_grad",
                  "hem_loss_grad", "ham_loss_grad"):
@@ -441,6 +501,17 @@ def _stacked_calls(monkeypatch) -> list:
                 calls.append(np.isfinite(out[1]).all(axis=1).tolist())
             return out
         monkeypatch.setattr(kernels, name, traced)
+    for kind, entry in list(models.KIND_TABLE.items()):
+        if entry.bound_grad is None:
+            continue
+
+        def bound_traced(net, p, theta, X, Xs, y, inv_var, wells, g, real=entry.bound_grad):
+            out = real(net, p, theta, X, Xs, y, inv_var, wells, g)
+            if theta.ndim == 2:
+                calls.append(np.isfinite(g).all(axis=1).tolist())
+            return out
+        monkeypatch.setitem(models.KIND_TABLE, kind,
+                            dataclasses.replace(entry, bound_grad=bound_traced))
     return calls
 
 
@@ -448,11 +519,24 @@ def _step_indices(monkeypatch) -> list:
     """Record the step index k of each optimizer step of fit_maps: a list of
     one k per live row."""
     ks = []
-    optimizer_step = optim.optimizer_step
-    monkeypatch.setattr(optim, "optimizer_step",
-                        lambda state, grad, ocfg, k: ks.append(k) or optimizer_step(
-                            state, grad, ocfg, k))
+    step = optim._step
+    monkeypatch.setattr(optim, "_step",
+                        lambda state, grad, ocfg, k: ks.append(k) or step(state, grad, ocfg, k))
     return ks
+
+
+def _failed_steps(monkeypatch, record) -> None:
+    """Call record(k) for each training step of fit_maps whose gradient is
+    not finite (``optim._train_step``), k its list of step indices."""
+    train_step = optim._train_step
+
+    def recording(state, prior, ocfg, k, *args):
+        out = train_step(state, prior, ocfg, k, *args)
+        if not out[0]:
+            record(k)
+        return out
+
+    monkeypatch.setattr(optim, "_train_step", recording)
 
 
 def _lockstep_refits(monkeypatch) -> list:
@@ -645,16 +729,7 @@ def test_a_fit_that_fails_beside_a_fit_at_another_step(monkeypatch):
     fits = [(m0, ds.take(slice(0, n)), loss) for n in (60, 50, 40)]
     fits.append((m0, poisoned.take(slice(0, 20)), loss))
     raised = []
-    optimizer_step = optim.optimizer_step
-
-    def recording(state, grad, ocfg, k):
-        try:
-            return optimizer_step(state, grad, ocfg, k)
-        except NumericError:
-            raised.append(k)
-            raise
-
-    monkeypatch.setattr(optim, "optimizer_step", recording)
+    _failed_steps(monkeypatch, raised.append)
     with np.errstate(all="ignore"):
         got = optim.fit_maps(fits, ocfg, ESCFG)
         for (start, train, loss), g in zip(fits, got):
@@ -765,21 +840,16 @@ def test_a_split_call_equals_fit_map_on_each_fit(kind, monkeypatch, tmp_path):
     fits = _split_fits(kind)
     _two_workers(monkeypatch)
     raised_in = tmp_path / "pids"
-    optimizer_step = optim.optimizer_step
 
-    def recording(state, grad, ocfg, k):
-        try:
-            return optimizer_step(state, grad, ocfg, k)
-        except NumericError:
-            with open(raised_in, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            raise
+    def recording(k):
+        with open(raised_in, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
 
     sinks = [[] for _ in fits]
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         with monkeypatch.context() as mp:
-            mp.setattr(optim, "optimizer_step", recording)
+            _failed_steps(mp, recording)
             c0 = mm_clamp_count()
             got = optim.fit_maps(fits, SPLIT_OCFG, ESCFG, sinks)
             split_clamps = mm_clamp_count() - c0

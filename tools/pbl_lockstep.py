@@ -18,10 +18,19 @@ and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
 two up, and a list of LR or MM fits longer than the cap, across up to one
 process per CPU), its ticks (optimizer steps of the
 stack), its fit-steps (the live fits summed over its ticks) and how busy
-the stack was (fit-steps over ticks times the cap).  The counts come from
-wrapping ``optim.optimizer_step`` while the lockstep runs, so with more than
-one worker ``ticks``, ``fit_steps`` and ``busy`` count the share that runs
-in this process only; ``taskset -c 0`` runs every fit in it.  Each line
+the stack was (fit-steps over ticks times the cap).  ``calls`` counts the
+lockstep's gradient calls by path: ``bound_stack``, a tick whose one
+mini-batch length covers every live fit, its gradient written straight
+into the stack's (``KindEntry.bound_grad`` on the stack's binding; NN, MTL,
+HEM, HAM); ``copied_stack``, a stacked call whose gradient is copied into
+the stack's (``models.plan_loss_grad``: a group that covers part of the
+stack, or any stacked group of LR or MM); ``one_fit``, one fit's gradient
+(bound to its row, or copied for LR and MM); and ``validation``, the loss
+passes of early stopping (``models.plan_loss``).  The counts come from
+wrapping ``optim._step``, ``optim.plan_loss_grad``, ``optim.plan_loss`` and
+each kind's ``bound_grad`` while the lockstep runs, so with more than one
+worker they count the share that runs in this process only; ``taskset -c
+0`` runs every fit in it.  Each line
 also gives, per side, the minor page faults of its fastest repeat
 (``minflt``): those of this process (``RUSAGE_SELF``) and those of the
 workers it forked and joined (``RUSAGE_CHILDREN``).  A process whose heap
@@ -44,8 +53,11 @@ wells' fits can share one stack.
 ``--smoke`` runs every trainable kind at a tiny size in a few seconds (the
 first 240 days of each well, split at day 180, a refit every 3 days, 3
 epochs per fit, one repeat), on well 1 alone and on wells 1 to 3 together,
-and exits 1 when any fit differs.  Its 19 refits per well are more than a
-stack takes, so on more than one CPU they run split across workers.
+and exits 1 when any fit differs, or when a kind with a bound gradient
+(NN, MTL, HEM, HAM) took no tick on the bound stack in this process, so
+that a silent fall back to copied gradients fails too.  Its 19 refits per
+well are more than a stack takes, so on more than one CPU they run split
+across workers.
 """
 
 from __future__ import annotations
@@ -60,7 +72,7 @@ import warnings
 
 import numpy as np
 
-from vfmlab import learning, optim
+from vfmlab import learning, models, optim
 from vfmlab.config import StudyConfig
 from vfmlab.core import chronological_split, fit_scaler
 from vfmlab.errors import DataError, NumericError
@@ -126,33 +138,52 @@ def sequential(fits, ocfg, escfg):
 
 
 class StepCount:
-    """While entered, counts the optimizer steps that return in this process
-    (the ticks of a lockstep) and the fits they update (its fit-steps), and
-    keeps the worker count of the last fit_maps call."""
+    """While entered, counts the optimizer steps taken in this process (the
+    ticks of a lockstep) and the fits they update (its fit-steps), and the
+    gradient and loss calls by path (``calls``), and keeps the worker count
+    of the last fit_maps call.  The kind table's entries are wrapped before
+    the fits build their plans, so their bound gradients are counted."""
 
     def __enter__(self):
         self.ticks = self.fit_steps = 0
         self.workers = 1
-        self.real = real = optim.optimizer_step
-        self.real_workers = real_workers = optim._workers
+        self.calls = dict.fromkeys(("bound_stack", "copied_stack", "one_fit", "validation"), 0)
+        self.real = {name: getattr(optim, name)
+                     for name in ("_step", "_workers", "plan_loss_grad", "plan_loss")}
+        self.table = dict(models.KIND_TABLE)
+        real = self.real
 
-        def counted(state, grad, *args):
-            out = real(state, grad, *args)
+        def step(state, grad, *args):
             self.ticks += 1
             self.fit_steps += len(grad)
-            return out
+            return real["_step"](state, grad, *args)
 
         def workers(*args):
-            self.workers = real_workers(*args)
+            self.workers = real["_workers"](*args)
             return self.workers
 
-        optim.optimizer_step = counted
-        optim._workers = workers
+        def loss_grad(plan, theta, *args):
+            self.calls["copied_stack" if theta.ndim == 2 else "one_fit"] += 1
+            return real["plan_loss_grad"](plan, theta, *args)
+
+        def loss(*args):
+            self.calls["validation"] += 1
+            return real["plan_loss"](*args)
+
+        for kind, entry in self.table.items():
+            if entry.bound_grad is not None:
+                def bound_grad(net, plan, theta, *args, real_grad=entry.bound_grad):
+                    self.calls["bound_stack" if theta.ndim == 2 else "one_fit"] += 1
+                    return real_grad(net, plan, theta, *args)
+                models.KIND_TABLE[kind] = dataclasses.replace(entry, bound_grad=bound_grad)
+        optim._step, optim._workers = step, workers
+        optim.plan_loss_grad, optim.plan_loss = loss_grad, loss
         return self
 
     def __exit__(self, *exc):
-        optim.optimizer_step = self.real
-        optim._workers = self.real_workers
+        for name, fn in self.real.items():
+            setattr(optim, name, fn)
+        models.KIND_TABLE.update(self.table)
 
 
 def lockstep(fits, ocfg, escfg):
@@ -186,6 +217,7 @@ def main(argv=None) -> int:
     kinds = KINDS if a.smoke else a.kinds.split(",")
     repeats = 1 if a.smoke else a.repeats
     ok = True
+    bound_stack: dict = {}
     for n_wells in (1, 3) if a.smoke else (a.wells,):
         for kind in kinds:
             lists = fit_lists(kind, a.seed, a.smoke, n_wells, a.early_stopping)
@@ -206,9 +238,10 @@ def main(argv=None) -> int:
                                 want = got
                             else:
                                 ticks, fit_steps = count.ticks, count.fit_steps
-                                workers = count.workers
+                                workers, calls = count.workers, count.calls
                     identical = len(got) == len(want) and all(map(same, got, want))
                 ok &= identical
+                bound_stack[kind] = bound_stack.get(kind, 0) + calls["bound_stack"]
                 seq, lock = min(times["sequential"]), min(times["lockstep"])
                 fastest = {name: dict(zip(("self", "workers"),
                                           faults[name][times[name].index(min(times[name]))]))
@@ -220,7 +253,14 @@ def main(argv=None) -> int:
                                   "identical": identical, "cap": a.cap,
                                   "workers": workers, "ticks": ticks, "fit_steps": fit_steps,
                                   "busy": round(fit_steps / (ticks * a.cap), 3),
-                                  "minflt": fastest}))
+                                  "calls": calls, "minflt": fastest}))
+    if a.smoke:
+        unbound = [kind for kind in kinds
+                   if models.KIND_TABLE[models.ModelKind.from_str(kind)].bind is not None
+                   and bound_stack[kind] == 0]
+        if unbound:
+            print(f"no tick took the bound stack for {', '.join(unbound)}", file=sys.stderr)
+            ok = False
     return 0 if ok else 1
 
 
