@@ -17,7 +17,7 @@ predictions).  The kernels serve both:
   that: the MM/HEM/HAM physics, whose choke equation ``_mm_cols`` takes
   over columns and ``_mm_row`` over one row's floats, rounding differently.
   MM and HEM share one forward, ``_mm_forward``, which picks the form, and
-  one physics gradient, ``_mm_grad``, which takes either form's parts; HAM
+  one physics gradient, ``_mm_backward``, which takes either form's parts; HAM
   picks in each of its two kernels;
 * floats for a whole online-learning update of LR and MM
   (``optim.TrainingStep.online_update``): the bounds, the prior and each
@@ -34,20 +34,17 @@ predictions).  The kernels serve both:
   (and ``lr_predict``), ``mm_loss_grad`` (and ``mm_predict``) at one row,
   the prior's ``add_grad``, and ``sgd_step`` or ``adam_step`` in the same
   order, so the two forms round alike;
-* bound buffers for the training steps of NN, MTL, HEM and HAM: a whole
-  online-learning update (``optim.TrainingStep.bind``), and the stacked
-  fits of a lockstep and each of their rows (``optim.OptimizerState.bound``,
-  ``bound_row``).  Each unit or stack owns its parameter, Adam moment,
-  gradient and scratch arrays and binds the layer views of them once
-  (``_nn_bind``, ``_mtl_bind``; a stack again when it shrinks); each step
-  runs the loss-gradient kernel's body on those views (``_nn_grad``,
-  ``_hem_grad``, ``_ham_grad``, ``_mtl_grad``), which adds the gradient
-  into the zeroed buffer and returns the forward, and ``adam_step`` or
-  ``sgd_step`` writes the step into the parameters.  As on floats, an
-  update's first forward is the row's prediction.  The public kernels run
-  the same bodies on a binding of their own arguments and a fresh zero
-  gradient, made per call (a lockstep's call over part of its stack, and
-  every validation pass, take them), so there is one network code path.
+* bound buffers for every training step of a fit (a lockstep's stack and
+  each of its rows: ``optim.OptimizerState.bound``, ``bound_row``) and of an
+  online update of NN, MTL, HEM and HAM (``optim.TrainingStep.bind``): the
+  buffers are bound once (``_nn_bind``, ``_mtl_bind``; LR and MM bind
+  nothing; a stack again when it shrinks), and each step runs the kind's
+  body (``_lr_grad``, ``_nn_grad``, ``_mtl_grad``, ``_mm_grad``,
+  ``_hem_grad``, ``_ham_grad``), which adds the gradient into the zeroed
+  buffer and returns the forward (as on floats, an update's first forward is
+  the row's prediction); ``adam_step`` or ``sgd_step`` writes the step into
+  the parameters.  A public ``*_loss_grad`` kernel is its kind's body on a
+  binding and a zero gradient made per call: one gradient path per kind.
 
 The MAP fits of one kind run in lockstep (``optim.fit_maps``): the initial
 fits of every well, and the refits of every well's periodic-batch unit of a
@@ -56,7 +53,7 @@ leading fit axis: theta (R, P), X and Xs (R, n, 6), y and MTL's task columns (R,
 and inv_var (and HEM's nn_scale) (R, 1), one row per fit; such a call returns
 sse (R,), grad (R, P) and the clamp count summed over the R fits.  The array
 and column forms stack: ``_row_sum``, ``_affine_cols``,
-``_residuals``/``_sse``, ``_mm_cols``, ``_mm_forward``/``_mm_grad`` in
+``_residuals``/``_sse``, ``_mm_cols``, ``_mm_forward``/``_mm_backward`` in
 column form, ``_nn_forward``/``_nn_backward``, MTL's kernels, the LR and NN
 kernels, and the MM/HEM/HAM kernels at ``COLUMN_ROWS`` rows or more (their
 loops take one fit, so ``fit_maps`` stacks only such calls);
@@ -130,8 +127,8 @@ stacked calls, and stacked steps at a k per row, to one call per fit):
   ties, NaN and overflow too (the oracle's clip keeps ``val`` on a tie, so
   signed-zero ties are held to the array steps instead);
 * an online update on floats, and one on bound buffers, equals the array
-  steps (``optimizer_step`` over ``plan_loss_grad`` and the prior's
-  ``add_grad``) bit for bit, and the float update's prediction equals
+  steps (``adam_step`` or ``sgd_step`` over the public kernel and the
+  prior's gradient) bit for bit, and the float update's prediction equals
   ``models.plan_predict``'s, skipped updates and clamp counts included:
   ``tests/test_training_step.py`` holds ``learning.run_ol`` to the frozen
   loop of ``tests/loop_drivers.py``, as ``tools/ol_update.py --smoke`` does
@@ -163,11 +160,11 @@ have just made (a product of ``np.dot``/``np.matmul`` or a sum, as
 view of one: theta, X, Xs, y and the task columns come back unchanged
 (``test_no_kernel_writes_into_its_arguments``).  The writes into arguments
 are named: ``_nn_backward`` and ``_mtl_grad`` add into the gradient views
-of their binding, ``_hem_grad`` and ``_ham_grad`` also into their
-``grad``, and the bodies add only into zeros; ``sgd_step`` and
-``adam_step`` write the step into ``theta`` and work in their scratch
-pair, and ``adam_step`` updates ``m`` and ``v``.  So a step allocates
-nothing theta-sized where its caller owns the scratch
+of their binding, ``_lr_grad``, ``_mm_grad``, ``_hem_grad`` and
+``_ham_grad`` into their ``grad``, and the bodies add only into zeros;
+``sgd_step`` and ``adam_step`` write the step into ``theta`` and work in
+their scratch pair, and ``adam_step`` updates ``m`` and ``v``.  So a step
+allocates nothing theta-sized where its caller owns the scratch
 (``optim.OptimizerState``).
 
 Shared conventions:
@@ -460,13 +457,19 @@ def lr_predict(theta, xs):
     return _affine_cols(theta[..., d, None], xs, theta[..., None, :d])
 
 
-def lr_loss_grad(theta, xs, y, inv_var):
+def _lr_grad(theta, xs, y, inv_var, grad):
+    """lr_loss_grad into grad's zeros: (sse, forward)."""
     d = xs.shape[-1]
-    sse, c = _residuals(y, _affine_cols(theta[..., d, None], xs, theta[..., None, :d]), inv_var)
-    grad = np.zeros(theta.shape)
+    yhat = _affine_cols(theta[..., d, None], xs, theta[..., None, :d])
+    sse, c = _residuals(y, yhat, inv_var)
     grad[..., :d] += _row_sum(c[..., None] * xs, -2)
     grad[..., d] += _row_sum(c, -1)
-    return sse, grad
+    return sse, yhat
+
+
+def lr_loss_grad(theta, xs, y, inv_var):
+    grad = np.zeros(theta.shape)
+    return _lr_grad(theta, xs, y, inv_var, grad)[0], grad
 
 
 def lr_row_grad(th, xs, y, inv_var, g):
@@ -575,7 +578,7 @@ def nn_loss_grad(theta, off, widths, xs, y, inv_var):
 
 def _mm_forward(theta, x, geom, grad):
     """MM's flow over the rows of x: (yhat, clamps, parts), parts being what
-    _mm_grad takes.  The one place the MM and HEM kernels pick a form:
+    _mm_backward takes.  The one place the MM and HEM kernels pick a form:
     _mm_cols at COLUMN_ROWS rows or more (one fit or stacked; parts is its
     tuple), else one loop over _mm_row on Python floats (one fit; parts
     lists the rows' results)."""
@@ -597,7 +600,7 @@ def _mm_forward(theta, x, geom, grad):
     return np.array(yhat, dtype=np.float64), nneg, parts
 
 
-def _mm_grad(theta, parts, delta, grad):
+def _mm_backward(theta, parts, delta, grad):
     """Add sum_i delta_i * d(mm_i)/dtheta[..., :6] to grad's zeros there,
     rows in order, from _mm_forward's parts in either form.  The row form's
     sums start at 0.0, so it writes them: adding a list costs 1.7 us more."""
@@ -624,11 +627,17 @@ def mm_predict(theta, x, geom):
     return yhat, nneg
 
 
-def mm_loss_grad(theta, x, geom, y, inv_var):
+def _mm_grad(theta, x, geom, y, inv_var, grad):
+    """mm_loss_grad into grad's zeros: (sse, forward, clamps)."""
     yhat, nneg, parts = _mm_forward(theta, x, geom, True)
     sse, delta = _residuals(y, yhat, inv_var)
+    _mm_backward(theta, parts, delta, grad)
+    return sse, yhat, nneg
+
+
+def mm_loss_grad(theta, x, geom, y, inv_var):
     grad = np.zeros(theta.shape)
-    _mm_grad(theta, parts, delta, grad)
+    sse, _, nneg = _mm_grad(theta, x, geom, y, inv_var, grad)
     return sse, grad, nneg
 
 
@@ -666,7 +675,7 @@ def _hem_grad(net, theta, x, xs, geom, y, inv_var, nn_scale, grad):
     yhat = ymm + nn_scale * out[..., 0]
     sse, delta = _residuals(y, yhat, inv_var)
     _nn_backward(net, acts, (delta * nn_scale)[..., None])
-    _mm_grad(theta, parts, delta, grad)
+    _mm_backward(theta, parts, delta, grad)
     return sse, yhat, nneg
 
 

@@ -446,40 +446,29 @@ class KindEntry:
       y_loc + y_scale*z; HEM has a ``scaled_correction``, its network term
       multiplied by the target scale (nn_scale) so that its parameters stay
       O(1); the other kinds predict in raw units.
-    * Kernels, called with the kind's KernelPlan:
-      ``predict(plan, theta, X, Xs, wells) -> (z, clamps)``, z in the target
-      space, and ``loss_grad(plan, theta, X, Xs, y, inv_var, wells) ->
-      (sse, grad, clamps)``.  ``predict`` is ``loss_grad``'s forward, bit
-      for bit, so the loss alone is the squared error of ``predict``.
-      ``clamps`` counts rows whose radicand was clamped (0 for kinds
-      without the choke equation).  The kernels are looked up in
-      :mod:`vfmlab.kernels` at call time, so a wrapper installed there
-      later (the benchmark's tracer) sees every call.
-      ``loss_grad`` also takes the fits of ``optim.fit_maps`` stacked along
-      a leading axis (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
-      inv_var and the plan's nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or
-      more, returning sse (R,), grad (R, P) and the clamps of all R.
+    * Kernels, called with the kind's KernelPlan ``p``:
+      ``predict(p, theta, X, Xs, wells) -> (z, clamps)``, z in the target
+      space; ``bind(p, th, g) -> net``, the layer views of the parameters th
+      and the gradient buffer g, which serve until either is replaced
+      (``kernels._nn_bind`` at offset ``n_fixed``, ``kernels._mtl_bind``;
+      none for LR and MM); and ``bound_grad(net, p, th, X, Xs, y, inv_var,
+      wells, g) -> (sse, z, clamps)``, which adds the data term's gradient
+      into the zeros of g and returns its forward z, ``predict``'s bit for
+      bit, so the loss alone is the squared error of ``predict``.
+      ``clamps`` counts rows whose radicand was clamped.  Every gradient
+      runs ``bound_grad`` (:func:`plan_bound_grad`), for one fit or for the
+      fits of ``optim.fit_maps`` stacked along a leading axis (theta (R, P),
+      X and Xs (R, n, 6), y and wells (R, n), inv_var and the plan's
+      nn_scale (R, 1)) at ``COLUMN_ROWS`` rows or more: sse (R,) and the
+      clamps of all R.
     * ``row_grad(th, x, xs, geom, y, inv_var, g) -> (sse, z, clamps)``, for
       the kinds that take each online-learning update on Python floats (LR,
       MM; ``optim.TrainingStep.online_update``), and used only there: one
       row's gradient on lists th, x, xs and geom and floats y and inv_var,
-      added into the list g, rounded as the kind's ``loss_grad`` rounds that
-      row alone: sse, gradient and clamp flag equal a one-row ``loss_grad``,
-      byte for byte, and the forward z equals ``predict``'s at that row, so
-      the update's first step also gives the row's prediction.
-    * ``bind(p, th, g) -> net`` and ``bound_grad(net, p, th, X, Xs, y,
-      inv_var, wells, g) -> (sse, z, clamps)``, for the kinds whose training
-      steps run on buffers they step in place (NN, MTL, HEM, HAM): an
-      online-learning unit's (``optim.TrainingStep.bind``), and the stack
-      of ``optim.fit_maps``' lockstep and each of its rows
-      (``optim.OptimizerState.bound``, ``bound_row``).  ``bind`` binds the
-      layers of the buffers th and g, one fit or stacked, once per unit,
-      stack or row (``kernels._nn_bind`` at offset ``n_fixed``,
-      ``kernels._mtl_bind``), and ``bound_grad`` runs ``loss_grad``'s
-      arithmetic on that binding, its gradient added into the zeros of g,
-      and returns its forward z, ``predict``'s at those rows, bit for bit,
-      so that an online update's first step also gives the row's
-      prediction, as ``row_grad`` does.
+      added into the list g, rounded as the kind's ``bound_grad`` rounds
+      that row alone: sse, gradient and clamp flag equal a one-row
+      ``plan_loss_grad``, byte for byte, and the forward z equals
+      ``predict``'s at that row.
     * ``columns``: which row columns the kernels read, so that the lockstep
       gathers no other.
     """
@@ -492,7 +481,6 @@ class KindEntry:
     standardized: bool = False
     scaled_correction: bool = False
     predict: Callable | None = None
-    loss_grad: Callable | None = None
     row_grad: Callable | None = None
     bind: Callable | None = None
     bound_grad: Callable | None = None
@@ -517,45 +505,43 @@ def _bind_network(p, th, g):
 
 
 # ``p`` is the KernelPlan, ``w`` the task column of each row (MTL only), ``g``
-# an online-learning unit's gradient buffer and ``net`` its binding.
+# a gradient buffer and ``net`` its binding.
 KIND_TABLE: dict[ModelKind, KindEntry] = {
     ModelKind.BENCHMARK: KindEntry(lambda rng, pri, shape, mtl: ParameterSet.empty()),
     ModelKind.LR: KindEntry(
         lambda rng, pri, shape, mtl: _lr_params(), n_fixed=D_INPUT + 1, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.lr_predict(th, Xs), 0),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: (*kernels.lr_loss_grad(th, Xs, y, iv), 0),
         row_grad=lambda th, x, xs, geom, y, iv, g: (
-            *kernels.lr_row_grad(th, xs, y, iv, g), 0)),
+            *kernels.lr_row_grad(th, xs, y, iv, g), 0),
+        bind=lambda p, th, g: (),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
+            *kernels._lr_grad(th, Xs, y, iv, g), 0)),
     ModelKind.NN: KindEntry(
         lambda rng, pri, shape, mtl: _mlp_params(rng, shape.widths()),
         network=True, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.nn_predict(th, 0, p.widths, Xs), 0),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: (
-            *kernels.nn_loss_grad(th, 0, p.widths, Xs, y, iv), 0),
         bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
             *kernels._nn_grad(net, Xs, y, iv), 0)),
     ModelKind.MTL: KindEntry(
         lambda rng, pri, shape, mtl: _mtl_params(rng, mtl), multitask=True, standardized=True,
         predict=lambda p, th, X, Xs, w: (kernels.mtl_predict(th, p.dims, Xs, w), 0),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: (
-            *kernels.mtl_loss_grad(th, p.dims, Xs, w, y, iv), 0),
         bind=lambda p, th, g: kernels._mtl_bind(th, p.dims, g),
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: (
             *kernels._mtl_grad(net, Xs, w, y, iv), 0)),
     ModelKind.MM: KindEntry(
         lambda rng, pri, shape, mtl: _mm_params(pri), n_fixed=6, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.mm_predict(th, X, p.geom),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.mm_loss_grad(th, X, p.geom, y, iv),
-        row_grad=lambda th, x, xs, geom, y, iv, g: kernels.mm_row_grad(th, x, geom, y, iv, g)),
+        row_grad=lambda th, x, xs, geom, y, iv, g: kernels.mm_row_grad(th, x, geom, y, iv, g),
+        bind=lambda p, th, g: (),
+        bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._mm_grad(
+            th, X, p.geom, y, iv, g)),
     ModelKind.HEM: KindEntry(
         lambda rng, pri, shape, mtl: ParameterSet.concat(
             _mm_params(pri), _mlp_params(rng, shape.widths(), prefix="nn.")),
         n_fixed=6, network=True, choke=True, scaled_correction=True,
         predict=lambda p, th, X, Xs, w: kernels.hem_predict(th, p.widths, X, Xs, p.geom,
                                                             p.nn_scale),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.hem_loss_grad(
-            th, p.widths, X, Xs, p.geom, y, iv, p.nn_scale),
         bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._hem_grad(
             net, th, X, Xs, p.geom, y, iv, p.nn_scale, g)),
@@ -567,8 +553,6 @@ KIND_TABLE: dict[ModelKind, KindEntry] = {
                         out_bias=softplus_inverse(pri["C_D"][0]))),
         n_fixed=5, network=True, choke=True,
         predict=lambda p, th, X, Xs, w: kernels.ham_predict(th, p.widths, X, Xs, p.geom),
-        loss_grad=lambda p, th, X, Xs, y, iv, w: kernels.ham_loss_grad(
-            th, p.widths, X, Xs, p.geom, y, iv),
         bind=_bind_network,
         bound_grad=lambda net, p, th, X, Xs, y, iv, w, g: kernels._ham_grad(
             net, th, X, Xs, p.geom, y, iv, g)),
@@ -638,10 +622,19 @@ def plan_loss_grad(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,
                    Xs: np.ndarray, y: np.ndarray, inv_var: float,
                    wells: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """(sse, gradient) of the data term, for y and inv_var in the plan's
-    target space (see :class:`KernelPlan`)."""
-    sse, grad, clamps = _entry_of(plan).loss_grad(plan, theta, X, Xs, y, inv_var, wells)
-    MM_DIAGNOSTICS.count += clamps
-    return sse, grad
+    target space (see :class:`KernelPlan`), on a binding made per call."""
+    grad = np.empty(theta.shape)
+    net = _entry_of(plan).bind(plan, theta, grad)
+    return plan_bound_grad(plan, net, theta, X, Xs, y, inv_var, wells, grad)[0], grad
+
+
+def plan_bound_grad(plan: KernelPlan, net, theta, X, Xs, y, inv_var, wells, grad) -> tuple:
+    """The kind's ``bound_grad`` on net, its binding of theta and grad, into
+    grad zeroed, its radicand clamps counted: (sse, forward, clamps)."""
+    grad.fill(0.0)
+    out = plan.entry.bound_grad(net, plan, theta, X, Xs, y, inv_var, wells, grad)
+    MM_DIAGNOSTICS.count += out[2]
+    return out
 
 
 def plan_loss(plan: KernelPlan, theta: np.ndarray, X: np.ndarray,

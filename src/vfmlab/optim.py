@@ -42,16 +42,16 @@ Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
 bounds once, and builds the rows the kernels take (:meth:`TrainingStep.rows`);
 per validation pass it takes the loss alone (``models.plan_loss``).  A
-lockstep tick and a step of an online update run one step body
-(``_train_step``) in the arrays of an :class:`OptimizerState`: the kind's
-gradient, written into the state's gradient buffer through layer views
-bound to it (NN, MTL, HEM, HAM), the prior's gradient added in place, a
-finiteness check and the SGD or Adam step written into the values.  An
-online-learning update (``TrainingStep.online_update``) takes the same
-roundings and checks in one of two forms: LR and MM run its steps on Python
-floats, one fused pass per step; the other kinds step in buffers that the
-unit binds once (:meth:`TrainingStep.bind`), in that step body.  Both take
-the row's prediction from the first step's forward.
+lockstep tick and a step of an online update write the kind's gradient
+into the gradient buffer of an :class:`OptimizerState` through the kind's
+binding of it (``models.plan_bound_grad``), then run one step body
+(``_train_step``): the prior's gradient added in place, a finiteness check
+and the SGD or Adam step written into the values.  An online-learning
+update (``TrainingStep.online_update``) takes these roundings and checks
+in one of two forms: LR and MM on Python floats, one fused pass per step;
+the other kinds in buffers that the unit binds once
+(:meth:`TrainingStep.bind`).  Both take the row's prediction from the
+first step's forward.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ from . import kernels
 from .core import WellDataset, substream
 from .errors import ConfigError, DataError, NumericError, enum_from_str
 from .models import (MM_DIAGNOSTICS, ModelKind, ModelSpec, ParameterSet, build_plan,
-                     check_inputs, plan_loss, plan_loss_grad, scale_inputs, task_columns)
+                     check_inputs, plan_bound_grad, plan_loss, plan_loss_grad, scale_inputs,
+                     task_columns)
 
 
 class PriorMode(enum.Enum):
@@ -141,6 +142,9 @@ class OptimizerConfig:
             raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
+        # a decay: a negative power_a would grow the rate, a NaN one make it NaN
+        if not self.power_a >= 0:
+            raise ConfigError("power_a must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,12 @@ class EarlyStoppingConfig:
 
 
 def gamma_at(cfg: OptimizerConfig, k: int) -> float:
-    """Learning rate at step k >= 1 under the configured schedule."""
+    """Learning rate at step k >= 1 under the schedule; 0.0 where k**power_a overflows."""
     if cfg.schedule == "power":
-        return cfg.gamma0 / float(k) ** cfg.power_a
+        try:
+            return cfg.gamma0 / float(k) ** cfg.power_a
+        except OverflowError:
+            return 0.0
     return cfg.gamma0
 
 
@@ -180,9 +187,9 @@ class OptimizerState:
     gradient is written into.  :meth:`TrainingStep.start` makes them for
     the stacked fits of ``fit_maps``' lockstep, whose buffers shrink with
     :meth:`keep`, and :meth:`TrainingStep.bind` once per online-learning
-    unit of an array kind.  ``net``, the kind's layer views of ``values``
-    and ``grad`` (:meth:`bound`), and ``row_nets``, each stacked row's
-    (:meth:`bound_row`), are bound on first use and serve until
+    unit of an array kind.  ``net``, the kind's binding of ``values`` and
+    ``grad`` (:meth:`bound`, ``KindEntry.bind``), and ``row_nets``, each
+    stacked row's (:meth:`bound_row`), are bound on first use and serve until
     :meth:`keep` replaces the arrays: a step, or a pending fit taking a
     row, writes into them.
     """
@@ -198,14 +205,14 @@ class OptimizerState:
     row_nets: list | None = None
 
     def bound(self, plan) -> tuple:
-        """The layer views of values and grad for plan's kind
+        """The binding of values and grad for plan's kind
         (``KindEntry.bind``)."""
         if self.net is None:
             self.net = plan.entry.bind(plan, self.values, self.grad)
         return self.net
 
     def bound_row(self, i: int, plan) -> tuple:
-        """(values[i], grad[i], their layer views for plan's kind)."""
+        """(values[i], grad[i], their binding for plan's kind)."""
         if self.row_nets is None:
             self.row_nets = [None] * len(self.values)
         row = self.row_nets[i]
@@ -258,28 +265,18 @@ def _step(state: OptimizerState, grad: np.ndarray, cfg: OptimizerConfig,
                           cfg.adam_beta2, cfg.adam_eps, state.lower, state.upper, state.scratch)
 
 
-def _train_step(state: OptimizerState, prior, cfg: OptimizerConfig, k, plan=None,
-                X=None, Xs=None, y=None, inv_var=None, wells=None) -> tuple:
+def _train_step(state: OptimizerState, prior, cfg: OptimizerConfig, k) -> bool:
     """One training step in state's arrays, of one fit at a scalar k or of
-    stacked fits at a list of k.  Given plan, it writes the kind's data
-    gradient on rows (X, Xs, y, wells) into the zeroed gradient buffer
-    through ``state.net`` (:meth:`OptimizerState.bound`), its radicand
-    clamps counted; else the caller has written it.  It adds the prior's
-    gradient and, if every entry is finite, writes the step at k into the
-    values.  Returns (finite, forward, clamps), the last two None without
-    plan."""
+    stacked fits at a list of k, on the data gradient that the caller has
+    written into ``state.grad`` (``models.plan_bound_grad``): it adds the
+    prior's gradient and, if every entry is finite, writes the step at k
+    into the values.  Returns whether the gradient was finite."""
     grad = state.grad
-    z = clamps = None
-    if plan is not None:
-        grad.fill(0.0)
-        _, z, clamps = plan.entry.bound_grad(state.net, plan, state.values, X, Xs, y, inv_var,
-                                             wells, grad)
-        MM_DIAGNOSTICS.count += clamps
     prior.add_grad(state.values, grad, state.scratch[0])
     if not np.isfinite(grad).all():
-        return False, z, clamps
+        return False
     _step(state, grad, cfg, k)
-    return True, z, clamps
+    return True
 
 
 # -------------------------------------------------------------------- losses
@@ -360,8 +357,8 @@ class TrainingStep:
     and the prior's (``prior.add_grad``) in ``fit_maps``' lockstep,
     :meth:`loss` is the objective of a validation pass and
     :meth:`online_update` one online-learning update, in the buffers of
-    :meth:`bind`; a lockstep tick and an array kind's online step run one
-    step body, ``_train_step``.
+    :meth:`bind`; a lockstep tick of any kind and an array kind's online
+    step run one step body, ``_train_step``.
     """
 
     def __init__(self, m: ModelSpec, noise_std: float, prior_mode: PriorMode):
@@ -441,11 +438,11 @@ class TrainingStep:
 
         An array kind (NN, MTL, HEM, HAM) steps in the unit's buffers:
         theta is copied into its values and its moments are zeroed, then
-        each step is a fit's step body, ``_train_step`` at a scalar k: it
-        zeroes the gradient buffer, writes the kind's gradient into it
-        (``KindEntry.bound_grad``, on the layer views bound to the
-        buffers), adds the prior's, checks it is finite and writes the SGD
-        or Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
+        each step writes the kind's gradient into the gradient buffer
+        (``models.plan_bound_grad``, on the layer views bound to the
+        buffers) and takes a fit's step body, ``_train_step`` at a scalar
+        k: it adds the prior's, checks it is finite and writes the SGD or
+        Adam step (``kernels.sgd_step``, ``kernels.adam_step``) into the
         values, working in the unit's scratch; v is checked once, after the
         last step, since it cannot come back from inf.  The result is
         returned as a copy, which later updates leave alone.
@@ -466,12 +463,12 @@ class TrainingStep:
             plan, inv_var, prior, y_map = self.plan, self.inv_var, self.prior, self.y_map
             pred = None
             for k in range(1, steps + 1):
-                finite, z, clamps = _train_step(unit, prior, ocfg, k, plan, X, Xs, y, inv_var,
-                                                wells)
+                _, z, clamps = plan_bound_grad(plan, unit.net, th, X, Xs, y, inv_var, wells,
+                                               unit.grad)
                 if pred is None:
                     pred = z[0] if y_map is None else y_map[0] + y_map[1] * z[0]
                     MM_DIAGNOSTICS.count += clamps   # once more, for the prediction
-                if not finite:
+                if not _train_step(unit, prior, ocfg, k):
                     return None, pred
             ok = np.isfinite(th).all() and np.isfinite(unit.v).all()
             return (th.copy() if ok else None), pred
@@ -661,14 +658,13 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     kernel call (theta (R, P), X and Xs (R, n, 6), y and wells (R, n),
     inv_var (R, 1)); every other batch (an epoch's partial last one, a fit
     alone at its length) and every validation pass runs one fit at a time.
-    For a network kind (NN, MTL, HEM, HAM), a stacked call that takes every
-    live fit, and a one-fit call, write the gradient straight into the
-    stack's gradient buffer through the layer views of the stack or the
-    row (``OptimizerState.bound``, ``bound_row``), bound until the stack
-    shrinks.  A stacked call over part of the stack, every call of LR and
-    MM, and a validation pass bind their arguments per call
+    A stacked call that takes every live fit, and a one-fit call, write the
+    gradient straight into the stack's gradient buffer through the kind's
+    binding of the stack or the row (``OptimizerState.bound``,
+    ``bound_row``), bound until the stack shrinks.  A stacked call over part
+    of the stack and a validation pass bind their arguments per call
     (``models.plan_loss_grad``, ``plan_loss``), and the gradient of the
-    first two is copied into the stack's.  One optimizer step then updates
+    first is copied into the stack's.  One optimizer step then updates
     every live row at its fit's own step index k, from a list: gamma_k and
     Adam's bias corrections are (R, 1) columns of the floats one fit would
     use.  A fit leaves the stack when it stops early, runs out of epochs,
@@ -878,10 +874,8 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
     it."""
     # the row store: X, Xs, targets and task columns, each of every fit end to
     # end, and None for a column that the kind's kernels do not read
-    entry = pending[0].step.plan.entry
     store = [np.concatenate([f.rows[c] for f in pending]) if read else None
-             for c, read in enumerate(entry.columns)]
-    bindable = entry.bind is not None
+             for c, read in enumerate(pending[0].step.plan.entry.columns)]
     base = 0
     for f in pending:
         f.base, base = base, base + f.n
@@ -900,36 +894,25 @@ def _lockstep(pending: list, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig) 
         for i, idx in enumerate(batches):
             by_len.setdefault(idx.shape[0], []).append(i)
         grad = state.grad
-        whole = ()   # a gradient of every live fit, which _train_step writes through the binding
         for n_rows, ix in by_len.items():
             if len(ix) > 1 and n_rows >= kernels.COLUMN_ROWS:
                 if stacked is None:
                     stacked = _stacked(live)
                 plan, inv_var = stacked
                 X, Xs, y, wells = _gather(store, np.stack([batches[i] for i in ix]))
-                if bindable and len(ix) == len(live):
-                    state.bound(plan)
-                    whole = plan, X, Xs, y, inv_var, wells
-                    continue
-                rows = slice(None)
-                if len(ix) < len(live):
-                    rows = ix
-                    plan, inv_var = replace(plan, nn_scale=plan.nn_scale[ix]), inv_var[ix]
-                _, grad[rows] = plan_loss_grad(plan, state.values[rows], X, Xs, y, inv_var,
-                                               wells)
+                if len(ix) == len(live):   # the whole stack, through its own binding
+                    plan_bound_grad(plan, state.bound(plan), state.values, X, Xs, y, inv_var,
+                                    wells, grad)
+                else:   # part of it, a copy bound per call
+                    _, grad[ix] = plan_loss_grad(replace(plan, nn_scale=plan.nn_scale[ix]),
+                                                 state.values[ix], X, Xs, y, inv_var[ix], wells)
                 continue
-            for i in ix:
+            for i in ix:   # into the row's gradient, through the row's binding
                 step = live[i].step
                 X, Xs, y, wells = _gather(store, batches[i])
-                if bindable:   # into the row's gradient, as _train_step writes a stack's
-                    theta, g, net = state.bound_row(i, step.plan)
-                    g.fill(0.0)
-                    MM_DIAGNOSTICS.count += entry.bound_grad(net, step.plan, theta, X, Xs, y,
-                                                             step.inv_var, wells, g)[2]
-                else:
-                    _, grad[i] = plan_loss_grad(step.plan, state.values[i], X, Xs, y,
-                                                step.inv_var, wells)
-        finite = _train_step(state, prior, ocfg, k, *whole)[0]
+                theta, g, net = state.bound_row(i, step.plan)
+                plan_bound_grad(step.plan, net, theta, X, Xs, y, step.inv_var, wells, g)
+        finite = _train_step(state, prior, ocfg, k)
         failed = [False] * len(live)
         if not finite:   # the fits whose gradient is not finite end here
             failed = (~np.isfinite(grad).all(axis=1)).tolist()

@@ -177,6 +177,21 @@ def test_kappa_of_one_is_refused_before_the_run(tmp_path, capsys, where, code):
     assert "kappa must exceed 1" in err and len(err.strip().splitlines()) == 1
 
 
+def test_a_power_schedule_whose_rate_underflows_runs(tmp_path):
+    """A PBL refit's power decay gamma0 / k**power_a whose k**power_a
+    overflows from k = 2 on runs, at numpy's rate of 0.0 there."""
+    raw = _tiny_study(tmp_path)
+    raw["kinds"] = ["lr"]
+    raw["schedules"] = [{"name": "PBL", "mode": "pbl", "period_days": 5.0, "optimizer": {
+        "gamma0": 1e-3, "schedule": "power", "power_a": 1e6}}]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    with np.errstate(over="ignore"):
+        assert optim.gamma_at(optim.OptimizerConfig(schedule="power", power_a=1e6), 2) \
+            == 1e-3 / np.float64(2.0) ** 1e6 == 0.0
+
+
 def _run_on_csv(tmp_path, csv_path):
     raw = _tiny_study(tmp_path)
     del raw["scenarios"]
@@ -376,18 +391,21 @@ def test_an_optimizer_method_that_is_not_a_name_is_a_config_error(tmp_path, caps
      "init_per_kind.lr.batch_size: must be an integer, not 'x'"),
     ({"schedules": [{"name": "OL", "mode": "ol", "steps": 1,
                      "per_kind": {"nn": {"method": "Adamm"}}}]},
-     "schedule 'OL' per_kind.nn.method: unknown optimizer method 'Adamm'")],
+     "schedule 'OL' per_kind.nn.method: unknown optimizer method 'Adamm'"),
+    *(({"init_optimizer": {"schedule": "power", "power_a": a}}, "power_a must be >= 0")
+      for a in (-1e6, float("nan")))],
     ids=["kind-not-a-name", "per-kind-entry-not-an-object", "drift-not-an-object",
          "hidden-width-not-an-integer", "unknown-prior-mode", "prior-mode-not-a-name",
          "u-profile-not-an-array", "u-profile-knot-too-short", "drift-event-too-short",
          "fraction-ramp-not-an-array", "seed-not-an-integer", "split-day-not-a-number",
          "mtl-blocks-not-an-integer", "mtl-blocks-a-bool", "hidden-width-a-float",
          "init-method-not-a-name", "schedule-method-unknown", "init-per-kind-batch-size",
-         "schedule-per-kind-method-of-a-kind-not-run"])
+         "schedule-per-kind-method-of-a-kind-not-run", "power-a-negative", "power-a-nan"])
 def test_a_value_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, patch, message):
-    """A config value of the wrong JSON type or shape, or an unknown prior
-    mode, is refused when the file is loaded: exit 1 and one line, no
-    traceback.  An integer field takes no float and no bool."""
+    """A config value of the wrong JSON type or shape, an unknown prior
+    mode, or a power decay that is none (a negative or NaN power_a), is
+    refused when the file is loaded: exit 1 and one line, no traceback.  An
+    integer field takes no float and no bool."""
     raw = {**_tiny_study(tmp_path), **patch}
     path = tmp_path / "study.json"
     path.write_text(json.dumps(raw))

@@ -81,7 +81,11 @@ def _ocfg(method):
 @pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
 def test_loss_kernel_equals_the_gradient_kernels_sse(kind, n):
     """On both sides of kernels.COLUMN_ROWS, with every third row's radicand
-    clamped (p2 > p1) and parameters off their initial values."""
+    clamped (p2 > p1) and parameters off their initial values, for one fit
+    and, from COLUMN_ROWS rows, a stack of three: plan_loss_grad, which runs
+    the kind's bind and bound_grad, equals the loss alone (sse and clamps)
+    and the public loss-gradient kernel through the frozen
+    ``loop_drivers.plan_loss_grad`` (sse and gradient), bit for bit."""
     ds = _data(32)
     rows = np.arange(n) % len(ds)
     X = ds.X[rows].copy()
@@ -92,12 +96,24 @@ def test_loss_kernel_equals_the_gradient_kernels_sse(kind, n):
     Xs = scale_inputs(plan, X)
     wells = task_columns(m, ds.well[rows])
     y = (ds.y[rows] - plan.y_loc) / plan.y_scale
-    c0 = mm_clamp_count()
-    sse, _ = plan_loss_grad(plan, theta, X, Xs, y, 0.3, wells)
-    c1 = mm_clamp_count()
-    assert plan_loss(plan, theta, X, Xs, y, 0.3, wells) == sse
-    assert mm_clamp_count() - c1 == c1 - c0
-    assert (c1 - c0 > 0) == kind.is_mechanistic
+    calls = [(plan, theta, X, Xs, y, 0.3, wells)]
+    if n >= kernels.COLUMN_ROWS:
+        calls.append((dataclasses.replace(plan, nn_scale=np.full((3, 1), plan.nn_scale)),
+                      theta * np.random.default_rng(0).uniform(0.9, 1.1, (3, len(theta))),
+                      *(np.stack([a] * 3) for a in (X, Xs, y)), np.array([[0.3], [0.5], [0.7]]),
+                      np.stack([wells] * 3)))
+    for call in calls:
+        c0 = mm_clamp_count()
+        sse, grad = plan_loss_grad(*call)
+        c1 = mm_clamp_count()
+        assert np.asarray(plan_loss(*call)).tobytes() == np.asarray(sse).tobytes()
+        assert mm_clamp_count() - c1 == c1 - c0
+        assert (c1 - c0 > 0) == kind.is_mechanistic
+        # y is in the target space already, where the frozen driver would map it
+        want_sse, want = loop.plan_loss_grad(
+            dataclasses.replace(call[0], y_loc=0.0, y_scale=1.0), *call[1:])
+        assert np.asarray(want_sse).tobytes() == np.asarray(sse).tobytes()
+        assert want.tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
@@ -248,8 +264,8 @@ def test_a_float_update_equals_the_frozen_loop_at_its_edges(kind, case, method, 
     assert len(set(y_pred.tolist())) > 1
 
 
-# the kinds whose online updates step in buffers the unit owns
-BOUND_KINDS = [k for k in TRAINABLE_KINDS if models.KIND_TABLE[k].bound_grad is not None]
+# the kinds whose online updates step in buffers the unit owns, not on floats
+ARRAY_KINDS = [k for k in TRAINABLE_KINDS if models.KIND_TABLE[k].row_grad is None]
 
 
 def _ol_unit(kind, n, method=Method.ADAM):
@@ -280,7 +296,7 @@ def _updates(m0, split, cfg):
             theta = values
 
 
-@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ARRAY_KINDS, ids=lambda k: k.value)
 def test_an_update_returns_values_apart_from_the_units_buffers(kind):
     """Each update's values are a copy: an earlier version keeps its bits
     after later updates step the unit's buffers, and no version shares
@@ -295,7 +311,7 @@ def test_an_update_returns_values_apart_from_the_units_buffers(kind):
     assert not any(np.shares_memory(first, v) for v in later)
 
 
-@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ARRAY_KINDS, ids=lambda k: k.value)
 def test_an_update_that_fails_partway_leaves_the_next_ones_exact(kind, monkeypatch):
     """One test row's target is 1e150: the first SGD step of its update is
     finite but throws the network's weights so far that the second step's
@@ -380,7 +396,7 @@ def test_a_fit_steps_on_through_an_overflowing_second_moment(mode):
     assert (got.params.values != m0.params.values).tolist() == [True, True] + [False] * 4
 
 
-@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", TRAINABLE_KINDS, ids=lambda k: k.value)
 def test_a_stack_binding_follows_its_shrinks_and_refills(kind):
     """A lockstep's stack of three fits, bound as a whole
     (``OptimizerState.bound``) and per row (``bound_row``), shrinks to two
@@ -389,8 +405,10 @@ def test_a_stack_binding_follows_its_shrinks_and_refills(kind):
     COLUMN_ROWS rows per fit), and one gradient per row on the row's
     binding (at 5 rows, the MM/HEM/HAM loops), leave in each row of the
     stack's gradient the public loss-gradient kernel's gradient for the fit
-    in that row at its values before the step, bit for bit.  No prior is
-    taken, so the stack's gradient is the data gradient alone."""
+    in that row at its values before the step, bit for bit; the reference
+    is the frozen ``loop_drivers.plan_loss_grad`` on the raw targets, which
+    binds nothing of the stack's.  No prior is taken, so the stack's
+    gradient is the data gradient alone."""
     ds = _data(30)
     m0 = _model(kind, ds)
     step = optim.TrainingStep(m0, 1.0, PriorMode.NONE)
@@ -402,9 +420,9 @@ def test_a_stack_binding_follows_its_shrinks_and_refills(kind):
     state = step.start(np.stack(fits[:3]))
     ocfg = OptimizerConfig(gamma0=0.01)
 
-    def public(theta, rows):
-        _, want = plan_loss_grad(step.plan, theta, X[rows], Xs[rows], y[rows], step.inv_var,
-                                 wells[rows])
+    def public(theta, rows):   # at a noise std of 1, the raw inverse variance is 1
+        _, want = loop.plan_loss_grad(step.plan, theta, X[rows], Xs[rows], ds.y[rows], 1.0,
+                                      wells[rows])
         return want.tobytes()
 
     def check(in_row, k):
@@ -412,18 +430,17 @@ def test_a_stack_binding_follows_its_shrinks_and_refills(kind):
         at = np.stack([batches[j] for j in in_row])
         plan = dataclasses.replace(step.plan, nn_scale=np.full((r, 1), step.plan.nn_scale))
         before = state.values.copy()
-        state.bound(plan)
-        finite, _, _ = optim._train_step(state, step.prior, ocfg, [k] * r, plan, X[at], Xs[at],
-                                         y[at], np.full((r, 1), step.inv_var), wells[at])
-        assert finite and not np.array_equal(state.values, before)
+        models.plan_bound_grad(plan, state.bound(plan), state.values, X[at], Xs[at], y[at],
+                               np.full((r, 1), step.inv_var), wells[at], state.grad)
+        assert optim._train_step(state, step.prior, ocfg, [k] * r)
+        assert not np.array_equal(state.values, before)
         for i, j in enumerate(in_row):
             assert state.grad[i].tobytes() == public(before[i], batches[j])
         for i, j in enumerate(in_row):
             rows = batches[j][:5]
             theta, g, net = state.bound_row(i, step.plan)
-            g.fill(0.0)
-            step.plan.entry.bound_grad(net, step.plan, theta, X[rows], Xs[rows], y[rows],
-                                       step.inv_var, wells[rows], g)
+            models.plan_bound_grad(step.plan, net, theta, X[rows], Xs[rows], y[rows],
+                                   step.inv_var, wells[rows], g)
             assert state.grad[i].tobytes() == public(state.values[i], rows)
 
     check([0, 1, 2], 1)
@@ -467,7 +484,7 @@ def test_steps_write_into_the_arrays_their_state_owns(method):
                                       owned))
 
 
-@pytest.mark.parametrize("kind", BOUND_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ARRAY_KINDS, ids=lambda k: k.value)
 def test_units_interleaved_in_one_process_equal_each_alone(kind):
     """Two units of one kind, on different rows and from different initial
     fits, take their updates in turn; each gives the predictions and values
@@ -489,18 +506,10 @@ HOUR = 3600.0
 
 def _stacked_calls(monkeypatch) -> list:
     """Record, per stacked gradient call of any kind, whether each fit's
-    gradient came out finite: the public kernels' calls, and the calls on a
-    bound stack (``KindEntry.bound_grad``, which the plans built after this
-    call take from ``KIND_TABLE``), whose gradient is written into g."""
+    gradient came out finite: every gradient runs ``KindEntry.bound_grad``
+    (which the plans built after this call take from ``KIND_TABLE``), whose
+    gradient is written into g."""
     calls = []
-    for name in ("lr_loss_grad", "nn_loss_grad", "mtl_loss_grad", "mm_loss_grad",
-                 "hem_loss_grad", "ham_loss_grad"):
-        def traced(theta, *args, real=getattr(kernels, name)):
-            out = real(theta, *args)
-            if theta.ndim == 2:
-                calls.append(np.isfinite(out[1]).all(axis=1).tolist())
-            return out
-        monkeypatch.setattr(kernels, name, traced)
     for kind, entry in list(models.KIND_TABLE.items()):
         if entry.bound_grad is None:
             continue
@@ -530,11 +539,11 @@ def _failed_steps(monkeypatch, record) -> None:
     not finite (``optim._train_step``), k its list of step indices."""
     train_step = optim._train_step
 
-    def recording(state, prior, ocfg, k, *args):
-        out = train_step(state, prior, ocfg, k, *args)
-        if not out[0]:
+    def recording(state, prior, ocfg, k):
+        finite = train_step(state, prior, ocfg, k)
+        if not finite:
             record(k)
-        return out
+        return finite
 
     monkeypatch.setattr(optim, "_train_step", recording)
 

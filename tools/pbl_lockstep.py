@@ -16,22 +16,19 @@ whether every fitted vector (and every failure) is the same, bit for bit,
 and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
 ``--cap``), its workers (``fit_maps`` splits a list of network fits from
 two up, and a list of LR or MM fits longer than the cap, across up to one
-process per CPU), its ticks (optimizer steps of the
-stack), its fit-steps (the live fits summed over its ticks) and how busy
-the stack was (fit-steps over ticks times the cap).  ``calls`` counts the
-lockstep's gradient calls by path: ``bound_stack``, a tick whose one
-mini-batch length covers every live fit, its gradient written straight
-into the stack's (``KindEntry.bound_grad`` on the stack's binding; NN, MTL,
-HEM, HAM); ``copied_stack``, a stacked call whose gradient is copied into
-the stack's (``models.plan_loss_grad``: a group that covers part of the
-stack, or any stacked group of LR or MM); ``one_fit``, one fit's gradient
-(bound to its row, or copied for LR and MM); and ``validation``, the loss
-passes of early stopping (``models.plan_loss``).  The counts come from
-wrapping ``optim._step``, ``optim.plan_loss_grad``, ``optim.plan_loss`` and
-each kind's ``bound_grad`` while the lockstep runs, so with more than one
-worker they count the share that runs in this process only; ``taskset -c
-0`` runs every fit in it.  Each line
-also gives, per side, the minor page faults of its fastest repeat
+process per CPU), its ticks (optimizer steps of the stack), its fit-steps
+(the live fits summed over its ticks) and how busy the stack was
+(fit-steps over ticks times the cap).  ``calls`` counts the lockstep's
+gradient calls by path: ``bound_stack``, a tick whose one mini-batch
+length covers every live fit, through the stack's own binding;
+``copied_stack``, a stacked call over part of the stack, which binds a
+copy per call (``models.plan_loss_grad``); ``one_fit``, one fit's gradient
+on its row's binding; and ``validation``, the loss passes of early
+stopping (``models.plan_loss``).  The counts wrap ``optim._step``,
+``optim.plan_bound_grad``, ``optim.plan_loss_grad`` and ``optim.plan_loss``
+in this process only, so with more than one worker they count its share;
+``taskset -c 0`` runs every fit in it.  Each line also gives, per side,
+the minor page faults of its fastest repeat
 (``minflt``): those of this process (``RUSAGE_SELF``) and those of the
 workers it forked and joined (``RUSAGE_CHILDREN``).  A process whose heap
 top is given back to the kernel after each tick and taken again on the
@@ -53,9 +50,9 @@ wells' fits can share one stack.
 ``--smoke`` runs every trainable kind at a tiny size in a few seconds (the
 first 240 days of each well, split at day 180, a refit every 3 days, 3
 epochs per fit, one repeat), on well 1 alone and on wells 1 to 3 together,
-and exits 1 when any fit differs, or when a kind with a bound gradient
-(NN, MTL, HEM, HAM) took no tick on the bound stack in this process, so
-that a silent fall back to copied gradients fails too.  Its 19 refits per
+and exits 1 when any fit differs, or when any trainable kind took no tick
+on the stack's own binding in this process, so that a silent fall back to
+copied gradients fails too.  Its 19 refits per
 well are more than a stack takes, so on more than one CPU they run split
 across workers.
 """
@@ -72,7 +69,7 @@ import warnings
 
 import numpy as np
 
-from vfmlab import learning, models, optim
+from vfmlab import learning, optim
 from vfmlab.config import StudyConfig
 from vfmlab.core import chronological_split, fit_scaler
 from vfmlab.errors import DataError, NumericError
@@ -141,16 +138,15 @@ class StepCount:
     """While entered, counts the optimizer steps taken in this process (the
     ticks of a lockstep) and the fits they update (its fit-steps), and the
     gradient and loss calls by path (``calls``), and keeps the worker count
-    of the last fit_maps call.  The kind table's entries are wrapped before
-    the fits build their plans, so their bound gradients are counted."""
+    of the last fit_maps call."""
 
     def __enter__(self):
         self.ticks = self.fit_steps = 0
         self.workers = 1
         self.calls = dict.fromkeys(("bound_stack", "copied_stack", "one_fit", "validation"), 0)
         self.real = {name: getattr(optim, name)
-                     for name in ("_step", "_workers", "plan_loss_grad", "plan_loss")}
-        self.table = dict(models.KIND_TABLE)
+                     for name in ("_step", "_workers", "plan_bound_grad", "plan_loss_grad",
+                                  "plan_loss")}
         real = self.real
 
         def step(state, grad, *args):
@@ -162,6 +158,10 @@ class StepCount:
             self.workers = real["_workers"](*args)
             return self.workers
 
+        def bound_grad(plan, net, theta, *args):
+            self.calls["bound_stack" if theta.ndim == 2 else "one_fit"] += 1
+            return real["plan_bound_grad"](plan, net, theta, *args)
+
         def loss_grad(plan, theta, *args):
             self.calls["copied_stack" if theta.ndim == 2 else "one_fit"] += 1
             return real["plan_loss_grad"](plan, theta, *args)
@@ -170,20 +170,13 @@ class StepCount:
             self.calls["validation"] += 1
             return real["plan_loss"](*args)
 
-        for kind, entry in self.table.items():
-            if entry.bound_grad is not None:
-                def bound_grad(net, plan, theta, *args, real_grad=entry.bound_grad):
-                    self.calls["bound_stack" if theta.ndim == 2 else "one_fit"] += 1
-                    return real_grad(net, plan, theta, *args)
-                models.KIND_TABLE[kind] = dataclasses.replace(entry, bound_grad=bound_grad)
         optim._step, optim._workers = step, workers
-        optim.plan_loss_grad, optim.plan_loss = loss_grad, loss
+        optim.plan_bound_grad, optim.plan_loss_grad, optim.plan_loss = bound_grad, loss_grad, loss
         return self
 
     def __exit__(self, *exc):
         for name, fn in self.real.items():
             setattr(optim, name, fn)
-        models.KIND_TABLE.update(self.table)
 
 
 def lockstep(fits, ocfg, escfg):
@@ -255,9 +248,7 @@ def main(argv=None) -> int:
                                   "busy": round(fit_steps / (ticks * a.cap), 3),
                                   "calls": calls, "minflt": fastest}))
     if a.smoke:
-        unbound = [kind for kind in kinds
-                   if models.KIND_TABLE[models.ModelKind.from_str(kind)].bind is not None
-                   and bound_stack[kind] == 0]
+        unbound = [kind for kind in kinds if bound_stack[kind] == 0]
         if unbound:
             print(f"no tick took the bound stack for {', '.join(unbound)}", file=sys.stderr)
             ok = False
