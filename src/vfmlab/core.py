@@ -326,20 +326,38 @@ class IngestReport:
 REJECT_REASONS = INVARIANT_REASONS + ("unparseable",)
 
 
+def _parsed(fields, parse, bad: np.ndarray) -> list:
+    """parse over a column of text fields.  When a field does not parse
+    (ValueError, or KeyError from a lookup), the column is walked field by
+    field to mark each such row in bad; its value reads 0.0."""
+    try:
+        return list(map(parse, fields))
+    except (ValueError, KeyError):
+        values = []
+        for i, f in enumerate(fields):
+            try:
+                values.append(parse(f))
+            except (ValueError, KeyError):
+                bad[i] = True
+                values.append(0.0)
+        return values
+
+
 def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport]:
     """Ingest a CSV file; return per-well datasets plus the reject report.
 
-    One ``csv.reader`` pass reads each row's fields into a list of floats,
-    and marks the row ``unparseable`` when a field does not parse: a bad
-    number or time, an unknown source, a well id that is not an integer, a
-    short row.  Blank lines are skipped.  The time column holds ISO-8601
-    strings or numeric epoch seconds, decided on the first data row.  The
-    row invariants then run as array masks over the parsed
-    ``(t, X, y)`` columns (:func:`invariant_codes`): a row that breaks several
-    takes the first reason of ``non_finite``, ``u_range``, ``p1_nonpositive``,
-    ``p2_nonpositive``, ``T1_nonpositive``, ``fraction_negative``,
-    ``fraction_sum``, ``y_negative``.  Each well's rows are ordered by one
-    stable argsort on t, so rows at one time keep their file order.
+    One ``csv.reader`` pass reads the rows, skipping blank lines; the fields
+    are then parsed column by column, and a row is ``unparseable`` when a
+    field does not parse: a short row, a bad number or time, an unknown
+    source, a well id that is not an integer.  The time column holds
+    ISO-8601 strings or numeric epoch seconds, decided on the first row with
+    a time field.  The row invariants then run as array masks over the
+    parsed ``(t, X, y)`` columns (:func:`invariant_codes`): a row that breaks
+    several takes the first reason of ``non_finite``, ``u_range``,
+    ``p1_nonpositive``, ``p2_nonpositive``, ``T1_nonpositive``,
+    ``fraction_negative``, ``fraction_sum``, ``y_negative``.  Each well's
+    rows are ordered by one stable argsort on t, so rows at one time keep
+    their file order.
 
     Rejected rows are dropped and counted; every run writes a sidecar
     ``<input>.rejects.csv`` with the offending rows, in file order, and a
@@ -348,10 +366,6 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
     a file without a valid row :class:`EmptyDatasetError`.
     """
     path = Path(path)
-    raws: list[list[str]] = []      # every non-blank row, in file order
-    unparseable: list[int] = []     # positions in raws
-    values: list[list[float]] = []  # per row that parses: t, the COLUMNS, q_total, source
-    wells: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -363,48 +377,52 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
             missing = [c for c in CSV_HEADER if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            col = {name: header.index(name) for name in CSV_HEADER}
-            i_t, i_source, i_well = col["t"], col["source"], col["well_id"]
-            i_floats = [col[c] for c in COLUMNS + ("q_total",)]
-            iso_time: bool | None = None  # decided on the first data row
-            for raw in reader:
-                if not raw or not "".join(raw).strip():
-                    continue
-                raws.append(raw)
-                try:
-                    tfield = raw[i_t].strip()
-                    if iso_time is None:
-                        try:
-                            float(tfield)
-                            iso_time = False
-                        except ValueError:
-                            iso_time = True
-                    t = parse_timestamp(tfield) if iso_time else float(tfield)
-                    row = [t, *[float(raw[i]) for i in i_floats],
-                           float(Source.from_str(raw[i_source]))]
-                    well = int(raw[i_well])
-                except (ValueError, IndexError):
-                    unparseable.append(len(raws) - 1)
-                else:
-                    values.append(row)
-                    wells.append(well)
+            raws = [raw for raw in reader if "".join(raw).strip()]  # in file order
     except OSError as e:
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: cannot read: {e}") from None
 
-    cols = np.array(values, dtype=np.float64).reshape(len(values), D_INPUT + 3)
+    col = {name: header.index(name) for name in CSV_HEADER}
+    i_t = col["t"]
+    n, width = len(raws), max(col.values()) + 1
+    bad = np.fromiter(map(len, raws), np.intp, n) < width  # short rows, marked first
+    # the fields by column; a short row's read as blanks, which parse as nothing
+    fields = list(zip(*[[""] * width if short else raw
+                        for short, raw in zip(bad.tolist(), raws)])) or [()] * width
+    iso_time = False
+    for raw in raws:  # decided on the first row with a time field
+        if len(raw) > i_t:
+            try:
+                float(raw[i_t].strip())
+            except ValueError:
+                iso_time = True
+            break
+    spelled = {}  # each source spelling in the file that names a Source, as its code
+    for text in set(fields[col["source"]]):
+        try:
+            spelled[text] = float(Source.from_str(text))
+        except ValueError:
+            pass
+    values = np.empty((n, D_INPUT + 3))  # per row: t, the COLUMNS, q_total, source
+    values[:, 0] = _parsed(fields[i_t], parse_timestamp if iso_time else float, bad)
+    for j, name in enumerate(COLUMNS + ("q_total",), 1):
+        values[:, j] = _parsed(fields[col[name]], float, bad)
+    values[:, -1] = _parsed(fields[col["source"]], spelled.__getitem__, bad)
+    # Python ints, so an id beyond int64 fails where the dataset is built
+    wells = np.array(_parsed(fields[col["well_id"]], int, bad), dtype=object)
+
+    cols, wells = values[~bad], wells[~bad]
     t, X, y = cols[:, 0], cols[:, 1:1 + D_INPUT], cols[:, 1 + D_INPUT]
     broken = invariant_codes(t, X, y)
-    reason = np.full(len(raws), -1)
-    reason[unparseable] = REJECT_REASONS.index("unparseable")
-    reason[reason < 0] = broken
+    reason = np.full(n, REJECT_REASONS.index("unparseable"))
+    reason[~bad] = broken
     rejected = np.flatnonzero(reason >= 0).tolist()
     names = [REJECT_REASONS[r] for r in reason[rejected].tolist()]
     counts: dict[str, int] = {}
     for name in names:
         counts[name] = counts.get(name, 0) + 1
-    report = IngestReport(n_read=len(raws), n_accepted=len(raws) - len(rejected),
+    report = IngestReport(n_read=n, n_accepted=n - len(rejected),
                           n_rejected=len(rejected), reject_reasons=counts)
 
     reject_path = path.with_name(path.name + ".rejects.csv")
@@ -413,15 +431,13 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
         writer.writerow(list(CSV_HEADER) + ["reason"])
         writer.writerows(raws[i] + [name] for i, name in zip(rejected, names))
 
-    rows_by_well: dict[int, list[int]] = {}
-    for j in np.flatnonzero(broken < 0).tolist():
-        rows_by_well.setdefault(wells[j], []).append(j)
-    if not rows_by_well:
+    valid = np.flatnonzero(broken < 0)
+    if not valid.size:
         raise EmptyDatasetError(f"{path}: no valid observations")
     source_codes = cols[:, -1].astype(np.uint8)
     datasets = []
-    for w in sorted(rows_by_well):
-        idx = np.array(rows_by_well[w])
+    for w in sorted(set(wells[valid].tolist())):
+        idx = valid[wells[valid] == w]
         idx = idx[np.argsort(t[idx], kind="stable")]
         datasets.append(WellDataset(t[idx], X[idx], y[idx], source_codes[idx],
                                     np.full(idx.size, w, dtype=np.int64)))

@@ -81,6 +81,14 @@ def estimate_update_frequency(train: WellDataset, t1_fraction: float,
     every later point is tested against it, and estimated_tau is the time from
     the cut to the start of the first run of confirm_count consecutive
     rejections.
+
+    Every point whose difference from the reference mean is nonzero is
+    solved against the same matrix in one batched ``np.linalg.solve``: the
+    matrix broadcast to one copy per point, each against its own one-column
+    right-hand side, which LAPACK solves as it solves a lone point, bit for
+    bit.  The multi-right-hand-side form ``solve(a, diffs.T)`` rounds
+    differently (it changed the statistic on every default well), and each
+    point's ``diff @ sol`` stays its own dot product for the same reason.
     """
     if not 0.0 < t1_fraction < 1.0:
         raise ConfigError("t1_fraction must lie in (0, 1)")
@@ -108,16 +116,16 @@ def estimate_update_frequency(train: WellDataset, t1_fraction: float,
 
     diffs = (mu1 - x[n1:]) / scale
     ht2 = np.zeros(n - n1)
-    for k, diff in enumerate(diffs):
-        if not np.any(diff):
-            continue
+    moved = np.flatnonzero(diffs.any(axis=1))
+    if moved.size:
         try:
-            sol = np.linalg.solve(a, diff)
+            sols = np.linalg.solve(np.broadcast_to(a, (moved.size, d, d)),
+                                   diffs[moved, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            sol = np.full(d, np.nan)
-        if not np.all(np.isfinite(sol)):
+            sols = np.full((moved.size, d), np.nan)
+        if not np.all(np.isfinite(sols)):
             raise DegenerateFeatureError(degenerate)
-        ht2[k] = float(diff @ sol)
+        ht2[moved] = [float(diff @ sol) for diff, sol in zip(diffs[moved], sols)]
     f_stat = f_statistic(ht2, d, n1, 1)
     f_crit = np.full(n - n1, crit)
     detected = f_stat > f_crit

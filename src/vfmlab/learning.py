@@ -380,6 +380,13 @@ def write_log(log: PredictionLog, path: str | Path) -> None:
     sidecar.write_text(json.dumps(log.metadata, indent=2, sort_keys=True) + "\n")
 
 
+def _by_spelling(fields, parse, dtype) -> np.ndarray:
+    """parse over a column of text fields, each distinct spelling parsed
+    once: the first, in order, that does not parse raises."""
+    value = {f: parse(f) for f in dict.fromkeys(fields)}
+    return np.array(list(map(value.__getitem__, fields)), dtype=dtype)
+
+
 def read_log(path: str | Path) -> PredictionLog:
     path = Path(path)
     try:
@@ -388,15 +395,17 @@ def read_log(path: str | Path) -> PredictionLog:
         raise SchemaError(f"{path}: cannot read: {e}") from None
     if not lines or lines[0] != _LOG_HEADER:
         raise SchemaError(f"{path}: not a prediction log")
-    rows = [ln.split(",") for ln in lines[1:] if ln]
-    if any(len(r) != 6 for r in rows):
+    body = [ln for ln in lines[1:] if ln]
+    if list(map(str.count, body, [","] * len(body))).count(5) != len(body):
         raise SchemaError(f"{path}: a log row needs 6 fields")
-    t, w, yt, yp, v, src = zip(*rows) if rows else [()] * 6
+    # one split of every row at once, then one conversion per column
+    fields = ",".join(body).split(",") if body else []
+    t, w, yt, yp, v, src = (fields[j::6] for j in range(6))
     try:
-        cols = (np.array([float(x) for x in t]), np.array([int(x) for x in w], dtype=np.int64),
-                np.array([float(x) for x in yt]), np.array([float(x) for x in yp]),
-                np.array([int(x) for x in v], dtype=np.int64),
-                np.array([int(Source.from_str(x)) for x in src], dtype=np.uint8))
+        cols = (np.array(list(map(float, t))), _by_spelling(w, int, np.int64),
+                np.array(list(map(float, yt))), np.array(list(map(float, yp))),
+                _by_spelling(v, int, np.int64),
+                _by_spelling(src, lambda s: int(Source.from_str(s)), np.uint8))
     except (ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: a log field does not parse ({e})") from None
     sidecar = path.with_name(path.name + ".meta.json")

@@ -15,7 +15,7 @@ parallel and regenerated bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,16 @@ def _validated(params: MechanisticParams, name: str, value: float) -> None:
         params.with_value(name, value)
     except ConfigError as e:
         raise ScenarioError(str(e)) from None
+
+
+def _non_finite(value) -> bool:
+    """Whether value, a number or sequences and dicts of numbers and names,
+    holds a NaN or an infinity."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (tuple, list)) and any(map(_non_finite, value))
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,10 @@ class WellScenario:
     geometry: ChokeGeometry = field(default_factory=ChokeGeometry)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _non_finite(value):
+                raise ScenarioError(f"{f.name} must be finite, not {value!r}")
         if self.horizon_days <= 0:
             raise ScenarioError("horizon_days must be positive")
         if self.obs_per_day <= 0:
@@ -132,9 +146,18 @@ def _ramp_value(v0: float, end_value: float, d0: float, d1: float, day: float) -
 
 
 def generate_stream(sc: WellScenario) -> WellDataset:
-    """Simulate the scenario into a time-ordered single-well dataset."""
+    """Simulate the scenario into a time-ordered single-well dataset.
+
+    Every normal the well uses comes from one ``rng.standard_normal`` call
+    (numpy's Generator gives the same stream in bulk as one value at a time),
+    taken row by row in this order: one per wobble, in ``param_wobble``
+    order; then the jitters whose magnitude is above 0, in the order u, p1,
+    p2, T1, eta_oil, eta_gas; then the row's noise, when its source's std is
+    above 0.  The parameters are Python floats, and the flow is the one-row
+    path of ``kernels.mm_predict``: ``kernels._mm_row`` on the row's floats.
+    """
     rng = substream(sc.seed, f"synth.{sc.well_id}")
-    geom = sc.geometry.as_array()
+    geom = sc.geometry.as_array().tolist()
     u_days = np.array([k[0] for k in sc.u_profile])
     u_vals = np.array([k[1] for k in sc.u_profile])
 
@@ -152,8 +175,18 @@ def generate_stream(sc: WellScenario) -> WellDataset:
         rows.append((tw, Source.WELLTEST))
         k += 1
     rows.sort(key=lambda r: r[0])
+    n = len(rows)
+    days = [(t - sc.t0) / SECONDS_PER_DAY for t, _ in rows]
+    u_at = np.interp(days, u_days, u_vals).tolist()
 
-    theta = sc.true_params.as_array()
+    stds = {Source.MPFM: sc.noise_std_mpfm, Source.WELLTEST: sc.noise_std_welltest}
+    per_row = len(sc.param_wobble) + sum(
+        n for jitter, n in ((sc.u_jitter, 1), (sc.p_jitter_rel, 2), (sc.temp_jitter, 1),
+                            (sc.frac_jitter, 2)) if jitter > 0)
+    n_draws = n * per_row + sum(stds[source] > 0 for _, source in rows)
+    normal = map(float, rng.standard_normal(n_draws)).__next__
+
+    theta = sc.true_params.as_array().tolist()
     ramps = [(MM_PARAM_NAMES.index(name), d0, d1, end_value)
              for name, d0, d1, end_value in sc.param_ramps]
     # exact Ornstein-Uhlenbeck transition between (irregular) row times
@@ -161,14 +194,13 @@ def generate_stream(sc: WellScenario) -> WellDataset:
                 HARD_BOUNDS[name]] for name, rel_std, corr_days in sc.param_wobble]
     ev_idx = 0
     prev_day = 0.0
-    ts, xs, ys, sources = [], [], [], []  # the dataset's columns, row by row
-    for t, source in rows:
-        day = (t - sc.t0) / SECONDS_PER_DAY
+    X, y_col = np.empty((n, D_INPUT)), np.empty(n)  # filled row by row
+    for i, ((t, source), day, u) in enumerate(zip(rows, days, u_at)):
         frac = day / sc.horizon_days
         while ev_idx < len(events) and events[ev_idx][0] <= day:
             _, name, value = events[ev_idx]
             theta = theta.copy()
-            theta[MM_PARAM_NAMES.index(name)] = value
+            theta[MM_PARAM_NAMES.index(name)] = float(value)
             ev_idx += 1
         theta_eval = theta
         for idx, d0, d1, end_value in ramps:
@@ -183,7 +215,7 @@ def generate_stream(sc: WellScenario) -> WellDataset:
         for wob in wobbles:
             idx, rel_std, corr, w, (lo, hi) = wob
             decay = math.exp(-dt_days / corr)
-            w = w * decay + rel_std * math.sqrt(1.0 - decay * decay) * rng.standard_normal()
+            w = w * decay + rel_std * math.sqrt(1.0 - decay * decay) * normal()
             w = min(max(w, -3.0 * rel_std), 3.0 * rel_std)
             wob[3] = w
             if theta_eval is theta:
@@ -191,22 +223,21 @@ def generate_stream(sc: WellScenario) -> WellDataset:
             v = theta_eval[idx] * (1.0 + w)
             theta_eval[idx] = min(max(v, lo + 1e-12), hi * (1.0 - 1e-9))
 
-        u = float(np.interp(day, u_days, u_vals))
         p1 = sc.p1_start + (sc.p1_end - sc.p1_start) * frac
         p2 = sc.p2_start + (sc.p2_end - sc.p2_start) * frac
-        temp = sc.temp_k
+        temp = float(sc.temp_k)
         eta_o = sc._frac_at("eta_oil", frac)
         eta_g = sc._frac_at("eta_gas", frac)
         if sc.u_jitter > 0:
-            u = min(1.0, max(0.0, u + sc.u_jitter * rng.standard_normal()))
+            u = min(1.0, max(0.0, u + sc.u_jitter * normal()))
         if sc.p_jitter_rel > 0:
-            p1 *= 1.0 + sc.p_jitter_rel * rng.standard_normal()
-            p2 *= 1.0 + sc.p_jitter_rel * rng.standard_normal()
+            p1 *= 1.0 + sc.p_jitter_rel * normal()
+            p2 *= 1.0 + sc.p_jitter_rel * normal()
         if sc.temp_jitter > 0:
-            temp += sc.temp_jitter * rng.standard_normal()
+            temp += sc.temp_jitter * normal()
         if sc.frac_jitter > 0:
-            eta_o = max(0.0, eta_o + sc.frac_jitter * rng.standard_normal())
-            eta_g = max(0.0, eta_g + sc.frac_jitter * rng.standard_normal())
+            eta_o = max(0.0, eta_o + sc.frac_jitter * normal())
+            eta_g = max(0.0, eta_g + sc.frac_jitter * normal())
             s = eta_o + eta_g
             if s > 1.0:
                 eta_o, eta_g = eta_o / s, eta_g / s
@@ -214,20 +245,17 @@ def generate_stream(sc: WellScenario) -> WellDataset:
         if p1 <= 0 or p2 <= 0 or temp <= 0:
             raise ScenarioError(f"nonpositive pressure or temperature at t={t}")
 
-        x = np.array([u, p1, p2, temp, eta_o, eta_g])
-        y_true, _ = kernels.mm_predict(theta_eval, x[None, :], geom)
-        y = float(y_true[0])
+        x = [u, p1, p2, temp, eta_o, eta_g]
+        a2, r, vsc, _ = kernels._mm_row(theta_eval, x, geom, False)
+        y = kernels.M3S_TO_SM3H * theta_eval[5] * a2 * r * vsc
         if not math.isfinite(y):
             raise ScenarioError(f"flow evaluation failed at t={t}")
-        std = sc.noise_std_welltest if source is Source.WELLTEST else sc.noise_std_mpfm
+        std = stds[source]
         if std > 0:
-            y *= 1.0 + std * rng.standard_normal()
-        ts.append(t)
-        xs.append(x)
-        ys.append(max(y, 0.0))
-        sources.append(source)
+            y *= 1.0 + std * normal()
+        X[i] = x
+        y_col[i] = max(y, 0.0)
     # rows are in time order, so the columns need no sort
-    n = len(rows)
-    return WellDataset(np.array(ts, dtype=np.float64), np.array(xs).reshape(n, D_INPUT),
-                       np.array(ys), np.array(sources, dtype=np.uint8),
+    return WellDataset(np.array([t for t, _ in rows], dtype=np.float64), X, y_col,
+                       np.array([source for _, source in rows], dtype=np.uint8),
                        np.full(n, sc.well_id, dtype=np.int64))

@@ -7,11 +7,14 @@ package dropped it), each row's invariants checked on its own
 (``invariant_violation``, the per-row check ``Observation`` made then), each
 well's rows sorted by time in Python.  ``write_csv``, ``write_log``,
 ``write_rolling_csv`` and ``write_shift_csv`` are the writers as they were
-then, formatting one element at a time.  ``test_io_oracle`` and
-``tools/io_layer.py --smoke`` assert that the package's ingest returns the
-same datasets byte for byte, the same ``IngestReport`` and the same rejects
-sidecar bytes, and that its writers write the same bytes.  Do not edit
-these bodies to follow a change in the package: they are the reference.
+then, formatting one element at a time.  ``read_log`` is the prediction-log
+reader as it was then: one ``float``, ``int`` or ``Source.from_str`` call per
+field.  ``test_io_oracle`` and ``tools/io_layer.py --smoke`` assert that the
+package's ingest returns the same datasets byte for byte, the same
+``IngestReport`` and the same rejects sidecar bytes, that its writers write
+the same bytes, and that its ``read_log`` reads the same log or raises the
+same error.  Do not edit these bodies to follow a change in the package:
+they are the reference.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from vfmlab.core import (COLUMNS, CSV_HEADER, D_INPUT, IngestReport, Source, WellDataset,
                          parse_timestamp)
 from vfmlab.errors import EmptyDatasetError, SchemaError
+from vfmlab.learning import PredictionLog
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,35 @@ def write_log(log, path: str | Path) -> None:
     sidecar.write_text(json.dumps(log.metadata, indent=2, sort_keys=True) + "\n")
 
 
+def read_log(path: str | Path) -> PredictionLog:
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: cannot read: {e}") from None
+    if not lines or lines[0] != _LOG_HEADER:
+        raise SchemaError(f"{path}: not a prediction log")
+    rows = [ln.split(",") for ln in lines[1:] if ln]
+    if any(len(r) != 6 for r in rows):
+        raise SchemaError(f"{path}: a log row needs 6 fields")
+    t, w, yt, yp, v, src = zip(*rows) if rows else [()] * 6
+    try:
+        cols = (np.array([float(x) for x in t]), np.array([int(x) for x in w], dtype=np.int64),
+                np.array([float(x) for x in yt]), np.array([float(x) for x in yp]),
+                np.array([int(x) for x in v], dtype=np.int64),
+                np.array([int(Source.from_str(x)) for x in src], dtype=np.uint8))
+    except (ValueError, OverflowError) as e:
+        raise SchemaError(f"{path}: a log field does not parse ({e})") from None
+    sidecar = path.with_name(path.name + ".meta.json")
+    try:
+        meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    except ValueError as e:   # not UTF-8, or not JSON
+        raise SchemaError(f"{sidecar}: not valid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{sidecar}: log metadata must be a JSON object")
+    return PredictionLog(*cols, meta)
+
+
 def write_rolling_csv(report, path: str | Path) -> None:
     t, v, p25, p75 = report.rolling_series
     lines = ["t,rolling_mae,p25,p75"]
@@ -239,6 +272,32 @@ def ingest_differences(path: str | Path) -> list[str]:
             if not _same_array(getattr(a, name), getattr(b, name)):
                 out.append(f"{path.name}: well {b.well_id} column {name} differs")
     return out
+
+
+def log_differences(path: str | Path) -> list[str]:
+    """How ``vfmlab.learning.read_log`` on one log differs from the
+    reference: each column byte for byte and the metadata, or the error
+    raised, its type and message.  An empty list when they agree."""
+    from vfmlab import learning
+    from vfmlab.errors import VfmlabError
+
+    path = Path(path)
+    got = {}
+    for side, read in (("reference", read_log), ("vfmlab", learning.read_log)):
+        try:
+            log = read(path)
+        except VfmlabError as e:
+            got[side] = f"{type(e).__name__}: {e}"
+        else:
+            got[side] = {name: getattr(log, name) for name in (
+                "t", "well", "y_true", "y_pred", "model_version", "source", "metadata")}
+    want, have = got["reference"], got["vfmlab"]
+    if isinstance(want, str) or isinstance(have, str):
+        return [] if have == want else [f"{path.name}: read_log gave {str(have)[:200]}, "
+                                        f"reference {str(want)[:200]}"]
+    return [f"{path.name}: read_log column {name} differs" for name in want
+            if (have[name] != want[name] if name == "metadata"
+                else not _same_array(have[name], want[name]))]
 
 
 def writer_differences(out_dir: str | Path, datasets, logs, rolling, shifts) -> list[str]:

@@ -192,6 +192,37 @@ def test_a_power_schedule_whose_rate_underflows_runs(tmp_path):
             == 1e-3 / np.float64(2.0) ** 1e6 == 0.0
 
 
+# per group of scenario numbers, one that JSON can only spell as NaN or
+# Infinity, and what `simulate` did with it before scenarios refused them
+NON_FINITE = {
+    "rate": ("obs_per_day", float("nan")),                       # ValueError traceback
+    "pressure": ("p1_end", float("inf")),                        # "flow evaluation failed"
+    "temperature": ("temp_k", float("inf")),                     # ZeroDivisionError traceback
+    "noise": ("noise_std_mpfm", float("inf")),                   # exit 0, inf and 0 targets
+    "jitter": ("temp_jitter", float("inf")),                     # ZeroDivisionError traceback
+    "welltest-interval": ("welltest_interval_days", float("nan")),   # exit 0
+    "fraction-ramp": ("fraction_drift", {"eta_oil": [float("nan"), 0.3]}),  # "flow evaluation"
+    "u-profile-knot": ("u_profile", [[0, 0.4], [float("inf"), 0.5]]),       # exit 0
+    "event": ("real_drift_events", [[10, "C_D", float("nan")]]),            # "flow evaluation"
+    "ramp": ("param_ramps", [["C_D", 5, float("inf"), 0.7]]),              # exit 0
+    "wobble": ("param_wobble", [["C_D", 0.05, float("inf")]]),             # exit 0
+}
+
+
+@pytest.mark.parametrize("name, value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_non_finite_scenario_number_is_a_data_error(tmp_path, capsys, name, value):
+    """NaN and infinities pass every order comparison; the scenario refuses
+    them by name before a row is simulated: exit 2, one line on stderr."""
+    raw = _tiny_study(tmp_path)
+    raw["scenarios"][0][name] = value
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {name} must be finite") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "data").exists()
+
+
 def _run_on_csv(tmp_path, csv_path):
     raw = _tiny_study(tmp_path)
     del raw["scenarios"]

@@ -1,17 +1,20 @@
-"""The columnar ingest and writers against the row-at-a-time reference in
-``tests/loop_io.py``: the same datasets byte for byte, the same
-``IngestReport``, the same rejects sidecar and the same written bytes."""
+"""The columnar ingest, writers and log reader against the row-at-a-time
+reference in ``tests/loop_io.py``: the same datasets byte for byte, the same
+``IngestReport``, the same rejects sidecar, the same written bytes, and the
+same prediction log read back or the same error raised."""
 
 import csv
 import datetime as dt
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loop_io
-from vfmlab import MetricReport, PredictionLog, ShiftReport, WellDataset
+from vfmlab import MetricReport, PredictionLog, ShiftReport, WellDataset, learning
 from vfmlab.core import CSV_HEADER, INVARIANT_REASONS, ingest_csv_report
+from vfmlab.errors import DataError, SchemaError
 
 # each column's valid spellings first; then values that break one invariant
 # or do not parse
@@ -155,3 +158,66 @@ def test_writers_match_the_row_at_a_time_reference(tmp_path, data):
                            rolling_series=(t, cols[0], cols[1], cols[2]))
     shift = ShiftReport(t, cols[3], cols[4], cols[5], cols[8] > 0.0, None)
     assert loop_io.writer_differences(tmp_path, [ds], [log], [rolling], [shift]) == []
+
+
+# -------------------------------------------------------------------- log reads
+
+LOG_HEADER = "t,well_id,y_true,y_pred,model_version,source"
+LOG_ROWS = ["0,1,100.0,90.0,0,MPFM", "3600,2,50.5,nan,1,WellTest", "7200.5,1,0.0,-inf,1,mpfm",
+            "7200.5,3,1e300,inf,2,well_test", "9000,1,12.0,11.0,12, well-test ",
+            "9001,-4,12.0,11.0,0,WELLTEST"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=columns(2))
+def test_read_log_matches_the_row_at_a_time_reference(tmp_path, data):
+    t, cols, codes, ints = data
+    log = PredictionLog(t, ints, cols[0], cols[1], np.abs(ints), codes, metadata={"n": len(t)})
+    path = tmp_path / "log.csv"
+    loop_io.write_log(log, path)
+    assert loop_io.log_differences(path) == []
+
+
+def _log_file(path, lines, end="\n"):
+    path.write_text(end.join([LOG_HEADER, *lines]) + end)
+    return path
+
+
+def test_read_log_reads_nan_aliases_blank_lines_and_empty_logs_as_the_reference(tmp_path):
+    path = _log_file(tmp_path / "log.csv", LOG_ROWS[:3] + [""] + LOG_ROWS[3:], end="\r\n")
+    assert loop_io.log_differences(path) == []
+    assert learning.read_log(path).source.tolist() == [0, 1, 0, 1, 1, 1]
+    for lines in ([], [""]):
+        assert loop_io.log_differences(_log_file(tmp_path / "empty.csv", lines)) == []
+        assert len(learning.read_log(tmp_path / "empty.csv")) == 0
+
+
+# each a log whose rows are LOG_ROWS with the given fields replaced, in order
+BAD_LOGS = {
+    "t": [(1, 0, "x")], "well": [(2, 1, "1.0")], "y_true": [(0, 2, "")],
+    "y_pred": [(4, 3, "1.2.3")], "version": [(3, 4, "1.5")], "source": [(5, 5, "Venturi")],
+    "well-overflow": [(1, 1, str(10**30))],
+    "source-then-t": [(0, 5, "Venturi"), (5, 0, "t")],
+    "two-sources": [(1, 5, "Coriolis"), (0, 5, "Venturi")],
+    "out-of-order": [(5, 0, "-1")],
+}
+
+
+@pytest.mark.parametrize("fields", BAD_LOGS.values(), ids=BAD_LOGS.keys())
+def test_a_bad_log_field_raises_as_the_reference(tmp_path, fields):
+    rows = [r.split(",") for r in LOG_ROWS]
+    for i, j, text in fields:
+        rows[i][j] = text
+    path = _log_file(tmp_path / "log.csv", [",".join(r) for r in rows])
+    assert loop_io.log_differences(path) == []
+    with pytest.raises(DataError):
+        learning.read_log(path)
+
+
+@pytest.mark.parametrize("line", ["0,1,100.0,90.0,0", "0,1,100.0,90.0,0,MPFM,x", ","])
+def test_a_short_or_long_log_row_raises_as_the_reference(tmp_path, line):
+    path = _log_file(tmp_path / "log.csv", LOG_ROWS[:2] + [line])
+    assert loop_io.log_differences(path) == []
+    with pytest.raises(SchemaError, match="a log row needs 6 fields"):
+        learning.read_log(path)

@@ -1,5 +1,7 @@
-"""Time the text I/O layer: CSV ingest and the four writers, columnar against
-row at a time.
+"""Time text I/O, synthetic wells and the drift scan, columnar against row at a time.
+
+These are the passes that come before and after the fits: CSV ingest, the
+four writers, log reads, the synthetic well generator and the drift scan.
 
 Builds the wells of the default StudyConfig at seed 0 and writes each to
 its CSV as ``vfmlab simulate`` does.  From them it builds what the study
@@ -12,20 +14,28 @@ times, alternating the two sides, ``--repeats`` times each,
 * ``write_csv``: every well to its CSV,
 * ``write_log``, ``write_rolling_csv``, ``write_shift_csv``: every log and
   report,
+* ``read_log``: every log, as ``vfmlab report`` reads them,
+* ``generate_stream``: every well of the default scenarios,
+* ``scan``: ``estimate_update_frequency`` over every well, as ``vfmlab
+  detect`` runs it,
 
-once with ``vfmlab``'s columnar functions and once with the frozen
-row-at-a-time reference in ``tests/loop_io.py``, and prints one JSON object:
-per operation, the rows it handles and each side's min seconds.
+once with ``vfmlab``'s functions and once with the frozen row-at-a-time
+references in ``tests/loop_io.py`` and ``tests/loop_passes.py``, and prints
+one JSON object: per operation, the rows it handles and each side's min
+seconds.
 
     PYTHONPATH=src python3 tools/io_layer.py
     PYTHONPATH=src python3 tools/io_layer.py --repeats 15
     PYTHONPATH=src python3 tools/io_layer.py --smoke
 
 ``--smoke`` runs in a few seconds: it compares the two sides' bytes instead
-of timing them, on the first 120 days of wells 1 to 3, on a CSV with each
-reject reason, unparseable fields, blank lines and rows out of time order,
-and on that CSV with ISO times; it prints the differences and exits 1 when
-there is any.
+of timing them: ingest and the writers on the first 120 days of wells 1 to
+3, on a CSV with each reject reason, unparseable fields, blank lines and
+rows out of time order, and on that CSV with ISO times; ``read_log`` on the
+written logs and on a log with source aliases, NaN predictions and a blank
+line; the generator on every default well at seeds 0 and 1 and on a
+scenario with a step, a ramp, a wobble and every jitter; the scan on every
+default well.  It prints the differences and exits 1 when there is any.
 """
 
 from __future__ import annotations
@@ -45,12 +55,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-import loop_io  # noqa: E402  (the frozen reference)
-from vfmlab import core, drift, learning, metrics  # noqa: E402
+import loop_io  # noqa: E402  (the frozen references)
+import loop_passes  # noqa: E402
+from vfmlab import core, drift, learning, metrics, synth  # noqa: E402
 from vfmlab.config import StudyConfig  # noqa: E402
 from vfmlab.core import CSV_HEADER, WellDataset, substream  # noqa: E402
 from vfmlab.learning import PredictionLog  # noqa: E402
-from vfmlab.synth import generate_stream  # noqa: E402
+from vfmlab.models import MechanisticParams  # noqa: E402
+from vfmlab.synth import WellScenario, generate_stream  # noqa: E402
 
 DAY = 86400.0
 SEED = 0
@@ -82,7 +94,24 @@ def study_inputs(n_logs: int, n_wells: int | None = None,
         rolling = [metrics.metric_report(log) for log in logs]
         shifts = [drift.estimate_update_frequency(ds, cfg.t1_fraction, cfg.drift_config())
                   for ds in wells]
-    return {"wells": wells, "logs": logs, "rolling": rolling, "shifts": shifts}
+    return {"wells": wells, "logs": logs, "rolling": rolling, "shifts": shifts,
+            "scenarios": cfg.scenario_objects()[:n_wells], "t1_fraction": cfg.t1_fraction,
+            "drift": cfg.drift_config()}
+
+
+# every branch of the generator: a step, a ramp, a wobble, every jitter, both
+# noises and a well test on an MPFM row
+BRANCHY = WellScenario(
+    horizon_days=60, obs_per_day=2.0, welltest_interval_days=5.0, seed=SEED,
+    u_profile=((0.0, 0.4), (30.0, 0.6)), real_drift_events=((10.0, "C_D", 0.7),),
+    param_ramps=(("rho_oil", 20.0, 40.0, 900.0),), param_wobble=(("kappa", 0.02, 5.0),),
+    u_jitter=0.02, p_jitter_rel=0.01, temp_jitter=1.0, frac_jitter=0.01,
+    true_params=MechanisticParams())
+
+# a log row per source spelling, NaN and infinite predictions, and a blank line
+EDGE_LOG = ("t,well_id,y_true,y_pred,model_version,source\n0,1,100.0,90.0,0,MPFM\n"
+            "3600,2,50.5,nan,1,welltest\n\n7200.5,1,0.0,-inf,1,mpfm\n"
+            "9000,3,12.0,inf,2, well-test \n9001,1,1e300,0.5,3,well_test\n")
 
 
 def edge_rows(iso: bool) -> list[list[str]]:
@@ -126,6 +155,16 @@ def smoke(out: Path) -> list[str]:
         edges += core.ingest_csv(path)
     diffs += loop_io.writer_differences(out / "writers", inputs["wells"] + edges,
                                         inputs["logs"], inputs["rolling"], inputs["shifts"])
+    (out / "edge_log.csv").write_text(EDGE_LOG)
+    diffs += loop_io.log_differences(out / "edge_log.csv")
+    diffs += [d for p in sorted((out / "writers" / "vfmlab").glob("log_*.csv"))
+              for d in loop_io.log_differences(p)]
+    for seed in (SEED, SEED + 1):
+        cfg = StudyConfig(seed=seed)
+        diffs += [d for sc in cfg.scenario_objects() for d in loop_passes.stream_differences(sc)]
+        diffs += [d for ds in cfg.load_datasets().values()
+                  for d in loop_passes.scan_differences(ds, cfg.t1_fraction, cfg.drift_config())]
+    diffs += loop_passes.stream_differences(BRANCHY)
     return diffs
 
 
@@ -135,10 +174,15 @@ def operations(inputs: dict, out: Path) -> dict:
     paths = [out / f"well_{i}.csv" for i in range(len(wells))]
     for path, ds in zip(paths, wells):
         core.write_csv(path, [ds])
-    vfmlab = SimpleNamespace(ingest_csv_report=core.ingest_csv_report, write_csv=core.write_csv,
-                             write_log=learning.write_log,
-                             write_rolling_csv=metrics.write_rolling_csv,
-                             write_shift_csv=drift.write_shift_csv)
+    log_paths = [out / f"read_log_{i}.csv" for i in range(len(logs))]
+    for path, log in zip(log_paths, logs):
+        learning.write_log(log, path)
+    names = ("ingest_csv_report", "write_csv", "write_log", "write_rolling_csv",
+             "write_shift_csv", "read_log", "generate_stream", "estimate_update_frequency")
+    vfmlab = SimpleNamespace(**{name: getattr(module, name) for module in (
+        core, learning, metrics, drift, synth) for name in names if hasattr(module, name)})
+    reference = SimpleNamespace(**{name: getattr(module, name) for module in (
+        loop_io, loop_passes) for name in names if hasattr(module, name)})
 
     def calls(m) -> dict:
         return {
@@ -150,13 +194,18 @@ def operations(inputs: dict, out: Path) -> dict:
             "write_rolling_csv": lambda: [m.write_rolling_csv(rep, out / f"rolling_{i}.csv")
                                           for i, rep in enumerate(rolling)],
             "write_shift_csv": lambda: [m.write_shift_csv(rep, out / f"shift_{i}.csv")
-                                        for i, rep in enumerate(shifts)]}
+                                        for i, rep in enumerate(shifts)],
+            "read_log": lambda: [m.read_log(p) for p in log_paths],
+            "generate_stream": lambda: [m.generate_stream(sc) for sc in inputs["scenarios"]],
+            "scan": lambda: [m.estimate_update_frequency(ds, inputs["t1_fraction"],
+                                                         inputs["drift"]) for ds in wells]}
 
-    sides = {"vfmlab": calls(vfmlab), "reference": calls(loop_io)}
+    sides = {"vfmlab": calls(vfmlab), "reference": calls(reference)}
     rows = {"ingest": sum(map(len, wells)), "write_csv": sum(map(len, wells)),
             "write_log": sum(map(len, logs)),
             "write_rolling_csv": sum(len(r.rolling_series[0]) for r in rolling),
-            "write_shift_csv": sum(map(len, shifts))}
+            "write_shift_csv": sum(map(len, shifts)), "read_log": sum(map(len, logs)),
+            "generate_stream": sum(map(len, wells)), "scan": sum(map(len, shifts))}
     return {name: (rows[name], {side: fns[name] for side, fns in sides.items()})
             for name in rows}
 
