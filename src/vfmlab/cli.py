@@ -9,10 +9,12 @@ Every command is a pure function of (config, input files, seed): re-running
 overwrites outputs with identical bytes.  Exit codes: 0 success, 1 config
 error, 2 data error, 3 numeric failure.
 
-run and tune use the cores: run's lockstep fits split across forked workers
-(``optim.fit_maps``), and tune deals its scoring jobs to them (the same
-``optim._fork``).  Under ``taskset -c 0`` either runs in one process, and
-its outputs, stdout and exit code are the same either way.
+run and tune use the cores, by one dealing rule (``optim._deal``, longest
+first, through ``optim._fork``): run's lockstep fits of every kind split
+across forked workers (``optim.fit_maps``) and so do its OL units
+(``learning.run_schedules``), and tune deals its scoring jobs to them.
+Under ``taskset -c 0`` either runs in one process, and its outputs, stdout,
+exit code and stderr (but for run's stage seconds) are the same either way.
 """
 
 from __future__ import annotations

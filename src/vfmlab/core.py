@@ -343,18 +343,27 @@ def _parsed(fields, parse, bad: np.ndarray) -> list:
         return values
 
 
+def _well_id(text: str) -> int:
+    """A well id field as an int; ValueError unless it is an integer that
+    int64 holds."""
+    w = int(text)
+    if not -2**63 <= w < 2**63:
+        raise ValueError(f"well id {text!r} does not fit int64")
+    return w
+
+
 def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport]:
     """Ingest a CSV file; return per-well datasets plus the reject report.
 
     One ``csv.reader`` pass reads the rows, skipping blank lines; the fields
     are then parsed column by column, and a row is ``unparseable`` when a
     field does not parse: a short row, a bad number or time, an unknown
-    source, a well id that is not an integer.  The time column holds
-    ISO-8601 strings or numeric epoch seconds, decided on the first row with
-    a time field.  The row invariants then run as array masks over the
-    parsed ``(t, X, y)`` columns (:func:`invariant_codes`): a row that breaks
-    several takes the first reason of ``non_finite``, ``u_range``,
-    ``p1_nonpositive``, ``p2_nonpositive``, ``T1_nonpositive``,
+    source, a well id that is not an integer or lies beyond int64.  The
+    time column holds ISO-8601 strings or numeric epoch seconds, decided on
+    the first row with a time field.  The row invariants then run as array
+    masks over the parsed ``(t, X, y)`` columns (:func:`invariant_codes`): a
+    row that breaks several takes the first reason of ``non_finite``,
+    ``u_range``, ``p1_nonpositive``, ``p2_nonpositive``, ``T1_nonpositive``,
     ``fraction_negative``, ``fraction_sum``, ``y_negative``.  Each well's
     rows are ordered by one stable argsort on t, so rows at one time keep
     their file order.
@@ -409,8 +418,7 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
     for j, name in enumerate(COLUMNS + ("q_total",), 1):
         values[:, j] = _parsed(fields[col[name]], float, bad)
     values[:, -1] = _parsed(fields[col["source"]], spelled.__getitem__, bad)
-    # Python ints, so an id beyond int64 fails where the dataset is built
-    wells = np.array(_parsed(fields[col["well_id"]], int, bad), dtype=object)
+    wells = np.array(_parsed(fields[col["well_id"]], _well_id, bad), dtype=np.int64)
 
     cols, wells = values[~bad], wells[~bad]
     t, X, y = cols[:, 0], cols[:, 1:1 + D_INPUT], cols[:, 1 + D_INPUT]

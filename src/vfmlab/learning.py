@@ -17,8 +17,10 @@ row's previous observation of its well, in one pass.
 
 :func:`run_schedules` drives several units (one schedule x kind x well, as
 ``vfmlab run`` has one per well) at once: it walks every PBL unit's periods,
-fits all their refits in one lockstep (``optim.fit_maps``), and assembles
-each unit's log, which equals :func:`run_schedule` on that unit alone.
+fits all their refits in one lockstep (``optim.fit_maps``), deals its OL
+units to the cores by the rule that deals those fits (``optim._deal``,
+``optim._fork``), and assembles each unit's log, which equals
+:func:`run_schedule` on that unit alone.
 
 Version bookkeeping: the logged model_version is the version that produced
 the prediction, and it increments exactly once per successful refit or
@@ -30,6 +32,7 @@ against one row at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,6 +41,7 @@ import numpy as np
 
 from .core import (Source, DataSplit, WellDataset, fit_scaler, float_strings, int_strings,
                    source_strings, text_table, time_strings, time_value)
+from . import optim
 from .errors import ConfigError, DataError, SchemaError
 from .models import (ModelKind, ModelSpec, build_plan, check_inputs, plan_predict,
                      scale_inputs, task_columns)
@@ -339,19 +343,37 @@ def run_schedules(units) -> list[PredictionLog]:
     """One log per ``(m0, split, ScheduleConfig)`` unit of `units`, each the
     log :func:`run_schedule` gives that unit alone, bit for bit.
 
-    OL units run :func:`run_ol` one by one.  The refits of every PBL unit go
-    to one ``optim.fit_maps`` call, so the PBL units with refits must share
-    what it stacks: kind, structure, priors, bounds, and the optimizer and
-    early-stopping settings (ConfigError otherwise).  Units are checked and
-    OL units run in order, so a failing unit raises as it would alone.
+    Every PBL unit's periods are walked first, in order.  The OL units
+    listed before the first walk that fails are then dealt, as
+    ``optim.fit_maps`` deals its fits, to min(CPUs, units) shares by the
+    longest-processing-time rule at a cost of one per test row
+    (``optim._deal``), and run through ``optim._fork``: :func:`run_ol` on
+    each, which gives its log or the error it raised, kept rather than
+    raised.  The first failing unit's error in list order, a walk's or an
+    OL unit's, is then raised, so a failing call fails as it does in one
+    process.  The refits of every PBL unit go to one ``optim.fit_maps``
+    call, so the PBL units with refits must share what it stacks: kind,
+    structure, priors, bounds, and the optimizer and early-stopping
+    settings (ConfigError otherwise).
     """
-    logs, walks = [], {}
+    logs: list = [None] * len(units)
+    walks, ol = {}, []
     for u, (m0, split, cfg) in enumerate(units):
-        if cfg.mode == "pbl":
+        if cfg.mode == "ol":
+            ol.append(u)
+            continue
+        try:
             walks[u] = (cfg, *_pbl_walk(m0, split, cfg))
-            logs.append(None)
-        else:
-            logs.append(run_ol(m0, split, cfg))
+        except Exception as e:   # the units after it would not run in one process
+            logs[u] = e
+            break
+    shares = optim._deal(ol, optim._fork_workers(len(ol)), lambda u: len(units[u][1].test))
+    for share, got in zip(shares, optim._fork(functools.partial(_ol_share, units), shares)):
+        for u, log in zip(share, got):
+            logs[u] = log
+    failed = next((log for log in logs if isinstance(log, Exception)), None)
+    if failed is not None:
+        raise failed
     refitting = [cfg for cfg, fits, _ in walks.values() if fits]
     fitted = iter(())
     if refitting:
@@ -364,6 +386,18 @@ def run_schedules(units) -> list[PredictionLog]:
     for u, (_, fits, finish) in walks.items():
         logs[u] = finish([next(fitted) for _ in fits])
     return logs
+
+
+def _ol_share(units, share: list) -> list:
+    """A share of :func:`run_schedules`' OL units: per unit index of share,
+    :func:`run_ol`'s log of that unit or the error it raised."""
+    out = []
+    for u in share:
+        try:
+            out.append(run_ol(*units[u]))
+        except Exception as e:   # raised by run_schedules, in list order
+            out.append(e)
+    return out
 
 
 # ------------------------------------------------------------------ log I/O

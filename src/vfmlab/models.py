@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -139,6 +139,16 @@ class MtlParams:
         return d * h + p * h + h + nb * (2 * h * h + 2 * h) + h + 1 + p * m
 
 
+def _check_finite(obj) -> None:
+    """ConfigError naming the first field of the dataclass obj that is NaN
+    or infinite, which the range checks after it would let through: a NaN
+    fails every comparison they make, and an infinity passes most."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, not {value!r}")
+
+
 @dataclass(frozen=True)
 class MechanisticParams:
     """Physical parameter values of the choke equation."""
@@ -151,6 +161,7 @@ class MechanisticParams:
     C_D: float = DEFAULT_PRIORS["C_D"][0]
 
     def __post_init__(self):
+        _check_finite(self)
         if min(self.rho_oil, self.rho_wat, self.kappa, self.M_gas, self.p_cr, self.C_D) <= 0:
             raise ConfigError("mechanistic parameters must be positive")
         if self.kappa <= 1.0:
@@ -185,6 +196,7 @@ class ChokeGeometry:
     c3: float = 0.9
 
     def __post_init__(self):
+        _check_finite(self)
         if self.a_max <= 0:
             raise ConfigError("a_max must be positive")
         if abs(self.c1 + self.c2 + self.c3 - 1.0) > 1e-9:

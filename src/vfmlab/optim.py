@@ -25,18 +25,16 @@ kind's kernels read), full mini-batches go through stacked kernel calls
 row, each at its fit's own step index.  A fit that stops hands its row to
 the next pending fit.  Each fit keeps its own batch stream, step index,
 validation and early stopping, and its result is the one it would reach
-alone, bit for bit.  :func:`fit_map` is its one-fit
-case.  In a process that may run on several CPUs, a call is split into
-one share per worker, at most one worker per CPU: from two fits up when
-each fit has at least ``SPLIT_PARAMS`` parameters (the network kinds), and
-one worker per ``LOCKSTEP_FITS`` fits below that (LR, MM).  Its fits are
-dealt longest first, each to the share with the fewest mini-batches so far;
-this process runs the first share and a forked child each other share, each
-in the same lockstep (``_fork``, the one fork path, which ``cli``'s ``tune``
-also deals its jobs with).  A child sends back only each fit's
-best-validation vector or error, its learning curve and the share's radicand
-clamp count.  Since a fit's result does not depend on the fits beside it,
-the split changes no bit.
+alone, bit for bit.  :func:`fit_map` is its one-fit case.  In a process
+that may run on several CPUs, a call of two fits or more is split into
+min(CPUs, fits) shares, whatever the kind: its fits are dealt longest
+first, each to the share with the fewest mini-batches so far; this process
+runs the first share and a forked child each other share, each in the same
+lockstep (``_fork``, the one fork path, with which ``cli``'s ``tune`` also
+deals its jobs and ``learning.run_schedules`` its online-learning units).
+A child sends back only each fit's best-validation vector or error, its
+learning curve and the share's radicand clamp count.  Since a fit's result
+does not depend on the fits beside it, the split changes no bit.
 
 Each fit, and each ``learning.run_ol`` unit, has one :class:`TrainingStep`.
 It takes the kernel plan, the prior arrays, the target transform and the
@@ -514,26 +512,8 @@ class TrainingStep:
 # the default study's 195 PBL-2w refits took 9.7, 9.3 and 8.2 s for HEM and
 # 7.3, 4.8 and 5.2 s for NN (one run each; 2 cores, tools/pbl_lockstep.py
 # --cap; one process, before calls were split).  No cap is steadily faster on
-# that host.  The cap changes no result.  It also sets the split of fits
-# below SPLIT_PARAMS parameters: one worker per this many pending fits, at
-# most one per CPU.
+# that host.  The cap changes no result.
 LOCKSTEP_FITS = 16
-
-# fit_maps gives fits of at least this many parameters one worker each, at
-# most one per CPU.  The cutoff only separates LR (7 parameters) and MM (6)
-# from the network kinds (NN 1313, HEM 1319, HAM 1318, MTL 4629): any value
-# from 8 to 1313 splits the same calls.  A network tick grows with the stack
-# (an MTL gradient at 64 rows took 156, 243 and 300 us at 1, 2 and 3 fits),
-# so a second core cuts wall time from two fits up: the first 2, 3 and 5
-# initial fits and PBL-2w refits of `tools/pbl_lockstep.py --wells 5
-# --early-stopping`'s lists took 18-35% less on two workers than on one for
-# NN, HEM and HAM (fit_maps with _cpus set to 1 and 2 in one unpinned
-# process, alternating, medians of 9; 2-core VM), study-cli's MTL call of 3
-# PBL-6m refits 0.951 -> 0.673 s (BENCH_27.json), and pbl-refit, whose NN
-# calls hold 39 refits, 1.780 -> 1.101 s wall (BENCH_26.json).  An LR or MM
-# tick costs about the same whatever the stack holds, so those keep one
-# worker per LOCKSTEP_FITS fits.
-SPLIT_PARAMS = 16
 
 
 # glibc's mallopt parameter M_TOP_PAD (malloc.h), and the pad fit_maps sets:
@@ -686,27 +666,28 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     such a step instead (:meth:`TrainingStep.online_update`).
 
     In a process that may run on more than one CPU, a call splits its
-    pending fits across workers: min(CPUs, fits) of them when each fit has at
-    least ``SPLIT_PARAMS`` parameters, whose ticks grow with the stack, and
-    min(CPUs, ceil(fits / LOCKSTEP_FITS)) below that, where a tick costs
-    about the same whatever the stack holds.  The fits, longest first, are
-    dealt by the longest-processing-time rule: each goes to the share with
-    the fewest mini-batches per epoch so far, the lowest share on a tie
-    (``_deal``).  The shares run through the fork helper that ``cli``'s
-    ``tune`` also deals its jobs with (``_fork``): this process runs the
-    first share and a child forked per other share runs its own, each in
-    the lockstep above.  Before either, the call sets the heap's top pad
-    once per process (``_pad_heap``), so that the ticks of this process and
-    of the children reuse the memory that the last tick freed.  A child
-    sends back, per fit, only its best-validation vector or the DataError
-    or NumericError that ended it, and its learning-curve entries, and once
-    its radicand clamp count, which goes to ``models.MM_DIAGNOSTICS``; the
-    ModelSpecs are built here from each fit's own start, so they keep its
-    scaler.  Since no fit's result depends on the fits beside it, the split
-    changes no bit.  A call of one fit, a call of at most ``LOCKSTEP_FITS``
-    fits below ``SPLIT_PARAMS`` parameters, a process pinned to one CPU, a
-    call inside a share of ``_fork`` (which counts one CPU) and a platform
-    without ``fork`` run in this process alone.
+    pending fits across min(CPUs, fits) workers, whatever the kind: the
+    work of a fit alone (its one-fit gradients, validation passes and row
+    gathers) took about half of the lockstep of well 1's 39 PBL-2w LR
+    refits, pinned, and a network tick grows with the stack.  The fits,
+    longest first, are dealt by the longest-processing-time rule: each goes
+    to the share with the fewest mini-batches per epoch so far, the lowest
+    share on a tie (``_deal``).
+    The shares run through the fork helper that ``cli``'s ``tune`` and
+    ``learning.run_schedules`` also deal their jobs with (``_fork``): this
+    process runs the first share and a child forked per other share runs
+    its own, each in the lockstep above.  Before either, the call sets the
+    heap's top pad once per process (``_pad_heap``), so that the ticks of
+    this process and of the children reuse the memory that the last tick
+    freed.  A child sends back, per fit, only its best-validation vector or
+    the DataError or NumericError that ended it, and its learning-curve
+    entries, and once its radicand clamp count, which goes to
+    ``models.MM_DIAGNOSTICS``; the ModelSpecs are built here from each
+    fit's own start, so they keep its scaler.  Since no fit's result
+    depends on the fits beside it, the split changes no bit.  A call of one
+    fit, a process pinned to one CPU, a call inside a share of ``_fork``
+    (which counts one CPU) and a platform without ``fork`` run in this
+    process alone.
 
     Returns, in list order, per fit its start with its best-validation
     values (version start.version + 1), or the DataError or NumericError
@@ -729,8 +710,7 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
     if not pending:
         return results
     _pad_heap()
-    shares = _deal(pending, _workers(len(pending), len(fits[0][0].params)),
-                   lambda f: f.batches)
+    shares = _deal(pending, _fork_workers(len(pending)), lambda f: f.batches)
     done = _fork(functools.partial(_fit_share, ocfg=ocfg, escfg=escfg), shares)
     for share, outcomes in zip(shares, done):
         for f, (outcome, curve) in zip(share, outcomes):
@@ -742,9 +722,10 @@ def fit_maps(fits, ocfg: OptimizerConfig, escfg: EarlyStoppingConfig,
 
 
 # True in a process while it runs a share of _fork, and for good in its
-# forked children: the process then counts one CPU, so a fit_maps call inside
-# a share runs in that share's process (a daemonic multiprocessing child may
-# not start children, and the shares already hold every CPU)
+# forked children: the process then counts one CPU, so a fit_maps or
+# run_schedules call inside a share runs in that share's process (a daemonic
+# multiprocessing child may not start children, and the shares already hold
+# every CPU)
 _in_share = False
 
 
@@ -754,14 +735,6 @@ def _cpus() -> int:
     if _in_share:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _workers(n: int, params: int) -> int:
-    """How many processes run n >= 1 pending fits of `params` parameters
-    each: one per fit from ``SPLIT_PARAMS`` parameters up, one per
-    ``LOCKSTEP_FITS`` fits below; at most one per CPU, and one where fork
-    is missing."""
-    return _fork_workers(n if params >= SPLIT_PARAMS else -(-n // LOCKSTEP_FITS))
 
 
 def _fork_workers(n: int) -> int:

@@ -118,6 +118,8 @@ def ingest_csv_report(path: str | Path) -> tuple[list[WellDataset], IngestReport
                     source=Source.from_str(raw[col["source"]]),
                     well_id=int(raw[col["well_id"]]),
                 )
+                if not -2**63 <= obs.well_id < 2**63:
+                    raise ValueError("well id beyond int64")
             except (ValueError, IndexError):
                 reason = "unparseable"
             if reason is None:

@@ -4,6 +4,7 @@ re-runs and re-reports with identical bytes, and what the default shift scan
 finds."""
 
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -264,6 +265,44 @@ def test_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(latin) in err and "cannot read" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_csv_whose_well_ids_overflow_int64_is_a_data_error(tmp_path, capsys):
+    """detect on a CSV whose every row has a well id beyond int64: each row
+    is rejected as unparseable, so no row is left, which exits 2 with one
+    stderr line and no traceback."""
+    csv = tmp_path / "wells.csv"
+    csv.write_text("well_id,t,u,p1,p2,T1,eta_oil,eta_gas,q_total,source\n" + "".join(
+        f"99999999999999999999,{t},0.5,15000000,9000000,350,0.3,0.5,55.5,MPFM\n"
+        for t in (0, 3600)))
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"csv_paths": [str(csv)], "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["detect", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no valid observations" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert (tmp_path / "wells.csv.rejects.csv").read_text().count(",unparseable") == 2
+
+
+@pytest.mark.parametrize("section, field", [("true_params", "rho_oil"), ("true_params", "C_D"),
+                                            ("geometry", "a_max"), ("geometry", "c2")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+def test_non_finite_physics_is_a_config_error(section, field, value, tmp_path, capsys):
+    """A scenario's true parameter or choke geometry that is NaN or
+    infinite exits 1 with one stderr line naming the field, as an invalid
+    true parameter such as kappa <= 1 does, and simulates no row."""
+    raw = _tiny_study(tmp_path)
+    raw["scenarios"][0][section] = {field: value}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be finite")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "data").exists()
+    raw["scenarios"][0]["true_params"] = {"kappa": 0.5}
+    path.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(path)]) == 1
 
 
 def test_scenario_geometry_section_becomes_a_choke_geometry(tmp_path):

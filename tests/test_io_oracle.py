@@ -27,7 +27,8 @@ FIELDS = {
     "eta_gas": ["0.5", "0.2", "0.4", "-1e-9", "inf", "0.6"],
     "q_total": ["55.5", "0", "-0.0", "1e3", "-1", "nan", "1.2.3"],
     "source": ["MPFM", "WellTest", "welltest", " well-test ", "Venturi", ""],
-    "well_id": ["1", "2", " 3", "-4", "1.0", "x"],
+    "well_id": ["1", "2", " 3", "-4", "1.0", "x", "99999999999999999999",
+                "-9223372036854775809"],
     "note": ["", "a", "b,c"],
 }
 BLANK_LINES = ([], ["", "  "], [" "] * 11)
@@ -107,6 +108,23 @@ def test_every_reject_reason_and_unparseable_field_matches_the_reference(tmp_pat
     assert report.reject_reasons["unparseable"] == 4
     assert [list(ds.t) for ds in datasets] == [[20.0, 20.0, 100.0], [50.0]]
     assert list(datasets[0].source) == [1, 0, 0]
+
+
+def test_a_well_id_beyond_int64_is_unparseable(tmp_path):
+    """A well id is an int64: one beyond it, either side, rejects its row
+    as unparseable, and the ids at int64's ends are kept."""
+    header = list(CSV_HEADER)
+    row = dict(well_id="1", t="100", u="0.5", p1="15000000", p2="9000000", T1="350",
+               eta_oil="0.3", eta_gas="0.5", q_total="55.5", source="MPFM")
+    ids = [str(2**63), "99999999999999999999", str(-2**63 - 1), str(2**63 - 1), str(-2**63)]
+    path = tmp_path / "wells.csv"
+    _write(path, [header] + [[{**row, "well_id": w}[c] for c in header] for w in ids])
+    assert loop_io.ingest_differences(path) == []
+    datasets, report = ingest_csv_report(path)
+    assert report.reject_reasons == {"unparseable": 3}
+    assert [ds.well_id for ds in datasets] == [-2**63, 2**63 - 1]
+    rejects = (tmp_path / "wells.csv.rejects.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in rejects[1:]] == ids[:3]
 
 
 def test_iso_times_are_decided_on_the_first_row_with_a_time_field(tmp_path):

@@ -107,6 +107,17 @@ def test_prior_means_must_be_valid_mechanistic_values(kind, kappa):
         init_model(kind, priors={"kappa": (kappa, 0.1)})
 
 
+@pytest.mark.parametrize("cls", [MechanisticParams, ChokeGeometry], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_a_non_finite_physical_value_is_refused_by_name(cls, value):
+    """Every field of the choke equation's parameters and geometry refuses
+    NaN and both infinities with a ConfigError naming that field, though a
+    NaN fails every range check's comparison and an infinity passes most."""
+    for name in cls.__dataclass_fields__:
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            cls(**{name: value})
+
+
 def test_init_is_deterministic_per_seed():
     a = init_model("nn", shape=NetworkShape(hidden=(8, 8)), seed=3)
     b = init_model("nn", shape=NetworkShape(hidden=(8, 8)), seed=3)

@@ -783,9 +783,8 @@ def test_fits_of_every_length_share_a_row_store(kind):
 
 
 def _two_workers(monkeypatch):
-    """Two CPUs and a stack of two: fit_maps splits network fits from two
-    up, and LR/MM fits from three up, between this process and one forked
-    child."""
+    """Two CPUs and a stack of two: fit_maps splits fits of any kind from
+    two up between this process and one forked child."""
     monkeypatch.setattr(optim, "LOCKSTEP_FITS", 2)
     monkeypatch.setattr(optim, "_cpus", lambda: 2)
 
@@ -922,37 +921,11 @@ def test_network_fits_are_dealt_by_longest_processing_time(monkeypatch):
     assert shares == [[1], [2, 0]]
 
 
-@pytest.mark.parametrize("n_fits", [5, 15])
-@pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM], ids=lambda k: k.value)
-def test_a_call_of_few_small_fits_runs_in_one_process(kind, n_fits, monkeypatch):
-    """LR and MM fits have fewer than SPLIT_PARAMS parameters: a call of up
-    to LOCKSTEP_FITS of them never forks on two CPUs, and a call of
-    one more does."""
+def _assert_split_equals_fit_map(fits, monkeypatch, tmp_path) -> None:
+    """fits on two CPUs, at the default stack: one share runs in a forked
+    child, and every fit's values, version, scaler and learning curve equal
+    fit_map on that fit alone, bit for bit."""
     monkeypatch.setattr(optim, "_cpus", lambda: 2)
-    ds = _data(30)
-    m0 = _model(kind, ds)
-    assert len(m0.params) < optim.SPLIT_PARAMS
-    loss = LossSpec.from_data(ds, rel=0.5)
-    fits = [(m0, ds.take(slice(0, 20 + 2 * i)), loss) for i in range(n_fits)]
-    shares = _record_shares(monkeypatch)
-    got = optim.fit_maps(fits, SPLIT_OCFG, ESCFG)
-    assert shares == [] and all(g.version == m0.version + 1 for g in got)
-    more = fits + [fits[0]] * (optim.LOCKSTEP_FITS + 1 - n_fits)
-    with pytest.raises(_Dealt):
-        optim.fit_maps(more, SPLIT_OCFG, ESCFG)
-
-
-@pytest.mark.parametrize("n_fits", [2, 3])
-@pytest.mark.parametrize("kind", [ModelKind.NN, ModelKind.MTL], ids=lambda k: k.value)
-def test_a_few_network_fits_split_and_equal_fit_map(kind, n_fits, monkeypatch, tmp_path):
-    """Two or three network fits on two CPUs, at the default stack: one
-    share runs in a forked child, and every fit's values, version, scaler
-    and learning curve equal fit_map on that fit alone, bit for bit."""
-    monkeypatch.setattr(optim, "_cpus", lambda: 2)
-    ds = _data(30)
-    m0 = _model(kind, ds)
-    fits = [(m0, ds.take(rows), LossSpec.from_data(ds.take(rows), rel=0.2))
-            for rows in (slice(0, 60), slice(10, 45), slice(30, 52))[:n_fits]]
     ran_in = tmp_path / "pids"
     lockstep = optim._lockstep
 
@@ -974,6 +947,32 @@ def test_a_few_network_fits_split_and_equal_fit_map(kind, n_fits, monkeypatch, t
         assert g.params.values.tobytes() == want.params.values.tobytes()
         assert g.version == want.version and g.scaler is start.scaler
         assert len(sink) > 0 and np.array(sink).tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("n_fits", [5, 15])
+@pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM], ids=lambda k: k.value)
+def test_a_call_of_few_small_fits_splits_and_equals_fit_map(kind, n_fits, monkeypatch,
+                                                             tmp_path):
+    """LR and MM fits split as the network kinds' do: the 5 initial fits of
+    a study and its 15 PBL-6m refits, on two CPUs, run in two processes and
+    each equals fit_map alone."""
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    loss = LossSpec.from_data(ds, rel=0.5)
+    fits = [(m0, ds.take(slice(0, 20 + 2 * i)), loss) for i in range(n_fits)]
+    _assert_split_equals_fit_map(fits, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("n_fits", [2, 3])
+@pytest.mark.parametrize("kind", [ModelKind.NN, ModelKind.MTL], ids=lambda k: k.value)
+def test_a_few_network_fits_split_and_equal_fit_map(kind, n_fits, monkeypatch, tmp_path):
+    """Two or three network fits on two CPUs run in two processes, and each
+    equals fit_map alone."""
+    ds = _data(30)
+    m0 = _model(kind, ds)
+    fits = [(m0, ds.take(rows), LossSpec.from_data(ds.take(rows), rel=0.2))
+            for rows in (slice(0, 60), slice(10, 45), slice(30, 52))[:n_fits]]
+    _assert_split_equals_fit_map(fits, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1048,11 +1047,12 @@ def test_stdout_buffered_before_a_split_call_is_written_once(monkeypatch, capfd)
 
 def test_a_share_counts_one_cpu_and_forks_no_further():
     """While _fork's shares run, _cpus counts one CPU, in this process and
-    in the child, so a fit_maps call inside a share runs in that share's
-    process; afterwards the count is this process's again."""
+    in the child, so a fit_maps or run_schedules call inside a share runs
+    in that share's process (one worker for three jobs); afterwards the
+    count is this process's again."""
     before = optim._cpus()
     with _deadline(30):
-        got = optim._fork(lambda share: (share, optim._cpus(), optim._workers(3, 5000)),
+        got = optim._fork(lambda share: (share, optim._cpus(), optim._fork_workers(3)),
                           [[0], [1]])
     assert got == [([0], 1, 1), ([1], 1, 1)]
     assert optim._cpus() == before
@@ -1114,3 +1114,132 @@ def test_run_schedules_equals_one_unit_at_a_time(kind, monkeypatch):
         assert g.metadata == w.metadata
     failed = got[2].metadata["failed_periods"]
     assert failed == [units[2][1].test.t[0]] and got[2].metadata["n_retrains"] > 0
+
+
+def _ol_units(kind, tests=(12, 16, 10, 18, 8)) -> list:
+    """One OL unit of kind per well of five, as ``vfmlab run`` has them: 24
+    training rows and tests[u] test rows each, every fifth row's radicand
+    clamped (p2 > p1), each unit its own start, noise level and scaler."""
+    units = []
+    for u, n_test in enumerate(tests):
+        ds = make_dataset(24 + n_test, well_id=u + 1, seed=20 + u)
+        X = ds.X.copy()
+        X[::5, 2] = X[::5, 1] * 1.1
+        y = predict(init_model("mm"), X) * np.random.default_rng(u).uniform(0.8, 1.2, len(ds))
+        split = chronological_split(WellDataset(ds.t, X, y, ds.source, ds.well),
+                                    float(ds.t[24]))
+        loss = LossSpec.from_data(split.train, rel=0.3 + 0.1 * u)
+        m0 = init_model(kind, shape=SHAPE, seed=u, scaler=fit_scaler(split.train))
+        units.append((m0, split, ScheduleConfig(mode="ol", ocfg=_ocfg(Method.ADAM), loss=loss,
+                                                steps=2)))
+    return units
+
+
+def _two_cpus() -> int:
+    """optim._cpus on two CPUs: 2, and 1 while a share of optim._fork runs."""
+    return 1 if optim._in_share else 2
+
+
+def _record_ol_pids(monkeypatch, path) -> None:
+    """Make every run_ol call of run_schedules append its process id to path."""
+    run = learning.run_ol
+
+    def recording(*unit):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run(*unit)
+
+    monkeypatch.setattr(learning, "run_ol", recording)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.MM, ModelKind.HEM],
+                         ids=lambda k: k.value)
+def test_dealt_ol_units_equal_a_one_cpu_run(kind, monkeypatch, tmp_path):
+    """run_schedules deals the five OL units to two CPUs: at least one runs
+    in a forked child, no child is left running, and the logs, their
+    metadata and the radicand clamp count are those of a run on one CPU,
+    byte for byte."""
+    units = _ol_units(kind)
+    runs = []
+    for cpus in (_two_cpus, lambda: 1):
+        monkeypatch.setattr(optim, "_cpus", cpus)
+        pids = tmp_path / f"pids{len(runs)}"
+        with monkeypatch.context() as mp:
+            _record_ol_pids(mp, pids)
+            c0 = mm_clamp_count()
+            with _deadline(60):
+                logs = learning.run_schedules(units)
+            runs.append((logs, mm_clamp_count() - c0, pids.read_text().split()))
+        assert multiprocessing.active_children() == []
+    (dealt, dealt_clamps, dealt_pids), (one, one_clamps, one_pids) = runs
+    assert len(set(dealt_pids) - {str(os.getpid())}) == 1 and len(dealt_pids) == 5, dealt_pids
+    assert one_pids == [str(os.getpid())] * 5
+    assert dealt_clamps == one_clamps and (one_clamps > 0) == (kind is not ModelKind.LR)
+    for d, o in zip(dealt, one):
+        for col in ("t", "well", "y_true", "y_pred", "model_version", "source"):
+            assert getattr(d, col).tobytes() == getattr(o, col).tobytes(), col
+        assert d.metadata == o.metadata and d.metadata["n_updates"] > 0
+
+
+def _naming_ol_errors(monkeypatch) -> None:
+    """Make an error of run_ol name the unit's well, so that the unit whose
+    error a call raises can be told apart."""
+    run = learning.run_ol
+
+    def naming(m0, split, cfg):
+        try:
+            return run(m0, split, cfg)
+        except NumericError as e:
+            raise NumericError(f"well {split.test.well[0]}: {e}") from None
+
+    monkeypatch.setattr(learning, "run_ol", naming)
+
+
+def _poisoned(unit):
+    """unit with a nonpositive p1 in its second test row."""
+    m0, split, cfg = unit
+    te = split.test
+    X = te.X.copy()
+    X[1, 1] = 0.0
+    return m0, dataclasses.replace(split, test=WellDataset(te.t, X, te.y, te.source, te.well)), cfg
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dealt_ol_units_raise_the_first_failing_units_error(cpus, monkeypatch, tmp_path):
+    """MM units 1 and 3 of five meet a test row with nonpositive p1.  Dealt
+    by test rows, unit 3 (the longest) runs in this process and unit 1 in
+    the child, yet the call raises unit 1's error, as one process does."""
+    monkeypatch.setattr(optim, "_cpus", _two_cpus if cpus == 2 else lambda: 1)
+    _naming_ol_errors(monkeypatch)
+    _record_ol_pids(monkeypatch, tmp_path / "pids")
+    units = _ol_units(ModelKind.MM)
+    for u in (1, 3):
+        units[u] = _poisoned(units[u])
+    with _deadline(60), pytest.raises(NumericError, match="^well 2: mechanistic forward"):
+        learning.run_schedules(units)
+    assert len(set((tmp_path / "pids").read_text().split())) == cpus
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("pbl_first", [False, True])
+def test_a_failing_walk_counts_in_list_order(pbl_first, monkeypatch):
+    """On two CPUs, an OL unit that fails beside a PBL unit whose period
+    walk fails (a training row with nonpositive p1): the unit listed first
+    gives the call's error, the OL unit's (named by its well) or the
+    walk's."""
+    monkeypatch.setattr(optim, "_cpus", _two_cpus)
+    _naming_ol_errors(monkeypatch)
+    units = _ol_units(ModelKind.MM)
+    m0, split, cfg = units[4]
+    tr = split.train
+    X = tr.X.copy()
+    X[0, 1] = -1.0
+    walk = (m0, dataclasses.replace(split, train=WellDataset(tr.t, X, tr.y, tr.source, tr.well)),
+            ScheduleConfig(mode="pbl", ocfg=cfg.ocfg, loss=cfg.loss, period_s=3 * HOUR,
+                           escfg=ESCFG))
+    failing = [units[0], _poisoned(units[1])]
+    failing.insert(1 if pbl_first else 2, walk)
+    match = "^mechanistic forward" if pbl_first else "^well 2: mechanistic forward"
+    with _deadline(60), pytest.raises(NumericError, match=match):
+        learning.run_schedules(failing)
+    assert multiprocessing.active_children() == []

@@ -7,8 +7,8 @@ prints JSON lines as ``tools/ol_update.py`` does: per line, ``kind`` names a
 row and ``--value`` (``us_per_obs`` by default) holds its number (lower is
 better); a line without that key is left out.  Prints one JSON
 object: per row, each side's runs, median and min, the change's median
-against the parent's in percent, and the rounds in which the change is
-lower; and the machine's usable CPUs.
+against the parent's in percent (null where the parent's median is 0), and
+the rounds in which the change is lower; and the machine's usable CPUs.
 
     python3 tools/alternate.py --parent ../parent --change . --rounds 5 -- \\
         python3 tools/ol_update.py --kinds lr,mm --repeats 5
@@ -73,7 +73,8 @@ def main(argv=None) -> int:
         med = {s: float(np.median(sides[s])) for s in SIDES}
         out["rows"][key] = {
             **{s: {"runs": sides[s], "median": med[s], "min": min(sides[s])} for s in SIDES},
-            "change_pct": round(100.0 * (med["change"] - med["parent"]) / med["parent"], 1),
+            "change_pct": (round(100.0 * (med["change"] - med["parent"]) / med["parent"], 1)
+                           if med["parent"] else None),
             "change_lower_rounds": sum(c < p for p, c in zip(sides["parent"], sides["change"]))}
     print(json.dumps(out, indent=1))
     return 0

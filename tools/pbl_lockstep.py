@@ -14,11 +14,11 @@ alternating, ``--repeats`` times each, and prints one JSON line per kind
 and list: the fit count, the min seconds of each side, their ratio,
 whether every fitted vector (and every failure) is the same, bit for bit,
 and the lockstep's counts: its stack cap (``optim.LOCKSTEP_FITS``, or
-``--cap``), its workers (``fit_maps`` splits a list of network fits from
-two up, and a list of LR or MM fits longer than the cap, across up to one
-process per CPU), its ticks (optimizer steps of the stack), its fit-steps
-(the live fits summed over its ticks) and how busy the stack was
-(fit-steps over ticks times the cap).  ``calls`` counts the lockstep's
+``--cap``), its workers (``fit_maps`` splits a list of two fits or more,
+whatever the kind, across up to one process per CPU), its ticks
+(optimizer steps of the stack), its fit-steps (the live fits summed over
+its ticks) and how busy the stack was (fit-steps over ticks times the
+cap).  ``calls`` counts the lockstep's
 gradient calls by path: ``bound_stack``, a tick whose one mini-batch
 length covers every live fit, through the stack's own binding;
 ``copied_stack``, a stacked call over part of the stack, which binds a
@@ -52,9 +52,9 @@ first 240 days of each well, split at day 180, a refit every 3 days, 3
 epochs per fit, one repeat), on well 1 alone and on wells 1 to 3 together,
 and exits 1 when any fit differs, or when any trainable kind took no tick
 on the stack's own binding in this process, so that a silent fall back to
-copied gradients fails too.  Its 19 refits per
-well are more than a stack takes, so on more than one CPU they run split
-across workers.
+copied gradients fails too.  On more than one CPU each list runs split
+across workers; its 19 refits per well are more than a stack takes, so
+under ``taskset -c 0`` they refill and shrink one stack.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class StepCount:
         self.workers = 1
         self.calls = dict.fromkeys(("bound_stack", "copied_stack", "one_fit", "validation"), 0)
         self.real = {name: getattr(optim, name)
-                     for name in ("_step", "_workers", "plan_bound_grad", "plan_loss_grad",
+                     for name in ("_step", "_fork_workers", "plan_bound_grad", "plan_loss_grad",
                                   "plan_loss")}
         real = self.real
 
@@ -155,7 +155,7 @@ class StepCount:
             return real["_step"](state, grad, *args)
 
         def workers(*args):
-            self.workers = real["_workers"](*args)
+            self.workers = real["_fork_workers"](*args)
             return self.workers
 
         def bound_grad(plan, net, theta, *args):
@@ -170,7 +170,7 @@ class StepCount:
             self.calls["validation"] += 1
             return real["plan_loss"](*args)
 
-        optim._step, optim._workers = step, workers
+        optim._step, optim._fork_workers = step, workers
         optim.plan_bound_grad, optim.plan_loss_grad, optim.plan_loss = bound_grad, loss_grad, loss
         return self
 
